@@ -161,6 +161,22 @@ def cmd_sample_potential(cfg: RunConfig) -> int:
     return 0
 
 
+def _pair_edges(predicted, found) -> dict:
+    """Pair each predicted (energy, class) row with the nearest unused simple
+    numeric edge of the same class; returns {index into found: energy}.
+
+    Pairing by energy and class, not by position, keeps one missed or
+    spurious edge from shifting every later comparison.
+    """
+    pairs = {}
+    for energy, period_class in predicted:
+        free = [i for i, e in enumerate(found)
+                if e.multiplicity == 1 and e.period_class == period_class and i not in pairs]
+        if free:
+            pairs[min(free, key=lambda i: abs(found[i].energy - energy))] = energy
+    return pairs
+
+
 def cmd_edges(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     predicted = _predicted_table(spec)
@@ -173,20 +189,18 @@ def cmd_edges(cfg: RunConfig) -> int:
     emax = cfg.emax if cfg.emax is not None else hi
     found = flq.find_band_edges(spec, emin, emax)
     simple = [e for e in found if e.multiplicity == 1]
+    pairs = _pair_edges(predicted or [], found)
 
     idx, eana, enum, diff, disc, cls = [], [], [], [], [], []
     max_diff = 0.0
-    count_ok = predicted is None or len(simple) == len(predicted)
-    ana_iter = list(predicted) if predicted is not None else []
-    j = 0
+    count_ok = predicted is None or len(simple) == len(predicted) == len(pairs)
     for i, e in enumerate(found):
         idx.append(i)
         enum.append(e.energy)
         disc.append(e.discriminant.real)
         cls.append(e.period_class)
-        if predicted is not None and e.multiplicity == 1 and j < len(ana_iter):
-            ea = ana_iter[j][0]
-            j += 1
+        if i in pairs:
+            ea = pairs[i]
             eana.append(_fmt(ea))
             diff.append(abs(ea - e.energy))
             max_diff = max(max_diff, abs(ea - e.energy))

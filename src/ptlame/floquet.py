@@ -17,8 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
+from scipy.integrate import DOP853, solve_ivp
 
 from . import potentials
 
@@ -40,6 +39,18 @@ __all__ = [
 
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
+# Limits of one integration over a period.  On the benchmark's draws (m in
+# [0.05, 0.95], beta in [0.05, 1.5]) and the test suite, an integration takes
+# at most 382 steps, none shorter than 7.8e-6 of the period.  A pole on the
+# line collapses the step size within a few hundred steps, but DOP853 itself
+# gives up only ~1e5 steps later, when the step reaches the spacing of
+# floating-point numbers.
+_MAX_STEPS = 20000
+_MIN_STEP = 1e-10  # fraction of the period
+# relative part of the root-bracket stopping rule (scipy's brentq default)
+_ROOT_RTOL = 8.9e-16
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 class FloquetIntegrationError(RuntimeError):
@@ -96,11 +107,31 @@ class ScanResult:
     im_flags: np.ndarray
 
 
+class _BudgetedDOP853(DOP853):
+    """DOP853 that reports failure after ``_MAX_STEPS`` steps, or once its
+    step falls below ``_MIN_STEP`` of the interval."""
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.steps_left = _MAX_STEPS
+        self.h_floor = _MIN_STEP * abs(t_bound - t0)
+
+    def _step_impl(self):
+        if self.steps_left <= 0:
+            return False, f"step budget of {_MAX_STEPS} exhausted"
+        if self.h_abs < self.h_floor:
+            return False, f"step size fell below {_MIN_STEP:g} of the period"
+        self.steps_left -= 1
+        return super()._step_impl()
+
+
 def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
     """Integrate both canonical solutions for a batch of energies at once.
 
     The ODE is linear and the potential is shared across the batch, so the
     right-hand side evaluates V once per stage regardless of batch size.
+    Returns the transfer matrices, their defects |det M - 1| and the
+    integrator stats, whose ``det_defect`` is the batch maximum.
     """
     f = potentials.compiled_value_fn(spec)
     L = spec.period
@@ -117,7 +148,7 @@ def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
         out[n2:] = (v - EE) * y[:n2]
         return out
 
-    sol = solve_ivp(rhs, (x0, x0 + L), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, rtol=rtol, atol=atol)
     if not sol.success:
         raise FloquetIntegrationError(
             f"integration failed over one period ({sol.message}); check beta against the pole lattice"
@@ -128,27 +159,37 @@ def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
     ms[:, 0, 1] = y[1:n2:2]
     ms[:, 1, 0] = y[n2::2]
     ms[:, 1, 1] = y[n2 + 1 :: 2]
-    return ms, IntegratorStats(steps=len(sol.t) - 1, nfev=sol.nfev, det_defect=0.0)
+    defects = np.abs(ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0] - 1.0)
+    return ms, defects, IntegratorStats(steps=len(sol.t) - 1, nfev=sol.nfev, det_defect=float(defects.max()))
+
+
+def _checked_propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
+    """:func:`_propagate` with Wronskian conservation (det M = 1) enforced.
+
+    det - 1 is a difference of products of the matrix entries, so far below
+    the spectrum (entries ~ exp(sqrt(V-E) L)) it carries an unavoidable
+    cancellation error ~ |M|^2 eps; the test scales with that.  Raises
+    :class:`FloquetIntegrationError` naming the first energy that fails.
+    """
+    ms, defects, stats = _propagate(spec, energies, rtol, atol, x0)
+    scale = np.maximum(1.0, np.abs(ms).max(axis=(1, 2))) ** 2
+    bad = np.flatnonzero(defects > _DET_TOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise FloquetIntegrationError(f"Wronskian drift |det M - 1| = {defects[i]:.3e} at E={float(energies[i])}")
+    return ms, stats
 
 
 def monodromy(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13, x0: float = 0.0) -> MonodromyResult:
     """Monodromy matrix of the spec at one energy.
 
     Raises :class:`FloquetIntegrationError` when Wronskian conservation
-    (det M = 1) is violated beyond 1e-9, which would poison every downstream
-    tolerance.
+    (det M = 1) is violated beyond 1e-9 (scaled by |M|^2), which would poison
+    every downstream tolerance.
     """
-    ms, stats = _propagate(spec, [float(E)], rtol, atol, x0)
+    ms, stats = _checked_propagate(spec, [float(E)], rtol, atol, x0)
     M = ms[0]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    defect = abs(det - 1.0)
-    # det - 1 is a difference of products of the matrix entries, so far below
-    # the spectrum (entries ~ exp(sqrt(V-E) L)) it carries an unavoidable
-    # cancellation error ~ |M|^2 eps; the conservation test scales with that.
-    scale = max(1.0, float(np.max(np.abs(M)))) ** 2
-    if defect > _DET_TOL * scale:
-        raise FloquetIntegrationError(f"Wronskian drift |det M - 1| = {defect:.3e} at E={E}")
-    return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], IntegratorStats(stats.steps, stats.nfev, defect))
+    return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats)
 
 
 def discriminant_scan(
@@ -177,10 +218,8 @@ def discriminant_scan(
     defects = np.empty(n, dtype=float)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        ms, _ = _propagate(spec, grid[lo:hi], rtol, atol)
+        ms, defects[lo:hi], _ = _propagate(spec, grid[lo:hi], rtol, atol)
         deltas[lo:hi] = ms[:, 0, 0] + ms[:, 1, 1]
-        dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
-        defects[lo:hi] = np.abs(dets - 1.0)
     im_flags = np.abs(deltas.imag) > _IM_FLAG_TOL
 
     edges = []
@@ -198,35 +237,196 @@ def discriminant_scan(
     return ScanResult(grid, deltas, defects, edges, im_flags)
 
 
-def _refine_tangency(spec, target, e_lo, e_hi, rtol, atol, xtol):
-    sign = 1.0 if target > 0 else -1.0
+def _run(spec, tasks, rtol, atol):
+    """Drive refinement tasks in lockstep to their results.
 
-    def negdist(E):
-        return -sign * monodromy(spec, E, rtol, atol).discriminant.real
+    A task is a generator that yields the energies it needs next and is sent
+    their discriminants.  Each round gathers the requests of every pending
+    task into one batch, integrated and Wronskian checked in a single
+    :func:`_checked_propagate` call.
+    """
+    task = _join(tasks)
+    try:
+        energies = next(task)
+        while True:
+            uniq, inv = np.unique(energies, return_inverse=True)
+            ms, _ = _checked_propagate(spec, uniq, rtol, atol)
+            energies = task.send((ms[:, 0, 0] + ms[:, 1, 1])[inv])
+    except StopIteration as done:
+        return done.value
 
-    res = minimize_scalar(negdist, bounds=(e_lo, e_hi), method="bounded", options={"xatol": xtol})
-    return float(res.x), -sign * res.fun
+
+def _join(tasks):
+    """One task that advances ``tasks`` in lockstep, one step each per batch;
+    returns their results in order."""
+    results = [None] * len(tasks)
+    asks = {k: None for k in range(len(tasks))}
+    replies = {k: None for k in asks}
+    while True:
+        for k in list(asks):
+            try:
+                asks[k] = tasks[k].send(replies[k])
+            except StopIteration as done:
+                results[k] = done.value
+                del asks[k]
+        if not asks:
+            return results
+        deltas = yield [e for ask in asks.values() for e in ask]
+        pos = 0
+        for k, ask in asks.items():
+            replies[k] = deltas[pos : pos + len(ask)]
+            pos += len(ask)
 
 
-def _refine_crossing(f, lo, hi, h, e_min, e_max, xtol):
-    """Root of f in [lo, hi], tolerant of sign flips within integration noise.
+def _bracket(a, da, b, db, target, xtol):
+    """Root of Re Delta = target between energies a < b, given Delta there.
 
-    The coarse scan is integrated in batch and the refinement per energy, so
-    a root sitting within ~1e-10 of a grid point can present the same sign at
-    both endpoints here; widening by one cell recovers the bracket.
+    Illinois (modified regula falsi) steps, each kept at least half a
+    tolerance inside the bracket, and a bisection whenever three steps have
+    not halved it.  Stops as brentq does, once the bracket is narrower than
+    xtol + 8.9e-16 |E|.  Returns (E, Delta(E)) at the end nearer the root, or
+    None when the ends do not bracket one.
+    """
+    fa, fb = da.real - target, db.real - target
+    if fa == 0.0:
+        return a, da
+    if fb == 0.0:
+        return b, db
+    if fa * fb > 0.0:
+        return None
+    ga, gb = fa, fb  # interpolation weights, halved by the Illinois rule
+    kept = 0  # +1 when the last step replaced b, -1 when it replaced a
+    widths = [b - a]
+    while True:
+        best = (a, da) if abs(fa) < abs(fb) else (b, db)
+        tol = xtol + _ROOT_RTOL * abs(best[0])
+        if b - a < tol:
+            return best
+        if len(widths) >= 4 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (a + b)
+        else:
+            x = min(max((a * gb - b * ga) / (gb - ga), a + 0.5 * tol), b - 0.5 * tol)
+        dx = (yield [x])[0]
+        fx = dx.real - target
+        if fx == 0.0:
+            return x, dx
+        if (fx > 0.0) == (fa > 0.0):
+            a, da, fa, ga = x, dx, fx, fx
+            if kept == -1:
+                gb *= 0.5
+            kept = -1
+        else:
+            b, db, fb, gb = x, dx, fx, fx
+            if kept == 1:
+                ga *= 0.5
+            kept = 1
+        widths.append(b - a)
+
+
+def _extremum(lo, hi, sign, xtol):
+    """Energy in [lo, hi] where sign * Re Delta peaks, with Delta there.
+
+    Brent's search (golden-section steps, parabolic ones where the fit is
+    acceptable), as in scipy's bounded ``minimize_scalar``, stopped at the
+    same tolerance sqrt(eps)|E| + xtol/3.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    dx = (yield [x])[0]
+    fx = fw = fv = -sign * dx.real
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, dx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = _GOLDEN * e
+        step = max(abs(d), tol1)
+        u = x + (step if d >= 0.0 else -step)
+        du = (yield [u])[0]
+        fu = -sign * du.real
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, dx = u, fu, du
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _edges(roots, cls, multiplicity=1):
+    return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
+
+
+def _crossing(lo, hi, h, e_min, e_max, target, cls, xtol):
+    """Edge in a scan cell [lo, hi] whose ends straddle the target.
+
+    The scan and the refinement integrate in different batches, so a root
+    sitting within ~1e-10 of a grid point can present the same sign at both
+    ends here; widening by one cell recovers the bracket.
     """
     xs = [max(lo - h, e_min), lo, hi, min(hi + h, e_max)]
-    fs = [f(x) for x in xs]
-    for x, fx in zip(xs, fs):
-        if fx == 0.0:
-            return x
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
-        if a < b and fa * fb < 0.0:
-            return brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+    ds = yield xs
+    fs = [d.real - target for d in ds]
+    for x, d, f in zip(xs, ds, fs):
+        if f == 0.0:
+            return _edges([(x, d)], cls)
+    for k in range(3):
+        if xs[k] < xs[k + 1] and fs[k] * fs[k + 1] < 0.0:
+            root = yield from _bracket(xs[k], ds[k], xs[k + 1], ds[k + 1], target, xtol)
+            return _edges([root], cls)
     best = int(np.argmin(np.abs(fs)))
-    if abs(fs[best]) < 1e-8:
-        return xs[best]
-    return None
+    return _edges([(xs[best], ds[best])], cls) if abs(fs[best]) < 1e-8 else []
+
+
+def _grid_hit(E, cls):
+    d = (yield [E])[0]
+    return _edges([(E, d)], cls)
+
+
+def _tangency(lo, hi, target, cls, xtol, closed_gap_tol):
+    """Closed gap (one edge of multiplicity 2) or the two roots of a barely
+    open one, around an extremum of Delta pinned near the target in [lo, hi]."""
+    sign = 1.0 if target > 0 else -1.0
+    e_star, d_star = yield from _extremum(lo, hi, sign, xtol)
+    gap = sign * (d_star.real - target)
+    if abs(gap) <= closed_gap_tol:
+        return _edges([(e_star, d_star)], cls, 2)
+    if gap < 0.0:
+        return []
+    d_lo, d_hi = yield [lo, hi]
+    roots = yield from _join([
+        _bracket(lo, d_lo, e_star, d_star, target, xtol),
+        _bracket(e_star, d_star, hi, d_hi, target, xtol),
+    ])
+    return _edges(roots, cls)
 
 
 def find_band_edges(
@@ -244,63 +444,40 @@ def find_band_edges(
     Sign-change brackets from a coarse scan (``density`` samples per unit
     energy) are refined by bracketing root iteration to ``xtol``; tangential
     roots, where |Delta| touches 2 without crossing, are polished through a
-    bounded extremum search and reported with multiplicity 2.  A warning is
-    issued when fewer than the 2a+1 edges expected for a recognized base
-    family are found, which usually means the range is too small.
+    bounded extremum search and reported with multiplicity 2, or split into
+    the two roots of a barely open gap.  The refinement runs in lockstep:
+    every pending bracket and extremum search, of both targets, takes one
+    step per round, and each round is one batched, Wronskian-checked
+    integration over all the energies it needs.  A warning is issued when
+    fewer than the 2a+1 edges expected for a recognized base family are
+    found, which usually means the range is too small.
     """
     n = max(int(density * (e_max - e_min)) + 1, 81)
     scan = discriminant_scan(spec, e_min, e_max, n, rtol=rtol, atol=atol)
     grid = scan.energies
     d = scan.discriminants.real
     h = grid[1] - grid[0]
-    found: list[NumericBandEdge] = []
+    tasks = []
 
     for target, cls in ((2.0, "P"), (-2.0, "A")):
         g = d - target
-
-        def f(E, target=target):
-            return monodromy(spec, E, rtol, atol).discriminant.real - target
-
         crossing_cells = set(np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0])
         for i in sorted(crossing_cells):
-            root = _refine_crossing(f, grid[i], grid[i + 1], h, e_min, e_max, xtol)
-            if root is None:
-                continue
-            mono = monodromy(spec, root, rtol, atol)
-            found.append(NumericBandEdge(root, cls, mono.discriminant, 1))
+            tasks.append(_crossing(grid[i], grid[i + 1], h, e_min, e_max, target, cls, xtol))
         # exact grid hits
         for i in np.nonzero(g == 0.0)[0]:
             if i not in crossing_cells and (i - 1) not in crossing_cells:
-                mono = monodromy(spec, grid[i], rtol, atol)
-                found.append(NumericBandEdge(grid[i], cls, mono.discriminant, 1))
+                tasks.append(_grid_hit(grid[i], cls))
         # tangencies: local extremum of Delta pinned near the target without
         # a crossing; a barely open gap hides two roots inside one cell
-        sign = 1.0 if target > 0 else -1.0
-        toward = sign * g
+        toward = (1.0 if target > 0 else -1.0) * g
         for i in range(1, n - 1):
             if toward[i] >= toward[i - 1] and toward[i] >= toward[i + 1] and abs(g[i]) < 2e-4:
                 if {i - 1, i} & crossing_cells:
                     continue
-                e_star, d_star = _refine_tangency(spec, target, grid[i - 1], grid[i + 1], rtol, atol, xtol)
-                gap = sign * (d_star - target)
-                if abs(gap) <= closed_gap_tol:
-                    mono = monodromy(spec, e_star, rtol, atol)
-                    found.append(NumericBandEdge(e_star, cls, mono.discriminant, 2))
-                elif gap > 0.0:
-                    for lo, hi in ((grid[i - 1], e_star), (e_star, grid[i + 1])):
-                        try:
-                            root = brentq(
-                                lambda E: monodromy(spec, E, rtol, atol).discriminant.real - target,
-                                lo,
-                                hi,
-                                xtol=xtol,
-                                rtol=8.9e-16,
-                            )
-                        except ValueError:
-                            continue
-                        mono = monodromy(spec, root, rtol, atol)
-                        found.append(NumericBandEdge(root, cls, mono.discriminant, 1))
+                tasks.append(_tangency(grid[i - 1], grid[i + 1], target, cls, xtol, closed_gap_tol))
 
+    found = [e for edges in _run(spec, tasks, rtol, atol) for e in edges]
     found.sort(key=lambda e: e.energy)
     deduped: list[NumericBandEdge] = []
     for e in found:

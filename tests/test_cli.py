@@ -102,6 +102,23 @@ class TestEdges:
         meta, _ = _read_csv(out)
         assert "verdict=FAIL" in meta
 
+    def test_spurious_edge_does_not_shift_the_pairing(self, tmp_path, monkeypatch):
+        # one extra numeric edge between the true ones: each closed-form edge
+        # still meets its own numeric partner, and the count alone fails
+        real = [(0.0 + 1e-9, "P"), (0.75 + 2e-9, "A"), (1.0 - 3e-9, "A")]
+        stub = sorted(real + [(0.5, "A")])
+        monkeypatch.setattr(cli.flq, "find_band_edges", lambda *args, **kwargs: [
+            cli.flq.NumericBandEdge(e, c, complex(2.0 if c == "P" else -2.0)) for e, c in stub])
+        out = tmp_path / "edges.csv"
+        rc = cli.main(["edges", "--a", "1", "--pt", "--shift-zero", "--out", str(out)])
+        assert rc == 3
+        meta, cols = _read_csv(out)
+        assert "verdict=FAIL" in meta
+        diffs = [float(d) for d in cols["abs_diff"]]
+        assert cols["energy_analytic"][1] == "" and np.isnan(diffs[1])
+        assert np.allclose([diffs[0], diffs[2], diffs[3]], [1e-9, 2e-9, 3e-9], rtol=1e-3, atol=1e-15)
+        assert float(meta.split("max_abs_diff=")[1].split()[0]) < 1e-8
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -34,6 +34,14 @@ class TestMonodromy:
         det = r.M[0, 0] * r.M[1, 1] - r.M[0, 1] * r.M[1, 0]
         assert abs(det - 1.0) < 1e-9
 
+    def test_stats_report_the_det_defect(self):
+        r = flq.monodromy(pot.PTTransform(pot.Lame(3, M), BETA), 2.0)
+        recomputed = abs(r.M[0, 0] * r.M[1, 1] - r.M[0, 1] * r.M[1, 0] - 1.0)
+        # equal up to the rounding of the products, ~eps |M|^2
+        rounding = 1e-15 * max(1.0, float(np.abs(r.M).max())) ** 2
+        assert recomputed > 100.0 * rounding
+        assert r.stats.det_defect == pytest.approx(recomputed, abs=rounding)
+
     def test_trace_independent_of_start_point(self):
         spec = _a1_spec()
         a = flq.monodromy(spec, 0.4)
@@ -129,6 +137,47 @@ class TestEdgeFinding:
         assert len(got) == len(mapped) == 3
         assert np.allclose(got, mapped, atol=1e-6)
 
+    def test_gap_inside_one_scan_cell_splits(self):
+        # 2q cos 2x opens the first gap over [1 - q, 1 + q] (to O(q^2)); no
+        # grid point falls inside it, so only the extremum search around the
+        # nearest sample finds the two roots
+        q = 5e-4
+        spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
+        found = flq.find_band_edges(spec, 0.50125, 2.50125)
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
+        assert np.allclose([e.energy for e in found], [1.0 - q - q * q / 8.0, 1.0 + q - q * q / 8.0], atol=1e-9)
+
+    def test_refinement_runs_in_lockstep_batches(self, monkeypatch):
+        # every bracket and extremum search advances in one batched
+        # integration per round; no energy is integrated on its own
+        e_g = spc.ground_energy("lame", 3, 0, M, pt=True)
+        spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
+        ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
+        e_min, e_max = min(ref) - 0.5, max(ref) + 0.5
+        calls = []
+        propagate = flq._propagate
+
+        def counted(spec, energies, *args, **kwargs):
+            calls.append(len(energies))
+            return propagate(spec, energies, *args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("find_band_edges made a scalar monodromy call")
+
+        monkeypatch.setattr(flq, "_propagate", counted)
+        monkeypatch.setattr(flq, "monodromy", scalar)
+        found = flq.find_band_edges(spec, e_min, e_max)
+        n_scan = max(int(400.0 * (e_max - e_min)) + 1, 81)
+        assert len(calls) <= math.ceil(n_scan / 200) + 30
+        assert np.allclose([e.energy for e in found], ref, atol=1e-8)
+
+    def test_refinement_checks_every_energy(self, monkeypatch):
+        # the scan records det defects without judging them, so a failure
+        # here can only come from the refinement's own evaluations
+        monkeypatch.setattr(flq, "_DET_TOL", 1e-300)
+        with pytest.raises(flq.FloquetIntegrationError, match="Wronskian drift"):
+            flq.find_band_edges(_a1_spec(), -0.5, 1.8)
+
 
 class TestClassification:
     def test_classes_from_discriminant(self):
@@ -176,3 +225,8 @@ class TestDefaults:
         blower = pot.CustomPotential(lambda z: 1.0 / (z.real - 0.5 if abs(z.real - 0.5) > 1e-14 else 1e-14) ** 2, 1.0)
         with pytest.raises(flq.FloquetIntegrationError):
             flq.monodromy(blower, 1.0)
+
+    def test_step_budget_reports(self, monkeypatch):
+        monkeypatch.setattr(flq, "_MAX_STEPS", 10)
+        with pytest.raises(flq.FloquetIntegrationError, match="step budget of 10"):
+            flq.monodromy(_a1_spec(), 0.4)
