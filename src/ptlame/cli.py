@@ -47,41 +47,6 @@ class RunConfig:
     paired: bool = False
 
 
-def _predicted_table(spec):
-    """Closed-form (energy, period_class) rows for a composed spec, or None.
-
-    Walks the wrapper chain: shifts move energies, SUSY partners preserve the
-    edge set and classes, and a PT transform reverses the level order with
-    E -> -E while the classes switch from the real-period behavior of each
-    eigenfunction type to its behavior under the imaginary period.
-    """
-
-    def walk(s):
-        if isinstance(s, (pot.Lame, pot.AssociatedLame)):
-            kind, a, b, m = pot.base_family(s)
-            if (kind, a, b) not in spc.ptlame_families:
-                return None
-            rows = spc._FAMILY_ROWS[(kind, a, b)](m)
-            e_g = spc.ground_energy(kind, a, b, m, pt=True)
-            n = len(rows)
-            return [(-(rows[n - 1 - j][0] + e_g), rows[n - 1 - j][1]) for j in range(n)]
-        if isinstance(s, pot.Shifted):
-            t = walk(s.inner)
-            return None if t is None else [(e - s.c, tag) for e, tag in t]
-        if isinstance(s, pot.SusyPartner):
-            return walk(s.inner)
-        if isinstance(s, pot.PTTransform):
-            t = walk(s.inner)
-            return None if t is None else [(-e, tag) for e, tag in reversed(t)]
-        return None
-
-    rows = walk(spec)
-    if rows is None:
-        return None
-    table = spc._PT_CLASS if pot.has_pt(spec) else spc._REAL_CLASS
-    return [(e, table[tag]) for e, tag in rows]
-
-
 def build_spec(cfg: RunConfig):
     """Construct the potential spec from config; raises ConfigError."""
     try:
@@ -91,7 +56,7 @@ def build_spec(cfg: RunConfig):
                 spec = pot.PTTransform(spec, cfg.beta)
             elif op == "partner":
                 kind, a, b, _ = pot.base_family(spec)
-                rows = _predicted_table(spec)
+                rows = spc.predicted_edges(spec)
                 if rows is None:
                     raise ConfigError(
                         f"--partner needs a closed-form ground state; none for (a={a}, b={b})"
@@ -100,7 +65,7 @@ def build_spec(cfg: RunConfig):
             else:
                 raise ConfigError(f"unknown op {op!r}")
         if cfg.shift_zero:
-            rows = _predicted_table(spec)
+            rows = spc.predicted_edges(spec)
             if rows is None:
                 raise ConfigError("--shift-zero needs closed-form edges; none for this family")
             if abs(rows[0][0]) > 1e-12:
@@ -179,7 +144,7 @@ def _pair_edges(predicted, found) -> dict:
 
 def cmd_edges(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    predicted = _predicted_table(spec)
+    predicted = spc.predicted_edges(spec)
     if predicted is not None:
         lo = min(e for e, _ in predicted) - 0.5
         hi = max(e for e, _ in predicted) + 0.5
@@ -219,8 +184,10 @@ def cmd_edges(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    emin = cfg.emin if cfg.emin is not None else flq.default_energy_range(spec)[0]
-    emax = cfg.emax if cfg.emax is not None else flq.default_energy_range(spec)[1]
+    if cfg.emin is None or cfg.emax is None:
+        lo, hi = flq.default_energy_range(spec)
+    emin = cfg.emin if cfg.emin is not None else lo
+    emax = cfg.emax if cfg.emax is not None else hi
     n = cfg.n or 500
     scan = flq.discriminant_scan(spec, emin, emax, n)
     cols = [("e", list(scan.energies)),
@@ -245,23 +212,18 @@ def cmd_scan(cfg: RunConfig) -> int:
     return rc
 
 
-def _analytic_dispersion_basis(spec):
-    """Shifted-basis offset for the analytic a=1 dispersion, or None."""
-    kind, a, b, _ = pot.base_family(spec)
-    if (kind, a, b) != ("lame", 1, 0) or not pot.has_pt(spec) or pot._contains_partner(spec):
-        return None
-    predicted = _predicted_table(spec)
-    return predicted[0][0]
-
-
 def cmd_dispersion(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    predicted = _predicted_table(spec)
+    predicted = spc.predicted_edges(spec)
     base0 = predicted[0][0] if predicted else 0.0
     emin = cfg.emin if cfg.emin is not None else base0
     emax = cfg.emax if cfg.emax is not None else base0 + 3.0
     n = cfg.n or 25
-    offset = _analytic_dispersion_basis(spec)
+    # the analytic dispersion covers the a=1 PT potential, in the basis
+    # shifted so its ground edge is zero
+    kind, a, b, _ = pot.base_family(spec)
+    analytic = (kind, a, b) == ("lame", 1, 0) and pot.has_pt(spec) and not pot._contains_partner(spec)
+    offset = base0 if analytic else None
     es = np.linspace(emin, emax, n)
     kn_re, kn_im, ka_re, ka_im, diffs = [], [], [], [], []
     max_diff = 0.0
@@ -328,9 +290,9 @@ def _check_eta_quasi_periodicity():
         b = ell.theta_bundle(m)
         for x in np.linspace(0.0, 1.2, 7):
             u = 1j * x + 0.5
-            lhs = ell.theta_functions(b, u + 2j * mod.Kprime)[0]
+            lhs = ell.theta_jets(b, u + 2j * mod.Kprime)[0][0]
             fac = -math.exp(math.pi * mod.Kprime / mod.K) * np.exp(-1j * math.pi * u / mod.K)
-            rhs = fac * ell.theta_functions(b, u)[0]
+            rhs = fac * ell.theta_jets(b, u)[0][0]
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
 

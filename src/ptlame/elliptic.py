@@ -33,14 +33,13 @@ __all__ = [
     "jacobi_real",
     "jacobi_complex",
     "line_jacobi",
+    "jacobi_triple",
     "sn_pole_lattice_point",
     "theta_bundle",
-    "theta_functions",
     "theta_jets",
     "zeta_Z",
     "inverse_sn",
     "landen_descend",
-    "jacobi_jets",
     "jets_from_scd",
 ]
 
@@ -158,17 +157,6 @@ def _jacobi_real_tuple(u: float, m: float) -> tuple[float, float, float]:
     return sn, cn, dn
 
 
-def _jacobi_real_arrays(u, m: float):
-    scale, ratios = _landen_schedule(m)
-    phi = scale * np.asarray(u, dtype=float)
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + np.arcsin(r * np.sin(phi)))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    dn = np.sqrt(1.0 - m * sn * sn)
-    return sn, cn, dn
-
-
 def jacobi_real(u: float, m: float) -> JacobiValues:
     """Jacobi sn, cn, dn for real argument via the Landen backward recursion."""
     sn, cn, dn = _jacobi_real_tuple(float(u), _check_parameter(m))
@@ -238,6 +226,15 @@ def line_jacobi(beta: float, m: float, tol_pole: float = 1e-6):
         )
 
     return values
+
+
+def jacobi_triple(m: float, beta: float | None = None):
+    """Evaluator x -> (sn, cn, dn) at real x, or on the line i*x + beta
+    (:func:`line_jacobi`) when ``beta`` is given."""
+    if beta is not None:
+        return line_jacobi(beta, m)
+    m = _check_parameter(m)
+    return lambda x: _jacobi_real_tuple(x, m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +317,6 @@ def theta_jets(bundle: ThetaBundle, u: complex):
             small = 0
         n += 1
     return (H, dH, d2H), (T, dT, d2T)
-
-
-def theta_functions(bundle: ThetaBundle, u: complex) -> tuple[complex, complex]:
-    """Jacobi eta H(u) and theta Theta(u) from the nome series."""
-    (H, _, _), (T, _, _) = theta_jets(bundle, u)
-    return H, T
 
 
 def zeta_Z(bundle: ThetaBundle, u: complex, tol_zero: float = 1e-8) -> complex:
@@ -523,9 +514,3 @@ def jets_from_scd(s, c, d, m: float) -> tuple[Jet2, Jet2, Jet2]:
     C = Jet2(c, -s * d, -c * (d * d) + m * (s * s) * c)
     D = Jet2(d, -m * s * c, -m * (c * c) * d + m * (s * s) * d)
     return S, C, D
-
-
-def jacobi_jets(z: complex, m: float) -> tuple[Jet2, Jet2, Jet2]:
-    """Jets of sn, cn, dn at a complex point."""
-    jv = jacobi_complex(z, m)
-    return jets_from_scd(jv.sn, jv.cn, jv.dn, m)

@@ -103,7 +103,6 @@ class ScanResult:
     energies: np.ndarray
     discriminants: np.ndarray
     det_defects: np.ndarray
-    edges_found: list
     im_flags: np.ndarray
 
 
@@ -205,9 +204,7 @@ def discriminant_scan(
 
     Samples with |Im Delta| beyond 1e-6 are flagged (a PT-breaking indicator,
     asserted empty by the tests for every in-scope potential, never assumed).
-    ``edges_found`` holds coarse, unrefined candidates: sign-change brackets
-    (multiplicity 1, midpoint energies) and suspected tangencies
-    (multiplicity 2).
+    :func:`find_band_edges` locates the edges from it.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
@@ -221,20 +218,7 @@ def discriminant_scan(
         ms, defects[lo:hi], _ = _propagate(spec, grid[lo:hi], rtol, atol)
         deltas[lo:hi] = ms[:, 0, 0] + ms[:, 1, 1]
     im_flags = np.abs(deltas.imag) > _IM_FLAG_TOL
-
-    edges = []
-    d = deltas.real
-    for target, cls in ((2.0, "P"), (-2.0, "A")):
-        g = d - target
-        crossings = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-        for i in crossings:
-            edges.append((0.5 * (grid[i] + grid[i + 1]), cls, 1))
-        for i in range(1, n - 1):
-            extremal = (g[i] - g[i - 1]) * (g[i + 1] - g[i]) <= 0.0
-            if extremal and abs(g[i]) < 2e-4 and i - 1 not in crossings and i not in crossings:
-                edges.append((grid[i], cls, 2))
-    edges.sort()
-    return ScanResult(grid, deltas, defects, edges, im_flags)
+    return ScanResult(grid, deltas, defects, im_flags)
 
 
 def _run(spec, tasks, rtol, atol):
@@ -390,7 +374,9 @@ def _crossing(lo, hi, h, e_min, e_max, target, cls, xtol):
 
     The scan and the refinement integrate in different batches, so a root
     sitting within ~1e-10 of a grid point can present the same sign at both
-    ends here; widening by one cell recovers the bracket.
+    ends here; widening by one cell recovers the bracket.  The cell's own
+    pair goes first, so the two adjacent cells of a gap narrower than two
+    cells each keep their own root.
     """
     xs = [max(lo - h, e_min), lo, hi, min(hi + h, e_max)]
     ds = yield xs
@@ -398,7 +384,7 @@ def _crossing(lo, hi, h, e_min, e_max, target, cls, xtol):
     for x, d, f in zip(xs, ds, fs):
         if f == 0.0:
             return _edges([(x, d)], cls)
-    for k in range(3):
+    for k in (1, 0, 2):  # the cell's own pair first
         if xs[k] < xs[k + 1] and fs[k] * fs[k + 1] < 0.0:
             root = yield from _bracket(xs[k], ds[k], xs[k + 1], ds[k + 1], target, xtol)
             return _edges([root], cls)
@@ -479,9 +465,13 @@ def find_band_edges(
 
     found = [e for edges in _run(spec, tasks, rtol, atol) for e in edges]
     found.sort(key=lambda e: e.energy)
+    # the same edge reached from two cells, or as a crossing and a tangency,
+    # agrees to the refiners' stopping tolerance; a narrow gap's two edges
+    # lie farther apart
     deduped: list[NumericBandEdge] = []
     for e in found:
-        if deduped and abs(e.energy - deduped[-1].energy) < max(4.0 * xtol, 0.25 * h) and e.period_class == deduped[-1].period_class:
+        merge_tol = 4.0 * (xtol + _SQRT_EPS * abs(e.energy))
+        if deduped and abs(e.energy - deduped[-1].energy) < merge_tol and e.period_class == deduped[-1].period_class:
             if e.multiplicity > deduped[-1].multiplicity:
                 deduped[-1] = e
             continue

@@ -4,8 +4,9 @@ A potential spec is an immutable tree: a base potential (``Lame`` or
 ``AssociatedLame``) wrapped by any of ``Shifted`` (constant subtraction),
 ``PTTransform`` (x -> i x + beta together with an overall sign flip), and
 ``SusyPartner`` (W**2 + W' built from the zero-energy ground state of the
-wrapped spec).  Specs evaluate to complex values at real x and are analytic
-in x, which the Floquet engine and the closed-form machinery both rely on.
+wrapped spec).  ``compiled_value_fn`` evaluates a spec to complex values at
+real x; specs are analytic in x, which the Floquet engine and the
+closed-form machinery both rely on.
 """
 
 from __future__ import annotations
@@ -30,14 +31,10 @@ __all__ = [
     "SusyPartner",
     "CustomPotential",
     "Superpotential",
-    "evaluate",
-    "evaluate_grid",
-    "period",
-    "pt_transform",
     "superpotential_eval",
-    "partner_eval",
     "landen_reduce_equal_ab",
     "compiled_value_fn",
+    "wrapper_chain",
     "base_family",
     "has_pt",
     "total_shift",
@@ -65,12 +62,6 @@ class PotentialSpec:
     def period(self) -> float:
         raise NotImplementedError
 
-    def eval_complex(self, z: complex) -> complex:
-        raise NotImplementedError
-
-    def __call__(self, x: float) -> complex:
-        return self.eval_complex(complex(x))
-
 
 @dataclass(frozen=True)
 class Lame(PotentialSpec):
@@ -96,10 +87,6 @@ class Lame(PotentialSpec):
     @property
     def period(self) -> float:
         return 2.0 * ell.modulus(self.m_).K
-
-    def eval_complex(self, z: complex) -> complex:
-        sn = ell.jacobi_complex(z, self.m_).sn
-        return self.a * (self.a + 1) * self.m_ * sn * sn
 
 
 @dataclass(frozen=True)
@@ -127,12 +114,6 @@ class AssociatedLame(PotentialSpec):
     def period(self) -> float:
         return 2.0 * ell.modulus(self.m_).K
 
-    def eval_complex(self, z: complex) -> complex:
-        jv = ell.jacobi_complex(z, self.m_)
-        t1 = self.a * (self.a + 1) * self.m_ * jv.sn * jv.sn
-        t2 = self.b * (self.b + 1) * self.m_ * (jv.cn / jv.dn) ** 2
-        return t1 + t2
-
 
 def associated_lame(a: int, b: int, m: float) -> PotentialSpec:
     """Factory normalizing b = 0 to the plain Lame potential."""
@@ -155,9 +136,6 @@ class Shifted(PotentialSpec):
     @property
     def period(self) -> float:
         return self.inner.period
-
-    def eval_complex(self, z: complex) -> complex:
-        return self.inner.eval_complex(z) - self.c
 
 
 @dataclass(frozen=True)
@@ -183,7 +161,7 @@ class PTTransform(PotentialSpec):
         # Partner ground states can vanish on the line for unlucky beta;
         # validate over one period by direct sampling.
         if _contains_partner(self.inner):
-            f = compiled_value_fn(self, _validate=False)
+            f = compiled_value_fn(self)
             vals = np.array([f(x) for x in np.linspace(0.0, self.period, 65)])
             if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e8:
                 raise PotentialError("PT transform hits a singular point on the real line; move beta")
@@ -195,9 +173,6 @@ class PTTransform(PotentialSpec):
     @property
     def period(self) -> float:
         return 2.0 * ell.modulus(self.inner.m).Kprime
-
-    def eval_complex(self, z: complex) -> complex:
-        return -self.inner.eval_complex(1j * z + self.beta)
 
 
 @dataclass(frozen=True)
@@ -225,19 +200,6 @@ class SusyPartner(PotentialSpec):
     def period(self) -> float:
         return self.inner.period
 
-    def eval_complex(self, z: complex) -> complex:
-        builder, _, uses_line, beta = _resolve_ground(self.inner)
-        if uses_line:
-            u = 1j * z + beta
-            phi2 = -1.0
-        else:
-            u = z
-            phi2 = 1.0
-        jv = ell.jacobi_complex(u, self.inner.m)
-        j = builder(*jets_from_scd(jv.sn, jv.cn, jv.dn, self.inner.m))
-        r = j.d1 / j.f
-        return phi2 * (2.0 * r * r - j.d2 / j.f)
-
 
 @dataclass(frozen=True)
 class CustomPotential(PotentialSpec):
@@ -255,61 +217,42 @@ class CustomPotential(PotentialSpec):
     def period(self) -> float:
         return self.period_
 
-    def eval_complex(self, z: complex) -> complex:
-        return complex(self.fn(z))
-
 
 # ---------------------------------------------------------------------------
 # structure helpers
 
 
+def wrapper_chain(spec: PotentialSpec) -> list[PotentialSpec]:
+    """``spec`` and every spec it wraps, outermost first, ending at the base potential."""
+    chain = [spec]
+    while getattr(chain[-1], "inner", None) is not None:
+        chain.append(chain[-1].inner)
+    return chain
+
+
 def has_pt(spec: PotentialSpec) -> bool:
-    if isinstance(spec, PTTransform):
-        return True
-    inner = getattr(spec, "inner", None)
-    return has_pt(inner) if inner is not None else False
+    return any(isinstance(s, PTTransform) for s in wrapper_chain(spec))
 
 
-def _contains_partner(spec) -> bool:
-    if isinstance(spec, SusyPartner):
-        return True
-    inner = getattr(spec, "inner", None)
-    return _contains_partner(inner) if inner is not None else False
+def _contains_partner(spec: PotentialSpec) -> bool:
+    return any(isinstance(s, SusyPartner) for s in wrapper_chain(spec))
 
 
 def total_shift(spec: PotentialSpec) -> float:
     """Sum of all Shifted constants along the wrapper chain."""
-    c = 0.0
-    while True:
-        if isinstance(spec, Shifted):
-            c += spec.c
-        inner = getattr(spec, "inner", None)
-        if inner is None:
-            return c
-        spec = inner
+    return sum((s.c for s in wrapper_chain(spec) if isinstance(s, Shifted)), 0.0)
 
 
 def base_family(spec: PotentialSpec) -> tuple[str, int, int, float]:
     """(kind, a, b, m) of the base potential under all wrappers."""
-    while True:
-        if isinstance(spec, Lame):
-            return "lame", spec.a, 0, spec.m_
-        if isinstance(spec, AssociatedLame):
-            return "assoc", spec.a, spec.b, spec.m_
-        if isinstance(spec, CustomPotential):
-            return "custom", 0, 0, spec.m
-        inner = getattr(spec, "inner", None)
-        if inner is None:
-            raise PotentialError(f"unrecognized spec {spec!r}")
-        spec = inner
-
-
-def _pt_beta(spec: PotentialSpec) -> float | None:
-    while spec is not None:
-        if isinstance(spec, PTTransform):
-            return spec.beta
-        spec = getattr(spec, "inner", None)
-    return None
+    base = wrapper_chain(spec)[-1]
+    if isinstance(base, Lame):
+        return "lame", base.a, 0, base.m_
+    if isinstance(base, AssociatedLame):
+        return "assoc", base.a, base.b, base.m_
+    if isinstance(base, CustomPotential):
+        return "custom", 0, 0, base.m
+    raise PotentialError(f"unrecognized spec {spec!r}")
 
 
 def _resolve_ground(spec: PotentialSpec):
@@ -345,111 +288,62 @@ def _resolve_ground(spec: PotentialSpec):
 # evaluation
 
 
-def _scd_expression(spec: PotentialSpec):
-    """Callable (sn, cn, dn) -> value for PT-free specs.
+def _jacobi_expression(spec: PotentialSpec):
+    """(g, sign, shift, beta) with V(x) = sign * g(sn, cn, dn) - shift.
 
-    The returned closure is evaluated either at real arguments or, when
-    wrapped by a PT transform, at points of the line i x + beta; the
-    expressions are the same analytic functions in both cases.
+    The Jacobi functions are taken at real x, or on the line i x + beta when
+    ``beta`` is not None.  A PT transform flips the sign and moves the
+    argument onto its line; a SUSY partner's formula absorbs every shift
+    under it, since it depends only on the ground state.
     """
     if isinstance(spec, Lame):
         coef = spec.a * (spec.a + 1) * spec.m_
-        return lambda s, c, d: coef * s * s
+        return (lambda s, c, d: coef * s * s), 1.0, 0.0, None
     if isinstance(spec, AssociatedLame):
         ca = spec.a * (spec.a + 1) * spec.m_
         cb = spec.b * (spec.b + 1) * spec.m_
-        return lambda s, c, d: ca * s * s + cb * (c / d) ** 2
+        return (lambda s, c, d: ca * s * s + cb * (c / d) ** 2), 1.0, 0.0, None
     if isinstance(spec, Shifted):
-        f = _scd_expression(spec.inner)
-        shift = spec.c
-        return lambda s, c, d: f(s, c, d) - shift
+        g, sign, shift, beta = _jacobi_expression(spec.inner)
+        return g, sign, shift + spec.c, beta
+    if isinstance(spec, PTTransform):
+        g, sign, shift, _ = _jacobi_expression(spec.inner)
+        return g, -sign, -shift, spec.beta
     if isinstance(spec, SusyPartner):
-        builder, _, uses_line, _ = _resolve_ground(spec.inner)
-        if uses_line:
-            raise PotentialError("internal: partner of a PT spec is not a plain scd expression")
-        m = spec.inner.m
+        builder, _, uses_line, beta = _resolve_ground(spec.inner)
+        m = spec.m
 
         def partner(s, c, d):
+            # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's
+            # own argument u; on the line u = i x + beta, d/dx = i d/du
+            # flips its sign
             j = builder(*jets_from_scd(s, c, d, m))
             r = j.d1 / j.f
             return 2.0 * r * r - j.d2 / j.f
 
-        return partner
-    raise PotentialError(f"no scd expression for {spec!r}")
+        return (partner, -1.0, 0.0, beta) if uses_line else (partner, 1.0, 0.0, None)
+    raise PotentialError(f"no Jacobi-function expression for {spec!r}")
 
 
-def compiled_value_fn(spec: PotentialSpec, _validate: bool = True):
-    """Fast scalar evaluator x -> V(x) for real x.
+def compiled_value_fn(spec: PotentialSpec):
+    """Scalar evaluator x -> V(x) for real x; the one way to evaluate a spec.
 
-    One real-argument Landen pass per call; the Floquet integrator drives
-    this inside its right-hand side, so it is kept allocation-free.
+    A Lame-family spec costs one real Landen pass per call, on the real axis
+    or on the line of its PT transform; the Floquet integrator drives this
+    inside its right-hand side, so it is kept allocation-free.
     """
-    shift = 0.0
-    core = spec
+    core, shift = spec, 0.0
     while isinstance(core, Shifted):
-        shift += core.c
-        core = core.inner
-
+        core, shift = core.inner, shift + core.c
     if isinstance(core, CustomPotential):
         fn = core.fn
-        return (lambda x: complex(fn(x)) - shift) if shift else (lambda x: complex(fn(x)))
+        return lambda x: complex(fn(x)) - shift
 
-    if isinstance(core, PTTransform):
-        g = _scd_expression(core.inner)
-        line = ell.line_jacobi(core.beta, core.inner.m)
-        if shift:
-            return lambda x: -g(*line(x)) - shift
-        return lambda x: -g(*line(x))
-
-    if isinstance(core, SusyPartner):
-        builder, _, uses_line, beta = _resolve_ground(core.inner)
-        m = core.inner.m
-        if uses_line:
-            line = ell.line_jacobi(beta, m)
-
-            def value(x: float) -> complex:
-                j = builder(*jets_from_scd(*line(x), m))
-                r = j.d1 / j.f
-                return -(2.0 * r * r - j.d2 / j.f) - shift
-
-            return value
-
-        def value(x: float) -> complex:
-            s, c, d = ell._jacobi_real_tuple(x, m)
-            j = builder(*jets_from_scd(s, c, d, m))
-            r = j.d1 / j.f
-            return (2.0 * r * r - j.d2 / j.f) - shift
-
-        return value
-
-    g = _scd_expression(core)
-    m = core.m
-
-    def value(x: float) -> complex:
-        s, c, d = ell._jacobi_real_tuple(x, m)
-        return complex(g(s, c, d)) - shift
-
-    return value
-
-
-def evaluate(spec: PotentialSpec, x: float) -> complex:
-    """Potential value at real x."""
-    return spec.eval_complex(complex(float(x)))
-
-
-def evaluate_grid(spec: PotentialSpec, xs) -> np.ndarray:
-    """Vectorized convenience wrapper around the compiled evaluator."""
-    f = compiled_value_fn(spec)
-    return np.array([f(float(x)) for x in np.asarray(xs, dtype=float)])
-
-
-def period(spec: PotentialSpec) -> float:
-    return spec.period
-
-
-def pt_transform(spec: PotentialSpec, beta: float) -> PTTransform:
-    """Wrap a spec in the PT transform; construction validates beta."""
-    return PTTransform(spec, float(beta))
+    g, sign, shift, beta = _jacobi_expression(spec)
+    point = ell.jacobi_triple(spec.m, beta)
+    if sign < 0.0:
+        return lambda x: -g(*point(x)) - shift
+    return lambda x: complex(g(*point(x))) - shift
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +411,6 @@ def superpotential_eval(w: Superpotential, x: float, tol_zero: float = 1e-10) ->
         raise PotentialError(f"ground state vanishes near x={x}; superpotential undefined")
     dfactor = 1j if uses_line else 1.0
     return -dfactor * j.d1 / j.f
-
-
-def partner_eval(spec: SusyPartner, x: float) -> complex:
-    """W**2 + W' at real x (analytic derivatives throughout)."""
-    if not isinstance(spec, SusyPartner):
-        raise PotentialError("partner_eval expects a SusyPartner spec")
-    return evaluate(spec, x)
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,16 @@ __all__ = [
     "DispersionPoint",
     "DualityReport",
     "BranchResolutionError",
-    "lame_pt_edges_a1",
-    "lame_pt_edges_a3",
-    "assoc_pt_edges_21",
     "real_band_edges",
     "pt_band_edges",
     "closed_form_energies",
+    "predicted_edges",
     "ground_state_builder",
     "ground_energy",
     "pt_energy_map",
     "modulus_duality_check",
     "pt_duality_check",
     "dispersion_analytic",
-    "bloch_solution_eval",
     "bloch_solution_jet",
     "ptlame_families",
 ]
@@ -143,21 +140,31 @@ def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
     return -(5.0 + m + 2.0 * sg) if pt else 4.0 * m
 
 
+def _edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
+    """Ascending (energy, period class, jet builder) rows of a family's edges.
+
+    PT energies are relative to the PT ground state, real ones absolute.
+    The PT energy map E_j -> -E_{2a-j} reverses the level order, so real
+    edge j carries PT row 2a - j.  The class is the eigenfunction type's
+    behavior under the real or the imaginary period.
+    """
+    e_g = ground_energy(kind, a, b, m, pt=True)  # raises for a family without closed forms
+    rows = _FAMILY_ROWS[(kind, a, b)](m)
+    if pt:
+        return [(e, _PT_CLASS[tag], build) for e, tag, build in rows]
+    return [(-(e + e_g), _REAL_CLASS[tag], build) for e, tag, build in reversed(rows)]
+
+
 def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     """(jet builder, absolute ground energy) for a family.
 
     The builder maps (S, C, D) jets in the natural argument u (real for the
     plain potential, u = i x + beta for the PT version) to the ground-state
-    jet.  For the PT version the ground state corresponds to the top row of
-    the real family, reached through the level-reversing energy map, which is
-    why the builder differs between the two.
+    jet.  It is the builder of the lowest edge, which for the plain potential
+    is the top PT row through the level reversal, so it differs between the
+    two versions.
     """
-    key = (kind, a, b)
-    if key not in _FAMILY_ROWS:
-        raise potentials.MissingGroundStateError(f"no closed forms for family {key!r}")
-    rows = _FAMILY_ROWS[key](m)
-    builder = rows[0][2] if pt else rows[-1][2]
-    return builder, ground_energy(kind, a, b, m, pt)
+    return _edge_rows(kind, a, b, m, pt)[0][2], ground_energy(kind, a, b, m, pt)
 
 
 @dataclass(frozen=True)
@@ -179,39 +186,21 @@ class BandEdge:
 
 
 def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None, pt: bool) -> list[BandEdge]:
-    rows = _FAMILY_ROWS[(kind, a, b)](m)
-    e_g = ground_energy(kind, a, b, m, pt=True)
-    if pt:
-        mod = ell.modulus(m)
-        length = 2.0 * mod.Kprime
-        entries = [(erel, _PT_CLASS[tag], build) for erel, tag, build in rows]
-    else:
-        length = 2.0 * ell.modulus(m).K
-        # level-reversed: real edge j carries the PT row 2a - j
-        entries = []
-        for j in range(len(rows)):
-            erel, tag, build = rows[len(rows) - 1 - j]
-            entries.append((-(erel + e_g), _REAL_CLASS[tag], build))
+    mod = ell.modulus(m)
+    length = 2.0 * (mod.Kprime if pt else mod.K)
+    # the potential's own Jacobi triple: on the line u = i x + beta for the
+    # PT version, where d/dx = i d/du, else on the real axis
+    point = ell.jacobi_triple(m, beta if pt else None)
+    dfac = 1j if pt else 1.0
 
     edges = []
-    for idx, (energy, cls, build) in enumerate(entries):
-        if pt:
-            def raw(x: float, build=build) -> Jet2:
-                u = 1j * x + beta
-                jv = ell.jacobi_complex(u, m)
-                return build(*jets_from_scd(jv.sn, jv.cn, jv.dn, m))
-
-            dfac = 1j
-        else:
-            def raw(x: float, build=build) -> Jet2:
-                jv = ell.jacobi_complex(complex(x), m)
-                return build(*jets_from_scd(jv.sn, jv.cn, jv.dn, m))
-
-            dfac = 1.0
+    for idx, (energy, cls, build) in enumerate(_edge_rows(kind, a, b, m, pt)):
+        def raw(x: float, build=build) -> Jet2:
+            return build(*jets_from_scd(*point(x), m))
 
         norm = max(abs(raw(x).f) for x in np.linspace(0.0, length, 256, endpoint=False))
 
-        def jet(x: float, raw=raw, norm=norm, dfac=dfac) -> tuple[complex, complex, complex]:
+        def jet(x: float, raw=raw, norm=norm) -> tuple[complex, complex, complex]:
             j = raw(x)
             return j.f / norm, dfac * j.d1 / norm, dfac * dfac * j.d2 / norm
 
@@ -222,22 +211,8 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None, pt: boo
     return edges
 
 
-def lame_pt_edges_a1(m: float, beta: float) -> list[BandEdge]:
-    """Three edges of the shifted PT a=1 Lame potential: energies {0, m, 1}."""
-    return _make_edges("lame", 1, 0, m, beta, pt=True)
-
-
-def lame_pt_edges_a3(m: float, beta: float) -> list[BandEdge]:
-    """Seven edges of the shifted PT a=3 Lame potential."""
-    return _make_edges("lame", 3, 0, m, beta, pt=True)
-
-
-def assoc_pt_edges_21(m: float, beta: float) -> list[BandEdge]:
-    """Five edges of the shifted PT (a=2, b=1) associated Lame potential."""
-    return _make_edges("assoc", 2, 1, m, beta, pt=True)
-
-
 def pt_band_edges(kind: str, a: int, b: int, m: float, beta: float) -> list[BandEdge]:
+    """Closed-form edges of the shifted PT family member, energies relative to its ground edge."""
     return _make_edges(kind, a, b, m, beta, pt=True)
 
 
@@ -248,12 +223,30 @@ def real_band_edges(kind: str, a: int, b: int, m: float) -> list[BandEdge]:
 
 def closed_form_energies(kind: str, a: int, b: int, m: float, pt: bool, shifted: bool = False) -> list[float]:
     """Edge energies only.  PT energies are absolute unless ``shifted``."""
-    rows = _FAMILY_ROWS[(kind, a, b)](m)
-    e_g = ground_energy(kind, a, b, m, pt=True)
-    if pt:
-        rel = [r[0] for r in rows]
-        return rel if shifted else [e + e_g for e in rel]
-    return [-(rows[len(rows) - 1 - j][0] + e_g) for j in range(len(rows))]
+    offset = ground_energy(kind, a, b, m, pt=True) if pt and not shifted else 0.0
+    return [e + offset for e, _, _ in _edge_rows(kind, a, b, m, pt)]
+
+
+def predicted_edges(spec) -> list[tuple[float, str]] | None:
+    """Closed-form (energy, period class) of every edge of a composed spec,
+    ascending; None when its base family has no closed forms.
+
+    Shifts move the energies and SUSY partners keep the edge set.  With a PT
+    transform in the chain the PT rows apply, and a shift under the
+    transform moves the energies up, since the transform maps E to -E.
+    """
+    kind, a, b, m = potentials.base_family(spec)
+    if (kind, a, b) not in _FAMILY_ROWS:
+        return None
+    pt = potentials.has_pt(spec)
+    offset = ground_energy(kind, a, b, m, pt=True) if pt else 0.0
+    sign = 1.0
+    for s in potentials.wrapper_chain(spec):
+        if isinstance(s, potentials.PTTransform):
+            sign = -1.0
+        elif isinstance(s, potentials.Shifted):
+            offset -= sign * s.c
+    return [(e + offset, cls) for e, cls, _ in _edge_rows(kind, a, b, m, pt)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +399,3 @@ def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
     g = dh / h - sign * z1 - dt / t
     gp = (d2h / h - (dh / h) ** 2) - (d2t / t - (dt / t) ** 2)
     return val, 1j * val * g, -val * (g * g + gp)
-
-
-def bloch_solution_eval(m: float, beta: float, E: float, sign: int, x: float) -> complex:
-    return bloch_solution_jet(m, beta, E, sign, x)[0]

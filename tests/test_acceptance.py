@@ -77,7 +77,7 @@ def test_criterion_02_period_reproduction():
 
 
 def test_criterion_03_a3_band_edges(pt_edge_sets):
-    ref = spc.lame_pt_edges_a3(M, BETA)
+    ref = spc.pt_band_edges("lame", 3, 0, M, BETA)
     found = [e for e in pt_edge_sets[("lame", 3, 0)]["base"] if e.multiplicity == 1]
     ok = len(found) == 7
     ok = ok and max(abs(f.energy - r.energy) for f, r in zip(found, ref)) < 1e-6
@@ -86,7 +86,7 @@ def test_criterion_03_a3_band_edges(pt_edge_sets):
 
 
 def test_criterion_04_assoc21_band_edges(pt_edge_sets):
-    ref = spc.assoc_pt_edges_21(M, BETA)
+    ref = spc.pt_band_edges("assoc", 2, 1, M, BETA)
     found = [e for e in pt_edge_sets[("assoc", 2, 1)]["base"] if e.multiplicity == 1]
     ok = len(found) == 5
     ok = ok and max(abs(f.energy - r.energy) for f, r in zip(found, ref)) < 1e-6
@@ -157,8 +157,8 @@ def test_criterion_08_dispersion():
             worst_r = max(worst_r, abs(-d2psi + (f(float(x)) - e0) * psi) / abs(f(float(x)) * psi))
     worst_fac = 0.0
     for sign in (1, -1):
-        p0 = spc.bloch_solution_eval(M, BETA, e0, sign, 0.3)
-        p1 = spc.bloch_solution_eval(M, BETA, e0, sign, 0.3 + L)
+        p0 = spc.bloch_solution_jet(M, BETA, e0, sign, 0.3)[0]
+        p1 = spc.bloch_solution_jet(M, BETA, e0, sign, 0.3 + L)[0]
         fac = p1 / p0
         worst_fac = max(worst_fac, min(abs(fac - np.exp(1j * dp.k * L)),
                                        abs(fac - np.exp(-1j * dp.k * L))))

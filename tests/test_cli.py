@@ -6,6 +6,7 @@ import pytest
 
 from ptlame import cli
 from ptlame import potentials as pot
+from ptlame import spectra as spc
 from ptlame.cli import RunConfig, build_spec
 
 
@@ -39,7 +40,7 @@ class TestBuildSpec:
 
     def test_shift_zero_moves_ground_to_zero(self):
         spec = build_spec(RunConfig(a=3, ops=("pt",), shift_zero=True))
-        rows = cli._predicted_table(spec)
+        rows = spc.predicted_edges(spec)
         assert abs(rows[0][0]) < 1e-12
 
 

@@ -70,8 +70,7 @@ class TestScan:
         assert np.max(np.abs(scan.discriminants.imag)) < 1e-7
 
     def test_coarse_candidates_present(self):
-        scan = flq.discriminant_scan(_a1_spec(), -0.3, 1.5, 240)
-        kinds = {cls for _, cls, _ in scan.edges_found}
+        kinds = {e.period_class for e in flq.find_band_edges(_a1_spec(), -0.3, 1.5)}
         assert kinds == {"P", "A"}
 
     def test_input_validation(self):
@@ -146,6 +145,25 @@ class TestEdgeFinding:
         found = flq.find_band_edges(spec, 0.50125, 2.50125)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
         assert np.allclose([e.energy for e in found], [1.0 - q - q * q / 8.0, 1.0 + q - q * q / 8.0], atol=1e-9)
+
+    @pytest.mark.parametrize("q", (5e-4, 1e-3))
+    def test_gap_across_two_crossing_cells_keeps_both_edges(self, q):
+        # here the gap [1 - q, 1 + q] holds one grid point, so two adjacent
+        # cells each bracket one of its edges
+        spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
+        found = [e for e in flq.find_band_edges(spec, 0.5, 4.5) if abs(e.energy - 1.0) < 0.01]
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
+        assert np.allclose([e.energy for e in found], [1.0 - q - q * q / 8.0, 1.0 + q - q * q / 8.0], atol=1e-9)
+
+    def test_narrow_top_gap_keeps_both_edges(self):
+        # at m = 0.9 the a=3 PT top gap is 3.9e-4 wide, narrower than a
+        # quarter of a scan cell; both of its edges are distinct results
+        m, beta = 0.9, 0.4
+        spec = pot.Shifted(pot.PTTransform(pot.Lame(3, m), beta), spc.ground_energy("lame", 3, 0, m, pt=True))
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        found = [e for e in flq.find_band_edges(spec, min(ref) - 0.5, max(ref) + 0.5) if e.multiplicity == 1]
+        assert len(found) == 7
+        assert np.allclose([e.energy for e in found], ref, atol=1e-6)
 
     def test_refinement_runs_in_lockstep_batches(self, monkeypatch):
         # every bracket and extremum search advances in one batched

@@ -58,19 +58,20 @@ class TestConstruction:
 
 class TestEvaluation:
     def test_lame_vanishes_at_origin(self):
-        assert pot.evaluate(pot.Lame(1, M), 0.0) == 0
+        assert pot.compiled_value_fn(pot.Lame(1, M))(0.0) == 0
 
     def test_lame_values_are_real(self):
         spec = pot.Lame(3, M)
+        f = pot.compiled_value_fn(spec)
         for x in _grid(spec, 40):
-            assert abs(pot.evaluate(spec, float(x)).imag) < 1e-12
+            assert abs(f(float(x)).imag) < 1e-12
 
     def test_associated_matches_formula(self):
-        spec = pot.AssociatedLame(2, 1, M)
+        f = pot.compiled_value_fn(pot.AssociatedLame(2, 1, M))
         for x in (0.3, 1.1, 2.9):
             jv = ell.jacobi_real(x, M)
             ref = 6 * M * jv.sn**2 + 2 * M * (jv.cn / jv.dn) ** 2
-            assert abs(pot.evaluate(spec, x) - ref) < 1e-13
+            assert abs(f(x) - ref) < 1e-13
 
     def test_shifted_pt_matches_figure_normalization(self):
         # at m = 0.75 the ground energy is -5 - 5m - 2*delta3 = -10.75
@@ -78,8 +79,9 @@ class TestEvaluation:
         assert abs(eg + 10.75) < 1e-14
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), eg)
         sn0 = ell.jacobi_real(BETA, M).sn
-        assert abs(pot.evaluate(spec, 0.0) - (-12 * M * sn0**2 + 10.75)) < 1e-12
-        assert abs(pot.evaluate(spec, 0.0).imag) < 1e-12
+        v0 = pot.compiled_value_fn(spec)(0.0)
+        assert abs(v0 - (-12 * M * sn0**2 + 10.75)) < 1e-12
+        assert abs(v0.imag) < 1e-12
 
     @pytest.mark.parametrize("build", [
         lambda: pot.Lame(2, M),
@@ -97,48 +99,78 @@ class TestEvaluation:
             assert abs(f(float(x) + L) - f(float(x))) < 1e-10
 
     def test_periods(self):
-        assert abs(pot.period(pot.Lame(1, 0.25)) - 3.3715) < 5e-5
-        assert abs(pot.period(pot.PTTransform(pot.Lame(1, 0.25), BETA))
+        assert abs(pot.Lame(1, 0.25).period - 3.3715) < 5e-5
+        assert abs(pot.PTTransform(pot.Lame(1, 0.25), BETA).period
                    - 2.0 * ell.modulus(0.75).K) < 1e-12
 
     def test_pt_condition(self):
-        spec = pot.pt_transform(pot.Lame(2, 0.5), 0.5)
+        spec = pot.PTTransform(pot.Lame(2, 0.5), 0.5)
         f = pot.compiled_value_fn(spec)
         for x in np.linspace(-3.0, 3.0, 61):
             assert abs(np.conj(f(-float(x))) - f(float(x))) < 1e-10
 
     def test_real_even_imag_odd(self):
-        spec = pot.pt_transform(pot.Lame(2, 0.5), 0.5)
+        spec = pot.PTTransform(pot.Lame(2, 0.5), 0.5)
         f = pot.compiled_value_fn(spec)
         for x in np.linspace(0.0, 3.0, 31):
             v, w = f(float(x)), f(-float(x))
             assert abs(v.real - w.real) < 1e-10
             assert abs(v.imag + w.imag) < 1e-10
 
-    def test_compiled_matches_eval_complex(self):
-        specs = [
-            pot.Lame(3, M),
-            pot.Shifted(pot.PTTransform(pot.AssociatedLame(2, 1, M), BETA), -2.0),
-            pot.SusyPartner(pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))),
-            pot.PTTransform(pot.SusyPartner(pot.Shifted(pot.Lame(3, M),
-                                                        spc.ground_energy("lame", 3, 0, M, pt=False))), BETA),
-        ]
-        for spec in specs:
-            f = pot.compiled_value_fn(spec)
-            for x in np.linspace(0.05, 2.7, 17):
-                assert abs(f(float(x)) - pot.evaluate(spec, float(x))) < 1e-11
+    def test_compiled_matches_mpmath(self):
+        # independent oracle: mpmath's Jacobi functions at the complex
+        # argument; a SUSY partner is the potential under it minus
+        # 2 (ln psi)'' of its written-out ground state, differentiated by mpmath
+        import mpmath as mp
+
+        with mp.workdps(30):
+            m = mp.mpf(M)
+            d1 = mp.sqrt(1 - m + 4 * m**2)
+
+            def sn(u):
+                return mp.ellipfun("sn", u, m=m)
+
+            def cn(u):
+                return mp.ellipfun("cn", u, m=m)
+
+            def dn(u):
+                return mp.ellipfun("dn", u, m=m)
+
+            def line(x):
+                return mp.mpc(BETA, x)  # i x + beta
+
+            def partner(v_under, psi, u):
+                return v_under(u) - 2 * mp.diff(lambda t: mp.log(psi(t)), u, 2)
+
+            oracles = [
+                (pot.Lame(3, M), lambda x: 12 * m * sn(x) ** 2),
+                (pot.Shifted(pot.PTTransform(pot.AssociatedLame(2, 1, M), BETA), -2.0),
+                 lambda x: -(6 * m * sn(line(x)) ** 2 + 2 * m * (cn(line(x)) / dn(line(x))) ** 2) + 2),
+                # a=1 PT ground state sn(i x + beta), at zero energy after the shift
+                (pot.SusyPartner(pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))),
+                 lambda x: partner(lambda t: -2 * m * sn(line(t)) ** 2 + 1 + m, lambda t: sn(line(t)), x)),
+                # real a=3 ground state dn (1 + 2m + delta1 - 5m sn^2), energy
+                # 2 + 5m - 2 delta1; the partner is taken in u, then u = i x + beta
+                (pot.PTTransform(pot.SusyPartner(pot.Shifted(pot.Lame(3, M),
+                                                             spc.ground_energy("lame", 3, 0, M, pt=False))), BETA),
+                 lambda x: -partner(lambda u: 12 * m * sn(u) ** 2 - (2 + 5 * m - 2 * d1),
+                                    lambda u: dn(u) * (1 + 2 * m + d1 - 5 * m * sn(u) ** 2), line(x))),
+            ]
+            for spec, oracle in oracles:
+                f = pot.compiled_value_fn(spec)
+                for x in np.linspace(0.05, 2.7, 17):
+                    assert abs(f(float(x)) - complex(oracle(mp.mpf(float(x))))) < 1e-11
 
     def test_evaluate_grid(self):
-        spec = pot.Lame(1, M)
-        xs = np.linspace(0, 1, 5)
-        vals = pot.evaluate_grid(spec, xs)
+        f = pot.compiled_value_fn(pot.Lame(1, M))
+        vals = np.array([f(x) for x in np.linspace(0, 1, 5)])
         assert vals.shape == (5,)
         assert abs(vals[0]) < 1e-15
 
     def test_custom_potential(self):
         spec = pot.CustomPotential(lambda z: 0.0j, math.pi)
         assert spec.period == math.pi
-        assert pot.evaluate(spec, 0.3) == 0
+        assert pot.compiled_value_fn(spec)(0.3) == 0
 
 
 class TestSuperpotential:
@@ -198,10 +230,6 @@ class TestSusyPartner:
         fs, ft = pot.compiled_value_fn(src), pot.compiled_value_fn(twice)
         for x in np.linspace(0.0, src.period, 30, endpoint=False):
             assert abs(ft(float(x)) - fs(float(x))) < 1e-9
-
-    def test_partner_eval_rejects_non_partner(self):
-        with pytest.raises(pot.PotentialError):
-            pot.partner_eval(pot.Lame(1, M), 0.0)
 
     def test_assoc21_real_partner_is_shifted_base(self):
         # the real (2,1) potential is self-isospectral: V_+ equals V_- with

@@ -39,12 +39,12 @@ class TestEdgeConstants:
 
 class TestClosedFormEdges:
     def test_a1_energies(self):
-        edges = spc.lame_pt_edges_a1(M, BETA)
+        edges = spc.pt_band_edges("lame", 1, 0, M, BETA)
         assert [e.energy for e in edges] == [0.0, M, 1.0]
         assert [e.period_class for e in edges] == ["P", "A", "A"]
 
     def test_a3_energies_match_reference(self):
-        edges = spc.lame_pt_edges_a3(M, BETA)
+        edges = spc.pt_band_edges("lame", 3, 0, M, BETA)
         assert np.allclose([e.energy for e in edges], A3_ENERGIES, atol=1e-12)
         # four-decimal quotes for m = 0.75 (mixed rounding/truncation upstream)
         assert np.allclose([e.energy for e in edges],
@@ -55,7 +55,7 @@ class TestClosedFormEdges:
         sg = math.sqrt(4 - 3 * M)
         d4 = math.sqrt(4 - 5 * M + M * M)
         ref = [0.0, 2 * sg - M - 2 * d4, 2 * sg - M + 2 * d4, 4 * sg, 5 - 3 * M + 2 * sg]
-        edges = spc.assoc_pt_edges_21(M, BETA)
+        edges = spc.pt_band_edges("assoc", 2, 1, M, BETA)
         assert np.allclose([e.energy for e in edges], ref, atol=1e-12)
         assert tuple(e.period_class for e in edges) == A21_CLASSES
 
@@ -122,13 +122,13 @@ class TestEigenfunctions:
                 assert abs(e.eigenfunction(x + L) - sgn * e.eigenfunction(x)) < 1e-9
 
     def test_normalization(self):
-        for e in spc.lame_pt_edges_a3(M, BETA):
+        for e in spc.pt_band_edges("lame", 3, 0, M, BETA):
             vals = [abs(e.eigenfunction(float(x)))
                     for x in np.linspace(0, 2 * ell.modulus(M).Kprime, 301, endpoint=False)]
             assert max(vals) < 1.0 + 1e-6
 
     def test_first_derivative_consistency(self):
-        e = spc.lame_pt_edges_a3(M, BETA)[2]
+        e = spc.pt_band_edges("lame", 3, 0, M, BETA)[2]
         h = 1e-5
         for x in (0.2, 0.9):
             fd = (e.eigenfunction(x + h) - e.eigenfunction(x - h)) / (2 * h)
@@ -226,8 +226,8 @@ class TestBlochSolutions:
         x0 = 0.3
         facs = []
         for sign in (1, -1):
-            p0 = spc.bloch_solution_eval(M, BETA, E, sign, x0)
-            p1 = spc.bloch_solution_eval(M, BETA, E, sign, x0 + L)
+            p0 = spc.bloch_solution_jet(M, BETA, E, sign, x0)[0]
+            p1 = spc.bloch_solution_jet(M, BETA, E, sign, x0 + L)[0]
             facs.append(p1 / p0)
         assert abs(facs[0] * facs[1] - 1.0) < 1e-7
         assert any(abs(f - np.exp(1j * dp.k * L)) < 1e-7 or abs(f - np.exp(-1j * dp.k * L)) < 1e-7
@@ -235,8 +235,8 @@ class TestBlochSolutions:
 
     def test_first_derivative_consistency(self):
         E, h, x = M / 2, 1e-5, 0.7
-        fd = (spc.bloch_solution_eval(M, BETA, E, 1, x + h)
-              - spc.bloch_solution_eval(M, BETA, E, 1, x - h)) / (2 * h)
+        fd = (spc.bloch_solution_jet(M, BETA, E, 1, x + h)[0]
+              - spc.bloch_solution_jet(M, BETA, E, 1, x - h)[0]) / (2 * h)
         assert abs(fd - spc.bloch_solution_jet(M, BETA, E, 1, x)[1]) < 1e-8
 
     def test_rejects_bad_sign(self):
