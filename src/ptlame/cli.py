@@ -1,16 +1,17 @@
 """Command-line surface: sampling, edge tables, scans, dispersion, selfcheck.
 
-Every command emits machine-readable output (CSV or JSON) with a metadata
-comment recording the configuration, and uses the exit-code contract
-0 = ok, 2 = configuration error, 3 = verification failure, so CI can gate
-directly on the cross-checks.
+Every command emits machine-readable output (CSV or JSON, ``--format``, to
+``--out``) with a metadata comment recording the configuration, and uses the
+exit-code contract 0 = ok, 2 = configuration error, 3 = verification failure,
+so CI can gate directly on the cross-checks.  ``selfcheck`` runs the
+invariant registry (:mod:`ptlame.invariants`) at ``--m``/``--beta``, one row
+per invariant with its value, tolerance, verdict and seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import elliptic as ell
 from . import floquet as flq
+from . import invariants as inv
 from . import potentials as pot
 from . import spectra as spc
 
-__all__ = ["main", "RunConfig", "build_spec", "ConfigError", "run_selfcheck"]
+__all__ = ["main", "RunConfig", "build_spec", "ConfigError"]
 
 _VERIFY_TOL = 1e-6
 
@@ -255,254 +257,21 @@ def cmd_dispersion(cfg: RunConfig) -> int:
 # selfcheck
 
 
-def _check_elliptic_identities():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for m in (0.1, 0.25, 0.5, 0.75, 0.9):
-        kp = ell.modulus(m).Kprime
-        count = 0
-        while count < 50:
-            z = complex(rng.uniform(-4, 4), rng.uniform(-0.85, 0.85) * kp)
-            try:
-                jv = ell.jacobi_complex(z, m)
-            except ell.PoleProximityError:
-                continue
-            count += 1
-            worst = max(worst, abs(jv.sn**2 + jv.cn**2 - 1.0), abs(jv.dn**2 + m * jv.sn**2 - 1.0))
-    return worst
-
-
-def _check_imaginary_shift_identity():
-    worst = 0.0
-    for m in (0.25, 0.5, 0.75):
-        mod = ell.modulus(m)
-        for x in np.linspace(0.1, 1.9, 10):
-            lhs = math.sqrt(m) * ell.jacobi_real(x, m).sn
-            rhs = ell.jacobi_complex(1j * x + mod.Kprime + 1j * mod.K, 1.0 - m).dn
-            worst = max(worst, abs(lhs + rhs))
-    return worst
-
-
-def _check_eta_quasi_periodicity():
-    worst = 0.0
-    for m in (0.5, 0.75):
-        mod = ell.modulus(m)
-        b = ell.theta_bundle(m)
-        for x in np.linspace(0.0, 1.2, 7):
-            u = 1j * x + 0.5
-            lhs = ell.theta_jets(b, u + 2j * mod.Kprime)[0][0]
-            fac = -math.exp(math.pi * mod.Kprime / mod.K) * np.exp(-1j * math.pi * u / mod.K)
-            rhs = fac * ell.theta_jets(b, u)[0][0]
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
-
-
-def _check_eigenfunction_residuals(m=0.75, beta=0.5):
-    worst = 0.0
-    for kind, a, b in spc.ptlame_families:
-        base = pot.associated_lame(a, b, m)
-        for pt in (True, False):
-            if pt:
-                eg = spc.ground_energy(kind, a, b, m, pt=True)
-                spec = pot.Shifted(pot.PTTransform(base, beta), eg)
-                edges = spc.pt_band_edges(kind, a, b, m, beta)
-            else:
-                spec = base
-                edges = spc.real_band_edges(kind, a, b, m)
-            f = pot.compiled_value_fn(spec)
-            xs = np.linspace(0.0, spec.period, 40, endpoint=False)
-            for e in edges:
-                rmax = vmax = 0.0
-                for x in xs:
-                    psi, _, d2psi = e.jet(x)
-                    rmax = max(rmax, abs(-d2psi + (f(x) - e.energy) * psi))
-                    vmax = max(vmax, abs(f(x) * psi))
-                worst = max(worst, rmax / vmax)
-    return worst
-
-
-def _check_dualities():
-    worst = 0.0
-    for a in (1, 3):
-        for m in (0.3, 0.5, 0.75):
-            worst = max(worst, spc.modulus_duality_check(a, m).max_violation)
-            worst = max(worst, spc.pt_duality_check(a, m).max_violation)
-    worst = max(worst, spc.modulus_duality_check(2, 0.5).max_violation)
-    return worst
-
-
-def _check_discriminant_relation(m=0.75, beta=0.5):
-    worst = 0.0
-    for a in (1, 3):
-        spec_pt = pot.PTTransform(pot.Lame(a, m), beta)
-        dual = pot.Lame(a, 1.0 - m)
-        shift = a * (a + 1)
-        for e in np.linspace(-shift - 0.6, 0.4, 20):
-            d1 = flq.monodromy(spec_pt, float(e)).discriminant
-            d2 = flq.monodromy(dual, float(e) + shift).discriminant
-            worst = max(worst, abs(d1 - d2))
-    return worst
-
-
-def _edge_energy_sets(m=0.75, beta=0.5):
-    """Floquet edges for the three shifted PT potentials and their partners."""
-    out = {}
-    for kind, a, b in spc.ptlame_families:
-        base = pot.associated_lame(a, b, m)
-        eg = spc.ground_energy(kind, a, b, m, pt=True)
-        spec = pot.Shifted(pot.PTTransform(base, beta), eg)
-        top = spc.closed_form_energies(kind, a, b, m, pt=True, shifted=True)[-1]
-        out[(kind, a, b, "base")] = flq.find_band_edges(spec, -0.5, top + 0.8)
-        out[(kind, a, b, "partner")] = flq.find_band_edges(pot.SusyPartner(spec), -0.5, top + 0.8)
-    return out
-
-
-def _check_tables(edge_sets, m=0.75, beta=0.5):
-    worst = 0.0
-    classes_ok = True
-    for kind, a, b in spc.ptlame_families:
-        ref = spc.pt_band_edges(kind, a, b, m, beta)
-        found = [e for e in edge_sets[(kind, a, b, "base")] if e.multiplicity == 1]
-        if len(found) != len(ref):
-            return float("inf"), False
-        for fe, re_ in zip(found, ref):
-            worst = max(worst, abs(fe.energy - re_.energy))
-            classes_ok = classes_ok and fe.period_class == re_.period_class
-    return worst, classes_ok
-
-
-def _check_susy(edge_sets, m=0.75, beta=0.5):
-    worst_edges = 0.0
-    for kind, a, b in spc.ptlame_families:
-        base_edges = [e.energy for e in edge_sets[(kind, a, b, "base")] if e.multiplicity == 1]
-        part_edges = [e.energy for e in edge_sets[(kind, a, b, "partner")] if e.multiplicity == 1]
-        if len(base_edges) != len(part_edges):
-            return float("inf"), 0.0
-        worst_edges = max(worst_edges, max(abs(x - y) for x, y in zip(base_edges, part_edges)))
-    # factorization: W**2 - W' must reconstruct the shifted base potential
-    worst_fact = 0.0
-    for kind, a, b in spc.ptlame_families:
-        base = pot.associated_lame(a, b, m)
-        eg = spc.ground_energy(kind, a, b, m, pt=True)
-        src = pot.Shifted(pot.PTTransform(base, beta), eg)
-        fsrc = pot.compiled_value_fn(src)
-        builder, _, _, bb = pot._resolve_ground(src)
-        for x in np.linspace(0.0, src.period, 32, endpoint=False):
-            jv = ell.jacobi_complex(1j * x + bb, m)
-            j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
-            worst_fact = max(worst_fact, abs(-j.d2 / j.f - fsrc(x)))
-    return worst_edges, worst_fact
-
-
-def _check_a1_translation(m=0.75, beta=0.5):
-    src = pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
-    f = pot.compiled_value_fn(pot.SusyPartner(src))
-    kp = ell.modulus(m).Kprime
-    worst = 0.0
-    for x in np.linspace(0.0, src.period, 48, endpoint=False):
-        jv = ell.jacobi_complex(1j * x + beta + 1j * kp, m)
-        worst = max(worst, abs(f(x) - (-2.0 * m * jv.sn**2 + m + 1.0)))
-    return worst
-
-
-def _check_not_self_isospectral(m=0.75, beta=0.5):
-    eg = spc.ground_energy("assoc", 2, 1, m, pt=True)
-    src = pot.Shifted(pot.PTTransform(pot.AssociatedLame(2, 1, m), beta), eg)
-    fp = pot.compiled_value_fn(pot.SusyPartner(src))
-    fb = pot.compiled_value_fn(src)
-    L = src.period
-    xs = np.linspace(0.0, L, 64, endpoint=False)
-    vp = np.array([fp(float(x)) for x in xs])
-    best = math.inf
-    for tau in np.linspace(0.0, L, 128, endpoint=False):
-        vb = np.array([fb(float(x + tau)) for x in xs])
-        best = min(best, float(np.max(np.abs(vp - vb))))
-    return best
-
-
-def _check_dispersion(m=0.75, beta=0.5):
-    spec = pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
-    worst_k = 0.0
-    for e in list(np.linspace(0.05, 0.70, 8)) + list(np.linspace(1.05, 3.0, 7)):
-        dp = spc.dispersion_analytic(m, beta, float(e))
-        worst_k = max(worst_k, abs(dp.k - flq.dispersion_numeric(spec, float(e))))
-    f = pot.compiled_value_fn(spec)
-    worst_r = 0.0
-    e = m / 2.0
-    for x in np.linspace(0.0, spec.period, 20, endpoint=False):
-        for sign in (1, -1):
-            psi, _, d2psi = spc.bloch_solution_jet(m, beta, e, sign, float(x))
-            worst_r = max(worst_r, abs(-d2psi + (f(x) - e) * psi) / abs(f(x) * psi))
-    return worst_k, worst_r
-
-
-_ALL_CHECKS = (
-    "elliptic", "imaginary-shift", "eta-quasi-periodicity", "residuals",
-    "dualities", "discriminant-relation", "tables", "susy", "dispersion",
-)
-
-
-def run_selfcheck(tol_scale: float = 1.0, checks=None, stream=None, m: float = 0.75, beta: float = 0.5) -> int:
-    """Run the invariant suite and print a pass/fail table; 0 iff all pass."""
-    stream = stream or sys.stdout
-    selected = set(checks or _ALL_CHECKS)
-    rows = []
-
-    def add(name, violation, tol):
-        rows.append((name, violation, tol * tol_scale, violation < tol * tol_scale))
-
-    if "elliptic" in selected:
-        add("elliptic-identities", _check_elliptic_identities(), 1e-11)
-    if "imaginary-shift" in selected:
-        add("sn-dn-imaginary-shift", _check_imaginary_shift_identity(), 1e-10)
-    if "eta-quasi-periodicity" in selected:
-        add("eta-quasi-periodicity", _check_eta_quasi_periodicity(), 1e-9)
-    if "residuals" in selected:
-        add("eigenfunction-residuals", _check_eigenfunction_residuals(m, beta), 1e-8)
-    if "dualities" in selected:
-        add("duality-relations", _check_dualities(), 1e-6)
-    if "discriminant-relation" in selected:
-        add("discriminant-relation", _check_discriminant_relation(m, beta), 1e-6)
-    need_edges = {"tables", "susy"} & selected
-    if need_edges:
-        edge_sets = _edge_energy_sets(m, beta)
-        if "tables" in selected:
-            worst, classes_ok = _check_tables(edge_sets, m, beta)
-            add("band-edge-tables", worst, 1e-6)
-            add("band-edge-classes", 0.0 if classes_ok else 1.0, 0.5)
-            n_anti = sum(1 for e in edge_sets[("lame", 3, 0, "base")] if e.period_class == "A")
-            add("antiperiodic-edges-present", 0.0 if n_anti >= 1 else 1.0, 0.5)
-        if "susy" in selected:
-            worst_edges, worst_fact = _check_susy(edge_sets, m, beta)
-            add("susy-partner-isospectral", worst_edges, 1e-6)
-            add("susy-factorization", worst_fact, 1e-8)
-            add("a1-partner-translation", _check_a1_translation(m, beta), 1e-9)
-            sep = _check_not_self_isospectral(m, beta)
-            rows.append(("assoc21-not-self-isospectral", sep, 1e-3 * tol_scale, sep > 1e-3 * tol_scale))
-    if "dispersion" in selected:
-        worst_k, worst_r = _check_dispersion(m, beta)
-        add("dispersion-analytic-vs-numeric", worst_k, 1e-6)
-        add("bloch-ode-residual", worst_r, 1e-7)
-
-    width = max(len(r[0]) for r in rows) + 2
-    all_ok = True
-    for name, violation, tol, ok in rows:
-        all_ok = all_ok and ok
-        stream.write(f"{name:<{width}} {violation:12.3e}  (tol {tol:8.1e})  {'PASS' if ok else 'FAIL'}\n")
-    stream.write(f"selfcheck: {'PASS' if all_ok else 'FAIL'} ({sum(1 for r in rows if r[3])}/{len(rows)})\n")
-    return 0 if all_ok else 3
-
-
 def cmd_selfcheck(cfg: RunConfig) -> int:
-    # the suite needs a usable PT construction; a corrupted beta or m must
-    # fail validation up front rather than deep inside a check
+    # every spec the registry reads is built before the first check, so an
+    # unusable (m, beta) is a configuration error, not a failure mid-run
     try:
-        pot.PTTransform(pot.Lame(3, cfg.m), cfg.beta)
+        inv.specs(cfg.m, cfg.beta)
     except (pot.PotentialError, ell.EllipticDomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    build_spec(cfg)
-    scale = cfg.tol / _VERIFY_TOL
-    return run_selfcheck(tol_scale=scale, m=cfg.m, beta=cfg.beta)
+    results = inv.run(inv.REGISTRY, cfg.m, cfg.beta, tol_scale=cfg.tol / _VERIFY_TOL)
+    name, value, tol, ok, seconds = zip(*results)
+    verdict = "PASS" if all(ok) else "FAIL"
+    _write_table(cfg, "selfcheck",
+                 [("name", name), ("value", value), ("tol", tol),
+                  ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
+                 {"verdict": verdict, "passed": sum(ok), "total": len(ok)})
+    return 0 if verdict == "PASS" else 3
 
 
 # ---------------------------------------------------------------------------

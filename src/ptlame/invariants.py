@@ -1,0 +1,305 @@
+"""The paper's invariants as one registry, run by ``ptlame selfcheck`` and the
+acceptance tests.
+
+Each :class:`Invariant` row holds a check ``(m, beta) -> float`` and a
+tolerance that the value must stay below (a violation) or, for ``above``
+rows, above (a separation).  The rows cover the elliptic identities, the
+closed-form edges and eigenfunctions, the dualities, SUSY isospectrality and
+the a=1 dispersion, each against the Floquet engine or a second evaluation
+path.  The Floquet edge sets of the three shifted PT potentials and their
+partners are computed once per (m, beta) and shared; the row that reads them
+first is charged their time.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import time
+from types import MappingProxyType
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import elliptic as ell
+from . import floquet as flq
+from . import potentials as pot
+from . import spectra as spc
+
+__all__ = ["Invariant", "REGISTRY", "specs", "run"]
+
+_PARAMS = (0.1, 0.25, 0.5, 0.75, 0.9)
+_A1, _A3, _A21 = spc.ptlame_families
+
+
+class Invariant(NamedTuple):
+    name: str
+    check: Callable[[float, float], float]
+    tol: float
+    above: bool = False
+
+
+@functools.lru_cache(maxsize=4)
+def specs(m: float, beta: float) -> MappingProxyType:
+    """The PT specs the rows read at (m, beta): each family's shifted PT
+    potential, its SUSY partner (key ``family + ("partner",)``) and the a=3
+    partner taken before the PT transform ("a3-exchanged").  Raises
+    PotentialError or EllipticDomainError for an unusable (m, beta); every
+    other spec a row builds is valid whenever these are."""
+    out = {}
+    for fam in spc.ptlame_families:
+        src = pot.Shifted(pot.PTTransform(pot.associated_lame(*fam[1:], m), beta),
+                          spc.ground_energy(*fam, m, pt=True))
+        out[fam], out[fam + ("partner",)] = src, pot.SusyPartner(src)
+    real3 = pot.Shifted(pot.Lame(3, m), spc.ground_energy(*_A3, m, pt=False))
+    out["a3-exchanged"] = pot.Shifted(pot.PTTransform(pot.SusyPartner(real3), beta), -_top(_A3, m))
+    return MappingProxyType(out)
+
+
+def _top(fam, m):
+    return spc.closed_form_energies(*fam, m, pt=True, shifted=True)[-1]
+
+
+def _simple_edges(spec, emin, emax):
+    return tuple(e for e in flq.find_band_edges(spec, emin, emax) if e.multiplicity == 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _edge_sets(m, beta):
+    """Simple Floquet edges of each family's shifted PT potential and partner."""
+    s = specs(m, beta)
+    return MappingProxyType({key: _simple_edges(s[key], -0.5, _top(fam, m) + 0.8)
+                             for fam in spc.ptlame_families for key in (fam, fam + ("partner",))})
+
+
+def _max_pair_diff(xs, ys):
+    return max(abs(x - y) for x, y in zip(xs, ys)) if len(xs) == len(ys) else math.inf
+
+
+def _energies(edges):
+    return [e.energy for e in edges]
+
+
+def _elliptic_identities(m, beta):
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for mm in _PARAMS:
+        kp = ell.modulus(mm).Kprime
+        count = 0
+        while count < 50:
+            z = complex(rng.uniform(-4, 4), rng.uniform(-0.85, 0.85) * kp)
+            try:
+                jv = ell.jacobi_complex(z, mm)
+            except ell.PoleProximityError:
+                continue
+            count += 1
+            worst = max(worst, abs(jv.sn**2 + jv.cn**2 - 1.0), abs(jv.dn**2 + mm * jv.sn**2 - 1.0))
+    return worst
+
+
+def _imaginary_shift(m, beta):
+    # sqrt(m) sn(x, m) = -dn(i x + K'(m) + i K(m), 1 - m)
+    worst = 0.0
+    for mm in (0.25, 0.5, 0.75):
+        mod = ell.modulus(mm)
+        for x in np.linspace(0.1, 1.9, 10):
+            rhs = ell.jacobi_complex(1j * x + mod.Kprime + 1j * mod.K, 1.0 - mm).dn
+            worst = max(worst, abs(math.sqrt(mm) * ell.jacobi_real(x, mm).sn + rhs))
+    return worst
+
+
+def _eta_quasi_periodicity(m, beta):
+    worst = 0.0
+    for mm in (0.5, 0.75):
+        mod, b = ell.modulus(mm), ell.theta_bundle(mm)
+        for x in np.linspace(0.0, 1.2, 7):
+            u = 1j * x + 0.5
+            rhs = (-math.exp(math.pi * mod.Kprime / mod.K) * np.exp(-1j * math.pi * u / mod.K)
+                   * ell.theta_jets(b, u)[0][0])
+            worst = max(worst, abs(ell.theta_jets(b, u + 2j * mod.Kprime)[0][0] - rhs) / abs(rhs))
+    return worst
+
+
+def _kprime_complement(m, beta):
+    return max(abs(ell.modulus(mm).Kprime - ell.modulus(1.0 - mm).K) / ell.modulus(mm).Kprime
+               for mm in _PARAMS)
+
+
+def _eigenfunction_residuals(m, beta):
+    worst = 0.0
+    for fam in spc.ptlame_families:
+        for spec, edges in ((specs(m, beta)[fam], spc.pt_band_edges(*fam, m, beta)),
+                            (pot.associated_lame(*fam[1:], m), spc.real_band_edges(*fam, m))):
+            f = pot.compiled_value_fn(spec)
+            xs = np.linspace(0.0, spec.period, 40, endpoint=False)
+            for e in edges:
+                rmax = vmax = 0.0
+                for x in xs:
+                    psi, _, d2psi = e.jet(x)
+                    rmax = max(rmax, abs(-d2psi + (f(x) - e.energy) * psi))
+                    vmax = max(vmax, abs(f(x) * psi))
+                worst = max(worst, rmax / vmax)
+    return worst
+
+
+def _dualities(m, beta):
+    checks = [check(a, mm) for a in (1, 3) for mm in (0.3, 0.5, 0.75)
+              for check in (spc.modulus_duality_check, spc.pt_duality_check)]
+    return max(c.max_violation for c in checks + [spc.modulus_duality_check(2, 0.5)])
+
+
+def _a2_half_parameter_sum_rule(m, beta):
+    # at m = 1/2 the five a=2 edges pair up as e_j + e_{4-j} = 6, midpoint 3
+    es = _energies(_simple_edges(pot.Lame(2, 0.5), -0.5, 6.5))
+    if len(es) != 5:
+        return math.inf
+    return max(max(abs(es[j] + es[4 - j] - 6.0) for j in range(5)), abs(es[2] - 3.0))
+
+
+def _discriminant_relation(m, beta):
+    worst = 0.0
+    for a in (1, 3):
+        spec_pt, dual, shift = pot.PTTransform(pot.Lame(a, m), beta), pot.Lame(a, 1.0 - m), a * (a + 1)
+        # sampled across the spectral span, where the discriminant stays O(1)
+        for e in np.linspace(-shift - 0.6, 0.4, 20):
+            d1 = flq.monodromy(spec_pt, float(e)).discriminant
+            worst = max(worst, abs(d1 - flq.monodromy(dual, float(e) + shift).discriminant))
+    return worst
+
+
+def _edge_tables(m, beta):
+    found = _edge_sets(m, beta)
+    return max(_max_pair_diff(_energies(found[fam]), _energies(spc.pt_band_edges(*fam, m, beta)))
+               for fam in spc.ptlame_families)
+
+
+def _edge_classes(m, beta):
+    found = _edge_sets(m, beta)
+    same = all([e.period_class for e in found[fam]]
+               == [e.period_class for e in spc.pt_band_edges(*fam, m, beta)] for fam in spc.ptlame_families)
+    return 0.0 if same else 1.0
+
+
+def _antiperiodic_present(m, beta):
+    return 0.0 if any(e.period_class == "A" for e in _edge_sets(m, beta)[_A3]) else 1.0
+
+
+def _partner_isospectral(m, beta):
+    found = _edge_sets(m, beta)
+    return max(_max_pair_diff(_energies(found[fam]), _energies(found[fam + ("partner",)]))
+               for fam in spc.ptlame_families)
+
+
+def _factorization(m, beta):
+    # W**2 - W' = -psi''/psi rebuilds the zero-based potential; the ground
+    # state goes through jacobi_complex, not the potential's own triple
+    worst = 0.0
+    for fam in spc.ptlame_families:
+        src = specs(m, beta)[fam]
+        fsrc = pot.compiled_value_fn(src)
+        builder, _, _, bb = pot._resolve_ground(src)
+        for x in np.linspace(0.0, src.period, 32, endpoint=False):
+            jv = ell.jacobi_complex(1j * x + bb, m)
+            j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
+            worst = max(worst, abs(-j.d2 / j.f - fsrc(x)))
+    return worst
+
+
+def _a1_translation(m, beta):
+    # the a=1 partner is the base potential with its argument advanced by i K'
+    L = specs(m, beta)[_A1].period
+    f = pot.compiled_value_fn(specs(m, beta)[_A1 + ("partner",)])
+    kp = ell.modulus(m).Kprime
+    xs = np.union1d(np.linspace(0.0, L, 40, endpoint=False), np.linspace(0.0, L, 48, endpoint=False))
+    return max(abs(f(x) - (-2.0 * m * ell.jacobi_complex(1j * x + beta + 1j * kp, m).sn ** 2 + m + 1.0))
+               for x in xs)
+
+
+def _a3_exchanged_edges(m, beta):
+    # partner-then-transform has the edges of transform-then-partner ...
+    ex = _simple_edges(specs(m, beta)["a3-exchanged"], -0.5, _top(_A3, m) + 0.8)
+    return _max_pair_diff(_energies(ex), _energies(_edge_sets(m, beta)[_A3]))
+
+
+def _a3_exchanged_distinct(m, beta):
+    # ... although it, the base and the base's partner differ pointwise
+    s = specs(m, beta)
+    fs, fa, fb = (pot.compiled_value_fn(s[k]) for k in (_A3, _A3 + ("partner",), "a3-exchanged"))
+    xs = [float(x) for x in np.linspace(0.0, s[_A3].period, 64, endpoint=False)]
+    return min(max(abs(f(x) - g(x)) for x in xs) for f, g in ((fa, fb), (fa, fs), (fb, fs)))
+
+
+def _assoc21_not_self_isospectral(m, beta):
+    # no real translation maps the (2,1) partner back onto its base
+    src = specs(m, beta)[_A21]
+    fp, fb = pot.compiled_value_fn(specs(m, beta)[_A21 + ("partner",)]), pot.compiled_value_fn(src)
+    xs = np.linspace(0.0, src.period, 64, endpoint=False)
+    vp = np.array([fp(float(x)) for x in xs])
+    return min(float(np.max(np.abs(vp - np.array([fb(float(x + tau)) for x in xs]))))
+               for tau in np.linspace(0.0, src.period, 128, endpoint=False))
+
+
+def _dispersion(m, beta):
+    spec = specs(m, beta)[_A1]
+    es = [float(e) for e in list(np.linspace(0.05, 0.70, 8)) + list(np.linspace(1.05, 3.0, 7))]
+    return max(abs(spc.dispersion_analytic(m, beta, e).k - flq.dispersion_numeric(spec, e)) for e in es)
+
+
+def _bloch_residual(m, beta):
+    spec, e = specs(m, beta)[_A1], m / 2.0
+    f = pot.compiled_value_fn(spec)
+    worst = 0.0
+    for x in np.linspace(0.0, spec.period, 20, endpoint=False):
+        for sign in (1, -1):
+            psi, _, d2psi = spc.bloch_solution_jet(m, beta, e, sign, float(x))
+            worst = max(worst, abs(-d2psi + (f(x) - e) * psi) / abs(f(x) * psi))
+    return worst
+
+
+def _bloch_factor(m, beta):
+    # psi(x + L) / psi(x) = exp(+-i k L) for the two Bloch solutions
+    L, e = specs(m, beta)[_A1].period, m / 2.0
+    k = spc.dispersion_analytic(m, beta, e).k
+    worst = 0.0
+    for sign in (1, -1):
+        p0, p1 = (spc.bloch_solution_jet(m, beta, e, sign, x)[0] for x in (0.3, 0.3 + L))
+        worst = max(worst, min(abs(p1 / p0 - np.exp(1j * k * L)), abs(p1 / p0 - np.exp(-1j * k * L))))
+    return worst
+
+
+REGISTRY = (
+    Invariant("elliptic-identities", _elliptic_identities, 1e-11),
+    Invariant("sn-dn-imaginary-shift", _imaginary_shift, 1e-10),
+    Invariant("eta-quasi-periodicity", _eta_quasi_periodicity, 1e-9),
+    # the paper prints the period 2K'(0.75) = 3.3715
+    Invariant("printed-period-2kprime", lambda m, beta: abs(2.0 * ell.modulus(0.75).Kprime - 3.3715), 5e-5),
+    Invariant("kprime-complementary-k", _kprime_complement, 1e-13),
+    Invariant("eigenfunction-residuals", _eigenfunction_residuals, 1e-8),
+    Invariant("duality-relations", _dualities, 1e-6),
+    Invariant("a2-half-parameter-sum-rule", _a2_half_parameter_sum_rule, 1e-6),
+    Invariant("discriminant-relation", _discriminant_relation, 1e-6),
+    Invariant("band-edge-tables", _edge_tables, 1e-6),
+    Invariant("band-edge-classes", _edge_classes, 0.5),
+    Invariant("antiperiodic-edges-present", _antiperiodic_present, 0.5),
+    Invariant("susy-partner-isospectral", _partner_isospectral, 1e-6),
+    Invariant("susy-factorization", _factorization, 1e-8),
+    Invariant("a1-partner-translation", _a1_translation, 1e-9),
+    Invariant("a3-exchanged-order-edges", _a3_exchanged_edges, 1e-6),
+    Invariant("a3-exchanged-order-distinct", _a3_exchanged_distinct, 1e-3, above=True),
+    Invariant("assoc21-not-self-isospectral", _assoc21_not_self_isospectral, 1e-3, above=True),
+    Invariant("dispersion-analytic-vs-numeric", _dispersion, 1e-6),
+    Invariant("bloch-ode-residual", _bloch_residual, 1e-7),
+    Invariant("bloch-factor", _bloch_factor, 1e-7),
+)
+
+
+def run(rows, m: float, beta: float, tol_scale: float = 1.0) -> list[tuple]:
+    """(name, value, tol, ok, seconds) for each of ``rows`` (usually
+    :data:`REGISTRY`) at (m, beta), every tolerance times ``tol_scale``."""
+    out = []
+    for row in rows:
+        t0 = time.perf_counter()
+        value, tol = float(row.check(m, beta)), row.tol * tol_scale
+        ok = value > tol if row.above else value < tol
+        out.append((row.name, value, tol, ok, time.perf_counter() - t0))
+    return out

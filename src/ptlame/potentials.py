@@ -398,19 +398,15 @@ def superpotential_eval(w: Superpotential, x: float, tol_zero: float = 1e-10) ->
     denominator) has effectively vanished."""
     builder, _, uses_line, beta = _resolve_ground(w.source)
     m = w.source.m
-    if uses_line:
-        u = 1j * complex(x) + beta
-    else:
-        u = complex(x)
-    jv = ell.jacobi_complex(u, m)
+    s, c, d = ell.jacobi_triple(m, beta if uses_line else None)(x)
     if w.form == "closed":
         kind, a, b = w._closed_key()
-        return _closed_superpotential(kind, a, m, jv.sn, jv.cn, jv.dn)
-    j = builder(*jets_from_scd(jv.sn, jv.cn, jv.dn, m))
+        return _closed_superpotential(kind, a, m, s, c, d)
+    j = builder(*jets_from_scd(s, c, d, m))
     if abs(j.f) < tol_zero:
         raise PotentialError(f"ground state vanishes near x={x}; superpotential undefined")
     dfactor = 1j if uses_line else 1.0
-    return -dfactor * j.d1 / j.f
+    return complex(-dfactor * j.d1 / j.f)
 
 
 # ---------------------------------------------------------------------------

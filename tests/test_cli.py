@@ -1,10 +1,10 @@
-import io
 import json
 
 import numpy as np
 import pytest
 
 from ptlame import cli
+from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
 from ptlame.cli import RunConfig, build_spec
@@ -175,21 +175,55 @@ class TestDispersion:
         assert all(v == "" for v in cols["k_analytic_re"])
 
 
-class TestSelfcheck:
-    def test_cheap_subset_passes(self):
-        buf = io.StringIO()
-        rc = cli.run_selfcheck(checks=("elliptic", "imaginary-shift", "residuals"), stream=buf)
-        assert rc == 0
-        text = buf.getvalue()
-        assert text.count("PASS") == 4  # three rows plus the summary line
-        assert "FAIL" not in text
+CHEAP_ROWS = ("elliptic-identities", "sn-dn-imaginary-shift", "eigenfunction-residuals")
 
-    def test_tightened_tolerance_reruns_stricter(self):
-        buf = io.StringIO()
-        rc = cli.run_selfcheck(tol_scale=1e-12, checks=("residuals",), stream=buf)
-        assert rc == 3
-        assert "FAIL" in buf.getvalue()
+
+class TestSelfcheck:
+    @pytest.fixture
+    def cheap_registry(self, monkeypatch):
+        rows = tuple(r for r in inv.REGISTRY if r.name in CHEAP_ROWS)
+        monkeypatch.setattr(inv, "REGISTRY", rows)
+        return rows
+
+    def test_cheap_subset_passes(self, cheap_registry, tmp_path):
+        out = tmp_path / "selfcheck.csv"
+        assert cli.main(["selfcheck", "--out", str(out)]) == 0
+        meta, cols = _read_csv(out)
+        assert "verdict=PASS" in meta and "passed=3" in meta
+        assert cols["name"] == list(CHEAP_ROWS)
+        assert cols["verdict"] == ["PASS"] * 3
+
+    def test_tightened_tolerance_reruns_stricter(self, cheap_registry, tmp_path):
+        out = tmp_path / "selfcheck.csv"
+        # --tol 1e-18 scales every row tolerance by 1e-12
+        assert cli.main(["selfcheck", "--tol", "1e-18", "--out", str(out)]) == 3
+        meta, cols = _read_csv(out)
+        assert "verdict=FAIL" in meta
+        assert "FAIL" in cols["verdict"]
+
+    def test_json_round_trip(self, cheap_registry, tmp_path):
+        out = tmp_path / "selfcheck.json"
+        assert cli.main(["selfcheck", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["command"] == "selfcheck"
+        assert (doc["meta"]["verdict"], doc["meta"]["passed"]) == ("PASS", 3)
+        cols = doc["columns"]
+        assert list(cols) == ["name", "seconds", "tol", "value", "verdict"]
+        assert cols["name"] == list(CHEAP_ROWS)
+        assert cols["tol"] == [r.tol for r in cheap_registry]
+        assert all(v < t for v, t in zip(cols["value"], cols["tol"]))
+        assert all(sec >= 0.0 for sec in cols["seconds"])
 
     def test_corrupted_beta_fails_validation(self, capsys):
         assert cli.main(["selfcheck", "--beta", "0"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_beta_on_dn_zero_line_is_config_error_before_any_check(self, capsys, monkeypatch):
+        # beta = K(0.75): fine for the a=3 potential, rejected by the (2,1) one
+        def no_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(inv, "run", no_run)
+        assert cli.main(["selfcheck", "--beta", "2.1565156474996434"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dn zero line" in err

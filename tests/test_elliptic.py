@@ -106,7 +106,9 @@ class TestJacobiComplex:
         assert abs(jv.dn - DN_C) < 1e-10
 
     def test_against_complex_ode_oracle(self):
-        for z, m in ((0.3 + 0.4j, 0.75), (-0.8 + 0.9j, 0.5), (1.4 - 0.6j, 0.25)):
+        points = [(0.3 + 0.4j, 0.75), (-0.8 + 0.9j, 0.5), (1.4 - 0.6j, 0.25)]
+        points += [(z, m) for m in (0.25, 0.75) for z in pole_free_complex_grid(m, 6, seed=23)]
+        for z, m in points:
             s, c, d = jacobi_ode_complex(z, m)
             jv = ell.jacobi_complex(z, m)
             assert abs(jv.sn - s) < 1e-10
