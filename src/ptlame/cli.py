@@ -5,7 +5,9 @@ Every command emits machine-readable output (CSV or JSON, ``--format``, to
 exit-code contract 0 = ok, 2 = configuration error, 3 = verification failure,
 so CI can gate directly on the cross-checks.  ``selfcheck`` runs the
 invariant registry (:mod:`ptlame.invariants`) at ``--m``/``--beta``, one row
-per invariant with its value, tolerance, verdict and seconds.
+per invariant with its value, tolerance, verdict and seconds; its specs are
+fixed by the registry, so it takes only ``--m``, ``--beta``, ``--tol``,
+``--format`` and ``--out``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,10 @@ def build_spec(cfg: RunConfig):
             if op == "pt":
                 spec = pot.PTTransform(spec, cfg.beta)
             elif op == "partner":
-                kind, a, b, _ = pot.base_family(spec)
                 rows = spc.predicted_edges(spec)
                 if rows is None:
                     raise ConfigError(
-                        f"--partner needs a closed-form ground state; none for (a={a}, b={b})"
+                        f"--partner needs a closed-form ground state; none for (a={cfg.a}, b={cfg.b})"
                     )
                 spec = pot.SusyPartner(pot.Shifted(spec, rows[0][0]))
             else:
@@ -94,6 +95,10 @@ def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None
         "integrator_rtol": 1e-11,
         "integrator_atol": 1e-13,
     }
+    if command == "selfcheck":
+        # the registry builds its own specs; only (m, beta) and tol select them
+        for key in ("a", "b", "ops", "shift_zero"):
+            del meta[key]
     if extra_meta:
         meta.update(extra_meta)
     if cfg.fmt == "json":
@@ -223,8 +228,8 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     n = cfg.n or 25
     # the analytic dispersion covers the a=1 PT potential, in the basis
     # shifted so its ground edge is zero
-    kind, a, b, _ = pot.base_family(spec)
-    analytic = (kind, a, b) == ("lame", 1, 0) and pot.has_pt(spec) and not pot._contains_partner(spec)
+    form = pot.normal_form(spec)
+    analytic = (form.kind, form.a, form.b) == ("lame", 1, 0) and form.beta is not None and not form.partner
     offset = base0 if analytic else None
     es = np.linspace(emin, emax, n)
     kn_re, kn_im, ka_re, ka_im, diffs = [], [], [], [], []
@@ -280,38 +285,37 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 
 class _OpFlag(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
-        ops = list(getattr(namespace, "ops", ()) or ())
-        ops.append("pt" if option_string == "--pt" else "partner")
-        setattr(namespace, "ops", tuple(ops))
+        namespace.ops += ("pt" if option_string == "--pt" else "partner",)
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptlame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--m", type=float, default=0.75)
+    point.add_argument("--beta", type=float, default=0.5)
+    point.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    point.add_argument("--out", default="-")
+    point.add_argument("--tol", type=float, default=_VERIFY_TOL)
+    common = argparse.ArgumentParser(add_help=False, parents=[point])
     common.add_argument("--a", type=int, default=3)
     common.add_argument("--b", type=int, default=0)
-    common.add_argument("--m", type=float, default=0.75)
-    common.add_argument("--beta", type=float, default=0.5)
-    common.add_argument("--pt", action=_OpFlag, nargs=0,
+    common.add_argument("--pt", action=_OpFlag, nargs=0, dest="ops", default=(),
                         help="apply the PT transform (order-sensitive, repeatable)")
-    common.add_argument("--partner", action=_OpFlag, nargs=0,
+    common.add_argument("--partner", action=_OpFlag, nargs=0, dest="ops", default=(),
                         help="take the SUSY partner (order-sensitive, repeatable)")
     common.add_argument("--shift-zero", action="store_true", dest="shift_zero",
                         help="shift so the lowest band edge sits at zero energy")
     common.add_argument("--emin", type=float, default=None)
     common.add_argument("--emax", type=float, default=None)
     common.add_argument("--n", type=int, default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    common.add_argument("--out", default="-")
-    common.add_argument("--tol", type=float, default=_VERIFY_TOL)
     sub.add_parser("sample-potential", parents=[common])
     sub.add_parser("edges", parents=[common])
     ps = sub.add_parser("scan", parents=[common])
     ps.add_argument("--paired", action="store_true",
                     help="emit the modulus-dual Lame discriminant side by side")
     sub.add_parser("dispersion", parents=[common])
-    sub.add_parser("selfcheck", parents=[common])
+    sub.add_parser("selfcheck", parents=[point])
     return p
 
 
@@ -325,16 +329,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
-    cfg = RunConfig(
-        a=ns.a, b=ns.b, m=ns.m, beta=ns.beta,
-        ops=tuple(getattr(ns, "ops", ()) or ()),
-        shift_zero=ns.shift_zero, emin=ns.emin, emax=ns.emax, n=ns.n,
-        fmt=ns.fmt, out=ns.out, tol=ns.tol,
-        paired=bool(getattr(ns, "paired", False)),
-    )
+    args = vars(_parser().parse_args(argv))
+    command = args.pop("command")
+    cfg = RunConfig(**args)  # a command's unused fields keep their defaults
     try:
-        return _COMMANDS[ns.command](cfg)
+        return _COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

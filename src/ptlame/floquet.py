@@ -477,8 +477,8 @@ def find_band_edges(
             continue
         deduped.append(e)
 
-    kind, a, b, _ = potentials.base_family(spec)
-    if kind in ("lame", "assoc") and a >= 1:
+    a = potentials.normal_form(spec).a  # 0 for a custom potential
+    if a >= 1:
         expected = 2 * a + 1
         simple = sum(1 for e in deduped if e.multiplicity == 1)
         if simple < expected:
@@ -517,32 +517,25 @@ def check_interleaving(edges: list[NumericBandEdge]) -> list[str]:
 
 
 def _interleave_pattern(count: int) -> str:
-    out = ["P"]
-    cls = "A"
-    while len(out) < count:
-        out.append(cls)
-        if len(out) < count:
-            out.append(cls)
-        cls = "P" if cls == "A" else "A"
-    return "".join(out[:count])
+    return ("P" + "AAPP" * count)[:count]
 
 
-def dispersion_numeric(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13, edge_snap: float = 1e-9) -> complex:
+def dispersion_numeric(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13) -> complex:
     """Bloch wavenumber from the discriminant: k = arccos(Delta/2)/L.
 
     Inside bands k is real in [0, pi/L]; inside gaps the imaginary part
     arccosh(|Delta|/2)/L gives the evanescent attenuation (Im k > 0 by
-    convention).  When the discriminant sits within ``edge_snap`` of +/-2 the
+    convention).  When the discriminant sits within 1e-9 of +/-2 the
     energy is a band edge to integration accuracy and k is snapped to the
     exact zone center/boundary; arccos would otherwise amplify the
     discriminant error by a square root.
     """
     L = spec.period
     delta = monodromy(spec, E, rtol, atol).discriminant
-    if abs(delta.imag) < edge_snap:
-        if abs(delta.real - 2.0) < edge_snap:
+    if abs(delta.imag) < 1e-9:
+        if abs(delta.real - 2.0) < 1e-9:
             return 0j
-        if abs(delta.real + 2.0) < edge_snap:
+        if abs(delta.real + 2.0) < 1e-9:
             return complex(math.pi / L, 0.0)
     k = cmath.acos(delta / 2.0) / L
     if k.imag < 0.0:
@@ -553,10 +546,10 @@ def dispersion_numeric(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13,
 
 
 def default_energy_range(spec) -> tuple[float, float]:
-    """Heuristic edge-bracketing range: [-1, max Re V + a(a+1) m + 5]."""
+    """Heuristic edge-bracketing range: [-1, max Re V + a(a+1) m + 5], with
+    a = 0 for a custom potential."""
     f = potentials.compiled_value_fn(spec)
     xs = np.linspace(0.0, spec.period, 129, endpoint=False)
     vmax = max(f(float(x)).real for x in xs)
-    kind, a, b, m = potentials.base_family(spec)
-    bump = a * (a + 1) * m if kind in ("lame", "assoc") else 0.0
-    return (-1.0, vmax + bump + 5.0)
+    form = potentials.normal_form(spec)
+    return (-1.0, vmax + form.a * (form.a + 1) * form.m + 5.0)

@@ -197,9 +197,9 @@ def _factorization(m, beta):
     for fam in spc.ptlame_families:
         src = specs(m, beta)[fam]
         fsrc = pot.compiled_value_fn(src)
-        builder, _, _, bb = pot._resolve_ground(src)
+        builder, _ = pot.ground_state(src)
         for x in np.linspace(0.0, src.period, 32, endpoint=False):
-            jv = ell.jacobi_complex(1j * x + bb, m)
+            jv = ell.jacobi_complex(1j * x + beta, m)
             j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
             worst = max(worst, abs(-j.d2 / j.f - fsrc(x)))
     return worst

@@ -4,15 +4,19 @@ A potential spec is an immutable tree: a base potential (``Lame`` or
 ``AssociatedLame``) wrapped by any of ``Shifted`` (constant subtraction),
 ``PTTransform`` (x -> i x + beta together with an overall sign flip), and
 ``SusyPartner`` (W**2 + W' built from the zero-energy ground state of the
-wrapped spec).  ``compiled_value_fn`` evaluates a spec to complex values at
-real x; specs are analytic in x, which the Floquet engine and the
-closed-form machinery both rely on.
+wrapped spec).  ``normal_form`` reduces a tree to its base family, the
+Jacobi-function expression of V and the closed-form data that survive the
+wrappers; every structural question reads it.  ``compiled_value_fn``
+evaluates a spec to complex values at real x; specs are analytic in x, which
+the Floquet engine and the closed-form machinery both rely on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,10 +38,9 @@ __all__ = [
     "superpotential_eval",
     "landen_reduce_equal_ab",
     "compiled_value_fn",
-    "wrapper_chain",
-    "base_family",
-    "has_pt",
-    "total_shift",
+    "Form",
+    "normal_form",
+    "ground_state",
 ]
 
 _BETA_POLE_MARGIN = 1e-4
@@ -52,15 +55,16 @@ class MissingGroundStateError(PotentialError):
 
 
 class PotentialSpec:
-    """Base class; concrete specs are frozen dataclasses and hashable."""
+    """Base class; concrete specs are frozen dataclasses and hashable, so
+    their :func:`normal_form` is computed once."""
 
     @property
     def m(self) -> float:
-        raise NotImplementedError
+        return normal_form(self).m
 
     @property
     def period(self) -> float:
-        raise NotImplementedError
+        return normal_form(self).period
 
 
 @dataclass(frozen=True)
@@ -80,14 +84,6 @@ class Lame(PotentialSpec):
         if not 0.0 < self.m_ < 1.0:
             raise PotentialError(f"parameter m={self.m_!r} outside (0, 1)")
 
-    @property
-    def m(self) -> float:
-        return self.m_
-
-    @property
-    def period(self) -> float:
-        return 2.0 * ell.modulus(self.m_).K
-
 
 @dataclass(frozen=True)
 class AssociatedLame(PotentialSpec):
@@ -106,14 +102,6 @@ class AssociatedLame(PotentialSpec):
         if not 0.0 < self.m_ < 1.0:
             raise PotentialError(f"parameter m={self.m_!r} outside (0, 1)")
 
-    @property
-    def m(self) -> float:
-        return self.m_
-
-    @property
-    def period(self) -> float:
-        return 2.0 * ell.modulus(self.m_).K
-
 
 def associated_lame(a: int, b: int, m: float) -> PotentialSpec:
     """Factory normalizing b = 0 to the plain Lame potential."""
@@ -129,14 +117,6 @@ class Shifted(PotentialSpec):
     inner: PotentialSpec
     c: float
 
-    @property
-    def m(self) -> float:
-        return self.inner.m
-
-    @property
-    def period(self) -> float:
-        return self.inner.period
-
 
 @dataclass(frozen=True)
 class PTTransform(PotentialSpec):
@@ -146,33 +126,25 @@ class PTTransform(PotentialSpec):
     beta: float
 
     def __post_init__(self):
-        if has_pt(self.inner):
+        inner = normal_form(self.inner)
+        if inner.beta is not None:
             raise PotentialError("nested PT transforms are not supported")
         if self.beta == 0.0:
             raise PotentialError("beta must be nonzero (it keeps the pole lattice off the line)")
-        mod = ell.modulus(self.inner.m)
+        mod = ell.modulus(inner.m)
         if not 0.0 < self.beta < 2.0 * mod.K:
             raise PotentialError(f"beta={self.beta!r} outside (0, 2K) = (0, {2 * mod.K:.6g})")
-        kind, a, b, _ = base_family(self.inner)
         if min(self.beta, 2.0 * mod.K - self.beta) < _BETA_POLE_MARGIN:
             raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the sn pole line")
-        if b >= 1 and abs(self.beta - mod.K) < _BETA_POLE_MARGIN:
+        if inner.b >= 1 and abs(self.beta - mod.K) < _BETA_POLE_MARGIN:
             raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the dn zero line")
         # Partner ground states can vanish on the line for unlucky beta;
         # validate over one period by direct sampling.
-        if _contains_partner(self.inner):
+        if inner.partner:
             f = compiled_value_fn(self)
             vals = np.array([f(x) for x in np.linspace(0.0, self.period, 65)])
             if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e8:
                 raise PotentialError("PT transform hits a singular point on the real line; move beta")
-
-    @property
-    def m(self) -> float:
-        return self.inner.m
-
-    @property
-    def period(self) -> float:
-        return 2.0 * ell.modulus(self.inner.m).Kprime
 
 
 @dataclass(frozen=True)
@@ -186,19 +158,11 @@ class SusyPartner(PotentialSpec):
     inner: PotentialSpec
 
     def __post_init__(self):
-        builder, energy, uses_line, _ = _resolve_ground(self.inner)
+        _, energy = ground_state(self.inner)
         if abs(energy) > 1e-9:
             raise MissingGroundStateError(
                 f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
             )
-
-    @property
-    def m(self) -> float:
-        return self.inner.m
-
-    @property
-    def period(self) -> float:
-        return self.inner.period
 
 
 @dataclass(frozen=True)
@@ -209,120 +173,101 @@ class CustomPotential(PotentialSpec):
     period_: float
     m_: float = 0.5
 
-    @property
-    def m(self) -> float:
-        return self.m_
-
-    @property
-    def period(self) -> float:
-        return self.period_
-
 
 # ---------------------------------------------------------------------------
-# structure helpers
+# normal form
 
 
-def wrapper_chain(spec: PotentialSpec) -> list[PotentialSpec]:
-    """``spec`` and every spec it wraps, outermost first, ending at the base potential."""
-    chain = [spec]
-    while getattr(chain[-1], "inner", None) is not None:
-        chain.append(chain[-1].inner)
-    return chain
+class Form(NamedTuple):
+    """A spec reduced by :func:`normal_form`.
+
+    ``kind``, ``a``, ``b``, ``m`` name the base family ("lame", "assoc" or
+    "custom"); V(x) = sign * g(sn, cn, dn) - shift with the Jacobi triple at
+    real x, or on the line i x + beta when ``beta`` is set (a custom
+    potential's ``g`` is its own function of x).  ``offset`` moves the
+    family's closed-form edge rows (PT rows when ``beta`` is set) onto the
+    spec's energies, ``ground`` is the closed-form ground state as (jet
+    builder in the triple's argument, energy); both are None without closed
+    forms.  ``partner`` marks a SUSY partner anywhere in the tree.
+    """
+
+    kind: str
+    a: int
+    b: int
+    m: float
+    period: float
+    g: Callable
+    sign: float
+    shift: float
+    beta: float | None
+    offset: float | None
+    ground: tuple | None
+    partner: bool
 
 
-def has_pt(spec: PotentialSpec) -> bool:
-    return any(isinstance(s, PTTransform) for s in wrapper_chain(spec))
+@functools.lru_cache(maxsize=256)
+def normal_form(spec: PotentialSpec) -> Form:
+    """The :class:`Form` of a spec: one walk of its wrapper tree, cached.
 
-
-def _contains_partner(spec: PotentialSpec) -> bool:
-    return any(isinstance(s, SusyPartner) for s in wrapper_chain(spec))
-
-
-def total_shift(spec: PotentialSpec) -> float:
-    """Sum of all Shifted constants along the wrapper chain."""
-    return sum((s.c for s in wrapper_chain(spec) if isinstance(s, Shifted)), 0.0)
-
-
-def base_family(spec: PotentialSpec) -> tuple[str, int, int, float]:
-    """(kind, a, b, m) of the base potential under all wrappers."""
-    base = wrapper_chain(spec)[-1]
-    if isinstance(base, Lame):
-        return "lame", base.a, 0, base.m_
-    if isinstance(base, AssociatedLame):
-        return "assoc", base.a, base.b, base.m_
-    if isinstance(base, CustomPotential):
-        return "custom", 0, 0, base.m
-    raise PotentialError(f"unrecognized spec {spec!r}")
-
-
-def _resolve_ground(spec: PotentialSpec):
-    """(jet builder, ground energy, uses_line, beta) for the spec's ground state.
-
-    The builder maps (S, C, D) jets at the natural argument u to the ground
-    state jet; ``uses_line`` marks ground states living on u = i x + beta.
-    Lazy import keeps the closed-form tables in one place (spectra).
+    A shift lowers V, its edges and its ground energy.  A PT transform flips
+    the sign, moves the argument onto its line and maps E to -E, so the PT
+    rows apply and a shift under it moves the edges up; only the bare family
+    keeps a closed-form ground state under it.  A SUSY partner keeps the
+    edges, depends only on the ground state (it absorbs every shift under
+    it), and has the zero-energy ground state 1/psi_g.  The closed-form
+    tables live in spectra (lazy import).
     """
     from . import spectra
 
-    if isinstance(spec, Shifted):
-        builder, energy, uses_line, beta = _resolve_ground(spec.inner)
-        return builder, energy - spec.c, uses_line, beta
-    if isinstance(spec, SusyPartner):
-        builder, energy, uses_line, beta = _resolve_ground(spec.inner)
-        # The partner's own zero-energy ground state is 1/psi_g.
-        return (lambda S, C, D: builder(S, C, D).reciprocal()), 0.0, uses_line, beta
-    if isinstance(spec, PTTransform):
-        kind, a, b, m = base_family(spec.inner)
-        if total_shift(spec.inner) != 0.0:
-            raise MissingGroundStateError("shift the PT transform itself, not the potential under it")
-        builder, energy = spectra.ground_state_builder(kind, a, b, m, pt=True)
-        return builder, energy, True, spec.beta
     if isinstance(spec, (Lame, AssociatedLame)):
-        kind, a, b, m = base_family(spec)
-        builder, energy = spectra.ground_state_builder(kind, a, b, m, pt=False)
-        return builder, energy, False, 0.0
-    raise MissingGroundStateError(f"no registered ground state for {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def _jacobi_expression(spec: PotentialSpec):
-    """(g, sign, shift, beta) with V(x) = sign * g(sn, cn, dn) - shift.
-
-    The Jacobi functions are taken at real x, or on the line i x + beta when
-    ``beta`` is not None.  A PT transform flips the sign and moves the
-    argument onto its line; a SUSY partner's formula absorbs every shift
-    under it, since it depends only on the ground state.
-    """
-    if isinstance(spec, Lame):
-        coef = spec.a * (spec.a + 1) * spec.m_
-        return (lambda s, c, d: coef * s * s), 1.0, 0.0, None
-    if isinstance(spec, AssociatedLame):
-        ca = spec.a * (spec.a + 1) * spec.m_
-        cb = spec.b * (spec.b + 1) * spec.m_
-        return (lambda s, c, d: ca * s * s + cb * (c / d) ** 2), 1.0, 0.0, None
+        kind, b = ("lame", 0) if isinstance(spec, Lame) else ("assoc", spec.b)
+        ca, cb = spec.a * (spec.a + 1) * spec.m_, b * (b + 1) * spec.m_
+        g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
+        closed = (kind, spec.a, b) in spectra.ptlame_families
+        ground = spectra.ground_state_builder(kind, spec.a, b, spec.m_, pt=False) if closed else None
+        return Form(kind, spec.a, b, spec.m_, 2.0 * ell.modulus(spec.m_).K, g, 1.0, 0.0, None,
+                    0.0 if closed else None, ground, False)
+    if isinstance(spec, CustomPotential):
+        return Form("custom", 0, 0, spec.m_, spec.period_, spec.fn, 1.0, 0.0, None, None, None, False)
+    if not isinstance(spec, (Shifted, PTTransform, SusyPartner)):
+        raise PotentialError(f"unrecognized spec {spec!r}")
+    f = normal_form(spec.inner)
     if isinstance(spec, Shifted):
-        g, sign, shift, beta = _jacobi_expression(spec.inner)
-        return g, sign, shift + spec.c, beta
+        return f._replace(shift=f.shift + spec.c,
+                          offset=None if f.offset is None else f.offset - spec.c,
+                          ground=None if f.ground is None else (f.ground[0], f.ground[1] - spec.c))
     if isinstance(spec, PTTransform):
-        g, sign, shift, _ = _jacobi_expression(spec.inner)
-        return g, -sign, -shift, spec.beta
-    if isinstance(spec, SusyPartner):
-        builder, _, uses_line, beta = _resolve_ground(spec.inner)
-        m = spec.m
+        closed = f.offset is not None
+        bare = closed and f.shift == 0.0 and not f.partner
+        return f._replace(
+            period=2.0 * ell.modulus(f.m).Kprime, sign=-f.sign, shift=-f.shift, beta=spec.beta,
+            offset=spectra.ground_energy(f.kind, f.a, f.b, f.m, pt=True) - f.offset if closed else None,
+            ground=spectra.ground_state_builder(f.kind, f.a, f.b, f.m, pt=True) if bare else None)
+    builder, m = f.ground[0], f.m  # a SusyPartner, validated to have it
 
-        def partner(s, c, d):
-            # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's
-            # own argument u; on the line u = i x + beta, d/dx = i d/du
-            # flips its sign
-            j = builder(*jets_from_scd(s, c, d, m))
-            r = j.d1 / j.f
-            return 2.0 * r * r - j.d2 / j.f
+    def partner(s, c, d):
+        # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
+        # argument u; on the line u = i x + beta, d/dx = i d/du flips its sign
+        j = builder(*jets_from_scd(s, c, d, m))
+        r = j.d1 / j.f
+        return 2.0 * r * r - j.d2 / j.f
 
-        return (partner, -1.0, 0.0, beta) if uses_line else (partner, 1.0, 0.0, None)
-    raise PotentialError(f"no Jacobi-function expression for {spec!r}")
+    return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
+                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0), partner=True)
+
+
+def ground_state(spec: PotentialSpec):
+    """(jet builder, energy) of the spec's closed-form ground state.
+
+    The builder maps (S, C, D) jets at the spec's Jacobi argument (real x,
+    or i x + beta under a PT transform) to the ground-state jet.
+    """
+    f = normal_form(spec)
+    if f.offset is None:
+        raise MissingGroundStateError(f"no closed forms for family {(f.kind, f.a, f.b)!r}")
+    if f.ground is None:
+        raise MissingGroundStateError("shift the PT transform itself, not the potential under it")
+    return f.ground
 
 
 def compiled_value_fn(spec: PotentialSpec):
@@ -332,16 +277,14 @@ def compiled_value_fn(spec: PotentialSpec):
     or on the line of its PT transform; the Floquet integrator drives this
     inside its right-hand side, so it is kept allocation-free.
     """
-    core, shift = spec, 0.0
-    while isinstance(core, Shifted):
-        core, shift = core.inner, shift + core.c
-    if isinstance(core, CustomPotential):
-        fn = core.fn
-        return lambda x: complex(fn(x)) - shift
-
-    g, sign, shift, beta = _jacobi_expression(spec)
-    point = ell.jacobi_triple(spec.m, beta)
-    if sign < 0.0:
+    f = normal_form(spec)
+    g, shift = f.g, f.shift
+    if f.kind == "custom":
+        if f.beta is not None:
+            raise PotentialError(f"no Jacobi-function expression for {spec!r}")
+        return lambda x: complex(g(x)) - shift
+    point = ell.jacobi_triple(f.m, f.beta)
+    if f.sign < 0.0:
         return lambda x: -g(*point(x)) - shift
     return lambda x: complex(g(*point(x))) - shift
 
@@ -367,17 +310,9 @@ class Superpotential:
     def __post_init__(self):
         if self.form not in ("closed", "log-derivative"):
             raise PotentialError(f"unknown superpotential form {self.form!r}")
-        _resolve_ground(self.source)  # raises if unusable
-        if self.form == "closed" and self._closed_key() is None:
+        ground_state(self.source)  # raises without a closed-form family
+        if self.form == "closed" and normal_form(self.source).beta is None:
             raise PotentialError("no closed-form superpotential for this source")
-
-    def _closed_key(self):
-        if not has_pt(self.source):
-            return None
-        kind, a, b, m = base_family(self.source)
-        if (kind, a, b) in (("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)):
-            return kind, a, b
-        return None
 
 
 def _closed_superpotential(kind: str, a: int, m: float, s, c, d) -> complex:
@@ -393,19 +328,18 @@ def _closed_superpotential(kind: str, a: int, m: float, s, c, d) -> complex:
     return 1j * s * d / c - 1j * m * c * s / d - 6j * m * s * d * c / q
 
 
-def superpotential_eval(w: Superpotential, x: float, tol_zero: float = 1e-10) -> complex:
+def superpotential_eval(w: Superpotential, x: float) -> complex:
     """Evaluate W(x); rejects points where the ground state (or a closed-form
-    denominator) has effectively vanished."""
-    builder, _, uses_line, beta = _resolve_ground(w.source)
-    m = w.source.m
-    s, c, d = ell.jacobi_triple(m, beta if uses_line else None)(x)
+    denominator) has effectively vanished (|psi_g| < 1e-10)."""
+    builder, _ = ground_state(w.source)
+    f = normal_form(w.source)
+    s, c, d = ell.jacobi_triple(f.m, f.beta)(x)
     if w.form == "closed":
-        kind, a, b = w._closed_key()
-        return _closed_superpotential(kind, a, m, s, c, d)
-    j = builder(*jets_from_scd(s, c, d, m))
-    if abs(j.f) < tol_zero:
+        return _closed_superpotential(f.kind, f.a, f.m, s, c, d)
+    j = builder(*jets_from_scd(s, c, d, f.m))
+    if abs(j.f) < 1e-10:
         raise PotentialError(f"ground state vanishes near x={x}; superpotential undefined")
-    dfactor = 1j if uses_line else 1.0
+    dfactor = 1j if f.beta is not None else 1.0
     return complex(-dfactor * j.d1 / j.f)
 
 
@@ -413,7 +347,7 @@ def superpotential_eval(w: Superpotential, x: float, tol_zero: float = 1e-10) ->
 # Landen reduction of the a = b associated potentials
 
 
-def landen_reduce_equal_ab(spec: AssociatedLame, grid_points: int = 100) -> tuple[Lame, float]:
+def landen_reduce_equal_ab(spec: AssociatedLame) -> tuple[Lame, float]:
     """Rewrite an a = b associated Lame potential as a rescaled Lame potential.
 
     Returns ``(lame, const)`` such that
@@ -422,8 +356,8 @@ def landen_reduce_equal_ab(spec: AssociatedLame, grid_points: int = 100) -> tupl
 
     with ``alpha, m_tilde = landen_descend(m)`` and ``lame = Lame(a, m_tilde)``.
     The additive constant is fitted at one grid point and the residual is
-    asserted to be constant (< 1e-9) across a full period, which turns the
-    otherwise free constant into a checked property.
+    asserted to be constant (< 1e-9) at 100 points across a full period,
+    which turns the otherwise free constant into a checked property.
     """
     if not isinstance(spec, AssociatedLame) or spec.a != spec.b:
         raise PotentialError("landen_reduce_equal_ab requires an AssociatedLame spec with a == b")
@@ -431,7 +365,7 @@ def landen_reduce_equal_ab(spec: AssociatedLame, grid_points: int = 100) -> tupl
     lame = Lame(spec.a, mt)
     f_assoc = compiled_value_fn(spec)
     f_lame = compiled_value_fn(lame)
-    xs = np.linspace(0.0, spec.period, grid_points, endpoint=False) + 0.0137
+    xs = np.linspace(0.0, spec.period, 100, endpoint=False) + 0.0137
     resid = np.array([f_assoc(x) - f_lame(x / alpha) / alpha**2 for x in xs])
     const = complex(resid[0]).real
     spread = float(np.max(np.abs(resid - resid[0])))

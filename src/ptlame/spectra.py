@@ -231,22 +231,13 @@ def predicted_edges(spec) -> list[tuple[float, str]] | None:
     """Closed-form (energy, period class) of every edge of a composed spec,
     ascending; None when its base family has no closed forms.
 
-    Shifts move the energies and SUSY partners keep the edge set.  With a PT
-    transform in the chain the PT rows apply, and a shift under the
-    transform moves the energies up, since the transform maps E to -E.
+    The rows are the family's, moved by the offset of its
+    :func:`potentials.normal_form`; the PT rows apply under a PT transform.
     """
-    kind, a, b, m = potentials.base_family(spec)
-    if (kind, a, b) not in _FAMILY_ROWS:
+    f = potentials.normal_form(spec)
+    if f.offset is None:
         return None
-    pt = potentials.has_pt(spec)
-    offset = ground_energy(kind, a, b, m, pt=True) if pt else 0.0
-    sign = 1.0
-    for s in potentials.wrapper_chain(spec):
-        if isinstance(s, potentials.PTTransform):
-            sign = -1.0
-        elif isinstance(s, potentials.Shifted):
-            offset -= sign * s.c
-    return [(e + offset, cls) for e, cls, _ in _edge_rows(kind, a, b, m, pt)]
+    return [(e + f.offset, cls) for e, cls, _ in _edge_rows(f.kind, f.a, f.b, f.m, f.beta is not None)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +263,15 @@ class DualityReport:
     passed: bool
 
 
-def _lame_edges_any(a: int, m: float, **floquet_kw) -> list[float]:
+def _lame_edges_any(a: int, m: float) -> list[float]:
     if a in (1, 3):
         return closed_form_energies("lame", a, 0, m, pt=False)
     spec = potentials.Lame(a, m)
-    found = floquet.find_band_edges(spec, -0.5, a * (a + 1) + 0.5, **floquet_kw)
+    found = floquet.find_band_edges(spec, -0.5, a * (a + 1) + 0.5)
     return [e.energy for e in found if e.multiplicity == 1]
 
 
-def modulus_duality_check(a: int, m: float, tol: float | None = None, **floquet_kw) -> DualityReport:
+def modulus_duality_check(a: int, m: float, tol: float | None = None) -> DualityReport:
     """Check E_j(m) = a(a+1) - E_{2a-j}(1-m) on the Lame family.
 
     Closed forms for a in {1, 3}; the Floquet engine supplies a=2 (both
@@ -291,14 +282,14 @@ def modulus_duality_check(a: int, m: float, tol: float | None = None, **floquet_
         raise ValueError("duality checks support a in {1, 2, 3}")
     if tol is None:
         tol = 1e-8 if a in (1, 3) else 1e-6
-    lhs = _lame_edges_any(a, m, **floquet_kw)
-    other = _lame_edges_any(a, 1.0 - m, **floquet_kw)
+    lhs = _lame_edges_any(a, m)
+    other = _lame_edges_any(a, 1.0 - m)
     rhs = [a * (a + 1) - e for e in reversed(other)]
     viol = max(abs(x - y) for x, y in zip(lhs, rhs))
     return DualityReport("modulus", a, m, tuple(lhs), tuple(rhs), viol, tol, viol < tol)
 
 
-def pt_duality_check(a: int, m: float, beta: float = 0.5, tol: float | None = None, **floquet_kw) -> DualityReport:
+def pt_duality_check(a: int, m: float, beta: float = 0.5, tol: float | None = None) -> DualityReport:
     """Check E^PT_j(m) = E_j(1-m) - a(a+1) between the PT and plain spectra."""
     if a not in (1, 2, 3):
         raise ValueError("duality checks support a in {1, 2, 3}")
@@ -308,9 +299,9 @@ def pt_duality_check(a: int, m: float, beta: float = 0.5, tol: float | None = No
         lhs = closed_form_energies("lame", a, 0, m, pt=True)
     else:
         spec = potentials.PTTransform(potentials.Lame(a, m), beta)
-        found = floquet.find_band_edges(spec, -(a * (a + 1)) - 0.5, 0.5, **floquet_kw)
+        found = floquet.find_band_edges(spec, -(a * (a + 1)) - 0.5, 0.5)
         lhs = [e.energy for e in found if e.multiplicity == 1]
-    rhs = [e - a * (a + 1) for e in _lame_edges_any(a, 1.0 - m, **floquet_kw)]
+    rhs = [e - a * (a + 1) for e in _lame_edges_any(a, 1.0 - m)]
     viol = max(abs(x - y) for x, y in zip(lhs, rhs))
     return DualityReport("pt", a, m, tuple(lhs), tuple(rhs), viol, tol, viol < tol)
 
@@ -334,6 +325,10 @@ class DispersionPoint:
     branch: int
 
 
+# distance from a band edge, and |Im k|, below which k counts as real
+_BRANCH_TOL = 1e-6
+
+
 def _alpha_kappa(m: float, E: float) -> tuple[complex, complex]:
     mod = ell.modulus(m)
     w = cmath.sqrt(complex(E) / m)
@@ -348,7 +343,7 @@ def _fold_bz(k: complex, L: float) -> complex:
     return k - g * round(k.real / g)
 
 
-def dispersion_analytic(m: float, beta: float, E: float, branch_tol: float = 1e-6) -> DispersionPoint:
+def dispersion_analytic(m: float, beta: float, E: float) -> DispersionPoint:
     """Analytic Bloch wavenumber k(E) for the shifted a=1 PT potential.
 
     The energy fixes alpha1 through m*sn(alpha1)**2 = E on the fundamental
@@ -360,10 +355,10 @@ def dispersion_analytic(m: float, beta: float, E: float, branch_tol: float = 1e-
     mod = ell.modulus(m)
     L = 2.0 * mod.Kprime
     alpha1, kappa = _alpha_kappa(m, E)
-    in_band = (branch_tol < E < m - branch_tol) or (E > 1.0 + branch_tol)
+    in_band = (_BRANCH_TOL < E < m - _BRANCH_TOL) or (E > 1.0 + _BRANCH_TOL)
     candidates = [(-1, _fold_bz(-kappa, L)), (+1, _fold_bz(kappa, L))]
     if in_band:
-        real_ones = [(b, k) for b, k in candidates if abs(k.imag) < branch_tol]
+        real_ones = [(b, k) for b, k in candidates if abs(k.imag) < _BRANCH_TOL]
         if not real_ones:
             raise BranchResolutionError(
                 f"no sign branch gives a real Bloch wavenumber at E={E} (candidates {candidates})"
@@ -373,7 +368,7 @@ def dispersion_analytic(m: float, beta: float, E: float, branch_tol: float = 1e-
     else:
         branch, k = max(candidates, key=lambda bk: bk[1].imag)
         k = complex(abs(k.real), k.imag)
-        if abs(k.imag) < branch_tol:
+        if abs(k.imag) < _BRANCH_TOL:
             k = complex(k.real, 0.0)
     return DispersionPoint(E, alpha1, k, branch)
 

@@ -120,6 +120,20 @@ class TestEdges:
         assert np.allclose([diffs[0], diffs[2], diffs[3]], [1e-9, 2e-9, 3e-9], rtol=1e-3, atol=1e-15)
         assert float(meta.split("max_abs_diff=")[1].split()[0]) < 1e-8
 
+    @pytest.mark.parametrize("shift_zero", [False, True], ids=["raw", "shift-zero"])
+    @pytest.mark.parametrize("ops", [(), ("--pt",), ("--partner",), ("--pt", "--partner"),
+                                     ("--partner", "--pt"), ("--pt", "--partner", "--partner")],
+                             ids=lambda ops: "-".join(op.strip("-") for op in ops) or "plain")
+    def test_every_wrapper_order_matches_floquet(self, ops, shift_zero, tmp_path):
+        # the predicted edges of every composition, shifts above and under
+        # the PT transform included, against the Floquet engine; at m = 0.6321
+        # no a=1 edge lands on a scan point
+        out = tmp_path / "edges.csv"
+        argv = ["edges", "--a", "1", "--m", "0.6321", "--beta", "0.7", *ops, "--out", str(out)]
+        assert cli.main(argv + ["--shift-zero"] * shift_zero) == 0
+        meta, cols = _read_csv(out)
+        assert "verdict=PASS" in meta and len(cols["energy_analytic"]) == 3
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -206,6 +220,7 @@ class TestSelfcheck:
         assert cli.main(["selfcheck", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["command"] == "selfcheck"
+        assert not {"a", "b", "ops", "shift_zero"} & set(doc["meta"])
         assert (doc["meta"]["verdict"], doc["meta"]["passed"]) == ("PASS", 3)
         cols = doc["columns"]
         assert list(cols) == ["name", "seconds", "tol", "value", "verdict"]
@@ -213,6 +228,12 @@ class TestSelfcheck:
         assert cols["tol"] == [r.tol for r in cheap_registry]
         assert all(v < t for v, t in zip(cols["value"], cols["tol"]))
         assert all(sec >= 0.0 for sec in cols["seconds"])
+
+    def test_spec_flags_are_usage_errors(self):
+        # the registry builds its own specs, so a spec flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selfcheck", "--a", "1"])
+        assert exc.value.code == 2
 
     def test_corrupted_beta_fails_validation(self, capsys):
         assert cli.main(["selfcheck", "--beta", "0"]) == 2

@@ -211,6 +211,7 @@ class TestClassification:
     def test_interleave_pattern(self):
         assert flq._interleave_pattern(7) == "PAAPPAA"
         assert flq._interleave_pattern(5) == "PAAPP"
+        assert [flq._interleave_pattern(n) for n in range(4)] == ["", "P", "PA", "PAA"]
 
 
 class TestDispersionNumeric:
