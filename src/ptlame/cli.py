@@ -92,8 +92,8 @@ def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None
         "ops": list(cfg.ops),
         "shift_zero": cfg.shift_zero,
         "tol": cfg.tol,
-        "integrator_rtol": 1e-11,
-        "integrator_atol": 1e-13,
+        "integrator_rtol": flq.RTOL,
+        "integrator_atol": flq.ATOL,
     }
     if command == "selfcheck":
         # the registry builds its own specs; only (m, beta) and tol select them

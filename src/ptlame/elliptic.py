@@ -44,6 +44,15 @@ __all__ = [
 ]
 
 _AGM_EPS = 4e-16
+# distance to the sn pole lattice below which an argument is rejected, the
+# same for the theta zeros (which coincide with it)
+_POLE_TOL = 1e-6
+_THETA_ZERO_TOL = 1e-8
+# relative size of the last retained nome-series term
+_THETA_TRUNC_TOL = 1e-16
+# inverse_sn: Newton residual and iteration limit
+_INVERSE_TOL = 1e-10
+_INVERSE_MAX_ITER = 50
 
 
 class EllipticDomainError(ValueError):
@@ -172,19 +181,19 @@ def sn_pole_lattice_point(z: complex, m: float) -> complex:
     return 2.0 * mod.K * nx + 2j * mod.Kprime * ny + 1j * mod.Kprime
 
 
-def jacobi_complex(z: complex, m: float, tol_pole: float = 1e-6) -> JacobiValues:
+def jacobi_complex(z: complex, m: float) -> JacobiValues:
     """Jacobi sn, cn, dn for complex argument.
 
     The argument is split as z = x + i*y and the real-argument values at
     (x, m) and (y, 1-m) are recombined with the addition formulas.  Arguments
-    closer than ``tol_pole`` to the common pole lattice are rejected, since
+    closer than ``_POLE_TOL`` to the common pole lattice are rejected, since
     every downstream tolerance dies near a pole.
     """
     m = _check_parameter(m)
     z = complex(z)
     pole = sn_pole_lattice_point(z, m)
-    if abs(z - pole) < tol_pole:
-        raise PoleProximityError(z, pole, tol_pole)
+    if abs(z - pole) < _POLE_TOL:
+        raise PoleProximityError(z, pole, _POLE_TOL)
     if z.imag == 0.0:
         return jacobi_real(z.real, m)
     s, c, d = _jacobi_real_tuple(z.real, m)
@@ -196,7 +205,7 @@ def jacobi_complex(z: complex, m: float, tol_pole: float = 1e-6) -> JacobiValues
     return JacobiValues(z, sn, cn, dn)
 
 
-def line_jacobi(beta: float, m: float, tol_pole: float = 1e-6):
+def line_jacobi(beta: float, m: float):
     """Fast evaluator for (sn, cn, dn) along the vertical line z = i*x + beta.
 
     The real-argument triple at (beta, m) is fixed along the line, so each
@@ -208,8 +217,8 @@ def line_jacobi(beta: float, m: float, tol_pole: float = 1e-6):
     mod = modulus(m)
     # Pole lattice sits on Re z = 0 (mod 2K); keep the whole line clear.
     dist = abs(beta - 2.0 * mod.K * round(beta / (2.0 * mod.K)))
-    if dist < tol_pole:
-        raise PoleProximityError(complex(beta), sn_pole_lattice_point(complex(beta, mod.Kprime), m), tol_pole)
+    if dist < _POLE_TOL:
+        raise PoleProximityError(complex(beta), sn_pole_lattice_point(complex(beta, mod.Kprime), m), _POLE_TOL)
     s, c, d = _jacobi_real_tuple(beta, m)
     m1 = 1.0 - m
     ss = m * s * s
@@ -255,10 +264,10 @@ class ThetaBundle:
     truncation: int
 
     @classmethod
-    def for_parameter(cls, m: float, tol: float = 1e-16) -> "ThetaBundle":
+    def for_parameter(cls, m: float) -> "ThetaBundle":
         mod = modulus(m)
         n = 1
-        while mod.q ** ((n + 0.5) ** 2) > tol * mod.q ** 0.25 and n < 64:
+        while mod.q ** ((n + 0.5) ** 2) > _THETA_TRUNC_TOL * mod.q ** 0.25 and n < 64:
             n += 1
         return cls(mod, n + 1)
 
@@ -319,16 +328,16 @@ def theta_jets(bundle: ThetaBundle, u: complex):
     return (H, dH, d2H), (T, dT, d2T)
 
 
-def zeta_Z(bundle: ThetaBundle, u: complex, tol_zero: float = 1e-8) -> complex:
+def zeta_Z(bundle: ThetaBundle, u: complex) -> complex:
     """Jacobi zeta Z(u) = Theta'(u)/Theta(u), via the differentiated series.
 
     Zeros of Theta coincide with the sn pole lattice; arguments within
-    ``tol_zero`` of it are rejected.
+    ``_THETA_ZERO_TOL`` of it are rejected.
     """
     mod = bundle.modulus
     pole = sn_pole_lattice_point(u, mod.m)
-    if abs(complex(u) - pole) < tol_zero:
-        raise ThetaZeroError(f"argument {u} lies within {tol_zero} of the theta zero at {pole}")
+    if abs(complex(u) - pole) < _THETA_ZERO_TOL:
+        raise ThetaZeroError(f"argument {u} lies within {_THETA_ZERO_TOL} of the theta zero at {pole}")
     (_, _, _), (T, dT, _) = theta_jets(bundle, u)
     return dT / T
 
@@ -390,7 +399,7 @@ def _canonical_rectangle(alpha: complex, w: complex, mod: Modulus) -> complex:
     return a
 
 
-def inverse_sn(w: complex, m: float, tol: float = 1e-10, max_iter: int = 50) -> complex:
+def inverse_sn(w: complex, m: float) -> complex:
     """Solve sn(alpha, m) = w for alpha in the fundamental rectangle.
 
     The representative satisfies Re(alpha) in [-K, K] and Im(alpha) in
@@ -408,10 +417,10 @@ def inverse_sn(w: complex, m: float, tol: float = 1e-10, max_iter: int = 50) -> 
         pts, vals = _inverse_seed_grid(m)
         alpha = complex(pts[int(np.argmin(np.abs(vals - w)))])
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_INVERSE_MAX_ITER):
             jv = jacobi_complex(alpha, m)
             f = jv.sn - w
-            if abs(f) < tol:
+            if abs(f) < _INVERSE_TOL:
                 converged = True
                 break
             deriv = jv.cn * jv.dn
@@ -425,7 +434,7 @@ def inverse_sn(w: complex, m: float, tol: float = 1e-10, max_iter: int = 50) -> 
             raise InversionError(f"inverse_sn failed to converge for w={w}, m={m}")
         alpha = _canonical_rectangle(alpha, w, mod)
     residual = abs(jacobi_complex(alpha, m).sn - w)
-    if residual > 100.0 * tol * max(1.0, abs(w)):
+    if residual > 100.0 * _INVERSE_TOL * max(1.0, abs(w)):
         raise InversionError(f"inverse_sn residual {residual:.3e} for w={w}, m={m}")
     return alpha
 

@@ -1,9 +1,9 @@
 """Numerical Floquet oracle for complex periodic Schrodinger operators.
 
 Integrates -psi'' + V(x) psi = E psi over one period with an adaptive
-embedded Runge-Kutta scheme (DOP853 at rtol 1e-11 / atol 1e-13 by default),
-builds the 2x2 transfer matrix, and derives everything band-structural from
-its trace: the discriminant Delta(E), band-edge locations (Delta = +/-2),
+embedded Runge-Kutta scheme (DOP853 at ``RTOL`` / ``ATOL``), builds the 2x2
+transfer matrix, and derives everything band-structural from its trace: the
+discriminant Delta(E), band-edge locations (Delta = +/-2) with their
 periodicity classes, and the numeric dispersion arccos(Delta/2)/L.  The
 engine is deliberately independent of every closed form in the package so
 it can serve as the cross-check oracle.
@@ -22,8 +22,9 @@ from scipy.integrate import DOP853, solve_ivp
 from . import potentials
 
 __all__ = [
+    "RTOL",
+    "ATOL",
     "FloquetIntegrationError",
-    "ClassificationError",
     "IntegratorStats",
     "MonodromyResult",
     "ScanResult",
@@ -31,12 +32,13 @@ __all__ = [
     "monodromy",
     "discriminant_scan",
     "find_band_edges",
-    "classify_periodicity",
     "dispersion_numeric",
-    "check_interleaving",
     "default_energy_range",
 ]
 
+# integrator tolerances of every monodromy, scan and refinement
+RTOL = 1e-11
+ATOL = 1e-13
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
 # Limits of one integration over a period.  On the benchmark's draws (m in
@@ -51,14 +53,16 @@ _MIN_STEP = 1e-10  # fraction of the period
 _ROOT_RTOL = 8.9e-16
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# find_band_edges: scan samples per unit energy, root tolerance, the |Delta|
+# - 2 below which a tangency is a closed gap, and energies per scan batch
+_DENSITY = 400.0
+_XTOL = 1e-10
+_CLOSED_GAP_TOL = 1e-7
+_CHUNK = 200
 
 
 class FloquetIntegrationError(RuntimeError):
     """Integrator failure; usually signals a pole on the integration line."""
-
-
-class ClassificationError(ValueError):
-    """Discriminant not close enough to +/-2 to assign a periodicity class."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ class _BudgetedDOP853(DOP853):
         return super()._step_impl()
 
 
-def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
+def _propagate(spec, energies, x0: float = 0.0):
     """Integrate both canonical solutions for a batch of energies at once.
 
     The ODE is linear and the potential is shared across the batch, so the
@@ -147,7 +151,7 @@ def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
         out[n2:] = (v - EE) * y[:n2]
         return out
 
-    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise FloquetIntegrationError(
             f"integration failed over one period ({sol.message}); check beta against the pole lattice"
@@ -162,7 +166,7 @@ def _propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
     return ms, defects, IntegratorStats(steps=len(sol.t) - 1, nfev=sol.nfev, det_defect=float(defects.max()))
 
 
-def _checked_propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0):
+def _checked_propagate(spec, energies, x0: float = 0.0):
     """:func:`_propagate` with Wronskian conservation (det M = 1) enforced.
 
     det - 1 is a difference of products of the matrix entries, so far below
@@ -170,7 +174,7 @@ def _checked_propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0
     cancellation error ~ |M|^2 eps; the test scales with that.  Raises
     :class:`FloquetIntegrationError` naming the first energy that fails.
     """
-    ms, defects, stats = _propagate(spec, energies, rtol, atol, x0)
+    ms, defects, stats = _propagate(spec, energies, x0)
     scale = np.maximum(1.0, np.abs(ms).max(axis=(1, 2))) ** 2
     bad = np.flatnonzero(defects > _DET_TOL * scale)
     if bad.size:
@@ -179,27 +183,19 @@ def _checked_propagate(spec, energies, rtol: float, atol: float, x0: float = 0.0
     return ms, stats
 
 
-def monodromy(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13, x0: float = 0.0) -> MonodromyResult:
+def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
     """Monodromy matrix of the spec at one energy.
 
     Raises :class:`FloquetIntegrationError` when Wronskian conservation
     (det M = 1) is violated beyond 1e-9 (scaled by |M|^2), which would poison
     every downstream tolerance.
     """
-    ms, stats = _checked_propagate(spec, [float(E)], rtol, atol, x0)
+    ms, stats = _checked_propagate(spec, [float(E)], x0)
     M = ms[0]
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats)
 
 
-def discriminant_scan(
-    spec,
-    e_min: float,
-    e_max: float,
-    n: int,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    chunk: int = 200,
-) -> ScanResult:
+def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     """Discriminant over a uniform energy grid.
 
     Samples with |Im Delta| beyond 1e-6 are flagged (a PT-breaking indicator,
@@ -213,15 +209,15 @@ def discriminant_scan(
     grid = np.linspace(e_min, e_max, n)
     deltas = np.empty(n, dtype=complex)
     defects = np.empty(n, dtype=float)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        ms, defects[lo:hi], _ = _propagate(spec, grid[lo:hi], rtol, atol)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        ms, defects[lo:hi], _ = _propagate(spec, grid[lo:hi])
         deltas[lo:hi] = ms[:, 0, 0] + ms[:, 1, 1]
     im_flags = np.abs(deltas.imag) > _IM_FLAG_TOL
     return ScanResult(grid, deltas, defects, im_flags)
 
 
-def _run(spec, tasks, rtol, atol):
+def _run(spec, tasks):
     """Drive refinement tasks in lockstep to their results.
 
     A task is a generator that yields the energies it needs next and is sent
@@ -234,7 +230,7 @@ def _run(spec, tasks, rtol, atol):
         energies = next(task)
         while True:
             uniq, inv = np.unique(energies, return_inverse=True)
-            ms, _ = _checked_propagate(spec, uniq, rtol, atol)
+            ms, _ = _checked_propagate(spec, uniq)
             energies = task.send((ms[:, 0, 0] + ms[:, 1, 1])[inv])
     except StopIteration as done:
         return done.value
@@ -262,13 +258,13 @@ def _join(tasks):
             pos += len(ask)
 
 
-def _bracket(a, da, b, db, target, xtol):
+def _bracket(a, da, b, db, target):
     """Root of Re Delta = target between energies a < b, given Delta there.
 
     Illinois (modified regula falsi) steps, each kept at least half a
     tolerance inside the bracket, and a bisection whenever three steps have
     not halved it.  Stops as brentq does, once the bracket is narrower than
-    xtol + 8.9e-16 |E|.  Returns (E, Delta(E)) at the end nearer the root, or
+    _XTOL + 8.9e-16 |E|.  Returns (E, Delta(E)) at the end nearer the root, or
     None when the ends do not bracket one.
     """
     fa, fb = da.real - target, db.real - target
@@ -283,7 +279,7 @@ def _bracket(a, da, b, db, target, xtol):
     widths = [b - a]
     while True:
         best = (a, da) if abs(fa) < abs(fb) else (b, db)
-        tol = xtol + _ROOT_RTOL * abs(best[0])
+        tol = _XTOL + _ROOT_RTOL * abs(best[0])
         if b - a < tol:
             return best
         if len(widths) >= 4 and widths[-1] > 0.5 * widths[-4]:
@@ -307,12 +303,12 @@ def _bracket(a, da, b, db, target, xtol):
         widths.append(b - a)
 
 
-def _extremum(lo, hi, sign, xtol):
+def _extremum(lo, hi, sign):
     """Energy in [lo, hi] where sign * Re Delta peaks, with Delta there.
 
     Brent's search (golden-section steps, parabolic ones where the fit is
     acceptable), as in scipy's bounded ``minimize_scalar``, stopped at the
-    same tolerance sqrt(eps)|E| + xtol/3.
+    same tolerance sqrt(eps)|E| + _XTOL/3.
     """
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
@@ -321,7 +317,7 @@ def _extremum(lo, hi, sign, xtol):
     d = e = 0.0
     while True:
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xtol / 3.0
+        tol1 = _SQRT_EPS * abs(x) + _XTOL / 3.0
         tol2 = 2.0 * tol1
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             return x, dx
@@ -369,7 +365,7 @@ def _edges(roots, cls, multiplicity=1):
     return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
 
 
-def _crossing(lo, hi, h, e_min, e_max, target, cls, xtol):
+def _crossing(lo, hi, h, e_min, e_max, target, cls):
     """Edge in a scan cell [lo, hi] whose ends straddle the target.
 
     The scan and the refinement integrate in different batches, so a root
@@ -386,7 +382,7 @@ def _crossing(lo, hi, h, e_min, e_max, target, cls, xtol):
             return _edges([(x, d)], cls)
     for k in (1, 0, 2):  # the cell's own pair first
         if xs[k] < xs[k + 1] and fs[k] * fs[k + 1] < 0.0:
-            root = yield from _bracket(xs[k], ds[k], xs[k + 1], ds[k + 1], target, xtol)
+            root = yield from _bracket(xs[k], ds[k], xs[k + 1], ds[k + 1], target)
             return _edges([root], cls)
     best = int(np.argmin(np.abs(fs)))
     return _edges([(xs[best], ds[best])], cls) if abs(fs[best]) < 1e-8 else []
@@ -397,38 +393,29 @@ def _grid_hit(E, cls):
     return _edges([(E, d)], cls)
 
 
-def _tangency(lo, hi, target, cls, xtol, closed_gap_tol):
+def _tangency(lo, hi, target, cls):
     """Closed gap (one edge of multiplicity 2) or the two roots of a barely
     open one, around an extremum of Delta pinned near the target in [lo, hi]."""
     sign = 1.0 if target > 0 else -1.0
-    e_star, d_star = yield from _extremum(lo, hi, sign, xtol)
+    e_star, d_star = yield from _extremum(lo, hi, sign)
     gap = sign * (d_star.real - target)
-    if abs(gap) <= closed_gap_tol:
+    if abs(gap) <= _CLOSED_GAP_TOL:
         return _edges([(e_star, d_star)], cls, 2)
     if gap < 0.0:
         return []
     d_lo, d_hi = yield [lo, hi]
     roots = yield from _join([
-        _bracket(lo, d_lo, e_star, d_star, target, xtol),
-        _bracket(e_star, d_star, hi, d_hi, target, xtol),
+        _bracket(lo, d_lo, e_star, d_star, target),
+        _bracket(e_star, d_star, hi, d_hi, target),
     ])
     return _edges(roots, cls)
 
 
-def find_band_edges(
-    spec,
-    e_min: float,
-    e_max: float,
-    density: float = 400.0,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    xtol: float = 1e-10,
-    closed_gap_tol: float = 1e-7,
-) -> list[NumericBandEdge]:
+def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     """Locate all discriminant roots Delta = +/-2 in [e_min, e_max].
 
-    Sign-change brackets from a coarse scan (``density`` samples per unit
-    energy) are refined by bracketing root iteration to ``xtol``; tangential
+    Sign-change brackets from a coarse scan (``_DENSITY`` samples per unit
+    energy) are refined by bracketing root iteration to ``_XTOL``; tangential
     roots, where |Delta| touches 2 without crossing, are polished through a
     bounded extremum search and reported with multiplicity 2, or split into
     the two roots of a barely open gap.  The refinement runs in lockstep:
@@ -438,8 +425,8 @@ def find_band_edges(
     fewer than the 2a+1 edges expected for a recognized base family are
     found, which usually means the range is too small.
     """
-    n = max(int(density * (e_max - e_min)) + 1, 81)
-    scan = discriminant_scan(spec, e_min, e_max, n, rtol=rtol, atol=atol)
+    n = max(int(_DENSITY * (e_max - e_min)) + 1, 81)
+    scan = discriminant_scan(spec, e_min, e_max, n)
     grid = scan.energies
     d = scan.discriminants.real
     h = grid[1] - grid[0]
@@ -449,7 +436,7 @@ def find_band_edges(
         g = d - target
         crossing_cells = set(np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0])
         for i in sorted(crossing_cells):
-            tasks.append(_crossing(grid[i], grid[i + 1], h, e_min, e_max, target, cls, xtol))
+            tasks.append(_crossing(grid[i], grid[i + 1], h, e_min, e_max, target, cls))
         # exact grid hits
         for i in np.nonzero(g == 0.0)[0]:
             if i not in crossing_cells and (i - 1) not in crossing_cells:
@@ -461,16 +448,16 @@ def find_band_edges(
             if toward[i] >= toward[i - 1] and toward[i] >= toward[i + 1] and abs(g[i]) < 2e-4:
                 if {i - 1, i} & crossing_cells:
                     continue
-                tasks.append(_tangency(grid[i - 1], grid[i + 1], target, cls, xtol, closed_gap_tol))
+                tasks.append(_tangency(grid[i - 1], grid[i + 1], target, cls))
 
-    found = [e for edges in _run(spec, tasks, rtol, atol) for e in edges]
+    found = [e for edges in _run(spec, tasks) for e in edges]
     found.sort(key=lambda e: e.energy)
     # the same edge reached from two cells, or as a crossing and a tangency,
     # agrees to the refiners' stopping tolerance; a narrow gap's two edges
     # lie farther apart
     deduped: list[NumericBandEdge] = []
     for e in found:
-        merge_tol = 4.0 * (xtol + _SQRT_EPS * abs(e.energy))
+        merge_tol = 4.0 * (_XTOL + _SQRT_EPS * abs(e.energy))
         if deduped and abs(e.energy - deduped[-1].energy) < merge_tol and e.period_class == deduped[-1].period_class:
             if e.multiplicity > deduped[-1].multiplicity:
                 deduped[-1] = e
@@ -490,37 +477,7 @@ def find_band_edges(
     return deduped
 
 
-def classify_periodicity(edge) -> str:
-    """'P' for Delta = +2 (period L), 'A' for Delta = -2 (antiperiod 2L)."""
-    delta = edge.discriminant if isinstance(edge, (NumericBandEdge, MonodromyResult)) else complex(edge)
-    if abs(abs(delta.real) - 2.0) > 1e-6 or abs(delta.imag) > 1e-6:
-        raise ClassificationError(f"discriminant {delta} is not within 1e-6 of +/-2")
-    return "P" if delta.real > 0 else "A"
-
-
-def check_interleaving(edges: list[NumericBandEdge]) -> list[str]:
-    """Oscillation-theory sanity: simple edges must follow P A A P P A A ...
-
-    Returns human-readable anomaly strings; closed gaps (multiplicity 2) are
-    excluded from the pattern and reported as informational entries.
-    """
-    notes = []
-    simple = [e for e in edges if e.multiplicity == 1]
-    for e in edges:
-        if e.multiplicity == 2:
-            notes.append(f"closed gap at E={e.energy:.9g} ({e.period_class})")
-    expected = _interleave_pattern(len(simple))
-    actual = "".join(e.period_class for e in simple)
-    if actual != expected:
-        notes.append(f"edge classes {actual} deviate from the oscillation pattern {expected}")
-    return notes
-
-
-def _interleave_pattern(count: int) -> str:
-    return ("P" + "AAPP" * count)[:count]
-
-
-def dispersion_numeric(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13) -> complex:
+def dispersion_numeric(spec, E: float) -> complex:
     """Bloch wavenumber from the discriminant: k = arccos(Delta/2)/L.
 
     Inside bands k is real in [0, pi/L]; inside gaps the imaginary part
@@ -531,7 +488,7 @@ def dispersion_numeric(spec, E: float, rtol: float = 1e-11, atol: float = 1e-13)
     discriminant error by a square root.
     """
     L = spec.period
-    delta = monodromy(spec, E, rtol, atol).discriminant
+    delta = monodromy(spec, E).discriminant
     if abs(delta.imag) < 1e-9:
         if abs(delta.real - 2.0) < 1e-9:
             return 0j

@@ -14,7 +14,6 @@ the Floquet engine and the closed-form machinery both rely on.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,9 +33,6 @@ __all__ = [
     "Shifted",
     "SusyPartner",
     "CustomPotential",
-    "Superpotential",
-    "superpotential_eval",
-    "landen_reduce_equal_ab",
     "compiled_value_fn",
     "Form",
     "normal_form",
@@ -127,6 +123,9 @@ class PTTransform(PotentialSpec):
 
     def __post_init__(self):
         inner = normal_form(self.inner)
+        if inner.kind == "custom":
+            raise PotentialError("cannot PT-transform a custom potential: it has no Jacobi-function"
+                                 " expression to continue onto the line i x + beta")
         if inner.beta is not None:
             raise PotentialError("nested PT transforms are not supported")
         if self.beta == 0.0:
@@ -280,95 +279,8 @@ def compiled_value_fn(spec: PotentialSpec):
     f = normal_form(spec)
     g, shift = f.g, f.shift
     if f.kind == "custom":
-        if f.beta is not None:
-            raise PotentialError(f"no Jacobi-function expression for {spec!r}")
         return lambda x: complex(g(x)) - shift
     point = ell.jacobi_triple(f.m, f.beta)
     if f.sign < 0.0:
         return lambda x: -g(*point(x)) - shift
     return lambda x: complex(g(*point(x))) - shift
-
-
-# ---------------------------------------------------------------------------
-# superpotentials
-
-
-@dataclass(frozen=True)
-class Superpotential:
-    """W = -psi_g'/psi_g for a zero-ground-energy source spec.
-
-    ``form`` selects between the hard-coded closed-form expressions
-    ("closed", available for the PT-transformed a=1, a=3 Lame and (2,1)
-    associated Lame cases) and the generic analytic log-derivative of the
-    registered ground state ("log-derivative").  Both are exact; they cross
-    check each other.
-    """
-
-    source: PotentialSpec
-    form: str = "log-derivative"
-
-    def __post_init__(self):
-        if self.form not in ("closed", "log-derivative"):
-            raise PotentialError(f"unknown superpotential form {self.form!r}")
-        ground_state(self.source)  # raises without a closed-form family
-        if self.form == "closed" and normal_form(self.source).beta is None:
-            raise PotentialError("no closed-form superpotential for this source")
-
-
-def _closed_superpotential(kind: str, a: int, m: float, s, c, d) -> complex:
-    if kind == "lame" and a == 1:
-        return -1j * c * d / s
-    if kind == "lame" and a == 3:
-        d3 = math.sqrt(4.0 - 7.0 * m + 4.0 * m * m)
-        p = 2.0 + 2.0 * m - d3 - 5.0 * m * s * s
-        return -1j * c * d / s + 10j * m * c * s * d / p
-    # (2, 1) associated
-    sig = math.sqrt(4.0 - 3.0 * m)
-    q = 3.0 * m * s * s - 2.0 + sig
-    return 1j * s * d / c - 1j * m * c * s / d - 6j * m * s * d * c / q
-
-
-def superpotential_eval(w: Superpotential, x: float) -> complex:
-    """Evaluate W(x); rejects points where the ground state (or a closed-form
-    denominator) has effectively vanished (|psi_g| < 1e-10)."""
-    builder, _ = ground_state(w.source)
-    f = normal_form(w.source)
-    s, c, d = ell.jacobi_triple(f.m, f.beta)(x)
-    if w.form == "closed":
-        return _closed_superpotential(f.kind, f.a, f.m, s, c, d)
-    j = builder(*jets_from_scd(s, c, d, f.m))
-    if abs(j.f) < 1e-10:
-        raise PotentialError(f"ground state vanishes near x={x}; superpotential undefined")
-    dfactor = 1j if f.beta is not None else 1.0
-    return complex(-dfactor * j.d1 / j.f)
-
-
-# ---------------------------------------------------------------------------
-# Landen reduction of the a = b associated potentials
-
-
-def landen_reduce_equal_ab(spec: AssociatedLame) -> tuple[Lame, float]:
-    """Rewrite an a = b associated Lame potential as a rescaled Lame potential.
-
-    Returns ``(lame, const)`` such that
-
-        V_assoc(x) = const + V_lame(x / alpha) / alpha**2
-
-    with ``alpha, m_tilde = landen_descend(m)`` and ``lame = Lame(a, m_tilde)``.
-    The additive constant is fitted at one grid point and the residual is
-    asserted to be constant (< 1e-9) at 100 points across a full period,
-    which turns the otherwise free constant into a checked property.
-    """
-    if not isinstance(spec, AssociatedLame) or spec.a != spec.b:
-        raise PotentialError("landen_reduce_equal_ab requires an AssociatedLame spec with a == b")
-    alpha, mt = ell.landen_descend(spec.m_)
-    lame = Lame(spec.a, mt)
-    f_assoc = compiled_value_fn(spec)
-    f_lame = compiled_value_fn(lame)
-    xs = np.linspace(0.0, spec.period, 100, endpoint=False) + 0.0137
-    resid = np.array([f_assoc(x) - f_lame(x / alpha) / alpha**2 for x in xs])
-    const = complex(resid[0]).real
-    spread = float(np.max(np.abs(resid - resid[0])))
-    if spread > 1e-9:
-        raise PotentialError(f"Landen reduction residual varies by {spread:.3e}; reduction invalid")
-    return lame, const

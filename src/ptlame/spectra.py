@@ -3,8 +3,8 @@
 Three potential families carry complete closed-form edge data: the a=1 and
 a=3 Lame potentials and the (a=2, b=1) associated Lame potential, each in
 both the real and the PT-transformed version.  Eigenfunctions are built as
-second-order jets so that Schrodinger residuals, superpotentials, and
-partner potentials all use analytic derivatives.
+second-order jets so that Schrodinger residuals and partner potentials use
+analytic derivatives.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "edge_constants",
     "BandEdge",
     "DispersionPoint",
-    "DualityReport",
     "BranchResolutionError",
     "real_band_edges",
     "pt_band_edges",
@@ -34,7 +33,6 @@ __all__ = [
     "predicted_edges",
     "ground_state_builder",
     "ground_energy",
-    "pt_energy_map",
     "modulus_duality_check",
     "pt_duality_check",
     "dispersion_analytic",
@@ -241,26 +239,7 @@ def predicted_edges(spec) -> list[tuple[float, str]] | None:
 
 
 # ---------------------------------------------------------------------------
-# energy maps
-
-
-def pt_energy_map(lame_edges: list[float], a: int) -> list[float]:
-    """Map 2a+1 ascending Lame edges to the PT edges: E_j -> -E_{2a-j}."""
-    if len(lame_edges) != 2 * a + 1:
-        raise ValueError(f"expected {2 * a + 1} edges for a={a}, got {len(lame_edges)}")
-    return [-e for e in reversed(list(lame_edges))]
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    relation: str
-    a: int
-    m: float
-    lhs: tuple
-    rhs: tuple
-    max_violation: float
-    tol: float
-    passed: bool
+# dualities
 
 
 def _lame_edges_any(a: int, m: float) -> list[float]:
@@ -271,39 +250,28 @@ def _lame_edges_any(a: int, m: float) -> list[float]:
     return [e.energy for e in found if e.multiplicity == 1]
 
 
-def modulus_duality_check(a: int, m: float, tol: float | None = None) -> DualityReport:
-    """Check E_j(m) = a(a+1) - E_{2a-j}(1-m) on the Lame family.
+def modulus_duality_check(a: int, m: float) -> float:
+    """Largest violation of E_j(m) = a(a+1) - E_{2a-j}(1-m) on the Lame family.
 
     Closed forms for a in {1, 3}; the Floquet engine supplies a=2 (both
     parameters).  At m = 1/2 this is exactly the sum rule
     E_j + E_{2a-j} = a(a+1).
     """
     if a not in (1, 2, 3):
-        raise ValueError("duality checks support a in {1, 2, 3}")
-    if tol is None:
-        tol = 1e-8 if a in (1, 3) else 1e-6
+        raise ValueError("the modulus duality check supports a in {1, 2, 3}")
     lhs = _lame_edges_any(a, m)
-    other = _lame_edges_any(a, 1.0 - m)
-    rhs = [a * (a + 1) - e for e in reversed(other)]
-    viol = max(abs(x - y) for x, y in zip(lhs, rhs))
-    return DualityReport("modulus", a, m, tuple(lhs), tuple(rhs), viol, tol, viol < tol)
+    rhs = [a * (a + 1) - e for e in reversed(_lame_edges_any(a, 1.0 - m))]
+    return max(abs(x - y) for x, y in zip(lhs, rhs))
 
 
-def pt_duality_check(a: int, m: float, beta: float = 0.5, tol: float | None = None) -> DualityReport:
-    """Check E^PT_j(m) = E_j(1-m) - a(a+1) between the PT and plain spectra."""
-    if a not in (1, 2, 3):
-        raise ValueError("duality checks support a in {1, 2, 3}")
-    if tol is None:
-        tol = 1e-8 if a in (1, 3) else 1e-6
-    if a in (1, 3):
-        lhs = closed_form_energies("lame", a, 0, m, pt=True)
-    else:
-        spec = potentials.PTTransform(potentials.Lame(a, m), beta)
-        found = floquet.find_band_edges(spec, -(a * (a + 1)) - 0.5, 0.5)
-        lhs = [e.energy for e in found if e.multiplicity == 1]
-    rhs = [e - a * (a + 1) for e in _lame_edges_any(a, 1.0 - m)]
-    viol = max(abs(x - y) for x, y in zip(lhs, rhs))
-    return DualityReport("pt", a, m, tuple(lhs), tuple(rhs), viol, tol, viol < tol)
+def pt_duality_check(a: int, m: float) -> float:
+    """Largest violation of E^PT_j(m) = E_j(1-m) - a(a+1) between the closed-form
+    PT and plain spectra."""
+    if a not in (1, 3):
+        raise ValueError("the PT duality check supports a in {1, 3}")
+    lhs = closed_form_energies("lame", a, 0, m, pt=True)
+    rhs = [e - a * (a + 1) for e in closed_form_energies("lame", a, 0, 1.0 - m, pt=False)]
+    return max(abs(x - y) for x, y in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

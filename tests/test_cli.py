@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptlame import cli
+from ptlame import floquet as flq
 from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
@@ -79,6 +80,7 @@ class TestSamplePotential:
         doc = json.loads(out.read_text())
         assert set(doc) == {"meta", "columns"}
         assert doc["meta"]["command"] == "sample-potential"
+        assert (doc["meta"]["integrator_rtol"], doc["meta"]["integrator_atol"]) == (flq.RTOL, flq.ATOL)
         assert len(doc["columns"]["x"]) == 40
         assert len(doc["columns"]["re_v"]) == len(doc["columns"]["im_v"]) == 40
 
@@ -221,6 +223,7 @@ class TestSelfcheck:
         doc = json.loads(out.read_text())
         assert doc["meta"]["command"] == "selfcheck"
         assert not {"a", "b", "ops", "shift_zero"} & set(doc["meta"])
+        assert (doc["meta"]["integrator_rtol"], doc["meta"]["integrator_atol"]) == (flq.RTOL, flq.ATOL)
         assert (doc["meta"]["verdict"], doc["meta"]["passed"]) == ("PASS", 3)
         cols = doc["columns"]
         assert list(cols) == ["name", "seconds", "tol", "value", "verdict"]

@@ -5,6 +5,7 @@ import pytest
 
 from ptlame import elliptic as ell
 from ptlame import floquet as flq
+from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
 
@@ -93,30 +94,31 @@ class TestEdgeFinding:
         assert all(e.multiplicity == 2 for e in found)
         assert [e.period_class for e in found] == ["A", "P", "A"]
 
-    def test_convergence_under_tolerance_halving(self):
-        a = flq.find_band_edges(_a1_spec(), -0.4, 1.6, rtol=1e-11, atol=1e-13)
-        b = flq.find_band_edges(_a1_spec(), -0.4, 1.6, rtol=5e-12, atol=5e-14)
+    def test_convergence_under_tolerance_halving(self, monkeypatch):
+        a = flq.find_band_edges(_a1_spec(), -0.4, 1.6)
+        monkeypatch.setattr(flq, "RTOL", flq.RTOL / 2)
+        monkeypatch.setattr(flq, "ATOL", flq.ATOL / 2)
+        b = flq.find_band_edges(_a1_spec(), -0.4, 1.6)
+        assert len(a) == len(b)
         for x, y in zip(a, b):
             assert abs(x.energy - y.energy) < 1e-8
 
     def test_warns_when_range_too_small(self):
         with pytest.warns(UserWarning, match="range is probably too small"):
-            flq.find_band_edges(_a1_spec(), -0.3, 0.5, density=300)
+            flq.find_band_edges(_a1_spec(), -0.3, 0.5)
 
     def test_real_assoc21_closed_gap_detected(self):
         # the real (2,1) potential has all four simple excited edges
         # antiperiodic; its second band carries a doubly degenerate periodic
-        # point where the discriminant touches +2 from below
-        found = flq.find_band_edges(pot.AssociatedLame(2, 1, M), 2.5, 9.0, density=200)
+        # point where the discriminant touches +2 from below; the classes
+        # therefore break the P AA PP order of simple edges
+        found = flq.find_band_edges(pot.AssociatedLame(2, 1, M), 2.5, 9.0)
         simple = [e for e in found if e.multiplicity == 1]
         closed = [e for e in found if e.multiplicity == 2]
         ref = spc.closed_form_energies("assoc", 2, 1, M, pt=False)
         assert np.allclose([e.energy for e in simple], ref, atol=1e-7)
         assert [e.period_class for e in simple] == ["P", "A", "A", "A", "A"]
         assert len(closed) == 1 and closed[0].period_class == "P"
-        notes = flq.check_interleaving(found)
-        assert any("closed gap" in s for s in notes)
-        assert any("deviate" in s for s in notes)
 
     def test_landen_reduced_pt_edges_match(self):
         # a = b associated potential vs its Landen-reduced Lame form: the PT
@@ -124,12 +126,12 @@ class TestEdgeFinding:
         # argument rescaling (energies scale by 1/alpha**2)
         m = 0.75
         spec = pot.AssociatedLame(1, 1, m)
-        lame, const = pot.landen_reduce_equal_ab(spec)
-        alpha, _ = ell.landen_descend(m)
+        alpha, mt = ell.landen_descend(m)
+        const = 2 * m  # a(a+1) m
         pt_assoc = pot.PTTransform(spec, BETA)
-        pt_lame = pot.PTTransform(lame, BETA)
-        found = flq.find_band_edges(pt_assoc, -2 * 2 * m - 3.0, 0.5, density=300)
-        found_l = flq.find_band_edges(pt_lame, -2.5, 0.5, density=300)
+        pt_lame = pot.PTTransform(pot.Lame(1, mt), BETA)
+        found = flq.find_band_edges(pt_assoc, -2 * 2 * m - 3.0, 0.5)
+        found_l = flq.find_band_edges(pt_lame, -2.5, 0.5)
         # above the top edge every gap is closed; compare the true edges only
         mapped = [-const + e.energy / alpha**2 for e in found_l if e.multiplicity == 1]
         got = [e.energy for e in found if e.multiplicity == 1]
@@ -185,8 +187,8 @@ class TestEdgeFinding:
         monkeypatch.setattr(flq, "_propagate", counted)
         monkeypatch.setattr(flq, "monodromy", scalar)
         found = flq.find_band_edges(spec, e_min, e_max)
-        n_scan = max(int(400.0 * (e_max - e_min)) + 1, 81)
-        assert len(calls) <= math.ceil(n_scan / 200) + 30
+        n_scan = max(int(flq._DENSITY * (e_max - e_min)) + 1, 81)
+        assert len(calls) <= math.ceil(n_scan / flq._CHUNK) + 30
         assert np.allclose([e.energy for e in found], ref, atol=1e-8)
 
     def test_refinement_checks_every_energy(self, monkeypatch):
@@ -199,19 +201,26 @@ class TestEdgeFinding:
 
 class TestClassification:
     def test_classes_from_discriminant(self):
-        assert flq.classify_periodicity(2.0 + 0j) == "P"
-        assert flq.classify_periodicity(-2.0 + 0j) == "A"
+        # an edge is periodic (P) where Delta = +2 and antiperiodic (A) where
+        # Delta = -2, unambiguously: Delta lies within 1e-6 of +/-2 and is real
+        # to 1e-6, for simple edges and closed gaps alike
+        edge_sets = list(inv._edge_sets(M, BETA).values()) + [flq.find_band_edges(FREE, 0.2, 10.0)]
+        for edges in edge_sets:
+            for e in edges:
+                assert abs(abs(e.discriminant.real) - 2.0) < 1e-6 and abs(e.discriminant.imag) < 1e-6
+                assert e.period_class == ("P" if e.discriminant.real > 0 else "A")
 
-    def test_ambiguous_raises(self):
-        with pytest.raises(flq.ClassificationError):
-            flq.classify_periodicity(1.5 + 0j)
-        with pytest.raises(flq.ClassificationError):
-            flq.classify_periodicity(2.0 + 1e-3j)
-
-    def test_interleave_pattern(self):
-        assert flq._interleave_pattern(7) == "PAAPPAA"
-        assert flq._interleave_pattern(5) == "PAAPP"
-        assert [flq._interleave_pattern(n) for n in range(4)] == ["", "P", "PA", "PAA"]
+    def test_edge_classes_follow_oscillation_order(self, monkeypatch):
+        # simple edges follow P AA PP AA ... on the six registry edge sets
+        patterns = {7: "PAAPPAA", 5: "PAAPP", 3: "PAA"}
+        for edges in inv._edge_sets(M, BETA).values():
+            assert "".join(e.period_class for e in edges) == patterns[len(edges)]
+        # the registry row counts the sets that break it, short ones included
+        sets = {k: tuple(flq.NumericBandEdge(float(i), c, 0j) for i, c in enumerate(classes))
+                for k, classes in enumerate(("", "P", "PA", "PAA", "PAAPPAA", "PAPAPAA", "PAAA"))}
+        monkeypatch.setattr(inv, "_edge_sets", lambda m, beta: sets)
+        row = next(r for r in inv.REGISTRY if r.name == "edge-class-interleaving")
+        assert row.check(M, BETA) == 2
 
 
 class TestDispersionNumeric:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptlame import elliptic as ell
+from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
 
@@ -46,6 +47,14 @@ class TestConstruction:
         inner = pot.PTTransform(pot.Lame(1, M), BETA)
         with pytest.raises(pot.PotentialError):
             pot.PTTransform(inner, BETA)
+
+    def test_pt_of_custom_potential_rejected(self):
+        # a custom potential has no Jacobi-function expression to continue
+        # onto the line, so the transform fails here, not at evaluation
+        for inner in (pot.CustomPotential(math.cos, 2 * math.pi),
+                      pot.Shifted(pot.CustomPotential(math.cos, 2 * math.pi), 1.0)):
+            with pytest.raises(pot.PotentialError, match="custom potential"):
+                pot.PTTransform(inner, 0.5)
 
     def test_partner_requires_zero_ground_energy(self):
         with pytest.raises(pot.MissingGroundStateError):
@@ -173,30 +182,23 @@ class TestEvaluation:
         assert pot.compiled_value_fn(spec)(0.3) == 0
 
 
-class TestSuperpotential:
+class TestGroundStateLogDerivative:
+    # W = -psi_g'/psi_g of the shifted PT potentials, from ground_state; the
+    # registry row closed-superpotential holds the printed closed forms to it
     def test_a1_value_at_origin_is_pure_imaginary(self):
         src = pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))
-        w = pot.Superpotential(src)
+        builder, energy = pot.ground_state(src)
         jv = ell.jacobi_real(BETA, M)
-        got = pot.superpotential_eval(w, 0.0)
+        j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))
+        got = -1j * j.d1 / j.f  # x = 0 is u = beta, and d/dx = i d/du
+        assert abs(energy) < 1e-12
         assert abs(got - (-1j * jv.cn * jv.dn / jv.sn)) < 1e-13
         assert abs(got.real) < 1e-13
 
     @pytest.mark.parametrize("kind,a,b", [("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)])
     def test_closed_form_matches_log_derivative(self, kind, a, b):
-        eg = spc.ground_energy(kind, a, b, M, pt=True)
-        base = pot.associated_lame(a, b, M)
-        src = pot.Shifted(pot.PTTransform(base, BETA), eg)
-        wc = pot.Superpotential(src, form="closed")
-        wl = pot.Superpotential(src, form="log-derivative")
-        for x in np.linspace(0.02, 3.1, 40):
-            assert abs(pot.superpotential_eval(wc, float(x))
-                       - pot.superpotential_eval(wl, float(x))) < 1e-9
-
-    def test_closed_form_unavailable_for_real_specs(self):
-        src = pot.Shifted(pot.Lame(1, M), M)
-        with pytest.raises(pot.PotentialError):
-            pot.Superpotential(src, form="closed")
+        for m, beta in ((M, BETA), (0.3, 1.2)):
+            assert inv._superpotential_defect((kind, a, b), m, beta) < 1e-9
 
 
 class TestSusyPartner:
@@ -254,21 +256,27 @@ class TestSusyPartner:
 
 
 class TestLandenReduction:
+    # V_{a,a}(x, m) = a(a+1) m + V_Lame(x/alpha, m~)/alpha**2 with
+    # (alpha, m~) = landen_descend(m); the registry row landen-equal-ab
     def test_reduction_values_and_residual(self):
-        spec = pot.AssociatedLame(1, 1, 0.75)
-        lame, const = pot.landen_reduce_equal_ab(spec)
-        assert abs(lame.m_ - 1.0 / 9.0) < 1e-14
-        assert abs(const - 2 * 0.75) < 1e-9  # a(a+1) m
+        _, mt = ell.landen_descend(0.75)
+        assert abs(mt - 1.0 / 9.0) < 1e-14
+        assert inv._landen_equal_ab(0.75, BETA) < 1e-9
 
     def test_reduction_relation_pointwise(self):
         m = 0.6
         spec = pot.AssociatedLame(2, 2, m)
-        lame, const = pot.landen_reduce_equal_ab(spec)
-        alpha, _ = ell.landen_descend(m)
-        fa, fl = pot.compiled_value_fn(spec), pot.compiled_value_fn(lame)
+        alpha, mt = ell.landen_descend(m)
+        const = 2 * 3 * m  # a(a+1) m
+        fa, fl = pot.compiled_value_fn(spec), pot.compiled_value_fn(pot.Lame(2, mt))
         for x in np.linspace(0.0, spec.period, 100, endpoint=False):
             assert abs(fa(float(x)) - const - fl(float(x) / alpha) / alpha**2) < 1e-9
 
     def test_requires_equal_indices(self):
-        with pytest.raises(pot.PotentialError):
-            pot.landen_reduce_equal_ab(pot.AssociatedLame(2, 1, 0.5))
+        # for a != b no constant closes the relation
+        m = 0.5
+        spec = pot.AssociatedLame(2, 1, m)
+        alpha, mt = ell.landen_descend(m)
+        fa, fl = pot.compiled_value_fn(spec), pot.compiled_value_fn(pot.Lame(2, mt))
+        resid = [fa(float(x)) - fl(float(x) / alpha) / alpha**2 for x in np.linspace(0.0, spec.period, 100)]
+        assert max(abs(r - resid[0]) for r in resid) > 1e-2

@@ -136,33 +136,41 @@ class TestEigenfunctions:
 
 
 class TestEnergyMaps:
+    # the PT energy map E_j -> -E_{2a-j} between the real and the PT tables
     def test_pt_map_a1(self):
-        assert spc.pt_energy_map([M, 1.0, 1.0 + M], 1) == [-(1.0 + M), -1.0, -M]
+        assert spc.closed_form_energies("lame", 1, 0, M, pt=False) == [M, 1.0, 1.0 + M]
+        assert spc.closed_form_energies("lame", 1, 0, M, pt=True) == [-(1.0 + M), -1.0, -M]
 
     def test_involution(self):
-        edges = list(spc.closed_form_energies("lame", 3, 0, M, pt=False))
-        assert spc.pt_energy_map(spc.pt_energy_map(edges, 3), 3) == edges
+        # the map takes the PT table back to the real one
+        for family in spc.ptlame_families:
+            real = spc.closed_form_energies(*family, M, pt=False)
+            pt = spc.closed_form_energies(*family, M, pt=True)
+            assert [-e for e in reversed(pt)] == pytest.approx(real, abs=1e-14)
 
     def test_preserves_ascending_order(self):
-        out = spc.pt_energy_map([1.0, 2.0, 5.0], 1)
-        assert out == sorted(out)
+        for family in spc.ptlame_families:
+            for pt in (False, True):
+                out = spc.closed_form_energies(*family, M, pt=pt)
+                assert out == sorted(out)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            spc.pt_energy_map([1.0, 2.0], 1)
+    def test_table_lengths_match(self):
+        for family in spc.ptlame_families:
+            a = family[1]
+            assert len(spc.closed_form_energies(*family, M, pt=False)) == 2 * a + 1
+            assert len(spc.closed_form_energies(*family, M, pt=True)) == 2 * a + 1
 
 
 class TestDualities:
     def test_a1_modulus_duality_closed_form(self):
         # E_0(m) = m while a(a+1) - E_2(1-m) = 2 - (1 + (1-m)) = m
-        r = spc.modulus_duality_check(1, 0.3)
-        assert r.passed and r.max_violation < 1e-12
+        assert spc.modulus_duality_check(1, 0.3) < 1e-12
 
     @pytest.mark.parametrize("a", (1, 3))
     @pytest.mark.parametrize("m", (0.3, 0.5, 0.75))
     def test_closed_form_dualities(self, a, m):
-        assert spc.modulus_duality_check(a, m).passed
-        assert spc.pt_duality_check(a, m).passed
+        assert spc.modulus_duality_check(a, m) < 1e-8
+        assert spc.pt_duality_check(a, m) < 1e-8
 
     @pytest.mark.parametrize("a", (1, 3))
     def test_half_parameter_sum_rule(self, a):
@@ -175,6 +183,8 @@ class TestDualities:
     def test_rejects_unsupported_index(self):
         with pytest.raises(ValueError):
             spc.modulus_duality_check(4, 0.5)
+        with pytest.raises(ValueError):
+            spc.pt_duality_check(2, 0.5)
 
 
 class TestDispersion:
