@@ -1,7 +1,9 @@
 """Command-line surface: sampling, edge tables, scans, dispersion, selfcheck.
 
 Every command emits machine-readable output (CSV or JSON, ``--format``, to
-``--out``) with a metadata comment recording the configuration, and uses the
+``--out``) with a metadata comment recording the configuration (for
+``edges``, ``scan`` and ``dispersion`` also ``integration_beta``, the line
+the Floquet engine integrated on, beside the user's ``beta``), and uses the
 exit-code contract 0 = ok, 2 = configuration error, 3 = verification failure,
 so CI can gate directly on the cross-checks.  ``selfcheck`` runs the
 invariant registry (:mod:`ptlame.invariants`) at ``--m``/``--beta``, one row
@@ -185,7 +187,7 @@ def cmd_edges(cfg: RunConfig) -> int:
                  [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
                   ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
                  {"verdict": verdict, "max_abs_diff": max_diff,
-                  "analytic_available": predicted is not None})
+                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
     return 0 if passed else 3
 
 
@@ -200,7 +202,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     cols = [("e", list(scan.energies)),
             ("re_delta", list(scan.discriminants.real)),
             ("im_delta", list(scan.discriminants.imag))]
-    meta = {"im_flags": int(scan.im_flags.sum())}
+    meta = {"im_flags": int(scan.im_flags.sum()), "integration_beta": flq.integration_beta(spec)}
     rc = 0
     if cfg.paired:
         if cfg.ops != ("pt",) or cfg.b != 0 or cfg.shift_zero:
@@ -252,7 +254,8 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     _write_table(cfg, "dispersion",
                  [("e", list(es)), ("k_numeric_re", kn_re), ("k_numeric_im", kn_im),
                   ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", diffs)],
-                 {"analytic_available": offset is not None, "max_abs_diff": max_diff})
+                 {"analytic_available": offset is not None, "max_abs_diff": max_diff,
+                  "integration_beta": flq.integration_beta(spec)})
     if offset is not None and max_diff >= cfg.tol:
         return 3
     return 0

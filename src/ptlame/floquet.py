@@ -7,11 +7,21 @@ discriminant Delta(E), band-edge locations (Delta = +/-2) with their
 periodicity classes, and the numeric dispersion arccos(Delta/2)/L.  The
 engine is deliberately independent of every closed form in the package so
 it can serve as the cross-check oracle.
+
+A PT spec is integrated on the line i x + beta* that lies farthest from the
+poles of V (:func:`integration_beta`), not on the user's line.  Every
+solution of the integer-a Lame equation is meromorphic (the Picard property,
+which SUSY partners keep), so the monodromy along any vertical line one
+period long is conjugate to the one on the user's line and Delta(E) does
+not depend on beta; away from the poles the integrator takes fewer steps
+and keeps det M = 1 to more digits.  The line depends only on where V has
+poles; no closed-form energy enters the engine.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
+from . import elliptic as ell
 from . import potentials
 
 __all__ = [
@@ -29,6 +40,7 @@ __all__ = [
     "MonodromyResult",
     "ScanResult",
     "NumericBandEdge",
+    "integration_beta",
     "monodromy",
     "discriminant_scan",
     "find_band_edges",
@@ -77,14 +89,16 @@ class MonodromyResult:
     """Transfer matrix over one period at energy E.
 
     ``M`` maps (psi, psi') at x0 to (psi, psi') at x0 + L in the canonical
-    basis; det M = 1 up to integration error (checked on every call) and
-    ``discriminant`` is its trace.
+    basis on the line the spec was integrated on, i x + ``integration_beta``
+    (the real axis when None); det M = 1 up to integration error (checked on
+    every call) and ``discriminant`` is its trace.
     """
 
     E: float
     M: np.ndarray
     discriminant: complex
     stats: IntegratorStats
+    integration_beta: float | None
 
 
 @dataclass(frozen=True)
@@ -128,16 +142,46 @@ class _BudgetedDOP853(DOP853):
         return super()._step_impl()
 
 
+def integration_beta(spec) -> float | None:
+    """The beta* of the line i x + beta* a PT spec is integrated on, None for
+    a spec integrated on the real axis (a real or custom one).
+
+    beta* is the real part in (0, 2K) farthest, mod 2K, from the real parts
+    of the poles of V (``normal_form(spec).poles``), so the whole line keeps
+    that distance from every pole.  Computed once per spec, on first use.
+    """
+    return _line(spec)[1]
+
+
+@functools.lru_cache(maxsize=256)
+def _line(spec):
+    """(spec to integrate, its beta*), computed once per spec."""
+    form = potentials.normal_form(spec)
+    if form.beta is None:
+        return spec, None
+    two_k = 2.0 * ell.modulus(form.m).K
+    reals = set()
+    for w in form.poles:  # sn**2 at each pole; its preimages are +-u0 mod the periods
+        u0 = 0.0 if math.isinf(w) else ell.inverse_sn(cmath.sqrt(w), form.m).real
+        reals.update((u0 % two_k, -u0 % two_k))
+    ends = sorted(reals)
+    lo, hi = max(zip(ends, ends[1:] + [ends[0] + two_k]), key=lambda gap: gap[1] - gap[0])
+    beta = (0.5 * (lo + hi)) % two_k
+    return potentials.on_line(spec, beta), beta
+
+
 def _propagate(spec, energies, x0: float = 0.0):
-    """Integrate both canonical solutions for a batch of energies at once.
+    """Integrate both canonical solutions for a batch of energies at once,
+    on the spec's integration line (:func:`integration_beta`).
 
     The ODE is linear and the potential is shared across the batch, so the
     right-hand side evaluates V once per stage regardless of batch size.
     Returns the transfer matrices, their defects |det M - 1| and the
     integrator stats, whose ``det_defect`` is the batch maximum.
     """
-    f = potentials.compiled_value_fn(spec)
-    L = spec.period
+    line = _line(spec)[0]
+    f = potentials.compiled_value_fn(line)
+    L = line.period
     EE = np.repeat(np.asarray(energies, dtype=complex), 2)
     n2 = EE.size
     y0 = np.zeros(2 * n2, dtype=complex)
@@ -154,7 +198,7 @@ def _propagate(spec, energies, x0: float = 0.0):
     sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, rtol=RTOL, atol=ATOL)
     if not sol.success:
         raise FloquetIntegrationError(
-            f"integration failed over one period ({sol.message}); check beta against the pole lattice"
+            f"integration failed over one period ({sol.message}); a pole on or near the integration line?"
         )
     y = sol.y[:, -1]
     ms = np.empty((len(energies), 2, 2), dtype=complex)
@@ -192,7 +236,7 @@ def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
     """
     ms, stats = _checked_propagate(spec, [float(E)], x0)
     M = ms[0]
-    return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats)
+    return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
 
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
@@ -509,4 +553,4 @@ def default_energy_range(spec) -> tuple[float, float]:
     xs = np.linspace(0.0, spec.period, 129, endpoint=False)
     vmax = max(f(float(x)).real for x in xs)
     form = potentials.normal_form(spec)
-    return (-1.0, vmax + form.a * (form.a + 1) * form.m + 5.0)
+    return (-1.0, vmax + (form.a * (form.a + 1) * form.m if form.a else 0.0) + 5.0)

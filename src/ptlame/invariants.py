@@ -164,8 +164,9 @@ def _dualities(m, beta):
 
 
 def _a2_half_parameter_sum_rule(m, beta):
-    # at m = 1/2 the five a=2 edges pair up as e_j + e_{4-j} = 6, midpoint 3
-    es = _energies(_simple_edges(pot.Lame(2, 0.5), -0.5, 6.5))
+    # at m = 1/2 the five a=2 edges pair up as e_j + e_{4-j} = 6, midpoint 3;
+    # the edge set is the one the duality row's m = 1/2 check searched for
+    es = spc.lame_edge_energies(2, 0.5)
     if len(es) != 5:
         return math.inf
     return max(max(abs(es[j] + es[4 - j] - 6.0) for j in range(5)), abs(es[2] - 3.0))
@@ -179,6 +180,23 @@ def _discriminant_relation(m, beta):
         for e in np.linspace(-shift - 0.6, 0.4, 20):
             d1 = flq.monodromy(spec_pt, float(e)).discriminant
             worst = max(worst, abs(d1 - flq.monodromy(dual, float(e) + shift).discriminant))
+    return worst
+
+
+def _beta_independence(m, beta):
+    # Delta does not depend on the integration line (the Picard property):
+    # the user's line, integrated as a custom potential (which stays on the
+    # real axis), against the engine's own line at the closed-form edges
+    s = specs(m, beta)
+    worst = 0.0
+    for key in (k for fam in spc.ptlame_families for k in (fam, fam + ("partner",))):
+        user = pot.CustomPotential(pot.compiled_value_fn(s[key]), s[key].period)
+        for e, _ in spc.predicted_edges(s[key]):
+            try:
+                on_user = flq.monodromy(user, e).discriminant
+            except flq.FloquetIntegrationError:
+                return math.inf
+            worst = max(worst, abs(on_user - flq.monodromy(s[key], e).discriminant))
     return worst
 
 
@@ -326,6 +344,7 @@ REGISTRY = (
     Invariant("duality-relations", _dualities, 1e-6),
     Invariant("a2-half-parameter-sum-rule", _a2_half_parameter_sum_rule, 1e-6),
     Invariant("discriminant-relation", _discriminant_relation, 1e-6),
+    Invariant("beta-independence", _beta_independence, 1e-6),
     Invariant("band-edge-tables", _edge_tables, 1e-6),
     Invariant("band-edge-classes", _edge_classes, 0.5),
     Invariant("edge-class-interleaving", _edge_class_interleaving, 0.5),

@@ -13,7 +13,9 @@ the Floquet engine and the closed-form machinery both rely on.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -37,6 +39,7 @@ __all__ = [
     "Form",
     "normal_form",
     "ground_state",
+    "on_line",
 ]
 
 _BETA_POLE_MARGIN = 1e-4
@@ -55,7 +58,7 @@ class PotentialSpec:
     their :func:`normal_form` is computed once."""
 
     @property
-    def m(self) -> float:
+    def m(self) -> float | None:
         return normal_form(self).m
 
     @property
@@ -166,11 +169,11 @@ class SusyPartner(PotentialSpec):
 
 @dataclass(frozen=True)
 class CustomPotential(PotentialSpec):
-    """Arbitrary analytic potential given by a callable and an explicit period."""
+    """Arbitrary analytic potential given by a callable and an explicit
+    period; it has no elliptic parameter, so its ``m`` is None."""
 
     fn: object
     period_: float
-    m_: float = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +184,22 @@ class Form(NamedTuple):
     """A spec reduced by :func:`normal_form`.
 
     ``kind``, ``a``, ``b``, ``m`` name the base family ("lame", "assoc" or
-    "custom"); V(x) = sign * g(sn, cn, dn) - shift with the Jacobi triple at
-    real x, or on the line i x + beta when ``beta`` is set (a custom
-    potential's ``g`` is its own function of x).  ``offset`` moves the
-    family's closed-form edge rows (PT rows when ``beta`` is set) onto the
-    spec's energies, ``ground`` is the closed-form ground state as (jet
-    builder in the triple's argument, energy); both are None without closed
-    forms.  ``partner`` marks a SUSY partner anywhere in the tree.
+    "custom", whose ``m`` is None); V(x) = sign * g(sn, cn, dn) - shift with
+    the Jacobi triple at real x, or on the line i x + beta when ``beta`` is
+    set (a custom potential's ``g`` is its own function of x).  ``offset``
+    moves the family's closed-form edge rows (PT rows when ``beta`` is set)
+    onto the spec's energies, ``ground`` is the closed-form ground state as
+    (jet builder in the triple's argument, energy, sn**2 at its zeros); both
+    are None without closed forms.  ``partner`` marks a SUSY partner anywhere
+    in the tree.  ``poles`` holds sn**2 at the poles of g in the triple's
+    argument (inf at the poles of sn), and may hold a few more points, never
+    fewer; the Floquet engine keeps its integration line away from them.
     """
 
     kind: str
     a: int
     b: int
-    m: float
+    m: float | None
     period: float
     g: Callable
     sign: float
@@ -202,6 +208,7 @@ class Form(NamedTuple):
     offset: float | None
     ground: tuple | None
     partner: bool
+    poles: tuple
 
 
 @functools.lru_cache(maxsize=256)
@@ -213,8 +220,10 @@ def normal_form(spec: PotentialSpec) -> Form:
     rows apply and a shift under it moves the edges up; only the bare family
     keeps a closed-form ground state under it.  A SUSY partner keeps the
     edges, depends only on the ground state (it absorbs every shift under
-    it), and has the zero-energy ground state 1/psi_g.  The closed-form
-    tables live in spectra (lazy import).
+    it), and has the zero-energy ground state 1/psi_g; its poles are those
+    of V and the zeros of psi_g (the zeros of 1/psi_g are poles of psi_g,
+    which lie among those of V).  The closed-form tables live in spectra
+    (lazy import).
     """
     from . import spectra
 
@@ -224,17 +233,18 @@ def normal_form(spec: PotentialSpec) -> Form:
         g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
         closed = (kind, spec.a, b) in spectra.ptlame_families
         ground = spectra.ground_state_builder(kind, spec.a, b, spec.m_, pt=False) if closed else None
+        poles = (math.inf,) if b == 0 else (math.inf, 1.0 / spec.m_)  # sn poles, dn zeros
         return Form(kind, spec.a, b, spec.m_, 2.0 * ell.modulus(spec.m_).K, g, 1.0, 0.0, None,
-                    0.0 if closed else None, ground, False)
+                    0.0 if closed else None, ground, False, poles)
     if isinstance(spec, CustomPotential):
-        return Form("custom", 0, 0, spec.m_, spec.period_, spec.fn, 1.0, 0.0, None, None, None, False)
+        return Form("custom", 0, 0, None, spec.period_, spec.fn, 1.0, 0.0, None, None, None, False, ())
     if not isinstance(spec, (Shifted, PTTransform, SusyPartner)):
         raise PotentialError(f"unrecognized spec {spec!r}")
     f = normal_form(spec.inner)
     if isinstance(spec, Shifted):
-        return f._replace(shift=f.shift + spec.c,
-                          offset=None if f.offset is None else f.offset - spec.c,
-                          ground=None if f.ground is None else (f.ground[0], f.ground[1] - spec.c))
+        ground = None if f.ground is None else (f.ground[0], f.ground[1] - spec.c, f.ground[2])
+        return f._replace(shift=f.shift + spec.c, offset=None if f.offset is None else f.offset - spec.c,
+                          ground=ground)
     if isinstance(spec, PTTransform):
         closed = f.offset is not None
         bare = closed and f.shift == 0.0 and not f.partner
@@ -242,7 +252,7 @@ def normal_form(spec: PotentialSpec) -> Form:
             period=2.0 * ell.modulus(f.m).Kprime, sign=-f.sign, shift=-f.shift, beta=spec.beta,
             offset=spectra.ground_energy(f.kind, f.a, f.b, f.m, pt=True) - f.offset if closed else None,
             ground=spectra.ground_state_builder(f.kind, f.a, f.b, f.m, pt=True) if bare else None)
-    builder, m = f.ground[0], f.m  # a SusyPartner, validated to have it
+    (builder, _, zeros), m = f.ground, f.m  # a SusyPartner, validated to have it
 
     def partner(s, c, d):
         # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
@@ -252,7 +262,8 @@ def normal_form(spec: PotentialSpec) -> Form:
         return 2.0 * r * r - j.d2 / j.f
 
     return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
-                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0), partner=True)
+                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0, ()), partner=True,
+                      poles=f.poles + zeros)
 
 
 def ground_state(spec: PotentialSpec):
@@ -266,7 +277,17 @@ def ground_state(spec: PotentialSpec):
         raise MissingGroundStateError(f"no closed forms for family {(f.kind, f.a, f.b)!r}")
     if f.ground is None:
         raise MissingGroundStateError("shift the PT transform itself, not the potential under it")
-    return f.ground
+    return f.ground[:2]
+
+
+def on_line(spec: PotentialSpec, beta: float) -> PotentialSpec:
+    """The spec with its PT transform moved onto the line i x + beta; a spec
+    without one comes back equal to itself."""
+    if isinstance(spec, PTTransform):
+        return PTTransform(spec.inner, beta)
+    if isinstance(spec, (Shifted, SusyPartner)):
+        return dataclasses.replace(spec, inner=on_line(spec.inner, beta))
+    return spec
 
 
 def compiled_value_fn(spec: PotentialSpec):

@@ -10,6 +10,7 @@ analytic derivatives.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,6 +34,7 @@ __all__ = [
     "predicted_edges",
     "ground_state_builder",
     "ground_energy",
+    "lame_edge_energies",
     "modulus_duality_check",
     "pt_duality_check",
     "dispersion_analytic",
@@ -75,47 +77,64 @@ def _sigma(m: float) -> float:
     return math.sqrt(4.0 - 3.0 * m)
 
 
+# Each row is (energy, eigenfunction type, c0, c1): the edge state is the
+# type's Jacobi factor times c0 + c1 sn**2 (the factor alone when c1 = 0).
 def _rows_lame1(m: float):
-    return [
-        (0.0, "sn", lambda S, C, D: S),
-        (m, "cn", lambda S, C, D: C),
-        (1.0, "dn", lambda S, C, D: D),
-    ]
+    return [(0.0, "sn", 1.0, 0.0), (m, "cn", 1.0, 0.0), (1.0, "dn", 1.0, 0.0)]
 
 
 def _rows_lame3(m: float):
     d = edge_constants(m)
-    fm = 5.0 * m
-
-    def poly(A):
-        return lambda S, C, D, A=A: A - fm * (S * S)
-
+    c1 = -5.0 * m
     return [
-        (0.0, "sn", lambda S, C, D, p=poly(2 + 2 * m - d.delta3): S * p(S, C, D)),
-        (3 * m + 2 * d.delta3 - 2 * d.delta2, "cn", lambda S, C, D, p=poly(2 + m - d.delta2): C * p(S, C, D)),
-        (3 + 2 * d.delta3 - 2 * d.delta1, "dn", lambda S, C, D, p=poly(1 + 2 * m - d.delta1): D * p(S, C, D)),
-        (1 + m + 2 * d.delta3, "sncndn", lambda S, C, D: S * C * D),
-        (4 * d.delta3, "sn", lambda S, C, D, p=poly(2 + 2 * m + d.delta3): S * p(S, C, D)),
-        (3 * m + 2 * d.delta3 + 2 * d.delta2, "cn", lambda S, C, D, p=poly(2 + m + d.delta2): C * p(S, C, D)),
-        (3 + 2 * d.delta3 + 2 * d.delta1, "dn", lambda S, C, D, p=poly(1 + 2 * m + d.delta1): D * p(S, C, D)),
+        (0.0, "sn", 2 + 2 * m - d.delta3, c1),
+        (3 * m + 2 * d.delta3 - 2 * d.delta2, "cn", 2 + m - d.delta2, c1),
+        (3 + 2 * d.delta3 - 2 * d.delta1, "dn", 1 + 2 * m - d.delta1, c1),
+        (1 + m + 2 * d.delta3, "sncndn", 1.0, 0.0),
+        (4 * d.delta3, "sn", 2 + 2 * m + d.delta3, c1),
+        (3 * m + 2 * d.delta3 + 2 * d.delta2, "cn", 2 + m + d.delta2, c1),
+        (3 + 2 * d.delta3 + 2 * d.delta1, "dn", 1 + 2 * m + d.delta1, c1),
     ]
 
 
 def _rows_assoc21(m: float):
     d4 = edge_constants(m).delta4
     sg = _sigma(m)
-    tm = 3.0 * m
-
-    def bracket(c0):
-        return lambda S, C, D, c0=c0: tm * (S * S) + c0
-
+    c1 = 3.0 * m
     return [
-        (0.0, "cn/dn", lambda S, C, D, p=bracket(-2 + sg): (C / D) * p(S, C, D)),
-        (2 * sg - m - 2 * d4, "sn/dn", lambda S, C, D, p=bracket(-2 - m + d4): (S / D) * p(S, C, D)),
-        (2 * sg - m + 2 * d4, "sn/dn", lambda S, C, D, p=bracket(-2 - m - d4): (S / D) * p(S, C, D)),
-        (4 * sg, "cn/dn", lambda S, C, D, p=bracket(-2 - sg): (C / D) * p(S, C, D)),
-        (5 - 3 * m + 2 * sg, "dn2", lambda S, C, D: D * D),
+        (0.0, "cn/dn", -2 + sg, c1),
+        (2 * sg - m - 2 * d4, "sn/dn", -2 - m + d4, c1),
+        (2 * sg - m + 2 * d4, "sn/dn", -2 - m - d4, c1),
+        (4 * sg, "cn/dn", -2 - sg, c1),
+        (5 - 3 * m + 2 * sg, "dn2", 1.0, 0.0),
     ]
+
+
+_FACTORS = {
+    "sn": lambda S, C, D: S,
+    "cn": lambda S, C, D: C,
+    "dn": lambda S, C, D: D,
+    "sncndn": lambda S, C, D: S * C * D,
+    "cn/dn": lambda S, C, D: C / D,
+    "sn/dn": lambda S, C, D: S / D,
+    "dn2": lambda S, C, D: D * D,
+}
+
+
+def _builder(tag: str, c0: float, c1: float):
+    factor = _FACTORS[tag]
+    if c1 == 0.0:
+        return factor
+    return lambda S, C, D: factor(S, C, D) * (c0 + c1 * (S * S))
+
+
+def _zeros(tag: str, c0: float, c1: float, m: float) -> tuple:
+    """sn**2 at the zeros of a row's edge state: those of its Jacobi factor
+    (sn = 0, cn = 0, dn = 0 at sn**2 = 0, 1, 1/m) and the root of its
+    polynomial."""
+    numerator = tag.split("/")[0]
+    own = tuple(w for name, w in (("sn", 0.0), ("cn", 1.0), ("dn", 1.0 / m)) if name in numerator)
+    return own + ((-c0 / c1,) if c1 != 0.0 else ())
 
 
 _FAMILY_ROWS = {
@@ -139,7 +158,7 @@ def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
 
 
 def _edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
-    """Ascending (energy, period class, jet builder) rows of a family's edges.
+    """Ascending (energy, period class, (type, c0, c1)) rows of a family's edges.
 
     PT energies are relative to the PT ground state, real ones absolute.
     The PT energy map E_j -> -E_{2a-j} reverses the level order, so real
@@ -149,20 +168,21 @@ def _edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
     e_g = ground_energy(kind, a, b, m, pt=True)  # raises for a family without closed forms
     rows = _FAMILY_ROWS[(kind, a, b)](m)
     if pt:
-        return [(e, _PT_CLASS[tag], build) for e, tag, build in rows]
-    return [(-(e + e_g), _REAL_CLASS[tag], build) for e, tag, build in reversed(rows)]
+        return [(e, _PT_CLASS[tag], (tag, c0, c1)) for e, tag, c0, c1 in rows]
+    return [(-(e + e_g), _REAL_CLASS[tag], (tag, c0, c1)) for e, tag, c0, c1 in reversed(rows)]
 
 
 def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
-    """(jet builder, absolute ground energy) for a family.
+    """(jet builder, absolute ground energy, sn**2 at its zeros) for a family.
 
     The builder maps (S, C, D) jets in the natural argument u (real for the
     plain potential, u = i x + beta for the PT version) to the ground-state
     jet.  It is the builder of the lowest edge, which for the plain potential
     is the top PT row through the level reversal, so it differs between the
-    two versions.
+    two versions.  The zeros are where a SUSY partner built on it has poles.
     """
-    return _edge_rows(kind, a, b, m, pt)[0][2], ground_energy(kind, a, b, m, pt)
+    state = _edge_rows(kind, a, b, m, pt)[0][2]
+    return _builder(*state), ground_energy(kind, a, b, m, pt), _zeros(*state, m)
 
 
 @dataclass(frozen=True)
@@ -192,8 +212,8 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None, pt: boo
     dfac = 1j if pt else 1.0
 
     edges = []
-    for idx, (energy, cls, build) in enumerate(_edge_rows(kind, a, b, m, pt)):
-        def raw(x: float, build=build) -> Jet2:
+    for idx, (energy, cls, state) in enumerate(_edge_rows(kind, a, b, m, pt)):
+        def raw(x: float, build=_builder(*state)) -> Jet2:
             return build(*jets_from_scd(*point(x), m))
 
         norm = max(abs(raw(x).f) for x in np.linspace(0.0, length, 256, endpoint=False))
@@ -242,12 +262,15 @@ def predicted_edges(spec) -> list[tuple[float, str]] | None:
 # dualities
 
 
-def _lame_edges_any(a: int, m: float) -> list[float]:
+@functools.lru_cache(maxsize=8)
+def lame_edge_energies(a: int, m: float) -> tuple[float, ...]:
+    """Simple edge energies of the plain Lame potential, ascending: the closed
+    forms for a in {1, 3}, else the Floquet edges in [-0.5, a(a+1) + 0.5].
+    Cached, so a check that needs one Floquet edge set twice searches once."""
     if a in (1, 3):
-        return closed_form_energies("lame", a, 0, m, pt=False)
-    spec = potentials.Lame(a, m)
-    found = floquet.find_band_edges(spec, -0.5, a * (a + 1) + 0.5)
-    return [e.energy for e in found if e.multiplicity == 1]
+        return tuple(closed_form_energies("lame", a, 0, m, pt=False))
+    found = floquet.find_band_edges(potentials.Lame(a, m), -0.5, a * (a + 1) + 0.5)
+    return tuple(e.energy for e in found if e.multiplicity == 1)
 
 
 def modulus_duality_check(a: int, m: float) -> float:
@@ -259,8 +282,8 @@ def modulus_duality_check(a: int, m: float) -> float:
     """
     if a not in (1, 2, 3):
         raise ValueError("the modulus duality check supports a in {1, 2, 3}")
-    lhs = _lame_edges_any(a, m)
-    rhs = [a * (a + 1) - e for e in reversed(_lame_edges_any(a, 1.0 - m))]
+    lhs = lame_edge_energies(a, m)
+    rhs = [a * (a + 1) - e for e in reversed(lame_edge_energies(a, 1.0 - m))]
     return max(abs(x - y) for x, y in zip(lhs, rhs))
 
 

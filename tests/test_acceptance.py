@@ -36,3 +36,11 @@ def test_criterion_03_a3_band_edges():
 
 def test_criterion_04_assoc21_band_edges():
     _check_edge_table(("assoc", 2, 1), 5, ("P", "A", "A", "P", "P"))
+
+
+def test_beta_independence_fails_where_the_user_line_cannot_be_integrated():
+    # beta = 1e-3 passes construction, but the user's line runs 1e-3 from
+    # the sn poles: the row reports inf and fails instead of raising
+    row = next(r for r in inv.REGISTRY if r.name == "beta-independence")
+    [(_, value, _, ok, _)] = inv.run([row], M, 1e-3)
+    assert value == float("inf") and not ok

@@ -191,6 +191,50 @@ class TestDispersion:
         assert all(v == "" for v in cols["k_analytic_re"])
 
 
+class TestIntegrationLine:
+    # (m, beta) whose line passes so close to a pole that integrating on it
+    # drifts (det M) or misses a closed-form edge by 1e-6; on the line
+    # farthest from the poles each passes
+    @pytest.mark.parametrize("argv", [
+        ["--a", "3", "--pt", "--m", "0.05", "--beta", "0.5"],
+        ["--a", "2", "--b", "1", "--pt", "--m", "0.05", "--beta", "0.5"],
+        ["--a", "3", "--pt", "--m", "0.75", "--beta", "0.05"],
+        ["--a", "3", "--pt", "--partner", "--m", "0.75", "--beta", "0.05"],
+        ["--a", "2", "--b", "1", "--pt", "--m", "0.75", "--beta", "0.05"],
+        ["--a", "3", "--pt", "--m", "0.5", "--beta", "0.1"],
+        # its ground state nearly vanishes on the user's line
+        ["--a", "2", "--b", "1", "--m", "0.8299558300434793", "--beta", "0.6323595682218661", "--pt", "--partner"],
+    ], ids=["a3-m0.05", "a21-m0.05", "a3-beta0.05", "a3-partner-beta0.05", "a21-beta0.05", "a3-beta0.1",
+            "a21-partner-near-ground-zero"])
+    def test_edges_near_a_pole(self, argv, tmp_path):
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", *argv, "--shift-zero", "--out", str(out)]) == 0
+        meta, _ = _read_csv(out)
+        assert "verdict=PASS" in meta
+
+    def test_paired_scan_near_a_pole(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--m", "0.525048", "--beta", "0.065044"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        meta, _ = _read_csv(out)
+        assert "verdict=PASS" in meta
+
+    @pytest.mark.parametrize("command,argv", [
+        ("edges", ["--a", "1"]),
+        ("scan", ["--a", "1", "--emin", "-2.2", "--emax", "0.2", "--n", "12"]),
+        ("dispersion", ["--a", "1", "--n", "3"]),
+    ])
+    def test_json_round_trip(self, command, argv, tmp_path):
+        # beta stays the user's; integration_beta is the line integrated on,
+        # null on the real axis
+        out = tmp_path / "out.json"
+        for ops, expected in (([], None), (["--pt"], flq.integration_beta(pot.PTTransform(pot.Lame(1, 0.75), 0.5)))):
+            assert cli.main([command, *argv, *ops, "--format", "json", "--out", str(out)]) == 0
+            meta = json.loads(out.read_text())["meta"]
+            assert (meta["command"], meta["beta"], meta["integration_beta"]) == (command, 0.5, expected)
+        assert expected is not None and expected != 0.5
+
+
 CHEAP_ROWS = ("elliptic-identities", "sn-dn-imaginary-shift", "eigenfunction-residuals")
 
 

@@ -251,6 +251,43 @@ class TestDispersionNumeric:
             assert abs(flq.dispersion_numeric(spec, E) - dp.k) < 1e-6
 
 
+class TestIntegrationLine:
+    def test_plain_lame_lines(self):
+        # sn poles alone: the line midway between them, whatever the user's beta
+        K = ell.modulus(M).K
+        for beta in (0.05, BETA, 2.0):
+            assert flq.integration_beta(pot.PTTransform(pot.Lame(3, M), beta)) == pytest.approx(K, abs=1e-12)
+        assert flq.integration_beta(pot.Lame(3, M)) is None
+        assert flq.integration_beta(FREE) is None
+
+    @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
+    def test_line_keeps_clear_of_poles(self, m, beta):
+        # V on the chosen line stays within a factor 2 of its smallest
+        # max |V| over a grid of lines; a missed pole would put the line
+        # near it and blow V up
+        def vmax(spec, b):
+            try:
+                f = pot.compiled_value_fn(pot.on_line(spec, float(b)))
+            except pot.PotentialError:  # a line through a pole
+                return math.inf
+            return max(abs(f(x)) for x in np.linspace(0.0, spec.period, 48, endpoint=False))
+
+        two_k = 2.0 * ell.modulus(m).K
+        for spec in inv.specs(m, beta).values():
+            best = min(vmax(spec, b) for b in np.linspace(0.0, two_k, 51)[1:-1])
+            assert vmax(spec, flq.integration_beta(spec)) < 2.0 * best
+
+    def test_monodromy_records_the_line(self):
+        # the user's line, integrated as a custom potential, gives the same trace
+        spec = inv.specs(M, BETA)[("assoc", 2, 1, "partner")]
+        user = pot.CustomPotential(pot.compiled_value_fn(spec), spec.period)
+        r, u = flq.monodromy(spec, 1.5), flq.monodromy(user, 1.5)
+        assert r.integration_beta == flq.integration_beta(spec) != BETA
+        assert u.integration_beta is None
+        assert abs(r.discriminant - u.discriminant) < 1e-8
+        assert r.stats.steps < u.stats.steps
+
+
 class TestDefaults:
     def test_default_energy_range_brackets_edges(self):
         spec = _a1_spec()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptlame import elliptic as ell
+from ptlame import floquet as flq
 from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
@@ -180,6 +181,25 @@ class TestEvaluation:
         spec = pot.CustomPotential(lambda z: 0.0j, math.pi)
         assert spec.period == math.pi
         assert pot.compiled_value_fn(spec)(0.3) == 0
+
+    def test_custom_potential_has_no_parameter(self):
+        # a custom potential is no Jacobi-function expression, so it reports
+        # no elliptic parameter and takes none
+        spec = pot.CustomPotential(math.cos, 2 * math.pi)
+        assert spec.m is None and pot.normal_form(spec).poles == ()
+        with pytest.raises(TypeError):
+            pot.CustomPotential(math.cos, 2 * math.pi, 0.5)
+        # the default range adds no a(a+1) m term for it
+        assert flq.default_energy_range(spec) == (-1.0, 6.0)
+
+    def test_on_line_moves_only_the_pt_transform(self):
+        def build(beta):
+            src = pot.Shifted(pot.PTTransform(pot.Lame(3, M), beta), spc.ground_energy("lame", 3, 0, M, pt=True))
+            return pot.Shifted(pot.SusyPartner(src), 0.25)
+
+        assert pot.on_line(build(BETA), 1.3) == build(1.3)
+        real = pot.Shifted(pot.Lame(3, M), 1.0)
+        assert pot.on_line(real, 1.3) == real
 
 
 class TestGroundStateLogDerivative:

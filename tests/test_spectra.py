@@ -5,6 +5,7 @@ import pytest
 
 from ptlame import elliptic as ell
 from ptlame import floquet as flq
+from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
 
@@ -76,6 +77,21 @@ class TestClosedFormEdges:
         assert abs(spc.ground_energy("assoc", 2, 1, M, pt=False) - 4 * M) < 1e-14
         d1 = spc.edge_constants(M).delta1
         assert abs(spc.ground_energy("lame", 3, 0, M, pt=False) - (2 + 5 * M - 2 * d1)) < 1e-14
+
+    @pytest.mark.parametrize("kind,a,b", [("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)])
+    @pytest.mark.parametrize("pt", [False, True], ids=["real", "pt"])
+    def test_ground_state_zeros(self, kind, a, b, pt):
+        # the ground state vanishes wherever sn**2 takes a listed value; a
+        # SUSY partner has its poles there
+        builder, _, zeros = spc.ground_state_builder(kind, a, b, M, pt)
+
+        def psi(u):
+            jv = ell.jacobi_complex(u, M)
+            return builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M)).f
+
+        assert zeros
+        for w in zeros:
+            assert abs(psi(ell.inverse_sn(complex(w) ** 0.5, M))) < 1e-9 * abs(psi(0.3 + 0.2j))
 
     def test_unknown_family_raises(self):
         with pytest.raises(pot.MissingGroundStateError):
@@ -179,6 +195,18 @@ class TestDualities:
         for j in range(len(es)):
             assert abs(es[j] + es[2 * a - j] - s) < 1e-12
         assert abs(es[a] - s / 2) < 1e-12
+
+    def test_a2_edge_set_searched_once(self, monkeypatch):
+        # at m = 1/2 the duality row needs the a=2 edges at m and at 1 - m,
+        # and the sum-rule row needs them again: one Floquet search serves all
+        spc.lame_edge_energies.cache_clear()
+        searched = []
+        find = flq.find_band_edges
+        monkeypatch.setattr(flq, "find_band_edges", lambda spec, *args: searched.append(spec) or find(spec, *args))
+        for row in inv.REGISTRY:
+            if row.name in ("duality-relations", "a2-half-parameter-sum-rule"):
+                assert inv.run([row], M, BETA)[0][3]
+        assert searched.count(pot.Lame(2, 0.5)) == 1
 
     def test_rejects_unsupported_index(self):
         with pytest.raises(ValueError):
