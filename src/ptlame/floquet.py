@@ -66,7 +66,7 @@ _ROOT_RTOL = 8.9e-16
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # find_band_edges: scan samples per unit energy, root tolerance, the |Delta|
-# - 2 below which a tangency is a closed gap, and energies per scan batch
+# - 2 below which a peak is a closed gap, and energies per scan batch
 _DENSITY = 400.0
 _XTOL = 1e-10
 _CLOSED_GAP_TOL = 1e-7
@@ -147,7 +147,7 @@ def integration_beta(spec) -> float | None:
     a spec integrated on the real axis (a real or custom one).
 
     beta* is the real part in (0, 2K) farthest, mod 2K, from the real parts
-    of the poles of V (``normal_form(spec).poles``), so the whole line keeps
+    of the poles of V (:func:`potentials.pole_lines`), so the whole line keeps
     that distance from every pole.  Computed once per spec, on first use.
     """
     return _line(spec)[1]
@@ -160,11 +160,7 @@ def _line(spec):
     if form.beta is None:
         return spec, None
     two_k = 2.0 * ell.modulus(form.m).K
-    reals = set()
-    for w in form.poles:  # sn**2 at each pole; its preimages are +-u0 mod the periods
-        u0 = 0.0 if math.isinf(w) else ell.inverse_sn(cmath.sqrt(w), form.m).real
-        reals.update((u0 % two_k, -u0 % two_k))
-    ends = sorted(reals)
+    ends = sorted({x % two_k for r in potentials.pole_lines(form.poles, form.m) for x in (r, -r)})
     lo, hi = max(zip(ends, ends[1:] + [ends[0] + two_k]), key=lambda gap: gap[1] - gap[0])
     beta = (0.5 * (lo + hi)) % two_k
     return potentials.on_line(spec, beta), beta
@@ -409,37 +405,19 @@ def _edges(roots, cls, multiplicity=1):
     return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
 
 
-def _crossing(lo, hi, h, e_min, e_max, target, cls):
-    """Edge in a scan cell [lo, hi] whose ends straddle the target.
+def _window(lo, d_lo, hi, d_hi, target, cls):
+    """Edges of class ``cls`` in one scan window [lo, hi], given the scan's
+    own Delta at its ends, which are never integrated again.
 
-    The scan and the refinement integrate in different batches, so a root
-    sitting within ~1e-10 of a grid point can present the same sign at both
-    ends here; widening by one cell recovers the bracket.  The cell's own
-    pair goes first, so the two adjacent cells of a gap narrower than two
-    cells each keep their own root.
+    Ends that straddle the target bracket one root.  Otherwise the window
+    holds a peak of Delta toward the target: a closed gap (one edge of
+    multiplicity 2) where it touches the target to ``_CLOSED_GAP_TOL``, the
+    two roots of a barely open gap where it passes it, none where it falls
+    short.
     """
-    xs = [max(lo - h, e_min), lo, hi, min(hi + h, e_max)]
-    ds = yield xs
-    fs = [d.real - target for d in ds]
-    for x, d, f in zip(xs, ds, fs):
-        if f == 0.0:
-            return _edges([(x, d)], cls)
-    for k in (1, 0, 2):  # the cell's own pair first
-        if xs[k] < xs[k + 1] and fs[k] * fs[k + 1] < 0.0:
-            root = yield from _bracket(xs[k], ds[k], xs[k + 1], ds[k + 1], target)
-            return _edges([root], cls)
-    best = int(np.argmin(np.abs(fs)))
-    return _edges([(xs[best], ds[best])], cls) if abs(fs[best]) < 1e-8 else []
-
-
-def _grid_hit(E, cls):
-    d = (yield [E])[0]
-    return _edges([(E, d)], cls)
-
-
-def _tangency(lo, hi, target, cls):
-    """Closed gap (one edge of multiplicity 2) or the two roots of a barely
-    open one, around an extremum of Delta pinned near the target in [lo, hi]."""
+    if (d_lo.real - target) * (d_hi.real - target) <= 0.0:
+        root = yield from _bracket(lo, d_lo, hi, d_hi, target)
+        return _edges([root], cls)
     sign = 1.0 if target > 0 else -1.0
     e_star, d_star = yield from _extremum(lo, hi, sign)
     gap = sign * (d_star.real - target)
@@ -447,7 +425,6 @@ def _tangency(lo, hi, target, cls):
         return _edges([(e_star, d_star)], cls, 2)
     if gap < 0.0:
         return []
-    d_lo, d_hi = yield [lo, hi]
     roots = yield from _join([
         _bracket(lo, d_lo, e_star, d_star, target),
         _bracket(e_star, d_star, hi, d_hi, target),
@@ -458,67 +435,45 @@ def _tangency(lo, hi, target, cls):
 def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     """Locate all discriminant roots Delta = +/-2 in [e_min, e_max].
 
-    Sign-change brackets from a coarse scan (``_DENSITY`` samples per unit
-    energy) are refined by bracketing root iteration to ``_XTOL``; tangential
-    roots, where |Delta| touches 2 without crossing, are polished through a
-    bounded extremum search and reported with multiplicity 2, or split into
-    the two roots of a barely open gap.  The refinement runs in lockstep:
-    every pending bracket and extremum search, of both targets, takes one
-    step per round, and each round is one batched, Wronskian-checked
-    integration over all the energies it needs.  A warning is issued when
-    fewer than the 2a+1 edges expected for a recognized base family are
-    found, which usually means the range is too small.
+    The scan (``_DENSITY`` samples per unit energy) is cut into windows, each
+    refined by one :func:`_window` task from the scan's own samples at its
+    ends: a cell (lo, hi] whose ends straddle the target, or whose upper end
+    hits it; or the two cells around a sample where Delta peaks at most 2e-4
+    short of the target, with no crossing in either.  Windows share no
+    interior, so no edge is found twice.  The tasks of both targets run in
+    lockstep, one batched, Wronskian-checked integration per round.  A
+    warning is issued when fewer than the 2a+1 edges expected for a
+    recognized base family are found, which usually means the range is too
+    small.
     """
     n = max(int(_DENSITY * (e_max - e_min)) + 1, 81)
     scan = discriminant_scan(spec, e_min, e_max, n)
-    grid = scan.energies
-    d = scan.discriminants.real
-    h = grid[1] - grid[0]
+    grid, d = scan.energies, scan.discriminants
     tasks = []
-
     for target, cls in ((2.0, "P"), (-2.0, "A")):
-        g = d - target
-        crossing_cells = set(np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0])
-        for i in sorted(crossing_cells):
-            tasks.append(_crossing(grid[i], grid[i + 1], h, e_min, e_max, target, cls))
-        # exact grid hits
-        for i in np.nonzero(g == 0.0)[0]:
-            if i not in crossing_cells and (i - 1) not in crossing_cells:
-                tasks.append(_grid_hit(grid[i], cls))
-        # tangencies: local extremum of Delta pinned near the target without
-        # a crossing; a barely open gap hides two roots inside one cell
+        g = d.real - target
+        crossing = (g[:-1] * g[1:] < 0.0) | (g[1:] == 0.0)
         toward = (1.0 if target > 0 else -1.0) * g
-        for i in range(1, n - 1):
-            if toward[i] >= toward[i - 1] and toward[i] >= toward[i + 1] and abs(g[i]) < 2e-4:
-                if {i - 1, i} & crossing_cells:
-                    continue
-                tasks.append(_tangency(grid[i - 1], grid[i + 1], target, cls))
+        # a strict > on the left keeps a two-sample plateau to one window; a
+        # peak past the target has all three samples inside an open gap
+        mid = toward[1:-1]
+        peak = (mid > toward[:-2]) & (mid >= toward[2:]) & (mid > -2e-4) & (mid <= 0.0)
+        peak &= ~(crossing[:-1] | crossing[1:])
+        windows = [(i, i + 1) for i in np.flatnonzero(crossing)] + [(i, i + 2) for i in np.flatnonzero(peak)]
+        tasks += [_window(grid[i], d[i], grid[j], d[j], target, cls) for i, j in windows]
 
-    found = [e for edges in _run(spec, tasks) for e in edges]
-    found.sort(key=lambda e: e.energy)
-    # the same edge reached from two cells, or as a crossing and a tangency,
-    # agrees to the refiners' stopping tolerance; a narrow gap's two edges
-    # lie farther apart
-    deduped: list[NumericBandEdge] = []
-    for e in found:
-        merge_tol = 4.0 * (_XTOL + _SQRT_EPS * abs(e.energy))
-        if deduped and abs(e.energy - deduped[-1].energy) < merge_tol and e.period_class == deduped[-1].period_class:
-            if e.multiplicity > deduped[-1].multiplicity:
-                deduped[-1] = e
-            continue
-        deduped.append(e)
-
+    found = sorted((e for edges in _run(spec, tasks) for e in edges), key=lambda e: e.energy)
     a = potentials.normal_form(spec).a  # 0 for a custom potential
     if a >= 1:
         expected = 2 * a + 1
-        simple = sum(1 for e in deduped if e.multiplicity == 1)
+        simple = sum(1 for e in found if e.multiplicity == 1)
         if simple < expected:
             warnings.warn(
                 f"found {simple} simple band edges but the base family (a={a}) has {expected}; "
                 "the energy range is probably too small",
                 stacklevel=2,
             )
-    return deduped
+    return found
 
 
 def dispersion_numeric(spec, E: float) -> complex:

@@ -13,13 +13,12 @@ the Floquet engine and the closed-form machinery both rely on.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import elliptic as ell
 from .elliptic import jets_from_scd
@@ -40,6 +39,7 @@ __all__ = [
     "normal_form",
     "ground_state",
     "on_line",
+    "pole_lines",
 ]
 
 _BETA_POLE_MARGIN = 1e-4
@@ -131,22 +131,14 @@ class PTTransform(PotentialSpec):
                                  " expression to continue onto the line i x + beta")
         if inner.beta is not None:
             raise PotentialError("nested PT transforms are not supported")
-        if self.beta == 0.0:
-            raise PotentialError("beta must be nonzero (it keeps the pole lattice off the line)")
         mod = ell.modulus(inner.m)
         if not 0.0 < self.beta < 2.0 * mod.K:
             raise PotentialError(f"beta={self.beta!r} outside (0, 2K) = (0, {2 * mod.K:.6g})")
-        if min(self.beta, 2.0 * mod.K - self.beta) < _BETA_POLE_MARGIN:
-            raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the sn pole line")
-        if inner.b >= 1 and abs(self.beta - mod.K) < _BETA_POLE_MARGIN:
-            raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the dn zero line")
-        # Partner ground states can vanish on the line for unlucky beta;
-        # validate over one period by direct sampling.
-        if inner.partner:
-            f = compiled_value_fn(self)
-            vals = np.array([f(x) for x in np.linspace(0.0, self.period, 65)])
-            if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e8:
-                raise PotentialError("PT transform hits a singular point on the real line; move beta")
+        names = ("sn pole line", "dn zero line")[: 1 + (inner.b >= 1)]
+        for k, r in enumerate(pole_lines(inner.poles, inner.m)):
+            if min(abs(self.beta - r), abs(2.0 * mod.K - r - self.beta)) < _BETA_POLE_MARGIN:
+                line = names[k] if k < len(names) else "zero line of the partner's ground state"
+                raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the {line}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +256,13 @@ def normal_form(spec: PotentialSpec) -> Form:
     return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
                       ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0, ()), partner=True,
                       poles=f.poles + zeros)
+
+
+@functools.lru_cache(maxsize=256)
+def pole_lines(poles: tuple, m: float) -> tuple[float, ...]:
+    """r in [0, K] for each sn**2 value in ``poles`` (a :class:`Form`'s): the
+    poles of V lie on the lines Re u = +-r (mod 2K) of its Jacobi argument u."""
+    return tuple(0.0 if math.isinf(w) else abs(ell.inverse_sn(cmath.sqrt(w), m).real) for w in poles)
 
 
 def ground_state(spec: PotentialSpec):

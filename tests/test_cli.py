@@ -204,8 +204,14 @@ class TestIntegrationLine:
         ["--a", "3", "--pt", "--m", "0.5", "--beta", "0.1"],
         # its ground state nearly vanishes on the user's line
         ["--a", "2", "--b", "1", "--m", "0.8299558300434793", "--beta", "0.6323595682218661", "--pt", "--partner"],
+        # near m = 1: the a=3 top gap is 4.6e-5 wide, and its conditioning
+        # sets the edge error there (8.6e-8)
+        ["--a", "3", "--pt", "--m", "0.95", "--beta", "0.5"],
+        ["--a", "3", "--pt", "--partner", "--m", "0.95", "--beta", "0.5"],
+        ["--a", "2", "--b", "1", "--pt", "--m", "0.95", "--beta", "0.5"],
+        ["--a", "2", "--b", "1", "--pt", "--partner", "--m", "0.95", "--beta", "0.5"],
     ], ids=["a3-m0.05", "a21-m0.05", "a3-beta0.05", "a3-partner-beta0.05", "a21-beta0.05", "a3-beta0.1",
-            "a21-partner-near-ground-zero"])
+            "a21-partner-near-ground-zero", "a3-m0.95", "a3-partner-m0.95", "a21-m0.95", "a21-partner-m0.95"])
     def test_edges_near_a_pole(self, argv, tmp_path):
         out = tmp_path / "edges.csv"
         assert cli.main(["edges", *argv, "--shift-zero", "--out", str(out)]) == 0

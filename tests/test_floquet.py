@@ -187,9 +187,25 @@ class TestEdgeFinding:
         monkeypatch.setattr(flq, "_propagate", counted)
         monkeypatch.setattr(flq, "monodromy", scalar)
         found = flq.find_band_edges(spec, e_min, e_max)
-        n_scan = max(int(flq._DENSITY * (e_max - e_min)) + 1, 81)
-        assert len(calls) <= math.ceil(n_scan / flq._CHUNK) + 30
+        scan_batches = math.ceil(max(int(flq._DENSITY * (e_max - e_min)) + 1, 81) / flq._CHUNK)
+        # measured: 9 rounds over 38 energies; integrating the windows' ends
+        # again, besides the scan, takes 13 rounds over 83
+        assert len(calls) - scan_batches <= 11
+        assert sum(calls[scan_batches:]) < 83
         assert np.allclose([e.energy for e in found], ref, atol=1e-8)
+
+    @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
+    def test_no_edge_is_found_twice(self, m, beta):
+        # scan windows share no interior, so two edges of one class never lie
+        # within the refiners' stopping tolerance of each other, where two
+        # reports of one edge would land
+        sets = list(inv._edge_sets(m, beta).values()) + [
+            flq.find_band_edges(FREE, 0.2, 10.0), flq.find_band_edges(pot.AssociatedLame(2, 1, m), -1.0, 12.0)]
+        for edges in sets:
+            for cls in "PA":
+                energies = [e.energy for e in edges if e.period_class == cls]
+                for lo, hi in zip(energies, energies[1:]):
+                    assert hi - lo >= 4.0 * (flq._XTOL + flq._SQRT_EPS * abs(hi))
 
     def test_refinement_checks_every_energy(self, monkeypatch):
         # the scan records det defects without judging them, so a failure
@@ -276,6 +292,22 @@ class TestIntegrationLine:
         for spec in inv.specs(m, beta).values():
             best = min(vmax(spec, b) for b in np.linspace(0.0, two_k, 51)[1:-1])
             assert vmax(spec, flq.integration_beta(spec)) < 2.0 * best
+
+    def test_line_costs_no_potential_calls(self, monkeypatch):
+        # the line comes from the pole geometry alone, and rebuilding a
+        # partner's PT transform on it samples nothing; V is evaluated only
+        # inside integrations
+        calls = []
+        compiled = pot.compiled_value_fn
+
+        def counted(spec):
+            f = compiled(spec)
+            return lambda x: calls.append(x) or f(x)
+
+        monkeypatch.setattr(pot, "compiled_value_fn", counted)
+        flq._line.cache_clear()
+        flq.integration_beta(inv.specs(M, BETA)["a3-exchanged"])
+        assert calls == []
 
     def test_monodromy_records_the_line(self):
         # the user's line, integrated as a custom potential, gives the same trace

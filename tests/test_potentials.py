@@ -44,6 +44,15 @@ class TestConstruction:
         # the same beta is fine for a plain Lame potential
         pot.PTTransform(pot.Lame(2, M), ell.modulus(M).K)
 
+    def test_pt_rejects_beta_on_partner_zero_line(self):
+        # the real a=3 ground state vanishes on Re u = K, so its partner has
+        # poles on that line
+        real3 = pot.Shifted(pot.Lame(3, M), spc.ground_energy("lame", 3, 0, M, pt=False))
+        K = ell.modulus(M).K
+        for beta in (K - 5e-5, K + 5e-5):
+            with pytest.raises(pot.PotentialError, match="zero line of the partner's ground state"):
+                pot.PTTransform(pot.SusyPartner(real3), beta)
+
     def test_nested_pt_rejected(self):
         inner = pot.PTTransform(pot.Lame(1, M), BETA)
         with pytest.raises(pot.PotentialError):
