@@ -42,6 +42,7 @@ __all__ = [
     "NumericBandEdge",
     "integration_beta",
     "monodromy",
+    "discriminants",
     "discriminant_scan",
     "find_band_edges",
     "dispersion_numeric",
@@ -66,11 +67,14 @@ _ROOT_RTOL = 8.9e-16
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # find_band_edges: scan samples per unit energy, root tolerance, the |Delta|
-# - 2 below which a peak is a closed gap, and energies per scan batch
+# - 2 below which a peak is a closed gap
 _DENSITY = 400.0
 _XTOL = 1e-10
 _CLOSED_GAP_TOL = 1e-7
-_CHUNK = 200
+# energies per integration batch.  A batch takes about as many steps as one
+# energy, so its cost is mostly per-step overhead; 1800 would save little
+# more per energy and hold several MB more of solver state.
+_CHUNK = 800
 
 
 class FloquetIntegrationError(RuntimeError):
@@ -126,19 +130,25 @@ class ScanResult:
 
 class _BudgetedDOP853(DOP853):
     """DOP853 that reports failure after ``_MAX_STEPS`` steps, or once its
-    step falls below ``_MIN_STEP`` of the interval."""
+    step falls below ``_MIN_STEP`` of the interval.
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
+    ``steps`` counts the accepted steps.  ``solve_ivp`` does not return its
+    solver, so each instance appends itself to the ``made`` list passed in
+    the options.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, made, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self.steps_left = _MAX_STEPS
+        self.steps = 0
         self.h_floor = _MIN_STEP * abs(t_bound - t0)
+        made.append(self)
 
     def _step_impl(self):
-        if self.steps_left <= 0:
+        if self.steps >= _MAX_STEPS:
             return False, f"step budget of {_MAX_STEPS} exhausted"
         if self.h_abs < self.h_floor:
             return False, f"step size fell below {_MIN_STEP:g} of the period"
-        self.steps_left -= 1
+        self.steps += 1
         return super()._step_impl()
 
 
@@ -191,7 +201,10 @@ def _propagate(spec, energies, x0: float = 0.0):
         out[n2:] = (v - EE) * y[:n2]
         return out
 
-    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, rtol=RTOL, atol=ATOL)
+    # t_eval keeps the end point alone, not a copy of the state per step
+    made = []
+    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, t_eval=[x0 + L], rtol=RTOL, atol=ATOL,
+                    made=made)
     if not sol.success:
         raise FloquetIntegrationError(
             f"integration failed over one period ({sol.message}); a pole on or near the integration line?"
@@ -203,7 +216,7 @@ def _propagate(spec, energies, x0: float = 0.0):
     ms[:, 1, 0] = y[n2::2]
     ms[:, 1, 1] = y[n2 + 1 :: 2]
     defects = np.abs(ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0] - 1.0)
-    return ms, defects, IntegratorStats(steps=len(sol.t) - 1, nfev=sol.nfev, det_defect=float(defects.max()))
+    return ms, defects, IntegratorStats(steps=made[0].steps, nfev=sol.nfev, det_defect=float(defects.max()))
 
 
 def _checked_propagate(spec, energies, x0: float = 0.0):
@@ -235,6 +248,20 @@ def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
 
 
+def discriminants(spec, energies) -> np.ndarray:
+    """Delta at each of ``energies``, integrated in batches of ``_CHUNK``.
+
+    Every batch is Wronskian checked as :func:`monodromy` is; raises
+    :class:`FloquetIntegrationError` naming the first energy that fails.
+    """
+    energies = np.asarray(energies, dtype=float)
+    out = np.empty(energies.size, dtype=complex)
+    for lo in range(0, energies.size, _CHUNK):
+        ms, _ = _checked_propagate(spec, energies[lo : lo + _CHUNK])
+        out[lo : lo + _CHUNK] = ms[:, 0, 0] + ms[:, 1, 1]
+    return out
+
+
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     """Discriminant over a uniform energy grid.
 
@@ -262,16 +289,15 @@ def _run(spec, tasks):
 
     A task is a generator that yields the energies it needs next and is sent
     their discriminants.  Each round gathers the requests of every pending
-    task into one batch, integrated and Wronskian checked in a single
-    :func:`_checked_propagate` call.
+    task into one batch, integrated and Wronskian checked by
+    :func:`discriminants`.
     """
     task = _join(tasks)
     try:
         energies = next(task)
         while True:
             uniq, inv = np.unique(energies, return_inverse=True)
-            ms, _ = _checked_propagate(spec, uniq)
-            energies = task.send((ms[:, 0, 0] + ms[:, 1, 1])[inv])
+            energies = task.send(discriminants(spec, uniq)[inv])
     except StopIteration as done:
         return done.value
 
@@ -502,10 +528,16 @@ def dispersion_numeric(spec, E: float) -> complex:
 
 
 def default_energy_range(spec) -> tuple[float, float]:
-    """Heuristic edge-bracketing range: [-1, max Re V + a(a+1) m + 5], with
-    a = 0 for a custom potential."""
-    f = potentials.compiled_value_fn(spec)
+    """Heuristic edge-bracketing range: [-1, max Re V + (a(a+1) + b(b+1)) m
+    + ((a+b) pi/L)^2 + 5], with max Re V sampled on the integration line
+    (:func:`integration_beta`; Delta, and so every edge, is the same on every
+    line, but V near a pole of the user's line is not) and a = b = 0 for a
+    custom potential."""
+    f = potentials.compiled_value_fn(_line(spec)[0])
     xs = np.linspace(0.0, spec.period, 129, endpoint=False)
     vmax = max(f(float(x)).real for x in xs)
     form = potentials.normal_form(spec)
-    return (-1.0, vmax + (form.a * (form.a + 1) * form.m if form.a else 0.0) + 5.0)
+    if form.m is None:
+        return (-1.0, vmax + 5.0)
+    a, b = form.a, form.b
+    return (-1.0, vmax + (a * (a + 1) + b * (b + 1)) * form.m + ((a + b) * math.pi / spec.period) ** 2 + 5.0)

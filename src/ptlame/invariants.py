@@ -177,9 +177,8 @@ def _discriminant_relation(m, beta):
     for a in (1, 3):
         spec_pt, dual, shift = pot.PTTransform(pot.Lame(a, m), beta), pot.Lame(a, 1.0 - m), a * (a + 1)
         # sampled across the spectral span, where the discriminant stays O(1)
-        for e in np.linspace(-shift - 0.6, 0.4, 20):
-            d1 = flq.monodromy(spec_pt, float(e)).discriminant
-            worst = max(worst, abs(d1 - flq.monodromy(dual, float(e) + shift).discriminant))
+        es = np.linspace(-shift - 0.6, 0.4, 20)
+        worst = max(worst, float(np.abs(flq.discriminants(spec_pt, es) - flq.discriminants(dual, es + shift)).max()))
     return worst
 
 
@@ -191,12 +190,12 @@ def _beta_independence(m, beta):
     worst = 0.0
     for key in (k for fam in spc.ptlame_families for k in (fam, fam + ("partner",))):
         user = pot.CustomPotential(pot.compiled_value_fn(s[key]), s[key].period)
-        for e, _ in spc.predicted_edges(s[key]):
-            try:
-                on_user = flq.monodromy(user, e).discriminant
-            except flq.FloquetIntegrationError:
-                return math.inf
-            worst = max(worst, abs(on_user - flq.monodromy(s[key], e).discriminant))
+        es = [e for e, _ in spc.predicted_edges(s[key])]
+        try:
+            on_user = flq.discriminants(user, es)
+        except flq.FloquetIntegrationError:
+            return math.inf
+        worst = max(worst, float(np.abs(on_user - flq.discriminants(s[key], es)).max()))
     return worst
 
 

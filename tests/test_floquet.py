@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ptlame import elliptic as ell
 from ptlame import floquet as flq
@@ -16,6 +18,10 @@ FREE = pot.CustomPotential(lambda z: 0.0j, math.pi)
 
 def _a1_spec(m=M, beta=BETA):
     return pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
+
+
+def _a3_spec(m=M, beta=BETA):
+    return pot.Shifted(pot.PTTransform(pot.Lame(3, m), beta), spc.ground_energy("lame", 3, 0, m, pt=True))
 
 
 class TestMonodromy:
@@ -43,6 +49,38 @@ class TestMonodromy:
         assert recomputed > 100.0 * rounding
         assert r.stats.det_defect == pytest.approx(recomputed, abs=rounding)
 
+    def test_steps_count_the_accepted_steps(self):
+        # the engine keeps only the end point, so its step count comes from
+        # the solver; a plain DOP853 that stores its trajectory takes as many
+        # steps to the same end state
+        spec, E = _a3_spec(), 2.0
+        f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+
+        def rhs(x, y):
+            return np.concatenate([y[2:], (f(x) - E) * y[:2]])
+
+        y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+        sol = solve_ivp(rhs, (0.0, spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+        r = flq.monodromy(spec, E)
+        assert r.stats.steps == len(sol.t) - 1 > 0
+        assert np.allclose(r.M.ravel(), sol.y[:, -1], rtol=1e-12, atol=0.0)
+
+    def test_discriminants_check_every_batch(self, monkeypatch):
+        calls = []
+        checked = flq._checked_propagate
+
+        def counted(spec, energies):
+            calls.append(len(energies))
+            return checked(spec, energies)
+
+        monkeypatch.setattr(flq, "_checked_propagate", counted)
+        monkeypatch.setattr(flq, "_CHUNK", 2)
+        es = [0.25, 1.0, 2.0, 4.0, 7.3]
+        d = flq.discriminants(FREE, es)
+        assert calls == [2, 2, 1]
+        assert np.max(np.abs(d - 2.0 * np.cos(np.sqrt(es) * math.pi))) < 1e-9
+        assert flq.discriminants(FREE, []).size == 0
+
     def test_trace_independent_of_start_point(self):
         spec = _a1_spec()
         a = flq.monodromy(spec, 0.4)
@@ -69,6 +107,30 @@ class TestScan:
         scan = flq.discriminant_scan(spec, -0.4, 6.0, 80)
         assert not scan.im_flags.any()
         assert np.max(np.abs(scan.discriminants.imag)) < 1e-7
+
+    def test_long_scan_matches_scalar_monodromy(self):
+        # DOP853 controls the RMS of its error estimate over all 4 * _CHUNK
+        # components of a batch; a full batch must still be as accurate as
+        # one energy alone
+        spec = _a3_spec()
+        scan = flq.discriminant_scan(spec, -0.5, 8.66, 3665)
+        for i in np.linspace(0, scan.energies.size - 1, 16).astype(int):
+            assert abs(scan.discriminants[i] - flq.monodromy(spec, scan.energies[i]).discriminant) < 1e-8
+
+    def test_batch_keeps_no_trajectory(self):
+        # one full batch holds the solver's working arrays, not a copy of
+        # the state at each of its ~43 steps
+        spec = _a3_spec()
+        es = np.linspace(-0.5, 9.0, flq._CHUNK)
+        flq._propagate(spec, es[:2])  # the line and the compiled potential are cached
+        tracemalloc.start()
+        try:
+            flq._propagate(spec, es)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = es.size * 4 * 16  # bytes of one complex state vector
+        assert peak < 60 * state
 
     def test_coarse_candidates_present(self):
         kinds = {e.period_class for e in flq.find_band_edges(_a1_spec(), -0.3, 1.5)}
@@ -325,6 +387,19 @@ class TestDefaults:
         spec = _a1_spec()
         lo, hi = flq.default_energy_range(spec)
         assert lo <= 0.0 and hi >= 1.0
+
+    @pytest.mark.parametrize("spec", [
+        # the b(b+1) m term: the top edge, 8.8214, lay above the 8.600 that
+        # max V + a(a+1) m + 5 gives
+        pot.AssociatedLame(2, 1, 0.3),
+        # the user's line passes 0.05 from the sn poles, where Re V reaches
+        # ~600; on the integration line it stays O(10)
+        _a3_spec(0.75, 0.05),
+    ], ids=["real-assoc21-m0.3", "a3-pt-beta0.05"])
+    def test_default_range_holds_the_closed_form_edges(self, spec):
+        lo, hi = flq.default_energy_range(spec)
+        es = [e for e, _ in spc.predicted_edges(spec)]
+        assert lo <= min(es) and max(es) <= hi and hi - lo < 40.0
 
     def test_integration_failure_reports(self):
         blower = pot.CustomPotential(lambda z: 1.0 / (z.real - 0.5 if abs(z.real - 0.5) > 1e-14 else 1e-14) ** 2, 1.0)
