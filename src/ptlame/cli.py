@@ -232,33 +232,22 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     # shifted so its ground edge is zero
     form = pot.normal_form(spec)
     analytic = (form.kind, form.a, form.b) == ("lame", 1, 0) and form.beta is not None and not form.partner
-    offset = base0 if analytic else None
     es = np.linspace(emin, emax, n)
-    kn_re, kn_im, ka_re, ka_im, diffs = [], [], [], [], []
-    max_diff = 0.0
-    for e in es:
-        kn = flq.dispersion_numeric(spec, float(e))
-        kn_re.append(kn.real)
-        kn_im.append(kn.imag)
-        if offset is not None:
-            dp = spc.dispersion_analytic(cfg.m, cfg.beta, float(e) - offset)
-            ka_re.append(_fmt(dp.k.real))
-            ka_im.append(_fmt(dp.k.imag))
-            d = abs(dp.k - kn)
-            diffs.append(d)
-            max_diff = max(max_diff, d)
-        else:
-            ka_re.append("")
-            ka_im.append("")
-            diffs.append(float("nan"))
+    kn = flq.dispersion_numeric(spec, es)
+    if analytic:
+        ka = np.array([spc.dispersion_analytic(cfg.m, cfg.beta, float(e) - base0).k for e in es])
+        diffs = np.abs(ka - kn)
+        ka_re, ka_im = [_fmt(k) for k in ka.real], [_fmt(k) for k in ka.imag]
+    else:
+        ka_re = ka_im = [""] * n
+        diffs = np.full(n, np.nan)
+    max_diff = float(diffs.max()) if analytic else 0.0
     _write_table(cfg, "dispersion",
-                 [("e", list(es)), ("k_numeric_re", kn_re), ("k_numeric_im", kn_im),
-                  ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", diffs)],
-                 {"analytic_available": offset is not None, "max_abs_diff": max_diff,
+                 [("e", list(es)), ("k_numeric_re", list(kn.real)), ("k_numeric_im", list(kn.imag)),
+                  ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", list(diffs))],
+                 {"analytic_available": analytic, "max_abs_diff": max_diff,
                   "integration_beta": flq.integration_beta(spec)})
-    if offset is not None and max_diff >= cfg.tol:
-        return 3
-    return 0
+    return 0 if not analytic or max_diff < cfg.tol else 3
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ poles; no closed-form energy enters the engine.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -112,6 +111,9 @@ class NumericBandEdge:
     ``multiplicity`` 2 marks a tangential root (closed gap): the discriminant
     touches +/-2 without crossing, so the point is a doubly degenerate
     periodic/antiperiodic eigenvalue rather than the border of an open gap.
+    A simple edge is accurate to about 1e-10.  A closed gap sits at the top
+    of a flat peak of Delta, so its energy is accurate only to about
+    sqrt(eps)|E|, and integration noise can move it up to 10x that.
     """
 
     energy: float
@@ -177,63 +179,63 @@ def _line(spec):
 
 
 def _propagate(spec, energies, x0: float = 0.0):
-    """Integrate both canonical solutions for a batch of energies at once,
-    on the spec's integration line (:func:`integration_beta`).
+    """Transfer matrices at any number of energies, on the spec's integration
+    line (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
-    The ODE is linear and the potential is shared across the batch, so the
+    The ODE is linear and the potential is shared across a batch, so the
     right-hand side evaluates V once per stage regardless of batch size.
-    Returns the transfer matrices, their defects |det M - 1| and the
-    integrator stats, whose ``det_defect`` is the batch maximum.
-    """
-    line = _line(spec)[0]
-    f = potentials.compiled_value_fn(line)
-    L = line.period
-    EE = np.repeat(np.asarray(energies, dtype=complex), 2)
-    n2 = EE.size
-    y0 = np.zeros(2 * n2, dtype=complex)
-    y0[0:n2:2] = 1.0  # psi_a(x0) = 1
-    y0[n2 + 1 :: 2] = 1.0  # psi_b'(x0) = 1
-
-    def rhs(x, y):
-        v = f(x)
-        out = np.empty_like(y)
-        out[:n2] = y[n2:]
-        out[n2:] = (v - EE) * y[:n2]
-        return out
-
-    # t_eval keeps the end point alone, not a copy of the state per step
-    made = []
-    sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, t_eval=[x0 + L], rtol=RTOL, atol=ATOL,
-                    made=made)
-    if not sol.success:
-        raise FloquetIntegrationError(
-            f"integration failed over one period ({sol.message}); a pole on or near the integration line?"
-        )
-    y = sol.y[:, -1]
-    ms = np.empty((len(energies), 2, 2), dtype=complex)
-    ms[:, 0, 0] = y[0:n2:2]
-    ms[:, 0, 1] = y[1:n2:2]
-    ms[:, 1, 0] = y[n2::2]
-    ms[:, 1, 1] = y[n2 + 1 :: 2]
-    defects = np.abs(ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0] - 1.0)
-    return ms, defects, IntegratorStats(steps=made[0].steps, nfev=sol.nfev, det_defect=float(defects.max()))
-
-
-def _checked_propagate(spec, energies, x0: float = 0.0):
-    """:func:`_propagate` with Wronskian conservation (det M = 1) enforced.
-
+    Each batch is Wronskian checked (det M = 1) as soon as it finishes.
     det - 1 is a difference of products of the matrix entries, so far below
     the spectrum (entries ~ exp(sqrt(V-E) L)) it carries an unavoidable
     cancellation error ~ |M|^2 eps; the test scales with that.  Raises
     :class:`FloquetIntegrationError` naming the first energy that fails.
+    Returns the matrices, their defects |det M - 1| and the integrator
+    stats: steps and RHS calls summed over the batches, the largest defect.
     """
-    ms, defects, stats = _propagate(spec, energies, x0)
-    scale = np.maximum(1.0, np.abs(ms).max(axis=(1, 2))) ** 2
-    bad = np.flatnonzero(defects > _DET_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise FloquetIntegrationError(f"Wronskian drift |det M - 1| = {defects[i]:.3e} at E={float(energies[i])}")
-    return ms, stats
+    line = _line(spec)[0]
+    f = potentials.compiled_value_fn(line)
+    L = line.period
+    energies = np.asarray(energies, dtype=float)
+    ms = np.empty((energies.size, 2, 2), dtype=complex)
+    defects = np.empty(energies.size)
+    steps = nfev = 0
+    for lo in range(0, energies.size, _CHUNK):
+        EE = np.repeat(energies[lo : lo + _CHUNK].astype(complex), 2)
+        n2 = EE.size
+        y0 = np.zeros(2 * n2, dtype=complex)
+        y0[0:n2:2] = 1.0  # psi_a(x0) = 1
+        y0[n2 + 1 :: 2] = 1.0  # psi_b'(x0) = 1
+
+        def rhs(x, y):
+            v = f(x)
+            out = np.empty_like(y)
+            out[:n2] = y[n2:]
+            out[n2:] = (v - EE) * y[:n2]
+            return out
+
+        # t_eval keeps the end point alone, not a copy of the state per step
+        made = []
+        sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, t_eval=[x0 + L], rtol=RTOL, atol=ATOL,
+                        made=made)
+        if not sol.success:
+            raise FloquetIntegrationError(
+                f"integration failed over one period ({sol.message}); a pole on or near the integration line?"
+            )
+        steps += made[0].steps
+        nfev += sol.nfev
+        y = sol.y[:, -1]
+        batch = ms[lo : lo + _CHUNK]
+        batch[:, 0, 0] = y[0:n2:2]
+        batch[:, 0, 1] = y[1:n2:2]
+        batch[:, 1, 0] = y[n2::2]
+        batch[:, 1, 1] = y[n2 + 1 :: 2]
+        d = np.abs(batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0] - 1.0)
+        defects[lo : lo + _CHUNK] = d
+        bad = np.flatnonzero(d > _DET_TOL * np.maximum(1.0, np.abs(batch).max(axis=(1, 2))) ** 2)
+        if bad.size:
+            i = bad[0]
+            raise FloquetIntegrationError(f"Wronskian drift |det M - 1| = {d[i]:.3e} at E={float(energies[lo + i])}")
+    return ms, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
 
 
 def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
@@ -243,7 +245,7 @@ def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
     (det M = 1) is violated beyond 1e-9 (scaled by |M|^2), which would poison
     every downstream tolerance.
     """
-    ms, stats = _checked_propagate(spec, [float(E)], x0)
+    ms, _, stats = _propagate(spec, [E], x0)
     M = ms[0]
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
 
@@ -254,16 +256,13 @@ def discriminants(spec, energies) -> np.ndarray:
     Every batch is Wronskian checked as :func:`monodromy` is; raises
     :class:`FloquetIntegrationError` naming the first energy that fails.
     """
-    energies = np.asarray(energies, dtype=float)
-    out = np.empty(energies.size, dtype=complex)
-    for lo in range(0, energies.size, _CHUNK):
-        ms, _ = _checked_propagate(spec, energies[lo : lo + _CHUNK])
-        out[lo : lo + _CHUNK] = ms[:, 0, 0] + ms[:, 1, 1]
-    return out
+    ms = _propagate(spec, energies)[0]
+    return ms[:, 0, 0] + ms[:, 1, 1]
 
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
-    """Discriminant over a uniform energy grid.
+    """Discriminant over a uniform energy grid, Wronskian checked as
+    :func:`discriminants` is.
 
     Samples with |Im Delta| beyond 1e-6 are flagged (a PT-breaking indicator,
     asserted empty by the tests for every in-scope potential, never assumed).
@@ -274,14 +273,9 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     if n < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(e_min, e_max, n)
-    deltas = np.empty(n, dtype=complex)
-    defects = np.empty(n, dtype=float)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        ms, defects[lo:hi], _ = _propagate(spec, grid[lo:hi])
-        deltas[lo:hi] = ms[:, 0, 0] + ms[:, 1, 1]
-    im_flags = np.abs(deltas.imag) > _IM_FLAG_TOL
-    return ScanResult(grid, deltas, defects, im_flags)
+    ms, defects, _ = _propagate(spec, grid)
+    deltas = ms[:, 0, 0] + ms[:, 1, 1]
+    return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
 
 
 def _run(spec, tasks):
@@ -502,29 +496,25 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     return found
 
 
-def dispersion_numeric(spec, E: float) -> complex:
-    """Bloch wavenumber from the discriminant: k = arccos(Delta/2)/L.
+def dispersion_numeric(spec, energies) -> np.ndarray:
+    """Bloch wavenumbers k = arccos(Delta/2)/L at each of ``energies``, from
+    one :func:`discriminants` call.
 
     Inside bands k is real in [0, pi/L]; inside gaps the imaginary part
     arccosh(|Delta|/2)/L gives the evanescent attenuation (Im k > 0 by
-    convention).  When the discriminant sits within 1e-9 of +/-2 the
+    convention).  Where the discriminant sits within 1e-9 of +/-2 the
     energy is a band edge to integration accuracy and k is snapped to the
     exact zone center/boundary; arccos would otherwise amplify the
     discriminant error by a square root.
     """
     L = spec.period
-    delta = monodromy(spec, E).discriminant
-    if abs(delta.imag) < 1e-9:
-        if abs(delta.real - 2.0) < 1e-9:
-            return 0j
-        if abs(delta.real + 2.0) < 1e-9:
-            return complex(math.pi / L, 0.0)
-    k = cmath.acos(delta / 2.0) / L
-    if k.imag < 0.0:
-        k = -k
-    g = 2.0 * math.pi / L
-    k = k - g * round(k.real / g)
-    return complex(abs(k.real), k.imag)
+    delta = discriminants(spec, energies)
+    k = np.arccos(delta / 2.0) / L  # Re arccos lies in [0, pi]
+    k.imag = np.abs(k.imag)
+    real = np.abs(delta.imag) < 1e-9
+    k[real & (np.abs(delta.real - 2.0) < 1e-9)] = 0.0
+    k[real & (np.abs(delta.real + 2.0) < 1e-9)] = math.pi / L
+    return k
 
 
 def default_energy_range(spec) -> tuple[float, float]:

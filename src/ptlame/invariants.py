@@ -305,8 +305,8 @@ def _assoc21_not_self_isospectral(m, beta):
 
 def _dispersion(m, beta):
     spec = specs(m, beta)[_A1]
-    es = [float(e) for e in list(np.linspace(0.05, 0.70, 8)) + list(np.linspace(1.05, 3.0, 7))]
-    return max(abs(spc.dispersion_analytic(m, beta, e).k - flq.dispersion_numeric(spec, e)) for e in es)
+    es = np.concatenate([np.linspace(0.05, 0.70, 8), np.linspace(1.05, 3.0, 7)])
+    return max(abs(spc.dispersion_analytic(m, beta, e).k - k) for e, k in zip(es, flq.dispersion_numeric(spec, es)))
 
 
 def _bloch_residual(m, beta):

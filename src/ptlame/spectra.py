@@ -148,13 +148,13 @@ def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
     """Absolute energy of the lowest band edge for the family."""
     if (kind, a, b) not in _FAMILY_ROWS:
         raise potentials.MissingGroundStateError(f"no closed forms for family {(kind, a, b)!r}")
+    if not pt:
+        return _edge_rows(kind, a, b, m, False)[0][0]
     if kind == "lame" and a == 1:
-        return -(1.0 + m) if pt else m
+        return -(1.0 + m)
     if kind == "lame" and a == 3:
-        d = edge_constants(m)
-        return -(5.0 + 5.0 * m + 2.0 * d.delta3) if pt else 2.0 + 5.0 * m - 2.0 * d.delta1
-    sg = _sigma(m)
-    return -(5.0 + m + 2.0 * sg) if pt else 4.0 * m
+        return -(5.0 + 5.0 * m + 2.0 * edge_constants(m).delta3)
+    return -(5.0 + m + 2.0 * _sigma(m))
 
 
 def _edge_rows(kind: str, a: int, b: int, m: float, pt: bool):

@@ -16,6 +16,19 @@ M, BETA = 0.75, 0.5
 FREE = pot.CustomPotential(lambda z: 0.0j, math.pi)
 
 
+def _count_batches(monkeypatch):
+    """Record the number of energies in each integration flq makes."""
+    calls = []
+    solve = flq.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls.append(len(y0) // 4)  # (psi, psi') of two solutions per energy
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(flq, "solve_ivp", counted)
+    return calls
+
+
 def _a1_spec(m=M, beta=BETA):
     return pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
 
@@ -66,14 +79,7 @@ class TestMonodromy:
         assert np.allclose(r.M.ravel(), sol.y[:, -1], rtol=1e-12, atol=0.0)
 
     def test_discriminants_check_every_batch(self, monkeypatch):
-        calls = []
-        checked = flq._checked_propagate
-
-        def counted(spec, energies):
-            calls.append(len(energies))
-            return checked(spec, energies)
-
-        monkeypatch.setattr(flq, "_checked_propagate", counted)
+        calls = _count_batches(monkeypatch)
         monkeypatch.setattr(flq, "_CHUNK", 2)
         es = [0.25, 1.0, 2.0, 4.0, 7.3]
         d = flq.discriminants(FREE, es)
@@ -135,6 +141,15 @@ class TestScan:
     def test_coarse_candidates_present(self):
         kinds = {e.period_class for e in flq.find_band_edges(_a1_spec(), -0.3, 1.5)}
         assert kinds == {"P", "A"}
+
+    def test_scan_checks_every_batch(self, monkeypatch):
+        # a Wronskian failure stops the scan at the batch it shows in
+        calls = _count_batches(monkeypatch)
+        monkeypatch.setattr(flq, "_CHUNK", 2)
+        monkeypatch.setattr(flq, "_DET_TOL", 0.0)
+        with pytest.raises(flq.FloquetIntegrationError, match="Wronskian drift"):
+            flq.discriminant_scan(_a1_spec(), 0.3, 2.2, 5)
+        assert calls == [2]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -236,17 +251,11 @@ class TestEdgeFinding:
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
         e_min, e_max = min(ref) - 0.5, max(ref) + 0.5
-        calls = []
-        propagate = flq._propagate
-
-        def counted(spec, energies, *args, **kwargs):
-            calls.append(len(energies))
-            return propagate(spec, energies, *args, **kwargs)
+        calls = _count_batches(monkeypatch)
 
         def scalar(*args, **kwargs):
             raise AssertionError("find_band_edges made a scalar monodromy call")
 
-        monkeypatch.setattr(flq, "_propagate", counted)
         monkeypatch.setattr(flq, "monodromy", scalar)
         found = flq.find_band_edges(spec, e_min, e_max)
         scan_batches = math.ceil(max(int(flq._DENSITY * (e_max - e_min)) + 1, 81) / flq._CHUNK)
@@ -269,10 +278,26 @@ class TestEdgeFinding:
                 for lo, hi in zip(energies, energies[1:]):
                     assert hi - lo >= 4.0 * (flq._XTOL + flq._SQRT_EPS * abs(hi))
 
+    def test_closed_gaps_are_accurate_to_sqrt_eps(self):
+        # a closed gap is the top of a flat peak of Delta, so its energy is
+        # good to about sqrt(eps)|E| (measured: at most 0.43 of it), not to
+        # the ~1e-10 of a simple edge
+        found = flq.find_band_edges(FREE, 0.2, 40.0)
+        assert [e.multiplicity for e in found] == [2] * 6
+        for n, e in enumerate(found, start=1):
+            assert abs(e.energy - n * n) <= 2.0 * flq._SQRT_EPS * e.energy
+
     def test_refinement_checks_every_energy(self, monkeypatch):
-        # the scan records det defects without judging them, so a failure
-        # here can only come from the refinement's own evaluations
-        monkeypatch.setattr(flq, "_DET_TOL", 1e-300)
+        # the scan passes its check at the real tolerance, so a failure here
+        # can only come from the refinement's own evaluations
+        scan = flq.discriminant_scan
+
+        def scan_then_tighten(*args):
+            result = scan(*args)
+            monkeypatch.setattr(flq, "_DET_TOL", 1e-300)
+            return result
+
+        monkeypatch.setattr(flq, "discriminant_scan", scan_then_tighten)
         with pytest.raises(flq.FloquetIntegrationError, match="Wronskian drift"):
             flq.find_band_edges(_a1_spec(), -0.5, 1.8)
 
@@ -313,20 +338,32 @@ class TestDispersionNumeric:
     def test_edges_snap_to_zone_points(self):
         spec = _a1_spec()
         L = spec.period
-        assert abs(flq.dispersion_numeric(spec, 0.0) * L) < 1e-7
-        assert abs(flq.dispersion_numeric(spec, M) * L - math.pi) < 1e-7
+        k0, k1 = flq.dispersion_numeric(spec, [0.0, M])
+        assert abs(k0 * L) < 1e-7
+        assert abs(k1 * L - math.pi) < 1e-7
 
     def test_gap_has_positive_imaginary_part(self):
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA),
                            spc.ground_energy("lame", 3, 0, M, pt=True))
-        k = flq.dispersion_numeric(spec, 1.0)  # inside the first gap
+        k = flq.dispersion_numeric(spec, [1.0])[0]  # inside the first gap
         assert k.imag > 1e-3
 
     def test_matches_analytic_mid_band(self):
         spec = _a1_spec()
-        for E in (0.3, 2.2):
-            dp = spc.dispersion_analytic(M, BETA, E)
-            assert abs(flq.dispersion_numeric(spec, E) - dp.k) < 1e-6
+        for E, k in zip((0.3, 2.2), flq.dispersion_numeric(spec, [0.3, 2.2])):
+            assert abs(k - spc.dispersion_analytic(M, BETA, E).k) < 1e-6
+
+    def test_one_integration_for_all_energies(self, monkeypatch):
+        # 25 energies away from the band edges (0, m, 1) in one batch; each
+        # matches its own one-energy integration
+        spec = _a1_spec()
+        es = np.linspace(0.05, 2.95, 25)
+        alone = np.array([flq.dispersion_numeric(spec, [e])[0] for e in es])
+        calls = _count_batches(monkeypatch)
+        k = flq.dispersion_numeric(spec, es)
+        assert calls == [25]
+        assert np.max(np.abs(k - alone)) < 1e-9
+        assert flq.dispersion_numeric(spec, []).size == 0
 
 
 class TestIntegrationLine:
