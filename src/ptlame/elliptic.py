@@ -5,8 +5,10 @@ k**2 and is restricted to the open interval (0, 1).  Complete integrals come
 from the arithmetic-geometric mean, real-argument Jacobi functions from the
 descending-Landen backward recursion, and complex arguments from the
 real/imaginary addition decomposition, which is stable everywhere away from
-the pole lattice of sn.  Theta functions are nome series with term-wise
-derivatives, so logarithmic derivatives never touch numerical differencing.
+the pole lattice of sn.  ``inverse_sn`` solves for real or purely imaginary
+values, each by one real inversion of sn along an edge of the fundamental
+rectangle.  Theta functions are nome series with term-wise derivatives, so
+logarithmic derivatives never touch numerical differencing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.optimize import brentq
 
 __all__ = [
@@ -50,9 +51,8 @@ _POLE_TOL = 1e-6
 _THETA_ZERO_TOL = 1e-8
 # relative size of the last retained nome-series term
 _THETA_TRUNC_TOL = 1e-16
-# inverse_sn: Newton residual and iteration limit
+# inverse_sn: scale of the residual its final check accepts
 _INVERSE_TOL = 1e-10
-_INVERSE_MAX_ITER = 50
 
 
 class EllipticDomainError(ValueError):
@@ -76,7 +76,8 @@ class ThetaZeroError(ValueError):
 
 
 class InversionError(RuntimeError):
-    """Newton refinement for an inverse elliptic function did not converge."""
+    """An inverse elliptic function was asked for a value it does not
+    solve for, or its solution failed the residual check."""
 
 
 def _check_parameter(m: float) -> float:
@@ -117,17 +118,13 @@ class Modulus:
     Kprime: float
     q: float
 
-    @classmethod
-    def from_parameter(cls, m: float) -> "Modulus":
-        K = complete_K(m)
-        Kp = complete_K(1.0 - m)
-        return cls(m, K, Kp, math.exp(-math.pi * Kp / K))
-
 
 @lru_cache(maxsize=512)
 def modulus(m: float) -> Modulus:
     """Cached :class:`Modulus` for the parameter m."""
-    return Modulus.from_parameter(m)
+    K = complete_K(m)
+    Kp = complete_K(1.0 - m)
+    return Modulus(m, K, Kp, math.exp(-math.pi * Kp / K))
 
 
 @dataclass(frozen=True)
@@ -185,24 +182,17 @@ def jacobi_complex(z: complex, m: float) -> JacobiValues:
     """Jacobi sn, cn, dn for complex argument.
 
     The argument is split as z = x + i*y and the real-argument values at
-    (x, m) and (y, 1-m) are recombined with the addition formulas.  Arguments
-    closer than ``_POLE_TOL`` to the common pole lattice are rejected, since
-    every downstream tolerance dies near a pole.
+    (x, m) and (y, 1-m) are recombined with the addition formulas of
+    :func:`line_jacobi`.  Arguments closer than ``_POLE_TOL`` to the common
+    pole lattice are rejected, since every downstream tolerance dies near a
+    pole.
     """
     m = _check_parameter(m)
     z = complex(z)
     pole = sn_pole_lattice_point(z, m)
     if abs(z - pole) < _POLE_TOL:
         raise PoleProximityError(z, pole, _POLE_TOL)
-    if z.imag == 0.0:
-        return jacobi_real(z.real, m)
-    s, c, d = _jacobi_real_tuple(z.real, m)
-    s1, c1, d1 = _jacobi_real_tuple(z.imag, 1.0 - m)
-    den = c1 * c1 + m * (s * s1) ** 2
-    sn = (s * d1 + 1j * c * d * s1 * c1) / den
-    cn = (c * c1 - 1j * s * d * s1 * d1) / den
-    dn = (d * c1 * d1 - 1j * m * s * c * s1) / den
-    return JacobiValues(z, sn, cn, dn)
+    return JacobiValues(z, *_addition(z.real, m)(z.imag))
 
 
 def line_jacobi(beta: float, m: float):
@@ -219,6 +209,12 @@ def line_jacobi(beta: float, m: float):
     dist = abs(beta - 2.0 * mod.K * round(beta / (2.0 * mod.K)))
     if dist < _POLE_TOL:
         raise PoleProximityError(complex(beta), sn_pole_lattice_point(complex(beta, mod.Kprime), m), _POLE_TOL)
+    return _addition(beta, m)
+
+
+def _addition(beta: float, m: float):
+    # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked; the
+    # potential evaluator runs the closure inside the integrator's RHS
     s, c, d = _jacobi_real_tuple(beta, m)
     m1 = 1.0 - m
     ss = m * s * s
@@ -263,18 +259,15 @@ class ThetaBundle:
     modulus: Modulus
     truncation: int
 
-    @classmethod
-    def for_parameter(cls, m: float) -> "ThetaBundle":
-        mod = modulus(m)
-        n = 1
-        while mod.q ** ((n + 0.5) ** 2) > _THETA_TRUNC_TOL * mod.q ** 0.25 and n < 64:
-            n += 1
-        return cls(mod, n + 1)
-
 
 @lru_cache(maxsize=512)
 def theta_bundle(m: float) -> ThetaBundle:
-    return ThetaBundle.for_parameter(m)
+    """Cached :class:`ThetaBundle` for the parameter m."""
+    mod = modulus(m)
+    n = 1
+    while mod.q ** ((n + 0.5) ** 2) > _THETA_TRUNC_TOL * mod.q ** 0.25 and n < 64:
+        n += 1
+    return ThetaBundle(mod, n + 1)
 
 
 def theta_jets(bundle: ThetaBundle, u: complex):
@@ -346,93 +339,45 @@ def zeta_Z(bundle: ThetaBundle, u: complex) -> complex:
 # inversion
 
 
-def _real_inverse_sn(x: float, mod: Modulus) -> complex:
-    """Inverse of sn restricted to real values, traced along the boundary
-    0 -> K -> K + i*K' -> i*K' of the fundamental rectangle."""
-    m = mod.m
-    rm = math.sqrt(m)
-    sgn = 1.0 if x >= 0.0 else -1.0
-    x = abs(x)
-    if x < 1e-15:
-        return 0j
-    if abs(x - 1.0) < 1e-13:
-        return complex(sgn * mod.K, 0.0)
-    if abs(x - 1.0 / rm) < 1e-13:
-        return complex(sgn * mod.K, mod.Kprime)
-    if x < 1.0:
-        t = brentq(lambda t: _jacobi_real_tuple(t, m)[0] - x, 0.0, mod.K, xtol=1e-14, rtol=8.9e-16)
-        return complex(sgn * t, 0.0)
-    if x < 1.0 / rm:
-        # right edge: sn(K + i s) = 1/dn(s, 1-m); the sign flip moves to -K.
-        s = brentq(lambda s: _jacobi_real_tuple(s, 1.0 - m)[2] * x - 1.0, 0.0, mod.Kprime, xtol=1e-14, rtol=8.9e-16)
-        return complex(sgn * mod.K, s)
-    # top edge: sn(t + i K') = 1/(sqrt(m) sn(t))
-    target = 1.0 / (rm * x)
-    t = brentq(lambda t: _jacobi_real_tuple(t, m)[0] - target, 0.0, mod.K, xtol=1e-14, rtol=8.9e-16)
-    return complex(sgn * t, mod.Kprime)
-
-
-@lru_cache(maxsize=64)
-def _inverse_seed_grid(m: float):
-    mod = modulus(m)
-    re = np.linspace(-mod.K * 0.995, mod.K * 0.995, 41)
-    im = np.linspace(0.0, mod.Kprime * 0.96, 21)
-    pts = (re[:, None] + 1j * im[None, :]).ravel()
-    vals = np.array([jacobi_complex(p, m).sn for p in pts])
-    return pts, vals
-
-
-def _canonical_rectangle(alpha: complex, w: complex, mod: Modulus) -> complex:
-    K, Kp = mod.K, mod.Kprime
-    a = complex(alpha)
-    a -= 4.0 * K * math.floor((a.real + 2.0 * K) / (4.0 * K))
-    a -= 2j * Kp * math.floor((a.imag + Kp) / (2.0 * Kp))
-    if a.imag > Kp + 1e-12:
-        a = 2.0 * K + 2j * Kp - a
-        a -= 4.0 * K * math.floor((a.real + 2.0 * K) / (4.0 * K))
-    if a.real > K + 1e-12:
-        a = 2.0 * K - a
-    elif a.real < -K - 1e-12:
-        a = -2.0 * K - a
-    if a.imag < -1e-12 and abs(w.imag) < 1e-12:
-        a = a.conjugate()
-    return a
+def _arcsn(s: float, mu: float) -> float:
+    """t in [0, K(mu)] with sn(t | mu) = s, for s in [0, 1]."""
+    return brentq(lambda t: _jacobi_real_tuple(t, mu)[0] - s, 0.0, modulus(mu).K, xtol=1e-14, rtol=8.9e-16)
 
 
 def inverse_sn(w: complex, m: float) -> complex:
-    """Solve sn(alpha, m) = w for alpha in the fundamental rectangle.
+    """Solve sn(alpha, m) = w for real or purely imaginary w.
 
-    The representative satisfies Re(alpha) in [-K, K] and Im(alpha) in
-    [0, K'] whenever w is real or lies in the upper half plane; lower
-    half-plane values land in the mirror strip Im(alpha) in [-K', 0).  Real w
-    is solved by bracketing along the rectangle boundary; general w by Newton
-    on sn(alpha) - w seeded from a precomputed grid.
+    Real w lands on the boundary 0 -> K -> K + i*K' -> i*K' of the
+    fundamental rectangle, mirrored to Re(alpha) <= 0 for w < 0.  Imaginary
+    w = i*t lands on the imaginary axis with |Im(alpha)| < K', through
+    Jacobi's imaginary transformation sn(i*v, m) = i*sc(v, 1-m).  Each case
+    is one bracketed real inversion of sn; any other w raises
+    :class:`InversionError`.
     """
     m = _check_parameter(m)
     mod = modulus(m)
+    rm = math.sqrt(m)
     w = complex(w)
-    if abs(w.imag) < 1e-14:
-        alpha = _real_inverse_sn(w.real, mod)
+    x = abs(w.real)
+    sgn = 1.0 if w.real >= 0.0 else -1.0
+    if abs(w.imag) >= 1e-14:
+        if x >= 1e-14:
+            raise InversionError(f"inverse_sn solves only for real or purely imaginary w, not w={w}")
+        t = abs(w.imag)
+        alpha = complex(0.0, math.copysign(_arcsn(t / math.hypot(1.0, t), 1.0 - m), w.imag))
+    elif abs(x - 1.0) < 1e-13:
+        alpha = complex(sgn * mod.K, 0.0)
+    elif abs(x - 1.0 / rm) < 1e-13:
+        alpha = complex(sgn * mod.K, mod.Kprime)
+    elif x < 1.0:
+        alpha = complex(sgn * _arcsn(x, m), 0.0)
+    elif x < 1.0 / rm:
+        # right edge: sn(K + i s) = 1/dn(s, 1-m), so sn(s, 1-m)**2 = (1 - 1/x**2)/(1-m);
+        # the sign flip moves to -K.
+        alpha = complex(sgn * mod.K, _arcsn(math.sqrt((1.0 - 1.0 / (x * x)) / (1.0 - m)), 1.0 - m))
     else:
-        pts, vals = _inverse_seed_grid(m)
-        alpha = complex(pts[int(np.argmin(np.abs(vals - w)))])
-        converged = False
-        for _ in range(_INVERSE_MAX_ITER):
-            jv = jacobi_complex(alpha, m)
-            f = jv.sn - w
-            if abs(f) < _INVERSE_TOL:
-                converged = True
-                break
-            deriv = jv.cn * jv.dn
-            if abs(deriv) < 1e-14:
-                deriv = 1e-14
-            step = f / deriv
-            if abs(step) > mod.K:
-                step *= mod.K / abs(step)
-            alpha -= step
-        if not converged:
-            raise InversionError(f"inverse_sn failed to converge for w={w}, m={m}")
-        alpha = _canonical_rectangle(alpha, w, mod)
+        # top edge: sn(t + i K') = 1/(sqrt(m) sn(t))
+        alpha = complex(sgn * _arcsn(1.0 / (rm * x), m), mod.Kprime)
     residual = abs(jacobi_complex(alpha, m).sn - w)
     if residual > 100.0 * _INVERSE_TOL * max(1.0, abs(w)):
         raise InversionError(f"inverse_sn residual {residual:.3e} for w={w}, m={m}")

@@ -264,8 +264,10 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     """Discriminant over a uniform energy grid, Wronskian checked as
     :func:`discriminants` is.
 
-    Samples with |Im Delta| beyond 1e-6 are flagged (a PT-breaking indicator,
-    asserted empty by the tests for every in-scope potential, never assumed).
+    Samples with |Im Delta| beyond 1e-6 are flagged.  Delta is real at real
+    E for any PT-symmetric periodic V, PT symmetry broken or not, so a flag
+    measures integration error; the tests assert none for every in-scope
+    potential.
     :func:`find_band_edges` locates the edges from it.
     """
     if not e_min < e_max:

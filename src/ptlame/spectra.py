@@ -191,15 +191,14 @@ class BandEdge:
 
     For the PT families ``energy`` is relative to the zero ground state of the
     shifted potential; for the real families it is the plain eigenvalue.
-    ``period_class`` is 'P' (period L) or 'A' (antiperiod 2L);
-    ``eigenfunction`` evaluates the edge state normalized to max|psi| = 1 over
-    one period; ``jet`` returns (psi, psi', psi'') with analytic derivatives.
+    ``period_class`` is 'P' (period L) or 'A' (antiperiod 2L); ``jet``
+    returns (psi, psi', psi'') of the edge state, normalized to max|psi| = 1
+    over one period, with analytic derivatives.
     """
 
     index: int
     energy: float
     period_class: str
-    eigenfunction: Callable[[float], complex]
     jet: Callable[[float], tuple[complex, complex, complex]]
 
 
@@ -222,10 +221,7 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None, pt: boo
             j = raw(x)
             return j.f / norm, dfac * j.d1 / norm, dfac * dfac * j.d2 / norm
 
-        def eigenfunction(x: float, jet=jet) -> complex:
-            return jet(x)[0]
-
-        edges.append(BandEdge(idx, energy, cls, eigenfunction, jet))
+        edges.append(BandEdge(idx, energy, cls, jet))
     return edges
 
 

@@ -135,11 +135,11 @@ class TestEigenfunctions:
         for e in spc.pt_band_edges(kind, a, b, M, BETA):
             sgn = 1.0 if e.period_class == "P" else -1.0
             for x in (0.123, 1.01):
-                assert abs(e.eigenfunction(x + L) - sgn * e.eigenfunction(x)) < 1e-9
+                assert abs(e.jet(x + L)[0] - sgn * e.jet(x)[0]) < 1e-9
 
     def test_normalization(self):
         for e in spc.pt_band_edges("lame", 3, 0, M, BETA):
-            vals = [abs(e.eigenfunction(float(x)))
+            vals = [abs(e.jet(float(x))[0])
                     for x in np.linspace(0, 2 * ell.modulus(M).Kprime, 301, endpoint=False)]
             assert max(vals) < 1.0 + 1e-6
 
@@ -147,7 +147,7 @@ class TestEigenfunctions:
         e = spc.pt_band_edges("lame", 3, 0, M, BETA)[2]
         h = 1e-5
         for x in (0.2, 0.9):
-            fd = (e.eigenfunction(x + h) - e.eigenfunction(x - h)) / (2 * h)
+            fd = (e.jet(x + h)[0] - e.jet(x - h)[0]) / (2 * h)
             assert abs(fd - e.jet(x)[1]) < 1e-8
 
 
@@ -233,6 +233,17 @@ class TestDispersion:
         for E, kn in zip((M / 2, 1.8), flq.dispersion_numeric(spec, [M / 2, 1.8])):
             dp = spc.dispersion_analytic(M, BETA, E)
             assert abs(dp.k - kn) < 1e-6
+
+    @pytest.mark.parametrize("m,beta", [(0.75, 0.5), (0.3, 1.2), (0.95, 0.5)])
+    def test_matches_floquet_below_the_spectrum(self, m, beta):
+        # E < 0 puts alpha1 on the imaginary axis, the one path through
+        # inverse_sn's imaginary leg
+        spec = _shifted_pt_spec("lame", 1, 0, m, beta)
+        energies = (-2.0, -0.5, -0.05)
+        for E, kn in zip(energies, flq.dispersion_numeric(spec, energies)):
+            dp = spc.dispersion_analytic(m, beta, E)
+            assert dp.alpha1.real == 0.0
+            assert abs(dp.k - kn) < 1e-9
 
     def test_gap_attenuation(self):
         dp = spc.dispersion_analytic(M, BETA, 0.85)
