@@ -1,12 +1,21 @@
 """Numerical Floquet oracle for complex periodic Schrodinger operators.
 
-Integrates -psi'' + V(x) psi = E psi over one period with an adaptive
-embedded Runge-Kutta scheme (DOP853 at ``RTOL`` / ``ATOL``), builds the 2x2
-transfer matrix, and derives everything band-structural from its trace: the
+Integrates -psi'' + V(x) psi = E psi with an adaptive embedded Runge-Kutta
+scheme (DOP853 at ``RTOL`` / ``ATOL``), builds the 2x2 transfer matrix over
+one period, and derives everything band-structural from its trace: the
 discriminant Delta(E), band-edge locations (Delta = +/-2) with their
 periodicity classes, and the numeric dispersion arccos(Delta/2)/L.  The
 engine is deliberately independent of every closed form in the package so
 it can serve as the cross-check oracle.
+
+Every spec with a Jacobi-function form has V(-x) = conj V(x) on its
+integration line, so it is integrated over half a period and the period's
+matrix is built from that symmetry (Magnus & Winkler, *Hill's Equation*,
+1966, for even V); its Delta is real by construction.  Delta is real at
+real E for every PT-symmetric periodic V, PT symmetry broken or not (Bender,
+Dunne & Meisinger, Phys. Lett. A 252 (1999) 272), so |Im Delta| only ever
+measures integration error; it can be nonzero only for a custom potential,
+which declares no symmetry and is integrated over the whole period.
 
 A PT spec is integrated on the line i x + beta* that lies farthest from the
 poles of V (:func:`integration_beta`), not on the user's line.  Every
@@ -49,16 +58,18 @@ __all__ = [
 ]
 
 # integrator tolerances of every monodromy, scan and refinement
-RTOL = 1e-11
-ATOL = 1e-13
+RTOL = 1e-12
+ATOL = 1e-14
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
-# Limits of one integration over a period.  On the benchmark's draws (m in
-# [0.05, 0.95], beta in [0.05, 1.5]) and the test suite, an integration takes
-# at most 382 steps, none shorter than 7.8e-6 of the period.  A pole on the
-# line collapses the step size within a few hundred steps, but DOP853 itself
-# gives up only ~1e5 steps later, when the step reaches the spacing of
-# floating-point numbers.
+# Limits of one integration, over half a period or a whole one.  On the
+# benchmark's edges and scan draws (m in [0.05, 0.95], beta in [0.05, 1.5])
+# an integration takes at most 57 steps, none shorter than 1.4e-4 of the
+# period; in the test suite, at most 312 steps, none shorter than 1.6e-5 of
+# it (a custom potential on a user's line 1e-3 from the poles).  A pole on
+# the line collapses the step size within a few hundred steps, but DOP853
+# itself gives up only ~1e5 steps later, when the step reaches the spacing
+# of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
 # relative part of the root-bracket stopping rule (scipy's brentq default)
@@ -91,10 +102,14 @@ class IntegratorStats:
 class MonodromyResult:
     """Transfer matrix over one period at energy E.
 
-    ``M`` maps (psi, psi') at x0 to (psi, psi') at x0 + L in the canonical
-    basis on the line the spec was integrated on, i x + ``integration_beta``
-    (the real axis when None); det M = 1 up to integration error (checked on
-    every call) and ``discriminant`` is its trace.
+    ``M`` maps (psi, psi') at 0 to (psi, psi') at L in the canonical basis
+    on the line the spec was integrated on, i x + ``integration_beta`` (the
+    real axis when None); det M = 1 up to integration error and
+    ``discriminant`` is its trace.  ``stats.det_defect`` is the defect that
+    was checked: |det A - 1| of the half-period matrix A for a spec with a
+    Jacobi-function form, whose trace is then real by construction, and
+    |det M - 1| for a custom potential, whose trace carries integration
+    error in its imaginary part.
     """
 
     E: float
@@ -124,6 +139,11 @@ class NumericBandEdge:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Delta on an energy grid.  ``det_defects`` are the checked Wronskian
+    defects (see :class:`MonodromyResult`); ``im_flags`` marks |Im Delta| >
+    1e-6, which is integration error on a custom potential and never set
+    for the others, whose Delta is real by construction."""
+
     energies: np.ndarray
     discriminants: np.ndarray
     det_defects: np.ndarray
@@ -132,17 +152,18 @@ class ScanResult:
 
 class _BudgetedDOP853(DOP853):
     """DOP853 that reports failure after ``_MAX_STEPS`` steps, or once its
-    step falls below ``_MIN_STEP`` of the interval.
+    step falls below ``_MIN_STEP`` of the potential's period, whether it
+    integrates the whole period or half of it.
 
     ``steps`` counts the accepted steps.  ``solve_ivp`` does not return its
     solver, so each instance appends itself to the ``made`` list passed in
     the options.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, made, **options):
+    def __init__(self, fun, t0, y0, t_bound, made, period, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.steps = 0
-        self.h_floor = _MIN_STEP * abs(t_bound - t0)
+        self.h_floor = _MIN_STEP * period
         made.append(self)
 
     def _step_impl(self):
@@ -178,23 +199,34 @@ def _line(spec):
     return potentials.on_line(spec, beta), beta
 
 
-def _propagate(spec, energies, x0: float = 0.0):
-    """Transfer matrices at any number of energies, on the spec's integration
-    line (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
+def _propagate(spec, energies):
+    """Transfer matrices over one period, based at x = 0, at any number of
+    energies, on the spec's integration line (:func:`integration_beta`),
+    integrated in batches of ``_CHUNK``.
 
     The ODE is linear and the potential is shared across a batch, so the
     right-hand side evaluates V once per stage regardless of batch size.
-    Each batch is Wronskian checked (det M = 1) as soon as it finishes.
-    det - 1 is a difference of products of the matrix entries, so far below
-    the spectrum (entries ~ exp(sqrt(V-E) L)) it carries an unavoidable
-    cancellation error ~ |M|^2 eps; the test scales with that.  Raises
-    :class:`FloquetIntegrationError` naming the first energy that fails.
-    Returns the matrices, their defects |det M - 1| and the integrator
-    stats: steps and RHS calls summed over the batches, the largest defect.
+    A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
+    (real and even on the real axis, PT-invariant on i x + beta), so at real
+    E conj psi(-x) solves the equation whenever psi(x) does.  It is
+    integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
+    sigma = diag(1, -1), M = sigma conj(A)^-1 sigma A =
+    [[conj d, conj b], [conj c, conj a]] A.  A custom potential is
+    integrated over [0, L].  Each batch is Wronskian checked (det = 1) on
+    the matrix integrated, as soon as it finishes; det M = |det A|^2 would
+    miss a drift of det A's phase.  det - 1 is a difference of products of
+    the entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
+    carries an unavoidable cancellation error ~ |entries|^2 eps; the test
+    scales with that.  Raises :class:`FloquetIntegrationError` naming the
+    first energy that fails.  Returns the matrices, the checked defects
+    |det - 1| and the integrator stats: steps and RHS calls summed over the
+    batches, the largest defect.
     """
     line = _line(spec)[0]
     f = potentials.compiled_value_fn(line)
     L = line.period
+    half = potentials.normal_form(spec).kind != "custom"
+    end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)
     ms = np.empty((energies.size, 2, 2), dtype=complex)
     defects = np.empty(energies.size)
@@ -203,8 +235,8 @@ def _propagate(spec, energies, x0: float = 0.0):
         EE = np.repeat(energies[lo : lo + _CHUNK].astype(complex), 2)
         n2 = EE.size
         y0 = np.zeros(2 * n2, dtype=complex)
-        y0[0:n2:2] = 1.0  # psi_a(x0) = 1
-        y0[n2 + 1 :: 2] = 1.0  # psi_b'(x0) = 1
+        y0[0:n2:2] = 1.0  # psi_a(0) = 1
+        y0[n2 + 1 :: 2] = 1.0  # psi_b'(0) = 1
 
         def rhs(x, y):
             v = f(x)
@@ -215,37 +247,43 @@ def _propagate(spec, energies, x0: float = 0.0):
 
         # t_eval keeps the end point alone, not a copy of the state per step
         made = []
-        sol = solve_ivp(rhs, (x0, x0 + L), y0, method=_BudgetedDOP853, t_eval=[x0 + L], rtol=RTOL, atol=ATOL,
-                        made=made)
+        sol = solve_ivp(rhs, (0.0, end), y0, method=_BudgetedDOP853, t_eval=[end], rtol=RTOL, atol=ATOL,
+                        made=made, period=L)
         if not sol.success:
             raise FloquetIntegrationError(
-                f"integration failed over one period ({sol.message}); a pole on or near the integration line?"
+                f"integration failed over {'half a' if half else 'one'} period ({sol.message});"
+                " a pole on or near the integration line?"
             )
         steps += made[0].steps
         nfev += sol.nfev
         y = sol.y[:, -1]
-        batch = ms[lo : lo + _CHUNK]
-        batch[:, 0, 0] = y[0:n2:2]
-        batch[:, 0, 1] = y[1:n2:2]
-        batch[:, 1, 0] = y[n2::2]
-        batch[:, 1, 1] = y[n2 + 1 :: 2]
-        d = np.abs(batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0] - 1.0)
-        defects[lo : lo + _CHUNK] = d
-        bad = np.flatnonzero(d > _DET_TOL * np.maximum(1.0, np.abs(batch).max(axis=(1, 2))) ** 2)
+        a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
+        det = np.abs(a * d - b * c - 1.0)
+        defects[lo : lo + _CHUNK] = det
+        scale = np.maximum(1.0, np.max(np.abs([a, b, c, d]), axis=0))
+        bad = np.flatnonzero(det > _DET_TOL * scale**2)
         if bad.size:
             i = bad[0]
-            raise FloquetIntegrationError(f"Wronskian drift |det M - 1| = {d[i]:.3e} at E={float(energies[lo + i])}")
+            raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
+        if half:
+            # the product's diagonal entries are conjugates and its off-diagonal
+            # ones real; written so, the trace is real to the last bit
+            p = d.conj() * a + b.conj() * c
+            a, b, c, d = p, 2.0 * (b * d.conj()).real, 2.0 * (a * c.conj()).real, p.conj()
+        batch = ms[lo : lo + _CHUNK]
+        batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 0], batch[:, 1, 1] = a, b, c, d
     return ms, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
 
 
-def monodromy(spec, E: float, x0: float = 0.0) -> MonodromyResult:
+def monodromy(spec, E: float) -> MonodromyResult:
     """Monodromy matrix of the spec at one energy.
 
-    Raises :class:`FloquetIntegrationError` when Wronskian conservation
-    (det M = 1) is violated beyond 1e-9 (scaled by |M|^2), which would poison
-    every downstream tolerance.
+    Raises :class:`FloquetIntegrationError` when Wronskian conservation (det
+    = 1 of the integrated matrix) is violated beyond 1e-9 (scaled by the
+    square of its largest entry), which would poison every downstream
+    tolerance.
     """
-    ms, _, stats = _propagate(spec, [E], x0)
+    ms, _, stats = _propagate(spec, [E])
     M = ms[0]
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
 
@@ -266,8 +304,10 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
 
     Samples with |Im Delta| beyond 1e-6 are flagged.  Delta is real at real
     E for any PT-symmetric periodic V, PT symmetry broken or not, so a flag
-    measures integration error; the tests assert none for every in-scope
-    potential.
+    measures integration error.  A spec with a Jacobi-function form is
+    integrated by its symmetry and its Delta is real by construction, so its
+    flags are zero; only a custom potential, integrated over the whole
+    period, can raise one.
     :func:`find_band_edges` locates the edges from it.
     """
     if not e_min < e_max:

@@ -185,7 +185,8 @@ def _discriminant_relation(m, beta):
 def _beta_independence(m, beta):
     # Delta does not depend on the integration line (the Picard property):
     # the user's line, integrated as a custom potential (which stays on the
-    # real axis), against the engine's own line at the closed-form edges
+    # real axis and takes the whole period), against the engine's own line
+    # and half period at the closed-form edges
     s = specs(m, beta)
     worst = 0.0
     for key in (k for fam in spc.ptlame_families for k in (fam, fam + ("partner",))):

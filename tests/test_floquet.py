@@ -29,6 +29,18 @@ def _count_batches(monkeypatch):
     return calls
 
 
+def _half_period(spec, E):
+    """A plain DOP853 run over [0, L/2] on the spec's integration line,
+    storing its trajectory."""
+    f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+
+    def rhs(x, y):
+        return np.concatenate([y[2:], (f(x) - E) * y[:2]])
+
+    y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+    return solve_ivp(rhs, (0.0, 0.5 * spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+
+
 def _a1_spec(m=M, beta=BETA):
     return pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
 
@@ -55,28 +67,30 @@ class TestMonodromy:
         assert abs(det - 1.0) < 1e-9
 
     def test_stats_report_the_det_defect(self):
-        r = flq.monodromy(pot.PTTransform(pot.Lame(3, M), BETA), 2.0)
-        recomputed = abs(r.M[0, 0] * r.M[1, 1] - r.M[0, 1] * r.M[1, 0] - 1.0)
-        # equal up to the rounding of the products, ~eps |M|^2
-        rounding = 1e-15 * max(1.0, float(np.abs(r.M).max())) ** 2
+        # the checked defect is det A's, of the half-period matrix; det M =
+        # |det A|^2 would hide a drift of its phase
+        spec = pot.PTTransform(pot.Lame(3, M), BETA)
+        r = flq.monodromy(spec, 2.0)
+        a, b, c, d = _half_period(spec, 2.0).y[:, -1]
+        recomputed = abs(a * d - b * c - 1.0)
+        # equal up to the rounding of the products, ~eps |A|^2
+        rounding = 1e-15 * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
         assert recomputed > 100.0 * rounding
         assert r.stats.det_defect == pytest.approx(recomputed, abs=rounding)
 
     def test_steps_count_the_accepted_steps(self):
         # the engine keeps only the end point, so its step count comes from
         # the solver; a plain DOP853 that stores its trajectory takes as many
-        # steps to the same end state
-        spec, E = _a3_spec(), 2.0
-        f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
-
-        def rhs(x, y):
-            return np.concatenate([y[2:], (f(x) - E) * y[:2]])
-
-        y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        sol = solve_ivp(rhs, (0.0, spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+        # steps over half the period to the same A, and the period's matrix
+        # is sigma conj(A)^-1 sigma A.  The (2,1) potential is complex on its
+        # line, so A is too; the plain a=3 one is real on its line
+        spec, E = inv.specs(M, BETA)[("assoc", 2, 1)], 2.0
+        sol = _half_period(spec, E)
+        A = sol.y[:, -1].reshape(2, 2)
+        sigma = np.diag([1.0, -1.0])
         r = flq.monodromy(spec, E)
         assert r.stats.steps == len(sol.t) - 1 > 0
-        assert np.allclose(r.M.ravel(), sol.y[:, -1], rtol=1e-12, atol=0.0)
+        assert np.allclose(r.M, sigma @ np.linalg.inv(A.conj()) @ sigma @ A, rtol=1e-12, atol=0.0)
 
     def test_discriminants_check_every_batch(self, monkeypatch):
         calls = _count_batches(monkeypatch)
@@ -88,9 +102,13 @@ class TestMonodromy:
         assert flq.discriminants(FREE, []).size == 0
 
     def test_trace_independent_of_start_point(self):
+        # V(x + L/3) is not symmetric about 0, so it is integrated over the
+        # whole period, from a base point L/3 along the same line
         spec = _a1_spec()
+        f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+        shifted = pot.CustomPotential(lambda x: f(x + spec.period / 3.0), spec.period)
         a = flq.monodromy(spec, 0.4)
-        b = flq.monodromy(spec, 0.4, x0=spec.period / 3.0)
+        b = flq.monodromy(shifted, 0.4)
         assert abs(a.discriminant - b.discriminant) < 1e-9
 
     def test_real_discriminant_for_pt_spec(self):
@@ -98,6 +116,48 @@ class TestMonodromy:
                            spc.ground_energy("lame", 3, 0, M, pt=True))
         for E in (0.5, 2.0, 6.0):
             assert abs(flq.monodromy(spec, E).discriminant.imag) < 1e-7
+
+
+class TestHalfPeriod:
+    """A spec with a Jacobi-function form is integrated over [0, L/2] and its
+    monodromy built from V(-x) = conj V(x); a custom one over [0, L]."""
+
+    @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
+    def test_potentials_are_symmetric_on_their_line(self, m, beta):
+        real = [pot.Lame(1, m), pot.Lame(2, m), pot.Lame(3, m), pot.AssociatedLame(2, 1, m)]
+        for spec in list(inv.specs(m, beta).values()) + real:
+            f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+            for x in np.linspace(0.0, spec.period, 17):
+                v = f(x)
+                assert abs(f(-x) - v.conjugate()) <= 1e-13 * abs(v)
+
+    def test_half_period_matches_full_period(self):
+        # the same line, integrated by the engine's symmetry and as a custom
+        # potential over the whole period
+        es = np.linspace(-1.0, 30.0, 800)
+        for spec in inv.specs(M, BETA).values():
+            user = pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))),
+                                       spec.period)
+            half, full = flq.discriminants(spec, es), flq.discriminants(user, es)
+            assert np.max(np.abs(half - full) / np.maximum(1.0, np.abs(full))) <= 1e-9
+
+    def test_custom_potential_keeps_the_full_period(self):
+        # cos 2x + 0.5 sin 4x is not even, so half a period does not fix M
+        def v(x):
+            return math.cos(2.0 * x) + 0.5 * math.sin(4.0 * x)
+
+        spec = pot.CustomPotential(v, math.pi)
+        es = [-0.5, 0.7, 1.0, 2.5, 4.2]
+        for E, delta in zip(es, flq.discriminants(spec, es)):
+            sol = solve_ivp(lambda x, y, E=E: [y[2], y[3], (v(x) - E) * y[0], (v(x) - E) * y[1]],
+                            (0.0, math.pi), [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15)
+            assert abs(delta - (sol.y[0, -1] + sol.y[3, -1])) < 1e-9
+
+    def test_batch_rhs_calls(self):
+        # one 800-energy batch on the a=3 anchor: 377 RHS calls over half a
+        # period at RTOL 1e-12, against 545 over the whole one at 1e-11
+        stats = flq._propagate(_a3_spec(), np.linspace(-0.5, 9.0, flq._CHUNK))[2]
+        assert stats.nfev <= 400
 
 
 class TestScan:
