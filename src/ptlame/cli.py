@@ -122,9 +122,27 @@ def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None
             fh.write(text)
 
 
+def _samples(cfg: RunConfig, default: int, least: int) -> int:
+    """``--n``, or the command's default when unset; ConfigError below ``least``."""
+    n = default if cfg.n is None else cfg.n
+    if n < least:
+        raise ConfigError(f"--n must be at least {least}, not {n}")
+    return n
+
+
+def _energy_range(cfg: RunConfig, lo, hi) -> tuple[float, float]:
+    """``--emin``/``--emax``, each defaulting to ``lo``/``hi``; ConfigError
+    unless the range is nonempty."""
+    emin = cfg.emin if cfg.emin is not None else lo
+    emax = cfg.emax if cfg.emax is not None else hi
+    if not emin < emax:
+        raise ConfigError(f"--emin ({emin}) must be below --emax ({emax})")
+    return emin, emax
+
+
 def cmd_sample_potential(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    n = cfg.n or 400
+    n = _samples(cfg, 400, 1)
     L = spec.period
     xs = np.linspace(0.0, 2.0 * L, 2 * n, endpoint=False)
     f = pot.compiled_value_fn(spec)
@@ -159,9 +177,7 @@ def cmd_edges(cfg: RunConfig) -> int:
         hi = max(e for e, _ in predicted) + 0.5
     else:
         lo, hi = flq.default_energy_range(spec)
-    emin = cfg.emin if cfg.emin is not None else lo
-    emax = cfg.emax if cfg.emax is not None else hi
-    found = flq.find_band_edges(spec, emin, emax)
+    found = flq.find_band_edges(spec, *_energy_range(cfg, lo, hi))
     simple = [e for e in found if e.multiplicity == 1]
     pairs = _pair_edges(predicted or [], found)
 
@@ -193,11 +209,9 @@ def cmd_edges(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
-    if cfg.emin is None or cfg.emax is None:
-        lo, hi = flq.default_energy_range(spec)
-    emin = cfg.emin if cfg.emin is not None else lo
-    emax = cfg.emax if cfg.emax is not None else hi
-    n = cfg.n or 500
+    n = _samples(cfg, 500, 2)
+    lo, hi = flq.default_energy_range(spec) if cfg.emin is None or cfg.emax is None else (None, None)
+    emin, emax = _energy_range(cfg, lo, hi)
     scan = flq.discriminant_scan(spec, emin, emax, n)
     cols = [("e", list(scan.energies)),
             ("re_delta", list(scan.discriminants.real)),
@@ -225,9 +239,8 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     spec = build_spec(cfg)
     predicted = spc.predicted_edges(spec)
     base0 = predicted[0][0] if predicted else 0.0
-    emin = cfg.emin if cfg.emin is not None else base0
-    emax = cfg.emax if cfg.emax is not None else base0 + 3.0
-    n = cfg.n or 25
+    emin, emax = _energy_range(cfg, base0, base0 + 3.0)
+    n = _samples(cfg, 25, 1)
     # the analytic dispersion covers the a=1 PT potential, in the basis
     # shifted so its ground edge is zero
     form = pot.normal_form(spec)
@@ -300,13 +313,15 @@ def _parser() -> argparse.ArgumentParser:
                         help="shift so the lowest band edge sits at zero energy")
     common.add_argument("--emin", type=float, default=None)
     common.add_argument("--emax", type=float, default=None)
-    common.add_argument("--n", type=int, default=None)
-    sub.add_parser("sample-potential", parents=[common])
+    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampled.add_argument("--n", type=int, default=None,
+                         help="samples: points per period, scan energies, dispersion energies")
+    sub.add_parser("sample-potential", parents=[sampled])
     sub.add_parser("edges", parents=[common])
-    ps = sub.add_parser("scan", parents=[common])
+    ps = sub.add_parser("scan", parents=[sampled])
     ps.add_argument("--paired", action="store_true",
                     help="emit the modulus-dual Lame discriminant side by side")
-    sub.add_parser("dispersion", parents=[common])
+    sub.add_parser("dispersion", parents=[sampled])
     sub.add_parser("selfcheck", parents=[point])
     return p
 

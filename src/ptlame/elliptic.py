@@ -6,9 +6,10 @@ from the arithmetic-geometric mean, real-argument Jacobi functions from the
 descending-Landen backward recursion, and complex arguments from the
 real/imaginary addition decomposition, which is stable everywhere away from
 the pole lattice of sn.  ``inverse_sn`` solves for real or purely imaginary
-values, each by one real inversion of sn along an edge of the fundamental
-rectangle.  Theta functions are nome series with term-wise derivatives, so
-logarithmic derivatives never touch numerical differencing.
+values, each by one incomplete integral of the first kind along an edge of
+the fundamental rectangle, in Carlson's form.  Theta functions are nome
+series with term-wise derivatives, so logarithmic derivatives never touch
+numerical differencing.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import brentq
 
 __all__ = [
     "EllipticDomainError",
@@ -53,6 +52,8 @@ _THETA_ZERO_TOL = 1e-8
 _THETA_TRUNC_TOL = 1e-16
 # inverse_sn: scale of the residual its final check accepts
 _INVERSE_TOL = 1e-10
+# Carlson's R_F: (3 r)^(-1/6) for a relative truncation error r = 2^-53
+_RF_SCALE = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
 
 
 class EllipticDomainError(ValueError):
@@ -339,9 +340,35 @@ def zeta_Z(bundle: ThetaBundle, u: complex) -> complex:
 # inversion
 
 
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z), for x, y, z >= 0 with at
+    most one of them zero.
+
+    Duplication (DLMF 19.26.18) until the arguments agree to
+    ``_RF_SCALE``, then the fifth-order series about their mean (DLMF
+    19.36.1; Carlson, Numer. Algorithms 10 (1995) 13).
+    """
+    a0 = a = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _RF_SCALE * max(abs(dx), abs(dy), abs(a0 - z))
+    f = 1.0  # 4^-n after n duplications
+    while f * q >= a:
+        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = rx * ry + ry * rz + rz * rx
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        f *= 0.25
+    X, Y = f * dx / a, f * dy / a
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+
+
 def _arcsn(s: float, mu: float) -> float:
-    """t in [0, K(mu)] with sn(t | mu) = s, for s in [0, 1]."""
-    return brentq(lambda t: _jacobi_real_tuple(t, mu)[0] - s, 0.0, modulus(mu).K, xtol=1e-14, rtol=8.9e-16)
+    """t in [0, K(mu)] with sn(t | mu) = s, for s in [0, 1]: the incomplete
+    integral F(arcsin s | mu) = s R_F(1 - s^2, 1 - mu s^2, 1) (DLMF 19.25.5),
+    with 1 - mu s^2 = (1 - mu) + mu (1 - s^2) accurate as s -> 1."""
+    c2 = (1.0 - s) * (1.0 + s)
+    return s * _carlson_rf(c2, (1.0 - mu) + mu * c2, 1.0)
 
 
 def inverse_sn(w: complex, m: float) -> complex:
@@ -351,7 +378,8 @@ def inverse_sn(w: complex, m: float) -> complex:
     fundamental rectangle, mirrored to Re(alpha) <= 0 for w < 0.  Imaginary
     w = i*t lands on the imaginary axis with |Im(alpha)| < K', through
     Jacobi's imaginary transformation sn(i*v, m) = i*sc(v, 1-m).  Each case
-    is one bracketed real inversion of sn; any other w raises
+    is one incomplete integral of the first kind, in closed form through
+    Carlson's R_F, with no root find; any other w raises
     :class:`InversionError`.
     """
     m = _check_parameter(m)

@@ -1,12 +1,12 @@
 """Numerical Floquet oracle for complex periodic Schrodinger operators.
 
 Integrates -psi'' + V(x) psi = E psi with an adaptive embedded Runge-Kutta
-scheme (DOP853 at ``RTOL`` / ``ATOL``), builds the 2x2 transfer matrix over
-one period, and derives everything band-structural from its trace: the
-discriminant Delta(E), band-edge locations (Delta = +/-2) with their
-periodicity classes, and the numeric dispersion arccos(Delta/2)/L.  The
-engine is deliberately independent of every closed form in the package so
-it can serve as the cross-check oracle.
+scheme (DOP853 at ``RTOL`` / ``ATOL``, :func:`solve_ivp`), builds the 2x2
+transfer matrix over one period, and derives everything band-structural
+from its trace: the discriminant Delta(E), band-edge locations (Delta =
++/-2) with their periodicity classes, and the numeric dispersion
+arccos(Delta/2)/L.  The engine is deliberately independent of every closed
+form in the package so it can serve as the cross-check oracle.
 
 Every spec with a Jacobi-function form has V(-x) = conj V(x) on its
 integration line, so it is integrated over half a period and the period's
@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 
 from . import elliptic as ell
 from . import potentials
@@ -150,29 +149,143 @@ class ScanResult:
     im_flags: np.ndarray
 
 
-class _BudgetedDOP853(DOP853):
-    """DOP853 that reports failure after ``_MAX_STEPS`` steps, or once its
-    step falls below ``_MIN_STEP`` of the potential's period, whether it
-    integrates the whole period or half of it.
+# DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed., 1993, Sec.
+# II.10, the coefficients of their dop853.f): stage nodes _C, stage weights
+# _A (row s combines stages 0..s-1), 8th-order weights _B, and the weights of
+# the 5th- and 3rd-order error estimates _E5 and _E3 over stages 0..12
+# (stage 12 is the derivative at the new point).
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0)
+_A = [np.array(row) for row in (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)]
+_B = np.array((5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+               1.89151789931450038304281599044, -5.8012039600105847814672114227,
+               3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+               2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2))
+_E5 = np.array((0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+                -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+                -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+                0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0))
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1)
+# step control: the error is O(h^8), so factors are error_norm^(-1/8)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
-    ``steps`` counts the accepted steps.  ``solve_ivp`` does not return its
-    solver, so each instance appends itself to the ``made`` list passed in
-    the options.
+
+@dataclass(frozen=True)
+class _Solution:
+    """One :func:`solve_ivp` run: ``y`` is the state where it stopped (the
+    end point when ``success``), ``nfev`` its RHS calls and ``steps`` its
+    accepted steps; ``message`` names the reason of a failure."""
+
+    success: bool
+    message: str | None
+    y: np.ndarray
+    nfev: int
+    steps: int
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
+    """Integrate y' = fun(t, y) from t0 to t1 > t0 (``t_span``) by DOP853 at
+    ``RTOL`` / ``ATOL``, keeping only the end point.
+
+    Step control is that of scipy's ``solve_ivp(method="DOP853")``, so the
+    steps and the end point are the same bit for bit: the initial step of
+    Hairer et al. Sec. II.4, an RMS error norm that combines the 5th- and
+    3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8) times the
+    last, kept in [0.2, 10] and at most 1 after a rejection, and no step
+    below 10 spacings of floating-point numbers at t.  There is no dense
+    output.  Fails after ``_MAX_STEPS`` steps, or once the step falls below
+    ``_MIN_STEP`` of ``period``, whether the span is the whole period or
+    half of it.
     """
+    t, t1 = map(float, t_span)
+    y = np.asarray(y0)
+    nfev = 0
 
-    def __init__(self, fun, t0, y0, t_bound, made, period, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.steps = 0
-        self.h_floor = _MIN_STEP * period
-        made.append(self)
+    def rhs(x, z):
+        nonlocal nfev
+        nfev += 1
+        return fun(x, z)
 
-    def _step_impl(self):
-        if self.steps >= _MAX_STEPS:
-            return False, f"step budget of {_MAX_STEPS} exhausted"
-        if self.h_abs < self.h_floor:
-            return False, f"step size fell below {_MIN_STEP:g} of the period"
-        self.steps += 1
-        return super()._step_impl()
+    f = rhs(t, y)
+    # initial step
+    scale = ATOL + np.abs(y) * RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, t1 - t)
+
+    K = np.empty((13, y.size), dtype=y.dtype)
+    h_floor = _MIN_STEP * period
+    steps = 0
+    while t != t1:
+        if steps >= _MAX_STEPS:
+            return _Solution(False, f"step budget of {_MAX_STEPS} exhausted", y, nfev, steps)
+        if h_abs < h_floor:
+            return _Solution(False, f"step size fell below {_MIN_STEP:g} of the period", y, nfev, steps)
+        steps += 1
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _Solution(False, "required step size is less than spacing between numbers", y, nfev, steps)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s]) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = f_new = rhs(t_new, y_new)
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            err = 0.0 if err5 == 0 and err3 == 0 else h * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return _Solution(True, None, y, nfev, steps)
 
 
 def integration_beta(spec) -> float | None:
@@ -245,18 +358,15 @@ def _propagate(spec, energies):
             out[n2:] = (v - EE) * y[:n2]
             return out
 
-        # t_eval keeps the end point alone, not a copy of the state per step
-        made = []
-        sol = solve_ivp(rhs, (0.0, end), y0, method=_BudgetedDOP853, t_eval=[end], rtol=RTOL, atol=ATOL,
-                        made=made, period=L)
+        sol = solve_ivp(rhs, (0.0, end), y0, period=L)
         if not sol.success:
             raise FloquetIntegrationError(
                 f"integration failed over {'half a' if half else 'one'} period ({sol.message});"
                 " a pole on or near the integration line?"
             )
-        steps += made[0].steps
+        steps += sol.steps
         nfev += sol.nfev
-        y = sol.y[:, -1]
+        y = sol.y
         a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
         det = np.abs(a * d - b * c - 1.0)
         defects[lo : lo + _CHUNK] = det

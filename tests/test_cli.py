@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +142,46 @@ class TestEdges:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A bad --n or energy range is a configuration error, exit 2, raised
+    before any integration; --n belongs to the commands that read it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "1"],
+        ["scan", "--emin", "5", "--emax", "1"],
+        ["edges", "--emin", "3", "--emax", "1"],
+        ["sample-potential", "--n", "-3"],
+        ["dispersion", "--n", "0"],
+    ])
+    def test_config_error(self, argv, capsys, monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(flq, "_propagate", no_integration)
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_edges_takes_no_n(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["edges", "--n", "3"])
+        assert exc.value.code == 2
+
+
+def test_runs_without_scipy():
+    # the a=3 edges and the a=1 dispersion across its gap integrate and take
+    # every inverse_sn leg, with scipy unimportable
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ptlame import cli\n"
+        "sys.exit(cli.main(['edges', '--a', '3', '--pt', '--shift-zero'])"
+        " or cli.main(['dispersion', '--a', '1', '--pt', '--shift-zero', '--emin', '-2', '--emax', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestScan:

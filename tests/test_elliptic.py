@@ -292,6 +292,19 @@ class TestInverseSn:
                 assert abs(alpha.imag) < kp
                 assert abs(ell.jacobi_complex(alpha, m).sn - w) < 1e-9 * max(1.0, abs(w))
 
+    @pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_arcsn_against_mpmath(self, mu):
+        # t = s R_F(1 - s^2, 1 - mu s^2, 1) against F(arcsin s | mu), up to
+        # s -> 1, where t -> K(mu)
+        import mpmath as mp
+
+        grid = [float(s) for s in np.linspace(0.0, 1.0, 21)] + [1.0 - 10.0**-k for k in range(2, 16)]
+        with mp.workdps(30):
+            refs = [float(mp.ellipf(mp.asin(s), mu)) for s in grid]
+        for s, ref in zip(grid, refs):
+            assert abs(ell._arcsn(s, mu) - ref) <= 1e-14 * ref
+        assert abs(ell._arcsn(1.0, mu) - ell.modulus(mu).K) <= 1e-14 * ell.modulus(mu).K
+
     @pytest.mark.parametrize("w", [0.3 + 0.7j, -0.2 + 1.4j, 1.3 + 0.2j])
     def test_off_axis_w_raises(self, w):
         with pytest.raises(ell.InversionError, match="real or purely imaginary"):

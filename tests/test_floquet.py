@@ -154,10 +154,44 @@ class TestHalfPeriod:
             assert abs(delta - (sol.y[0, -1] + sol.y[3, -1])) < 1e-9
 
     def test_batch_rhs_calls(self):
-        # one 800-energy batch on the a=3 anchor: 377 RHS calls over half a
+        # one 800-energy batch on the a=3 anchor: 374 RHS calls over half a
         # period at RTOL 1e-12, against 545 over the whole one at 1e-11
         stats = flq._propagate(_a3_spec(), np.linspace(-0.5, 9.0, flq._CHUNK))[2]
         assert stats.nfev <= 400
+
+
+class TestStepper:
+    """flq.solve_ivp against scipy's DOP853, whose step control it keeps."""
+
+    def test_matches_scipy_dop853(self, monkeypatch):
+        # each spec's batch, integrated again by scipy at the same tolerances:
+        # the same accepted steps and RHS calls, 3 fewer than scipy's run to
+        # t_eval=[end], which builds the dense output of the last step, and
+        # the same Delta
+        runs = []
+        solve = flq.solve_ivp
+
+        def recorded(fun, t_span, y0, **kwargs):
+            runs.append((fun, t_span, y0, solve(fun, t_span, y0, **kwargs)))
+            return runs[-1][3]
+
+        monkeypatch.setattr(flq, "solve_ivp", recorded)
+        es = np.linspace(-1.0, 30.0, flq._CHUNK)
+        for spec in inv.specs(M, BETA).values():
+            runs.clear()
+            delta = flq.discriminants(spec, es)
+            [(fun, t_span, y0, sol)] = runs
+            assert t_span == (0.0, 0.5 * spec.period)
+            plain = solve_ivp(fun, t_span, y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+            end = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=[t_span[1]], rtol=flq.RTOL, atol=flq.ATOL)
+            assert sol.success and plain.success and end.success
+            assert sol.steps == len(plain.t) - 1
+            assert sol.nfev == plain.nfev == end.nfev - 3
+            n2 = y0.size // 2
+            y = end.y[:, -1]
+            a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
+            ref = 2.0 * (d.conj() * a + b.conj() * c).real
+            assert np.max(np.abs(delta - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
 class TestScan:
