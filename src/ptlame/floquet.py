@@ -75,11 +75,16 @@ _MIN_STEP = 1e-10  # fraction of the period
 _ROOT_RTOL = 8.9e-16
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-# find_band_edges: scan samples per unit energy, root tolerance, the |Delta|
-# - 2 below which a peak is a closed gap
-_DENSITY = 400.0
+# find_band_edges: coarse scan samples per unit energy, zoom samples inside
+# each coarse cell of a window, root tolerance, and the |Delta -+ 2| within
+# which a sample or a peak lies on the target.  The last is integration
+# noise: at most 1.3e-12 at the 197 closed gaps of the free particle and 36
+# specs on [-0.5, 40], against 1.5e-10 at the peak of the narrowest open gap
+# on the benchmark's domain (a=3 PT, m = 0.95, 4.6e-5 wide).
+_DENSITY = 20.0
+_ZOOM = 16
 _XTOL = 1e-10
-_CLOSED_GAP_TOL = 1e-7
+_CLOSED_GAP_TOL = 1e-11
 # energies per integration batch.  A batch takes about as many steps as one
 # energy, so its cost is mostly per-step overhead; 1800 would save little
 # more per energy and hold several MB more of solver state.
@@ -127,7 +132,10 @@ class NumericBandEdge:
     periodic/antiperiodic eigenvalue rather than the border of an open gap.
     A simple edge is accurate to about 1e-10.  A closed gap sits at the top
     of a flat peak of Delta, so its energy is accurate only to about
-    sqrt(eps)|E|, and integration noise can move it up to 10x that.
+    sqrt(eps)|E|, and integration noise can move it up to 10x that.  "Closed"
+    means Delta reaches +/-2 to within integration noise (1e-11), so an open
+    gap narrower than about 1e-5, whose Delta passes +/-2 by less, is reported
+    closed.
     """
 
     energy: float
@@ -307,8 +315,11 @@ def _line(spec):
         return spec, None
     two_k = 2.0 * ell.modulus(form.m).K
     ends = sorted({x % two_k for r in potentials.pole_lines(form.poles, form.m) for x in (r, -r)})
-    lo, hi = max(zip(ends, ends[1:] + [ends[0] + two_k]), key=lambda gap: gap[1] - gap[0])
-    beta = (0.5 * (lo + hi)) % two_k
+    gaps = [(hi - lo, 0.5 * (lo + hi) % two_k) for lo, hi in zip(ends, ends[1:] + [ends[0] + two_k])]
+    # x -> -x maps the gaps onto themselves, so each has a mirror twin as wide
+    # up to rounding; of the two, the one centred in [0, K] is chosen
+    slack = 1e-12 * two_k
+    beta = max(g for g in gaps if (g[1] + slack) % two_k <= 0.5 * two_k + 2.0 * slack)[1]
     return potentials.on_line(spec, beta), beta
 
 
@@ -577,22 +588,51 @@ def _edges(roots, cls, multiplicity=1):
     return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
 
 
-def _window(lo, d_lo, hi, d_hi, target, cls):
-    """Edges of class ``cls`` in one scan window [lo, hi], given the scan's
-    own Delta at its ends, which are never integrated again.
+def _toward(d, target):
+    """sign (Re Delta - target), sign that of the target: 0 on the target,
+    and a peak of Delta toward it is a maximum."""
+    return np.copysign(1.0, target) * (np.real(d) - target)
 
-    Ends that straddle the target bracket one root.  Otherwise the window
-    holds a peak of Delta toward the target: a closed gap (one edge of
-    multiplicity 2) where it touches the target to ``_CLOSED_GAP_TOL``, the
+
+def _windows(t):
+    """Windows (i, j) of one target on an energy grid, from :func:`_toward`
+    at its samples: each cell whose ends straddle the target, or whose upper
+    end is on it, and the two cells around each sample where Delta peaks
+    short of it.  A sample within ``_CLOSED_GAP_TOL`` of the target lies on it
+    to integration noise.  A run of such samples between two samples short of
+    the target is a tangency, one window with them, not crossings; between
+    two past it, it is no window.  Windows share no interior, so no root is
+    found twice.
+    """
+    s = np.where(t > _CLOSED_GAP_TOL, 1, np.where(t < -_CLOSED_GAP_TOL, -1, 0))
+    cross = (t[:-1] * t[1:] < 0.0) | (t[1:] == 0.0)
+    # a strict > on the left keeps a two-sample plateau to one window
+    peak = (t[1:-1] > t[:-2]) & (t[1:-1] >= t[2:]) & (s[1:-1] < 0)
+    windows = [(i, i + 2) for i in np.flatnonzero(peak)]
+    runs = np.diff(np.concatenate(([0], s == 0, [0])))
+    for i, j in zip(np.flatnonzero(runs == 1), np.flatnonzero(runs == -1)):  # runs [i, j) on the target
+        if 0 < i and j < s.size and s[i - 1] == s[j]:
+            cross[i - 1 : j] = False
+            if s[j] < 0:
+                windows.append((i - 1, j))
+    return sorted(windows + [(i, i + 1) for i in np.flatnonzero(cross)])
+
+
+def _window(lo, d_lo, hi, d_hi, target, cls):
+    """Edges of class ``cls`` in one window [lo, hi] of :func:`_windows`,
+    given Delta at its ends, which are never integrated again.
+
+    Ends that straddle the target bracket one root.  Otherwise the
+    window holds a peak of Delta toward the target: a closed gap (one edge of
+    multiplicity 2) where it reaches the target to ``_CLOSED_GAP_TOL``, the
     two roots of a barely open gap where it passes it, none where it falls
     short.
     """
-    if (d_lo.real - target) * (d_hi.real - target) <= 0.0:
+    if _toward(d_lo, target) * _toward(d_hi, target) <= 0.0:
         root = yield from _bracket(lo, d_lo, hi, d_hi, target)
         return _edges([root], cls)
-    sign = 1.0 if target > 0 else -1.0
-    e_star, d_star = yield from _extremum(lo, hi, sign)
-    gap = sign * (d_star.real - target)
+    e_star, d_star = yield from _extremum(lo, hi, 1.0 if target > 0 else -1.0)
+    gap = _toward(d_star, target)
     if abs(gap) <= _CLOSED_GAP_TOL:
         return _edges([(e_star, d_star)], cls, 2)
     if gap < 0.0:
@@ -605,34 +645,39 @@ def _window(lo, d_lo, hi, d_hi, target, cls):
 
 
 def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
-    """Locate all discriminant roots Delta = +/-2 in [e_min, e_max].
+    """Locate all discriminant roots Delta = +/-2 in [e_min, e_max], on two
+    levels.
 
-    The scan (``_DENSITY`` samples per unit energy) is cut into windows, each
-    refined by one :func:`_window` task from the scan's own samples at its
-    ends: a cell (lo, hi] whose ends straddle the target, or whose upper end
-    hits it; or the two cells around a sample where Delta peaks at most 2e-4
-    short of the target, with no crossing in either.  Windows share no
-    interior, so no edge is found twice.  The tasks of both targets run in
-    lockstep, one batched, Wronskian-checked integration per round.  A
-    warning is issued when fewer than the 2a+1 edges expected for a
-    recognized base family are found, which usually means the range is too
-    small.
+    The coarse scan (``_DENSITY`` samples per unit energy, at least 81) sees
+    every extremum of Delta: they lie in gaps (Magnus & Winkler, *Hill's
+    Equation*, 1966) and are units of energy apart.  :func:`_windows` cuts it
+    into windows for each target, and every coarse cell some window covers is
+    resampled at ``_ZOOM`` interior points, all in one batched integration.
+    The same rule then cuts each window's zoomed grid, and one
+    :func:`_window` task refines each of those windows from the grid's own
+    samples at its ends.  The tasks of both targets run in lockstep, one
+    batched, Wronskian-checked integration per round.  V is sampled only
+    inside the integrations.  A warning is issued when fewer than the 2a+1
+    edges expected for a recognized base family are found, which usually
+    means the range is too small.
     """
     n = max(int(_DENSITY * (e_max - e_min)) + 1, 81)
     scan = discriminant_scan(spec, e_min, e_max, n)
     grid, d = scan.energies, scan.discriminants
+    coarse = [(target, cls, i, j) for target, cls in ((2.0, "P"), (-2.0, "A"))
+              for i, j in _windows(_toward(d, target))]
+    # row r of fine: the lower end of cells[r] and its _ZOOM interior points
+    cells = np.array(sorted({k for *_, i, j in coarse for k in range(i, j)}), dtype=int)
+    fine = grid[cells, None] + (grid[cells + 1] - grid[cells])[:, None] * (np.arange(_ZOOM + 1) / (_ZOOM + 1))
+    d_fine = np.empty(fine.shape, dtype=complex)
+    d_fine[:, 0] = d[cells]
+    d_fine[:, 1:] = discriminants(spec, fine[:, 1:].ravel()).reshape(-1, _ZOOM)
+    row = {k: r for r, k in enumerate(cells)}
     tasks = []
-    for target, cls in ((2.0, "P"), (-2.0, "A")):
-        g = d.real - target
-        crossing = (g[:-1] * g[1:] < 0.0) | (g[1:] == 0.0)
-        toward = (1.0 if target > 0 else -1.0) * g
-        # a strict > on the left keeps a two-sample plateau to one window; a
-        # peak past the target has all three samples inside an open gap
-        mid = toward[1:-1]
-        peak = (mid > toward[:-2]) & (mid >= toward[2:]) & (mid > -2e-4) & (mid <= 0.0)
-        peak &= ~(crossing[:-1] | crossing[1:])
-        windows = [(i, i + 1) for i in np.flatnonzero(crossing)] + [(i, i + 2) for i in np.flatnonzero(peak)]
-        tasks += [_window(grid[i], d[i], grid[j], d[j], target, cls) for i, j in windows]
+    for target, cls, i, j in coarse:
+        rows = slice(row[i], row[i] + j - i)  # a window's cells are consecutive rows
+        es, ds = np.append(fine[rows], grid[j]), np.append(d_fine[rows], d[j])
+        tasks += [_window(es[p], ds[p], es[q], ds[q], target, cls) for p, q in _windows(_toward(ds, target))]
 
     found = sorted((e for edges in _run(spec, tasks) for e in edges), key=lambda e: e.energy)
     a = potentials.normal_form(spec).a  # 0 for a custom potential

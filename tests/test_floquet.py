@@ -311,11 +311,12 @@ class TestEdgeFinding:
 
     def test_gap_inside_one_scan_cell_splits(self):
         # 2q cos 2x opens the first gap over [1 - q, 1 + q] (to O(q^2)); no
-        # grid point falls inside it, so only the extremum search around the
+        # sample of the coarse or the zoomed grid falls inside it (the nearest
+        # are 0.9994 and 1.00087), so only the extremum search around the
         # nearest sample finds the two roots
         q = 5e-4
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
-        found = flq.find_band_edges(spec, 0.50125, 2.50125)
+        found = flq.find_band_edges(spec, 0.4994, 2.4994)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
         assert np.allclose([e.energy for e in found], [1.0 - q - q * q / 8.0, 1.0 + q - q * q / 8.0], atol=1e-9)
 
@@ -330,7 +331,7 @@ class TestEdgeFinding:
 
     def test_narrow_top_gap_keeps_both_edges(self):
         # at m = 0.9 the a=3 PT top gap is 3.9e-4 wide, narrower than a
-        # quarter of a scan cell; both of its edges are distinct results
+        # quarter of a zoomed cell; both of its edges are distinct results
         m, beta = 0.9, 0.4
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, m), beta), spc.ground_energy("lame", 3, 0, m, pt=True))
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
@@ -353,11 +354,56 @@ class TestEdgeFinding:
         monkeypatch.setattr(flq, "monodromy", scalar)
         found = flq.find_band_edges(spec, e_min, e_max)
         scan_batches = math.ceil(max(int(flq._DENSITY * (e_max - e_min)) + 1, 81) / flq._CHUNK)
-        # measured: 9 rounds over 38 energies; integrating the windows' ends
-        # again, besides the scan, takes 13 rounds over 83
+        # measured: the coarse scan, the zoom and 8 refinement rounds, 10
+        # integrations over 335 energies; a scan at 400 per unit and
+        # refinement from it took 14 over 3,703
         assert len(calls) - scan_batches <= 11
-        assert sum(calls[scan_batches:]) < 83
+        assert len(calls) <= 10
+        assert sum(calls) < 400
         assert np.allclose([e.energy for e in found], ref, atol=1e-8)
+
+    def test_barely_open_gap_keeps_both_edges(self):
+        # the top gap is 7.2e-5 wide at (0.9423, 0.5276), and Delta passes -2
+        # in it by only 3.7e-10: an open gap, not a closed one
+        m, beta = 0.9423, 0.5276
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        spec = _a3_spec(m, beta)
+        for s in (spec, pot.SusyPartner(spec)):
+            found = [e for e in flq.find_band_edges(s, min(ref) - 0.5, max(ref) + 0.5) if e.multiplicity == 1]
+            assert len(found) == 7
+            assert np.allclose([e.energy for e in found], ref, atol=1e-6)
+
+    @pytest.mark.parametrize("m,beta", [(0.9, 0.4), (0.95, 0.5)])
+    def test_narrow_top_gap_is_open_on_a_wide_range(self, m, beta):
+        # the top gap is 3.9e-4 and 4.6e-5 wide; no scan sample need fall in it
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        found = [e for e in flq.find_band_edges(_a3_spec(m, beta), -0.5, 40.0) if e.energy < max(ref) + 0.5]
+        assert [(e.period_class, e.multiplicity) for e in found[-2:]] == [("A", 1), ("A", 1)]
+        assert np.allclose([e.energy for e in found if e.multiplicity == 1], ref, atol=1e-6)
+
+    def test_sample_on_a_tangency_is_a_closed_gap(self):
+        # a scan sample on E = 1 exactly, where Delta is -2 to integration
+        # noise: one closed gap, not a simple edge
+        e_min, e_max = 0.5, 2.5
+        assert 1.0 in np.linspace(e_min, e_max, max(int(flq._DENSITY * (e_max - e_min)) + 1, 81))
+        found = flq.find_band_edges(FREE, e_min, e_max)
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
+        assert abs(found[0].energy - 1.0) < 1e-6
+
+    def test_noise_past_a_tangency_is_a_closed_gap(self, monkeypatch):
+        # Delta = 2 cos(pi sqrt(E)) - 1e-13 passes -2 by noise alone around
+        # E = 1, and the scan sample on it lies past the target: one closed
+        # gap, not two simple edges 4e-7 apart
+        def propagate(spec, energies):
+            half = np.cos(np.pi * np.sqrt(np.asarray(energies, dtype=float))) - 5e-14
+            ms = np.zeros((half.size, 2, 2), dtype=complex)
+            ms[:, 0, 0] = ms[:, 1, 1] = half
+            return ms, np.zeros(half.size), flq.IntegratorStats(1, 1, 0.0)
+
+        monkeypatch.setattr(flq, "_propagate", propagate)
+        found = flq.find_band_edges(FREE, 0.5, 2.5)
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
+        assert abs(found[0].energy - 1.0) < 1e-6
 
     @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
     def test_no_edge_is_found_twice(self, m, beta):
@@ -365,7 +411,7 @@ class TestEdgeFinding:
         # within the refiners' stopping tolerance of each other, where two
         # reports of one edge would land
         sets = list(inv._edge_sets(m, beta).values()) + [
-            flq.find_band_edges(FREE, 0.2, 10.0), flq.find_band_edges(pot.AssociatedLame(2, 1, m), -1.0, 12.0)]
+            flq.find_band_edges(FREE, 0.2, 40.0), flq.find_band_edges(pot.AssociatedLame(2, 1, m), -1.0, 12.0)]
         for edges in sets:
             for cls in "PA":
                 energies = [e.energy for e in edges if e.period_class == cls]
@@ -374,10 +420,10 @@ class TestEdgeFinding:
 
     def test_closed_gaps_are_accurate_to_sqrt_eps(self):
         # a closed gap is the top of a flat peak of Delta, so its energy is
-        # good to about sqrt(eps)|E| (measured: at most 0.43 of it), not to
+        # good to about sqrt(eps)|E| (measured: at most 0.51 of it), not to
         # the ~1e-10 of a simple edge
         found = flq.find_band_edges(FREE, 0.2, 40.0)
-        assert [e.multiplicity for e in found] == [2] * 6
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 3
         for n, e in enumerate(found, start=1):
             assert abs(e.energy - n * n) <= 2.0 * flq._SQRT_EPS * e.energy
 
@@ -501,6 +547,26 @@ class TestIntegrationLine:
         flq._line.cache_clear()
         flq.integration_beta(inv.specs(M, BETA)["a3-exchanged"])
         assert calls == []
+
+    def test_line_is_stable_under_rounding(self, monkeypatch):
+        # the (2,1) partner's widest pole gap has a mirror twin centred at
+        # 2K - beta*; moving one pole line by 2 ulps must not switch to it
+        spec = inv.specs(M, BETA)[("assoc", 2, 1, "partner")]
+        beta = flq.integration_beta(spec)
+        lines = pot.pole_lines
+        try:
+            for ulps in (-2, 2):
+                def moved(poles, m, ulps=ulps):
+                    r = list(lines(poles, m))
+                    r[-1] += ulps * math.ulp(r[-1])
+                    return tuple(r)
+
+                monkeypatch.setattr(pot, "pole_lines", moved)
+                flq._line.cache_clear()
+                assert flq.integration_beta(spec) == pytest.approx(beta, abs=1e-12)
+        finally:
+            flq._line.cache_clear()
+        assert beta <= ell.modulus(M).K
 
     def test_monodromy_records_the_line(self):
         # the user's line, integrated as a custom potential, gives the same trace
