@@ -74,13 +74,13 @@ _MIN_STEP = 1e-10  # fraction of the period
 # relative part of the root-bracket stopping rule (scipy's brentq default)
 _ROOT_RTOL = 8.9e-16
 _SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # find_band_edges: coarse scan samples per unit energy, zoom samples inside
-# each coarse cell of a window, root tolerance, and the |Delta -+ 2| within
-# which a sample or a peak lies on the target.  The last is integration
-# noise: at most 1.3e-12 at the 197 closed gaps of the free particle and 36
-# specs on [-0.5, 40], against 1.5e-10 at the peak of the narrowest open gap
-# on the benchmark's domain (a=3 PT, m = 0.95, 4.6e-5 wide).
+# each cell of a zoomed grid (a window's coarse cells, then each round of a
+# peak search), root tolerance, and the |Delta -+ 2| within which a sample
+# lies on the target.  The last is integration noise: at most 1.3e-12 at the
+# 197 closed gaps of the free particle and 36 specs on [-0.5, 40], against
+# 1.5e-10 at the peak of the narrowest open gap on the benchmark's domain
+# (a=3 PT, m = 0.95, 4.6e-5 wide).
 _DENSITY = 20.0
 _ZOOM = 16
 _XTOL = 1e-10
@@ -131,11 +131,12 @@ class NumericBandEdge:
     touches +/-2 without crossing, so the point is a doubly degenerate
     periodic/antiperiodic eigenvalue rather than the border of an open gap.
     A simple edge is accurate to about 1e-10.  A closed gap sits at the top
-    of a flat peak of Delta, so its energy is accurate only to about
-    sqrt(eps)|E|, and integration noise can move it up to 10x that.  "Closed"
-    means Delta reaches +/-2 to within integration noise (1e-11), so an open
-    gap narrower than about 1e-5, whose Delta passes +/-2 by less, is reported
-    closed.
+    of a flat peak of Delta, and the peak search stops once the two cells
+    around its best sample are narrower than sqrt(eps)|E|, so its energy is
+    accurate only to about that; on the flattest peaks integration noise can
+    move it somewhat further.  "Closed" means Delta reaches +/-2 to within
+    integration noise (1e-11), so an open gap narrower than about 1e-5, whose
+    Delta passes +/-2 by less, is reported closed.
     """
 
     energy: float
@@ -526,64 +527,6 @@ def _bracket(a, da, b, db, target):
         widths.append(b - a)
 
 
-def _extremum(lo, hi, sign):
-    """Energy in [lo, hi] where sign * Re Delta peaks, with Delta there.
-
-    Brent's search (golden-section steps, parabolic ones where the fit is
-    acceptable), as in scipy's bounded ``minimize_scalar``, stopped at the
-    same tolerance sqrt(eps)|E| + _XTOL/3.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    dx = (yield [x])[0]
-    fx = fw = fv = -sign * dx.real
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _XTOL / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, dx
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        step = max(abs(d), tol1)
-        u = x + (step if d >= 0.0 else -step)
-        du = (yield [u])[0]
-        fu = -sign * du.real
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw = w, fw, x, fx
-            x, fx, dx = u, fu, du
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def _edges(roots, cls, multiplicity=1):
     return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
 
@@ -618,20 +561,51 @@ def _windows(t):
     return sorted(windows + [(i, i + 1) for i in np.flatnonzero(cross)])
 
 
-def _window(lo, d_lo, hi, d_hi, target, cls):
-    """Edges of class ``cls`` in one window [lo, hi] of :func:`_windows`,
-    given Delta at its ends, which are never integrated again.
+def _zoom(es, ds):
+    """The grid ``es`` with ``_ZOOM`` points inside each of its cells, merged
+    back in order, and Delta on it: ``ds`` at the old samples, one request
+    for the new ones.  A task, as :func:`_run` drives."""
+    fine = np.append(es[:-1, None] + np.diff(es)[:, None] * (np.arange(_ZOOM + 1) / (_ZOOM + 1)), es[-1])
+    new = np.arange(fine.size) % (_ZOOM + 1) > 0
+    d_fine = np.empty(fine.size, dtype=complex)
+    d_fine[~new] = ds
+    d_fine[new] = yield fine[new]
+    return fine, d_fine
 
-    Ends that straddle the target bracket one root.  Otherwise the
-    window holds a peak of Delta toward the target: a closed gap (one edge of
-    multiplicity 2) where it reaches the target to ``_CLOSED_GAP_TOL``, the
-    two roots of a barely open gap where it passes it, none where it falls
-    short.
+
+def _peak(es, ds, target):
+    """Best sample (E, Delta) of the peak of Delta toward the target on the
+    grid ``es``, whose ends lie short of it.
+
+    Each round resamples the two cells around the best interior sample by
+    :func:`_zoom`.  Stops once that sample passes the target by more than
+    ``_CLOSED_GAP_TOL``, or once the two cells are narrower than
+    sqrt(eps)|E| + _XTOL/3, the stopping rule of Brent's bounded search.
     """
+    while True:
+        k = 1 + int(np.argmax(_toward(ds[1:-1], target)))
+        if _toward(ds[k], target) > _CLOSED_GAP_TOL or es[k + 1] - es[k - 1] < _SQRT_EPS * abs(es[k]) + _XTOL / 3.0:
+            return es[k], ds[k]
+        es, ds = yield from _zoom(es[k - 1 : k + 2], ds[k - 1 : k + 2])
+
+
+def _window(es, ds, target, cls):
+    """Edges of class ``cls`` in one window of :func:`_windows`, given its
+    grid samples ``es`` and Delta ``ds`` there, which are never integrated
+    again.
+
+    Ends that straddle the target bracket one root.  Otherwise the window
+    holds a peak of Delta toward the target, which :func:`_peak` searches
+    from the window's samples: a closed gap (one edge of multiplicity 2)
+    where its best sample lies on the target to ``_CLOSED_GAP_TOL``, the two
+    roots of a barely open gap, bracketed from the sample that passes it,
+    none where it falls short.
+    """
+    lo, d_lo, hi, d_hi = es[0], ds[0], es[-1], ds[-1]
     if _toward(d_lo, target) * _toward(d_hi, target) <= 0.0:
         root = yield from _bracket(lo, d_lo, hi, d_hi, target)
         return _edges([root], cls)
-    e_star, d_star = yield from _extremum(lo, hi, 1.0 if target > 0 else -1.0)
+    e_star, d_star = yield from _peak(es, ds, target)
     gap = _toward(d_star, target)
     if abs(gap) <= _CLOSED_GAP_TOL:
         return _edges([(e_star, d_star)], cls, 2)
@@ -651,33 +625,24 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     The coarse scan (``_DENSITY`` samples per unit energy, at least 81) sees
     every extremum of Delta: they lie in gaps (Magnus & Winkler, *Hill's
     Equation*, 1966) and are units of energy apart.  :func:`_windows` cuts it
-    into windows for each target, and every coarse cell some window covers is
-    resampled at ``_ZOOM`` interior points, all in one batched integration.
-    The same rule then cuts each window's zoomed grid, and one
+    into windows for each target, and :func:`_zoom` resamples every window at
+    ``_ZOOM`` points inside each of its cells, all in one batched
+    integration.  The same rule then cuts each window's zoomed grid, and one
     :func:`_window` task refines each of those windows from the grid's own
-    samples at its ends.  The tasks of both targets run in lockstep, one
-    batched, Wronskian-checked integration per round.  V is sampled only
-    inside the integrations.  A warning is issued when fewer than the 2a+1
-    edges expected for a recognized base family are found, which usually
-    means the range is too small.
+    samples.  The tasks of both targets run in lockstep, one batched,
+    Wronskian-checked integration per round.  V is sampled only inside the
+    integrations.  A warning is issued when fewer than the 2a+1 edges
+    expected for a recognized base family are found, which usually means the
+    range is too small.
     """
     n = max(int(_DENSITY * (e_max - e_min)) + 1, 81)
     scan = discriminant_scan(spec, e_min, e_max, n)
     grid, d = scan.energies, scan.discriminants
     coarse = [(target, cls, i, j) for target, cls in ((2.0, "P"), (-2.0, "A"))
               for i, j in _windows(_toward(d, target))]
-    # row r of fine: the lower end of cells[r] and its _ZOOM interior points
-    cells = np.array(sorted({k for *_, i, j in coarse for k in range(i, j)}), dtype=int)
-    fine = grid[cells, None] + (grid[cells + 1] - grid[cells])[:, None] * (np.arange(_ZOOM + 1) / (_ZOOM + 1))
-    d_fine = np.empty(fine.shape, dtype=complex)
-    d_fine[:, 0] = d[cells]
-    d_fine[:, 1:] = discriminants(spec, fine[:, 1:].ravel()).reshape(-1, _ZOOM)
-    row = {k: r for r, k in enumerate(cells)}
-    tasks = []
-    for target, cls, i, j in coarse:
-        rows = slice(row[i], row[i] + j - i)  # a window's cells are consecutive rows
-        es, ds = np.append(fine[rows], grid[j]), np.append(d_fine[rows], d[j])
-        tasks += [_window(es[p], ds[p], es[q], ds[q], target, cls) for p, q in _windows(_toward(ds, target))]
+    zoomed = _run(spec, [_zoom(grid[i : j + 1], d[i : j + 1]) for *_, i, j in coarse])
+    tasks = [_window(es[p : q + 1], ds[p : q + 1], target, cls)
+             for (target, cls, *_), (es, ds) in zip(coarse, zoomed) for p, q in _windows(_toward(ds, target))]
 
     found = sorted((e for edges in _run(spec, tasks) for e in edges), key=lambda e: e.energy)
     a = potentials.normal_form(spec).a  # 0 for a custom potential

@@ -312,8 +312,8 @@ class TestEdgeFinding:
     def test_gap_inside_one_scan_cell_splits(self):
         # 2q cos 2x opens the first gap over [1 - q, 1 + q] (to O(q^2)); no
         # sample of the coarse or the zoomed grid falls inside it (the nearest
-        # are 0.9994 and 1.00087), so only the extremum search around the
-        # nearest sample finds the two roots
+        # are 0.9994 and 1.00087), so only the peak search around the nearest
+        # sample finds the two roots
         q = 5e-4
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
         found = flq.find_band_edges(spec, 0.4994, 2.4994)
@@ -340,8 +340,8 @@ class TestEdgeFinding:
         assert np.allclose([e.energy for e in found], ref, atol=1e-6)
 
     def test_refinement_runs_in_lockstep_batches(self, monkeypatch):
-        # every bracket and extremum search advances in one batched
-        # integration per round; no energy is integrated on its own
+        # every bracket and peak search advances in one batched integration
+        # per round; no energy is integrated on its own
         e_g = spc.ground_energy("lame", 3, 0, M, pt=True)
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
@@ -361,6 +361,26 @@ class TestEdgeFinding:
         assert len(calls) <= 10
         assert sum(calls) < 400
         assert np.allclose([e.energy for e in found], ref, atol=1e-8)
+
+    @pytest.mark.parametrize("spec,e_min,e_max,kinds", [
+        (FREE, 0.2, 40.0, [("A", 2), ("P", 2)] * 3),
+        (pot.AssociatedLame(2, 1, M), 2.5, 9.0, [("P", 1), ("A", 1), ("A", 1), ("P", 2), ("A", 1), ("A", 1)]),
+    ], ids=["free", "assoc21"])
+    def test_peak_search_runs_in_few_batches(self, monkeypatch, spec, e_min, e_max, kinds):
+        # each round of a peak search narrows its two cells 17-fold; measured:
+        # 7 integrations on each, the scan and the zoom included (a Brent
+        # search took 12 and 16)
+        calls = []
+        propagate = flq._propagate
+
+        def counted(spec, energies):
+            calls.append(len(energies))
+            return propagate(spec, energies)
+
+        monkeypatch.setattr(flq, "_propagate", counted)
+        found = flq.find_band_edges(spec, e_min, e_max)
+        assert len(calls) <= 8
+        assert [(e.period_class, e.multiplicity) for e in found] == kinds
 
     def test_barely_open_gap_keeps_both_edges(self):
         # the top gap is 7.2e-5 wide at (0.9423, 0.5276), and Delta passes -2
@@ -420,12 +440,24 @@ class TestEdgeFinding:
 
     def test_closed_gaps_are_accurate_to_sqrt_eps(self):
         # a closed gap is the top of a flat peak of Delta, so its energy is
-        # good to about sqrt(eps)|E| (measured: at most 0.51 of it), not to
+        # good to about sqrt(eps)|E| (measured: at most 0.59 of it), not to
         # the ~1e-10 of a simple edge
         found = flq.find_band_edges(FREE, 0.2, 40.0)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 3
         for n, e in enumerate(found, start=1):
             assert abs(e.energy - n * n) <= 2.0 * flq._SQRT_EPS * e.energy
+
+    def test_closed_gaps_match_the_partner(self):
+        # a SUSY partner is isospectral, so its closed gaps are the spec's;
+        # measured: they agree to 0.51 of sqrt(eps)|E| (2.0 with a Brent search)
+        s = inv.specs(M, BETA)
+        for fam in spc.ptlame_families:
+            e0 = min(spc.closed_form_energies(*fam, M, pt=True, shifted=True))
+            spec, partner = ([(e.energy, e.period_class) for e in flq.find_band_edges(s[k], e0 - 0.5, 40.0)
+                              if e.multiplicity == 2] for k in (fam, fam + ("partner",)))
+            assert spec and [c for _, c in spec] == [c for _, c in partner]
+            for (e, _), (f, _) in zip(spec, partner):
+                assert abs(e - f) <= 1.5 * flq._SQRT_EPS * abs(e)
 
     def test_refinement_checks_every_energy(self, monkeypatch):
         # the scan passes its check at the real tolerance, so a failure here
