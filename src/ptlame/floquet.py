@@ -56,7 +56,8 @@ __all__ = [
     "default_energy_range",
 ]
 
-# integrator tolerances of every monodromy, scan and refinement
+# integrator tolerances of every monodromy, scan and dispersion;
+# find_band_edges integrates at a hundredth of them
 RTOL = 1e-12
 ATOL = 1e-14
 _DET_TOL = 1e-9
@@ -71,20 +72,19 @@ _IM_FLAG_TOL = 1e-6
 # of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
-# relative part of the root-bracket stopping rule (scipy's brentq default)
-_ROOT_RTOL = 8.9e-16
-_SQRT_EPS = math.sqrt(2.2e-16)
-# find_band_edges: coarse scan samples per unit energy, zoom samples inside
-# each cell of a zoomed grid (a window's coarse cells, then each round of a
-# peak search), root tolerance, and the |Delta -+ 2| within which a sample
-# lies on the target.  The last is integration noise: at most 1.3e-12 at the
-# 197 closed gaps of the free particle and 36 specs on [-0.5, 40], against
-# 1.5e-10 at the peak of the narrowest open gap on the benchmark's domain
-# (a=3 PT, m = 0.95, 4.6e-5 wide).
-_DENSITY = 20.0
-_ZOOM = 16
-_XTOL = 1e-10
-_CLOSED_GAP_TOL = 1e-11
+# find_band_edges: Chebyshev points per energy piece, and the tolerances of
+# its interpolant: the last 3 coefficients of Re Delta, Re M12 and M21 within
+# _TAIL_RTOL of the largest, and within _TAIL_ATOL wherever Delta -+ 2 has a
+# root near the piece; no piece narrower than _MIN_PIECE of the range.  A
+# real root of Re M12 is a closed gap where |Delta -+ 2| and |M21| (relative
+# to the largest M12/M21 coefficient) are within _CLOSED_TOL; it absorbs the
+# roots of Delta -+ 2 within _PAIR of it, the close pair of a double root.
+_CHEB = 65
+_TAIL_RTOL = 1e-13
+_TAIL_ATOL = 1e-10
+_MIN_PIECE = 1e-6
+_CLOSED_TOL = 1e-6
+_PAIR = 1e-5
 # energies per integration batch.  A batch takes about as many steps as one
 # energy, so its cost is mostly per-step overhead; 1800 would save little
 # more per energy and hold several MB more of solver state.
@@ -130,13 +130,13 @@ class NumericBandEdge:
     ``multiplicity`` 2 marks a tangential root (closed gap): the discriminant
     touches +/-2 without crossing, so the point is a doubly degenerate
     periodic/antiperiodic eigenvalue rather than the border of an open gap.
-    A simple edge is accurate to about 1e-10.  A closed gap sits at the top
-    of a flat peak of Delta, and the peak search stops once the two cells
-    around its best sample are narrower than sqrt(eps)|E|, so its energy is
-    accurate only to about that; on the flattest peaks integration noise can
-    move it somewhat further.  "Closed" means Delta reaches +/-2 to within
-    integration noise (1e-11), so an open gap narrower than about 1e-5, whose
-    Delta passes +/-2 by less, is reported closed.
+    There M = +/-I, so a closed gap is a simple root of M12, and its energy
+    is as accurate as a simple edge's: about 1e-12, and to a few 1e-9
+    beside the narrowest open gaps, where Delta is flat.  "Closed" means
+    that, at that root, Delta is +/-2 and M21 is 0 to 1e-6 (M21 relative to
+    the size of M12 and M21 nearby).  M21 there tracks the gap's width, so an
+    open gap 1.1e-6 wide or wider is found open, and a narrower one may be
+    reported closed.
     """
 
     energy: float
@@ -230,20 +230,23 @@ def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
+def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
     """Integrate y' = fun(t, y) from t0 to t1 > t0 (``t_span``) by DOP853 at
-    ``RTOL`` / ``ATOL``, keeping only the end point.
+    ``tol`` = (rtol, atol), by default (``RTOL``, ``ATOL``), keeping only the
+    end point.
 
-    Step control is that of scipy's ``solve_ivp(method="DOP853")``, so the
-    steps and the end point are the same bit for bit: the initial step of
-    Hairer et al. Sec. II.4, an RMS error norm that combines the 5th- and
-    3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8) times the
-    last, kept in [0.2, 10] and at most 1 after a rejection, and no step
-    below 10 spacings of floating-point numbers at t.  There is no dense
+    Step control is that of scipy's ``solve_ivp(method="DOP853")``: the
+    initial step of Hairer et al. Sec. II.4, an RMS error norm that combines
+    the 5th- and 3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8)
+    times the last, kept in [0.2, 10] and at most 1 after a rejection, and no
+    step below 10 spacings of floating-point numbers at t.  So for rtol >=
+    100 eps the steps and the end point are scipy's bit for bit; scipy raises
+    a smaller rtol to 100 eps, and this solver does not.  There is no dense
     output.  Fails after ``_MAX_STEPS`` steps, or once the step falls below
     ``_MIN_STEP`` of ``period``, whether the span is the whole period or
     half of it.
     """
+    rtol, atol = tol or (RTOL, ATOL)
     t, t1 = map(float, t_span)
     y = np.asarray(y0)
     nfev = 0
@@ -255,7 +258,7 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
 
     f = rhs(t, y)
     # initial step
-    scale = ATOL + np.abs(y) * RTOL
+    scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
     d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
@@ -283,7 +286,7 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
                 K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s]) * h)
             y_new = y + h * np.dot(K[:12].T, _B)
             K[12] = f_new = rhs(t_new, y_new)
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
             err = 0.0 if err5 == 0 and err3 == 0 else h * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
@@ -324,10 +327,10 @@ def _line(spec):
     return potentials.on_line(spec, beta), beta
 
 
-def _propagate(spec, energies):
+def _propagate(spec, energies, tol=None):
     """Transfer matrices over one period, based at x = 0, at any number of
     energies, on the spec's integration line (:func:`integration_beta`),
-    integrated in batches of ``_CHUNK``.
+    integrated in batches of ``_CHUNK`` at :func:`solve_ivp`'s ``tol``.
 
     The ODE is linear and the potential is shared across a batch, so the
     right-hand side evaluates V once per stage regardless of batch size.
@@ -370,7 +373,7 @@ def _propagate(spec, energies):
             out[n2:] = (v - EE) * y[:n2]
             return out
 
-        sol = solve_ivp(rhs, (0.0, end), y0, period=L)
+        sol = solve_ivp(rhs, (0.0, end), y0, period=L, tol=tol)
         if not sol.success:
             raise FloquetIntegrationError(
                 f"integration failed over {'half a' if half else 'one'} period ({sol.message});"
@@ -430,7 +433,6 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     integrated by its symmetry and its Delta is real by construction, so its
     flags are zero; only a custom potential, integrated over the whole
     period, can raise one.
-    :func:`find_band_edges` locates the edges from it.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
@@ -442,209 +444,83 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
 
 
-def _run(spec, tasks):
-    """Drive refinement tasks in lockstep to their results.
-
-    A task is a generator that yields the energies it needs next and is sent
-    their discriminants.  Each round gathers the requests of every pending
-    task into one batch, integrated and Wronskian checked by
-    :func:`discriminants`.
-    """
-    task = _join(tasks)
-    try:
-        energies = next(task)
-        while True:
-            uniq, inv = np.unique(energies, return_inverse=True)
-            energies = task.send(discriminants(spec, uniq)[inv])
-    except StopIteration as done:
-        return done.value
+def _coefficients(values):
+    """Chebyshev coefficients, along axis 0, of the polynomials through
+    ``values`` at the points cos(pi j / (n - 1)), j = 0..n-1: a DCT, done as
+    the FFT of the even extension."""
+    n = values.shape[0]
+    c = np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n] / (n - 1)
+    c[[0, -1]] /= 2.0
+    return c
 
 
-def _join(tasks):
-    """One task that advances ``tasks`` in lockstep, one step each per batch;
-    returns their results in order."""
-    results = [None] * len(tasks)
-    asks = {k: None for k in range(len(tasks))}
-    replies = {k: None for k in asks}
-    while True:
-        for k in list(asks):
-            try:
-                asks[k] = tasks[k].send(replies[k])
-            except StopIteration as done:
-                results[k] = done.value
-                del asks[k]
-        if not asks:
-            return results
-        deltas = yield [e for ask in asks.values() for e in ask]
-        pos = 0
-        for k, ask in asks.items():
-            replies[k] = deltas[pos : pos + len(ask)]
-            pos += len(ask)
-
-
-def _bracket(a, da, b, db, target):
-    """Root of Re Delta = target between energies a < b, given Delta there.
-
-    Illinois (modified regula falsi) steps, each kept at least half a
-    tolerance inside the bracket, and a bisection whenever three steps have
-    not halved it.  Stops as brentq does, once the bracket is narrower than
-    _XTOL + 8.9e-16 |E|.  Returns (E, Delta(E)) at the end nearer the root, or
-    None when the ends do not bracket one.
-    """
-    fa, fb = da.real - target, db.real - target
-    if fa == 0.0:
-        return a, da
-    if fb == 0.0:
-        return b, db
-    if fa * fb > 0.0:
-        return None
-    ga, gb = fa, fb  # interpolation weights, halved by the Illinois rule
-    kept = 0  # +1 when the last step replaced b, -1 when it replaced a
-    widths = [b - a]
-    while True:
-        best = (a, da) if abs(fa) < abs(fb) else (b, db)
-        tol = _XTOL + _ROOT_RTOL * abs(best[0])
-        if b - a < tol:
-            return best
-        if len(widths) >= 4 and widths[-1] > 0.5 * widths[-4]:
-            x = 0.5 * (a + b)
-        else:
-            x = min(max((a * gb - b * ga) / (gb - ga), a + 0.5 * tol), b - 0.5 * tol)
-        dx = (yield [x])[0]
-        fx = dx.real - target
-        if fx == 0.0:
-            return x, dx
-        if (fx > 0.0) == (fa > 0.0):
-            a, da, fa, ga = x, dx, fx, fx
-            if kept == -1:
-                gb *= 0.5
-            kept = -1
-        else:
-            b, db, fb, gb = x, dx, fx, fx
-            if kept == 1:
-                ga *= 0.5
-            kept = 1
-        widths.append(b - a)
-
-
-def _edges(roots, cls, multiplicity=1):
-    return [NumericBandEdge(float(E), cls, d, multiplicity) for E, d in filter(None, roots)]
-
-
-def _toward(d, target):
-    """sign (Re Delta - target), sign that of the target: 0 on the target,
-    and a peak of Delta toward it is a maximum."""
-    return np.copysign(1.0, target) * (np.real(d) - target)
-
-
-def _windows(t):
-    """Windows (i, j) of one target on an energy grid, from :func:`_toward`
-    at its samples: each cell whose ends straddle the target, or whose upper
-    end is on it, and the two cells around each sample where Delta peaks
-    short of it.  A sample within ``_CLOSED_GAP_TOL`` of the target lies on it
-    to integration noise.  A run of such samples between two samples short of
-    the target is a tangency, one window with them, not crossings; between
-    two past it, it is no window.  Windows share no interior, so no root is
-    found twice.
-    """
-    s = np.where(t > _CLOSED_GAP_TOL, 1, np.where(t < -_CLOSED_GAP_TOL, -1, 0))
-    cross = (t[:-1] * t[1:] < 0.0) | (t[1:] == 0.0)
-    # a strict > on the left keeps a two-sample plateau to one window
-    peak = (t[1:-1] > t[:-2]) & (t[1:-1] >= t[2:]) & (s[1:-1] < 0)
-    windows = [(i, i + 2) for i in np.flatnonzero(peak)]
-    runs = np.diff(np.concatenate(([0], s == 0, [0])))
-    for i, j in zip(np.flatnonzero(runs == 1), np.flatnonzero(runs == -1)):  # runs [i, j) on the target
-        if 0 < i and j < s.size and s[i - 1] == s[j]:
-            cross[i - 1 : j] = False
-            if s[j] < 0:
-                windows.append((i - 1, j))
-    return sorted(windows + [(i, i + 1) for i in np.flatnonzero(cross)])
-
-
-def _zoom(es, ds):
-    """The grid ``es`` with ``_ZOOM`` points inside each of its cells, merged
-    back in order, and Delta on it: ``ds`` at the old samples, one request
-    for the new ones.  A task, as :func:`_run` drives."""
-    fine = np.append(es[:-1, None] + np.diff(es)[:, None] * (np.arange(_ZOOM + 1) / (_ZOOM + 1)), es[-1])
-    new = np.arange(fine.size) % (_ZOOM + 1) > 0
-    d_fine = np.empty(fine.size, dtype=complex)
-    d_fine[~new] = ds
-    d_fine[new] = yield fine[new]
-    return fine, d_fine
-
-
-def _peak(es, ds, target):
-    """Best sample (E, Delta) of the peak of Delta toward the target on the
-    grid ``es``, whose ends lie short of it.
-
-    Each round resamples the two cells around the best interior sample by
-    :func:`_zoom`.  Stops once that sample passes the target by more than
-    ``_CLOSED_GAP_TOL``, or once the two cells are narrower than
-    sqrt(eps)|E| + _XTOL/3, the stopping rule of Brent's bounded search.
-    """
-    while True:
-        k = 1 + int(np.argmax(_toward(ds[1:-1], target)))
-        if _toward(ds[k], target) > _CLOSED_GAP_TOL or es[k + 1] - es[k - 1] < _SQRT_EPS * abs(es[k]) + _XTOL / 3.0:
-            return es[k], ds[k]
-        es, ds = yield from _zoom(es[k - 1 : k + 2], ds[k - 1 : k + 2])
-
-
-def _window(es, ds, target, cls):
-    """Edges of class ``cls`` in one window of :func:`_windows`, given its
-    grid samples ``es`` and Delta ``ds`` there, which are never integrated
-    again.
-
-    Ends that straddle the target bracket one root.  Otherwise the window
-    holds a peak of Delta toward the target, which :func:`_peak` searches
-    from the window's samples: a closed gap (one edge of multiplicity 2)
-    where its best sample lies on the target to ``_CLOSED_GAP_TOL``, the two
-    roots of a barely open gap, bracketed from the sample that passes it,
-    none where it falls short.
-    """
-    lo, d_lo, hi, d_hi = es[0], ds[0], es[-1], ds[-1]
-    if _toward(d_lo, target) * _toward(d_hi, target) <= 0.0:
-        root = yield from _bracket(lo, d_lo, hi, d_hi, target)
-        return _edges([root], cls)
-    e_star, d_star = yield from _peak(es, ds, target)
-    gap = _toward(d_star, target)
-    if abs(gap) <= _CLOSED_GAP_TOL:
-        return _edges([(e_star, d_star)], cls, 2)
-    if gap < 0.0:
-        return []
-    roots = yield from _join([
-        _bracket(lo, d_lo, e_star, d_star, target),
-        _bracket(e_star, d_star, hi, d_hi, target),
-    ])
-    return _edges(roots, cls)
+def _real_roots(c):
+    """Real roots in [-1, 1] (to a 1e-10 slack) of the Chebyshev series c,
+    and whether it has any root, real or complex, near [-1, 1]: inside the
+    Bernstein ellipse of parameter 1.25, well inside the ellipse where the
+    roots of rounding and integration noise lie."""
+    r = np.polynomial.chebyshev.chebroots(c)
+    near = np.abs(r + np.sqrt(r - 1.0 + 0j) * np.sqrt(r + 1.0 + 0j)) < 1.25
+    return r.real[(r.imag == 0.0) & (np.abs(r.real) <= 1.0 + 1e-10)], near.any()
 
 
 def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
-    """Locate all discriminant roots Delta = +/-2 in [e_min, e_max], on two
-    levels.
+    """Locate all discriminant roots Delta = +/-2 in [e_min, e_max] from a
+    Chebyshev interpolant of the monodromy.
 
-    The coarse scan (``_DENSITY`` samples per unit energy, at least 81) sees
-    every extremum of Delta: they lie in gaps (Magnus & Winkler, *Hill's
-    Equation*, 1966) and are units of energy apart.  :func:`_windows` cuts it
-    into windows for each target, and :func:`_zoom` resamples every window at
-    ``_ZOOM`` points inside each of its cells, all in one batched
-    integration.  The same rule then cuts each window's zoomed grid, and one
-    :func:`_window` task refines each of those windows from the grid's own
-    samples.  The tasks of both targets run in lockstep, one batched,
-    Wronskian-checked integration per round.  V is sampled only inside the
-    integrations.  A warning is issued when fewer than the 2a+1 edges
-    expected for a recognized base family are found, which usually means the
-    range is too small.
+    Delta, M12 and M21 are entire in E, so on an energy piece a short
+    Chebyshev series resolves them (Trefethen, *Approximation Theory and
+    Approximation Practice*, 2013).  Each round samples every pending piece
+    at ``_CHEB`` Chebyshev points, all in one batched, Wronskian-checked
+    integration at 100 times the usual tolerances, and halves each piece
+    whose series is not resolved (see the constants); a piece narrower than
+    ``_MIN_PIECE`` of the range raises :class:`FloquetIntegrationError`.
+    Simple edges are the real roots of Delta -+ 2, found as the eigenvalues
+    of a colleague matrix (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666), each
+    reported with the interpolant's Delta.  A closed gap is M = +/-I: a real
+    root of Re M12 where Delta = +/-2 and M21 = 0, to ``_CLOSED_TOL``.  V is
+    sampled only inside the integrations.  A warning is issued when fewer
+    than the 2a+1 edges expected for a recognized base family are found,
+    which usually means the range is too small.
     """
-    n = max(int(_DENSITY * (e_max - e_min)) + 1, 81)
-    scan = discriminant_scan(spec, e_min, e_max, n)
-    grid, d = scan.energies, scan.discriminants
-    coarse = [(target, cls, i, j) for target, cls in ((2.0, "P"), (-2.0, "A"))
-              for i, j in _windows(_toward(d, target))]
-    zoomed = _run(spec, [_zoom(grid[i : j + 1], d[i : j + 1]) for *_, i, j in coarse])
-    tasks = [_window(es[p : q + 1], ds[p : q + 1], target, cls)
-             for (target, cls, *_), (es, ds) in zip(coarse, zoomed) for p, q in _windows(_toward(ds, target))]
+    if not e_min < e_max:
+        raise ValueError("e_min must be below e_max")
+    cheb = np.polynomial.chebyshev
+    x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
+    pending, crossings, closed = [(e_min, e_max)], [], []
+    while pending:
+        es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
+        ms = _propagate(spec, es, tol=(RTOL / 100.0, ATOL / 100.0))[0].reshape(len(pending), _CHEB, 2, 2)
+        cs = _coefficients(np.stack([ms[..., 0, 0] + ms[..., 1, 1], ms[..., 0, 1], ms[..., 1, 0]]).T)
+        split = []
+        for (a, b), (cd, c12, c21) in zip(pending, cs.transpose(1, 2, 0)):
+            parts = (cd.real, c12.real, c21)
+            tails = [np.abs(c[-3:]).max() for c in parts]
+            resolved = all(t <= _TAIL_RTOL * np.abs(c).max() for t, c in zip(tails, parts))
+            roots = {cls: _real_roots(cheb.chebsub(cd.real, [target])) for target, cls in ((2.0, "P"), (-2.0, "A"))}
+            if not resolved or (max(tails) > _TAIL_ATOL and any(near for _, near in roots.values())):
+                if b - a < _MIN_PIECE * (e_max - e_min):
+                    raise FloquetIntegrationError(f"Delta not resolved on [{a}, {b}]; a pole near the line?")
+                split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+                continue
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            scale = _CLOSED_TOL * max(np.abs(c12).max(), np.abs(c21).max())
+            for r in _real_roots(c12.real)[0]:
+                d = complex(cheb.chebval(r, cd))
+                if abs(abs(d.real) - 2.0) <= _CLOSED_TOL and abs(cheb.chebval(r, c21)) <= scale:
+                    closed.append(NumericBandEdge(float(mid + half * r), "P" if d.real > 0 else "A", d, 2))
+            crossings += [NumericBandEdge(float(mid + half * r), cls, complex(cheb.chebval(r, cd)))
+                       for cls, (rs, _) in roots.items() for r in rs]
+        pending = split
 
-    found = sorted((e for edges in _run(spec, tasks) for e in edges), key=lambda e: e.energy)
+    # a closed gap absorbs the close pair of roots of Delta -+ 2 its double
+    # root gives, and a root on the end two pieces share is found in both
+    found = []
+    for e in closed + crossings:
+        if not any(f.period_class == e.period_class and abs(f.energy - e.energy)
+                   <= (_PAIR if f.multiplicity == 2 else 1e-9 * max(1.0, abs(e.energy))) for f in found):
+            found.append(e)
+    found.sort(key=lambda e: e.energy)
     a = potentials.normal_form(spec).a  # 0 for a custom potential
     if a >= 1:
         expected = 2 * a + 1

@@ -310,10 +310,9 @@ class TestEdgeFinding:
         assert np.allclose(got, mapped, atol=1e-6)
 
     def test_gap_inside_one_scan_cell_splits(self):
-        # 2q cos 2x opens the first gap over [1 - q, 1 + q] (to O(q^2)); no
-        # sample of the coarse or the zoomed grid falls inside it (the nearest
-        # are 0.9994 and 1.00087), so only the peak search around the nearest
-        # sample finds the two roots
+        # 2q cos 2x opens the first gap over [1 - q, 1 + q] (to O(q^2)); the
+        # interpolant finds both of its roots, though no sample of a uniform
+        # 20-per-unit grid on this range (0.9994, 1.0494, ...) falls inside it
         q = 5e-4
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
         found = flq.find_band_edges(spec, 0.4994, 2.4994)
@@ -322,16 +321,16 @@ class TestEdgeFinding:
 
     @pytest.mark.parametrize("q", (5e-4, 1e-3))
     def test_gap_across_two_crossing_cells_keeps_both_edges(self, q):
-        # here the gap [1 - q, 1 + q] holds one grid point, so two adjacent
-        # cells each bracket one of its edges
+        # here the gap [1 - q, 1 + q] holds a point of a uniform grid on the
+        # range, and the interpolant finds both of its edges
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
         found = [e for e in flq.find_band_edges(spec, 0.5, 4.5) if abs(e.energy - 1.0) < 0.01]
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
         assert np.allclose([e.energy for e in found], [1.0 - q - q * q / 8.0, 1.0 + q - q * q / 8.0], atol=1e-9)
 
     def test_narrow_top_gap_keeps_both_edges(self):
-        # at m = 0.9 the a=3 PT top gap is 3.9e-4 wide, narrower than a
-        # quarter of a zoomed cell; both of its edges are distinct results
+        # at m = 0.9 the a=3 PT top gap is 3.9e-4 wide; both of its edges are
+        # distinct results
         m, beta = 0.9, 0.4
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, m), beta), spc.ground_energy("lame", 3, 0, m, pt=True))
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
@@ -340,8 +339,8 @@ class TestEdgeFinding:
         assert np.allclose([e.energy for e in found], ref, atol=1e-6)
 
     def test_refinement_runs_in_lockstep_batches(self, monkeypatch):
-        # every bracket and peak search advances in one batched integration
-        # per round; no energy is integrated on its own
+        # every energy is integrated in the batch of its round; on the anchor
+        # one piece of 65 Chebyshev points resolves Delta, M12 and M21
         e_g = spc.ground_energy("lame", 3, 0, M, pt=True)
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
@@ -353,13 +352,7 @@ class TestEdgeFinding:
 
         monkeypatch.setattr(flq, "monodromy", scalar)
         found = flq.find_band_edges(spec, e_min, e_max)
-        scan_batches = math.ceil(max(int(flq._DENSITY * (e_max - e_min)) + 1, 81) / flq._CHUNK)
-        # measured: the coarse scan, the zoom and 8 refinement rounds, 10
-        # integrations over 335 energies; a scan at 400 per unit and
-        # refinement from it took 14 over 3,703
-        assert len(calls) - scan_batches <= 11
-        assert len(calls) <= 10
-        assert sum(calls) < 400
+        assert len(calls) == 1 and calls[0] <= 65
         assert np.allclose([e.energy for e in found], ref, atol=1e-8)
 
     @pytest.mark.parametrize("spec,e_min,e_max,kinds", [
@@ -367,19 +360,18 @@ class TestEdgeFinding:
         (pot.AssociatedLame(2, 1, M), 2.5, 9.0, [("P", 1), ("A", 1), ("A", 1), ("P", 2), ("A", 1), ("A", 1)]),
     ], ids=["free", "assoc21"])
     def test_peak_search_runs_in_few_batches(self, monkeypatch, spec, e_min, e_max, kinds):
-        # each round of a peak search narrows its two cells 17-fold; measured:
-        # 7 integrations on each, the scan and the zoom included (a Brent
-        # search took 12 and 16)
+        # closed gaps come from the same interpolant as simple edges, with no
+        # search of their own
         calls = []
         propagate = flq._propagate
 
-        def counted(spec, energies):
+        def counted(spec, energies, **kwargs):
             calls.append(len(energies))
-            return propagate(spec, energies)
+            return propagate(spec, energies, **kwargs)
 
         monkeypatch.setattr(flq, "_propagate", counted)
         found = flq.find_band_edges(spec, e_min, e_max)
-        assert len(calls) <= 8
+        assert len(calls) <= 2
         assert [(e.period_class, e.multiplicity) for e in found] == kinds
 
     def test_barely_open_gap_keeps_both_edges(self):
@@ -395,30 +387,82 @@ class TestEdgeFinding:
 
     @pytest.mark.parametrize("m,beta", [(0.9, 0.4), (0.95, 0.5)])
     def test_narrow_top_gap_is_open_on_a_wide_range(self, m, beta):
-        # the top gap is 3.9e-4 and 4.6e-5 wide; no scan sample need fall in it
+        # the top gap is 3.9e-4 and 4.6e-5 wide, a small part of the range
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         found = [e for e in flq.find_band_edges(_a3_spec(m, beta), -0.5, 40.0) if e.energy < max(ref) + 0.5]
         assert [(e.period_class, e.multiplicity) for e in found[-2:]] == [("A", 1), ("A", 1)]
         assert np.allclose([e.energy for e in found if e.multiplicity == 1], ref, atol=1e-6)
 
-    def test_sample_on_a_tangency_is_a_closed_gap(self):
-        # a scan sample on E = 1 exactly, where Delta is -2 to integration
-        # noise: one closed gap, not a simple edge
-        e_min, e_max = 0.5, 2.5
-        assert 1.0 in np.linspace(e_min, e_max, max(int(flq._DENSITY * (e_max - e_min)) + 1, 81))
-        found = flq.find_band_edges(FREE, e_min, e_max)
+    def test_edges_beside_a_gap_do_not_depend_on_the_range(self):
+        # the top two edges sit beside a 7.2e-3 gap, where dDelta/dE = 2.6e-3;
+        # at RTOL = 1e-12 the energies sharing their batch move them by up to
+        # 2.6e-10, and at the finder's 1e-14 by far less (measured 1.0e-12)
+        ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
+        found = [e.energy for e in flq.find_band_edges(_a3_spec(), -0.5, 40.0) if e.multiplicity == 1]
+        assert len(found) == 7
+        assert np.max(np.abs(np.array(found) - ref)) <= 1e-10
+
+    @pytest.mark.parametrize("q", (3e-3, 1.5e-3, 1e-3, 5e-4, 1e-4, 1e-5))
+    def test_narrow_gap_is_two_edges_or_one_closed_gap(self, q):
+        # 2q cos 2x opens the gap at E = 4 over [4 - q^2/12, 4 + 5q^2/12],
+        # q^2/2 wide; from 1.1e-6 (q = 1.5e-3) up it is found open (measured:
+        # edges within 7.9e-10), and below it may be reported closed
+        spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
+        found = flq.find_band_edges(spec, 3.0, 5.0)
+        kinds = [(e.period_class, e.multiplicity) for e in found]
+        assert kinds in ([("P", 1), ("P", 1)], [("P", 2)])
+        if q >= 1.5e-3:
+            assert kinds == [("P", 1), ("P", 1)]
+            assert np.allclose([e.energy for e in found], [4.0 - q * q / 12.0, 4.0 + 5.0 * q * q / 12.0],
+                               rtol=0.0, atol=1e-8)
+
+    @pytest.mark.filterwarnings("ignore:found 5 simple band edges")
+    @pytest.mark.parametrize("m", (0.97, 0.98, 0.985, 0.99, 0.993, 0.995))
+    def test_narrow_top_gap_is_two_edges_or_one_closed_gap(self, m):
+        # the a=3 PT top gap narrows from 9.8e-6 (m = 0.97) to 4.4e-8 (0.995);
+        # up to 1.2e-6 (m = 0.985) it is found open, with every edge within
+        # 1e-8 (measured 3.2e-9), and narrower it may be reported closed
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        spec = _a3_spec(m, BETA)
+        opened = [("P", 1), ("A", 1), ("A", 1), ("P", 1), ("P", 1), ("A", 1), ("A", 1)]
+        for s in (spec, pot.SusyPartner(spec)):
+            found = flq.find_band_edges(s, min(ref) - 0.5, max(ref) + 0.5)
+            kinds = [(e.period_class, e.multiplicity) for e in found]
+            simple = [e.energy for e in found if e.multiplicity == 1]
+            assert kinds in (opened, opened[:5] + [("A", 2)])
+            assert np.allclose(simple[:5], ref[:5], rtol=0.0, atol=1e-8)
+            if m <= 0.985:
+                assert kinds == opened
+                assert np.allclose(simple, ref, rtol=0.0, atol=1e-8)
+            elif kinds != opened:
+                assert ref[-2] - 1e-6 <= found[-1].energy <= ref[-1] + 1e-6
+
+    def test_sample_on_a_tangency_is_a_closed_gap(self, monkeypatch):
+        # the middle Chebyshev point of [0.5, 1.5] is E = 1 exactly, where
+        # Delta is -2 to integration noise: one closed gap, not a simple edge
+        sampled = []
+        propagate = flq._propagate
+
+        def recorded(spec, energies, **kwargs):
+            sampled.extend(energies)
+            return propagate(spec, energies, **kwargs)
+
+        monkeypatch.setattr(flq, "_propagate", recorded)
+        found = flq.find_band_edges(FREE, 0.5, 1.5)
+        assert 1.0 in sampled
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
         assert abs(found[0].energy - 1.0) < 1e-6
 
     def test_noise_past_a_tangency_is_a_closed_gap(self, monkeypatch):
-        # Delta = 2 cos(pi sqrt(E)) - 1e-13 passes -2 by noise alone around
-        # E = 1, and the scan sample on it lies past the target: one closed
-        # gap, not two simple edges 4e-7 apart
-        def propagate(spec, energies):
-            half = np.cos(np.pi * np.sqrt(np.asarray(energies, dtype=float))) - 5e-14
-            ms = np.zeros((half.size, 2, 2), dtype=complex)
-            ms[:, 0, 0] = ms[:, 1, 1] = half
-            return ms, np.zeros(half.size), flq.IntegratorStats(1, 1, 0.0)
+        # the free particle's M with Delta = 2 cos(pi sqrt(E)) - 1e-13, which
+        # passes -2 by noise alone around E = 1: one closed gap, not two
+        # simple edges 4e-7 apart
+        def propagate(spec, energies, **kwargs):
+            k = np.sqrt(np.asarray(energies, dtype=float))
+            ms = np.empty((k.size, 2, 2), dtype=complex)
+            ms[:, 0, 0] = ms[:, 1, 1] = np.cos(np.pi * k) - 5e-14
+            ms[:, 0, 1], ms[:, 1, 0] = np.sin(np.pi * k) / k, -k * np.sin(np.pi * k)
+            return ms, np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
 
         monkeypatch.setattr(flq, "_propagate", propagate)
         found = flq.find_band_edges(FREE, 0.5, 2.5)
@@ -427,29 +471,30 @@ class TestEdgeFinding:
 
     @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
     def test_no_edge_is_found_twice(self, m, beta):
-        # scan windows share no interior, so two edges of one class never lie
-        # within the refiners' stopping tolerance of each other, where two
-        # reports of one edge would land
+        # two edges of one class never lie within 4 (1e-10 + sqrt(eps)|E|) of
+        # each other, where two reports of one edge would land.  The last two
+        # ranges halve onto an edge (E = 0) and a closed gap (E = 1), which
+        # the pieces on either side both find
         sets = list(inv._edge_sets(m, beta).values()) + [
-            flq.find_band_edges(FREE, 0.2, 40.0), flq.find_band_edges(pot.AssociatedLame(2, 1, m), -1.0, 12.0)]
+            flq.find_band_edges(FREE, 0.2, 40.0), flq.find_band_edges(pot.AssociatedLame(2, 1, m), -1.0, 12.0),
+            flq.find_band_edges(_a1_spec(m, beta), -40.0, 40.0), flq.find_band_edges(FREE, -30.0, 32.0)]
         for edges in sets:
             for cls in "PA":
                 energies = [e.energy for e in edges if e.period_class == cls]
                 for lo, hi in zip(energies, energies[1:]):
-                    assert hi - lo >= 4.0 * (flq._XTOL + flq._SQRT_EPS * abs(hi))
+                    assert hi - lo >= 4.0 * (1e-10 + math.sqrt(2.2e-16) * abs(hi))
 
-    def test_closed_gaps_are_accurate_to_sqrt_eps(self):
-        # a closed gap is the top of a flat peak of Delta, so its energy is
-        # good to about sqrt(eps)|E| (measured: at most 0.59 of it), not to
-        # the ~1e-10 of a simple edge
-        found = flq.find_band_edges(FREE, 0.2, 40.0)
-        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 3
+    def test_closed_gaps_are_simple_roots_of_m12(self):
+        # a closed gap is a simple root of M12, so its energy is as accurate
+        # as a simple edge's (measured: 2e-14 relative)
+        found = flq.find_band_edges(FREE, 0.2, 99.0)
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 4 + [("A", 2)]
         for n, e in enumerate(found, start=1):
-            assert abs(e.energy - n * n) <= 2.0 * flq._SQRT_EPS * e.energy
+            assert abs(e.energy - n * n) <= 1e-10 * n * n
 
     def test_closed_gaps_match_the_partner(self):
-        # a SUSY partner is isospectral, so its closed gaps are the spec's;
-        # measured: they agree to 0.51 of sqrt(eps)|E| (2.0 with a Brent search)
+        # a SUSY partner is isospectral, so its closed gaps are the spec's
+        # (measured: to 8e-15 relative)
         s = inv.specs(M, BETA)
         for fam in spc.ptlame_families:
             e0 = min(spc.closed_form_energies(*fam, M, pt=True, shifted=True))
@@ -457,19 +502,11 @@ class TestEdgeFinding:
                               if e.multiplicity == 2] for k in (fam, fam + ("partner",)))
             assert spec and [c for _, c in spec] == [c for _, c in partner]
             for (e, _), (f, _) in zip(spec, partner):
-                assert abs(e - f) <= 1.5 * flq._SQRT_EPS * abs(e)
+                assert abs(e - f) <= 1e-10 * abs(e)
 
     def test_refinement_checks_every_energy(self, monkeypatch):
-        # the scan passes its check at the real tolerance, so a failure here
-        # can only come from the refinement's own evaluations
-        scan = flq.discriminant_scan
-
-        def scan_then_tighten(*args):
-            result = scan(*args)
-            monkeypatch.setattr(flq, "_DET_TOL", 1e-300)
-            return result
-
-        monkeypatch.setattr(flq, "discriminant_scan", scan_then_tighten)
+        # every integration the finder makes is Wronskian checked
+        monkeypatch.setattr(flq, "_DET_TOL", 1e-300)
         with pytest.raises(flq.FloquetIntegrationError, match="Wronskian drift"):
             flq.find_band_edges(_a1_spec(), -0.5, 1.8)
 
