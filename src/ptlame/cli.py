@@ -203,11 +203,14 @@ def cmd_edges(cfg: RunConfig) -> int:
                  [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
                   ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
                  {"verdict": verdict, "max_abs_diff": max_diff,
-                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
+                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec),
+                  "integrator_rtol": flq._EDGE_TOL[0], "integrator_atol": flq._EDGE_TOL[1]})
     return 0 if passed else 3
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    if cfg.paired and (cfg.ops != ("pt",) or cfg.b != 0 or cfg.shift_zero):
+        raise ConfigError("--paired requires a plain PT Lame spec (--pt, b=0, no partner/shift)")
     spec = build_spec(cfg)
     n = _samples(cfg, 500, 2)
     lo, hi = flq.default_energy_range(spec) if cfg.emin is None or cfg.emax is None else (None, None)
@@ -219,8 +222,6 @@ def cmd_scan(cfg: RunConfig) -> int:
     meta = {"im_flags": int(scan.im_flags.sum()), "integration_beta": flq.integration_beta(spec)}
     rc = 0
     if cfg.paired:
-        if cfg.ops != ("pt",) or cfg.b != 0 or cfg.shift_zero:
-            raise ConfigError("--paired requires a plain PT Lame spec (--pt, b=0, no partner/shift)")
         dual = pot.Lame(cfg.a, 1.0 - cfg.m)
         shift = cfg.a * (cfg.a + 1)
         dual_scan = flq.discriminant_scan(dual, emin + shift, emax + shift, n)

@@ -57,9 +57,10 @@ __all__ = [
 ]
 
 # integrator tolerances of every monodromy, scan and dispersion;
-# find_band_edges integrates at a hundredth of them
+# find_band_edges integrates at _EDGE_TOL, a hundredth of them
 RTOL = 1e-12
 ATOL = 1e-14
+_EDGE_TOL = (RTOL / 100.0, ATOL / 100.0)
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
 # Limits of one integration, over half a period or a whole one.  On the
@@ -472,7 +473,7 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     Chebyshev series resolves them (Trefethen, *Approximation Theory and
     Approximation Practice*, 2013).  Each round samples every pending piece
     at ``_CHEB`` Chebyshev points, all in one batched, Wronskian-checked
-    integration at 100 times the usual tolerances, and halves each piece
+    integration at the finer ``_EDGE_TOL``, and halves each piece
     whose series is not resolved (see the constants); a piece narrower than
     ``_MIN_PIECE`` of the range raises :class:`FloquetIntegrationError`.
     Simple edges are the real roots of Delta -+ 2, found as the eigenvalues
@@ -490,7 +491,7 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     pending, crossings, closed = [(e_min, e_max)], [], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
-        ms = _propagate(spec, es, tol=(RTOL / 100.0, ATOL / 100.0))[0].reshape(len(pending), _CHEB, 2, 2)
+        ms = _propagate(spec, es, tol=_EDGE_TOL)[0].reshape(len(pending), _CHEB, 2, 2)
         cs = _coefficients(np.stack([ms[..., 0, 0] + ms[..., 1, 1], ms[..., 0, 1], ms[..., 1, 0]]).T)
         split = []
         for (a, b), (cd, c12, c21) in zip(pending, cs.transpose(1, 2, 0)):

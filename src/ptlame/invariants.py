@@ -157,16 +157,37 @@ def _eigenfunction_residuals(m, beta):
     return worst
 
 
+@functools.lru_cache(maxsize=8)
+def _lame_edges(a, m):
+    """Simple edge energies of the plain Lame potential, ascending: the closed
+    forms for a in {1, 3}, else the Floquet edges in [-0.5, a(a+1) + 0.5].
+    Cached, so the a=2 set at m = 1/2, which two rows read, is searched once."""
+    if a in (1, 3):
+        return tuple(spc.closed_form_energies("lame", a, 0, m, pt=False))
+    return tuple(_energies(_simple_edges(pot.Lame(a, m), -0.5, a * (a + 1) + 0.5)))
+
+
+def _modulus_duality(a, m):
+    # E_j(m) = a(a+1) - E_{2a-j}(1-m); at m = 1/2 the sum rule E_j + E_{2a-j} = a(a+1)
+    return _max_pair_diff(_lame_edges(a, m), [a * (a + 1) - e for e in reversed(_lame_edges(a, 1.0 - m))])
+
+
+def _pt_duality(a, m):
+    # E^PT_j(m) = E_j(1-m) - a(a+1) between the closed-form PT and plain tables
+    return _max_pair_diff(spc.closed_form_energies("lame", a, 0, m, pt=True),
+                          [e - a * (a + 1) for e in _lame_edges(a, 1.0 - m)])
+
+
 def _dualities(m, beta):
-    checks = [check(a, mm) for a in (1, 3) for mm in (0.3, 0.5, 0.75)
-              for check in (spc.modulus_duality_check, spc.pt_duality_check)]
-    return max(checks + [spc.modulus_duality_check(2, 0.5)])
+    # closed forms for a in {1, 3}; the Floquet engine supplies a=2 at m = 1/2
+    checks = [check(a, mm) for a in (1, 3) for mm in (0.3, 0.5, 0.75) for check in (_modulus_duality, _pt_duality)]
+    return max(checks + [_modulus_duality(2, 0.5)])
 
 
 def _a2_half_parameter_sum_rule(m, beta):
     # at m = 1/2 the five a=2 edges pair up as e_j + e_{4-j} = 6, midpoint 3;
     # the edge set is the one the duality row's m = 1/2 check searched for
-    es = spc.lame_edge_energies(2, 0.5)
+    es = _lame_edges(2, 0.5)
     if len(es) != 5:
         return math.inf
     return max(max(abs(es[j] + es[4 - j] - 6.0) for j in range(5)), abs(es[2] - 3.0))

@@ -139,6 +139,18 @@ class TestEdges:
         meta, cols = _read_csv(out)
         assert "verdict=PASS" in meta and len(cols["energy_analytic"]) == 3
 
+    def test_header_states_the_integrator_tolerances(self, tmp_path, monkeypatch):
+        # the header's tolerances are the ones find_band_edges integrated at
+        tols = []
+        propagate = flq._propagate
+        monkeypatch.setattr(flq, "_propagate", lambda spec, es, tol=None: tols.append(tol) or propagate(spec, es, tol))
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", "--a", "3", "--pt", "--shift-zero", "--out", str(out)]) == 0
+        meta, _ = _read_csv(out)
+        header = dict(item.split("=", 1) for item in meta.lstrip("# ").split())
+        assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
+        assert float(header["integrator_rtol"]) < flq.RTOL
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -203,7 +215,12 @@ class TestScan:
         assert "verdict=PASS" in meta
         assert max(float(v) for v in cols["abs_diff"]) < 1e-6
 
-    def test_paired_requires_plain_pt(self):
+    def test_paired_requires_plain_pt(self, monkeypatch):
+        # refused before the 500-energy scan integrates
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(flq, "_propagate", no_integration)
         assert cli.main(["scan", "--a", "1", "--paired"]) == 2
 
 
