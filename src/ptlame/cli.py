@@ -3,7 +3,8 @@
 Every command emits machine-readable output (CSV or JSON, ``--format``, to
 ``--out``) with a metadata comment recording the configuration (for
 ``edges``, ``scan`` and ``dispersion`` also ``integration_beta``, the line
-the Floquet engine integrated on, beside the user's ``beta``), and uses the
+the Floquet engine integrated on, beside the user's ``beta``, and for every
+command that integrates the tolerances it integrated at), and uses the
 exit-code contract 0 = ok, 2 = configuration error, 3 = verification failure,
 so CI can gate directly on the cross-checks.  ``selfcheck`` runs the
 invariant registry (:mod:`ptlame.invariants`) at ``--m``/``--beta``, one row
@@ -84,6 +85,13 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _integrator_meta(tol=None, key: str = "integrator") -> dict:
+    """Header entries for the (rtol, atol) a command integrated at, by
+    default floquet's (``RTOL``, ``ATOL``)."""
+    rtol, atol = tol or (flq.RTOL, flq.ATOL)
+    return {f"{key}_rtol": rtol, f"{key}_atol": atol}
+
+
 def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None:
     meta = {
         "command": command,
@@ -94,8 +102,6 @@ def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None
         "ops": list(cfg.ops),
         "shift_zero": cfg.shift_zero,
         "tol": cfg.tol,
-        "integrator_rtol": flq.RTOL,
-        "integrator_atol": flq.ATOL,
     }
     if command == "selfcheck":
         # the registry builds its own specs; only (m, beta) and tol select them
@@ -202,9 +208,8 @@ def cmd_edges(cfg: RunConfig) -> int:
     _write_table(cfg, "edges",
                  [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
                   ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
-                 {"verdict": verdict, "max_abs_diff": max_diff,
-                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec),
-                  "integrator_rtol": flq._EDGE_TOL[0], "integrator_atol": flq._EDGE_TOL[1]})
+                 {**_integrator_meta(flq._EDGE_TOL), "verdict": verdict, "max_abs_diff": max_diff,
+                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
     return 0 if passed else 3
 
 
@@ -219,7 +224,8 @@ def cmd_scan(cfg: RunConfig) -> int:
     cols = [("e", list(scan.energies)),
             ("re_delta", list(scan.discriminants.real)),
             ("im_delta", list(scan.discriminants.imag))]
-    meta = {"im_flags": int(scan.im_flags.sum()), "integration_beta": flq.integration_beta(spec)}
+    meta = {**_integrator_meta(), "im_flags": int(scan.im_flags.sum()),
+            "integration_beta": flq.integration_beta(spec)}
     rc = 0
     if cfg.paired:
         dual = pot.Lame(cfg.a, 1.0 - cfg.m)
@@ -259,7 +265,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     _write_table(cfg, "dispersion",
                  [("e", list(es)), ("k_numeric_re", list(kn.real)), ("k_numeric_im", list(kn.imag)),
                   ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", list(diffs))],
-                 {"analytic_available": analytic, "max_abs_diff": max_diff,
+                 {**_integrator_meta(), "analytic_available": analytic, "max_abs_diff": max_diff,
                   "integration_beta": flq.integration_beta(spec)})
     return 0 if not analytic or max_diff < cfg.tol else 3
 
@@ -281,7 +287,8 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
     _write_table(cfg, "selfcheck",
                  [("name", name), ("value", value), ("tol", tol),
                   ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
-                 {"verdict": verdict, "passed": sum(ok), "total": len(ok)})
+                 {**_integrator_meta(), **_integrator_meta(flq._EDGE_TOL, "edge_integrator"),
+                  "verdict": verdict, "passed": sum(ok), "total": len(ok)})
     return 0 if verdict == "PASS" else 3
 
 

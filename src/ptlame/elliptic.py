@@ -26,7 +26,6 @@ __all__ = [
     "InversionError",
     "Modulus",
     "JacobiValues",
-    "ThetaBundle",
     "Jet2",
     "complete_K",
     "modulus",
@@ -35,7 +34,6 @@ __all__ = [
     "line_jacobi",
     "jacobi_triple",
     "sn_pole_lattice_point",
-    "theta_bundle",
     "theta_jets",
     "zeta_Z",
     "inverse_sn",
@@ -48,8 +46,10 @@ _AGM_EPS = 4e-16
 # same for the theta zeros (which coincide with it)
 _POLE_TOL = 1e-6
 _THETA_ZERO_TOL = 1e-8
-# relative size of the last retained nome-series term
-_THETA_TRUNC_TOL = 1e-16
+# theta series: the last term kept is about e^-60 (2^-87) of the peak term;
+# the margin past 2^-53 covers the j**2 of the second derivative and the
+# cancellation where a jet entry is small
+_THETA_TAIL = 60.0
 # inverse_sn: scale of the residual its final check accepts
 _INVERSE_TOL = 1e-10
 # Carlson's R_F: (3 r)^(-1/6) for a relative truncation error r = 2^-53
@@ -89,17 +89,15 @@ def _check_parameter(m: float) -> float:
 
 
 def complete_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, K(m), by the AGM.
+    """Complete elliptic integral of the first kind, K(m) = pi/(2 AGM(1, k')).
 
-    The arithmetic-geometric mean converges quadratically, so the result is
-    accurate to a relative error below 1e-14 for any m in (0, 1).  The
-    endpoints are rejected: K(1) diverges logarithmically.
+    The mean is the one :func:`_landen_schedule` iterates to, which keeps it
+    as scale = AGM * 2**N after N steps.  It converges quadratically, so the
+    result is accurate to a relative error below 1e-14 for any m in (0, 1).
+    The endpoints are rejected: K(1) diverges logarithmically.
     """
-    m = _check_parameter(m)
-    a, b = 1.0, math.sqrt(1.0 - m)
-    while a - b > _AGM_EPS * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    scale, ratios = _landen_schedule(m)
+    return math.pi * 2.0 ** len(ratios) / (2.0 * scale)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,6 @@ def modulus(m: float) -> Modulus:
 class JacobiValues:
     """The triple (sn, cn, dn) at one complex point."""
 
-    z: complex
     sn: complex
     cn: complex
     dn: complex
@@ -167,7 +164,7 @@ def _jacobi_real_tuple(u: float, m: float) -> tuple[float, float, float]:
 def jacobi_real(u: float, m: float) -> JacobiValues:
     """Jacobi sn, cn, dn for real argument via the Landen backward recursion."""
     sn, cn, dn = _jacobi_real_tuple(float(u), _check_parameter(m))
-    return JacobiValues(complex(u), complex(sn), complex(cn), complex(dn))
+    return JacobiValues(complex(sn), complex(cn), complex(dn))
 
 
 def sn_pole_lattice_point(z: complex, m: float) -> complex:
@@ -193,7 +190,7 @@ def jacobi_complex(z: complex, m: float) -> JacobiValues:
     pole = sn_pole_lattice_point(z, m)
     if abs(z - pole) < _POLE_TOL:
         raise PoleProximityError(z, pole, _POLE_TOL)
-    return JacobiValues(z, *_addition(z.real, m)(z.imag))
+    return JacobiValues(*_addition(z.real, m)(z.imag))
 
 
 def line_jacobi(beta: float, m: float):
@@ -247,93 +244,46 @@ def jacobi_triple(m: float, beta: float | None = None):
 # theta functions
 
 
-@dataclass(frozen=True)
-class ThetaBundle:
-    """Nome series context for the Jacobi eta/theta pair at fixed parameter.
+def theta_jets(m: float, u: complex, odd: bool) -> tuple[complex, complex, complex]:
+    """Value and first two derivatives of H (eta, ``odd``) or Theta at u.
 
-    ``truncation`` is the baseline number of retained series terms for real
-    arguments; evaluation extends it automatically for complex arguments so
-    the last retained term always falls below 1e-16 of the running sum
-    (q**(n**2) decay makes this cheap).
+    One nome series, sum_j (-1)**(j//2) q**(j**2/4) {sin, cos}(j v) over odd
+    or even j (the j = 0 term counted once, every other twice), with
+    v = pi*u/(2K) and term-wise derivatives.  |term j| is about
+    exp(-j**2 ln(1/q)/4 + j |Im v|), a Gaussian in j; the sum stops where
+    it has fallen by exp(-``_THETA_TAIL``) from its peak, so the term count
+    is fixed before the loop.  Theta's zeros are the sn pole lattice;
+    arguments within ``_THETA_ZERO_TOL`` of it raise
+    :class:`ThetaZeroError`.
     """
-
-    modulus: Modulus
-    truncation: int
-
-
-@lru_cache(maxsize=512)
-def theta_bundle(m: float) -> ThetaBundle:
-    """Cached :class:`ThetaBundle` for the parameter m."""
     mod = modulus(m)
-    n = 1
-    while mod.q ** ((n + 0.5) ** 2) > _THETA_TRUNC_TOL * mod.q ** 0.25 and n < 64:
-        n += 1
-    return ThetaBundle(mod, n + 1)
-
-
-def theta_jets(bundle: ThetaBundle, u: complex):
-    """Values and first two derivatives of H (eta) and Theta at u.
-
-    Returns ((H, H', H''), (T, T', T'')).  Derivatives are term-wise
-    derivatives of the nome series in the reduced variable pi*u/(2K).
-    """
-    mod = bundle.modulus
+    u = complex(u)
+    if not odd:
+        zero = sn_pole_lattice_point(u, m)
+        if abs(u - zero) < _THETA_ZERO_TOL:
+            raise ThetaZeroError(f"argument {u} lies within {_THETA_ZERO_TOL} of the theta zero at {zero}")
     q = mod.q
     w = math.pi / (2.0 * mod.K)
-    v = w * complex(u)
-    H = dH = d2H = 0j
-    T = 1.0 + 0j
-    dT = d2T = 0j
-    hmax = tmax = 0.0
-    small = 0
-    n = 0
-    while n < 300:
-        sgn = -1.0 if n & 1 else 1.0
-        qh = q ** ((n + 0.5) ** 2)
-        k1 = (2 * n + 1) * w
-        a1 = (2 * n + 1) * v
-        sh = cmath.sin(a1)
-        ch = cmath.cos(a1)
-        th = 2.0 * sgn * qh * sh
-        H += th
-        dH += 2.0 * sgn * qh * k1 * ch
-        d2H -= 2.0 * sgn * qh * k1 * k1 * sh
-        hterm = 2.0 * qh * max(abs(sh), abs(ch))
-        hmax = max(hmax, hterm)
-        tterm = 0.0
-        if n >= 1:
-            qt = q ** (n * n)
-            k2 = 2 * n * w
-            a2 = 2 * n * v
-            st = cmath.sin(a2)
-            ct = cmath.cos(a2)
-            T += 2.0 * sgn * qt * ct
-            dT -= 2.0 * sgn * qt * k2 * st
-            d2T -= 2.0 * sgn * qt * k2 * k2 * ct
-            tterm = 2.0 * qt * max(abs(st), abs(ct))
-            tmax = max(tmax, tterm)
-        if n >= bundle.truncation and hterm <= 1e-17 * max(hmax, 1.0) and tterm <= 1e-17 * max(tmax, 1.0):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-        n += 1
-    return (H, dH, d2H), (T, dT, d2T)
+    v = w * u
+    decay = math.pi * mod.Kprime / mod.K  # ln(1/q)
+    stop = 2.0 * abs(v.imag) / decay + 2.0 * math.sqrt(_THETA_TAIL / decay)
+    f, d1, d2 = (0j, 0j, 0j) if odd else (1.0 + 0j, 0j, 0j)
+    for j in range(1 if odd else 2, int(stop) + 1, 2):
+        c = (-2.0 if j & 2 else 2.0) * q ** ((0.5 * j) ** 2)
+        k = j * w
+        s, co = cmath.sin(j * v), cmath.cos(j * v)
+        t, dt = (s, co) if odd else (co, -s)  # the term's trig factor and its derivative
+        f += c * t
+        d1 += c * k * dt
+        d2 -= c * k * k * t
+    return f, d1, d2
 
 
-def zeta_Z(bundle: ThetaBundle, u: complex) -> complex:
-    """Jacobi zeta Z(u) = Theta'(u)/Theta(u), via the differentiated series.
-
-    Zeros of Theta coincide with the sn pole lattice; arguments within
-    ``_THETA_ZERO_TOL`` of it are rejected.
-    """
-    mod = bundle.modulus
-    pole = sn_pole_lattice_point(u, mod.m)
-    if abs(complex(u) - pole) < _THETA_ZERO_TOL:
-        raise ThetaZeroError(f"argument {u} lies within {_THETA_ZERO_TOL} of the theta zero at {pole}")
-    (_, _, _), (T, dT, _) = theta_jets(bundle, u)
-    return dT / T
+def zeta_Z(m: float, u: complex) -> complex:
+    """Jacobi zeta Z(u) = Theta'(u)/Theta(u), via the differentiated series;
+    raises :class:`ThetaZeroError` near a zero of Theta."""
+    f, d1, _ = theta_jets(m, u, False)
+    return d1 / f
 
 
 # ---------------------------------------------------------------------------

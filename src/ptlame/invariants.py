@@ -113,12 +113,12 @@ def _imaginary_shift(m, beta):
 def _eta_quasi_periodicity(m, beta):
     worst = 0.0
     for mm in (0.5, 0.75):
-        mod, b = ell.modulus(mm), ell.theta_bundle(mm)
+        mod = ell.modulus(mm)
         for x in np.linspace(0.0, 1.2, 7):
             u = 1j * x + 0.5
             rhs = (-math.exp(math.pi * mod.Kprime / mod.K) * np.exp(-1j * math.pi * u / mod.K)
-                   * ell.theta_jets(b, u)[0][0])
-            worst = max(worst, abs(ell.theta_jets(b, u + 2j * mod.Kprime)[0][0] - rhs) / abs(rhs))
+                   * ell.theta_jets(mm, u, True)[0])
+            worst = max(worst, abs(ell.theta_jets(mm, u + 2j * mod.Kprime, True)[0] - rhs) / abs(rhs))
     return worst
 
 
@@ -140,6 +140,17 @@ def _landen_equal_ab(m, beta):
     return worst
 
 
+def _scaled_residual(jet, f, energy, xs):
+    """max |-psi'' + (V - E) psi| / max |V psi| over the grid ``xs``: scaled
+    by the whole grid, so a zero of psi on it is no 0/0."""
+    rmax = vmax = 0.0
+    for x in xs:
+        psi, _, d2psi = jet(x)
+        rmax = max(rmax, abs(-d2psi + (f(x) - energy) * psi))
+        vmax = max(vmax, abs(f(x) * psi))
+    return rmax / vmax
+
+
 def _eigenfunction_residuals(m, beta):
     worst = 0.0
     for fam in spc.ptlame_families:
@@ -148,12 +159,7 @@ def _eigenfunction_residuals(m, beta):
             f = pot.compiled_value_fn(spec)
             xs = np.linspace(0.0, spec.period, 40, endpoint=False)
             for e in edges:
-                rmax = vmax = 0.0
-                for x in xs:
-                    psi, _, d2psi = e.jet(x)
-                    rmax = max(rmax, abs(-d2psi + (f(x) - e.energy) * psi))
-                    vmax = max(vmax, abs(f(x) * psi))
-                worst = max(worst, rmax / vmax)
+                worst = max(worst, _scaled_residual(e.jet, f, e.energy, xs))
     return worst
 
 
@@ -334,12 +340,9 @@ def _dispersion(m, beta):
 def _bloch_residual(m, beta):
     spec, e = specs(m, beta)[_A1], m / 2.0
     f = pot.compiled_value_fn(spec)
-    worst = 0.0
-    for x in np.linspace(0.0, spec.period, 20, endpoint=False):
-        for sign in (1, -1):
-            psi, _, d2psi = spc.bloch_solution_jet(m, beta, e, sign, float(x))
-            worst = max(worst, abs(-d2psi + (f(x) - e) * psi) / abs(f(x) * psi))
-    return worst
+    xs = [float(x) for x in np.linspace(0.0, spec.period, 20, endpoint=False)]
+    return max(_scaled_residual(functools.partial(spc.bloch_solution_jet, m, beta, e, sign), f, e, xs)
+               for sign in (1, -1))
 
 
 def _bloch_factor(m, beta):

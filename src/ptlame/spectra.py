@@ -155,7 +155,6 @@ class BandEdge:
     with analytic derivatives in x.
     """
 
-    index: int
     energy: float
     period_class: str
     jet: Callable[[float], tuple[complex, complex, complex]]
@@ -167,12 +166,12 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list
     point, dfac = ell.jacobi_triple(m, beta), (1.0 if beta is None else 1j)
 
     edges = []
-    for idx, (energy, cls, state) in enumerate(_edge_rows(kind, a, b, m, beta is not None)):
+    for energy, cls, state in _edge_rows(kind, a, b, m, beta is not None):
         def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
             j = build(*jets_from_scd(*point(x), m))
             return j.f, dfac * j.d1, dfac * dfac * j.d2
 
-        edges.append(BandEdge(idx, energy, cls, jet))
+        edges.append(BandEdge(energy, cls, jet))
     return edges
 
 
@@ -211,14 +210,13 @@ def predicted_edges(spec) -> list[tuple[float, str]] | None:
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """Bloch point of the shifted a=1 PT potential at energy ``E``.
+    """Bloch point of the shifted a=1 PT potential at one energy E.
 
     ``alpha1`` solves m sn(alpha1)**2 = E on the fundamental rectangle.
     ``k`` is reduced to the first Brillouin zone with Re k in [0, pi/L] and
     Im k >= 0; Im k is 0 inside a band.
     """
 
-    E: float
     alpha1: complex
     k: complex
 
@@ -230,7 +228,7 @@ _BRANCH_TOL = 1e-6
 def _alpha_zeta(m: float, E: float) -> tuple[complex, complex]:
     """alpha1 with m sn(alpha1)**2 = E, and Z(alpha1)."""
     alpha1 = ell.inverse_sn(cmath.sqrt(complex(E) / m), m)
-    return alpha1, ell.zeta_Z(ell.theta_bundle(m), alpha1)
+    return alpha1, ell.zeta_Z(m, alpha1)
 
 
 def dispersion_analytic(m: float, beta: float, E: float) -> DispersionPoint:
@@ -253,7 +251,7 @@ def dispersion_analytic(m: float, beta: float, E: float) -> DispersionPoint:
         k = complex(k.real, 0.0)
     elif (_BRANCH_TOL < E < m - _BRANCH_TOL) or E > 1.0 + _BRANCH_TOL:
         raise BranchResolutionError(f"Im k = {k.imag:.3g} at E={E}, inside a band, where k must be real")
-    return DispersionPoint(E, alpha1, k)
+    return DispersionPoint(alpha1, k)
 
 
 def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
@@ -261,17 +259,15 @@ def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
 
     psi(x) = H(i x + beta + sign*alpha1) exp(-sign*(i x + beta) Z(alpha1))
              / Theta(i x + beta),
-    with all derivatives taken term-wise through the theta series.
+    with all derivatives taken term-wise through the theta series.  Raises
+    :class:`elliptic.ThetaZeroError` where Theta(i x + beta) vanishes.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    bundle = ell.theta_bundle(m)
     alpha1, z1 = _alpha_zeta(m, E)
     u = 1j * x + beta
-    (h, dh, d2h), _ = ell.theta_jets(bundle, u + sign * alpha1)
-    (_, _, _), (t, dt, d2t) = ell.theta_jets(bundle, u)
-    if abs(t) < 1e-12:
-        raise ell.ThetaZeroError(f"Theta vanishes near x={x}")
+    h, dh, d2h = ell.theta_jets(m, u + sign * alpha1, True)
+    t, dt, d2t = ell.theta_jets(m, u, False)
     val = h * cmath.exp(-sign * u * z1) / t
     g = dh / h - sign * z1 - dt / t
     gp = (d2h / h - (dh / h) ** 2) - (d2t / t - (dt / t) ** 2)

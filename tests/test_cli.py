@@ -23,6 +23,23 @@ def _read_csv(path):
     return lines[0], cols
 
 
+def _header(meta):
+    return dict(item.split("=", 1) for item in meta.lstrip("# ").split())
+
+
+def _recorded_tols(monkeypatch):
+    """The (rtol, atol) of every Floquet integration from here on."""
+    tols = []
+    propagate = flq._propagate
+
+    def record(spec, es, tol=None):
+        tols.append(tol or (flq.RTOL, flq.ATOL))
+        return propagate(spec, es, tol)
+
+    monkeypatch.setattr(flq, "_propagate", record)
+    return tols
+
+
 class TestBuildSpec:
     def test_default_is_plain_lame(self):
         spec = build_spec(RunConfig())
@@ -76,6 +93,14 @@ class TestSamplePotential:
         cli.main(["sample-potential", "--pt", "--n", "50", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_states_no_tolerances(self, tmp_path, monkeypatch):
+        # nothing is integrated, so no integrator tolerance is stated
+        tols = _recorded_tols(monkeypatch)
+        out = tmp_path / "fig.csv"
+        assert cli.main(["sample-potential", "--pt", "--n", "5", "--out", str(out)]) == 0
+        meta, _ = _read_csv(out)
+        assert not tols and not [k for k in _header(meta) if k.endswith(("rtol", "atol"))]
+
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "fig.json"
         rc = cli.main(["sample-potential", "--pt", "--n", "20", "--format", "json", "--out", str(out)])
@@ -83,7 +108,7 @@ class TestSamplePotential:
         doc = json.loads(out.read_text())
         assert set(doc) == {"meta", "columns"}
         assert doc["meta"]["command"] == "sample-potential"
-        assert (doc["meta"]["integrator_rtol"], doc["meta"]["integrator_atol"]) == (flq.RTOL, flq.ATOL)
+        assert "integrator_rtol" not in doc["meta"]
         assert len(doc["columns"]["x"]) == 40
         assert len(doc["columns"]["re_v"]) == len(doc["columns"]["im_v"]) == 40
 
@@ -141,13 +166,11 @@ class TestEdges:
 
     def test_header_states_the_integrator_tolerances(self, tmp_path, monkeypatch):
         # the header's tolerances are the ones find_band_edges integrated at
-        tols = []
-        propagate = flq._propagate
-        monkeypatch.setattr(flq, "_propagate", lambda spec, es, tol=None: tols.append(tol) or propagate(spec, es, tol))
+        tols = _recorded_tols(monkeypatch)
         out = tmp_path / "edges.csv"
         assert cli.main(["edges", "--a", "3", "--pt", "--shift-zero", "--out", str(out)]) == 0
         meta, _ = _read_csv(out)
-        header = dict(item.split("=", 1) for item in meta.lstrip("# ").split())
+        header = _header(meta)
         assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
         assert float(header["integrator_rtol"]) < flq.RTOL
 
@@ -223,6 +246,13 @@ class TestScan:
         monkeypatch.setattr(flq, "_propagate", no_integration)
         assert cli.main(["scan", "--a", "1", "--paired"]) == 2
 
+    def test_header_states_the_integrator_tolerances(self, tmp_path, monkeypatch):
+        tols = _recorded_tols(monkeypatch)
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan", "--a", "1", "--pt", "--n", "12", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
+
 
 class TestDispersion:
     def test_a1_analytic_agreement(self, tmp_path):
@@ -249,6 +279,13 @@ class TestDispersion:
         meta, cols = _read_csv(out)
         assert "analytic_available=False" in meta
         assert all(v == "" for v in cols["k_analytic_re"])
+
+    def test_header_states_the_integrator_tolerances(self, tmp_path, monkeypatch):
+        tols = _recorded_tols(monkeypatch)
+        out = tmp_path / "disp.csv"
+        assert cli.main(["dispersion", "--a", "1", "--pt", "--shift-zero", "--n", "4", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
 
 
 class TestIntegrationLine:
@@ -341,6 +378,19 @@ class TestSelfcheck:
         assert cols["tol"] == [r.tol for r in cheap_registry]
         assert all(v < t for v, t in zip(cols["value"], cols["tol"]))
         assert all(sec >= 0.0 for sec in cols["seconds"])
+
+    def test_header_states_both_tolerance_pairs(self, tmp_path, monkeypatch):
+        # the edge rows integrate at find_band_edges' tolerances, the
+        # dispersion row at RTOL/ATOL; an (m, beta) no other test caches
+        names = ("band-edge-tables", "dispersion-analytic-vs-numeric")
+        monkeypatch.setattr(inv, "REGISTRY", tuple(r for r in inv.REGISTRY if r.name in names))
+        tols = _recorded_tols(monkeypatch)
+        out = tmp_path / "selfcheck.csv"
+        assert cli.main(["selfcheck", "--m", "0.55", "--beta", "0.45", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        stated = {(float(header[f"{key}_rtol"]), float(header[f"{key}_atol"]))
+                  for key in ("integrator", "edge_integrator")}
+        assert set(tols) == stated == {(flq.RTOL, flq.ATOL), flq._EDGE_TOL}
 
     def test_spec_flags_are_usage_errors(self):
         # the registry builds its own specs, so a spec flag would be ignored

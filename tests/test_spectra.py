@@ -256,6 +256,17 @@ class TestBlochSolutions:
                 psi, _, d2psi = spc.bloch_solution_jet(M, BETA, E, sign, float(x))
                 assert abs(-d2psi + (f(float(x)) - E) * psi) < 1e-7 * abs(f(float(x)) * psi)
 
+    @pytest.mark.parametrize("m", (0.75, 0.5, 0.3))
+    def test_ode_residual_row_where_psi_vanishes(self, m):
+        # at beta = 2K - alpha1(m/2) the + solution vanishes at x = 0, the
+        # first point of the row's grid; a pointwise ratio read 0.6-0.9 there
+        alpha1 = spc.dispersion_analytic(m, BETA, m / 2).alpha1.real
+        beta = 2 * ell.modulus(m).K - alpha1
+        assert abs(spc.bloch_solution_jet(m, beta, m / 2, 1, 0.0)[0]) < 1e-15
+        row = next(r for r in inv.REGISTRY if r.name == "bloch-ode-residual")
+        [(_, value, _, ok, _)] = inv.run([row], m, beta)
+        assert ok and value < 1e-13
+
     def test_bloch_factors_are_conjugate_momenta(self):
         E = M / 2
         L = 2 * ell.modulus(M).Kprime
@@ -275,6 +286,14 @@ class TestBlochSolutions:
         fd = (spc.bloch_solution_jet(M, BETA, E, 1, x + h)[0]
               - spc.bloch_solution_jet(M, BETA, E, 1, x - h)[0]) / (2 * h)
         assert abs(fd - spc.bloch_solution_jet(M, BETA, E, 1, x)[1]) < 1e-8
+
+    def test_rejects_theta_zero(self):
+        # u = i K' + 2K is a zero of Theta: on the line beta = 2K at x = K'
+        mod = ell.modulus(M)
+        with pytest.raises(ell.ThetaZeroError):
+            ell.zeta_Z(M, 2 * mod.K + 1j * mod.Kprime)
+        with pytest.raises(ell.ThetaZeroError):
+            spc.bloch_solution_jet(M, 2 * mod.K, M / 2, 1, mod.Kprime)
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
