@@ -1,24 +1,23 @@
 """Command-line surface: sampling, edge tables, scans, dispersion, selfcheck.
 
-Every command emits machine-readable output (CSV or JSON, ``--format``, to
-``--out``) with a metadata comment recording the configuration (for
+Each command declares only the options it reads and emits CSV or JSON
+(``--format``, to ``--out``) under a metadata header: its options as parsed
+or resolved (all but ``--format``/``--out``), then its results (for
 ``edges``, ``scan`` and ``dispersion`` also ``integration_beta``, the line
-the Floquet engine integrated on, beside the user's ``beta``, and for every
-command that integrates the tolerances it integrated at), and uses the
-exit-code contract 0 = ok, 2 = configuration error, 3 = verification failure,
-so CI can gate directly on the cross-checks.  ``selfcheck`` runs the
-invariant registry (:mod:`ptlame.invariants`) at ``--m``/``--beta``, one row
-per invariant with its value, tolerance, verdict and seconds; its specs are
-fixed by the registry, so it takes only ``--m``, ``--beta``, ``--tol``,
-``--format`` and ``--out``.
+the Floquet engine integrated on, and for every command that integrates the
+tolerances it integrated at).  Exit codes: 0 = ok, 2 = configuration error,
+3 = verification failure, so CI can gate directly on the cross-checks.
+``selfcheck`` runs the invariant registry (:mod:`ptlame.invariants`) at
+``--m``/``--beta``, one row per invariant with its value, tolerance, verdict
+and seconds; the registry fixes its specs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import invariants as inv
 from . import potentials as pot
 from . import spectra as spc
 
-__all__ = ["main", "RunConfig", "build_spec", "ConfigError"]
+__all__ = ["main", "build_spec", "ConfigError"]
 
 _VERIFY_TOL = 1e-6
 
@@ -37,40 +36,23 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    a: int = 3
-    b: int = 0
-    m: float = 0.75
-    beta: float = 0.5
-    ops: tuple = ()
-    shift_zero: bool = False
-    emin: float | None = None
-    emax: float | None = None
-    n: int | None = None
-    fmt: str = "csv"
-    out: str = "-"
-    tol: float = _VERIFY_TOL
-    paired: bool = False
-
-
-def build_spec(cfg: RunConfig):
-    """Construct the potential spec from config; raises ConfigError."""
+def build_spec(args):
+    """Construct the potential spec from the parsed options; raises ConfigError."""
     try:
-        spec = pot.associated_lame(cfg.a, cfg.b, cfg.m)
-        for op in cfg.ops:
+        spec = pot.associated_lame(args.a, args.b, args.m)
+        for op in args.ops:
             if op == "pt":
-                spec = pot.PTTransform(spec, cfg.beta)
+                spec = pot.PTTransform(spec, args.beta)
             elif op == "partner":
                 rows = spc.predicted_edges(spec)
                 if rows is None:
                     raise ConfigError(
-                        f"--partner needs a closed-form ground state; none for (a={cfg.a}, b={cfg.b})"
+                        f"--partner needs a closed-form ground state; none for (a={args.a}, b={args.b})"
                     )
                 spec = pot.SusyPartner(pot.Shifted(spec, rows[0][0]))
             else:
                 raise ConfigError(f"unknown op {op!r}")
-        if cfg.shift_zero:
+        if args.shift_zero:
             rows = spc.predicted_edges(spec)
             if rows is None:
                 raise ConfigError("--shift-zero needs closed-form edges; none for this family")
@@ -92,24 +74,12 @@ def _integrator_meta(tol=None, key: str = "integrator") -> dict:
     return {f"{key}_rtol": rtol, f"{key}_atol": atol}
 
 
-def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None:
-    meta = {
-        "command": command,
-        "a": cfg.a,
-        "b": cfg.b,
-        "m": cfg.m,
-        "beta": cfg.beta,
-        "ops": list(cfg.ops),
-        "shift_zero": cfg.shift_zero,
-        "tol": cfg.tol,
-    }
-    if command == "selfcheck":
-        # the registry builds its own specs; only (m, beta) and tol select them
-        for key in ("a", "b", "ops", "shift_zero"):
-            del meta[key]
-    if extra_meta:
-        meta.update(extra_meta)
-    if cfg.fmt == "json":
+def _write_table(args, columns, results) -> None:
+    """Write ``columns`` under a header of the options as parsed or resolved,
+    all but ``--format``/``--out``, then the command's ``results``."""
+    meta = {k: v for k, v in vars(args).items() if k not in ("fmt", "out")}
+    meta.update(results)
+    if args.fmt == "json":
         doc = {"meta": meta, "columns": {name: list(vals) for name, vals in columns}}
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
@@ -121,41 +91,40 @@ def _write_table(cfg: RunConfig, command: str, columns, extra_meta=None) -> None
                 (_fmt(vals[i]) if isinstance(vals[i], (int, float, np.floating)) else str(vals[i]))
                 for _, vals in columns) + "\n")
         text = "".join(parts)
-    if cfg.out in ("-", ""):
+    if args.out in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w", newline="\n", encoding="utf-8") as fh:
+        with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _samples(cfg: RunConfig, default: int, least: int) -> int:
-    """``--n``, or the command's default when unset; ConfigError below ``least``."""
-    n = default if cfg.n is None else cfg.n
-    if n < least:
-        raise ConfigError(f"--n must be at least {least}, not {n}")
-    return n
+def _samples(args, least: int) -> int:
+    """``--n``; ConfigError below ``least``."""
+    if args.n < least:
+        raise ConfigError(f"--n must be at least {least}, not {args.n}")
+    return args.n
 
 
-def _energy_range(cfg: RunConfig, lo, hi) -> tuple[float, float]:
-    """``--emin``/``--emax``, each defaulting to ``lo``/``hi``; ConfigError
-    unless the range is nonempty."""
-    emin = cfg.emin if cfg.emin is not None else lo
-    emax = cfg.emax if cfg.emax is not None else hi
-    if not emin < emax:
-        raise ConfigError(f"--emin ({emin}) must be below --emax ({emax})")
-    return emin, emax
+def _energy_range(args, lo, hi) -> tuple[float, float]:
+    """``--emin``/``--emax``, each defaulting to ``lo``/``hi`` and stored back
+    into ``args`` as resolved, for the header; ConfigError unless the range
+    is nonempty."""
+    args.emin = lo if args.emin is None else args.emin
+    args.emax = hi if args.emax is None else args.emax
+    if not args.emin < args.emax:
+        raise ConfigError(f"--emin ({args.emin}) must be below --emax ({args.emax})")
+    return args.emin, args.emax
 
 
-def cmd_sample_potential(cfg: RunConfig) -> int:
-    spec = build_spec(cfg)
-    n = _samples(cfg, 400, 1)
+def cmd_sample_potential(args) -> int:
+    spec = build_spec(args)
+    n = _samples(args, 1)
     L = spec.period
     xs = np.linspace(0.0, 2.0 * L, 2 * n, endpoint=False)
     f = pot.compiled_value_fn(spec)
     vals = [f(float(x)) for x in xs]
-    _write_table(cfg, "sample-potential",
-                 [("x", list(xs)), ("re_v", [v.real for v in vals]), ("im_v", [v.imag for v in vals])],
-                 {"period": L, "points_per_period": n})
+    _write_table(args, [("x", list(xs)), ("re_v", [v.real for v in vals]), ("im_v", [v.imag for v in vals])],
+                 {"period": L})
     return 0
 
 
@@ -175,15 +144,15 @@ def _pair_edges(predicted, found) -> dict:
     return pairs
 
 
-def cmd_edges(cfg: RunConfig) -> int:
-    spec = build_spec(cfg)
+def cmd_edges(args) -> int:
+    spec = build_spec(args)
     predicted = spc.predicted_edges(spec)
     if predicted is not None:
         lo = min(e for e, _ in predicted) - 0.5
         hi = max(e for e, _ in predicted) + 0.5
     else:
         lo, hi = flq.default_energy_range(spec)
-    found = flq.find_band_edges(spec, *_energy_range(cfg, lo, hi))
+    found = flq.find_band_edges(spec, *_energy_range(args, lo, hi))
     simple = [e for e in found if e.multiplicity == 1]
     pairs = _pair_edges(predicted or [], found)
 
@@ -203,23 +172,22 @@ def cmd_edges(cfg: RunConfig) -> int:
         else:
             eana.append("")
             diff.append(float("nan"))
-    passed = count_ok and (predicted is None or max_diff < cfg.tol)
+    passed = count_ok and (predicted is None or max_diff < args.tol)
     verdict = "PASS" if passed else "FAIL"
-    _write_table(cfg, "edges",
-                 [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
-                  ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
+    _write_table(args, [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
+                        ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
                  {**_integrator_meta(flq._EDGE_TOL), "verdict": verdict, "max_abs_diff": max_diff,
                   "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
     return 0 if passed else 3
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.paired and (cfg.ops != ("pt",) or cfg.b != 0 or cfg.shift_zero):
+def cmd_scan(args) -> int:
+    if args.paired and (args.ops != ["pt"] or args.b != 0 or args.shift_zero):
         raise ConfigError("--paired requires a plain PT Lame spec (--pt, b=0, no partner/shift)")
-    spec = build_spec(cfg)
-    n = _samples(cfg, 500, 2)
-    lo, hi = flq.default_energy_range(spec) if cfg.emin is None or cfg.emax is None else (None, None)
-    emin, emax = _energy_range(cfg, lo, hi)
+    spec = build_spec(args)
+    n = _samples(args, 2)
+    lo, hi = flq.default_energy_range(spec) if args.emin is None or args.emax is None else (None, None)
+    emin, emax = _energy_range(args, lo, hi)
     scan = flq.discriminant_scan(spec, emin, emax, n)
     cols = [("e", list(scan.energies)),
             ("re_delta", list(scan.discriminants.real)),
@@ -227,27 +195,27 @@ def cmd_scan(cfg: RunConfig) -> int:
     meta = {**_integrator_meta(), "im_flags": int(scan.im_flags.sum()),
             "integration_beta": flq.integration_beta(spec)}
     rc = 0
-    if cfg.paired:
-        dual = pot.Lame(cfg.a, 1.0 - cfg.m)
-        shift = cfg.a * (cfg.a + 1)
+    if args.paired:
+        dual = pot.Lame(args.a, 1.0 - args.m)
+        shift = args.a * (args.a + 1)
         dual_scan = flq.discriminant_scan(dual, emin + shift, emax + shift, n)
         dd = dual_scan.discriminants
         cols += [("re_delta_dual", list(dd.real)), ("im_delta_dual", list(dd.imag)),
                  ("abs_diff", list(np.abs(scan.discriminants - dd)))]
         max_diff = float(np.max(np.abs(scan.discriminants - dd)))
         meta["paired_max_abs_diff"] = max_diff
-        meta["verdict"] = "PASS" if max_diff < cfg.tol else "FAIL"
-        rc = 0 if max_diff < cfg.tol else 3
-    _write_table(cfg, "scan", cols, meta)
+        meta["verdict"] = "PASS" if max_diff < args.tol else "FAIL"
+        rc = 0 if max_diff < args.tol else 3
+    _write_table(args, cols, meta)
     return rc
 
 
-def cmd_dispersion(cfg: RunConfig) -> int:
-    spec = build_spec(cfg)
+def cmd_dispersion(args) -> int:
+    spec = build_spec(args)
     predicted = spc.predicted_edges(spec)
     base0 = predicted[0][0] if predicted else 0.0
-    emin, emax = _energy_range(cfg, base0, base0 + 3.0)
-    n = _samples(cfg, 25, 1)
+    emin, emax = _energy_range(args, base0, base0 + 3.0)
+    n = _samples(args, 1)
     # the analytic dispersion covers the a=1 PT potential, in the basis
     # shifted so its ground edge is zero
     form = pot.normal_form(spec)
@@ -255,38 +223,36 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     es = np.linspace(emin, emax, n)
     kn = flq.dispersion_numeric(spec, es)
     if analytic:
-        ka = np.array([spc.dispersion_analytic(cfg.m, cfg.beta, float(e) - base0).k for e in es])
+        ka = np.array([spc.dispersion_analytic(args.m, args.beta, float(e) - base0).k for e in es])
         diffs = np.abs(ka - kn)
         ka_re, ka_im = [_fmt(k) for k in ka.real], [_fmt(k) for k in ka.imag]
     else:
         ka_re = ka_im = [""] * n
         diffs = np.full(n, np.nan)
     max_diff = float(diffs.max()) if analytic else 0.0
-    _write_table(cfg, "dispersion",
-                 [("e", list(es)), ("k_numeric_re", list(kn.real)), ("k_numeric_im", list(kn.imag)),
-                  ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", list(diffs))],
+    _write_table(args, [("e", list(es)), ("k_numeric_re", list(kn.real)), ("k_numeric_im", list(kn.imag)),
+                        ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", list(diffs))],
                  {**_integrator_meta(), "analytic_available": analytic, "max_abs_diff": max_diff,
                   "integration_beta": flq.integration_beta(spec)})
-    return 0 if not analytic or max_diff < cfg.tol else 3
+    return 0 if not analytic or max_diff < args.tol else 3
 
 
 # ---------------------------------------------------------------------------
 # selfcheck
 
 
-def cmd_selfcheck(cfg: RunConfig) -> int:
+def cmd_selfcheck(args) -> int:
     # every spec the registry reads is built before the first check, so an
     # unusable (m, beta) is a configuration error, not a failure mid-run
     try:
-        inv.specs(cfg.m, cfg.beta)
+        inv.specs(args.m, args.beta)
     except (pot.PotentialError, ell.EllipticDomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    results = inv.run(inv.REGISTRY, cfg.m, cfg.beta, tol_scale=cfg.tol / _VERIFY_TOL)
+    results = inv.run(inv.REGISTRY, args.m, args.beta, tol_scale=args.tol / _VERIFY_TOL)
     name, value, tol, ok, seconds = zip(*results)
     verdict = "PASS" if all(ok) else "FAIL"
-    _write_table(cfg, "selfcheck",
-                 [("name", name), ("value", value), ("tol", tol),
-                  ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
+    _write_table(args, [("name", name), ("value", value), ("tol", tol),
+                        ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
                  {**_integrator_meta(), **_integrator_meta(flq._EDGE_TOL, "edge_integrator"),
                   "verdict": verdict, "passed": sum(ok), "total": len(ok)})
     return 0 if verdict == "PASS" else 3
@@ -296,9 +262,12 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 # argument parsing
 
 
-class _OpFlag(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        namespace.ops += ("pt" if option_string == "--pt" else "partner",)
+def _tolerance(text: str) -> float:
+    """``--tol``: positive and finite, else a usage error (exit 2) before any work."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, not {text}")
+    return tol
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -309,28 +278,30 @@ def _parser() -> argparse.ArgumentParser:
     point.add_argument("--beta", type=float, default=0.5)
     point.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     point.add_argument("--out", default="-")
-    point.add_argument("--tol", type=float, default=_VERIFY_TOL)
-    common = argparse.ArgumentParser(add_help=False, parents=[point])
-    common.add_argument("--a", type=int, default=3)
-    common.add_argument("--b", type=int, default=0)
-    common.add_argument("--pt", action=_OpFlag, nargs=0, dest="ops", default=(),
-                        help="apply the PT transform (order-sensitive, repeatable)")
-    common.add_argument("--partner", action=_OpFlag, nargs=0, dest="ops", default=(),
-                        help="take the SUSY partner (order-sensitive, repeatable)")
-    common.add_argument("--shift-zero", action="store_true", dest="shift_zero",
-                        help="shift so the lowest band edge sits at zero energy")
-    common.add_argument("--emin", type=float, default=None)
-    common.add_argument("--emax", type=float, default=None)
-    sampled = argparse.ArgumentParser(add_help=False, parents=[common])
-    sampled.add_argument("--n", type=int, default=None,
-                         help="samples: points per period, scan energies, dispersion energies")
-    sub.add_parser("sample-potential", parents=[sampled])
-    sub.add_parser("edges", parents=[common])
-    ps = sub.add_parser("scan", parents=[sampled])
+    spec = argparse.ArgumentParser(add_help=False, parents=[point])
+    spec.add_argument("--a", type=int, default=3)
+    spec.add_argument("--b", type=int, default=0)
+    spec.add_argument("--pt", action="append_const", const="pt", dest="ops", default=[],
+                      help="apply the PT transform (order-sensitive, repeatable)")
+    spec.add_argument("--partner", action="append_const", const="partner", dest="ops", default=[],
+                      help="take the SUSY partner (order-sensitive, repeatable)")
+    spec.add_argument("--shift-zero", action="store_true", dest="shift_zero",
+                      help="shift so the lowest band edge sits at zero energy")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL)
+    checked = argparse.ArgumentParser(add_help=False, parents=[spec, tol])
+    checked.add_argument("--emin", type=float, default=None)
+    checked.add_argument("--emax", type=float, default=None)
+    sub.add_parser("sample-potential", parents=[spec]).add_argument(
+        "--n", type=int, default=400, help="points per period")
+    sub.add_parser("edges", parents=[checked])
+    ps = sub.add_parser("scan", parents=[checked])
+    ps.add_argument("--n", type=int, default=500, help="scan energies")
     ps.add_argument("--paired", action="store_true",
                     help="emit the modulus-dual Lame discriminant side by side")
-    sub.add_parser("dispersion", parents=[sampled])
-    sub.add_parser("selfcheck", parents=[point])
+    sub.add_parser("dispersion", parents=[checked]).add_argument(
+        "--n", type=int, default=25, help="dispersion energies")
+    sub.add_parser("selfcheck", parents=[point, tol])
     return p
 
 
@@ -344,11 +315,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = vars(_parser().parse_args(argv))
-    command = args.pop("command")
-    cfg = RunConfig(**args)  # a command's unused fields keep their defaults
+    args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[command](cfg)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -268,7 +268,11 @@ def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
     u = 1j * x + beta
     h, dh, d2h = ell.theta_jets(m, u + sign * alpha1, True)
     t, dt, d2t = ell.theta_jets(m, u, False)
-    val = h * cmath.exp(-sign * u * z1) / t
-    g = dh / h - sign * z1 - dt / t
-    gp = (d2h / h - (dh / h) ** 2) - (d2t / t - (dt / t) ** 2)
-    return val, 1j * val * g, -val * (g * g + gp)
+    # product rule on H e^(-sign u Z) / Theta, never dividing by H, so the
+    # jet keeps its digits next to a zero of H
+    sz = sign * z1
+    n1, n2 = dh - sz * h, d2h - 2 * sz * dh + sz * sz * h
+    r, r2 = dt / t, d2t / t
+    ex = cmath.exp(-sz * u)
+    e = ex / t
+    return h * ex / t, 1j * e * (n1 - h * r), -e * (n2 - 2 * n1 * r + h * (2 * r * r - r2))

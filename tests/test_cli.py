@@ -11,7 +11,7 @@ from ptlame import floquet as flq
 from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
-from ptlame.cli import RunConfig, build_spec
+from ptlame.cli import build_spec
 
 
 def _read_csv(path):
@@ -40,27 +40,31 @@ def _recorded_tols(monkeypatch):
     return tols
 
 
+def _edges_args(*argv):
+    return cli._parser().parse_args(["edges", *argv])
+
+
 class TestBuildSpec:
     def test_default_is_plain_lame(self):
-        spec = build_spec(RunConfig())
+        spec = build_spec(_edges_args())
         assert spec == pot.Lame(3, 0.75)
 
     def test_op_order_matters(self):
-        a = build_spec(RunConfig(a=3, ops=("pt", "partner")))
-        b = build_spec(RunConfig(a=3, ops=("partner", "pt")))
+        a = build_spec(_edges_args("--a", "3", "--pt", "--partner"))
+        b = build_spec(_edges_args("--a", "3", "--partner", "--pt"))
         fa, fb = pot.compiled_value_fn(a), pot.compiled_value_fn(b)
         assert max(abs(fa(x) - fb(x)) for x in np.linspace(0.1, 2.0, 11)) > 1e-2
 
     def test_rejects_bad_beta(self):
         with pytest.raises(cli.ConfigError):
-            build_spec(RunConfig(ops=("pt",), beta=0.0))
+            build_spec(_edges_args("--pt", "--beta", "0"))
 
     def test_rejects_partner_without_closed_form(self):
         with pytest.raises(cli.ConfigError):
-            build_spec(RunConfig(a=2, ops=("pt", "partner")))
+            build_spec(_edges_args("--a", "2", "--pt", "--partner"))
 
     def test_shift_zero_moves_ground_to_zero(self):
-        spec = build_spec(RunConfig(a=3, ops=("pt",), shift_zero=True))
+        spec = build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))
         rows = spc.predicted_edges(spec)
         assert abs(rows[0][0]) < 1e-12
 
@@ -100,6 +104,15 @@ class TestSamplePotential:
         assert cli.main(["sample-potential", "--pt", "--n", "5", "--out", str(out)]) == 0
         meta, _ = _read_csv(out)
         assert not tols and not [k for k in _header(meta) if k.endswith(("rtol", "atol"))]
+
+    def test_header_states_only_the_options_it_reads(self, tmp_path):
+        # no tolerance or energy range is read, so none is stated; n is the
+        # points per period
+        out = tmp_path / "fig.csv"
+        assert cli.main(["sample-potential", "--n", "5", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        assert not {"tol", "emin", "emax", "points_per_period"} & set(header)
+        assert header["n"] == "5"
 
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "fig.json"
@@ -174,6 +187,13 @@ class TestEdges:
         assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
         assert float(header["integrator_rtol"]) < flq.RTOL
 
+    def test_header_states_the_energy_range_searched(self, tmp_path):
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", "--a", "3", "--pt", "--shift-zero", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        top = max(e for e, _ in spc.predicted_edges(build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))))
+        assert (float(header["emin"]), float(header["emax"])) == (-0.5, top + 0.5)
+
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -201,6 +221,23 @@ class TestUsageErrors:
     def test_edges_takes_no_n(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["edges", "--n", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--tol", "1e-9"], ["--emin", "0"], ["--emax", "1"]])
+    def test_sample_potential_takes_no_tol_or_range(self, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample-potential", *option])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["edges", "scan", "dispersion", "selfcheck"])
+    def test_tol_must_be_positive_and_finite(self, command, tol, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(flq, "_propagate", no_integration)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--tol", tol])
         assert exc.value.code == 2
 
 
@@ -253,6 +290,13 @@ class TestScan:
         header = _header(_read_csv(out)[0])
         assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
 
+    def test_header_states_the_default_energy_range(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert cli.main(["scan", "--a", "1", "--pt", "--n", "3", "--out", str(out)]) == 0
+        header = _header(_read_csv(out)[0])
+        lo, hi = flq.default_energy_range(build_spec(_edges_args("--a", "1", "--pt")))
+        assert (float(header["emin"]), float(header["emax"])) == (lo, hi)
+
 
 class TestDispersion:
     def test_a1_analytic_agreement(self, tmp_path):
@@ -286,6 +330,14 @@ class TestDispersion:
         assert cli.main(["dispersion", "--a", "1", "--pt", "--shift-zero", "--n", "4", "--out", str(out)]) == 0
         header = _header(_read_csv(out)[0])
         assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
+
+    def test_header_states_the_default_n(self, tmp_path):
+        out = tmp_path / "disp.csv"
+        assert cli.main(["dispersion", "--a", "1", "--pt", "--shift-zero", "--out", str(out)]) == 0
+        meta, cols = _read_csv(out)
+        header = _header(meta)
+        assert header["n"] == "25" == str(len(cols["e"]))
+        assert (float(header["emin"]), float(header["emax"])) == (0.0, 3.0)
 
 
 class TestIntegrationLine:
@@ -369,7 +421,7 @@ class TestSelfcheck:
         assert cli.main(["selfcheck", "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["command"] == "selfcheck"
-        assert not {"a", "b", "ops", "shift_zero"} & set(doc["meta"])
+        assert not {"a", "b", "ops", "shift_zero", "emin", "emax", "n"} & set(doc["meta"])
         assert (doc["meta"]["integrator_rtol"], doc["meta"]["integrator_atol"]) == (flq.RTOL, flq.ATOL)
         assert (doc["meta"]["verdict"], doc["meta"]["passed"]) == ("PASS", 3)
         cols = doc["columns"]

@@ -267,6 +267,13 @@ class TestBlochSolutions:
         [(_, value, _, ok, _)] = inv.run([row], m, beta)
         assert ok and value < 1e-13
 
+    def test_ode_residual_row_near_a_zero_of_h(self):
+        # beta rounded off the zero: psi(0) = -2.5e-11, where a jet built
+        # from the log-derivative dh/h loses every digit of psi''
+        row = next(r for r in inv.REGISTRY if r.name == "bloch-ode-residual")
+        [(_, value, _, ok, _)] = inv.run([row], 0.75, 3.461807546)
+        assert ok and value < 1e-13
+
     def test_bloch_factors_are_conjugate_momenta(self):
         E = M / 2
         L = 2 * ell.modulus(M).Kprime
