@@ -15,6 +15,7 @@ and seconds; the registry fixes its specs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -270,7 +271,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once.  Each ``parse_args`` fills a new namespace,
+    and ``--pt``/``--partner`` append to a copy of their shared default."""
     p = argparse.ArgumentParser(prog="ptlame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     point = argparse.ArgumentParser(add_help=False)

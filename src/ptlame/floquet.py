@@ -236,6 +236,12 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
     ``tol`` = (rtol, atol), by default (``RTOL``, ``ATOL``), keeping only the
     end point.
 
+    ``fun(t, y, out=None)`` returns y', written into ``out`` when one is
+    given: each stage writes straight into the solver's stage array, which
+    ``fun`` must not keep.  Called with two arguments it returns a new
+    array, so scipy can drive the same function.  The state has ``y0``'s
+    dtype throughout, float64 or complex128.
+
     Step control is that of scipy's ``solve_ivp(method="DOP853")``: the
     initial step of Hairer et al. Sec. II.4, an RMS error norm that combines
     the 5th- and 3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8)
@@ -250,23 +256,20 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
     rtol, atol = tol or (RTOL, ATOL)
     t, t1 = map(float, t_span)
     y = np.asarray(y0)
-    nfev = 0
-
-    def rhs(x, z):
-        nonlocal nfev
-        nfev += 1
-        return fun(x, z)
-
-    f = rhs(t, y)
+    # K[0] holds the derivative at the current point; K[12] the one at the
+    # step's end, copied into K[0] when the step is accepted
+    K = np.empty((13, y.size), dtype=y.dtype)
+    z = np.empty_like(y)
+    f = fun(t, y, K[0])
     # initial step
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, t1 - t)
+    nfev = 2
 
-    K = np.empty((13, y.size), dtype=y.dtype)
     h_floor = _MIN_STEP * period
     steps = 0
     while t != t1:
@@ -282,11 +285,14 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
                 return _Solution(False, "required step size is less than spacing between numbers", y, nfev, steps)
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            K[0] = f
             for s in range(1, 12):
-                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s]) * h)
+                np.dot(_A[s], K[:s], out=z)
+                z *= h
+                z += y
+                fun(t + _C[s] * h, z, K[s])
             y_new = y + h * np.dot(K[:12].T, _B)
-            K[12] = f_new = rhs(t_new, y_new)
+            fun(t_new, y_new, K[12])
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
@@ -297,7 +303,8 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        K[0] = K[12]
     return _Solution(True, None, y, nfev, steps)
 
 
@@ -334,14 +341,18 @@ def _propagate(spec, energies, tol=None):
     integrated in batches of ``_CHUNK`` at :func:`solve_ivp`'s ``tol``.
 
     The ODE is linear and the potential is shared across a batch, so the
-    right-hand side evaluates V once per stage regardless of batch size.
+    right-hand side evaluates V once per stage regardless of batch size,
+    writing y' into the stage array :func:`solve_ivp` hands it.
     A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
     (real and even on the real axis, PT-invariant on i x + beta), so at real
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
     integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
     sigma = diag(1, -1), M = sigma conj(A)^-1 sigma A =
-    [[conj d, conj b], [conj c, conj a]] A.  A custom potential is
-    integrated over [0, L].  Each batch is Wronskian checked (det = 1) on
+    [[conj d, conj b], [conj c, conj a]] A.  On the real axis (a Lame-family
+    spec with no PT transform) V has imaginary part exactly 0.0, so the
+    state, and A, is float64 there; on a PT line it is complex128.  A custom
+    potential is integrated over [0, L] in complex128.  M is complex either
+    way.  Each batch is Wronskian checked (det = 1) on
     the matrix integrated, as soon as it finishes; det M = |det A|^2 would
     miss a drift of det A's phase.  det - 1 is a difference of products of
     the entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
@@ -351,27 +362,29 @@ def _propagate(spec, energies, tol=None):
     |det - 1| and the integrator stats: steps and RHS calls summed over the
     batches, the largest defect.
     """
-    line = _line(spec)[0]
+    line, beta = _line(spec)
     f = potentials.compiled_value_fn(line)
     L = line.period
     half = potentials.normal_form(spec).kind != "custom"
+    real = half and beta is None
+    dtype = float if real else complex
     end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)
     ms = np.empty((energies.size, 2, 2), dtype=complex)
     defects = np.empty(energies.size)
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
-        EE = np.repeat(energies[lo : lo + _CHUNK].astype(complex), 2)
+        EE = np.repeat(energies[lo : lo + _CHUNK].astype(dtype), 2)
         n2 = EE.size
-        y0 = np.zeros(2 * n2, dtype=complex)
+        y0 = np.zeros(2 * n2, dtype=dtype)
         y0[0:n2:2] = 1.0  # psi_a(0) = 1
         y0[n2 + 1 :: 2] = 1.0  # psi_b'(0) = 1
 
-        def rhs(x, y):
+        def rhs(x, y, out=None):
             v = f(x)
-            out = np.empty_like(y)
+            out = np.empty_like(y) if out is None else out
             out[:n2] = y[n2:]
-            out[n2:] = (v - EE) * y[:n2]
+            np.multiply((v.real if real else v) - EE, y[:n2], out=out[n2:])
             return out
 
         sol = solve_ivp(rhs, (0.0, end), y0, period=L, tol=tol)

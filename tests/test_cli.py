@@ -69,6 +69,33 @@ class TestBuildSpec:
         assert abs(rows[0][0]) < 1e-12
 
 
+class TestRepeatedCalls:
+    def test_two_calls_share_no_state(self, tmp_path, monkeypatch):
+        # the parser is built once; each call parses into a new namespace, so
+        # --pt does not carry over and each call resolves its own range
+        assert cli._parser() is cli._parser()
+        searched = []
+        find = flq.find_band_edges
+
+        def record(spec, e_min, e_max):
+            searched.append((spec, e_min, e_max))
+            return find(spec, e_min, e_max)
+
+        monkeypatch.setattr(flq, "find_band_edges", record)
+        headers = []
+        for argv in (["--pt"], []):
+            out = tmp_path / "edges.csv"
+            assert cli.main(["edges", "--a", "1", *argv, "--out", str(out)]) == 0
+            headers.append(_header(_read_csv(out)[0]))
+        (pt, *_), (plain, e_min, e_max) = searched
+        assert isinstance(pt, pot.PTTransform) and plain == pot.Lame(1, 0.75)
+        rows = [e for e, _ in spc.predicted_edges(plain)]
+        assert (e_min, e_max) == (min(rows) - 0.5, max(rows) + 0.5)
+        assert (float(headers[1]["emin"]), float(headers[1]["emax"])) == (e_min, e_max)
+        assert headers[0]["ops"] == "['pt']" and headers[1]["ops"] == "[]"
+        assert headers[0]["emax"] != headers[1]["emax"]
+
+
 class TestSamplePotential:
     def test_default_figure_data(self, tmp_path):
         out = tmp_path / "fig.csv"

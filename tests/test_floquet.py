@@ -41,6 +41,19 @@ def _half_period(spec, E):
     return solve_ivp(rhs, (0.0, 0.5 * spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
 
 
+def _real_axis_specs(m=M):
+    """Specs integrated on the real axis that are not custom: each family's
+    potential, a=2 without closed forms, and each family shifted to its
+    ground energy and its SUSY partner (what --shift-zero and --partner
+    build)."""
+    out = [pot.Lame(2, m)]
+    for fam in spc.ptlame_families:
+        base = pot.associated_lame(*fam[1:], m)
+        shifted = pot.Shifted(base, spc.ground_energy(*fam, m, pt=False))
+        out += [base, shifted, pot.SusyPartner(shifted)]
+    return out
+
+
 def _a1_spec(m=M, beta=BETA):
     return pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
 
@@ -153,6 +166,34 @@ class TestHalfPeriod:
                             (0.0, math.pi), [1.0, 0.0, 0.0, 1.0], method="DOP853", rtol=1e-13, atol=1e-15)
             assert abs(delta - (sol.y[0, -1] + sol.y[3, -1])) < 1e-9
 
+    @pytest.mark.parametrize("m", [M, 0.3])
+    def test_real_axis_potentials_are_real(self, m):
+        # V is real on the real axis to the last bit, so the engine can drop
+        # its imaginary part there
+        for spec in _real_axis_specs(m):
+            f = pot.compiled_value_fn(spec)
+            assert all(f(x).imag == 0.0 for x in np.linspace(-spec.period, 2.0 * spec.period, 301))
+
+    def test_real_axis_integrates_in_float64(self, monkeypatch):
+        # real-axis specs integrate real states; PT lines and custom
+        # potentials complex ones
+        dtypes = []
+        solve = flq.solve_ivp
+
+        def recorded(fun, t_span, y0, **kwargs):
+            dtypes.append(y0.dtype)
+            return solve(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(flq, "solve_ivp", recorded)
+        spec = _a1_spec()
+        line = pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))), spec.period)
+        cases = [(s, np.float64) for s in _real_axis_specs()]
+        cases += [(s, np.complex128) for s in [*inv.specs(M, BETA).values(), FREE, line]]
+        for s, dtype in cases:
+            dtypes.clear()
+            flq._propagate(s, [0.5, 2.0])
+            assert dtypes == [dtype]
+
     def test_batch_rhs_calls(self):
         # one 800-energy batch on the a=3 anchor: 374 RHS calls over half a
         # period at RTOL 1e-12, against 545 over the whole one at 1e-11
@@ -167,7 +208,8 @@ class TestStepper:
         # each spec's batch, integrated again by scipy at the same tolerances:
         # the same accepted steps and RHS calls, 3 fewer than scipy's run to
         # t_eval=[end], which builds the dense output of the last step, and
-        # the same Delta
+        # the same Delta; the real-axis specs (plain, partner and (2,1))
+        # integrate real states, which scipy keeps real
         runs = []
         solve = flq.solve_ivp
 
@@ -177,7 +219,9 @@ class TestStepper:
 
         monkeypatch.setattr(flq, "solve_ivp", recorded)
         es = np.linspace(-1.0, 30.0, flq._CHUNK)
-        for spec in inv.specs(M, BETA).values():
+        shifted = pot.Shifted(pot.Lame(3, M), spc.ground_energy("lame", 3, 0, M, pt=False))
+        real = [pot.Lame(3, M), pot.SusyPartner(shifted), pot.AssociatedLame(2, 1, M)]
+        for spec in [*inv.specs(M, BETA).values(), *real]:
             runs.clear()
             delta = flq.discriminants(spec, es)
             [(fun, t_span, y0, sol)] = runs
