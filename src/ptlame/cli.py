@@ -9,7 +9,7 @@ tolerances it integrated at).  Exit codes: 0 = ok, 2 = configuration error,
 3 = verification failure, so CI can gate directly on the cross-checks.
 ``selfcheck`` runs the invariant registry (:mod:`ptlame.invariants`) at
 ``--m``/``--beta``, one row per invariant with its value, tolerance, verdict
-and seconds; the registry fixes its specs.
+and seconds; the registry fixes its specs and tolerances.
 """
 
 from __future__ import annotations
@@ -30,37 +30,17 @@ from . import spectra as spc
 
 __all__ = ["main", "build_spec", "ConfigError"]
 
-_VERIFY_TOL = 1e-6
-
 
 class ConfigError(ValueError):
     pass
 
 
 def build_spec(args):
-    """Construct the potential spec from the parsed options; raises ConfigError."""
+    """The potential spec of the parsed options (:func:`potentials.build`);
+    raises ConfigError."""
     try:
-        spec = pot.associated_lame(args.a, args.b, args.m)
-        for op in args.ops:
-            if op == "pt":
-                spec = pot.PTTransform(spec, args.beta)
-            elif op == "partner":
-                rows = spc.predicted_edges(spec)
-                if rows is None:
-                    raise ConfigError(
-                        f"--partner needs a closed-form ground state; none for (a={args.a}, b={args.b})"
-                    )
-                spec = pot.SusyPartner(pot.Shifted(spec, rows[0][0]))
-            else:
-                raise ConfigError(f"unknown op {op!r}")
-        if args.shift_zero:
-            rows = spc.predicted_edges(spec)
-            if rows is None:
-                raise ConfigError("--shift-zero needs closed-form edges; none for this family")
-            if abs(rows[0][0]) > 1e-12:
-                spec = pot.Shifted(spec, rows[0][0])
-        return spec
-    except (pot.PotentialError, ell.EllipticDomainError, ConfigError) as exc:
+        return pot.build(args.a, args.b, args.m, args.beta, args.ops, args.shift_zero)
+    except (pot.PotentialError, ell.EllipticDomainError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -154,12 +134,14 @@ def cmd_edges(args) -> int:
     else:
         lo, hi = flq.default_energy_range(spec)
     found = flq.find_band_edges(spec, *_energy_range(args, lo, hi))
-    simple = [e for e in found if e.multiplicity == 1]
     pairs = _pair_edges(predicted or [], found)
 
     idx, eana, enum, diff, disc, cls = [], [], [], [], [], []
     max_diff = 0.0
-    count_ok = predicted is None or len(simple) == len(predicted) == len(pairs)
+    # every family with a >= 1 has 2a + 1 simple edges, with closed forms or not
+    expected = flq.simple_edge_count(spec)
+    simple = sum(1 for e in found if e.multiplicity == 1)
+    count_ok = (expected is None or simple == expected) and len(pairs) == len(predicted or [])
     for i, e in enumerate(found):
         idx.append(i)
         enum.append(e.energy)
@@ -249,7 +231,7 @@ def cmd_selfcheck(args) -> int:
         inv.specs(args.m, args.beta)
     except (pot.PotentialError, ell.EllipticDomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    results = inv.run(inv.REGISTRY, args.m, args.beta, tol_scale=args.tol / _VERIFY_TOL)
+    results = inv.run(inv.REGISTRY, args.m, args.beta)
     name, value, tol, ok, seconds = zip(*results)
     verdict = "PASS" if all(ok) else "FAIL"
     _write_table(args, [("name", name), ("value", value), ("tol", tol),
@@ -291,9 +273,8 @@ def _parser() -> argparse.ArgumentParser:
                       help="take the SUSY partner (order-sensitive, repeatable)")
     spec.add_argument("--shift-zero", action="store_true", dest="shift_zero",
                       help="shift so the lowest band edge sits at zero energy")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL)
-    checked = argparse.ArgumentParser(add_help=False, parents=[spec, tol])
+    checked = argparse.ArgumentParser(add_help=False, parents=[spec])
+    checked.add_argument("--tol", type=_tolerance, default=1e-6)
     checked.add_argument("--emin", type=float, default=None)
     checked.add_argument("--emax", type=float, default=None)
     sub.add_parser("sample-potential", parents=[spec]).add_argument(
@@ -305,7 +286,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="emit the modulus-dual Lame discriminant side by side")
     sub.add_parser("dispersion", parents=[checked]).add_argument(
         "--n", type=int, default=25, help="dispersion energies")
-    sub.add_parser("selfcheck", parents=[point, tol])
+    sub.add_parser("selfcheck", parents=[point])
     return p
 
 

@@ -52,6 +52,7 @@ __all__ = [
     "discriminants",
     "discriminant_scan",
     "find_band_edges",
+    "simple_edge_count",
     "dispersion_numeric",
     "default_energy_range",
 ]
@@ -137,7 +138,8 @@ class NumericBandEdge:
     that, at that root, Delta is +/-2 and M21 is 0 to 1e-6 (M21 relative to
     the size of M12 and M21 nearby).  M21 there tracks the gap's width, so an
     open gap 1.1e-6 wide or wider is found open, and a narrower one may be
-    reported closed.
+    reported closed.  That bound was measured on a <= 3: at a = 7, m = 0.3,
+    a gap 3.0e-6 wide is reported closed.
     """
 
     energy: float
@@ -535,17 +537,23 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
                    <= (_PAIR if f.multiplicity == 2 else 1e-9 * max(1.0, abs(e.energy))) for f in found):
             found.append(e)
     found.sort(key=lambda e: e.energy)
-    a = potentials.normal_form(spec).a  # 0 for a custom potential
-    if a >= 1:
-        expected = 2 * a + 1
-        simple = sum(1 for e in found if e.multiplicity == 1)
-        if simple < expected:
-            warnings.warn(
-                f"found {simple} simple band edges but the base family (a={a}) has {expected}; "
-                "the energy range is probably too small",
-                stacklevel=2,
-            )
+    expected = simple_edge_count(spec)
+    simple = sum(1 for e in found if e.multiplicity == 1)
+    if expected is not None and simple < expected:
+        warnings.warn(
+            f"found {simple} simple band edges but the base family has {expected}; "
+            "the energy range is probably too small",
+            stacklevel=2,
+        )
     return found
+
+
+def simple_edge_count(spec) -> int | None:
+    """2a + 1, the simple band edges of a spec whose base family has a >= 1:
+    the (a, b) associated Lame potential is finite-gap, with a open gaps
+    (closed gaps are the other edges); None for a = 0 and a custom potential."""
+    a = potentials.normal_form(spec).a  # 0 for a custom potential
+    return 2 * a + 1 if a >= 1 else None
 
 
 def dispersion_numeric(spec, energies) -> np.ndarray:

@@ -50,11 +50,9 @@ def specs(m: float, beta: float) -> MappingProxyType:
     other spec a row builds is valid whenever these are."""
     out = {}
     for fam in spc.ptlame_families:
-        src = pot.Shifted(pot.PTTransform(pot.associated_lame(*fam[1:], m), beta),
-                          spc.ground_energy(*fam, m, pt=True))
-        out[fam], out[fam + ("partner",)] = src, pot.SusyPartner(src)
-    real3 = pot.Shifted(pot.Lame(3, m), spc.ground_energy(*_A3, m, pt=False))
-    out["a3-exchanged"] = pot.Shifted(pot.PTTransform(pot.SusyPartner(real3), beta), -_top(_A3, m))
+        out[fam] = pot.build(*fam[1:], m, beta, ["pt"], True)
+        out[fam + ("partner",)] = pot.build(*fam[1:], m, beta, ["pt", "partner"], True)
+    out["a3-exchanged"] = pot.build(3, 0, m, beta, ["partner", "pt"], True)
     return MappingProxyType(out)
 
 
@@ -387,13 +385,13 @@ REGISTRY = (
 )
 
 
-def run(rows, m: float, beta: float, tol_scale: float = 1.0) -> list[tuple]:
+def run(rows, m: float, beta: float) -> list[tuple]:
     """(name, value, tol, ok, seconds) for each of ``rows`` (usually
-    :data:`REGISTRY`) at (m, beta), every tolerance times ``tol_scale``."""
+    :data:`REGISTRY`) at (m, beta)."""
     out = []
     for row in rows:
         t0 = time.perf_counter()
-        value, tol = float(row.check(m, beta)), row.tol * tol_scale
-        ok = value > tol if row.above else value < tol
-        out.append((row.name, value, tol, ok, time.perf_counter() - t0))
+        value = float(row.check(m, beta))
+        ok = value > row.tol if row.above else value < row.tol
+        out.append((row.name, value, row.tol, ok, time.perf_counter() - t0))
     return out

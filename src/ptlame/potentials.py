@@ -1,10 +1,11 @@
 """Composable Lame-family potentials and their PT / SUSY constructions.
 
-A potential spec is an immutable tree: a base potential (``Lame`` or
-``AssociatedLame``) wrapped by any of ``Shifted`` (constant subtraction),
-``PTTransform`` (x -> i x + beta together with an overall sign flip), and
-``SusyPartner`` (W**2 + W' built from the zero-energy ground state of the
-wrapped spec).  ``normal_form`` reduces a tree to its base family, the
+A potential spec is an immutable tree: a base potential (``AssociatedLame``,
+of which ``Lame`` is the b = 0 case) wrapped by any of ``Shifted`` (constant
+subtraction), ``PTTransform`` (x -> i x + beta together with an overall sign
+flip), and ``SusyPartner`` (W**2 + W' built from the zero-energy ground state
+of the wrapped spec); ``build`` composes the paper's constructions.
+``normal_form`` reduces a tree to its base family, the
 Jacobi-function expression of V and the closed-form data that survive the
 wrappers; every structural question reads it.  ``compiled_value_fn``
 evaluates a spec to complex values at real x; specs are analytic in x, which
@@ -34,6 +35,7 @@ __all__ = [
     "Shifted",
     "SusyPartner",
     "CustomPotential",
+    "build",
     "compiled_value_fn",
     "Form",
     "normal_form",
@@ -67,46 +69,32 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class Lame(PotentialSpec):
-    """V(x) = a(a+1) m sn(x, m)**2, real period 2K(m).
+class AssociatedLame(PotentialSpec):
+    """V(x) = a(a+1) m sn**2 + b(b+1) m cn**2/dn**2 with integers a >= b >= 0,
+    real period 2K(m); b = 0 is the Lame potential.
 
     a = 0 gives the free particle and is allowed; it is occasionally useful
     as a monodromy sanity case.
     """
 
     a: int
-    m_: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.a != int(self.a):
-            raise PotentialError(f"Lame index a={self.a!r} must be a nonnegative integer")
-        if not 0.0 < self.m_ < 1.0:
-            raise PotentialError(f"parameter m={self.m_!r} outside (0, 1)")
-
-
-@dataclass(frozen=True)
-class AssociatedLame(PotentialSpec):
-    """V(x) = a(a+1) m sn**2 + b(b+1) m cn**2/dn**2, real period 2K(m)."""
-
-    a: int
     b: int
     m_: float
 
     def __post_init__(self):
-        if not (self.a >= self.b >= 1):
-            raise PotentialError(
-                f"AssociatedLame requires a >= b >= 1; got a={self.a}, b={self.b}"
-                " (use associated_lame() to normalize b=0 to Lame)"
-            )
+        if not (self.a == int(self.a) and self.b == int(self.b) and self.a >= self.b >= 0):
+            raise PotentialError(f"associated Lame indices must be integers a >= b >= 0; got a={self.a!r},"
+                                 f" b={self.b!r}")
         if not 0.0 < self.m_ < 1.0:
             raise PotentialError(f"parameter m={self.m_!r} outside (0, 1)")
 
 
-def associated_lame(a: int, b: int, m: float) -> PotentialSpec:
-    """Factory normalizing b = 0 to the plain Lame potential."""
-    if b == 0:
-        return Lame(a, m)
-    return AssociatedLame(a, b, m)
+associated_lame = AssociatedLame
+
+
+def Lame(a: int, m: float) -> AssociatedLame:
+    """V(x) = a(a+1) m sn(x, m)**2: the associated Lame potential with b = 0."""
+    return AssociatedLame(a, 0, m)
 
 
 @dataclass(frozen=True)
@@ -168,6 +156,31 @@ class CustomPotential(PotentialSpec):
     period_: float
 
 
+def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = False) -> PotentialSpec:
+    """The (a, b) associated Lame potential at m with ``ops`` applied in order
+    ("pt": the PT transform onto the line i x + beta; "partner": the SUSY
+    partner, after a shift to the closed-form ground energy), then, with
+    ``shift_zero``, shifted so its lowest closed-form edge sits at zero.
+    Raises PotentialError for an invalid construction or an unknown op."""
+    from . import spectra
+
+    def ground(spec):
+        rows = spectra.predicted_edges(spec)
+        if rows is None:
+            raise MissingGroundStateError(f"a partner or a shift to zero needs closed-form edges;"
+                                          f" none for (a={a}, b={b})")
+        return rows[0][0]
+
+    spec = AssociatedLame(a, b, m)
+    for op in ops:
+        if op not in ("pt", "partner"):
+            raise PotentialError(f"unknown op {op!r}")
+        spec = PTTransform(spec, beta) if op == "pt" else SusyPartner(Shifted(spec, ground(spec)))
+    if shift_zero and abs(e0 := ground(spec)) > 1e-12:
+        spec = Shifted(spec, e0)
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # normal form
 
@@ -219,8 +232,8 @@ def normal_form(spec: PotentialSpec) -> Form:
     """
     from . import spectra
 
-    if isinstance(spec, (Lame, AssociatedLame)):
-        kind, b = ("lame", 0) if isinstance(spec, Lame) else ("assoc", spec.b)
+    if isinstance(spec, AssociatedLame):
+        kind, b = "assoc" if spec.b else "lame", spec.b
         ca, cb = spec.a * (spec.a + 1) * spec.m_, b * (b + 1) * spec.m_
         g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
         closed = (kind, spec.a, b) in spectra.ptlame_families

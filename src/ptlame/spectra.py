@@ -29,8 +29,6 @@ __all__ = ["BandEdge", "DispersionPoint", "BranchResolutionError", "real_band_ed
 _REAL_CLASS = {"sn": "A", "cn": "A", "dn": "P", "sncndn": "P", "cn/dn": "A", "sn/dn": "A", "dn2": "P"}
 _PT_CLASS = {"sn": "P", "cn": "A", "dn": "A", "sncndn": "P", "cn/dn": "P", "sn/dn": "A", "dn2": "P"}
 
-ptlame_families = (("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1))
-
 
 class BranchResolutionError(RuntimeError):
     """The analytic a=1 dispersion gives |Im k| >= 1e-6 at an energy inside
@@ -102,6 +100,7 @@ def _zeros(tag: str, c0: float, c1: float, m: float) -> tuple:
 
 
 _TABLES = {("lame", 1, 0): _lame1, ("lame", 3, 0): _lame3, ("assoc", 2, 1): _assoc21}
+ptlame_families = tuple(_TABLES)
 
 
 def _table(kind: str, a: int, b: int, m: float):

@@ -69,6 +69,15 @@ class TestBuildSpec:
         assert abs(rows[0][0]) < 1e-12
 
 
+    def test_registry_specs_are_the_cli_specs(self):
+        # selfcheck checks exactly the specs `edges --pt --shift-zero` prints
+        s = inv.specs(0.75, 0.5)
+        for fam in spc.ptlame_families:
+            argv = ["--a", str(fam[1]), "--b", str(fam[2]), "--shift-zero", "--pt"]
+            assert build_spec(_edges_args(*argv)) == s[fam]
+            assert build_spec(_edges_args(*argv, "--partner")) == s[fam + ("partner",)]
+        assert build_spec(_edges_args("--a", "3", "--partner", "--pt", "--shift-zero")) == s["a3-exchanged"]
+
 class TestRepeatedCalls:
     def test_two_calls_share_no_state(self, tmp_path, monkeypatch):
         # the parser is built once; each call parses into a new namespace, so
@@ -172,6 +181,34 @@ class TestEdges:
         assert rc == 3
         meta, _ = _read_csv(out)
         assert "verdict=FAIL" in meta
+
+    def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
+        # the a=2 Lame potential has no closed-form table; over the default
+        # range its five simple edges are found and the count passes
+        found = []
+        find = flq.find_band_edges
+
+        def record(*args):
+            found[:] = find(*args)
+            return found
+
+        monkeypatch.setattr(flq, "find_band_edges", record)
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", "--a", "2", "--out", str(out)]) == 0
+        meta, _ = _read_csv(out)
+        assert "verdict=PASS" in meta and "analytic_available=False" in meta
+        assert sum(1 for e in found if e.multiplicity == 1) == 5
+
+    def test_without_closed_forms_missed_edges_fail(self, tmp_path):
+        # [0.5, 3] holds two of the five a=2 edges: the count fails the gate,
+        # with no closed forms to pair against
+        out = tmp_path / "edges.csv"
+        with pytest.warns(UserWarning, match="found 2 simple band edges but the base family has 5"):
+            rc = cli.main(["edges", "--a", "2", "--emin", "0.5", "--emax", "3", "--out", str(out)])
+        assert rc == 3
+        meta, cols = _read_csv(out)
+        assert "verdict=FAIL" in meta
+        assert len(cols["index"]) == 2
 
     def test_spurious_edge_does_not_shift_the_pairing(self, tmp_path, monkeypatch):
         # one extra numeric edge between the true ones: each closed-form edge
@@ -434,14 +471,6 @@ class TestSelfcheck:
         assert "verdict=PASS" in meta and "passed=3" in meta
         assert cols["name"] == list(CHEAP_ROWS)
         assert cols["verdict"] == ["PASS"] * 3
-
-    def test_tightened_tolerance_reruns_stricter(self, cheap_registry, tmp_path):
-        out = tmp_path / "selfcheck.csv"
-        # --tol 1e-18 scales every row tolerance by 1e-12
-        assert cli.main(["selfcheck", "--tol", "1e-18", "--out", str(out)]) == 3
-        meta, cols = _read_csv(out)
-        assert "verdict=FAIL" in meta
-        assert "FAIL" in cols["verdict"]
 
     def test_json_round_trip(self, cheap_registry, tmp_path):
         out = tmp_path / "selfcheck.json"

@@ -25,9 +25,13 @@ class TestConstruction:
         with pytest.raises(pot.PotentialError):
             pot.AssociatedLame(1, 2, 0.5)
 
+    @pytest.mark.parametrize("a,b", [(2.5, 1), (2, 1.5)])
+    def test_associated_requires_integer_indices(self, a, b):
+        with pytest.raises(pot.PotentialError):
+            pot.AssociatedLame(a, b, 0.5)
+
     def test_b_zero_normalizes_to_lame(self):
         spec = pot.associated_lame(3, 0, M)
-        assert isinstance(spec, pot.Lame)
         assert spec == pot.Lame(3, M)
 
     def test_pt_rejects_zero_beta(self):
@@ -73,6 +77,29 @@ class TestConstruction:
     def test_partner_requires_known_family(self):
         with pytest.raises(pot.MissingGroundStateError):
             pot.SusyPartner(pot.Shifted(pot.Lame(2, M), 1.0))
+
+
+class TestBuild:
+    def test_rejects_unknown_op(self):
+        with pytest.raises(pot.PotentialError, match="unknown op 'flip'"):
+            pot.build(3, 0, M, BETA, ["pt", "flip"])
+
+    @pytest.mark.parametrize("m,beta", [(0.75, 0.5), (0.3, 1.2), (0.05, 0.5), (0.95, 0.5), (0.5, 1.0)])
+    def test_gives_the_hand_built_specs(self, m, beta):
+        # each family's shifted PT potential and its partner, built wrapper by
+        # wrapper, and the a=3 partner taken before the PT transform, whose
+        # shift is computed another way and may differ by rounding
+        for fam in spc.ptlame_families:
+            src = pot.Shifted(pot.PTTransform(pot.AssociatedLame(*fam[1:], m), beta),
+                              spc.ground_energy(*fam, m, pt=True))
+            assert pot.build(*fam[1:], m, beta, ["pt"], True) == src
+            assert pot.build(*fam[1:], m, beta, ["pt", "partner"], True) == pot.SusyPartner(src)
+        real3 = pot.Shifted(pot.Lame(3, m), spc.ground_energy("lame", 3, 0, m, pt=False))
+        top = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)[-1]
+        exchanged = pot.build(3, 0, m, beta, ["partner", "pt"], True)
+        assert exchanged.inner == pot.PTTransform(pot.SusyPartner(real3), beta)
+        assert abs(exchanged.c + top) <= 1e-14
+
 
 
 class TestEvaluation:
