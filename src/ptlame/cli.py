@@ -48,11 +48,9 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _integrator_meta(tol=None, key: str = "integrator") -> dict:
-    """Header entries for the (rtol, atol) a command integrated at, by
-    default floquet's (``RTOL``, ``ATOL``)."""
-    rtol, atol = tol or (flq.RTOL, flq.ATOL)
-    return {f"{key}_rtol": rtol, f"{key}_atol": atol}
+def _integrator_meta() -> dict:
+    """Header entries for floquet's (``RTOL``, ``ATOL``), every integration's."""
+    return {"integrator_rtol": flq.RTOL, "integrator_atol": flq.ATOL}
 
 
 def _write_table(args, columns, results) -> None:
@@ -159,7 +157,7 @@ def cmd_edges(args) -> int:
     verdict = "PASS" if passed else "FAIL"
     _write_table(args, [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
                         ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
-                 {**_integrator_meta(flq._EDGE_TOL), "verdict": verdict, "max_abs_diff": max_diff,
+                 {**_integrator_meta(), "verdict": verdict, "max_abs_diff": max_diff,
                   "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
     return 0 if passed else 3
 
@@ -236,8 +234,7 @@ def cmd_selfcheck(args) -> int:
     verdict = "PASS" if all(ok) else "FAIL"
     _write_table(args, [("name", name), ("value", value), ("tol", tol),
                         ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
-                 {**_integrator_meta(), **_integrator_meta(flq._EDGE_TOL, "edge_integrator"),
-                  "verdict": verdict, "passed": sum(ok), "total": len(ok)})
+                 {**_integrator_meta(), "verdict": verdict, "passed": sum(ok), "total": len(ok)})
     return 0 if verdict == "PASS" else 3
 
 

@@ -2,11 +2,11 @@
 
 Integrates -psi'' + V(x) psi = E psi with an adaptive embedded Runge-Kutta
 scheme (DOP853 at ``RTOL`` / ``ATOL``, :func:`solve_ivp`), builds the 2x2
-transfer matrix over one period, and derives everything band-structural
-from its trace: the discriminant Delta(E), band-edge locations (Delta =
-+/-2) with their periodicity classes, and the numeric dispersion
-arccos(Delta/2)/L.  The engine is deliberately independent of every closed
-form in the package so it can serve as the cross-check oracle.
+transfer matrix M over one period, and derives everything band-structural
+from it: the discriminant Delta(E) = tr M, band-edge locations (Delta = +/-2,
+roots of det(M -+ I)) with their periodicity classes, and the numeric
+dispersion arccos(Delta/2)/L.  The engine is deliberately independent of
+every closed form in the package so it can serve as the cross-check oracle.
 
 Every spec with a Jacobi-function form has V(-x) = conj V(x) on its
 integration line, so it is integrated over half a period and the period's
@@ -57,11 +57,9 @@ __all__ = [
     "default_energy_range",
 ]
 
-# integrator tolerances of every monodromy, scan and dispersion;
-# find_band_edges integrates at _EDGE_TOL, a hundredth of them
+# integrator tolerances of every integration, find_band_edges' included
 RTOL = 1e-12
 ATOL = 1e-14
-_EDGE_TOL = (RTOL / 100.0, ATOL / 100.0)
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
 # Limits of one integration, over half a period or a whole one.  On the
@@ -133,7 +131,7 @@ class NumericBandEdge:
     touches +/-2 without crossing, so the point is a doubly degenerate
     periodic/antiperiodic eigenvalue rather than the border of an open gap.
     There M = +/-I, so a closed gap is a simple root of M12, and its energy
-    is as accurate as a simple edge's: about 1e-12, and to a few 1e-9
+    is as accurate as a simple edge's: about 1e-11, and to a few 1e-9
     beside the narrowest open gaps, where Delta is flat.  "Closed" means
     that, at that root, Delta is +/-2 and M21 is 0 to 1e-6 (M21 relative to
     the size of M12 and M21 nearby).  M21 there tracks the gap's width, so an
@@ -233,10 +231,9 @@ def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
+def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
     """Integrate y' = fun(t, y) from t0 to t1 > t0 (``t_span``) by DOP853 at
-    ``tol`` = (rtol, atol), by default (``RTOL``, ``ATOL``), keeping only the
-    end point.
+    rtol = ``RTOL`` and atol = ``ATOL``, keeping only the end point.
 
     ``fun(t, y, out=None)`` returns y', written into ``out`` when one is
     given: each stage writes straight into the solver's stage array, which
@@ -248,14 +245,11 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
     initial step of Hairer et al. Sec. II.4, an RMS error norm that combines
     the 5th- and 3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8)
     times the last, kept in [0.2, 10] and at most 1 after a rejection, and no
-    step below 10 spacings of floating-point numbers at t.  So for rtol >=
-    100 eps the steps and the end point are scipy's bit for bit; scipy raises
-    a smaller rtol to 100 eps, and this solver does not.  There is no dense
-    output.  Fails after ``_MAX_STEPS`` steps, or once the step falls below
-    ``_MIN_STEP`` of ``period``, whether the span is the whole period or
-    half of it.
+    step below 10 spacings of floating-point numbers at t.  So the steps and
+    the end point are scipy's bit for bit.  There is no dense output.  Fails
+    after ``_MAX_STEPS`` steps, or once the step falls below ``_MIN_STEP`` of
+    ``period``, whether the span is the whole period or half of it.
     """
-    rtol, atol = tol or (RTOL, ATOL)
     t, t1 = map(float, t_span)
     y = np.asarray(y0)
     # K[0] holds the derivative at the current point; K[12] the one at the
@@ -264,7 +258,7 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
     z = np.empty_like(y)
     f = fun(t, y, K[0])
     # initial step
-    scale = atol + np.abs(y) * rtol
+    scale = ATOL + np.abs(y) * RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
     d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
@@ -295,7 +289,7 @@ def solve_ivp(fun, t_span, y0, *, period, tol=None) -> _Solution:
             y_new = y + h * np.dot(K[:12].T, _B)
             fun(t_new, y_new, K[12])
             nfev += 12
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
             err = 0.0 if err5 == 0 and err3 == 0 else h * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
@@ -337,10 +331,10 @@ def _line(spec):
     return potentials.on_line(spec, beta), beta
 
 
-def _propagate(spec, energies, tol=None):
-    """Transfer matrices over one period, based at x = 0, at any number of
-    energies, on the spec's integration line (:func:`integration_beta`),
-    integrated in batches of ``_CHUNK`` at :func:`solve_ivp`'s ``tol``.
+def _propagate(spec, energies):
+    """Transfer matrices over one period, based at x = 0, and Delta -+ 2 at
+    any number of energies, on the spec's integration line
+    (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
     The ODE is linear and the potential is shared across a batch, so the
     right-hand side evaluates V once per stage regardless of batch size,
@@ -349,20 +343,24 @@ def _propagate(spec, energies, tol=None):
     (real and even on the real axis, PT-invariant on i x + beta), so at real
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
     integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
-    sigma = diag(1, -1), M = sigma conj(A)^-1 sigma A =
+    sigma = diag(1, -1), M = S^-1 A with S = sigma conj(A) sigma, so M =
     [[conj d, conj b], [conj c, conj a]] A.  On the real axis (a Lame-family
     spec with no PT transform) V has imaginary part exactly 0.0, so the
     state, and A, is float64 there; on a PT line it is complex128.  A custom
-    potential is integrated over [0, L] in complex128.  M is complex either
-    way.  Each batch is Wronskian checked (det = 1) on
-    the matrix integrated, as soon as it finishes; det M = |det A|^2 would
-    miss a drift of det A's phase.  det - 1 is a difference of products of
-    the entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
+    potential is integrated over [0, L] in complex128, with A = M and S = I;
+    M is complex either way.  As det M = 1, Delta -+ 2 = -+det(A -+ S) / det S.
+    The columns returned drop 1 / det S, which moves no root; on half a
+    period they are 4 (Im a Im d + Re b Re c) and 4 (Re a Re d + Im b Im c)
+    (4 b c and 4 a d on the real axis), with no trace less 2 to limit them
+    beside a narrow gap.  Each batch is Wronskian checked (det = 1) on the
+    matrix integrated, as soon as it finishes; det M = |det A|^2 would miss a
+    drift of det A's phase.  det - 1 is a difference of products of the
+    entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
     carries an unavoidable cancellation error ~ |entries|^2 eps; the test
     scales with that.  Raises :class:`FloquetIntegrationError` naming the
-    first energy that fails.  Returns the matrices, the checked defects
-    |det - 1| and the integrator stats: steps and RHS calls summed over the
-    batches, the largest defect.
+    first energy that fails.  Returns the matrices, the columns (Delta - 2,
+    Delta + 2), the checked defects |det - 1| and the integrator stats:
+    steps and RHS calls summed over the batches, the largest defect.
     """
     line, beta = _line(spec)
     f = potentials.compiled_value_fn(line)
@@ -373,6 +371,7 @@ def _propagate(spec, energies, tol=None):
     end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)
     ms = np.empty((energies.size, 2, 2), dtype=complex)
+    gaps = np.empty((energies.size, 2), dtype=complex)
     defects = np.empty(energies.size)
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
@@ -389,7 +388,7 @@ def _propagate(spec, energies, tol=None):
             np.multiply((v.real if real else v) - EE, y[:n2], out=out[n2:])
             return out
 
-        sol = solve_ivp(rhs, (0.0, end), y0, period=L, tol=tol)
+        sol = solve_ivp(rhs, (0.0, end), y0, period=L)
         if not sol.success:
             raise FloquetIntegrationError(
                 f"integration failed over {'half a' if half else 'one'} period ({sol.message});"
@@ -406,6 +405,9 @@ def _propagate(spec, energies, tol=None):
         if bad.size:
             i = bad[0]
             raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
+        sa, sb, sc, sd = (a.conj(), -b.conj(), -c.conj(), d.conj()) if half else (1.0, 0.0, 0.0, 1.0)
+        gaps[lo : lo + _CHUNK, 0] = (b - sb) * (c - sc) - (a - sa) * (d - sd)
+        gaps[lo : lo + _CHUNK, 1] = (a + sa) * (d + sd) - (b + sb) * (c + sc)
         if half:
             # the product's diagonal entries are conjugates and its off-diagonal
             # ones real; written so, the trace is real to the last bit
@@ -413,7 +415,7 @@ def _propagate(spec, energies, tol=None):
             a, b, c, d = p, 2.0 * (b * d.conj()).real, 2.0 * (a * c.conj()).real, p.conj()
         batch = ms[lo : lo + _CHUNK]
         batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 0], batch[:, 1, 1] = a, b, c, d
-    return ms, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
+    return ms, gaps, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
 
 
 def monodromy(spec, E: float) -> MonodromyResult:
@@ -424,7 +426,7 @@ def monodromy(spec, E: float) -> MonodromyResult:
     square of its largest entry), which would poison every downstream
     tolerance.
     """
-    ms, _, stats = _propagate(spec, [E])
+    ms, _, _, stats = _propagate(spec, [E])
     M = ms[0]
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
 
@@ -435,8 +437,7 @@ def discriminants(spec, energies) -> np.ndarray:
     Every batch is Wronskian checked as :func:`monodromy` is; raises
     :class:`FloquetIntegrationError` naming the first energy that fails.
     """
-    ms = _propagate(spec, energies)[0]
-    return ms[:, 0, 0] + ms[:, 1, 1]
+    return np.trace(_propagate(spec, energies)[0], axis1=1, axis2=2)
 
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
@@ -455,7 +456,7 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     if n < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(e_min, e_max, n)
-    ms, defects, _ = _propagate(spec, grid)
+    ms, _, defects, _ = _propagate(spec, grid)
     deltas = ms[:, 0, 0] + ms[:, 1, 1]
     return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
 
@@ -488,16 +489,16 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     Chebyshev series resolves them (Trefethen, *Approximation Theory and
     Approximation Practice*, 2013).  Each round samples every pending piece
     at ``_CHEB`` Chebyshev points, all in one batched, Wronskian-checked
-    integration at the finer ``_EDGE_TOL``, and halves each piece
-    whose series is not resolved (see the constants); a piece narrower than
-    ``_MIN_PIECE`` of the range raises :class:`FloquetIntegrationError`.
-    Simple edges are the real roots of Delta -+ 2, found as the eigenvalues
-    of a colleague matrix (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666), each
+    integration, and halves each piece whose series is not resolved (see
+    the constants); a piece narrower than ``_MIN_PIECE`` of the range raises
+    :class:`FloquetIntegrationError`.  Simple edges are the real roots of
+    :func:`_propagate`'s Delta -+ 2 columns, found as the eigenvalues of a
+    colleague matrix (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666), each
     reported with the interpolant's Delta.  A closed gap is M = +/-I: a real
     root of Re M12 where Delta = +/-2 and M21 = 0, to ``_CLOSED_TOL``.  V is
     sampled only inside the integrations.  A warning is issued when fewer
-    than the 2a+1 edges expected for a recognized base family are found,
-    which usually means the range is too small.
+    than the 2a+1 simple edges of a recognized base family are found: the
+    range is too small, or a narrow open gap was reported closed.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
@@ -506,14 +507,15 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     pending, crossings, closed = [(e_min, e_max)], [], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
-        ms = _propagate(spec, es, tol=_EDGE_TOL)[0].reshape(len(pending), _CHEB, 2, 2)
-        cs = _coefficients(np.stack([ms[..., 0, 0] + ms[..., 1, 1], ms[..., 0, 1], ms[..., 1, 0]]).T)
+        ms, gaps = _propagate(spec, es)[:2]
+        cols = np.column_stack([ms[:, 0, 0] + ms[:, 1, 1], ms[:, 0, 1], ms[:, 1, 0], gaps])
+        cs = _coefficients(cols.reshape(len(pending), _CHEB, 5).transpose(1, 0, 2))
         split = []
-        for (a, b), (cd, c12, c21) in zip(pending, cs.transpose(1, 2, 0)):
+        for (a, b), (cd, c12, c21, cm, cp) in zip(pending, cs.transpose(1, 2, 0)):
             parts = (cd.real, c12.real, c21)
             tails = [np.abs(c[-3:]).max() for c in parts]
             resolved = all(t <= _TAIL_RTOL * np.abs(c).max() for t, c in zip(tails, parts))
-            roots = {cls: _real_roots(cheb.chebsub(cd.real, [target])) for target, cls in ((2.0, "P"), (-2.0, "A"))}
+            roots = {cls: _real_roots(c.real) for c, cls in ((cm, "P"), (cp, "A"))}
             if not resolved or (max(tails) > _TAIL_ATOL and any(near for _, near in roots.values())):
                 if b - a < _MIN_PIECE * (e_max - e_min):
                     raise FloquetIntegrationError(f"Delta not resolved on [{a}, {b}]; a pole near the line?")
@@ -541,8 +543,9 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     simple = sum(1 for e in found if e.multiplicity == 1)
     if expected is not None and simple < expected:
         warnings.warn(
-            f"found {simple} simple band edges but the base family has {expected}; "
-            "the energy range is probably too small",
+            f"found {simple} simple band edges but the base family has {expected} "
+            f"(closed gaps found: {len(found) - simple}): the energy range is probably too small, "
+            "or a narrow open gap was reported closed",
             stacklevel=2,
         )
     return found

@@ -32,9 +32,9 @@ def _recorded_tols(monkeypatch):
     tols = []
     propagate = flq._propagate
 
-    def record(spec, es, tol=None):
-        tols.append(tol or (flq.RTOL, flq.ATOL))
-        return propagate(spec, es, tol)
+    def record(spec, es):
+        tols.append((flq.RTOL, flq.ATOL))
+        return propagate(spec, es)
 
     monkeypatch.setattr(flq, "_propagate", record)
     return tols
@@ -249,7 +249,6 @@ class TestEdges:
         meta, _ = _read_csv(out)
         header = _header(meta)
         assert tols and set(tols) == {(float(header["integrator_rtol"]), float(header["integrator_atol"]))}
-        assert float(header["integrator_rtol"]) < flq.RTOL
 
     def test_header_states_the_energy_range_searched(self, tmp_path):
         out = tmp_path / "edges.csv"
@@ -487,18 +486,18 @@ class TestSelfcheck:
         assert all(v < t for v, t in zip(cols["value"], cols["tol"]))
         assert all(sec >= 0.0 for sec in cols["seconds"])
 
-    def test_header_states_both_tolerance_pairs(self, tmp_path, monkeypatch):
-        # the edge rows integrate at find_band_edges' tolerances, the
-        # dispersion row at RTOL/ATOL; an (m, beta) no other test caches
+    def test_header_states_one_tolerance_pair(self, tmp_path, monkeypatch):
+        # the edge rows and the dispersion row integrate at one RTOL/ATOL;
+        # an (m, beta) no other test caches
         names = ("band-edge-tables", "dispersion-analytic-vs-numeric")
         monkeypatch.setattr(inv, "REGISTRY", tuple(r for r in inv.REGISTRY if r.name in names))
         tols = _recorded_tols(monkeypatch)
         out = tmp_path / "selfcheck.csv"
         assert cli.main(["selfcheck", "--m", "0.55", "--beta", "0.45", "--out", str(out)]) == 0
         header = _header(_read_csv(out)[0])
-        stated = {(float(header[f"{key}_rtol"]), float(header[f"{key}_atol"]))
-                  for key in ("integrator", "edge_integrator")}
-        assert set(tols) == stated == {(flq.RTOL, flq.ATOL), flq._EDGE_TOL}
+        stated = (float(header["integrator_rtol"]), float(header["integrator_atol"]))
+        assert set(tols) == {stated} == {(flq.RTOL, flq.ATOL)}
+        assert not [key for key in header if key.startswith("edge_integrator")]
 
     def test_spec_flags_are_usage_errors(self):
         # the registry builds its own specs, so a spec flag would be ignored

@@ -197,7 +197,7 @@ class TestHalfPeriod:
     def test_batch_rhs_calls(self):
         # one 800-energy batch on the a=3 anchor: 374 RHS calls over half a
         # period at RTOL 1e-12, against 545 over the whole one at 1e-11
-        stats = flq._propagate(_a3_spec(), np.linspace(-0.5, 9.0, flq._CHUNK))[2]
+        stats = flq._propagate(_a3_spec(), np.linspace(-0.5, 9.0, flq._CHUNK))[3]
         assert stats.nfev <= 400
 
 
@@ -294,6 +294,8 @@ class TestScan:
             flq.discriminant_scan(FREE, 2.0, 1.0, 10)
         with pytest.raises(ValueError):
             flq.discriminant_scan(FREE, 0.0, 1.0, 1)
+        with pytest.raises(ValueError):
+            flq.find_band_edges(FREE, 2.0, 1.0)
 
 
 class TestEdgeFinding:
@@ -319,8 +321,20 @@ class TestEdgeFinding:
             assert abs(x.energy - y.energy) < 1e-8
 
     def test_warns_when_range_too_small(self):
-        with pytest.warns(UserWarning, match="range is probably too small"):
+        with pytest.warns(UserWarning, match=r"\(closed gaps found: 0\): the energy range is probably too small, "
+                                             "or a narrow open gap was reported closed"):
             flq.find_band_edges(_a1_spec(), -0.3, 0.5)
+
+    def test_warns_when_a_narrow_gap_is_reported_closed(self):
+        # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is reported
+        # closed on an ample range; the warning counts that closed gap
+        m = 0.993
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        with pytest.warns(UserWarning, match=r"found 5 simple band edges but the base family has 7 "
+                                             r"\(closed gaps found: 1\): the energy range is probably too small, "
+                                             "or a narrow open gap was reported closed"):
+            found = flq.find_band_edges(_a3_spec(m, BETA), min(ref) - 0.5, max(ref) + 0.5)
+        assert [e.multiplicity for e in found] == [1] * 5 + [2]
 
     def test_real_assoc21_closed_gap_detected(self):
         # the real (2,1) potential has all four simple excited edges
@@ -439,8 +453,9 @@ class TestEdgeFinding:
 
     def test_edges_beside_a_gap_do_not_depend_on_the_range(self):
         # the top two edges sit beside a 7.2e-3 gap, where dDelta/dE = 2.6e-3;
-        # at RTOL = 1e-12 the energies sharing their batch move them by up to
-        # 2.6e-10, and at the finder's 1e-14 by far less (measured 1.0e-12)
+        # at RTOL = 1e-12 the energies sharing their batch move a root of a
+        # trace less 2 by up to 2.6e-10, and a root of the finder's Delta -+ 2
+        # columns by far less (measured 4.5e-12)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
         found = [e.energy for e in flq.find_band_edges(_a3_spec(), -0.5, 40.0) if e.multiplicity == 1]
         assert len(found) == 7
@@ -450,7 +465,7 @@ class TestEdgeFinding:
     def test_narrow_gap_is_two_edges_or_one_closed_gap(self, q):
         # 2q cos 2x opens the gap at E = 4 over [4 - q^2/12, 4 + 5q^2/12],
         # q^2/2 wide; from 1.1e-6 (q = 1.5e-3) up it is found open (measured:
-        # edges within 7.9e-10), and below it may be reported closed
+        # edges within 1.7e-10), and below it may be reported closed
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
         found = flq.find_band_edges(spec, 3.0, 5.0)
         kinds = [(e.period_class, e.multiplicity) for e in found]
@@ -465,7 +480,7 @@ class TestEdgeFinding:
     def test_narrow_top_gap_is_two_edges_or_one_closed_gap(self, m):
         # the a=3 PT top gap narrows from 9.8e-6 (m = 0.97) to 4.4e-8 (0.995);
         # up to 1.2e-6 (m = 0.985) it is found open, with every edge within
-        # 1e-8 (measured 3.2e-9), and narrower it may be reported closed
+        # 1e-8 (measured 2.8e-9), and narrower it may be reported closed
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         spec = _a3_spec(m, BETA)
         opened = [("P", 1), ("A", 1), ("A", 1), ("P", 1), ("P", 1), ("A", 1), ("A", 1)]
@@ -480,6 +495,19 @@ class TestEdgeFinding:
                 assert np.allclose(simple, ref, rtol=0.0, atol=1e-8)
             elif kinds != opened:
                 assert ref[-2] - 1e-6 <= found[-1].energy <= ref[-1] + 1e-6
+
+    @pytest.mark.parametrize("m,beta", [(0.0632, 1.098), (0.0596, 0.5)])
+    def test_root_beside_a_large_delta_is_resolved(self, m, beta):
+        # on the unshifted a=3 PT potential over [-13, top + 0.5], |Delta|
+        # reaches 6e6 below the spectrum, so a series resolved to 1e-13 of
+        # its largest coefficient can still misplace a root of Delta -+ 2;
+        # the absolute tail bound _TAIL_ATOL halves such a piece (without
+        # it, 6 and 5 of the 7 edges are found)
+        spec = pot.PTTransform(pot.Lame(3, m), beta)
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True)
+        found = flq.find_band_edges(spec, -13.0, max(ref) + 0.5)
+        assert [e.multiplicity for e in found] == [1] * 7
+        assert np.allclose([e.energy for e in found], ref, rtol=0.0, atol=1e-10)
 
     def test_sample_on_a_tangency_is_a_closed_gap(self, monkeypatch):
         # the middle Chebyshev point of [0.5, 1.5] is E = 1 exactly, where
@@ -506,7 +534,8 @@ class TestEdgeFinding:
             ms = np.empty((k.size, 2, 2), dtype=complex)
             ms[:, 0, 0] = ms[:, 1, 1] = np.cos(np.pi * k) - 5e-14
             ms[:, 0, 1], ms[:, 1, 0] = np.sin(np.pi * k) / k, -k * np.sin(np.pi * k)
-            return ms, np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
+            delta = ms[:, 0, 0] + ms[:, 1, 1]
+            return ms, np.stack([delta - 2.0, delta + 2.0], axis=1), np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
 
         monkeypatch.setattr(flq, "_propagate", propagate)
         found = flq.find_band_edges(FREE, 0.5, 2.5)
@@ -530,7 +559,7 @@ class TestEdgeFinding:
 
     def test_closed_gaps_are_simple_roots_of_m12(self):
         # a closed gap is a simple root of M12, so its energy is as accurate
-        # as a simple edge's (measured: 2e-14 relative)
+        # as a simple edge's (measured: 1.5e-13 relative)
         found = flq.find_band_edges(FREE, 0.2, 99.0)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 4 + [("A", 2)]
         for n, e in enumerate(found, start=1):
@@ -538,7 +567,7 @@ class TestEdgeFinding:
 
     def test_closed_gaps_match_the_partner(self):
         # a SUSY partner is isospectral, so its closed gaps are the spec's
-        # (measured: to 8e-15 relative)
+        # (measured: to 2e-14 relative)
         s = inv.specs(M, BETA)
         for fam in spc.ptlame_families:
             e0 = min(spc.closed_form_energies(*fam, M, pt=True, shifted=True))
