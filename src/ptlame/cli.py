@@ -60,7 +60,7 @@ def _write_table(args, columns, results) -> None:
     meta.update(results)
     if args.fmt == "json":
         doc = {"meta": meta, "columns": {name: list(vals) for name, vals in columns}}
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        text = json.dumps(doc, sort_keys=True) + "\n"
     else:
         parts = [f"# {' '.join(f'{k}={v}' for k, v in meta.items())}\n"]
         parts.append(",".join(name for name, _ in columns) + "\n")
@@ -102,7 +102,7 @@ def cmd_sample_potential(args) -> int:
     xs = np.linspace(0.0, 2.0 * L, 2 * n, endpoint=False)
     f = pot.compiled_value_fn(spec)
     vals = [f(float(x)) for x in xs]
-    _write_table(args, [("x", list(xs)), ("re_v", [v.real for v in vals]), ("im_v", [v.imag for v in vals])],
+    _write_table(args, [("x", xs.tolist()), ("re_v", [v.real for v in vals]), ("im_v", [v.imag for v in vals])],
                  {"period": L})
     return 0
 
@@ -170,9 +170,9 @@ def cmd_scan(args) -> int:
     lo, hi = flq.default_energy_range(spec) if args.emin is None or args.emax is None else (None, None)
     emin, emax = _energy_range(args, lo, hi)
     scan = flq.discriminant_scan(spec, emin, emax, n)
-    cols = [("e", list(scan.energies)),
-            ("re_delta", list(scan.discriminants.real)),
-            ("im_delta", list(scan.discriminants.imag))]
+    cols = [("e", scan.energies.tolist()),
+            ("re_delta", scan.discriminants.real.tolist()),
+            ("im_delta", scan.discriminants.imag.tolist())]
     meta = {**_integrator_meta(), "im_flags": int(scan.im_flags.sum()),
             "integration_beta": flq.integration_beta(spec)}
     rc = 0
@@ -181,8 +181,8 @@ def cmd_scan(args) -> int:
         shift = args.a * (args.a + 1)
         dual_scan = flq.discriminant_scan(dual, emin + shift, emax + shift, n)
         dd = dual_scan.discriminants
-        cols += [("re_delta_dual", list(dd.real)), ("im_delta_dual", list(dd.imag)),
-                 ("abs_diff", list(np.abs(scan.discriminants - dd)))]
+        cols += [("re_delta_dual", dd.real.tolist()), ("im_delta_dual", dd.imag.tolist()),
+                 ("abs_diff", np.abs(scan.discriminants - dd).tolist())]
         max_diff = float(np.max(np.abs(scan.discriminants - dd)))
         meta["paired_max_abs_diff"] = max_diff
         meta["verdict"] = "PASS" if max_diff < args.tol else "FAIL"
@@ -211,8 +211,8 @@ def cmd_dispersion(args) -> int:
         ka_re = ka_im = [""] * n
         diffs = np.full(n, np.nan)
     max_diff = float(diffs.max()) if analytic else 0.0
-    _write_table(args, [("e", list(es)), ("k_numeric_re", list(kn.real)), ("k_numeric_im", list(kn.imag)),
-                        ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", list(diffs))],
+    _write_table(args, [("e", es.tolist()), ("k_numeric_re", kn.real.tolist()), ("k_numeric_im", kn.imag.tolist()),
+                        ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", diffs.tolist())],
                  {**_integrator_meta(), "analytic_available": analytic, "max_abs_diff": max_diff,
                   "integration_beta": flq.integration_beta(spec)})
     return 0 if not analytic or max_diff < args.tol else 3

@@ -24,7 +24,9 @@ which SUSY partners keep), so the monodromy along any vertical line one
 period long is conjugate to the one on the user's line and Delta(E) does
 not depend on beta; away from the poles the integrator takes fewer steps
 and keeps det M = 1 to more digits.  The line depends only on where V has
-poles; no closed-form energy enters the engine.
+poles; no closed-form energy enters the engine.  V is real on the real axis
+and on Re u = K, the line of plain PT Lame and its a = 1 and a = 3 partners;
+there the batches integrate float64 states, elsewhere complex128 ones.
 """
 
 from __future__ import annotations
@@ -317,10 +319,13 @@ def integration_beta(spec) -> float | None:
 
 @functools.lru_cache(maxsize=256)
 def _line(spec):
-    """(spec to integrate, its beta*), computed once per spec."""
+    """(spec to integrate, its beta*, whether V is real on that line), once
+    per spec.  V, even and 2K-periodic in its Jacobi argument u with real
+    coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it is
+    real on Re u = K; beta* is K exactly when every pole lies on Re u = 0."""
     form = potentials.normal_form(spec)
     if form.beta is None:
-        return spec, None
+        return spec, None, form.kind != "custom"
     two_k = 2.0 * ell.modulus(form.m).K
     ends = sorted({x % two_k for r in potentials.pole_lines(form.poles, form.m) for x in (r, -r)})
     gaps = [(hi - lo, 0.5 * (lo + hi) % two_k) for lo, hi in zip(ends, ends[1:] + [ends[0] + two_k])]
@@ -328,7 +333,7 @@ def _line(spec):
     # up to rounding; of the two, the one centred in [0, K] is chosen
     slack = 1e-12 * two_k
     beta = max(g for g in gaps if (g[1] + slack) % two_k <= 0.5 * two_k + 2.0 * slack)[1]
-    return potentials.on_line(spec, beta), beta
+    return potentials.on_line(spec, beta), beta, beta == 0.5 * two_k
 
 
 def _propagate(spec, energies):
@@ -344,14 +349,15 @@ def _propagate(spec, energies):
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
     integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
     sigma = diag(1, -1), M = S^-1 A with S = sigma conj(A) sigma, so M =
-    [[conj d, conj b], [conj c, conj a]] A.  On the real axis (a Lame-family
-    spec with no PT transform) V has imaginary part exactly 0.0, so the
-    state, and A, is float64 there; on a PT line it is complex128.  A custom
+    [[conj d, conj b], [conj c, conj a]] A.  Where :func:`_line` finds V real
+    (the real axis, where its imaginary part is exactly 0.0, and the PT line
+    Re u = K, where it is rounding) the batch integrates V.real, and the
+    state, and A, is float64; on any other PT line it is complex128.  A custom
     potential is integrated over [0, L] in complex128, with A = M and S = I;
     M is complex either way.  As det M = 1, Delta -+ 2 = -+det(A -+ S) / det S.
     The columns returned drop 1 / det S, which moves no root; on half a
     period they are 4 (Im a Im d + Re b Re c) and 4 (Re a Re d + Im b Im c)
-    (4 b c and 4 a d on the real axis), with no trace less 2 to limit them
+    (4 b c and 4 a d where A is real), with no trace less 2 to limit them
     beside a narrow gap.  Each batch is Wronskian checked (det = 1) on the
     matrix integrated, as soon as it finishes; det M = |det A|^2 would miss a
     drift of det A's phase.  det - 1 is a difference of products of the
@@ -362,11 +368,10 @@ def _propagate(spec, energies):
     Delta + 2), the checked defects |det - 1| and the integrator stats:
     steps and RHS calls summed over the batches, the largest defect.
     """
-    line, beta = _line(spec)
+    line, _, real = _line(spec)
     f = potentials.compiled_value_fn(line)
     L = line.period
     half = potentials.normal_form(spec).kind != "custom"
-    real = half and beta is None
     dtype = float if real else complex
     end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)

@@ -338,6 +338,25 @@ class TestScan:
         assert "verdict=PASS" in meta
         assert max(float(v) for v in cols["abs_diff"]) < 1e-6
 
+    def test_paired_json_round_trip(self, tmp_path):
+        # JSON keeps every float's repr, so the columns parse back to the
+        # scans' arrays bit for bit
+        out = tmp_path / "scan.json"
+        rc = cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--format", "json", "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert text.count("\n") == 1
+        doc = json.loads(text)
+        meta, cols = doc["meta"], doc["columns"]
+        scan = flq.discriminant_scan(build_spec(_edges_args("--a", "3", "--pt")), meta["emin"], meta["emax"], 500)
+        dual = flq.discriminant_scan(pot.Lame(3, 0.25), meta["emin"] + 12.0, meta["emax"] + 12.0, 500)
+        for name, ref in [("e", scan.energies), ("re_delta", scan.discriminants.real),
+                          ("im_delta", scan.discriminants.imag), ("re_delta_dual", dual.discriminants.real),
+                          ("im_delta_dual", dual.discriminants.imag),
+                          ("abs_diff", np.abs(scan.discriminants - dual.discriminants))]:
+            assert np.array_equal(np.array(cols[name], dtype=float), ref)
+        assert meta["paired_max_abs_diff"] == float(np.max(cols["abs_diff"]))
+
     def test_paired_requires_plain_pt(self, monkeypatch):
         # refused before the 500-energy scan integrates
         def no_integration(*args, **kwargs):

@@ -54,6 +54,25 @@ def _real_axis_specs(m=M):
     return out
 
 
+def _k_line_specs(m=M, beta=BETA):
+    """PT specs whose beta* is K, where V is real: plain PT Lame for a = 1, 2,
+    3, and the shifted a = 1 and a = 3 PT specs and their SUSY partners."""
+    keys = [("lame", 1, 0), ("lame", 1, 0, "partner"), ("lame", 3, 0), ("lame", 3, 0, "partner")]
+    return [pot.PTTransform(pot.Lame(a, m), beta) for a in (1, 2, 3)] + [inv.specs(m, beta)[k] for k in keys]
+
+
+def _complex_line_specs(m=M, beta=BETA):
+    """PT specs integrated in complex128: those with poles on Re u = K too."""
+    s = inv.specs(m, beta)
+    return [s[("assoc", 2, 1)], s[("assoc", 2, 1, "partner")], s["a3-exchanged"]]
+
+
+def _as_custom(spec):
+    """The spec's integration line as a custom potential, integrated over the
+    whole period in complex128."""
+    return pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))), spec.period)
+
+
 def _a1_spec(m=M, beta=BETA):
     return pot.Shifted(pot.PTTransform(pot.Lame(1, m), beta), -(1.0 + m))
 
@@ -81,10 +100,12 @@ class TestMonodromy:
 
     def test_stats_report_the_det_defect(self):
         # the checked defect is det A's, of the half-period matrix; det M =
-        # |det A|^2 would hide a drift of its phase
-        spec = pot.PTTransform(pot.Lame(3, M), BETA)
-        r = flq.monodromy(spec, 2.0)
-        a, b, c, d = _half_period(spec, 2.0).y[:, -1]
+        # |det A|^2 would hide a drift of its phase.  The (2,1) PT spec is
+        # complex on its line, so A is integrated in complex128 there as here.
+        # At E = 8 its defect is 130 times the rounding allowance (14 at E = 2)
+        spec = pot.PTTransform(pot.AssociatedLame(2, 1, M), BETA)
+        r = flq.monodromy(spec, 8.0)
+        a, b, c, d = _half_period(spec, 8.0).y[:, -1]
         recomputed = abs(a * d - b * c - 1.0)
         # equal up to the rounding of the products, ~eps |A|^2
         rounding = 1e-15 * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
@@ -149,9 +170,7 @@ class TestHalfPeriod:
         # potential over the whole period
         es = np.linspace(-1.0, 30.0, 800)
         for spec in inv.specs(M, BETA).values():
-            user = pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))),
-                                       spec.period)
-            half, full = flq.discriminants(spec, es), flq.discriminants(user, es)
+            half, full = flq.discriminants(spec, es), flq.discriminants(_as_custom(spec), es)
             assert np.max(np.abs(half - full) / np.maximum(1.0, np.abs(full))) <= 1e-9
 
     def test_custom_potential_keeps_the_full_period(self):
@@ -174,9 +193,29 @@ class TestHalfPeriod:
             f = pot.compiled_value_fn(spec)
             assert all(f(x).imag == 0.0 for x in np.linspace(-spec.period, 2.0 * spec.period, 301))
 
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.75, 0.95])
+    def test_k_line_potentials_are_real(self, m):
+        # on Re u = K, V is real to rounding, so the engine can drop its
+        # imaginary part there too
+        for spec in _k_line_specs(m):
+            line, beta, real = flq._line(spec)
+            assert real and beta == ell.modulus(m).K
+            f = pot.compiled_value_fn(line)
+            vs = np.array([f(x) for x in np.linspace(-spec.period, 2.0 * spec.period, 301)])
+            assert np.max(np.abs(vs.imag)) <= 1e-14 * np.max(np.abs(vs))
+
+    @pytest.mark.parametrize("m", [0.3, 0.75, 0.95])
+    def test_k_line_float64_matches_complex(self, m):
+        # Delta from float64 states on Re u = K against the same line
+        # integrated in complex128 over the whole period, V's rounding included
+        for spec in _k_line_specs(m):
+            es = np.linspace(*flq.default_energy_range(spec), 500)
+            real, full = flq.discriminants(spec, es), flq.discriminants(_as_custom(spec), es)
+            assert np.max(np.abs(real - full) / np.maximum(1.0, np.abs(full))) <= 1e-11
+
     def test_real_axis_integrates_in_float64(self, monkeypatch):
-        # real-axis specs integrate real states; PT lines and custom
-        # potentials complex ones
+        # real-axis and Re u = K specs integrate real states; other PT lines
+        # and custom potentials complex ones
         dtypes = []
         solve = flq.solve_ivp
 
@@ -185,10 +224,8 @@ class TestHalfPeriod:
             return solve(fun, t_span, y0, **kwargs)
 
         monkeypatch.setattr(flq, "solve_ivp", recorded)
-        spec = _a1_spec()
-        line = pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))), spec.period)
-        cases = [(s, np.float64) for s in _real_axis_specs()]
-        cases += [(s, np.complex128) for s in [*inv.specs(M, BETA).values(), FREE, line]]
+        cases = [(s, np.float64) for s in [*_real_axis_specs(), *_k_line_specs()]]
+        cases += [(s, np.complex128) for s in [*_complex_line_specs(), FREE, _as_custom(_a1_spec())]]
         for s, dtype in cases:
             dtypes.clear()
             flq._propagate(s, [0.5, 2.0])
@@ -208,8 +245,9 @@ class TestStepper:
         # each spec's batch, integrated again by scipy at the same tolerances:
         # the same accepted steps and RHS calls, 3 fewer than scipy's run to
         # t_eval=[end], which builds the dense output of the last step, and
-        # the same Delta; the real-axis specs (plain, partner and (2,1))
-        # integrate real states, which scipy keeps real
+        # the same Delta; the real-axis specs (plain, partner and (2,1)) and
+        # the a = 1 and a = 3 PT specs and partners, on Re u = K, integrate
+        # real states, which scipy keeps real
         runs = []
         solve = flq.solve_ivp
 
@@ -455,7 +493,7 @@ class TestEdgeFinding:
         # the top two edges sit beside a 7.2e-3 gap, where dDelta/dE = 2.6e-3;
         # at RTOL = 1e-12 the energies sharing their batch move a root of a
         # trace less 2 by up to 2.6e-10, and a root of the finder's Delta -+ 2
-        # columns by far less (measured 4.5e-12)
+        # columns by far less (measured 5.2e-12)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
         found = [e.energy for e in flq.find_band_edges(_a3_spec(), -0.5, 40.0) if e.multiplicity == 1]
         assert len(found) == 7
@@ -480,7 +518,7 @@ class TestEdgeFinding:
     def test_narrow_top_gap_is_two_edges_or_one_closed_gap(self, m):
         # the a=3 PT top gap narrows from 9.8e-6 (m = 0.97) to 4.4e-8 (0.995);
         # up to 1.2e-6 (m = 0.985) it is found open, with every edge within
-        # 1e-8 (measured 2.8e-9), and narrower it may be reported closed
+        # 1e-8 (measured 4.4e-9), and narrower it may be reported closed
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         spec = _a3_spec(m, BETA)
         opened = [("P", 1), ("A", 1), ("A", 1), ("P", 1), ("P", 1), ("A", 1), ("A", 1)]
