@@ -78,9 +78,9 @@ _MIN_STEP = 1e-10  # fraction of the period
 # its interpolant: the last 3 coefficients of Re Delta, Re M12 and M21 within
 # _TAIL_RTOL of the largest, and within _TAIL_ATOL wherever Delta -+ 2 has a
 # root near the piece; no piece narrower than _MIN_PIECE of the range.  A
-# real root of Re M12 is a closed gap where |Delta -+ 2| and |M21| (relative
-# to the largest M12/M21 coefficient) are within _CLOSED_TOL; it absorbs the
-# roots of Delta -+ 2 within _PAIR of it, the close pair of a double root.
+# real root of Re M12 is a closed gap where |Delta -+ 2| and |M21| are within
+# _CLOSED_TOL, as M = +/-I there (see NumericBandEdge); it absorbs the roots
+# of Delta -+ 2 within _PAIR of it, the close pair of a double root.
 _CHEB = 65
 _TAIL_RTOL = 1e-13
 _TAIL_ATOL = 1e-10
@@ -135,11 +135,13 @@ class NumericBandEdge:
     There M = +/-I, so a closed gap is a simple root of M12, and its energy
     is as accurate as a simple edge's: about 1e-11, and to a few 1e-9
     beside the narrowest open gaps, where Delta is flat.  "Closed" means
-    that, at that root, Delta is +/-2 and M21 is 0 to 1e-6 (M21 relative to
-    the size of M12 and M21 nearby).  M21 there tracks the gap's width, so an
-    open gap 1.1e-6 wide or wider is found open, and a narrower one may be
-    reported closed.  That bound was measured on a <= 3: at a = 7, m = 0.3,
-    a gap 3.0e-6 wide is reported closed.
+    that, at that root, Delta is +/-2 and M21 is 0, each to 1e-6; at the 142
+    closed gaps of the free particle, the registry specs and the real (2,1)
+    potential up to E = 40, |M21| is at most 3.5e-11 there.  M21 there
+    tracks the gap's width, so an open gap 1.1e-6 wide or wider is found
+    open, and a narrower one may be reported closed.  Beyond a = 3 an open
+    gap up to 1.0e-5 wide may also be missed, and edges beside a gap up to
+    2.5e-4 wide were found up to 3.1e-6 off.
     """
 
     energy: float
@@ -218,12 +220,9 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 @dataclass(frozen=True)
 class _Solution:
-    """One :func:`solve_ivp` run: ``y`` is the state where it stopped (the
-    end point when ``success``), ``nfev`` its RHS calls and ``steps`` its
-    accepted steps; ``message`` names the reason of a failure."""
+    """One :func:`solve_ivp` run: ``y`` is the state at the end point,
+    ``nfev`` its RHS calls and ``steps`` its accepted steps."""
 
-    success: bool
-    message: str | None
     y: np.ndarray
     nfev: int
     steps: int
@@ -246,11 +245,12 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
     Step control is that of scipy's ``solve_ivp(method="DOP853")``: the
     initial step of Hairer et al. Sec. II.4, an RMS error norm that combines
     the 5th- and 3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8)
-    times the last, kept in [0.2, 10] and at most 1 after a rejection, and no
-    step below 10 spacings of floating-point numbers at t.  So the steps and
-    the end point are scipy's bit for bit.  There is no dense output.  Fails
-    after ``_MAX_STEPS`` steps, or once the step falls below ``_MIN_STEP`` of
-    ``period``, whether the span is the whole period or half of it.
+    times the last, kept in [0.2, 10] and at most 1 after a rejection.  So
+    the steps and the end point are scipy's bit for bit.  There is no dense
+    output.  Raises :class:`FloquetIntegrationError` after ``_MAX_STEPS``
+    steps, or once a step, tried or proposed, falls below ``_MIN_STEP`` of
+    ``period``, whether the span is the whole period or half of it; that
+    floor lies far above scipy's own, 10 spacings of floating-point numbers.
     """
     t, t1 = map(float, t_span)
     y = np.asarray(y0)
@@ -269,18 +269,18 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
     nfev = 2
 
     h_floor = _MIN_STEP * period
+    span = "half a" if t1 - t < period else "one"
     steps = 0
     while t != t1:
-        if steps >= _MAX_STEPS:
-            return _Solution(False, f"step budget of {_MAX_STEPS} exhausted", y, nfev, steps)
-        if h_abs < h_floor:
-            return _Solution(False, f"step size fell below {_MIN_STEP:g} of the period", y, nfev, steps)
         steps += 1
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         rejected = False
         while True:
-            if h_abs < min_step:
-                return _Solution(False, "required step size is less than spacing between numbers", y, nfev, steps)
+            if steps > _MAX_STEPS or h_abs < h_floor:
+                reason = (f"step budget of {_MAX_STEPS} exhausted" if steps > _MAX_STEPS
+                          else f"step size fell below {_MIN_STEP:g} of the period")
+                raise FloquetIntegrationError(
+                    f"integration failed over {span} period ({reason}); a pole on or near the integration line?"
+                )
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
             for s in range(1, 12):
@@ -303,7 +303,7 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
             rejected = True
         t, y = t_new, y_new
         K[0] = K[12]
-    return _Solution(True, None, y, nfev, steps)
+    return _Solution(y, nfev, steps)
 
 
 def integration_beta(spec) -> float | None:
@@ -394,11 +394,6 @@ def _propagate(spec, energies):
             return out
 
         sol = solve_ivp(rhs, (0.0, end), y0, period=L)
-        if not sol.success:
-            raise FloquetIntegrationError(
-                f"integration failed over {'half a' if half else 'one'} period ({sol.message});"
-                " a pole on or near the integration line?"
-            )
         steps += sol.steps
         nfev += sol.nfev
         y = sol.y
@@ -496,14 +491,15 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     at ``_CHEB`` Chebyshev points, all in one batched, Wronskian-checked
     integration, and halves each piece whose series is not resolved (see
     the constants); a piece narrower than ``_MIN_PIECE`` of the range raises
-    :class:`FloquetIntegrationError`.  Simple edges are the real roots of
-    :func:`_propagate`'s Delta -+ 2 columns, found as the eigenvalues of a
-    colleague matrix (Boyd, SIAM J. Numer. Anal. 40 (2002) 1666), each
-    reported with the interpolant's Delta.  A closed gap is M = +/-I: a real
-    root of Re M12 where Delta = +/-2 and M21 = 0, to ``_CLOSED_TOL``.  V is
-    sampled only inside the integrations.  A warning is issued when fewer
-    than the 2a+1 simple edges of a recognized base family are found: the
-    range is too small, or a narrow open gap was reported closed.
+    :class:`FloquetIntegrationError`, naming the series and its tail.  Simple
+    edges are the real roots of :func:`_propagate`'s Delta -+ 2 columns,
+    found as the eigenvalues of a colleague matrix (Boyd, SIAM J. Numer.
+    Anal. 40 (2002) 1666), each reported with the interpolant's Delta.  A
+    closed gap is M = +/-I: a real root of Re M12 where Delta is +/-2 and
+    M21 is 0, both to ``_CLOSED_TOL``.  V is sampled only inside the
+    integrations.  A warning is issued when fewer than the 2a+1 simple edges
+    of a recognized base family are found: the range is too small, or a
+    narrow open gap was reported closed.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
@@ -517,20 +513,22 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
         cs = _coefficients(cols.reshape(len(pending), _CHEB, 5).transpose(1, 0, 2))
         split = []
         for (a, b), (cd, c12, c21, cm, cp) in zip(pending, cs.transpose(1, 2, 0)):
-            parts = (cd.real, c12.real, c21)
-            tails = [np.abs(c[-3:]).max() for c in parts]
-            resolved = all(t <= _TAIL_RTOL * np.abs(c).max() for t, c in zip(tails, parts))
             roots = {cls: _real_roots(c.real) for c, cls in ((cm, "P"), (cp, "A"))}
-            if not resolved or (max(tails) > _TAIL_ATOL and any(near for _, near in roots.values())):
+            atol = _TAIL_ATOL if any(near for _, near in roots.values()) else math.inf
+            missed = []
+            for name, c in (("Delta", cd.real), ("M12", c12.real), ("M21", c21)):
+                tail, bound = np.abs(c[-3:]).max(), min(_TAIL_RTOL * np.abs(c).max(), atol)
+                if not tail <= bound:
+                    missed.append(f"{name}'s last 3 coefficients reach {tail:.2g}, above {bound:.2g}")
+            if missed:
                 if b - a < _MIN_PIECE * (e_max - e_min):
-                    raise FloquetIntegrationError(f"Delta not resolved on [{a}, {b}]; a pole near the line?")
+                    raise FloquetIntegrationError(f"series not resolved on [{a}, {b}]: {'; '.join(missed)}")
                 split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 continue
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            scale = _CLOSED_TOL * max(np.abs(c12).max(), np.abs(c21).max())
             for r in _real_roots(c12.real)[0]:
                 d = complex(cheb.chebval(r, cd))
-                if abs(abs(d.real) - 2.0) <= _CLOSED_TOL and abs(cheb.chebval(r, c21)) <= scale:
+                if abs(abs(d.real) - 2.0) <= _CLOSED_TOL and abs(cheb.chebval(r, c21)) <= _CLOSED_TOL:
                     closed.append(NumericBandEdge(float(mid + half * r), "P" if d.real > 0 else "A", d, 2))
             crossings += [NumericBandEdge(float(mid + half * r), cls, complex(cheb.chebval(r, cd)))
                        for cls, (rs, _) in roots.items() for r in rs]

@@ -288,7 +288,7 @@ def ground_state(spec: PotentialSpec):
     if f.offset is None:
         raise MissingGroundStateError(f"no closed forms for family {(f.kind, f.a, f.b)!r}")
     if f.ground is None:
-        raise MissingGroundStateError("shift the PT transform itself, not the potential under it")
+        raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
     return f.ground[:2]
 
 

@@ -183,8 +183,10 @@ class TestEdges:
         assert "verdict=FAIL" in meta
 
     def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
-        # the a=2 Lame potential has no closed-form table; over the default
-        # range its five simple edges are found and the count passes
+        # Lame potentials with a = 2, 4 and 6 have no closed-form table; over
+        # the default range their 2a + 1 simple edges are found and the count
+        # passes (at a = 6 and a = 4, a closed-gap bound scaled by the piece's
+        # largest M21 coefficient found 12 and 8)
         found = []
         find = flq.find_band_edges
 
@@ -194,10 +196,11 @@ class TestEdges:
 
         monkeypatch.setattr(flq, "find_band_edges", record)
         out = tmp_path / "edges.csv"
-        assert cli.main(["edges", "--a", "2", "--out", str(out)]) == 0
-        meta, _ = _read_csv(out)
-        assert "verdict=PASS" in meta and "analytic_available=False" in meta
-        assert sum(1 for e in found if e.multiplicity == 1) == 5
+        for argv, count in ((["--a", "2"], 5), (["--a", "6", "--m", "0.3"], 13), (["--a", "4", "--m", "0.05"], 9)):
+            assert cli.main(["edges", *argv, "--out", str(out)]) == 0
+            meta, _ = _read_csv(out)
+            assert "verdict=PASS" in meta and "analytic_available=False" in meta
+            assert sum(1 for e in found if e.multiplicity == 1) == count
 
     def test_without_closed_forms_missed_edges_fail(self, tmp_path):
         # [0.5, 3] holds two of the five a=2 edges: the count fails the gate,
@@ -272,6 +275,7 @@ class TestUsageErrors:
         ["edges", "--emin", "3", "--emax", "1"],
         ["sample-potential", "--n", "-3"],
         ["dispersion", "--n", "0"],
+        ["edges", "--m", "1.5"],
     ])
     def test_config_error(self, argv, capsys, monkeypatch):
         def no_integration(*args):

