@@ -87,11 +87,11 @@ def _samples(args, least: int) -> int:
 def _energy_range(args, lo, hi) -> tuple[float, float]:
     """``--emin``/``--emax``, each defaulting to ``lo``/``hi`` and stored back
     into ``args`` as resolved, for the header; ConfigError unless the range
-    is nonempty."""
+    is finite and nonempty."""
     args.emin = lo if args.emin is None else args.emin
     args.emax = hi if args.emax is None else args.emax
-    if not args.emin < args.emax:
-        raise ConfigError(f"--emin ({args.emin}) must be below --emax ({args.emax})")
+    if not (math.isfinite(args.emin) and math.isfinite(args.emax) and args.emin < args.emax):
+        raise ConfigError(f"--emin ({args.emin}) must be below --emax ({args.emax}), both finite")
     return args.emin, args.emax
 
 

@@ -79,14 +79,13 @@ _MIN_STEP = 1e-10  # fraction of the period
 # _TAIL_RTOL of the largest, and within _TAIL_ATOL wherever Delta -+ 2 has a
 # root near the piece; no piece narrower than _MIN_PIECE of the range.  A
 # real root of Re M12 is a closed gap where |Delta -+ 2| and |M21| are within
-# _CLOSED_TOL, as M = +/-I there (see NumericBandEdge); it absorbs the roots
-# of Delta -+ 2 within _PAIR of it, the close pair of a double root.
+# _CLOSED_TOL, as M = +/-I there (see NumericBandEdge); it claims the two
+# roots of its Delta -+ 2 column nearest it, the pair of a double root.
 _CHEB = 65
 _TAIL_RTOL = 1e-13
 _TAIL_ATOL = 1e-10
 _MIN_PIECE = 1e-6
 _CLOSED_TOL = 1e-6
-_PAIR = 1e-5
 # energies per integration batch.  A batch takes about as many steps as one
 # energy, so its cost is mostly per-step overhead; 1800 would save little
 # more per energy and hold several MB more of solver state.
@@ -137,7 +136,9 @@ class NumericBandEdge:
     beside the narrowest open gaps, where Delta is flat.  "Closed" means
     that, at that root, Delta is +/-2 and M21 is 0, each to 1e-6; at the 142
     closed gaps of the free particle, the registry specs and the real (2,1)
-    potential up to E = 40, |M21| is at most 3.5e-11 there.  M21 there
+    potential up to E = 40, |M21| is at most 3.5e-11 there.  It claims the
+    double root of Delta -+ 2 that noise splits, up to 2.4e-5 apart on (4,1)
+    at m = 0.75, into a real or complex pair.  M21 there
     tracks the gap's width, so an open gap 1.1e-6 wide or wider is found
     open, and a narrower one may be reported closed.  Beyond a = 3 an open
     gap up to 1.0e-5 wide may also be missed, and edges beside a gap up to
@@ -248,9 +249,10 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
     times the last, kept in [0.2, 10] and at most 1 after a rejection.  So
     the steps and the end point are scipy's bit for bit.  There is no dense
     output.  Raises :class:`FloquetIntegrationError` after ``_MAX_STEPS``
-    steps, or once a step, tried or proposed, falls below ``_MIN_STEP`` of
-    ``period``, whether the span is the whole period or half of it; that
-    floor lies far above scipy's own, 10 spacings of floating-point numbers.
+    steps, or once a step, tried or proposed, is not finite or falls below
+    ``_MIN_STEP`` of ``period``, whether the span is the whole period or half
+    of it; that floor lies far above scipy's own, 10 spacings of
+    floating-point numbers.
     """
     t, t1 = map(float, t_span)
     y = np.asarray(y0)
@@ -275,9 +277,9 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
         steps += 1
         rejected = False
         while True:
-            if steps > _MAX_STEPS or h_abs < h_floor:
+            if steps > _MAX_STEPS or not h_abs >= h_floor:
                 reason = (f"step budget of {_MAX_STEPS} exhausted" if steps > _MAX_STEPS
-                          else f"step size fell below {_MIN_STEP:g} of the period")
+                          else f"step size fell below {_MIN_STEP:g} of the period or is not finite")
                 raise FloquetIntegrationError(
                     f"integration failed over {span} period ({reason}); a pole on or near the integration line?"
                 )
@@ -401,7 +403,7 @@ def _propagate(spec, energies):
         det = np.abs(a * d - b * c - 1.0)
         defects[lo : lo + _CHUNK] = det
         scale = np.maximum(1.0, np.max(np.abs([a, b, c, d]), axis=0))
-        bad = np.flatnonzero(det > _DET_TOL * scale**2)
+        bad = np.flatnonzero(~(det <= _DET_TOL * scale**2))
         if bad.size:
             i = bad[0]
             raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
@@ -471,14 +473,12 @@ def _coefficients(values):
     return c
 
 
-def _real_roots(c):
-    """Real roots in [-1, 1] (to a 1e-10 slack) of the Chebyshev series c,
-    and whether it has any root, real or complex, near [-1, 1]: inside the
+def _near(r):
+    """Which roots r of a Chebyshev series lie near [-1, 1]: inside the
     Bernstein ellipse of parameter 1.25, well inside the ellipse where the
-    roots of rounding and integration noise lie."""
-    r = np.polynomial.chebyshev.chebroots(c)
-    near = np.abs(r + np.sqrt(r - 1.0 + 0j) * np.sqrt(r + 1.0 + 0j)) < 1.25
-    return r.real[(r.imag == 0.0) & (np.abs(r.real) <= 1.0 + 1e-10)], near.any()
+    roots of rounding and integration noise lie.  A real root is inside it
+    where |r| < (1.25 + 1/1.25)/2 = 1.025."""
+    return np.abs(r + np.sqrt(r - 1.0 + 0j) * np.sqrt(r + 1.0 + 0j)) < 1.25
 
 
 def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
@@ -496,16 +496,18 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     found as the eigenvalues of a colleague matrix (Boyd, SIAM J. Numer.
     Anal. 40 (2002) 1666), each reported with the interpolant's Delta.  A
     closed gap is M = +/-I: a real root of Re M12 where Delta is +/-2 and
-    M21 is 0, both to ``_CLOSED_TOL``.  V is sampled only inside the
-    integrations.  A warning is issued when fewer than the 2a+1 simple edges
-    of a recognized base family are found: the range is too small, or a
-    narrow open gap was reported closed.
+    M21 is 0, both to ``_CLOSED_TOL``; it takes the two roots of its class's
+    column nearest it, real or complex, before the real roots left become
+    simple edges, also where it lies just past the piece (:func:`_near`).
+    V is sampled only inside the integrations.  A warning is issued when
+    fewer than the 2a+1 simple edges of a recognized base family are found:
+    the range is too small, or a narrow open gap was reported closed.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
     cheb = np.polynomial.chebyshev
     x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
-    pending, crossings, closed = [(e_min, e_max)], [], []
+    pending, edges = [(e_min, e_max)], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
         ms, gaps = _propagate(spec, es)[:2]
@@ -513,8 +515,8 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
         cs = _coefficients(cols.reshape(len(pending), _CHEB, 5).transpose(1, 0, 2))
         split = []
         for (a, b), (cd, c12, c21, cm, cp) in zip(pending, cs.transpose(1, 2, 0)):
-            roots = {cls: _real_roots(c.real) for c, cls in ((cm, "P"), (cp, "A"))}
-            atol = _TAIL_ATOL if any(near for _, near in roots.values()) else math.inf
+            roots = {"P": cheb.chebroots(cm.real), "A": cheb.chebroots(cp.real)}
+            atol = _TAIL_ATOL if any(_near(r).any() for r in roots.values()) else math.inf
             missed = []
             for name, c in (("Delta", cd.real), ("M12", c12.real), ("M21", c21)):
                 tail, bound = np.abs(c[-3:]).max(), min(_TAIL_RTOL * np.abs(c).max(), atol)
@@ -526,20 +528,26 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
                 split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 continue
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for r in _real_roots(c12.real)[0]:
+            # a closed gap claims its double root, split by noise, also from a
+            # piece it lies just past the end of; only a piece it lies on reports it
+            r12 = cheb.chebroots(c12.real)
+            for r in r12.real[_near(r12) & (r12.imag == 0.0)]:
                 d = complex(cheb.chebval(r, cd))
                 if abs(abs(d.real) - 2.0) <= _CLOSED_TOL and abs(cheb.chebval(r, c21)) <= _CLOSED_TOL:
-                    closed.append(NumericBandEdge(float(mid + half * r), "P" if d.real > 0 else "A", d, 2))
-            crossings += [NumericBandEdge(float(mid + half * r), cls, complex(cheb.chebval(r, cd)))
-                       for cls, (rs, _) in roots.items() for r in rs]
+                    cls = "P" if d.real > 0 else "A"
+                    roots[cls] = np.delete(roots[cls], np.argsort(np.abs(roots[cls] - r))[:2])
+                    if abs(r) <= 1.0 + 1e-10:
+                        edges.append(NumericBandEdge(float(mid + half * r), cls, d, 2))
+            edges += [NumericBandEdge(float(mid + half * r), cls, complex(cheb.chebval(r, cd)))
+                      for cls, rs in roots.items()
+                      for r in rs.real[(rs.imag == 0.0) & (np.abs(rs.real) <= 1.0 + 1e-10)]]
         pending = split
 
-    # a closed gap absorbs the close pair of roots of Delta -+ 2 its double
-    # root gives, and a root on the end two pieces share is found in both
+    # a root on the end two pieces share is found in both
     found = []
-    for e in closed + crossings:
-        if not any(f.period_class == e.period_class and abs(f.energy - e.energy)
-                   <= (_PAIR if f.multiplicity == 2 else 1e-9 * max(1.0, abs(e.energy))) for f in found):
+    for e in edges:
+        if not any(f.period_class == e.period_class and abs(f.energy - e.energy) <= 1e-9 * max(1.0, abs(e.energy))
+                   for f in found):
             found.append(e)
     found.sort(key=lambda e: e.energy)
     expected = simple_edge_count(spec)

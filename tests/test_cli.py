@@ -183,10 +183,12 @@ class TestEdges:
         assert "verdict=FAIL" in meta
 
     def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
-        # Lame potentials with a = 2, 4 and 6 have no closed-form table; over
-        # the default range their 2a + 1 simple edges are found and the count
-        # passes (at a = 6 and a = 4, a closed-gap bound scaled by the piece's
-        # largest M21 coefficient found 12 and 8)
+        # Lame potentials with a = 2, 4 and 6 and the (4,1) potential have no
+        # closed-form table; over the default range their 2a + 1 simple edges
+        # are found and the count passes (at a = 6 and a = 4, a closed-gap
+        # bound scaled by the piece's largest M21 coefficient found 12 and 8;
+        # on (4,1), a closed gap that absorbed only the column roots within
+        # 1e-5 of it left two more, 11)
         found = []
         find = flq.find_band_edges
 
@@ -196,7 +198,8 @@ class TestEdges:
 
         monkeypatch.setattr(flq, "find_band_edges", record)
         out = tmp_path / "edges.csv"
-        for argv, count in ((["--a", "2"], 5), (["--a", "6", "--m", "0.3"], 13), (["--a", "4", "--m", "0.05"], 9)):
+        for argv, count in ((["--a", "2"], 5), (["--a", "6", "--m", "0.3"], 13), (["--a", "4", "--m", "0.05"], 9),
+                            (["--a", "4", "--b", "1", "--m", "0.75"], 9)):
             assert cli.main(["edges", *argv, "--out", str(out)]) == 0
             meta, _ = _read_csv(out)
             assert "verdict=PASS" in meta and "analytic_available=False" in meta
@@ -276,6 +279,7 @@ class TestUsageErrors:
         ["sample-potential", "--n", "-3"],
         ["dispersion", "--n", "0"],
         ["edges", "--m", "1.5"],
+        ["edges", "--a", "1", "--emax", "inf"],
     ])
     def test_config_error(self, argv, capsys, monkeypatch):
         def no_integration(*args):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,25 @@ class TestMonodromy:
         assert calls == [2, 2, 1]
         assert np.max(np.abs(d - 2.0 * np.cos(np.sqrt(es) * math.pi))) < 1e-9
         assert flq.discriminants(FREE, []).size == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("E", (math.nan, math.inf))
+    def test_non_finite_energy_raises(self, E):
+        # a step that is not finite fails the step floor at once, and is
+        # not retried
+        start = time.perf_counter()
+        with pytest.raises(flq.FloquetIntegrationError, match="below 1e-10 of the period or is not finite"):
+            flq.discriminants(pot.Lame(1, 0.5), [E])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_naming_the_energy(self):
+        # far below the spectrum the entries overflow, so det - 1 is NaN,
+        # which fails the Wronskian check instead of passing it
+        start = time.perf_counter()
+        with pytest.raises(flq.FloquetIntegrationError, match=r"\|det - 1\| = nan at E=-100000\.0$"):
+            flq.discriminants(pot.Lame(1, 0.5), [-1e5])
+        assert time.perf_counter() - start < 1.0
 
     def test_trace_independent_of_start_point(self):
         # V(x + L/3) is not symmetric about 0, so it is integrated over the
@@ -485,7 +505,7 @@ class TestEdgeFinding:
     def test_narrow_top_gap_is_open_on_a_wide_range(self, m, beta):
         # the top gap is 3.9e-4, 4.6e-5 and 1.2e-6 wide, a small part of the
         # range; in the 1.2e-6 gap M21 is 1.9e-6 at the root of M12, above
-        # 1e-6, though not above 1e-6 of the piece's largest M21 coefficient
+        # the closed-gap bound of 1e-6, so the gap is found open
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         found = [e for e in flq.find_band_edges(_a3_spec(m, beta), -0.5, 40.0) if e.energy < max(ref) + 0.5]
         assert [(e.period_class, e.multiplicity) for e in found[-2:]] == [("A", 1), ("A", 1)]
@@ -562,6 +582,24 @@ class TestEdgeFinding:
         assert [e.period_class for e in pt] == [e.period_class for e in real]
         assert np.allclose([e.energy for e in pt], [e.energy - 42.0 for e in real], rtol=0.0, atol=1e-6)
 
+    def test_closed_gap_claims_its_split_pair(self):
+        # on (4,1) at m = 0.75 noise splits the P column's double root at the
+        # closed gap near 29.0386 into two real roots 2.4e-5 either side of
+        # it; the gap claims both.  The references are the roots of the real
+        # half-period matrix's entries: P edges of b and c, A edges of a and d
+        spec = pot.AssociatedLame(4, 1, 0.75)
+        found = flq.find_band_edges(spec, *flq.default_energy_range(spec))
+        expected = {
+            ("P", 1): [4.8902277714, 10.75, 14.1097722286],
+            ("A", 1): [4.8914213943, 10.6754446797, 15.0216926162, 16.0, 23.3245553203, 23.3368859895],
+            ("P", 2): [18.7987690514, 29.0386119646, 43.7668579927],
+            ("A", 2): [35.8586914178],
+        }
+        assert len(found) == 13
+        for kind, ref in expected.items():
+            got = [e.energy for e in found if (e.period_class, e.multiplicity) == kind]
+            assert len(got) == len(ref) and np.allclose(got, ref, rtol=0.0, atol=1e-6)
+
     def test_unresolved_piece_names_its_series(self, monkeypatch):
         # with no tail small enough, the range is halved twice, down to a
         # quarter, below _MIN_PIECE = 0.3 of it
@@ -586,6 +624,13 @@ class TestEdgeFinding:
         assert 1.0 in sampled
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
         assert abs(found[0].energy - 1.0) < 1e-6
+        # these ranges are halved at their midpoint, 1e-9, 1e-7 or 1e-6 below
+        # E = 1 or 1e-8 above it, so the closed gap lies just past one piece's
+        # end; it still claims that piece's pair of column roots (left there,
+        # one made a simple edge 9e-8 to 2.8e-6 from the gap)
+        for d, w in ((-1e-9, 31.0), (-1e-7, 25.0), (-1e-6, 31.0), (1e-8, 31.0)):
+            found = [e for e in flq.find_band_edges(FREE, 1.0 + d - w, 1.0 + d + w) if abs(e.energy - 1.0) < 1e-3]
+            assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
 
     def test_noise_past_a_tangency_is_a_closed_gap(self, monkeypatch):
         # the free particle's M with Delta = 2 cos(pi sqrt(E)) - 1e-13, which
