@@ -100,9 +100,8 @@ def cmd_sample_potential(args) -> int:
     n = _samples(args, 1)
     L = spec.period
     xs = np.linspace(0.0, 2.0 * L, 2 * n, endpoint=False)
-    f = pot.compiled_value_fn(spec)
-    vals = [f(float(x)) for x in xs]
-    _write_table(args, [("x", xs.tolist()), ("re_v", [v.real for v in vals]), ("im_v", [v.imag for v in vals])],
+    vals = pot.compiled_value_fn(spec)(xs)
+    _write_table(args, [("x", xs.tolist()), ("re_v", vals.real.tolist()), ("im_v", vals.imag.tolist())],
                  {"period": L})
     return 0
 

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "EllipticDomainError",
     "PoleProximityError",
@@ -137,7 +139,8 @@ class JacobiValues:
 
 @lru_cache(maxsize=512)
 def _landen_schedule(m: float) -> tuple[float, tuple[float, ...]]:
-    # Descending-Landen coefficients c_n / a_n; they depend only on m, so the
+    # Descending-Landen coefficients c_n / a_n, last first, the order the
+    # backward recursion reads them; they depend only on m, so the
     # per-argument work reduces to one sin/asin pass.
     _check_parameter(m)
     a, b = 1.0, math.sqrt(1.0 - m)
@@ -147,23 +150,30 @@ def _landen_schedule(m: float) -> tuple[float, tuple[float, ...]]:
         ratios.append(c / a)
         if abs(c) <= _AGM_EPS * a:
             break
-    return a * 2.0 ** len(ratios), tuple(ratios)
+    return a * 2.0 ** len(ratios), tuple(reversed(ratios))
 
 
-def _jacobi_real_tuple(u: float, m: float) -> tuple[float, float, float]:
+def _landen_pass(m: float):
+    # u -> (sn, cn, dn)(u | m) at real u by the backward recursion, for a
+    # float (math's functions) or a float ndarray (numpy's ufuncs, chosen
+    # once per call); the schedule is read once, here, not per point
     scale, ratios = _landen_schedule(m)
-    phi = scale * u
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + math.asin(r * math.sin(phi)))
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt(1.0 - m * sn * sn)
-    return sn, cn, dn
+
+    def triple(u):
+        sin, asin, cos, sqrt = ((np.sin, np.arcsin, np.cos, np.sqrt) if isinstance(u, np.ndarray)
+                                else (math.sin, math.asin, math.cos, math.sqrt))
+        phi = scale * u
+        for r in ratios:
+            phi = 0.5 * (phi + asin(r * sin(phi)))
+        sn = sin(phi)
+        return sn, cos(phi), sqrt(1.0 - m * sn * sn)
+
+    return triple
 
 
 def jacobi_real(u: float, m: float) -> JacobiValues:
     """Jacobi sn, cn, dn for real argument via the Landen backward recursion."""
-    sn, cn, dn = _jacobi_real_tuple(float(u), _check_parameter(m))
+    sn, cn, dn = _landen_pass(_check_parameter(m))(float(u))
     return JacobiValues(complex(sn), complex(cn), complex(dn))
 
 
@@ -198,7 +208,12 @@ def line_jacobi(beta: float, m: float):
 
     The real-argument triple at (beta, m) is fixed along the line, so each
     call costs a single real Landen pass at (x, 1-m) plus the recombination.
-    Returns a callable x -> (sn, cn, dn).
+    Returns a callable x -> (sn, cn, dn): complex values for a float x,
+    complex arrays for a float ndarray, from the same recurrence (numpy's
+    ufuncs in place of math's, so the two agree to rounding, not bit for
+    bit).  Arrays pay off on a grid; the integrator calls with floats, once
+    per stage, as a step's 12 stage nodes cost more as one array than as 12
+    float calls.
     """
     m = _check_parameter(m)
     beta = float(beta)
@@ -213,19 +228,19 @@ def line_jacobi(beta: float, m: float):
 def _addition(beta: float, m: float):
     # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked; the
     # potential evaluator runs the closure inside the integrator's RHS
-    s, c, d = _jacobi_real_tuple(beta, m)
-    m1 = 1.0 - m
+    s, c, d = _landen_pass(m)(beta)
+    real = _landen_pass(1.0 - m)
     ss = m * s * s
     cd = c * d
     msc = m * s * c
 
-    def values(x: float) -> tuple[complex, complex, complex]:
-        s1, c1, d1 = _jacobi_real_tuple(x, m1)
+    def values(x):
+        s1, c1, d1 = real(x)
         den = c1 * c1 + ss * s1 * s1
         return (
-            complex(s * d1, cd * s1 * c1) / den,
-            complex(c * c1, -s * d * s1 * d1) / den,
-            complex(d * c1 * d1, -msc * s1) / den,
+            (s * d1 + 1j * (cd * s1 * c1)) / den,
+            (c * c1 - 1j * (s * d * s1 * d1)) / den,
+            (d * c1 * d1 - 1j * (msc * s1)) / den,
         )
 
     return values
@@ -233,11 +248,11 @@ def _addition(beta: float, m: float):
 
 def jacobi_triple(m: float, beta: float | None = None):
     """Evaluator x -> (sn, cn, dn) at real x, or on the line i*x + beta
-    (:func:`line_jacobi`) when ``beta`` is given."""
+    (:func:`line_jacobi`) when ``beta`` is given.  x is a float or a float
+    ndarray, evaluated elementwise in one pass (see :func:`line_jacobi`)."""
     if beta is not None:
         return line_jacobi(beta, m)
-    m = _check_parameter(m)
-    return lambda x: _jacobi_real_tuple(x, m)
+    return _landen_pass(_check_parameter(m))
 
 
 # ---------------------------------------------------------------------------

@@ -395,15 +395,18 @@ def _propagate(spec, energies):
             np.multiply((v.real if real else v) - EE, y[:n2], out=out[n2:])
             return out
 
-        sol = solve_ivp(rhs, (0.0, end), y0, period=L)
+        # an overflowing or non-finite batch fails the NaN-safe checks below,
+        # which name the energy; numpy's warnings would only precede them
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (0.0, end), y0, period=L)
+            y = sol.y
+            a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
+            det = np.abs(a * d - b * c - 1.0)
+            scale = np.maximum(1.0, np.max(np.abs([a, b, c, d]), axis=0))
+            bad = np.flatnonzero(~(det <= _DET_TOL * scale**2))
         steps += sol.steps
         nfev += sol.nfev
-        y = sol.y
-        a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
-        det = np.abs(a * d - b * c - 1.0)
         defects[lo : lo + _CHUNK] = det
-        scale = np.maximum(1.0, np.max(np.abs([a, b, c, d]), axis=0))
-        bad = np.flatnonzero(~(det <= _DET_TOL * scale**2))
         if bad.size:
             i = bad[0]
             raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
@@ -598,8 +601,7 @@ def default_energy_range(spec) -> tuple[float, float]:
     line, but V near a pole of the user's line is not) and a = b = 0 for a
     custom potential."""
     f = potentials.compiled_value_fn(_line(spec)[0])
-    xs = np.linspace(0.0, spec.period, 129, endpoint=False)
-    vmax = max(f(float(x)).real for x in xs)
+    vmax = float(np.max(f(np.linspace(0.0, spec.period, 129, endpoint=False)).real))
     form = potentials.normal_form(spec)
     if form.m is None:
         return (-1.0, vmax + 5.0)

@@ -133,8 +133,8 @@ def _landen_equal_ab(m, beta):
     for a in (1, 2, 3):
         spec = pot.AssociatedLame(a, a, m)
         fa, fl = pot.compiled_value_fn(spec), pot.compiled_value_fn(pot.Lame(a, mt))
-        for x in np.linspace(0.0, spec.period, 100, endpoint=False):
-            worst = max(worst, abs(fa(float(x)) - a * (a + 1) * m - fl(float(x) / alpha) / alpha**2))
+        xs = np.linspace(0.0, spec.period, 100, endpoint=False)
+        worst = max(worst, float(np.max(np.abs(fa(xs) - a * (a + 1) * m - fl(xs / alpha) / alpha**2))))
     return worst
 
 
@@ -314,9 +314,9 @@ def _a3_exchanged_edges(m, beta):
 def _a3_exchanged_distinct(m, beta):
     # ... although it, the base and the base's partner differ pointwise
     s = specs(m, beta)
-    fs, fa, fb = (pot.compiled_value_fn(s[k]) for k in (_A3, _A3 + ("partner",), "a3-exchanged"))
-    xs = [float(x) for x in np.linspace(0.0, s[_A3].period, 64, endpoint=False)]
-    return min(max(abs(f(x) - g(x)) for x in xs) for f, g in ((fa, fb), (fa, fs), (fb, fs)))
+    xs = np.linspace(0.0, s[_A3].period, 64, endpoint=False)
+    vs, va, vb = (pot.compiled_value_fn(s[k])(xs) for k in (_A3, _A3 + ("partner",), "a3-exchanged"))
+    return min(float(np.max(np.abs(v - w))) for v, w in ((va, vb), (va, vs), (vb, vs)))
 
 
 def _assoc21_not_self_isospectral(m, beta):
@@ -324,9 +324,9 @@ def _assoc21_not_self_isospectral(m, beta):
     src = specs(m, beta)[_A21]
     fp, fb = pot.compiled_value_fn(specs(m, beta)[_A21 + ("partner",)]), pot.compiled_value_fn(src)
     xs = np.linspace(0.0, src.period, 64, endpoint=False)
-    vp = np.array([fp(float(x)) for x in xs])
-    return min(float(np.max(np.abs(vp - np.array([fb(float(x + tau)) for x in xs]))))
-               for tau in np.linspace(0.0, src.period, 128, endpoint=False))
+    taus = np.linspace(0.0, src.period, 128, endpoint=False)
+    # one row of the base per translation tau
+    return float(np.min(np.max(np.abs(fp(xs) - fb(taus[:, None] + xs)), axis=1)))
 
 
 def _dispersion(m, beta):

@@ -8,8 +8,9 @@ of the wrapped spec); ``build`` composes the paper's constructions.
 ``normal_form`` reduces a tree to its base family, the
 Jacobi-function expression of V and the closed-form data that survive the
 wrappers; every structural question reads it.  ``compiled_value_fn``
-evaluates a spec to complex values at real x; specs are analytic in x, which
-the Floquet engine and the closed-form machinery both rely on.
+evaluates a spec to complex values at real x, a float or a whole float
+ndarray in one numpy pass; specs are analytic in x, which the Floquet engine
+and the closed-form machinery both rely on.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import elliptic as ell
 from .elliptic import jets_from_scd
@@ -303,17 +306,23 @@ def on_line(spec: PotentialSpec, beta: float) -> PotentialSpec:
 
 
 def compiled_value_fn(spec: PotentialSpec):
-    """Scalar evaluator x -> V(x) for real x; the one way to evaluate a spec.
+    """Evaluator x -> V(x) at real x; the one way to evaluate a spec.
 
-    A Lame-family spec costs one real Landen pass per call, on the real axis
-    or on the line of its PT transform; the Floquet integrator drives this
-    inside its right-hand side, so it is kept allocation-free.
+    x is a float, giving a Python complex, or a float ndarray, giving a
+    complex array of its shape.  A Lame-family spec costs one real Landen
+    pass per call, on the real axis or on the line of its PT transform, and
+    an array takes that pass elementwise in numpy, so a grid is one call.
+    The Floquet integrator calls it with a float inside its right-hand side,
+    once per stage: a step's 12 stage nodes cost more as one array.  A custom
+    potential's callable is user code that may take only floats, so an array
+    is fed to it point by point.
     """
     f = normal_form(spec)
     g, shift = f.g, f.shift
     if f.kind == "custom":
-        return lambda x: complex(g(x)) - shift
+        pointwise = np.frompyfunc(g, 1, 1)  # hands g each element as a Python float
+        return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
     point = ell.jacobi_triple(f.m, f.beta)
     if f.sign < 0.0:
         return lambda x: -g(*point(x)) - shift
-    return lambda x: complex(g(*point(x))) - shift
+    return lambda x: g(*point(x)) + 0j - shift

@@ -176,6 +176,30 @@ class TestJacobiComplex:
             assert abs(d - jv.dn) < 1e-13
 
 
+class TestArrayArguments:
+    """jacobi_triple / line_jacobi on a float ndarray: the same Landen
+    recurrence in numpy's ufuncs, equal to the scalar values to rounding."""
+
+    @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("beta", [None, 0.05, 0.7])
+    def test_array_matches_scalar(self, m, beta):
+        at = ell.jacobi_triple(m, beta)
+        xs = np.linspace(-3.0, 5.0, 401)
+        arrays = at(xs)
+        for k, col in enumerate(zip(*(at(float(x)) for x in xs))):
+            assert arrays[k].shape == xs.shape
+            assert np.max(np.abs(arrays[k] - np.array(col))) < 1e-12 * max(1.0, np.max(np.abs(col)))
+
+    def test_float_kinds(self):
+        # a float (np.float64 too) takes math's functions: real floats on the
+        # real axis, Python complex values on a line
+        for x in (0.3, np.float64(0.3)):
+            assert all(type(v) is float for v in ell.jacobi_triple(0.5)(x))
+            assert all(type(v) is complex for v in ell.line_jacobi(0.5, 0.5)(x))
+        s, c, d = ell.line_jacobi(0.5, 0.5)(np.zeros((2, 3)))
+        assert s.shape == (2, 3) and s.dtype == complex
+
+
 def _mp_theta(kind, u, m, derivative=0):
     import mpmath as mp
 

@@ -136,20 +136,21 @@ class TestMonodromy:
         assert np.max(np.abs(d - 2.0 * np.cos(np.sqrt(es) * math.pi))) < 1e-9
         assert flq.discriminants(FREE, []).size == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("E", (math.nan, math.inf))
     def test_non_finite_energy_raises(self, E):
         # a step that is not finite fails the step floor at once, and is
-        # not retried
+        # not retried; numpy prints no RuntimeWarning ahead of the error
         start = time.perf_counter()
         with pytest.raises(flq.FloquetIntegrationError, match="below 1e-10 of the period or is not finite"):
             flq.discriminants(pot.Lame(1, 0.5), [E])
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_raises_naming_the_energy(self):
         # far below the spectrum the entries overflow, so det - 1 is NaN,
-        # which fails the Wronskian check instead of passing it
+        # which fails the Wronskian check instead of passing it, with no
+        # RuntimeWarning ahead of the error
         start = time.perf_counter()
         with pytest.raises(flq.FloquetIntegrationError, match=r"\|det - 1\| = nan at E=-100000\.0$"):
             flq.discriminants(pot.Lame(1, 0.5), [-1e5])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -252,6 +253,53 @@ class TestEvaluation:
         assert pot.on_line(build(BETA), 1.3) == build(1.3)
         real = pot.Shifted(pot.Lame(3, M), 1.0)
         assert pot.on_line(real, 1.3) == real
+
+
+class TestArrayEvaluation:
+    """compiled_value_fn on a float ndarray: one numpy pass, the scalar values."""
+
+    @pytest.mark.parametrize("m,beta", [(0.05, 0.5), (0.3, 1.2), (0.75, 0.5), (0.95, 0.05), (0.95, 1.5)])
+    @pytest.mark.parametrize("fam", spc.ptlame_families)
+    def test_array_matches_scalar(self, fam, m, beta):
+        # np.arcsin and math.asin differ by an ulp on some arguments, so the
+        # two paths agree to rounding, not bit for bit; the worst, 1.8e-11,
+        # is partner-then-PT a=1 at (0.95, 0.05), beside a pole line
+        for ops in ((), ("pt",), ("partner",), ("pt", "partner"), ("partner", "pt")):
+            spec = pot.build(*fam[1:], m, beta, ops)
+            f = pot.compiled_value_fn(spec)
+            xs = np.linspace(0.0, 2.0 * spec.period, 800, endpoint=False)
+            scalar = np.array([f(float(x)) for x in xs])
+            vals = f(xs)
+            assert vals.dtype == complex and vals.shape == xs.shape
+            assert np.max(np.abs(vals - scalar)) <= 1e-10 * np.max(np.abs(scalar)), ops
+
+    @pytest.mark.parametrize("ops", [(), ("pt",), ("pt", "partner"), ("partner", "pt")])
+    def test_float_gives_python_complex(self, ops):
+        f = pot.compiled_value_fn(pot.build(3, 0, M, BETA, ops, True))
+        assert type(f(0.3)) is complex
+        assert type(f(np.float64(0.3))) is complex
+        assert f(np.float64(0.3)) == f(0.3)
+
+    def test_array_keeps_its_shape(self):
+        spec = pot.build(2, 1, M, BETA, ("pt",), True)
+        f = pot.compiled_value_fn(spec)
+        grid = np.linspace(0.0, spec.period, 12).reshape(3, 4)
+        vals = f(grid)
+        assert vals.shape == (3, 4)
+        assert np.max(np.abs(vals - np.array([[f(float(x)) for x in row] for row in grid]))) < 1e-12
+
+    def test_custom_callable_is_applied_point_by_point(self):
+        # user code may take only floats: cmath raises on an array
+        def v(x):
+            return 1.5 * cmath.cos(2.0 * x - 1.0) + 0.5j * cmath.sin(x)
+
+        spec = pot.CustomPotential(v, math.pi)
+        f = pot.compiled_value_fn(spec)
+        xs = np.linspace(0.0, math.pi, 129, endpoint=False)
+        assert np.array_equal(f(xs), [v(float(x)) for x in xs])
+        assert f(xs.reshape(3, 43)).shape == (3, 43)
+        # the default range's max Re V is the one of 129 scalar calls
+        assert flq.default_energy_range(spec) == (-1.0, max(v(float(x)).real for x in xs) + 5.0)
 
 
 class TestGroundStateLogDerivative:
