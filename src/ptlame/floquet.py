@@ -74,18 +74,13 @@ _IM_FLAG_TOL = 1e-6
 # of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
-# find_band_edges: Chebyshev points per energy piece, and the tolerances of
-# its interpolant: the last 3 coefficients of Re Delta, Re M12 and M21 within
-# _TAIL_RTOL of the largest, and within _TAIL_ATOL wherever Delta -+ 2 has a
-# root near the piece; no piece narrower than _MIN_PIECE of the range.  A
-# real root of Re M12 is a closed gap where |Delta -+ 2| and |M21| are within
-# _CLOSED_TOL, as M = +/-I there (see NumericBandEdge); it claims the two
-# roots of its Delta -+ 2 column nearest it, the pair of a double root.
+# find_band_edges: points per piece; tail bounds (_unresolved), _TAIL_ATOL on
+# a piece with an edge; narrowest piece, of the range; R's bound where M = +/-I.
 _CHEB = 65
 _TAIL_RTOL = 1e-13
 _TAIL_ATOL = 1e-10
 _MIN_PIECE = 1e-6
-_CLOSED_TOL = 1e-6
+_CLOSED_TOL = 1e-8
 # energies per integration batch.  A batch takes about as many steps as one
 # energy, so its cost is mostly per-step overhead; 1800 would save little
 # more per energy and hold several MB more of solver state.
@@ -126,23 +121,17 @@ class MonodromyResult:
 
 @dataclass(frozen=True)
 class NumericBandEdge:
-    """Band edge located by the discriminant root finder.
+    """Band edge located by :func:`find_band_edges`.
 
-    ``multiplicity`` 2 marks a tangential root (closed gap): the discriminant
-    touches +/-2 without crossing, so the point is a doubly degenerate
-    periodic/antiperiodic eigenvalue rather than the border of an open gap.
-    There M = +/-I, so a closed gap is a simple root of M12, and its energy
-    is as accurate as a simple edge's: about 1e-11, and to a few 1e-9
-    beside the narrowest open gaps, where Delta is flat.  "Closed" means
-    that, at that root, Delta is +/-2 and M21 is 0, each to 1e-6; at the 142
-    closed gaps of the free particle, the registry specs and the real (2,1)
-    potential up to E = 40, |M21| is at most 3.5e-11 there.  It claims the
-    double root of Delta -+ 2 that noise splits, up to 2.4e-5 apart on (4,1)
-    at m = 0.75, into a real or complex pair.  M21 there
-    tracks the gap's width, so an open gap 1.1e-6 wide or wider is found
-    open, and a narrower one may be reported closed.  Beyond a = 3 an open
-    gap up to 1.0e-5 wide may also be missed, and edges beside a gap up to
-    2.5e-4 wide were found up to 3.1e-6 off.
+    ``multiplicity`` 2 marks a closed gap: Delta touches +/-2 without
+    crossing, a doubly degenerate periodic or antiperiodic eigenvalue.
+    There M = +/-I, so R = 0 (see :func:`_propagate`), a double eigenvalue of
+    R(E), as accurate as a simple edge.  "Closed" means every entry of R
+    within 1e-8 of 0 between the pair; at the 78 closed gaps of the free
+    particle, the registry specs and the real (2,1) potential up to E = 40,
+    max |R| is at most 2.2e-10.  Open gaps 1.2e-7 wide or wider were found
+    open wherever measured; a narrower one may be reported closed (a 2.1e-8
+    P gap of PT a=6 at m = 0.9 is).
     """
 
     energy: float
@@ -339,7 +328,7 @@ def _line(spec):
 
 
 def _propagate(spec, energies):
-    """Transfer matrices over one period, based at x = 0, and Delta -+ 2 at
+    """Transfer matrices over one period, based at x = 0, and R_P and R_A at
     any number of energies, on the spec's integration line
     (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
@@ -356,18 +345,18 @@ def _propagate(spec, energies):
     Re u = K, where it is rounding) the batch integrates V.real, and the
     state, and A, is float64; on any other PT line it is complex128.  A custom
     potential is integrated over [0, L] in complex128, with A = M and S = I;
-    M is complex either way.  As det M = 1, Delta -+ 2 = -+det(A -+ S) / det S.
-    The columns returned drop 1 / det S, which moves no root; on half a
-    period they are 4 (Im a Im d + Re b Re c) and 4 (Re a Re d + Im b Im c)
-    (4 b c and 4 a d where A is real), with no trace less 2 to limit them
-    beside a narrow gap.  Each batch is Wronskian checked (det = 1) on the
+    M is complex either way.  The real R_P = [[Im a, Re b], [-Re c, Im d]]
+    and R_A = [[Re a, Im b], [-Im c, Re d]] have Delta - 2 = 4 det R_P and
+    Delta + 2 = 4 det R_A, and R_P = 0 exactly where M = I, R_A = 0 where M
+    = -I ([[0, b], [-c, 0]] and diag(a, d) on a real line); a custom
+    potential takes R = M -+ I.  Each batch is Wronskian checked on the
     matrix integrated, as soon as it finishes; det M = |det A|^2 would miss a
     drift of det A's phase.  det - 1 is a difference of products of the
     entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
     carries an unavoidable cancellation error ~ |entries|^2 eps; the test
     scales with that.  Raises :class:`FloquetIntegrationError` naming the
-    first energy that fails.  Returns the matrices, the columns (Delta - 2,
-    Delta + 2), the checked defects |det - 1| and the integrator stats:
+    first energy that fails.  Returns the matrices, R (R_P, R_A) stacked on
+    axis 1, the checked defects |det - 1| and the integrator stats:
     steps and RHS calls summed over the batches, the largest defect.
     """
     line, _, real = _line(spec)
@@ -378,7 +367,7 @@ def _propagate(spec, energies):
     end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)
     ms = np.empty((energies.size, 2, 2), dtype=complex)
-    gaps = np.empty((energies.size, 2), dtype=complex)
+    rs = np.empty((energies.size, 2, 2, 2))
     defects = np.empty(energies.size)
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
@@ -410,27 +399,24 @@ def _propagate(spec, energies):
         if bad.size:
             i = bad[0]
             raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
-        sa, sb, sc, sd = (a.conj(), -b.conj(), -c.conj(), d.conj()) if half else (1.0, 0.0, 0.0, 1.0)
-        gaps[lo : lo + _CHUNK, 0] = (b - sb) * (c - sc) - (a - sa) * (d - sd)
-        gaps[lo : lo + _CHUNK, 1] = (a + sa) * (d + sd) - (b + sb) * (c + sc)
         if half:
+            r = [[a.imag, b.real], [-c.real, d.imag]], [[a.real, b.imag], [-c.imag, d.real]]
+            rs[lo : lo + _CHUNK] = np.moveaxis(np.array(r), -1, 0)
             # the product's diagonal entries are conjugates and its off-diagonal
             # ones real; written so, the trace is real to the last bit
             p = d.conj() * a + b.conj() * c
             a, b, c, d = p, 2.0 * (b * d.conj()).real, 2.0 * (a * c.conj()).real, p.conj()
         batch = ms[lo : lo + _CHUNK]
         batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 0], batch[:, 1, 1] = a, b, c, d
-    return ms, gaps, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
+    if not half:
+        rs = ms[:, None] + np.array([-1.0, 1.0])[:, None, None] * np.eye(2)
+    return ms, rs, defects, IntegratorStats(steps=steps, nfev=nfev, det_defect=float(defects.max(initial=0.0)))
 
 
 def monodromy(spec, E: float) -> MonodromyResult:
-    """Monodromy matrix of the spec at one energy.
-
-    Raises :class:`FloquetIntegrationError` when Wronskian conservation (det
-    = 1 of the integrated matrix) is violated beyond 1e-9 (scaled by the
-    square of its largest entry), which would poison every downstream
-    tolerance.
-    """
+    """Monodromy matrix of the spec at one energy; raises
+    :class:`FloquetIntegrationError` when det = 1 of the integrated matrix
+    fails by more than 1e-9 times the square of its largest entry."""
     ms, _, _, stats = _propagate(spec, [E])
     M = ms[0]
     return MonodromyResult(float(E), M, M[0, 0] + M[1, 1], stats, integration_beta(spec))
@@ -447,15 +433,9 @@ def discriminants(spec, energies) -> np.ndarray:
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     """Discriminant over a uniform energy grid, Wronskian checked as
-    :func:`discriminants` is.
-
-    Samples with |Im Delta| beyond 1e-6 are flagged.  Delta is real at real
-    E for any PT-symmetric periodic V, PT symmetry broken or not, so a flag
-    measures integration error.  A spec with a Jacobi-function form is
-    integrated by its symmetry and its Delta is real by construction, so its
-    flags are zero; only a custom potential, integrated over the whole
-    period, can raise one.
-    """
+    :func:`discriminants` is, with |Im Delta| beyond 1e-6 flagged: only
+    integration error on a custom potential can raise a flag (see
+    :class:`ScanResult`)."""
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
     if n < 2:
@@ -469,89 +449,109 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
 def _coefficients(values):
     """Chebyshev coefficients, along axis 0, of the polynomials through
     ``values`` at the points cos(pi j / (n - 1)), j = 0..n-1: a DCT, done as
-    the FFT of the even extension."""
+    the FFT of the even extension; real for real ``values``."""
     n = values.shape[0]
     c = np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n] / (n - 1)
     c[[0, -1]] /= 2.0
-    return c
+    return c if np.iscomplexobj(values) else c.real
 
 
-def _near(r):
-    """Which roots r of a Chebyshev series lie near [-1, 1]: inside the
-    Bernstein ellipse of parameter 1.25, well inside the ellipse where the
-    roots of rounding and integration noise lie.  A real root is inside it
-    where |r| < (1.25 + 1/1.25)/2 = 1.025."""
-    return np.abs(r + np.sqrt(r - 1.0 + 0j) * np.sqrt(r + 1.0 + 0j)) < 1.25
+def _unresolved(c, atol):
+    """The entries of R whose series (axis 0 of ``c``) are not resolved: by
+    the last 3 coefficients within ``_TAIL_RTOL`` of the largest and ``atol``,
+    or a flat noise floor (max <= 30 median) from the 9th, <= 1e-10 of it."""
+    mag = np.abs(c)
+    tail, big, flat = mag[-3:].max(axis=0), mag.max(axis=0), np.sort(mag[8:], axis=0)
+    bound = np.minimum(_TAIL_RTOL * big, atol)
+    # the median of the 57 from the 9th on; np.median would import numpy.ma
+    plateau = (flat[-1] <= 30.0 * flat[flat.shape[0] // 2]) & (flat[-1] <= 1e-10 * big)
+    return [f"R_{'PA'[k]}[{i}, {j}]'s last 3 coefficients reach {tail[k, i, j]:.2g}, above {bound[k, i, j]:.2g}"
+            for k, i, j in zip(*np.nonzero(~((tail <= bound) | plateau)))]
+
+
+def _chebval(x, c):
+    """sum_k c[k] T_k(x) at each of the real or complex x (1-D), as T_k(x) =
+    cos(k arccos x): array expressions, not a Clenshaw loop over k."""
+    t = np.cos(np.arccos(np.asarray(x, dtype=complex))[:, None] * np.arange(len(c)))
+    return np.einsum("xk,k...->x...", t, c)
+
+
+def _eigenvalues(c):
+    """Eigenvalues x within 1e-6 of [-1, 1] of R(x) = sum_k c[k] T_k(x), 2x2,
+    from its block colleague pencil (Amiraslani, Corless & Lancaster, IMA J.
+    Numer. Anal. 29 (2009) 141): rows, then columns, scaled to largest
+    coefficient 1, blocks below 1e-14 at the end dropped; then one secant
+    step on det R, whose error does not grow with the largest coefficient."""
+    b = c / np.abs(c).max(axis=(0, 2))[:, None]
+    b /= np.abs(b).max(axis=(0, 1))
+    n = np.flatnonzero(np.abs(b).max(axis=(1, 2)) > 1e-14)[-1]
+    if n == 0:
+        return np.empty(0)
+    # x T_0 = T_1 and x T_k = (T_(k-1) + T_(k+1)) / 2, with the last block row
+    # closed by c[n] T_n = -sum c[k] T_k and multiplied through by c[n]^-1
+    j = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+    j[0, 1:2] = 1.0
+    pencil = np.kron(j, np.eye(2)).astype(b.dtype)
+    pencil[-2:] = np.linalg.solve(b[n], np.kron(j[-1], b[n]) - (1.0 if n == 1 else 0.5) * np.hstack(b[:n]))
+    x = np.linalg.eigvals(pencil)
+    x = x[(np.abs(x.imag) <= 1e-6) & (np.abs(x.real) <= 1.0 + 1e-6)]
+    v = _chebval(np.concatenate([x, x + 1e-8]), c)
+    d = v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0]
+    return x - 1e-8 * d[: x.size] / (d[x.size :] - d[: x.size])
 
 
 def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
-    """Locate all discriminant roots Delta = +/-2 in [e_min, e_max] from a
-    Chebyshev interpolant of the monodromy.
+    """Band edges, Delta = +/-2, in [e_min, e_max]: the eigenvalues of
+    Chebyshev interpolants of :func:`_propagate`'s R_P(E) (P edges) and R_A(E)
+    (A edges), entire in E (Effenberger & Kressner, BIT 52 (2012) 933).
 
-    Delta, M12 and M21 are entire in E, so on an energy piece a short
-    Chebyshev series resolves them (Trefethen, *Approximation Theory and
-    Approximation Practice*, 2013).  Each round samples every pending piece
-    at ``_CHEB`` Chebyshev points, all in one batched, Wronskian-checked
-    integration, and halves each piece whose series is not resolved (see
-    the constants); a piece narrower than ``_MIN_PIECE`` of the range raises
-    :class:`FloquetIntegrationError`, naming the series and its tail.  Simple
-    edges are the real roots of :func:`_propagate`'s Delta -+ 2 columns,
-    found as the eigenvalues of a colleague matrix (Boyd, SIAM J. Numer.
-    Anal. 40 (2002) 1666), each reported with the interpolant's Delta.  A
-    closed gap is M = +/-I: a real root of Re M12 where Delta is +/-2 and
-    M21 is 0, both to ``_CLOSED_TOL``; it takes the two roots of its class's
-    column nearest it, real or complex, before the real roots left become
-    simple edges, also where it lies just past the piece (:func:`_near`).
-    V is sampled only inside the integrations.  A warning is issued when
-    fewer than the 2a+1 simple edges of a recognized base family are found:
-    the range is too small, or a narrow open gap was reported closed.
+    Each round samples every pending piece at ``_CHEB`` Chebyshev points in
+    one batched, Wronskian-checked integration, and halves each piece not
+    resolved (:func:`_unresolved`); one narrower than ``_MIN_PIECE`` of the
+    range raises :class:`FloquetIntegrationError`.  Noise splits a closed
+    gap's double eigenvalue into two adjacent ones, real or a conjugate
+    pair, with R within ``_CLOSED_TOL`` of 0 at their midpoint, which the
+    piece that holds it reports; every other one within 1e-10 half-widths
+    of the piece is a simple edge.  Rows carry the interpolant's Delta.  A
+    warning is issued when fewer than the 2a+1 simple edges of a recognized
+    base family are found: too small a range, or a narrow gap closed.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
-    cheb = np.polynomial.chebyshev
     x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
-    pending, edges = [(e_min, e_max)], []
+    pending, found = [(e_min, e_max)], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
-        ms, gaps = _propagate(spec, es)[:2]
-        cols = np.column_stack([ms[:, 0, 0] + ms[:, 1, 1], ms[:, 0, 1], ms[:, 1, 0], gaps])
-        cs = _coefficients(cols.reshape(len(pending), _CHEB, 5).transpose(1, 0, 2))
+        ms, rs = _propagate(spec, es)[:2]
+        cds = _coefficients(np.trace(ms, axis1=1, axis2=2).reshape(-1, _CHEB).T)
+        cs = _coefficients(rs.reshape(-1, _CHEB, 2, 2, 2).swapaxes(0, 1))
         split = []
-        for (a, b), (cd, c12, c21, cm, cp) in zip(pending, cs.transpose(1, 2, 0)):
-            roots = {"P": cheb.chebroots(cm.real), "A": cheb.chebroots(cp.real)}
-            atol = _TAIL_ATOL if any(_near(r).any() for r in roots.values()) else math.inf
-            missed = []
-            for name, c in (("Delta", cd.real), ("M12", c12.real), ("M21", c21)):
-                tail, bound = np.abs(c[-3:]).max(), min(_TAIL_RTOL * np.abs(c).max(), atol)
-                if not tail <= bound:
-                    missed.append(f"{name}'s last 3 coefficients reach {tail:.2g}, above {bound:.2g}")
+        for (a, b), cd, cr in zip(pending, cds.T, cs.swapaxes(0, 1)):
+            missed = _unresolved(cr, math.inf)
+            if not missed:
+                xs = [np.sort_complex(_eigenvalues(cr[:, k])) for k in range(2)]
+                if any(r.size for r in xs):
+                    missed = _unresolved(cr, _TAIL_ATOL)
             if missed:
                 if b - a < _MIN_PIECE * (e_max - e_min):
                     raise FloquetIntegrationError(f"series not resolved on [{a}, {b}]: {'; '.join(missed)}")
                 split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 continue
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            # a closed gap claims its double root, split by noise, also from a
-            # piece it lies just past the end of; only a piece it lies on reports it
-            r12 = cheb.chebroots(c12.real)
-            for r in r12.real[_near(r12) & (r12.imag == 0.0)]:
-                d = complex(cheb.chebval(r, cd))
-                if abs(abs(d.real) - 2.0) <= _CLOSED_TOL and abs(cheb.chebval(r, c21)) <= _CLOSED_TOL:
-                    cls = "P" if d.real > 0 else "A"
-                    roots[cls] = np.delete(roots[cls], np.argsort(np.abs(roots[cls] - r))[:2])
-                    if abs(r) <= 1.0 + 1e-10:
-                        edges.append(NumericBandEdge(float(mid + half * r), cls, d, 2))
-            edges += [NumericBandEdge(float(mid + half * r), cls, complex(cheb.chebval(r, cd)))
-                      for cls, rs in roots.items()
-                      for r in rs.real[(rs.imag == 0.0) & (np.abs(rs.real) <= 1.0 + 1e-10)]]
+            piece = []
+            for k, cls in enumerate("PA"):
+                r, j = xs[k], 0
+                mids = 0.5 * (r[1:] + r[:-1]).real
+                closed = np.abs(_chebval(mids, cr[:, k])).max(axis=(1, 2)) <= _CLOSED_TOL
+                while j < r.size:
+                    at, mult = (mids[j], 2) if j < mids.size and closed[j] else (r[j], 1)
+                    if abs(at.real) <= 1.0 + 1e-10 and abs(at.imag) <= 1e-10:
+                        piece.append((0.5 * (a + b) + 0.5 * (b - a) * at.real, at.real, cls, mult))
+                    j += mult
+            # an edge on the end two pieces share is found in both
+            found += [NumericBandEdge(float(e), cls, complex(_chebval([at], cd)[0]), mult) for e, at, cls, mult in piece
+                      if not any(f.period_class == cls and abs(f.energy - e) <= 1e-9 * max(1.0, abs(e)) for f in found)]
         pending = split
 
-    # a root on the end two pieces share is found in both
-    found = []
-    for e in edges:
-        if not any(f.period_class == e.period_class and abs(f.energy - e.energy) <= 1e-9 * max(1.0, abs(e.energy))
-                   for f in found):
-            found.append(e)
     found.sort(key=lambda e: e.energy)
     expected = simple_edge_count(spec)
     simple = sum(1 for e in found if e.multiplicity == 1)

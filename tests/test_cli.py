@@ -183,12 +183,16 @@ class TestEdges:
         assert "verdict=FAIL" in meta
 
     def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
-        # Lame potentials with a = 2, 4 and 6 and the (4,1) potential have no
-        # closed-form table; over the default range their 2a + 1 simple edges
-        # are found and the count passes (at a = 6 and a = 4, a closed-gap
-        # bound scaled by the piece's largest M21 coefficient found 12 and 8;
-        # on (4,1), a closed gap that absorbed only the column roots within
-        # 1e-5 of it left two more, 11)
+        # Lame potentials with a = 2, 4, 5, 6 and 7 and the (4,1) and (4,3)
+        # potentials have no closed-form table; over the default range their
+        # 2a + 1 simple edges are found and the count passes (at a = 6 and
+        # a = 4, a closed-gap bound scaled by the piece's largest M21
+        # coefficient found 12 and 8; on (4,1), a closed gap that absorbed only
+        # the column roots within 1e-5 of it left two more, 11; a = 7 at
+        # m = 0.75 and a = 5 at m = 0.9 exited 1, "series not resolved", while
+        # a series on its flat noise floor was not accepted; (4,3) at m = 0.5
+        # exited 3 with 8, three P edges within 2.8e-5, while edges were the
+        # roots of Delta -+ 2)
         found = []
         find = flq.find_band_edges
 
@@ -199,7 +203,8 @@ class TestEdges:
         monkeypatch.setattr(flq, "find_band_edges", record)
         out = tmp_path / "edges.csv"
         for argv, count in ((["--a", "2"], 5), (["--a", "6", "--m", "0.3"], 13), (["--a", "4", "--m", "0.05"], 9),
-                            (["--a", "4", "--b", "1", "--m", "0.75"], 9)):
+                            (["--a", "4", "--b", "1", "--m", "0.75"], 9), (["--a", "7", "--m", "0.75"], 15),
+                            (["--a", "5", "--m", "0.9"], 11), (["--a", "4", "--b", "3", "--m", "0.5"], 9)):
             assert cli.main(["edges", *argv, "--out", str(out)]) == 0
             meta, _ = _read_csv(out)
             assert "verdict=PASS" in meta and "analytic_available=False" in meta

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,14 +386,19 @@ class TestEdgeFinding:
             flq.find_band_edges(_a1_spec(), -0.3, 0.5)
 
     def test_warns_when_a_narrow_gap_is_reported_closed(self):
-        # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is reported
-        # closed on an ample range; the warning counts that closed gap
-        m = 0.993
-        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is found open,
+        # with no warning; at m = 0.995 it is 4.4e-8 wide and is reported
+        # closed on an ample range, and the warning counts that closed gap
+        ref = spc.closed_form_energies("lame", 3, 0, 0.993, pt=True, shifted=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = flq.find_band_edges(_a3_spec(0.993, BETA), min(ref) - 0.5, max(ref) + 0.5)
+        assert [e.multiplicity for e in found] == [1] * 7
+        ref = spc.closed_form_energies("lame", 3, 0, 0.995, pt=True, shifted=True)
         with pytest.warns(UserWarning, match=r"found 5 simple band edges but the base family has 7 "
                                              r"\(closed gaps found: 1\): the energy range is probably too small, "
                                              "or a narrow open gap was reported closed"):
-            found = flq.find_band_edges(_a3_spec(m, BETA), min(ref) - 0.5, max(ref) + 0.5)
+            found = flq.find_band_edges(_a3_spec(0.995, BETA), min(ref) - 0.5, max(ref) + 0.5)
         assert [e.multiplicity for e in found] == [1] * 5 + [2]
 
     def test_real_assoc21_closed_gap_detected(self):
@@ -457,7 +463,7 @@ class TestEdgeFinding:
 
     def test_refinement_runs_in_lockstep_batches(self, monkeypatch):
         # every energy is integrated in the batch of its round; on the anchor
-        # one piece of 65 Chebyshev points resolves Delta, M12 and M21
+        # one piece of 65 Chebyshev points resolves every entry of R_P and R_A
         e_g = spc.ground_energy("lame", 3, 0, M, pt=True)
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
@@ -505,8 +511,7 @@ class TestEdgeFinding:
     @pytest.mark.parametrize("m,beta", [(0.9, 0.4), (0.95, 0.5), (0.985, 0.5)])
     def test_narrow_top_gap_is_open_on_a_wide_range(self, m, beta):
         # the top gap is 3.9e-4, 4.6e-5 and 1.2e-6 wide, a small part of the
-        # range; in the 1.2e-6 gap M21 is 1.9e-6 at the root of M12, above
-        # the closed-gap bound of 1e-6, so the gap is found open
+        # range, and is found open
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         found = [e for e in flq.find_band_edges(_a3_spec(m, beta), -0.5, 40.0) if e.energy < max(ref) + 0.5]
         assert [(e.period_class, e.multiplicity) for e in found[-2:]] == [("A", 1), ("A", 1)]
@@ -515,8 +520,7 @@ class TestEdgeFinding:
     def test_edges_beside_a_gap_do_not_depend_on_the_range(self):
         # the top two edges sit beside a 7.2e-3 gap, where dDelta/dE = 2.6e-3;
         # at RTOL = 1e-12 the energies sharing their batch move a root of a
-        # trace less 2 by up to 2.6e-10, and a root of the finder's Delta -+ 2
-        # columns by far less (measured 5.2e-12)
+        # trace less 2 by up to 2.6e-10, and an eigenvalue of R(E) by far less
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
         found = [e.energy for e in flq.find_band_edges(_a3_spec(), -0.5, 40.0) if e.multiplicity == 1]
         assert len(found) == 7
@@ -525,23 +529,23 @@ class TestEdgeFinding:
     @pytest.mark.parametrize("q", (3e-3, 1.5e-3, 1e-3, 5e-4, 1e-4, 1e-5))
     def test_narrow_gap_is_two_edges_or_one_closed_gap(self, q):
         # 2q cos 2x opens the gap at E = 4 over [4 - q^2/12, 4 + 5q^2/12],
-        # q^2/2 wide; from 1.1e-6 (q = 1.5e-3) up it is found open (measured:
-        # edges within 1.7e-10), and below it may be reported closed
+        # q^2/2 wide; from 1.25e-7 (q = 5e-4) up it is found open (measured:
+        # edges within 4.1e-12), and below it may be reported closed
         spec = pot.CustomPotential(lambda z: 2.0 * q * math.cos(2.0 * z.real), math.pi)
         found = flq.find_band_edges(spec, 3.0, 5.0)
         kinds = [(e.period_class, e.multiplicity) for e in found]
         assert kinds in ([("P", 1), ("P", 1)], [("P", 2)])
-        if q >= 1.5e-3:
+        if q >= 5e-4:
             assert kinds == [("P", 1), ("P", 1)]
             assert np.allclose([e.energy for e in found], [4.0 - q * q / 12.0, 4.0 + 5.0 * q * q / 12.0],
-                               rtol=0.0, atol=1e-8)
+                               rtol=0.0, atol=1e-10)
 
     @pytest.mark.filterwarnings("ignore:found 5 simple band edges")
     @pytest.mark.parametrize("m", (0.97, 0.98, 0.985, 0.99, 0.993, 0.995))
     def test_narrow_top_gap_is_two_edges_or_one_closed_gap(self, m):
         # the a=3 PT top gap narrows from 9.8e-6 (m = 0.97) to 4.4e-8 (0.995);
-        # up to 1.2e-6 (m = 0.985) it is found open, with every edge within
-        # 1e-8 (measured 4.4e-9), and narrower it may be reported closed
+        # down to 1.2e-7 (m = 0.993) it is found open, with every edge within
+        # 1e-10 (measured 2.4e-12), and narrower it may be reported closed
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
         spec = _a3_spec(m, BETA)
         opened = [("P", 1), ("A", 1), ("A", 1), ("P", 1), ("P", 1), ("A", 1), ("A", 1)]
@@ -551,19 +555,64 @@ class TestEdgeFinding:
             simple = [e.energy for e in found if e.multiplicity == 1]
             assert kinds in (opened, opened[:5] + [("A", 2)])
             assert np.allclose(simple[:5], ref[:5], rtol=0.0, atol=1e-8)
-            if m <= 0.985:
+            if m <= 0.993:
                 assert kinds == opened
-                assert np.allclose(simple, ref, rtol=0.0, atol=1e-8)
+                assert np.allclose(simple, ref, rtol=0.0, atol=1e-10)
             elif kinds != opened:
                 assert ref[-2] - 1e-6 <= found[-1].energy <= ref[-1] + 1e-6
+
+    @pytest.mark.parametrize("k", [sign * k for k in range(1, 7) for sign in (-1, 1)])
+    def test_edges_beside_a_narrow_gap_do_not_depend_on_the_range(self, k):
+        # at m = 0.985 the a=3 PT top gap is 1.2e-6 wide and dDelta/dE is
+        # 3.4e-7 at its edges; shifting the range by k 1e-3 leaves every edge
+        # of the spec and of its partner within 1e-10 of the closed forms
+        # (measured 2.4e-12; the roots of Delta -+ 2 moved up to 8.0e-9)
+        m = 0.985
+        ref = spc.closed_form_energies("lame", 3, 0, m, pt=True, shifted=True)
+        spec = _a3_spec(m, BETA)
+        for s in (spec, pot.SusyPartner(spec)):
+            found = flq.find_band_edges(s, min(ref) - 0.5 + k * 1e-3, max(ref) + 0.5 + k * 1e-3)
+            assert [e.multiplicity for e in found] == [1] * 7
+            assert np.allclose([e.energy for e in found], ref, rtol=0.0, atol=1e-10)
+
+    def test_edges_beside_a_gap_do_not_depend_on_the_pieces(self):
+        # Lame(7, 0.5) on [-0.5, 56.5]: the edges of the 2.5e-4 A gap near
+        # 51.0755, against the roots of the real half-period matrix's entries a
+        # and d; the roots of Delta + 2 were 1.3e-6 inside the gap here, and
+        # within 3e-10 on the default range, which is cut into other pieces
+        found = [e for e in flq.find_band_edges(pot.Lame(7, 0.5), -0.5, 56.5) if abs(e.energy - 51.0755) < 1e-3]
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 1), ("A", 1)]
+        assert np.allclose([e.energy for e in found], [51.0753326278, 51.0755805846], rtol=0.0, atol=1e-8)
+
+    def test_narrow_open_gap_has_its_two_edges(self):
+        # PT a=8 at m = 0.75 on [-72.5, 0.5]: the 1.03e-5 A gap at -19.88934,
+        # against the roots of the entries a and d; the roots of Delta -+ 2
+        # gave no row there, and 13 simple edges in all
+        found = flq.find_band_edges(pot.PTTransform(pot.Lame(8, 0.75), BETA), -72.5, 0.5)
+        assert [e.multiplicity for e in found] == [1] * 17
+        gap = [e for e in found if abs(e.energy + 19.88934) < 1e-4]
+        assert [e.period_class for e in gap] == ["A", "A"]
+        assert np.allclose([e.energy for e in gap], [-19.8893450229, -19.8893346849], rtol=0.0, atol=1e-8)
+
+    def test_series_at_its_noise_floor_is_resolved_quickly(self):
+        # PT (4,1) at m = 0.05 over the real spec's default range negated: on
+        # pieces ~3e-5 wide the entries' series fall to a flat floor of
+        # integration noise above 1e-13 of their largest coefficient, which is
+        # accepted as resolved; when only the last 3 coefficients were tested,
+        # halving went on for 40-50 s and then raised
+        spec = pot.AssociatedLame(4, 1, 0.05)
+        lo, hi = flq.default_energy_range(spec)
+        start = time.perf_counter()
+        found = flq.find_band_edges(pot.PTTransform(spec, BETA), -hi, -lo)
+        assert time.perf_counter() - start < 1.0
+        assert sum(1 for e in found if e.multiplicity == 1) == 9
 
     @pytest.mark.parametrize("m,beta", [(0.0632, 1.098), (0.0596, 0.5)])
     def test_root_beside_a_large_delta_is_resolved(self, m, beta):
         # on the unshifted a=3 PT potential over [-13, top + 0.5], |Delta|
         # reaches 6e6 below the spectrum, so a series resolved to 1e-13 of
-        # its largest coefficient can still misplace a root of Delta -+ 2;
-        # the absolute tail bound _TAIL_ATOL halves such a piece (without
-        # it, 6 and 5 of the 7 edges are found)
+        # its largest coefficient can still misplace an edge; the absolute
+        # tail bound _TAIL_ATOL halves a piece that holds one
         spec = pot.PTTransform(pot.Lame(3, m), beta)
         ref = spc.closed_form_energies("lame", 3, 0, m, pt=True)
         found = flq.find_band_edges(spec, -13.0, max(ref) + 0.5)
@@ -573,10 +622,9 @@ class TestEdgeFinding:
     @pytest.mark.parametrize("m", (0.5, 0.75))
     def test_pt_edges_are_the_dual_modulus_edges(self, m):
         # PT a=6 Lame at m has the edges of the real a=6 potential at 1 - m,
-        # lowered by a(a + 1) = 42; far below its spectrum M21 grows like an
-        # exponential, so a closed-gap bound scaled by it would close open
-        # gaps there (11 simple edges with 2 or 1 closed gaps); measured
-        # within 2.5e-7 and 1.6e-7
+        # lowered by a(a + 1) = 42; far below its spectrum the entries of R
+        # grow like an exponential, so a closed-gap bound scaled by them would
+        # close open gaps there
         pt = flq.find_band_edges(pot.PTTransform(pot.Lame(6, m), BETA), -42.5, 0.5)
         real = flq.find_band_edges(pot.Lame(6, 1.0 - m), -0.5, 42.5)
         assert [e.multiplicity for e in pt] == [e.multiplicity for e in real] == [1] * 13
@@ -584,10 +632,11 @@ class TestEdgeFinding:
         assert np.allclose([e.energy for e in pt], [e.energy - 42.0 for e in real], rtol=0.0, atol=1e-6)
 
     def test_closed_gap_claims_its_split_pair(self):
-        # on (4,1) at m = 0.75 noise splits the P column's double root at the
-        # closed gap near 29.0386 into two real roots 2.4e-5 either side of
-        # it; the gap claims both.  The references are the roots of the real
-        # half-period matrix's entries: P edges of b and c, A edges of a and d
+        # (4,1) at m = 0.75 has 9 simple edges and 4 closed gaps, one near
+        # 29.0386, where the product Delta - 2 had a double root that noise
+        # split 2.4e-5 either side of it.  The references are the roots of the
+        # real half-period matrix's entries: P edges of b and c, A edges of a
+        # and d
         spec = pot.AssociatedLame(4, 1, 0.75)
         found = flq.find_band_edges(spec, *flq.default_energy_range(spec))
         expected = {
@@ -602,12 +651,21 @@ class TestEdgeFinding:
             assert len(got) == len(ref) and np.allclose(got, ref, rtol=0.0, atol=1e-6)
 
     def test_unresolved_piece_names_its_series(self, monkeypatch):
-        # with no tail small enough, the range is halved twice, down to a
-        # quarter, below _MIN_PIECE = 0.3 of it
-        monkeypatch.setattr(flq, "_TAIL_RTOL", 0.0)
+        # R_P[0, 1] given a term cos(1000 E), which 65 Chebyshev points do not
+        # resolve on any piece: the range is halved twice, down to a quarter,
+        # below _MIN_PIECE = 0.3 of it, and only that entry is named
+        propagate = flq._propagate
+
+        def rough(spec, energies):
+            ms, rs, *rest = propagate(spec, energies)
+            rs[:, 0, 0, 1] += np.cos(1e3 * np.asarray(energies))
+            return (ms, rs, *rest)
+
+        monkeypatch.setattr(flq, "_propagate", rough)
         monkeypatch.setattr(flq, "_MIN_PIECE", 0.3)
         with pytest.raises(flq.FloquetIntegrationError,
-                           match=r"not resolved on \[0\.0, 0\.25\]: Delta's last 3 coefficients reach \S+, above 0"):
+                           match=r"not resolved on \[0\.0, 0\.25\]: R_P\[0, 1\]'s last 3 coefficients "
+                                 r"reach \S+, above \S+$"):
             flq.find_band_edges(_a1_spec(), 0.0, 1.0)
 
     def test_sample_on_a_tangency_is_a_closed_gap(self, monkeypatch):
@@ -627,8 +685,8 @@ class TestEdgeFinding:
         assert abs(found[0].energy - 1.0) < 1e-6
         # these ranges are halved at their midpoint, 1e-9, 1e-7 or 1e-6 below
         # E = 1 or 1e-8 above it, so the closed gap lies just past one piece's
-        # end; it still claims that piece's pair of column roots (left there,
-        # one made a simple edge 9e-8 to 2.8e-6 from the gap)
+        # end; that piece still pairs its two eigenvalues there, and makes
+        # neither a simple edge
         for d, w in ((-1e-9, 31.0), (-1e-7, 25.0), (-1e-6, 31.0), (1e-8, 31.0)):
             found = [e for e in flq.find_band_edges(FREE, 1.0 + d - w, 1.0 + d + w) if abs(e.energy - 1.0) < 1e-3]
             assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
@@ -636,14 +694,14 @@ class TestEdgeFinding:
     def test_noise_past_a_tangency_is_a_closed_gap(self, monkeypatch):
         # the free particle's M with Delta = 2 cos(pi sqrt(E)) - 1e-13, which
         # passes -2 by noise alone around E = 1: one closed gap, not two
-        # simple edges 4e-7 apart
+        # simple edges 4e-7 apart.  A custom potential's R is M -+ I
         def propagate(spec, energies, **kwargs):
             k = np.sqrt(np.asarray(energies, dtype=float))
             ms = np.empty((k.size, 2, 2), dtype=complex)
             ms[:, 0, 0] = ms[:, 1, 1] = np.cos(np.pi * k) - 5e-14
             ms[:, 0, 1], ms[:, 1, 0] = np.sin(np.pi * k) / k, -k * np.sin(np.pi * k)
-            delta = ms[:, 0, 0] + ms[:, 1, 1]
-            return ms, np.stack([delta - 2.0, delta + 2.0], axis=1), np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
+            rs = ms[:, None] + np.array([-1.0, 1.0])[:, None, None] * np.eye(2)
+            return ms, rs, np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
 
         monkeypatch.setattr(flq, "_propagate", propagate)
         found = flq.find_band_edges(FREE, 0.5, 2.5)
@@ -666,8 +724,8 @@ class TestEdgeFinding:
                     assert hi - lo >= 4.0 * (1e-10 + math.sqrt(2.2e-16) * abs(hi))
 
     def test_closed_gaps_are_simple_roots_of_m12(self):
-        # a closed gap is a simple root of M12, so its energy is as accurate
-        # as a simple edge's (measured: 1.5e-13 relative)
+        # a closed gap is R = 0, a semisimple double eigenvalue of R(E), so its
+        # energy is as accurate as a simple edge's
         found = flq.find_band_edges(FREE, 0.2, 99.0)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2), ("P", 2)] * 4 + [("A", 2)]
         for n, e in enumerate(found, start=1):
