@@ -124,7 +124,7 @@ def _pair_edges(predicted, found) -> dict:
 
 def cmd_edges(args) -> int:
     spec = build_spec(args)
-    predicted = spc.predicted_edges(spec)
+    predicted = pot.predicted_edges(spec)
     if predicted is not None:
         lo = min(e for e, _ in predicted) - 0.5
         hi = max(e for e, _ in predicted) + 0.5
@@ -139,6 +139,9 @@ def cmd_edges(args) -> int:
     expected = flq.simple_edge_count(spec)
     simple = sum(1 for e in found if e.multiplicity == 1)
     count_ok = (expected is None or simple == expected) and len(pairs) == len(predicted or [])
+    # and no row of any class or multiplicity lies nearer a closed-form edge than its pair
+    count_ok = count_ok and all(min(range(len(found)), key=lambda j: abs(found[j].energy - ea)) == i
+                                for i, ea in pairs.items())
     for i, e in enumerate(found):
         idx.append(i)
         enum.append(e.energy)
@@ -192,7 +195,7 @@ def cmd_scan(args) -> int:
 
 def cmd_dispersion(args) -> int:
     spec = build_spec(args)
-    predicted = spc.predicted_edges(spec)
+    predicted = pot.predicted_edges(spec)
     base0 = predicted[0][0] if predicted else 0.0
     emin, emax = _energy_range(args, base0, base0 + 3.0)
     n = _samples(args, 1)

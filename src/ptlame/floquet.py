@@ -74,10 +74,9 @@ _IM_FLAG_TOL = 1e-6
 # of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
-# find_band_edges: points per piece; tail bounds (_unresolved), _TAIL_ATOL on
+# find_band_edges: points per piece; the absolute tail bound (_unresolved) on
 # a piece with an edge; narrowest piece, of the range; R's bound where M = +/-I.
 _CHEB = 65
-_TAIL_RTOL = 1e-13
 _TAIL_ATOL = 1e-10
 _MIN_PIECE = 1e-6
 _CLOSED_TOL = 1e-8
@@ -458,11 +457,11 @@ def _coefficients(values):
 
 def _unresolved(c, atol):
     """The entries of R whose series (axis 0 of ``c``) are not resolved: by
-    the last 3 coefficients within ``_TAIL_RTOL`` of the largest and ``atol``,
+    the last 3 coefficients within ``RTOL`` of the largest and ``atol``,
     or a flat noise floor (max <= 30 median) from the 9th, <= 1e-10 of it."""
     mag = np.abs(c)
     tail, big, flat = mag[-3:].max(axis=0), mag.max(axis=0), np.sort(mag[8:], axis=0)
-    bound = np.minimum(_TAIL_RTOL * big, atol)
+    bound = np.minimum(RTOL * big, atol)
     # the median of the 57 from the 9th on; np.median would import numpy.ma
     plateau = (flat[-1] <= 30.0 * flat[flat.shape[0] // 2]) & (flat[-1] <= 1e-10 * big)
     return [f"R_{'PA'[k]}[{i}, {j}]'s last 3 coefficients reach {tail[k, i, j]:.2g}, above {bound[k, i, j]:.2g}"

@@ -216,7 +216,7 @@ def _beta_independence(m, beta):
     worst = 0.0
     for key in (k for fam in spc.ptlame_families for k in (fam, fam + ("partner",))):
         user = pot.CustomPotential(pot.compiled_value_fn(s[key]), s[key].period)
-        es = [e for e, _ in spc.predicted_edges(s[key])]
+        es = [e for e, _ in pot.predicted_edges(s[key])]
         try:
             on_user = flq.discriminants(user, es)
         except flq.FloquetIntegrationError:

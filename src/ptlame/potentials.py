@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import elliptic as ell
+from . import spectra
 from .elliptic import jets_from_scd
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "compiled_value_fn",
     "Form",
     "normal_form",
+    "predicted_edges",
     "ground_state",
     "on_line",
     "pole_lines",
@@ -165,10 +167,8 @@ def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = Fals
     partner, after a shift to the closed-form ground energy), then, with
     ``shift_zero``, shifted so its lowest closed-form edge sits at zero.
     Raises PotentialError for an invalid construction or an unknown op."""
-    from . import spectra
-
     def ground(spec):
-        rows = spectra.predicted_edges(spec)
+        rows = predicted_edges(spec)
         if rows is None:
             raise MissingGroundStateError(f"a partner or a shift to zero needs closed-form edges;"
                                           f" none for (a={a}, b={b})")
@@ -230,11 +230,8 @@ def normal_form(spec: PotentialSpec) -> Form:
     edges, depends only on the ground state (it absorbs every shift under
     it), and has the zero-energy ground state 1/psi_g; its poles are those
     of V and the zeros of psi_g (the zeros of 1/psi_g are poles of psi_g,
-    which lie among those of V).  The closed-form tables live in spectra
-    (lazy import).
+    which lie among those of V).  The closed-form tables live in spectra.
     """
-    from . import spectra
-
     if isinstance(spec, AssociatedLame):
         kind, b = "assoc" if spec.b else "lame", spec.b
         ca, cb = spec.a * (spec.a + 1) * spec.m_, b * (b + 1) * spec.m_
@@ -272,6 +269,19 @@ def normal_form(spec: PotentialSpec) -> Form:
     return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
                       ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0, ()), partner=True,
                       poles=f.poles + zeros)
+
+
+def predicted_edges(spec: PotentialSpec) -> list[tuple[float, str]] | None:
+    """Closed-form (energy, period class) of every edge of a composed spec,
+    ascending; None when its base family has no closed forms.
+
+    The rows are the family's :func:`spectra.edge_rows`, moved by the
+    :class:`Form`'s offset; the PT rows apply under a PT transform.
+    """
+    f = normal_form(spec)
+    if f.offset is None:
+        return None
+    return [(e + f.offset, cls) for e, cls, _ in spectra.edge_rows(f.kind, f.a, f.b, f.m, f.beta is not None)]
 
 
 @functools.lru_cache(maxsize=256)

@@ -4,9 +4,10 @@ Three potential families carry complete closed-form edge data: the a=1 and
 a=3 Lame potentials and the (a=2, b=1) associated Lame potential, each in
 both the real and the PT-transformed version.  Eigenfunctions are built as
 second-order jets so that Schrodinger residuals and partner potentials use
-analytic derivatives.  Nothing here calls the Floquet engine: the checks of
-these formulas against it, the dualities included, are rows of
-:mod:`ptlame.invariants`.
+analytic derivatives.  The module imports nothing from the package but
+:mod:`ptlame.elliptic`: :mod:`ptlame.potentials` maps composed specs onto
+these rows, and the checks of the formulas against the Floquet engine, the
+dualities included, are rows of :mod:`ptlame.invariants`.
 """
 
 from __future__ import annotations
@@ -17,18 +18,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import elliptic as ell
-from . import potentials
 from .elliptic import jets_from_scd
 
 __all__ = ["BandEdge", "DispersionPoint", "BranchResolutionError", "real_band_edges", "pt_band_edges",
-           "closed_form_energies", "predicted_edges", "ground_state_builder", "ground_energy",
+           "closed_form_energies", "edge_rows", "ground_state_builder", "ground_energy",
            "dispersion_analytic", "bloch_solution_jet", "ptlame_families"]
-
-# period class of each eigenfunction type under one real period of the
-# potential: u -> u + 2K for the real family, u -> u + 2iK' for the PT one
-_REAL_CLASS = {"sn": "A", "cn": "A", "dn": "P", "sncndn": "P", "cn/dn": "A", "sn/dn": "A", "dn2": "P"}
-_PT_CLASS = {"sn": "P", "cn": "A", "dn": "A", "sncndn": "P", "cn/dn": "P", "sn/dn": "A", "dn2": "P"}
-
 
 class BranchResolutionError(RuntimeError):
     """The analytic a=1 dispersion gives |Im k| >= 1e-6 at an energy inside
@@ -103,30 +97,28 @@ _TABLES = {("lame", 1, 0): _lame1, ("lame", 3, 0): _lame3, ("assoc", 2, 1): _ass
 ptlame_families = tuple(_TABLES)
 
 
-def _table(kind: str, a: int, b: int, m: float):
-    if (kind, a, b) not in _TABLES:
-        raise potentials.MissingGroundStateError(f"no closed forms for family {(kind, a, b)!r}")
-    return _TABLES[(kind, a, b)](m)
-
-
 def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
     """Absolute energy of the lowest band edge for the family."""
-    e_g, rows = _table(kind, a, b, m)
+    e_g, rows = _TABLES[(kind, a, b)](m)
     return e_g if pt else -(rows[-1][0] + e_g)
 
 
-def _edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
-    """Ascending (energy, period class, (type, c0, c1)) rows of a family's edges.
+def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
+    """Ascending (energy, period class, (type, c0, c1)) rows of a family's
+    edges; an unknown family raises KeyError.
 
     PT energies are relative to the PT ground state, real ones absolute.
     The PT energy map E_j -> -E_{2a-j} reverses the level order, so real
-    edge j carries PT row 2a - j.  The class is the eigenfunction type's
-    behavior under the real or the imaginary period.
+    edge j carries PT row 2a - j.  The class is the sign of the row's Jacobi
+    factor under one period of the potential: (sn, cn, dn) -> (-sn, -cn, dn)
+    under u -> u + 2K on the real line, (sn, -cn, -dn) under u -> u + 2iK'
+    on the PT line; c0 + c1 sn**2 keeps its sign under both.
     """
-    e_g, rows = _table(kind, a, b, m)
-    if pt:
-        return [(e, _PT_CLASS[tag], (tag, c0, c1)) for e, tag, c0, c1 in rows]
-    return [(-(e + e_g), _REAL_CLASS[tag], (tag, c0, c1)) for e, tag, c0, c1 in reversed(rows)]
+    e_g, rows = _TABLES[(kind, a, b)](m)
+    signs = (1.0, -1.0, -1.0) if pt else (-1.0, -1.0, 1.0)
+    rows = [(e if pt else -(e + e_g), "P" if _FACTORS[tag](*signs) > 0 else "A", (tag, c0, c1))
+            for e, tag, c0, c1 in rows]
+    return rows if pt else rows[::-1]
 
 
 def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
@@ -138,7 +130,7 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     is the top PT row through the level reversal, so it differs between the
     two versions.  The zeros are where a SUSY partner built on it has poles.
     """
-    state = _edge_rows(kind, a, b, m, pt)[0][2]
+    state = edge_rows(kind, a, b, m, pt)[0][2]
     return _builder(*state), ground_energy(kind, a, b, m, pt), _zeros(*state, m)
 
 
@@ -165,7 +157,7 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list
     point, dfac = ell.jacobi_triple(m, beta), (1.0 if beta is None else 1j)
 
     edges = []
-    for energy, cls, state in _edge_rows(kind, a, b, m, beta is not None):
+    for energy, cls, state in edge_rows(kind, a, b, m, beta is not None):
         def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
             j = build(*jets_from_scd(*point(x), m))
             return j.f, dfac * j.d1, dfac * dfac * j.d2
@@ -187,20 +179,7 @@ def real_band_edges(kind: str, a: int, b: int, m: float) -> list[BandEdge]:
 def closed_form_energies(kind: str, a: int, b: int, m: float, pt: bool, shifted: bool = False) -> list[float]:
     """Edge energies only.  PT energies are absolute unless ``shifted``."""
     offset = ground_energy(kind, a, b, m, pt=True) if pt and not shifted else 0.0
-    return [e + offset for e, _, _ in _edge_rows(kind, a, b, m, pt)]
-
-
-def predicted_edges(spec) -> list[tuple[float, str]] | None:
-    """Closed-form (energy, period class) of every edge of a composed spec,
-    ascending; None when its base family has no closed forms.
-
-    The rows are the family's, moved by the offset of its
-    :func:`potentials.normal_form`; the PT rows apply under a PT transform.
-    """
-    f = potentials.normal_form(spec)
-    if f.offset is None:
-        return None
-    return [(e + f.offset, cls) for e, cls, _ in _edge_rows(f.kind, f.a, f.b, f.m, f.beta is not None)]
+    return [e + offset for e, _, _ in edge_rows(kind, a, b, m, pt)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class TestBuildSpec:
 
     def test_shift_zero_moves_ground_to_zero(self):
         spec = build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))
-        rows = spc.predicted_edges(spec)
+        rows = pot.predicted_edges(spec)
         assert abs(rows[0][0]) < 1e-12
 
 
@@ -98,7 +98,7 @@ class TestRepeatedCalls:
             headers.append(_header(_read_csv(out)[0]))
         (pt, *_), (plain, e_min, e_max) = searched
         assert isinstance(pt, pot.PTTransform) and plain == pot.Lame(1, 0.75)
-        rows = [e for e, _ in spc.predicted_edges(plain)]
+        rows = [e for e, _ in pot.predicted_edges(plain)]
         assert (e_min, e_max) == (min(rows) - 0.5, max(rows) + 0.5)
         assert (float(headers[1]["emin"]), float(headers[1]["emax"])) == (e_min, e_max)
         assert headers[0]["ops"] == "['pt']" and headers[1]["ops"] == "[]"
@@ -238,6 +238,25 @@ class TestEdges:
         assert np.allclose([diffs[0], diffs[2], diffs[3]], [1e-9, 2e-9, 3e-9], rtol=1e-3, atol=1e-15)
         assert float(meta.split("max_abs_diff=")[1].split()[0]) < 1e-8
 
+    def test_no_row_nearer_an_edge_than_its_pair(self, tmp_path, monkeypatch):
+        # the top a=3 gap at m = 0.985 is 1.2e-6 wide: its A rows 9e-7 outside
+        # it are within --tol of their closed-form edges, but a closed-gap row
+        # at its middle lies nearer both, so a check that pairs each edge with
+        # its nearest row of any kind pairs both with that row; the verdict
+        # fails with it (it passed while each edge met only simple rows of its
+        # class)
+        argv = ["--a", "3", "--pt", "--shift-zero", "--m", "0.985"]
+        (*low, (e5, _), (e6, _)) = pot.predicted_edges(build_spec(_edges_args(*argv)))
+        assert 0.0 < e6 - e5 < 1.3e-6
+        rows = [(e, c, 1) for e, c in low] + [(e5 - 9e-7, "A", 1), (0.5 * (e5 + e6), "A", 2), (e6 + 9e-7, "A", 1)]
+        monkeypatch.setattr(cli.flq, "find_band_edges", lambda *args: [
+            cli.flq.NumericBandEdge(e, c, complex(2.0 if c == "P" else -2.0), k) for e, c, k in rows])
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", *argv, "--out", str(out)]) == 3
+        meta, cols = _read_csv(out)
+        assert "verdict=FAIL" in meta
+        assert max(float(d) for d in cols["abs_diff"] if d != "nan") < 1e-6
+
     @pytest.mark.parametrize("shift_zero", [False, True], ids=["raw", "shift-zero"])
     @pytest.mark.parametrize("ops", [(), ("--pt",), ("--partner",), ("--pt", "--partner"),
                                      ("--partner", "--pt"), ("--pt", "--partner", "--partner")],
@@ -265,7 +284,7 @@ class TestEdges:
         out = tmp_path / "edges.csv"
         assert cli.main(["edges", "--a", "3", "--pt", "--shift-zero", "--out", str(out)]) == 0
         header = _header(_read_csv(out)[0])
-        top = max(e for e, _ in spc.predicted_edges(build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))))
+        top = max(e for e, _ in pot.predicted_edges(build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))))
         assert (float(header["emin"]), float(header["emax"])) == (-0.5, top + 0.5)
 
     def test_config_error_exit_code(self, capsys):

@@ -903,7 +903,7 @@ class TestDefaults:
     ], ids=["real-assoc21-m0.3", "a3-pt-beta0.05"])
     def test_default_range_holds_the_closed_form_edges(self, spec):
         lo, hi = flq.default_energy_range(spec)
-        es = [e for e, _ in spc.predicted_edges(spec)]
+        es = [e for e, _ in pot.predicted_edges(spec)]
         assert lo <= min(es) and max(es) <= hi and hi - lo < 40.0
 
     def test_integration_failure_reports(self):

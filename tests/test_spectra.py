@@ -18,6 +18,9 @@ A3_ENERGIES = (0.0, 4.25 - 2 * math.sqrt(3.8125), 5 - 2 * math.sqrt(2.5),
                3.75, 4.0, 4.25 + 2 * math.sqrt(3.8125), 5 + 2 * math.sqrt(2.5))
 A3_CLASSES = ("P", "A", "A", "P", "P", "A", "A")
 A21_CLASSES = ("P", "A", "A", "P", "P")
+# the real rows' classes: the same factors under u -> u + 2K, not u -> u + 2iK'
+A3_REAL_CLASSES = ("P", "A", "A", "P", "P", "A", "A")
+A21_REAL_CLASSES = ("P", "A", "A", "A", "A")
 
 
 def _shifted_pt_spec(kind, a, b, m=M, beta=BETA):
@@ -60,6 +63,10 @@ class TestClosedFormEdges:
         assert np.allclose([e.energy for e in edges], [M, 1.0, 1.0 + M], atol=1e-14)
         assert [e.period_class for e in edges] == ["P", "A", "A"]
 
+    def test_real_classes(self):
+        assert tuple(e.period_class for e in spc.real_band_edges("lame", 3, 0, M)) == A3_REAL_CLASSES
+        assert tuple(e.period_class for e in spc.real_band_edges("assoc", 2, 1, M)) == A21_REAL_CLASSES
+
     def test_real_ground_energies(self):
         assert abs(spc.ground_energy("lame", 1, 0, M, pt=False) - M) < 1e-14
         assert abs(spc.ground_energy("assoc", 2, 1, M, pt=False) - 4 * M) < 1e-14
@@ -82,7 +89,7 @@ class TestClosedFormEdges:
             assert abs(psi(ell.inverse_sn(complex(w) ** 0.5, M))) < 1e-9 * abs(psi(0.3 + 0.2j))
 
     def test_unknown_family_raises(self):
-        with pytest.raises(pot.MissingGroundStateError):
+        with pytest.raises(KeyError):
             spc.ground_energy("lame", 2, 0, M, pt=True)
 
 
@@ -121,6 +128,14 @@ class TestEigenfunctions:
         spec = _shifted_pt_spec(kind, a, b)
         L = spec.period
         for e in spc.pt_band_edges(kind, a, b, M, BETA):
+            sgn = 1.0 if e.period_class == "P" else -1.0
+            for x in (0.123, 1.01):
+                assert abs(e.jet(x + L)[0] - sgn * e.jet(x)[0]) < 1e-9
+
+    @pytest.mark.parametrize("kind,a,b", spc.ptlame_families)
+    def test_real_periodicity_classes_literal(self, kind, a, b):
+        L = pot.associated_lame(a, b, M).period
+        for e in spc.real_band_edges(kind, a, b, M):
             sgn = 1.0 if e.period_class == "P" else -1.0
             for x in (0.123, 1.01):
                 assert abs(e.jet(x + L)[0] - sgn * e.jet(x)[0]) < 1e-9
@@ -307,13 +322,27 @@ class TestBlochSolutions:
             spc.bloch_solution_jet(M, BETA, 0.3, 0, 0.1)
 
 
+def _imports(module):
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    return tree, [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_imports_neither_floquet_nor_numpy():
-    # the closed forms stay independent of the engine they are checked against
-    tree = ast.parse(pathlib.Path(spc.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
+    # the closed forms stay independent of the engine they are checked
+    # against, and of the specs that potentials maps onto their rows: imports
+    # run one way, elliptic -> spectra -> potentials -> floquet
+    _, nodes = _imports(spc)
+    imported, package = set(), set()
+    for node in nodes:
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
+        else:
             imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+            if node.level:
+                package |= {(node.module or alias.name).split(".")[0] for alias in node.names}
     assert imported and not [n for n in imported if {"floquet", "numpy"} & set(n.split("."))]
+    assert package == {"elliptic"}
+    # potentials imports spectra once, at module top, with no import in a function
+    tree, nodes = _imports(pot)
+    assert nodes and all(node in tree.body for node in nodes)
+    assert [n for n in nodes if isinstance(n, ast.ImportFrom) and "spectra" in {a.name for a in n.names}]
