@@ -211,9 +211,9 @@ def line_jacobi(beta: float, m: float):
     Returns a callable x -> (sn, cn, dn): complex values for a float x,
     complex arrays for a float ndarray, from the same recurrence (numpy's
     ufuncs in place of math's, so the two agree to rounding, not bit for
-    bit).  Arrays pay off on a grid; the integrator calls with floats, once
-    per stage, as a step's 12 stage nodes cost more as one array than as 12
-    float calls.
+    bit).  Arrays pay off on a grid; the Floquet integrator evaluates the
+    potential with floats, once per DOP853 stage, as a step's 12 stage nodes
+    cost more as one array than as 12 float calls.
     """
     m = _check_parameter(m)
     beta = float(beta)
@@ -227,7 +227,7 @@ def line_jacobi(beta: float, m: float):
 
 def _addition(beta: float, m: float):
     # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked; the
-    # potential evaluator runs the closure inside the integrator's RHS
+    # potential evaluator runs the closure once per integrator stage
     s, c, d = _landen_pass(m)(beta)
     real = _landen_pass(1.0 - m)
     ss = m * s * s

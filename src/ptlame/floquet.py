@@ -217,47 +217,84 @@ class _Solution:
     steps: int
 
 
+def _norm(x):
+    """``np.linalg.norm(x)`` of a 1-D float64 or complex128 array, computed as
+    numpy computes it, the root of a dot product (of the real and imaginary
+    parts apart for complex x), without its Python layer.  A numpy float, so
+    that its square overflows to inf, as in numpy, not to an error."""
+    if x.dtype == complex:
+        re, im = x.real, x.imag
+        return np.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(x.dot(x))
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
+    return float(_norm(x)) / x.size**0.5
 
 
-def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
-    """Integrate y' = fun(t, y) from t0 to t1 > t0 (``t_span``) by DOP853 at
-    rtol = ``RTOL`` and atol = ``ATOL``, keeping only the end point.
+def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
+    """Integrate the batch psi'' = (V(x) - E) psi from t0 to t1 > t0
+    (``t_span``) by DOP853 at rtol = ``RTOL`` and atol = ``ATOL``, keeping
+    only the end point.
 
-    ``fun(t, y, out=None)`` returns y', written into ``out`` when one is
-    given: each stage writes straight into the solver's stage array, which
-    ``fun`` must not keep.  Called with two arguments it returns a new
-    array, so scipy can drive the same function.  The state has ``y0``'s
-    dtype throughout, float64 or complex128.
+    ``y0`` holds (psi, psi') of every solution of the batch: n values of psi,
+    then their n derivatives, float64 or complex128, a dtype the state keeps
+    throughout.  ``energies`` gives each solution's E (n entries) and ``v``
+    the potential, x -> V(x) at a float, called once per right-hand side,
+    so ``nfev`` times; a float64 state takes its real part.  Each stage
+    writes psi' and (V - E) psi straight into its row of the stage array,
+    through views built once per call.
 
-    Step control is that of scipy's ``solve_ivp(method="DOP853")``: the
-    initial step of Hairer et al. Sec. II.4, an RMS error norm that combines
-    the 5th- and 3rd-order estimates (Sec. II.10), new steps 0.9 norm^(-1/8)
-    times the last, kept in [0.2, 10] and at most 1 after a rejection.  So
-    the steps and the end point are scipy's bit for bit.  There is no dense
-    output.  Raises :class:`FloquetIntegrationError` after ``_MAX_STEPS``
-    steps, or once a step, tried or proposed, is not finite or falls below
-    ``_MIN_STEP`` of ``period``, whether the span is the whole period or half
-    of it; that floor lies far above scipy's own, 10 spacings of
-    floating-point numbers.
+    Every floating-point operation is that of scipy's
+    ``solve_ivp(method="DOP853")`` on the same right-hand side, in the same
+    order: the initial step of Hairer et al. Sec. II.4, the stage states and
+    the 8th-order update, an RMS error norm that combines the 5th- and
+    3rd-order estimates (Sec. II.10), each norm taken as ``np.linalg.norm``
+    takes it, and new steps 0.9 norm^(-1/8) times the last, kept in [0.2, 10]
+    and at most 1 after a rejection.  So the steps and the end point are
+    scipy's bit for bit.  There is no dense output.  Raises
+    :class:`FloquetIntegrationError` after ``_MAX_STEPS`` steps, or once a
+    step, tried or proposed, is not finite or falls below ``_MIN_STEP`` of
+    ``period``, whether the span is the whole period or half of it; that
+    floor lies far above scipy's own, 10 spacings of floating-point numbers.
     """
     t, t1 = map(float, t_span)
-    y = np.asarray(y0)
+    y = np.array(y0)
+    n, dtype = y.size // 2, y.dtype
+    real = dtype != complex
     # K[0] holds the derivative at the current point; K[12] the one at the
-    # step's end, copied into K[0] when the step is accepted
-    K = np.empty((13, y.size), dtype=y.dtype)
-    z = np.empty_like(y)
-    f = fun(t, y, K[0])
+    # step's end, copied into K[0] when the step is accepted.  The weights
+    # are cast to the state's dtype once, as np.dot would on every call
+    K = np.empty((13, y.size), dtype=dtype)
+    a, b, e5, e3 = [row.astype(dtype) for row in _A], _B.astype(dtype), _E5.astype(dtype), _E3.astype(dtype)
+    stages, KT, K12T = [K[:s] for s in range(13)], K.T, K[:12].T
+    dpsi, ddpsi = [row[:n] for row in K], [row[n:] for row in K]
+    z, y_new, est = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    ve = np.empty(n, dtype=dtype)
+
+    def deriv(x, state, s):
+        # row s of K: (psi', (V - E) psi) at (x, state)
+        w = v(x)
+        dpsi[s][...] = state[n:]
+        np.subtract(w.real if real else w, energies, out=ve)
+        np.multiply(ve, state[:n], out=ddpsi[s])
+
+    deriv(t, y, 0)
+    f = K[0]
     # initial step
     scale = ATOL + np.abs(y) * RTOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    np.multiply(f, h0, out=z)
+    z += y
+    deriv(t + h0, z, 1)
+    d2 = _rms((K[1] - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, t1 - t)
     nfev = 2
 
+    # |y| is carried over from the accepted step
+    abs_y, abs_new = np.abs(y), np.empty(y.size)
     h_floor = _MIN_STEP * period
     span = "half a" if t1 - t < period else "one"
     steps = 0
@@ -274,24 +311,37 @@ def solve_ivp(fun, t_span, y0, *, period) -> _Solution:
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
             for s in range(1, 12):
-                np.dot(_A[s], K[:s], out=z)
+                np.dot(a[s], stages[s], out=z)
                 z *= h
                 z += y
-                fun(t + _C[s] * h, z, K[s])
-            y_new = y + h * np.dot(K[:12].T, _B)
-            fun(t_new, y_new, K[12])
+                deriv(t + _C[s] * h, z, s)
+            np.dot(K12T, b, out=y_new)
+            y_new *= h
+            y_new += y
+            deriv(t_new, y_new, 12)
             nfev += 12
-            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
-            err = 0.0 if err5 == 0 and err3 == 0 else h * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= RTOL
+            scale += ATOL
+            np.dot(KT, e5, out=est)
+            est /= scale
+            err5 = float(_norm(est) ** 2)
+            np.dot(KT, e3, out=est)
+            est /= scale
+            err3 = float(_norm(est) ** 2)
+            # Python floats from here on, so that t and h, and the x that V
+            # takes, stay Python floats, with the same IEEE arithmetic; numpy's
+            # root, so that 0/0 after an underflow is nan, as in scipy
+            err = 0.0 if err5 == 0 and err3 == 0 else float(h * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size))
             if err < 1:
                 factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_EXPONENT)
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err**_EXPONENT)
             rejected = True
-        t, y = t_new, y_new
+        t = t_new
+        y, y_new, abs_y, abs_new = y_new, y, abs_new, abs_y
         K[0] = K[12]
     return _Solution(y, nfev, steps)
 
@@ -331,9 +381,10 @@ def _propagate(spec, energies):
     any number of energies, on the spec's integration line
     (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
-    The ODE is linear and the potential is shared across a batch, so the
-    right-hand side evaluates V once per stage regardless of batch size,
-    writing y' into the stage array :func:`solve_ivp` hands it.
+    The ODE is linear and the potential is shared across a batch, so
+    :func:`solve_ivp` takes V (``potentials.compiled_value_fn`` of the
+    line) and the batch's energies, and evaluates V once per stage
+    regardless of batch size.
     A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
     (real and even on the real axis, PT-invariant on i x + beta), so at real
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
@@ -376,17 +427,10 @@ def _propagate(spec, energies):
         y0[0:n2:2] = 1.0  # psi_a(0) = 1
         y0[n2 + 1 :: 2] = 1.0  # psi_b'(0) = 1
 
-        def rhs(x, y, out=None):
-            v = f(x)
-            out = np.empty_like(y) if out is None else out
-            out[:n2] = y[n2:]
-            np.multiply((v.real if real else v) - EE, y[:n2], out=out[n2:])
-            return out
-
         # an overflowing or non-finite batch fails the NaN-safe checks below,
         # which name the energy; numpy's warnings would only precede them
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(rhs, (0.0, end), y0, period=L)
+            sol = solve_ivp(f, (0.0, end), y0, energies=EE, period=L)
             y = sol.y
             a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
             det = np.abs(a * d - b * c - 1.0)
@@ -509,16 +553,19 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     resolved (:func:`_unresolved`); one narrower than ``_MIN_PIECE`` of the
     range raises :class:`FloquetIntegrationError`.  Noise splits a closed
     gap's double eigenvalue into two adjacent ones, real or a conjugate
-    pair, with R within ``_CLOSED_TOL`` of 0 at their midpoint, which the
-    piece that holds it reports; every other one within 1e-10 half-widths
-    of the piece is a simple edge.  Rows carry the interpolant's Delta.  A
+    pair, with R within ``_CLOSED_TOL`` of 0 at their midpoint; every other
+    one is a simple edge.  A piece reports what lies on it, and within
+    1e-10 half-widths past a range end; a row within 1e-6 half-widths of an
+    end two pieces share is reported by one of them alone, the one whose R
+    has the smaller largest coefficient, and so the smaller error in its
+    pencil.  Rows carry the interpolant's Delta.  A
     warning is issued when fewer than the 2a+1 simple edges of a recognized
     base family are found: too small a range, or a narrow gap closed.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
     x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
-    pending, found = [(e_min, e_max)], []
+    pending, pieces = [(e_min, e_max)], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
         ms, rs = _propagate(spec, es)[:2]
@@ -536,20 +583,40 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
                     raise FloquetIntegrationError(f"series not resolved on [{a}, {b}]: {'; '.join(missed)}")
                 split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 continue
-            piece = []
-            for k, cls in enumerate("PA"):
+            rows = []
+            for k in range(2):
                 r, j = xs[k], 0
                 mids = 0.5 * (r[1:] + r[:-1]).real
                 closed = np.abs(_chebval(mids, cr[:, k])).max(axis=(1, 2)) <= _CLOSED_TOL
                 while j < r.size:
                     at, mult = (mids[j], 2) if j < mids.size and closed[j] else (r[j], 1)
-                    if abs(at.real) <= 1.0 + 1e-10 and abs(at.imag) <= 1e-10:
-                        piece.append((0.5 * (a + b) + 0.5 * (b - a) * at.real, at.real, cls, mult))
+                    if abs(at.imag) <= 1e-10:
+                        rows.append((at.real, k, mult))
                     j += mult
-            # an edge on the end two pieces share is found in both
-            found += [NumericBandEdge(float(e), cls, complex(_chebval([at], cd)[0]), mult) for e, at, cls, mult in piece
-                      if not any(f.period_class == cls and abs(f.energy - e) <= 1e-9 * max(1.0, abs(e)) for f in found)]
+            pieces.append((a, b, cd, np.abs(cr).max(axis=(0, 2, 3)), rows))
         pending = split
+
+    # the pieces tile [e_min, e_max].  A large coefficient splits a closed
+    # gap wide in the pencil, so of two pieces that share an end, the one
+    # whose R has the smaller largest coefficient reports the rows within
+    # 1e-6 half-widths (of the narrower piece) of it, on either side
+    pieces.sort(key=lambda p: p[0])
+    found = []
+    for i, (a, b, cd, big, rows) in enumerate(pieces):
+        # at the lower and the upper end: (reach in half-widths, whether this
+        # piece reports the rows within it, per class)
+        lo = hi = 1e-10, (True, True)
+        if i > 0:
+            p = pieces[i - 1]
+            lo = 1e-6 * min(1.0, (p[1] - p[0]) / (b - a)), big < p[3]
+        if i + 1 < len(pieces):
+            p = pieces[i + 1]
+            hi = 1e-6 * min(1.0, (p[1] - p[0]) / (b - a)), big <= p[3]
+        for at, k, mult in rows:
+            w, owned = hi if at > 0.0 else lo
+            if abs(at) <= 1.0 + w and (owned[k] or abs(at) <= 1.0 - w):
+                e = 0.5 * (a + b) + 0.5 * (b - a) * at
+                found.append(NumericBandEdge(float(e), "PA"[k], complex(_chebval([at], cd)[0]), mult))
 
     found.sort(key=lambda e: e.energy)
     expected = simple_edge_count(spec)

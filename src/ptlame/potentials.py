@@ -322,8 +322,8 @@ def compiled_value_fn(spec: PotentialSpec):
     complex array of its shape.  A Lame-family spec costs one real Landen
     pass per call, on the real axis or on the line of its PT transform, and
     an array takes that pass elementwise in numpy, so a grid is one call.
-    The Floquet integrator calls it with a float inside its right-hand side,
-    once per stage: a step's 12 stage nodes cost more as one array.  A custom
+    The Floquet integrator calls it with a float once per DOP853 stage, as
+    a step's 12 stage nodes cost more as one array.  A custom
     potential's callable is user code that may take only floats, so an array
     is fed to it point by point.
     """

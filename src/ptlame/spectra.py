@@ -13,6 +13,7 @@ dualities included, are rows of :mod:`ptlame.invariants`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -155,11 +156,14 @@ def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list
     # the potential's own Jacobi triple: on the line u = i x + beta for the
     # PT version (beta given), where d/dx = i d/du, else on the real axis
     point, dfac = ell.jacobi_triple(m, beta), (1.0 if beta is None else 1j)
+    # every edge of the family reads the (S, C, D) jets at the same x, often
+    # on one shared grid; the builders only read them
+    scd = functools.lru_cache(maxsize=128)(lambda x: jets_from_scd(*point(x), m))
 
     edges = []
     for energy, cls, state in edge_rows(kind, a, b, m, beta is not None):
         def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
-            j = build(*jets_from_scd(*point(x), m))
+            j = build(*scd(x))
             return j.f, dfac * j.d1, dfac * dfac * j.d2
 
         edges.append(BandEdge(energy, cls, jet))
@@ -203,8 +207,10 @@ class DispersionPoint:
 _BRANCH_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=256)
 def _alpha_zeta(m: float, E: float) -> tuple[complex, complex]:
-    """alpha1 with m sn(alpha1)**2 = E, and Z(alpha1)."""
+    """alpha1 with m sn(alpha1)**2 = E, and Z(alpha1); cached, as the
+    dispersion and both Bloch solutions at one energy all read them."""
     alpha1 = ell.inverse_sn(cmath.sqrt(complex(E) / m), m)
     return alpha1, ell.zeta_Z(m, alpha1)
 

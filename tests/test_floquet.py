@@ -16,6 +16,8 @@ from ptlame import spectra as spc
 M, BETA = 0.75, 0.5
 
 FREE = pot.CustomPotential(lambda z: 0.0j, math.pi)
+# Makris et al., PRL 100 (2008) 103904, below its PT-breaking point V0 = 1/2
+MAKRIS = pot.CustomPotential(lambda x: math.cos(x) ** 2 + 0.3j * math.sin(2.0 * x), math.pi)
 
 
 def _count_batches(monkeypatch):
@@ -264,38 +266,76 @@ class TestStepper:
     """flq.solve_ivp against scipy's DOP853, whose step control it keeps."""
 
     def test_matches_scipy_dop853(self, monkeypatch):
-        # each spec's batch, integrated again by scipy at the same tolerances:
+        # each spec's batch, integrated again by scipy at the same tolerances
+        # on the right-hand side built from the same potential and energies:
         # the same accepted steps and RHS calls, 3 fewer than scipy's run to
         # t_eval=[end], which builds the dense output of the last step, and
         # the same Delta; the real-axis specs (plain, partner and (2,1)) and
         # the a = 1 and a = 3 PT specs and partners, on Re u = K, integrate
-        # real states, which scipy keeps real
+        # real states, which scipy keeps real; the free particle and Makris'
+        # cos^2 x + 0.3 i sin 2x integrate the whole period in complex128
         runs = []
         solve = flq.solve_ivp
 
-        def recorded(fun, t_span, y0, **kwargs):
-            runs.append((fun, t_span, y0, solve(fun, t_span, y0, **kwargs)))
-            return runs[-1][3]
+        def recorded(v, t_span, y0, *, energies, **kwargs):
+            runs.append((v, energies, t_span, y0, solve(v, t_span, y0, energies=energies, **kwargs)))
+            return runs[-1][4]
 
         monkeypatch.setattr(flq, "solve_ivp", recorded)
         es = np.linspace(-1.0, 30.0, flq._CHUNK)
         shifted = pot.Shifted(pot.Lame(3, M), spc.ground_energy("lame", 3, 0, M, pt=False))
         real = [pot.Lame(3, M), pot.SusyPartner(shifted), pot.AssociatedLame(2, 1, M)]
-        for spec in [*inv.specs(M, BETA).values(), *real]:
+        for spec in [*inv.specs(M, BETA).values(), *real, FREE, MAKRIS]:
             runs.clear()
             delta = flq.discriminants(spec, es)
-            [(fun, t_span, y0, sol)] = runs
-            assert t_span == (0.0, 0.5 * spec.period)
+            [(v, energies, t_span, y0, sol)] = runs
+            custom = isinstance(spec, pot.CustomPotential)
+            assert t_span == (0.0, spec.period if custom else 0.5 * spec.period)
+            n2 = y0.size // 2
+
+            def fun(x, y):
+                w = v(x)
+                return np.concatenate([y[n2:], ((w.real if y0.dtype == float else w) - energies) * y[:n2]])
+
             plain = solve_ivp(fun, t_span, y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
             end = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=[t_span[1]], rtol=flq.RTOL, atol=flq.ATOL)
             assert plain.success and end.success
             assert sol.steps == len(plain.t) - 1
             assert sol.nfev == plain.nfev == end.nfev - 3
-            n2 = y0.size // 2
             y = end.y[:, -1]
             a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
-            ref = 2.0 * (d.conj() * a + b.conj() * c).real
+            ref = a + d if custom else 2.0 * (d.conj() * a + b.conj() * c).real
             assert np.max(np.abs(delta - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+
+    def test_potential_is_called_once_per_rhs(self, monkeypatch):
+        # V is evaluated exactly nfev times, on a float64 line (PT a=3), a
+        # complex128 one (PT (2,1)) and a custom potential; 900 energies are
+        # two batches, whose RHS calls add up
+        calls, stats = [], []
+        compiled, propagate = pot.compiled_value_fn, flq._propagate
+
+        def counted(spec):
+            f = compiled(spec)
+
+            def v(x):
+                calls.append(x)
+                return f(x)
+
+            return v
+
+        def recorded(spec, energies):
+            out = propagate(spec, energies)
+            stats.append(out[3])
+            return out
+
+        monkeypatch.setattr(pot, "compiled_value_fn", counted)
+        monkeypatch.setattr(flq, "_propagate", recorded)
+        es = np.linspace(-1.0, 12.0, 900)
+        for spec in (_a3_spec(), _complex_line_specs()[0], MAKRIS):
+            calls.clear(), stats.clear()
+            flq.discriminants(spec, es)
+            [st] = stats
+            assert len(calls) == st.nfev > 0
 
 
 class TestScan:
@@ -356,6 +396,27 @@ class TestScan:
             flq.discriminant_scan(FREE, 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             flq.find_band_edges(FREE, 2.0, 1.0)
+
+
+def _noisy_free_particle(eps, f=None):
+    """A stub of :func:`flq._propagate`: the free particle's M (sqrt E
+    complex, so E < 0 too) with noise on its diagonal, eps subtracted from
+    both entries, or with f given eps sin(f E) added to M00 and 0.7 times
+    that subtracted from M11.  A custom potential's R is M -+ I."""
+    def propagate(spec, energies, **kwargs):
+        E = np.asarray(energies, dtype=float)
+        k = np.sqrt(E.astype(complex))
+        ms = np.empty((k.size, 2, 2), dtype=complex)
+        c = np.cos(np.pi * k)
+        if f is None:
+            ms[:, 0, 0] = ms[:, 1, 1] = c - eps
+        else:
+            ms[:, 0, 0], ms[:, 1, 1] = c + eps * np.sin(f * E), c - 0.7 * eps * np.sin(f * E)
+        ms[:, 0, 1], ms[:, 1, 0] = np.sin(np.pi * k) / k, -k * np.sin(np.pi * k)
+        rs = ms[:, None] + np.array([-1.0, 1.0])[:, None, None] * np.eye(2)
+        return ms, rs, np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
+
+    return propagate
 
 
 class TestEdgeFinding:
@@ -694,19 +755,30 @@ class TestEdgeFinding:
     def test_noise_past_a_tangency_is_a_closed_gap(self, monkeypatch):
         # the free particle's M with Delta = 2 cos(pi sqrt(E)) - 1e-13, which
         # passes -2 by noise alone around E = 1: one closed gap, not two
-        # simple edges 4e-7 apart.  A custom potential's R is M -+ I
-        def propagate(spec, energies, **kwargs):
-            k = np.sqrt(np.asarray(energies, dtype=float))
-            ms = np.empty((k.size, 2, 2), dtype=complex)
-            ms[:, 0, 0] = ms[:, 1, 1] = np.cos(np.pi * k) - 5e-14
-            ms[:, 0, 1], ms[:, 1, 0] = np.sin(np.pi * k) / k, -k * np.sin(np.pi * k)
-            rs = ms[:, None] + np.array([-1.0, 1.0])[:, None, None] * np.eye(2)
-            return ms, rs, np.zeros(k.size), flq.IntegratorStats(1, 1, 0.0)
-
-        monkeypatch.setattr(flq, "_propagate", propagate)
+        # simple edges 4e-7 apart
+        monkeypatch.setattr(flq, "_propagate", _noisy_free_particle(5e-14))
         found = flq.find_band_edges(FREE, 0.5, 2.5)
         assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
         assert abs(found[0].energy - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("f,eps,d,w", [
+        (None, 1e-14, -1e-9, 25.0), (None, 1e-13, 1e-9, 25.0), (None, 1e-13, -1e-8, 31.0),
+        (None, 3e-13, 1e-9, 25.0), (None, 3e-13, 1e-7, 31.0), (1, 1e-14, -1e-9, 25.0), (1, 3e-14, -1e-9, 25.0),
+        (1, 3e-14, 1e-9, 31.0), (1, 1e-13, 1e-9, 31.0), (1, 1e-13, 1e-8, 31.0), (1, 3e-13, -1e-9, 31.0),
+        (1, 3e-13, 1e-7, 31.0), (7, 1e-14, -1e-9, 25.0), (7, 3e-14, -1e-9, 25.0), (7, 3e-14, 1e-9, 25.0),
+        (7, 1e-13, -1e-8, 31.0), (7, 3e-13, -1e-9, 31.0), (7, 3e-13, 1e-8, 31.0), (7, 3e-13, 1e-7, 31.0),
+        (None, 1e-14, 1e-6, 25.0), (1, 3e-13, -1e-7, 25.0), (7, 1e-13, 1e-9, 31.0),
+    ])
+    def test_noise_at_a_shared_end_is_one_closed_gap(self, monkeypatch, f, eps, d, w):
+        # [1 + d - w, 1 + d + w] is halved at 1 + d, within 1e-6 of the
+        # closed gap at E = 1.  The piece below it reaches into E < 0, where
+        # M grows like cosh(pi sqrt(-E)), ~1e5 at E = -14.5, so its pencil
+        # splits the gap more than the other's; the piece whose R has the
+        # smaller largest coefficient reports it, once (the first 19 cases
+        # gave two rows or one simple edge before that rule)
+        monkeypatch.setattr(flq, "_propagate", _noisy_free_particle(eps, f))
+        found = [e for e in flq.find_band_edges(FREE, 1.0 + d - w, 1.0 + d + w) if abs(e.energy - 1.0) < 1e-3]
+        assert [(e.period_class, e.multiplicity) for e in found] == [("A", 2)]
 
     @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
     def test_no_edge_is_found_twice(self, m, beta):
