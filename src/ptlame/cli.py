@@ -5,8 +5,13 @@ Each command declares only the options it reads and emits CSV or JSON
 or resolved (all but ``--format``/``--out``), then its results (for
 ``edges``, ``scan`` and ``dispersion`` also ``integration_beta``, the line
 the Floquet engine integrated on, and for every command that integrates the
-tolerances it integrated at).  Exit codes: 0 = ok, 2 = configuration error,
-3 = verification failure, so CI can gate directly on the cross-checks.
+tolerances it integrated at).  ``edges`` pairs each closed-form edge with
+its nearest row of any class or multiplicity, the first on a tie, and
+passes when the pairs are distinct simple edges of their edges' classes,
+the 2a + 1 simple edges are all found and every pair is within ``--tol``.
+Exit codes: 0 = ok, 2 = configuration error, 3 = verification failure,
+4 = integration error (``FloquetIntegrationError``), so CI can gate
+directly on the cross-checks.
 ``selfcheck`` runs the invariant registry (:mod:`ptlame.invariants`) at
 ``--m``/``--beta``, one row per invariant with its value, tolerance, verdict
 and seconds; the registry fixes its specs and tolerances.
@@ -106,22 +111,6 @@ def cmd_sample_potential(args) -> int:
     return 0
 
 
-def _pair_edges(predicted, found) -> dict:
-    """Pair each predicted (energy, class) row with the nearest unused simple
-    numeric edge of the same class; returns {index into found: energy}.
-
-    Pairing by energy and class, not by position, keeps one missed or
-    spurious edge from shifting every later comparison.
-    """
-    pairs = {}
-    for energy, period_class in predicted:
-        free = [i for i, e in enumerate(found)
-                if e.multiplicity == 1 and e.period_class == period_class and i not in pairs]
-        if free:
-            pairs[min(free, key=lambda i: abs(found[i].energy - energy))] = energy
-    return pairs
-
-
 def cmd_edges(args) -> int:
     spec = build_spec(args)
     predicted = pot.predicted_edges(spec)
@@ -131,17 +120,20 @@ def cmd_edges(args) -> int:
     else:
         lo, hi = flq.default_energy_range(spec)
     found = flq.find_band_edges(spec, *_energy_range(args, lo, hi))
-    pairs = _pair_edges(predicted or [], found)
+    # each closed-form edge's pair is its nearest row of any class or
+    # multiplicity, the first on a tie, as the benchmark's check pairs them
+    nearest = [(min(range(len(found)), key=lambda i: abs(found[i].energy - ea), default=None), ea, period_class)
+               for ea, period_class in predicted or []]
+    pairs = {i: ea for i, ea, _ in nearest}
 
     idx, eana, enum, diff, disc, cls = [], [], [], [], [], []
     max_diff = 0.0
     # every family with a >= 1 has 2a + 1 simple edges, with closed forms or not
     expected = flq.simple_edge_count(spec)
     simple = sum(1 for e in found if e.multiplicity == 1)
-    count_ok = (expected is None or simple == expected) and len(pairs) == len(predicted or [])
-    # and no row of any class or multiplicity lies nearer a closed-form edge than its pair
-    count_ok = count_ok and all(min(range(len(found)), key=lambda j: abs(found[j].energy - ea)) == i
-                                for i, ea in pairs.items())
+    # and the pairs are distinct, each a simple edge of its closed-form edge's class
+    count_ok = (expected is None or simple == expected) and len(pairs) == len(nearest) and all(
+        i is not None and found[i].multiplicity == 1 and found[i].period_class == c for i, _, c in nearest)
     for i, e in enumerate(found):
         idx.append(i)
         enum.append(e.energy)
@@ -305,6 +297,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except flq.FloquetIntegrationError as exc:
+        print(f"integration error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -257,6 +257,46 @@ class TestEdges:
         assert "verdict=FAIL" in meta
         assert max(float(d) for d in cols["abs_diff"] if d != "nan") < 1e-6
 
+    @staticmethod
+    def _a1_stub_table(tmp_path, monkeypatch, rows):
+        """`edges` on the shifted a=1 PT spec with find_band_edges returning
+        ``rows`` of (energy, class, multiplicity), at a --tol every stub row
+        is within; returns (exit code, header, columns)."""
+        monkeypatch.setattr(cli.flq, "find_band_edges", lambda *args: [
+            cli.flq.NumericBandEdge(e, c, complex(2.0 if c == "P" else -2.0), k) for e, c, k in rows])
+        out = tmp_path / "edges.csv"
+        rc = cli.main(["edges", "--a", "1", "--pt", "--shift-zero", "--tol", "1", "--out", str(out)])
+        meta, cols = _read_csv(out)
+        return rc, _header(meta), cols
+
+    # each closed-form edge of the a=1 table (0 P, 0.75 A, 1 A) is paired with
+    # its nearest row; a pair that is not a distinct simple row of its class
+    # fails the verdict, and the table shows each edge at that row
+    def test_closed_gap_row_nearest_an_edge_fails(self, tmp_path, monkeypatch):
+        rows = [(0.0, "P", 1), (0.75 - 1e-7, "A", 1), (0.75 + 1e-9, "A", 2), (1.0, "A", 1)]
+        rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, rows)
+        assert rc == 3 and header["verdict"] == "FAIL"
+        assert cols["energy_analytic"] == ["0", "", "0.75", "1"]
+
+    def test_wrong_class_row_nearest_an_edge_fails(self, tmp_path, monkeypatch):
+        rows = [(0.0, "P", 1), (0.75 + 1e-9, "P", 1), (1.0, "A", 1)]
+        rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, rows)
+        assert rc == 3 and header["verdict"] == "FAIL"
+        assert cols["energy_analytic"] == ["0", "0.75", "1"]
+
+    def test_two_edges_sharing_a_row_fail(self, tmp_path, monkeypatch):
+        # 0.85 is the nearest row to both A edges; the row holds one of them
+        rows = [(0.0, "P", 1), (0.85, "A", 1), (1.2, "A", 1)]
+        rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, rows)
+        assert rc == 3 and header["verdict"] == "FAIL"
+        assert cols["energy_analytic"][0] == "0" and cols["energy_analytic"][1] in ("0.75", "1")
+        assert cols["energy_analytic"][2] == ""
+
+    def test_no_rows_fail(self, tmp_path, monkeypatch):
+        rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, [])
+        assert rc == 3 and header["verdict"] == "FAIL" and float(header["max_abs_diff"]) == 0.0
+        assert cols["index"] == [] and cols["energy_analytic"] == []
+
     @pytest.mark.parametrize("shift_zero", [False, True], ids=["raw", "shift-zero"])
     @pytest.mark.parametrize("ops", [(), ("--pt",), ("--partner",), ("--pt", "--partner"),
                                      ("--partner", "--pt"), ("--pt", "--partner", "--partner")],
@@ -290,6 +330,14 @@ class TestEdges:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_integration_error_exit_code(self, capsys):
+        # the entries overflow near E = -28620 and the Wronskian check raises:
+        # one stderr line and exit 4, not a traceback
+        assert cli.main(["edges", "--a", "1", "--emin=-1e5", "--emax", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("integration error: Wronskian drift") and captured.err.count("\n") == 1
 
 
 class TestUsageErrors:

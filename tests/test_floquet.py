@@ -269,11 +269,12 @@ class TestStepper:
         # each spec's batch, integrated again by scipy at the same tolerances
         # on the right-hand side built from the same potential and energies:
         # the same accepted steps and RHS calls, 3 fewer than scipy's run to
-        # t_eval=[end], which builds the dense output of the last step, and
-        # the same Delta; the real-axis specs (plain, partner and (2,1)) and
-        # the a = 1 and a = 3 PT specs and partners, on Re u = K, integrate
-        # real states, which scipy keeps real; the free particle and Makris'
-        # cos^2 x + 0.3 i sin 2x integrate the whole period in complex128
+        # t_eval=[end], which builds the dense output of the last step, the
+        # same Delta and, bit for bit, the same end state; the real-axis
+        # specs (plain, partner and (2,1)) and the a = 1 and a = 3 PT specs
+        # and partners, on Re u = K, integrate real states, which scipy keeps
+        # real; the free particle and Makris' cos^2 x + 0.3 i sin 2x
+        # integrate the whole period in complex128
         runs = []
         solve = flq.solve_ivp
 
@@ -306,6 +307,7 @@ class TestStepper:
             a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
             ref = a + d if custom else 2.0 * (d.conj() * a + b.conj() * c).real
             assert np.max(np.abs(delta - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
+            assert np.array_equal(sol.y, plain.y[:, -1])
 
     def test_potential_is_called_once_per_rhs(self, monkeypatch):
         # V is evaluated exactly nfev times, on a float64 line (PT a=3), a
