@@ -31,7 +31,6 @@ __all__ = [
     "Jet2",
     "complete_K",
     "modulus",
-    "jacobi_real",
     "jacobi_complex",
     "line_jacobi",
     "jacobi_triple",
@@ -169,12 +168,6 @@ def _landen_pass(m: float):
         return sn, cos(phi), sqrt(1.0 - m * sn * sn)
 
     return triple
-
-
-def jacobi_real(u: float, m: float) -> JacobiValues:
-    """Jacobi sn, cn, dn for real argument via the Landen backward recursion."""
-    sn, cn, dn = _landen_pass(_check_parameter(m))(float(u))
-    return JacobiValues(complex(sn), complex(cn), complex(dn))
 
 
 def sn_pole_lattice_point(z: complex, m: float) -> complex:

@@ -354,18 +354,18 @@ def integration_beta(spec) -> float | None:
     of the poles of V (:func:`potentials.pole_lines`), so the whole line keeps
     that distance from every pole.  Computed once per spec, on first use.
     """
-    return _line(spec)[1]
+    return _line(spec)[0]
 
 
 @functools.lru_cache(maxsize=256)
 def _line(spec):
-    """(spec to integrate, its beta*, whether V is real on that line), once
-    per spec.  V, even and 2K-periodic in its Jacobi argument u with real
-    coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it is
-    real on Re u = K; beta* is K exactly when every pole lies on Re u = 0."""
+    """(beta*, whether V is real on that line), once per spec; beta* is None
+    on the real axis.  V, even and 2K-periodic in its Jacobi argument u with
+    real coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it
+    is real on Re u = K; beta* is K exactly when every pole lies on Re u = 0."""
     form = potentials.normal_form(spec)
     if form.beta is None:
-        return spec, None, form.kind != "custom"
+        return None, form.kind != "custom"
     two_k = 2.0 * ell.modulus(form.m).K
     ends = sorted({x % two_k for r in potentials.pole_lines(form.poles, form.m) for x in (r, -r)})
     gaps = [(hi - lo, 0.5 * (lo + hi) % two_k) for lo, hi in zip(ends, ends[1:] + [ends[0] + two_k])]
@@ -373,7 +373,7 @@ def _line(spec):
     # up to rounding; of the two, the one centred in [0, K] is chosen
     slack = 1e-12 * two_k
     beta = max(g for g in gaps if (g[1] + slack) % two_k <= 0.5 * two_k + 2.0 * slack)[1]
-    return potentials.on_line(spec, beta), beta, beta == 0.5 * two_k
+    return beta, beta == 0.5 * two_k
 
 
 def _propagate(spec, energies):
@@ -382,8 +382,8 @@ def _propagate(spec, energies):
     (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
     The ODE is linear and the potential is shared across a batch, so
-    :func:`solve_ivp` takes V (``potentials.compiled_value_fn`` of the
-    line) and the batch's energies, and evaluates V once per stage
+    :func:`solve_ivp` takes V (``potentials.compiled_value_fn`` of the spec
+    on beta*) and the batch's energies, and evaluates V once per stage
     regardless of batch size.
     A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
     (real and even on the real axis, PT-invariant on i x + beta), so at real
@@ -409,9 +409,9 @@ def _propagate(spec, energies):
     axis 1, the checked defects |det - 1| and the integrator stats:
     steps and RHS calls summed over the batches, the largest defect.
     """
-    line, _, real = _line(spec)
-    f = potentials.compiled_value_fn(line)
-    L = line.period
+    beta, real = _line(spec)
+    f = potentials.compiled_value_fn(spec, beta)
+    L = spec.period
     half = potentials.normal_form(spec).kind != "custom"
     dtype = float if real else complex
     end = 0.5 * L if half else L
@@ -666,7 +666,7 @@ def default_energy_range(spec) -> tuple[float, float]:
     (:func:`integration_beta`; Delta, and so every edge, is the same on every
     line, but V near a pole of the user's line is not) and a = b = 0 for a
     custom potential."""
-    f = potentials.compiled_value_fn(_line(spec)[0])
+    f = potentials.compiled_value_fn(spec, _line(spec)[0])
     vmax = float(np.max(f(np.linspace(0.0, spec.period, 129, endpoint=False)).real))
     form = potentials.normal_form(spec)
     if form.m is None:

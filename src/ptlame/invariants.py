@@ -104,7 +104,7 @@ def _imaginary_shift(m, beta):
         mod = ell.modulus(mm)
         for x in np.linspace(0.1, 1.9, 10):
             rhs = ell.jacobi_complex(1j * x + mod.Kprime + 1j * mod.K, 1.0 - mm).dn
-            worst = max(worst, abs(math.sqrt(mm) * ell.jacobi_real(x, mm).sn + rhs))
+            worst = max(worst, abs(math.sqrt(mm) * ell.jacobi_triple(mm)(float(x))[0] + rhs))
     return worst
 
 

@@ -9,14 +9,13 @@ of the wrapped spec); ``build`` composes the paper's constructions.
 Jacobi-function expression of V and the closed-form data that survive the
 wrappers; every structural question reads it.  ``compiled_value_fn``
 evaluates a spec to complex values at real x, a float or a whole float
-ndarray in one numpy pass; specs are analytic in x, which the Floquet engine
-and the closed-form machinery both rely on.
+ndarray in one numpy pass, on its own line or, for a PT spec, on any other;
+specs are analytic in x, which the Floquet engine and the closed forms use.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ __all__ = [
     "normal_form",
     "predicted_edges",
     "ground_state",
-    "on_line",
     "pole_lines",
 ]
 
@@ -124,14 +122,7 @@ class PTTransform(PotentialSpec):
                                  " expression to continue onto the line i x + beta")
         if inner.beta is not None:
             raise PotentialError("nested PT transforms are not supported")
-        mod = ell.modulus(inner.m)
-        if not 0.0 < self.beta < 2.0 * mod.K:
-            raise PotentialError(f"beta={self.beta!r} outside (0, 2K) = (0, {2 * mod.K:.6g})")
-        names = ("sn pole line", "dn zero line")[: 1 + (inner.b >= 1)]
-        for k, r in enumerate(pole_lines(inner.poles, inner.m)):
-            if min(abs(self.beta - r), abs(2.0 * mod.K - r - self.beta)) < _BETA_POLE_MARGIN:
-                line = names[k] if k < len(names) else "zero line of the partner's ground state"
-                raise PotentialError(f"beta={self.beta!r} within {_BETA_POLE_MARGIN} of the {line}")
+        _check_line(inner, self.beta)
 
 
 @dataclass(frozen=True)
@@ -197,11 +188,12 @@ class Form(NamedTuple):
     set (a custom potential's ``g`` is its own function of x).  ``offset``
     moves the family's closed-form edge rows (PT rows when ``beta`` is set)
     onto the spec's energies, ``ground`` is the closed-form ground state as
-    (jet builder in the triple's argument, energy, sn**2 at its zeros); both
-    are None without closed forms.  ``partner`` marks a SUSY partner anywhere
-    in the tree.  ``poles`` holds sn**2 at the poles of g in the triple's
-    argument (inf at the poles of sn), and may hold a few more points, never
-    fewer; the Floquet engine keeps its integration line away from them.
+    (jet builder in the triple's argument, sn**2 at its zeros), its energy
+    the first edge row; both are None without closed forms.  ``partner``
+    marks a SUSY partner anywhere in the tree.  ``poles`` holds sn**2 at the
+    poles of g in the triple's argument (inf at the poles of sn), and may
+    hold a few more points, never fewer; the Floquet engine keeps its
+    integration line away from them.
     """
 
     kind: str
@@ -247,9 +239,7 @@ def normal_form(spec: PotentialSpec) -> Form:
         raise PotentialError(f"unrecognized spec {spec!r}")
     f = normal_form(spec.inner)
     if isinstance(spec, Shifted):
-        ground = None if f.ground is None else (f.ground[0], f.ground[1] - spec.c, f.ground[2])
-        return f._replace(shift=f.shift + spec.c, offset=None if f.offset is None else f.offset - spec.c,
-                          ground=ground)
+        return f._replace(shift=f.shift + spec.c, offset=None if f.offset is None else f.offset - spec.c)
     if isinstance(spec, PTTransform):
         closed = f.offset is not None
         bare = closed and f.shift == 0.0 and not f.partner
@@ -257,7 +247,7 @@ def normal_form(spec: PotentialSpec) -> Form:
             period=2.0 * ell.modulus(f.m).Kprime, sign=-f.sign, shift=-f.shift, beta=spec.beta,
             offset=spectra.ground_energy(f.kind, f.a, f.b, f.m, pt=True) - f.offset if closed else None,
             ground=spectra.ground_state_builder(f.kind, f.a, f.b, f.m, pt=True) if bare else None)
-    (builder, _, zeros), m = f.ground, f.m  # a SusyPartner, validated to have it
+    (builder, zeros), m = f.ground, f.m  # a SusyPartner, validated to have it
 
     def partner(s, c, d):
         # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
@@ -267,7 +257,7 @@ def normal_form(spec: PotentialSpec) -> Form:
         return 2.0 * r * r - j.d2 / j.f
 
     return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
-                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), 0.0, ()), partner=True,
+                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), ()), partner=True,
                       poles=f.poles + zeros)
 
 
@@ -291,48 +281,59 @@ def pole_lines(poles: tuple, m: float) -> tuple[float, ...]:
     return tuple(0.0 if math.isinf(w) else abs(ell.inverse_sn(cmath.sqrt(w), m).real) for w in poles)
 
 
+def _check_line(f: Form, beta: float) -> None:
+    """Raise PotentialError unless 0 < beta < 2K and the line i x + beta keeps
+    ``_BETA_POLE_MARGIN`` from each pole line of ``f``, a partner's among them."""
+    two_k = 2.0 * ell.modulus(f.m).K
+    if not 0.0 < beta < two_k:
+        raise PotentialError(f"beta={beta!r} outside (0, 2K) = (0, {two_k:.6g})")
+    names = ("sn pole line", "dn zero line")[: 1 + (f.b >= 1)]
+    for k, r in enumerate(pole_lines(f.poles, f.m)):
+        if min(abs(beta - r), abs(two_k - r - beta)) < _BETA_POLE_MARGIN:
+            line = names[k] if k < len(names) else "zero line of the partner's ground state"
+            raise PotentialError(f"beta={beta!r} within {_BETA_POLE_MARGIN} of the {line}")
+
+
 def ground_state(spec: PotentialSpec):
     """(jet builder, energy) of the spec's closed-form ground state.
 
     The builder maps (S, C, D) jets at the spec's Jacobi argument (real x,
-    or i x + beta under a PT transform) to the ground-state jet.
+    or i x + beta under a PT transform) to the ground-state jet; the energy
+    is the spec's first :func:`predicted_edges` row.
     """
     f = normal_form(spec)
     if f.offset is None:
         raise MissingGroundStateError(f"no closed forms for family {(f.kind, f.a, f.b)!r}")
     if f.ground is None:
         raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
-    return f.ground[:2]
+    return f.ground[0], predicted_edges(spec)[0][0]
 
 
-def on_line(spec: PotentialSpec, beta: float) -> PotentialSpec:
-    """The spec with its PT transform moved onto the line i x + beta; a spec
-    without one comes back equal to itself."""
-    if isinstance(spec, PTTransform):
-        return PTTransform(spec.inner, beta)
-    if isinstance(spec, (Shifted, SusyPartner)):
-        return dataclasses.replace(spec, inner=on_line(spec.inner, beta))
-    return spec
-
-
-def compiled_value_fn(spec: PotentialSpec):
+def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
     """Evaluator x -> V(x) at real x; the one way to evaluate a spec.
 
     x is a float, giving a Python complex, or a float ndarray, giving a
     complex array of its shape.  A Lame-family spec costs one real Landen
     pass per call, on the real axis or on the line of its PT transform, and
     an array takes that pass elementwise in numpy, so a grid is one call.
+    ``beta`` moves a PT spec's V onto the line i x + beta; a beta that
+    :func:`_check_line` rejects, or one given any other spec, raises
+    :class:`PotentialError`.
     The Floquet integrator calls it with a float once per DOP853 stage, as
     a step's 12 stage nodes cost more as one array.  A custom
     potential's callable is user code that may take only floats, so an array
     is fed to it point by point.
     """
     f = normal_form(spec)
+    if beta is not None:
+        if f.beta is None:
+            raise PotentialError("only a spec with a PT transform has a line i x + beta to move onto")
+        _check_line(f, beta)
     g, shift = f.g, f.shift
     if f.kind == "custom":
         pointwise = np.frompyfunc(g, 1, 1)  # hands g each element as a Python float
         return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
-    point = ell.jacobi_triple(f.m, f.beta)
+    point = ell.jacobi_triple(f.m, f.beta if beta is None else beta)
     if f.sign < 0.0:
         return lambda x: -g(*point(x)) - shift
     return lambda x: g(*point(x)) + 0j - shift

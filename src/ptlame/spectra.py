@@ -123,7 +123,7 @@ def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
 
 
 def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
-    """(jet builder, absolute ground energy, sn**2 at its zeros) for a family.
+    """(jet builder, sn**2 at its zeros) of a family's ground state (energy: :func:`ground_energy`).
 
     The builder maps (S, C, D) jets in the natural argument u (real for the
     plain potential, u = i x + beta for the PT version) to the ground-state
@@ -132,7 +132,7 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     two versions.  The zeros are where a SUSY partner built on it has poles.
     """
     state = edge_rows(kind, a, b, m, pt)[0][2]
-    return _builder(*state), ground_energy(kind, a, b, m, pt), _zeros(*state, m)
+    return _builder(*state), _zeros(*state, m)
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,8 @@ def dispersion_analytic(m: float, beta: float, E: float) -> DispersionPoint:
     |Re k| and |Im k|, so k = |Re| + i|Im|, with Im k below 1e-6 set to 0.
     Inside the open bands (0, m) and (1, inf) a larger Im k raises
     :class:`BranchResolutionError` rather than being silently patched.
+    beta does not enter k: Delta, and so k, is the same on every line
+    i x + beta; it stays an argument because its callers pass it.
     """
     mod = ell.modulus(m)
     g = 2.0 * math.pi / (2.0 * mod.Kprime)  # reciprocal lattice vector 2 pi / L

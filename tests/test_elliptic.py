@@ -54,36 +54,37 @@ class TestModulus:
 
 
 class TestJacobiReal:
+    """jacobi_triple(m) at a real float u: the Landen pass the integrator runs."""
+
     def test_origin(self):
-        jv = ell.jacobi_real(0.0, 0.5)
-        assert (jv.sn, jv.cn, jv.dn) == (0.0, 1.0, 1.0)
+        assert ell.jacobi_triple(0.5)(0.0) == (0.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("m", PARAMS)
     def test_quarter_period(self, m):
-        jv = ell.jacobi_real(ell.modulus(m).K, m)
-        assert abs(jv.sn - 1.0) < 1e-12
-        assert abs(jv.cn) < 1e-12
-        assert abs(jv.dn - math.sqrt(1.0 - m)) < 1e-12
+        sn, cn, dn = ell.jacobi_triple(m)(ell.modulus(m).K)
+        assert abs(sn - 1.0) < 1e-12
+        assert abs(cn) < 1e-12
+        assert abs(dn - math.sqrt(1.0 - m)) < 1e-12
 
     def test_frozen_point(self):
-        jv = ell.jacobi_real(0.7, 0.75)
-        assert abs(jv.sn - SN_07_075) < 1e-12
-        assert abs(jv.cn - CN_07_075) < 1e-12
-        assert abs(jv.dn - DN_07_075) < 1e-12
+        sn, cn, dn = ell.jacobi_triple(0.75)(0.7)
+        assert abs(sn - SN_07_075) < 1e-12
+        assert abs(cn - CN_07_075) < 1e-12
+        assert abs(dn - DN_07_075) < 1e-12
 
     def test_against_ode_oracle(self):
         for u, m in ((0.7, 0.75), (2.3, 0.25), (-1.1, 0.5), (5.7, 0.9)):
             s, c, d = jacobi_ode_real(u, m)
-            jv = ell.jacobi_real(u, m)
-            assert abs(jv.sn - s) < 1e-12
-            assert abs(jv.cn - c) < 1e-12
-            assert abs(jv.dn - d) < 1e-12
+            sn, cn, dn = ell.jacobi_triple(m)(u)
+            assert abs(sn - s) < 1e-12
+            assert abs(cn - c) < 1e-12
+            assert abs(dn - d) < 1e-12
 
     @pytest.mark.parametrize("m", PARAMS)
     def test_grid_vs_scipy(self, m):
         us = np.linspace(-7.3, 7.3, 41)
-        vals = [ell.jacobi_real(u, m) for u in us]
-        sn, cn, dn = (np.array([getattr(v, k) for v in vals]) for k in ("sn", "cn", "dn"))
+        point = ell.jacobi_triple(m)
+        sn, cn, dn = np.array([point(float(u)) for u in us]).T
         ss, cc, dd, _ = sp.ellipj(us, m)
         assert np.max(np.abs(sn - ss)) < 1e-12
         assert np.max(np.abs(cn - cc)) < 1e-12
@@ -94,10 +95,20 @@ class TestJacobiComplex:
     def test_real_axis_reduction(self):
         for u in (0.4, -1.7, 3.0):
             a = ell.jacobi_complex(complex(u), 0.6)
-            b = ell.jacobi_real(u, 0.6)
-            assert abs(a.sn - b.sn) < 1e-13
-            assert abs(a.cn - b.cn) < 1e-13
-            assert abs(a.dn - b.dn) < 1e-13
+            sn, cn, dn = ell.jacobi_triple(0.6)(u)
+            assert abs(a.sn - sn) < 1e-13
+            assert abs(a.cn - cn) < 1e-13
+            assert abs(a.dn - dn) < 1e-13
+
+    @pytest.mark.parametrize("m", [1e-6, 0.05, 0.3, 0.5, 0.75, 0.95, 1.0 - 1e-6])
+    def test_real_axis_is_the_landen_pass(self, m):
+        # on the real axis the addition formulas reduce to the Landen pass
+        # bit for bit (the imaginary-direction triple at 0 is (0, 1, 1)), so
+        # jacobi_triple is the one real-argument path
+        point = ell.jacobi_triple(m)
+        for u in np.linspace(-9.7, 9.7, 301):
+            jv = ell.jacobi_complex(float(u), m)
+            assert (jv.sn, jv.cn, jv.dn) == point(float(u)), u
 
     def test_frozen_point(self):
         jv = ell.jacobi_complex(0.3 + 0.4j, 0.75)
@@ -135,7 +146,7 @@ class TestJacobiComplex:
         # sqrt(m) sn(x, m) = -dn(i x + K'(m) + i K(m), 1 - m), sign as printed
         m = 0.5
         mod = ell.modulus(m)
-        lhs = math.sqrt(m) * ell.jacobi_real(x, m).sn
+        lhs = math.sqrt(m) * ell.jacobi_triple(m)(x)[0]
         rhs = ell.jacobi_complex(1j * x + mod.Kprime + 1j * mod.K, 1.0 - m).dn
         assert abs(lhs + rhs) < 1e-10
 
@@ -143,7 +154,7 @@ class TestJacobiComplex:
         for m in (0.25, 0.6, 0.75):
             mod = ell.modulus(m)
             for x in np.linspace(-2.0, 2.0, 50):
-                lhs = math.sqrt(m) * ell.jacobi_real(float(x), m).sn
+                lhs = math.sqrt(m) * ell.jacobi_triple(m)(float(x))[0]
                 rhs = ell.jacobi_complex(1j * float(x) + mod.Kprime + 1j * mod.K, 1.0 - m).dn
                 assert abs(lhs + rhs) < 1e-10
 
@@ -355,9 +366,10 @@ class TestLanden:
         m = 0.6
         alpha, mt = ell.landen_descend(m)
         mod = ell.modulus(m)
-        for x in [0.37] + list(np.linspace(-1.5, 1.5, 20)):
-            lhs = ell.jacobi_real(x, m).dn + ell.jacobi_real(x + mod.K, m).dn
-            rhs = ell.jacobi_real(x / alpha, mt).dn / alpha
+        point, descended = ell.jacobi_triple(m), ell.jacobi_triple(mt)
+        for x in [0.37] + [float(x) for x in np.linspace(-1.5, 1.5, 20)]:
+            lhs = point(x)[2] + point(x + mod.K)[2]
+            rhs = descended(x / alpha)[2] / alpha
             assert abs(lhs - rhs) < 1e-11
 
 

@@ -36,7 +36,7 @@ def _count_batches(monkeypatch):
 def _half_period(spec, E):
     """A plain DOP853 run over [0, L/2] on the spec's integration line,
     storing its trajectory."""
-    f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+    f = pot.compiled_value_fn(spec, flq.integration_beta(spec))
 
     def rhs(x, y):
         return np.concatenate([y[2:], (f(x) - E) * y[:2]])
@@ -74,7 +74,7 @@ def _complex_line_specs(m=M, beta=BETA):
 def _as_custom(spec):
     """The spec's integration line as a custom potential, integrated over the
     whole period in complex128."""
-    return pot.CustomPotential(pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec))), spec.period)
+    return pot.CustomPotential(pot.compiled_value_fn(spec, flq.integration_beta(spec)), spec.period)
 
 
 def _a1_spec(m=M, beta=BETA):
@@ -163,7 +163,7 @@ class TestMonodromy:
         # V(x + L/3) is not symmetric about 0, so it is integrated over the
         # whole period, from a base point L/3 along the same line
         spec = _a1_spec()
-        f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+        f = pot.compiled_value_fn(spec, flq.integration_beta(spec))
         shifted = pot.CustomPotential(lambda x: f(x + spec.period / 3.0), spec.period)
         a = flq.monodromy(spec, 0.4)
         b = flq.monodromy(shifted, 0.4)
@@ -184,7 +184,7 @@ class TestHalfPeriod:
     def test_potentials_are_symmetric_on_their_line(self, m, beta):
         real = [pot.Lame(1, m), pot.Lame(2, m), pot.Lame(3, m), pot.AssociatedLame(2, 1, m)]
         for spec in list(inv.specs(m, beta).values()) + real:
-            f = pot.compiled_value_fn(pot.on_line(spec, flq.integration_beta(spec)))
+            f = pot.compiled_value_fn(spec, flq.integration_beta(spec))
             for x in np.linspace(0.0, spec.period, 17):
                 v = f(x)
                 assert abs(f(-x) - v.conjugate()) <= 1e-13 * abs(v)
@@ -222,9 +222,9 @@ class TestHalfPeriod:
         # on Re u = K, V is real to rounding, so the engine can drop its
         # imaginary part there too
         for spec in _k_line_specs(m):
-            line, beta, real = flq._line(spec)
+            beta, real = flq._line(spec)
             assert real and beta == ell.modulus(m).K
-            f = pot.compiled_value_fn(line)
+            f = pot.compiled_value_fn(spec, beta)
             vs = np.array([f(x) for x in np.linspace(-spec.period, 2.0 * spec.period, 301)])
             assert np.max(np.abs(vs.imag)) <= 1e-14 * np.max(np.abs(vs))
 
@@ -316,8 +316,8 @@ class TestStepper:
         calls, stats = [], []
         compiled, propagate = pot.compiled_value_fn, flq._propagate
 
-        def counted(spec):
-            f = compiled(spec)
+        def counted(spec, beta=None):
+            f = compiled(spec, beta)
 
             def v(x):
                 calls.append(x)
@@ -904,7 +904,7 @@ class TestIntegrationLine:
         # near it and blow V up
         def vmax(spec, b):
             try:
-                f = pot.compiled_value_fn(pot.on_line(spec, float(b)))
+                f = pot.compiled_value_fn(spec, float(b))
             except pot.PotentialError:  # a line through a pole
                 return math.inf
             return max(abs(f(x)) for x in np.linspace(0.0, spec.period, 48, endpoint=False))
@@ -915,14 +915,14 @@ class TestIntegrationLine:
             assert vmax(spec, flq.integration_beta(spec)) < 2.0 * best
 
     def test_line_costs_no_potential_calls(self, monkeypatch):
-        # the line comes from the pole geometry alone, and rebuilding a
-        # partner's PT transform on it samples nothing; V is evaluated only
+        # the line comes from the pole geometry alone and the spec is not
+        # rebuilt on it, so choosing it samples nothing; V is evaluated only
         # inside integrations
         calls = []
         compiled = pot.compiled_value_fn
 
-        def counted(spec):
-            f = compiled(spec)
+        def counted(spec, beta=None):
+            f = compiled(spec, beta)
             return lambda x: calls.append(x) or f(x)
 
         monkeypatch.setattr(pot, "compiled_value_fn", counted)

@@ -132,8 +132,8 @@ class TestEvaluation:
     def test_associated_matches_formula(self):
         f = pot.compiled_value_fn(pot.AssociatedLame(2, 1, M))
         for x in (0.3, 1.1, 2.9):
-            jv = ell.jacobi_real(x, M)
-            ref = 6 * M * jv.sn**2 + 2 * M * (jv.cn / jv.dn) ** 2
+            sn, cn, dn = ell.jacobi_triple(M)(x)
+            ref = 6 * M * sn**2 + 2 * M * (cn / dn) ** 2
             assert abs(f(x) - ref) < 1e-13
 
     def test_shifted_pt_matches_figure_normalization(self):
@@ -141,7 +141,7 @@ class TestEvaluation:
         eg = spc.ground_energy("lame", 3, 0, M, pt=True)
         assert abs(eg + 10.75) < 1e-14
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), eg)
-        sn0 = ell.jacobi_real(BETA, M).sn
+        sn0 = ell.jacobi_triple(M)(BETA)[0]
         v0 = pot.compiled_value_fn(spec)(0.0)
         assert abs(v0 - (-12 * M * sn0**2 + 10.75)) < 1e-12
         assert abs(v0.imag) < 1e-12
@@ -245,14 +245,44 @@ class TestEvaluation:
         # the default range adds no a(a+1) m term for it
         assert flq.default_energy_range(spec) == (-1.0, 6.0)
 
-    def test_on_line_moves_only_the_pt_transform(self):
-        def build(beta):
-            src = pot.Shifted(pot.PTTransform(pot.Lame(3, M), beta), spc.ground_energy("lame", 3, 0, M, pt=True))
-            return pot.Shifted(pot.SusyPartner(src), 0.25)
+    def test_line_argument_is_the_spec_built_on_that_line(self):
+        # compiled_value_fn(spec, b) gives, bit for bit, V of the same spec
+        # built with pot.build on the line i x + b
+        def built(key, m, b):
+            if key == "a3-exchanged":
+                return pot.build(3, 0, m, b, ["partner", "pt"], True)
+            return pot.build(*key[1:3], m, b, ["pt", "partner"][: len(key) - 2], True)
 
-        assert pot.on_line(build(BETA), 1.3) == build(1.3)
-        real = pot.Shifted(pot.Lame(3, M), 1.0)
-        assert pot.on_line(real, 1.3) == real
+        for m in (M, 0.3):
+            for key, spec in inv.specs(m, BETA).items():
+                assert built(key, m, BETA) == spec
+                xs = _grid(spec, 64)
+                for b in (0.3, 0.9, 1.5):
+                    f, g = pot.compiled_value_fn(spec, b), pot.compiled_value_fn(built(key, m, b))
+                    assert np.array_equal(f(xs), g(xs)), (m, key, b)
+                    assert [f(float(x)) for x in xs[::8]] == [g(float(x)) for x in xs[::8]], (m, key, b)
+
+        # it rejects what PTTransform rejects, by the same check, against
+        # every pole line of the spec: a partner's zero lines too
+        s, K = inv.specs(M, BETA), ell.modulus(M).K
+        for spec in (pot.Lame(3, M), pot.Shifted(pot.Lame(3, M), 1.0), pot.CustomPotential(math.cos, 2 * math.pi)):
+            with pytest.raises(pot.PotentialError, match="only a spec with a PT transform"):
+                pot.compiled_value_fn(spec, BETA)
+        a3, a3p, a21 = s[("lame", 3, 0)], s[("lame", 3, 0, "partner")], s[("assoc", 2, 1)]
+        for b in (0.0, -0.3, 2.0 * K, 2.0 * K + 0.3):
+            with pytest.raises(pot.PotentialError, match="outside"):
+                pot.compiled_value_fn(a3, b)
+        for b in (5e-5, 2.0 * K - 5e-5):
+            with pytest.raises(pot.PotentialError, match="sn pole line"):
+                pot.compiled_value_fn(a3, b)
+        with pytest.raises(pot.PotentialError, match="dn zero line"):
+            pot.compiled_value_fn(a21, K + 5e-5)
+        r = pot.pole_lines(pot.normal_form(a3p).poles, M)[-1]  # the a=3 PT ground state's zeros
+        assert 0.1 < r < K - 0.1
+        for b in (r - 5e-5, r + 5e-5, 2.0 * K - r + 5e-5):
+            pot.compiled_value_fn(a3, b)
+            with pytest.raises(pot.PotentialError, match="zero line of the partner's ground state"):
+                pot.compiled_value_fn(a3p, b)
 
 
 class TestArrayEvaluation:
@@ -308,11 +338,11 @@ class TestGroundStateLogDerivative:
     def test_a1_value_at_origin_is_pure_imaginary(self):
         src = pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))
         builder, energy = pot.ground_state(src)
-        jv = ell.jacobi_real(BETA, M)
-        j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))
+        sn, cn, dn = ell.jacobi_triple(M)(BETA)
+        j = builder(*ell.jets_from_scd(sn, cn, dn, M))
         got = -1j * j.d1 / j.f  # x = 0 is u = beta, and d/dx = i d/du
         assert abs(energy) < 1e-12
-        assert abs(got - (-1j * jv.cn * jv.dn / jv.sn)) < 1e-13
+        assert abs(got - (-1j * cn * dn / sn)) < 1e-13
         assert abs(got.real) < 1e-13
 
     @pytest.mark.parametrize("kind,a,b", [("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)])
