@@ -1,15 +1,19 @@
 """Command-line surface: sampling, edge tables, scans, dispersion, selfcheck.
 
-Each command declares only the options it reads and emits CSV or JSON
-(``--format``, to ``--out``) under a metadata header: its options as parsed
-or resolved (all but ``--format``/``--out``), then its results (for
-``edges``, ``scan`` and ``dispersion`` also ``integration_beta``, the line
-the Floquet engine integrated on, and for every command that integrates the
-tolerances it integrated at).  ``edges`` pairs each closed-form edge with
-its nearest row of any class or multiplicity, the first on a tie, and
-passes when the pairs are distinct simple edges of their edges' classes,
-the 2a + 1 simple edges are all found and every pair is within ``--tol``.
-Exit codes: 0 = ok, 2 = configuration error, 3 = verification failure,
+Each command declares only the options it reads and returns (columns,
+results, passed), with ``passed`` None when it checks nothing.
+:func:`main` alone writes the table, CSV or JSON (``--format``, to
+``--out``), under a metadata header: the options as parsed or resolved (all
+but ``--format``/``--out``), the results (for ``edges``, ``scan`` and
+``dispersion`` also ``integration_beta``, the line the Floquet engine
+integrated on, and for every command that integrates the tolerances it
+integrated at) and last, unless ``passed`` is None, ``verdict=PASS`` or
+``verdict=FAIL``.  ``edges`` pairs each closed-form edge with its nearest
+row of any class or multiplicity (2 for a closed gap), the first on a tie,
+and passes when the pairs are distinct simple edges of their edges'
+classes, the 2a + 1 simple edges are all found and every pair is within
+``--tol``.
+Exit codes: 0 = ok, 2 = configuration error, 3 = verdict FAIL,
 4 = integration error (``FloquetIntegrationError``), so CI can gate
 directly on the cross-checks.
 ``selfcheck`` runs the invariant registry (:mod:`ptlame.invariants`) at
@@ -100,63 +104,47 @@ def _energy_range(args, lo, hi) -> tuple[float, float]:
     return args.emin, args.emax
 
 
-def cmd_sample_potential(args) -> int:
+def cmd_sample_potential(args):
     spec = build_spec(args)
     n = _samples(args, 1)
     L = spec.period
     xs = np.linspace(0.0, 2.0 * L, 2 * n, endpoint=False)
     vals = pot.compiled_value_fn(spec)(xs)
-    _write_table(args, [("x", xs.tolist()), ("re_v", vals.real.tolist()), ("im_v", vals.imag.tolist())],
-                 {"period": L})
-    return 0
+    return [("x", xs.tolist()), ("re_v", vals.real.tolist()), ("im_v", vals.imag.tolist())], {"period": L}, None
 
 
-def cmd_edges(args) -> int:
+def cmd_edges(args):
     spec = build_spec(args)
     predicted = pot.predicted_edges(spec)
-    if predicted is not None:
-        lo = min(e for e, _ in predicted) - 0.5
-        hi = max(e for e, _ in predicted) + 0.5
-    else:
-        lo, hi = flq.default_energy_range(spec)
+    lo, hi = (predicted[0][0] - 0.5, predicted[-1][0] + 0.5) if predicted else flq.default_energy_range(spec)
     found = flq.find_band_edges(spec, *_energy_range(args, lo, hi))
     # each closed-form edge's pair is its nearest row of any class or
     # multiplicity, the first on a tie, as the benchmark's check pairs them
     nearest = [(min(range(len(found)), key=lambda i: abs(found[i].energy - ea), default=None), ea, period_class)
                for ea, period_class in predicted or []]
     pairs = {i: ea for i, ea, _ in nearest}
-
-    idx, eana, enum, diff, disc, cls = [], [], [], [], [], []
-    max_diff = 0.0
-    # every family with a >= 1 has 2a + 1 simple edges, with closed forms or not
+    diff = [abs(pairs[i] - e.energy) if i in pairs else math.nan for i, e in enumerate(found)]
+    max_diff = max((diff[i] for i in pairs if i is not None), default=0.0)
+    # a PASS needs 2a + 1 simple edges, which every family with a >= 1 has,
+    # with closed forms or not, and distinct pairs, each a simple edge of its
+    # closed-form edge's class within --tol
     expected = flq.simple_edge_count(spec)
-    simple = sum(1 for e in found if e.multiplicity == 1)
-    # and the pairs are distinct, each a simple edge of its closed-form edge's class
-    count_ok = (expected is None or simple == expected) and len(pairs) == len(nearest) and all(
-        i is not None and found[i].multiplicity == 1 and found[i].period_class == c for i, _, c in nearest)
-    for i, e in enumerate(found):
-        idx.append(i)
-        enum.append(e.energy)
-        disc.append(e.discriminant.real)
-        cls.append(e.period_class)
-        if i in pairs:
-            ea = pairs[i]
-            eana.append(_fmt(ea))
-            diff.append(abs(ea - e.energy))
-            max_diff = max(max_diff, abs(ea - e.energy))
-        else:
-            eana.append("")
-            diff.append(float("nan"))
-    passed = count_ok and (predicted is None or max_diff < args.tol)
-    verdict = "PASS" if passed else "FAIL"
-    _write_table(args, [("index", idx), ("energy_analytic", eana), ("energy_numeric", enum),
-                        ("abs_diff", diff), ("discriminant", disc), ("period_class", cls)],
-                 {**_integrator_meta(), "verdict": verdict, "max_abs_diff": max_diff,
-                  "analytic_available": predicted is not None, "integration_beta": flq.integration_beta(spec)})
-    return 0 if passed else 3
+    passed = ((expected is None or sum(e.multiplicity == 1 for e in found) == expected)
+              and len(pairs) == len(nearest) and max_diff < args.tol
+              and all(i is not None and found[i].multiplicity == 1 and found[i].period_class == c
+                      for i, _, c in nearest))
+    return ([("index", list(range(len(found)))),
+             ("energy_analytic", [_fmt(pairs[i]) if i in pairs else "" for i in range(len(found))]),
+             ("energy_numeric", [e.energy for e in found]), ("abs_diff", diff),
+             ("discriminant", [e.discriminant.real for e in found]),
+             ("period_class", [e.period_class for e in found]),
+             ("multiplicity", [e.multiplicity for e in found])],
+            {**_integrator_meta(), "max_abs_diff": max_diff, "analytic_available": predicted is not None,
+             "integration_beta": flq.integration_beta(spec)},
+            passed)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     if args.paired and (args.ops != ["pt"] or args.b != 0 or args.shift_zero):
         raise ConfigError("--paired requires a plain PT Lame spec (--pt, b=0, no partner/shift)")
     spec = build_spec(args)
@@ -169,23 +157,19 @@ def cmd_scan(args) -> int:
             ("im_delta", scan.discriminants.imag.tolist())]
     meta = {**_integrator_meta(), "im_flags": int(scan.im_flags.sum()),
             "integration_beta": flq.integration_beta(spec)}
-    rc = 0
-    if args.paired:
-        dual = pot.Lame(args.a, 1.0 - args.m)
-        shift = args.a * (args.a + 1)
-        dual_scan = flq.discriminant_scan(dual, emin + shift, emax + shift, n)
-        dd = dual_scan.discriminants
-        cols += [("re_delta_dual", dd.real.tolist()), ("im_delta_dual", dd.imag.tolist()),
-                 ("abs_diff", np.abs(scan.discriminants - dd).tolist())]
-        max_diff = float(np.max(np.abs(scan.discriminants - dd)))
-        meta["paired_max_abs_diff"] = max_diff
-        meta["verdict"] = "PASS" if max_diff < args.tol else "FAIL"
-        rc = 0 if max_diff < args.tol else 3
-    _write_table(args, cols, meta)
-    return rc
+    if not args.paired:
+        return cols, meta, None
+    dual = pot.Lame(args.a, 1.0 - args.m)
+    shift = args.a * (args.a + 1)
+    dd = flq.discriminant_scan(dual, emin + shift, emax + shift, n).discriminants
+    diffs = np.abs(scan.discriminants - dd)
+    cols += [("re_delta_dual", dd.real.tolist()), ("im_delta_dual", dd.imag.tolist()),
+             ("abs_diff", diffs.tolist())]
+    meta["paired_max_abs_diff"] = max_diff = float(np.max(diffs))
+    return cols, meta, max_diff < args.tol
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args):
     spec = build_spec(args)
     predicted = pot.predicted_edges(spec)
     base0 = predicted[0][0] if predicted else 0.0
@@ -205,18 +189,18 @@ def cmd_dispersion(args) -> int:
         ka_re = ka_im = [""] * n
         diffs = np.full(n, np.nan)
     max_diff = float(diffs.max()) if analytic else 0.0
-    _write_table(args, [("e", es.tolist()), ("k_numeric_re", kn.real.tolist()), ("k_numeric_im", kn.imag.tolist()),
-                        ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", diffs.tolist())],
-                 {**_integrator_meta(), "analytic_available": analytic, "max_abs_diff": max_diff,
-                  "integration_beta": flq.integration_beta(spec)})
-    return 0 if not analytic or max_diff < args.tol else 3
+    return ([("e", es.tolist()), ("k_numeric_re", kn.real.tolist()), ("k_numeric_im", kn.imag.tolist()),
+             ("k_analytic_re", ka_re), ("k_analytic_im", ka_im), ("abs_diff", diffs.tolist())],
+            {**_integrator_meta(), "analytic_available": analytic, "max_abs_diff": max_diff,
+             "integration_beta": flq.integration_beta(spec)},
+            max_diff < args.tol if analytic else None)
 
 
 # ---------------------------------------------------------------------------
 # selfcheck
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args):
     # every spec the registry reads is built before the first check, so an
     # unusable (m, beta) is a configuration error, not a failure mid-run
     try:
@@ -225,11 +209,10 @@ def cmd_selfcheck(args) -> int:
         raise ConfigError(str(exc)) from exc
     results = inv.run(inv.REGISTRY, args.m, args.beta)
     name, value, tol, ok, seconds = zip(*results)
-    verdict = "PASS" if all(ok) else "FAIL"
-    _write_table(args, [("name", name), ("value", value), ("tol", tol),
-                        ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
-                 {**_integrator_meta(), "verdict": verdict, "passed": sum(ok), "total": len(ok)})
-    return 0 if verdict == "PASS" else 3
+    return ([("name", name), ("value", value), ("tol", tol),
+             ("verdict", ["PASS" if o else "FAIL" for o in ok]), ("seconds", seconds)],
+            {**_integrator_meta(), "passed": sum(ok), "total": len(ok)},
+            all(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +274,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a command that checks something gets a ``verdict``
+    as its header's last entry, and a FAIL exits 3."""
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        columns, results, passed = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except flq.FloquetIntegrationError as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return 4
+    if passed is not None:
+        results["verdict"] = "PASS" if passed else "FAIL"
+    _write_table(args, columns, results)
+    return 3 if results.get("verdict") == "FAIL" else 0
 
 
 if __name__ == "__main__":

@@ -409,15 +409,6 @@ class Jet2:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet2(-self.f, -self.d1, -self.d2)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Jet2):
             return Jet2(
@@ -435,12 +426,7 @@ class Jet2:
         return Jet2(inv, -g1 * inv * inv, (2.0 * g1 * g1 - g * g2) * inv * inv * inv)
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return Jet2(self.f / other, self.d1 / other, self.d2 / other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
+        return self * other.reciprocal()
 
 
 def jets_from_scd(s, c, d, m: float) -> tuple[Jet2, Jet2, Jet2]:

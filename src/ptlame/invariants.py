@@ -121,7 +121,8 @@ def _eta_quasi_periodicity(m, beta):
 
 
 def _kprime_complement(m, beta):
-    return max(abs(ell.modulus(mm).Kprime - ell.modulus(1.0 - mm).K) / ell.modulus(mm).Kprime
+    # the AGM's K'(m) = K(1 - m) against Carlson's R_F(0, m, 1) (DLMF 19.25.1)
+    return max(abs(ell.modulus(mm).Kprime - ell._carlson_rf(0.0, mm, 1.0)) / ell.modulus(mm).Kprime
                for mm in _PARAMS)
 
 

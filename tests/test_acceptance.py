@@ -9,6 +9,7 @@ the two literal edge-table tests below read the same cached sets.
 
 import pytest
 
+from ptlame import elliptic as ell
 from ptlame import invariants as inv
 from ptlame import spectra as spc
 
@@ -44,3 +45,18 @@ def test_beta_independence_fails_where_the_user_line_cannot_be_integrated():
     row = next(r for r in inv.REGISTRY if r.name == "beta-independence")
     [(_, value, _, ok, _)] = inv.run([row], M, 1e-3)
     assert value == float("inf") and not ok
+
+
+def test_kprime_row_fails_on_a_wrong_agm(monkeypatch):
+    # K'(m) from the AGM is checked against Carlson's R_F(0, m, 1), an
+    # independent algorithm: a 1e-12 relative error in complete_K fails it
+    row = next(r for r in inv.REGISTRY if r.name == "kprime-complementary-k")
+    complete_k = ell.complete_K
+    monkeypatch.setattr(ell, "complete_K", lambda m: complete_k(m) * (1.0 + 1e-12))
+    ell.modulus.cache_clear()
+    try:
+        [(_, value, _, ok, _)] = inv.run([row], M, BETA)
+    finally:
+        monkeypatch.undo()
+        ell.modulus.cache_clear()
+    assert value > 5e-13 and not ok

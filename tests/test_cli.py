@@ -184,15 +184,8 @@ class TestEdges:
 
     def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
         # Lame potentials with a = 2, 4, 5, 6 and 7 and the (4,1) and (4,3)
-        # potentials have no closed-form table; over the default range their
-        # 2a + 1 simple edges are found and the count passes (at a = 6 and
-        # a = 4, a closed-gap bound scaled by the piece's largest M21
-        # coefficient found 12 and 8; on (4,1), a closed gap that absorbed only
-        # the column roots within 1e-5 of it left two more, 11; a = 7 at
-        # m = 0.75 and a = 5 at m = 0.9 exited 1, "series not resolved", while
-        # a series on its flat noise floor was not accepted; (4,3) at m = 0.5
-        # exited 3 with 8, three P edges within 2.8e-5, while edges were the
-        # roots of Delta -+ 2)
+        # potentials have no closed-form table; over the default range each
+        # finds its 2a + 1 simple edges, and the count passes
         found = []
         find = flq.find_band_edges
 
@@ -326,6 +319,18 @@ class TestEdges:
         header = _header(_read_csv(out)[0])
         top = max(e for e, _ in pot.predicted_edges(build_spec(_edges_args("--a", "3", "--pt", "--shift-zero"))))
         assert (float(header["emin"]), float(header["emax"])) == (-0.5, top + 0.5)
+
+    def test_closed_gap_row_has_multiplicity_two(self, tmp_path):
+        # the real (2,1) potential's closed P gap near E = 5.78996 is one row
+        # of multiplicity 2, beside its five simple edges
+        out = tmp_path / "edges.csv"
+        assert cli.main(["edges", "--a", "2", "--b", "1", "--m", "0.75", "--out", str(out)]) == 0
+        _, cols = _read_csv(out)
+        assert list(cols)[-2:] == ["period_class", "multiplicity"]
+        [(e, c)] = [(float(e), c) for e, c, k in zip(cols["energy_numeric"], cols["period_class"], cols["multiplicity"])
+                    if k == "2"]
+        assert abs(e - 5.78996) < 1e-5 and c == "P"
+        assert cols["multiplicity"].count("1") == 5
 
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["edges", "--a", "1", "--b", "3"]) == 2
@@ -617,3 +622,45 @@ class TestSelfcheck:
         assert cli.main(["selfcheck", "--beta", "2.1565156474996434"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "dn zero line" in err
+
+
+class TestVerdict:
+    """`main` alone writes the verdict: a command that checks something ends
+    its header with ``verdict=PASS`` or ``verdict=FAIL`` and exits 3 on FAIL;
+    a command that checks nothing states none."""
+
+    CHECKED = {
+        "edges": ["edges", "--a", "1", "--pt", "--shift-zero"],
+        "paired-scan": ["scan", "--a", "1", "--pt", "--paired", "--emin", "-2.4", "--emax", "0.3", "--n", "24"],
+        "dispersion": ["dispersion", "--a", "1", "--pt", "--shift-zero", "--emin", "0", "--emax", "3"],
+    }
+
+    @staticmethod
+    def _meta(argv, tmp_path):
+        out = tmp_path / "out.csv"
+        rc = cli.main([*argv, "--out", str(out)])
+        return rc, _read_csv(out)[0]
+
+    @pytest.mark.parametrize("command", [*CHECKED, "selfcheck"])
+    def test_checked_header_ends_with_the_verdict(self, command, tmp_path, monkeypatch):
+        monkeypatch.setattr(inv, "REGISTRY", tuple(r for r in inv.REGISTRY if r.name in CHEAP_ROWS))
+        rc, meta = self._meta(self.CHECKED.get(command, ["selfcheck"]), tmp_path)
+        assert rc == 0 and meta.endswith(" verdict=PASS") and meta.count("verdict=") == 1
+
+    @pytest.mark.parametrize("command", [*CHECKED, "selfcheck"])
+    def test_failed_check_ends_with_fail_and_exits_3(self, command, tmp_path, monkeypatch):
+        # no comparison is within 1e-300, and a selfcheck row that reads 1
+        # against 0.5 fails
+        monkeypatch.setattr(inv, "REGISTRY", (inv.Invariant("always-fails", lambda m, beta: 1.0, 0.5),))
+        argv = [*self.CHECKED[command], "--tol", "1e-300"] if command in self.CHECKED else ["selfcheck"]
+        rc, meta = self._meta(argv, tmp_path)
+        assert rc == 3 and meta.endswith(" verdict=FAIL") and meta.count("verdict=") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-potential", "--n", "4"],
+        ["scan", "--a", "1", "--pt", "--emin", "-2.2", "--emax", "0.2", "--n", "6"],
+        ["dispersion", "--a", "2", "--pt", "--emin", "-5.5", "--emax", "-5.0", "--n", "4"],
+    ], ids=["sample-potential", "unpaired-scan", "dispersion-without-closed-form"])
+    def test_unchecked_commands_state_no_verdict(self, argv, tmp_path):
+        rc, meta = self._meta(argv, tmp_path)
+        assert rc == 0 and "verdict" not in meta

@@ -389,8 +389,8 @@ class TestJets:
 
     def test_reciprocal_and_scalar_ops(self):
         j = ell.Jet2(2.0, 3.0, 4.0)
-        r = 1.0 / j
+        r = j.reciprocal()
         assert abs(r.f - 0.5) < 1e-15
         assert abs(r.d1 + 3.0 / 4.0) < 1e-15
-        two = (j + j) - j
-        assert (two.f, two.d1, two.d2) == (j.f, j.d1, j.d2)
+        two = j + j
+        assert (two.f, two.d1, two.d2) == (2 * j.f, 2 * j.d1, 2 * j.d2)
