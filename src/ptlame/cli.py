@@ -177,8 +177,7 @@ def cmd_dispersion(args):
     n = _samples(args, 1)
     # the analytic dispersion covers the a=1 PT potential, in the basis
     # shifted so its ground edge is zero
-    form = pot.normal_form(spec)
-    analytic = (form.kind, form.a, form.b) == ("lame", 1, 0) and form.beta is not None and not form.partner
+    analytic = (spec.kind, spec.a, spec.b) == ("lame", 1, 0) and spec.beta is not None and not spec.partner
     es = np.linspace(emin, emax, n)
     kn = flq.dispersion_numeric(spec, es)
     if analytic:

@@ -363,11 +363,10 @@ def _line(spec):
     on the real axis.  V, even and 2K-periodic in its Jacobi argument u with
     real coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it
     is real on Re u = K; beta* is K exactly when every pole lies on Re u = 0."""
-    form = potentials.normal_form(spec)
-    if form.beta is None:
-        return None, form.kind != "custom"
-    two_k = 2.0 * ell.modulus(form.m).K
-    ends = sorted({x % two_k for r in potentials.pole_lines(form.poles, form.m) for x in (r, -r)})
+    if spec.beta is None:
+        return None, spec.kind != "custom"
+    two_k = 2.0 * ell.modulus(spec.m).K
+    ends = sorted({x % two_k for r in potentials.pole_lines(spec.poles, spec.m) for x in (r, -r)})
     gaps = [(hi - lo, 0.5 * (lo + hi) % two_k) for lo, hi in zip(ends, ends[1:] + [ends[0] + two_k])]
     # x -> -x maps the gaps onto themselves, so each has a mirror twin as wide
     # up to rounding; of the two, the one centred in [0, K] is chosen
@@ -412,7 +411,7 @@ def _propagate(spec, energies):
     beta, real = _line(spec)
     f = potentials.compiled_value_fn(spec, beta)
     L = spec.period
-    half = potentials.normal_form(spec).kind != "custom"
+    half = spec.kind != "custom"
     dtype = float if real else complex
     end = 0.5 * L if half else L
     energies = np.asarray(energies, dtype=float)
@@ -635,8 +634,7 @@ def simple_edge_count(spec) -> int | None:
     """2a + 1, the simple band edges of a spec whose base family has a >= 1:
     the (a, b) associated Lame potential is finite-gap, with a open gaps
     (closed gaps are the other edges); None for a = 0 and a custom potential."""
-    a = potentials.normal_form(spec).a  # 0 for a custom potential
-    return 2 * a + 1 if a >= 1 else None
+    return 2 * spec.a + 1 if spec.a >= 1 else None  # a = 0 for a custom potential
 
 
 def dispersion_numeric(spec, energies) -> np.ndarray:
@@ -668,8 +666,7 @@ def default_energy_range(spec) -> tuple[float, float]:
     custom potential."""
     f = potentials.compiled_value_fn(spec, _line(spec)[0])
     vmax = float(np.max(f(np.linspace(0.0, spec.period, 129, endpoint=False)).real))
-    form = potentials.normal_form(spec)
-    if form.m is None:
+    if spec.m is None:
         return (-1.0, vmax + 5.0)
-    a, b = form.a, form.b
-    return (-1.0, vmax + (a * (a + 1) + b * (b + 1)) * form.m + ((a + b) * math.pi / spec.period) ** 2 + 5.0)
+    a, b = spec.a, spec.b
+    return (-1.0, vmax + (a * (a + 1) + b * (b + 1)) * spec.m + ((a + b) * math.pi / spec.period) ** 2 + 5.0)

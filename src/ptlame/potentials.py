@@ -1,16 +1,19 @@
 """Composable Lame-family potentials and their PT / SUSY constructions.
 
-A potential spec is an immutable tree: a base potential (``AssociatedLame``,
-of which ``Lame`` is the b = 0 case) wrapped by any of ``Shifted`` (constant
-subtraction), ``PTTransform`` (x -> i x + beta together with an overall sign
-flip), and ``SusyPartner`` (W**2 + W' built from the zero-energy ground state
-of the wrapped spec); ``build`` composes the paper's constructions.
-``normal_form`` reduces a tree to its base family, the
+A potential spec is a record, :class:`PotentialSpec`: the base family, the
 Jacobi-function expression of V and the closed-form data that survive the
-wrappers; every structural question reads it.  ``compiled_value_fn``
-evaluates a spec to complex values at real x, a float or a whole float
-ndarray in one numpy pass, on its own line or, for a PT spec, on any other;
-specs are analytic in x, which the Floquet engine and the closed forms use.
+maps applied to it.  ``AssociatedLame`` (of which ``Lame`` is the b = 0
+case) and ``CustomPotential`` build one; ``Shifted`` (constant
+subtraction), ``PTTransform`` (x -> i x + beta together with an overall sign
+flip) and ``SusyPartner`` (W**2 + W' built from the zero-energy ground state
+of its argument) each map a spec to a new one, and ``build`` composes the
+paper's constructions.  A spec keeps no record of the maps that made it,
+and ``==`` is not structural: V and the ground state are closures made anew
+by each construction, so two constructions of one potential differ.
+``compiled_value_fn`` evaluates a spec to complex values at real x, a float
+or a whole float ndarray in one numpy pass, on its own line or, for a PT
+spec, on any other; specs are analytic in x, which the Floquet engine and
+the closed forms use.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,8 +42,6 @@ __all__ = [
     "CustomPotential",
     "build",
     "compiled_value_fn",
-    "Form",
-    "normal_form",
     "predicted_edges",
     "ground_state",
     "pole_lines",
@@ -58,98 +58,131 @@ class MissingGroundStateError(PotentialError):
     """No closed-form zero-energy ground state is registered for the spec."""
 
 
-class PotentialSpec:
-    """Base class; concrete specs are frozen dataclasses and hashable, so
-    their :func:`normal_form` is computed once."""
+class PotentialSpec(NamedTuple):
+    """A potential, as the constructors of this module build it.
 
-    @property
-    def m(self) -> float | None:
-        return normal_form(self).m
+    ``kind``, ``a``, ``b``, ``m`` name the base family ("lame", "assoc" or
+    "custom", whose ``m`` is None); V(x) = sign * g(sn, cn, dn) - shift with
+    the Jacobi triple at real x, or on the line i x + beta when ``beta`` is
+    set (a custom potential's ``g`` is its own function of x).  ``offset``
+    moves the family's closed-form edge rows (PT rows when ``beta`` is set)
+    onto the spec's energies, ``ground`` is the closed-form ground state as
+    (jet builder in the triple's argument, sn**2 at its zeros), its energy
+    the first edge row; both are None without closed forms.  ``partner``
+    marks a SUSY partner among the maps applied.  ``poles`` holds sn**2 at
+    the poles of g in the triple's argument (inf at the poles of sn), and
+    may hold a few more points, never fewer; the Floquet engine keeps its
+    integration line away from them.
 
-    @property
-    def period(self) -> float:
-        return normal_form(self).period
+    ``g`` and the ground builder are closures made by each construction, so
+    two separate constructions of one potential do not compare equal;
+    compare their fields and values instead.  A spec hashes, so it can key
+    a cache.
+    """
+
+    kind: str
+    a: int
+    b: int
+    m: float | None
+    period: float
+    g: Callable
+    sign: float
+    shift: float
+    beta: float | None
+    offset: float | None
+    ground: tuple | None
+    partner: bool
+    poles: tuple
 
 
-@dataclass(frozen=True)
-class AssociatedLame(PotentialSpec):
+def AssociatedLame(a: int, b: int, m: float) -> PotentialSpec:
     """V(x) = a(a+1) m sn**2 + b(b+1) m cn**2/dn**2 with integers a >= b >= 0,
     real period 2K(m); b = 0 is the Lame potential.
 
     a = 0 gives the free particle and is allowed; it is occasionally useful
     as a monodromy sanity case.
     """
-
-    a: int
-    b: int
-    m_: float
-
-    def __post_init__(self):
-        if not (self.a == int(self.a) and self.b == int(self.b) and self.a >= self.b >= 0):
-            raise PotentialError(f"associated Lame indices must be integers a >= b >= 0; got a={self.a!r},"
-                                 f" b={self.b!r}")
-        if not 0.0 < self.m_ < 1.0:
-            raise PotentialError(f"parameter m={self.m_!r} outside (0, 1)")
+    if not (a == int(a) and b == int(b) and a >= b >= 0):
+        raise PotentialError(f"associated Lame indices must be integers a >= b >= 0; got a={a!r}, b={b!r}")
+    if not 0.0 < m < 1.0:
+        raise PotentialError(f"parameter m={m!r} outside (0, 1)")
+    kind = "assoc" if b else "lame"
+    ca, cb = a * (a + 1) * m, b * (b + 1) * m
+    g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
+    closed = (kind, a, b) in spectra.ptlame_families
+    ground = spectra.ground_state_builder(kind, a, b, m, pt=False) if closed else None
+    poles = (math.inf,) if b == 0 else (math.inf, 1.0 / m)  # sn poles, dn zeros
+    return PotentialSpec(kind, a, b, m, 2.0 * ell.modulus(m).K, g, 1.0, 0.0, None,
+                         0.0 if closed else None, ground, False, poles)
 
 
 associated_lame = AssociatedLame
 
 
-def Lame(a: int, m: float) -> AssociatedLame:
+def Lame(a: int, m: float) -> PotentialSpec:
     """V(x) = a(a+1) m sn(x, m)**2: the associated Lame potential with b = 0."""
     return AssociatedLame(a, 0, m)
 
 
-@dataclass(frozen=True)
-class Shifted(PotentialSpec):
-    """inner(x) - c."""
-
-    inner: PotentialSpec
-    c: float
+def Shifted(spec: PotentialSpec, c: float) -> PotentialSpec:
+    """spec(x) - c: the shift lowers V, its edges and its ground energy."""
+    return spec._replace(shift=spec.shift + c, offset=None if spec.offset is None else spec.offset - c)
 
 
-@dataclass(frozen=True)
-class PTTransform(PotentialSpec):
-    """-inner(i x + beta): complex PT-invariant potential, real period 2K'(m)."""
+def PTTransform(spec: PotentialSpec, beta: float) -> PotentialSpec:
+    """-spec(i x + beta): complex PT-invariant potential, real period 2K'(m).
 
-    inner: PotentialSpec
-    beta: float
-
-    def __post_init__(self):
-        inner = normal_form(self.inner)
-        if inner.kind == "custom":
-            raise PotentialError("cannot PT-transform a custom potential: it has no Jacobi-function"
-                                 " expression to continue onto the line i x + beta")
-        if inner.beta is not None:
-            raise PotentialError("nested PT transforms are not supported")
-        _check_line(inner, self.beta)
-
-
-@dataclass(frozen=True)
-class SusyPartner(PotentialSpec):
-    """W**2 + W' with W = -psi_g'/psi_g from the inner spec's ground state.
-
-    The inner spec must have its lowest band edge at zero energy (wrap it in
-    ``Shifted`` by the closed-form ground energy first).
+    The sign flips, the argument moves onto the line and E maps to -E, so
+    the PT rows apply and a shift under the transform moves the edges up;
+    only the bare family keeps a closed-form ground state under it.
     """
+    if spec.kind == "custom":
+        raise PotentialError("cannot PT-transform a custom potential: it has no Jacobi-function"
+                             " expression to continue onto the line i x + beta")
+    if spec.beta is not None:
+        raise PotentialError("nested PT transforms are not supported")
+    _check_line(spec, beta)
+    closed = spec.offset is not None
+    bare = closed and spec.shift == 0.0 and not spec.partner
+    return spec._replace(
+        period=2.0 * ell.modulus(spec.m).Kprime, sign=-spec.sign, shift=-spec.shift, beta=beta,
+        offset=spectra.ground_energy(spec.kind, spec.a, spec.b, spec.m, pt=True) - spec.offset if closed else None,
+        ground=spectra.ground_state_builder(spec.kind, spec.a, spec.b, spec.m, pt=True) if bare else None)
 
-    inner: PotentialSpec
 
-    def __post_init__(self):
-        _, energy = ground_state(self.inner)
-        if abs(energy) > 1e-9:
-            raise MissingGroundStateError(
-                f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
-            )
+def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
+    """W**2 + W' with W = -psi_g'/psi_g from the spec's ground state.
+
+    The spec must have its lowest band edge at zero energy (apply
+    ``Shifted`` by the closed-form ground energy first).  The partner keeps
+    the edges, depends only on the ground state (it absorbs every shift
+    before it), and has the zero-energy ground state 1/psi_g; its poles are
+    those of V and the zeros of psi_g (the zeros of 1/psi_g are poles of
+    psi_g, which lie among those of V).
+    """
+    _, energy = ground_state(spec)
+    if abs(energy) > 1e-9:
+        raise MissingGroundStateError(
+            f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
+        )
+    (builder, zeros), m = spec.ground, spec.m
+
+    def partner(s, c, d):
+        # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
+        # argument u; on the line u = i x + beta, d/dx = i d/du flips its sign
+        j = builder(*jets_from_scd(s, c, d, m))
+        r = j.d1 / j.f
+        return 2.0 * r * r - j.d2 / j.f
+
+    return spec._replace(g=partner, sign=1.0 if spec.beta is None else -1.0, shift=0.0,
+                         ground=(lambda S, C, D: builder(S, C, D).reciprocal(), ()), partner=True,
+                         poles=spec.poles + zeros)
 
 
-@dataclass(frozen=True)
-class CustomPotential(PotentialSpec):
+def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
     """Arbitrary analytic potential given by a callable and an explicit
     period; it has no elliptic parameter, so its ``m`` is None."""
-
-    fn: object
-    period_: float
+    return PotentialSpec("custom", 0, 0, None, period, fn, 1.0, 0.0, None, None, None, False, ())
 
 
 def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = False) -> PotentialSpec:
@@ -175,120 +208,34 @@ def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = Fals
     return spec
 
 
-# ---------------------------------------------------------------------------
-# normal form
-
-
-class Form(NamedTuple):
-    """A spec reduced by :func:`normal_form`.
-
-    ``kind``, ``a``, ``b``, ``m`` name the base family ("lame", "assoc" or
-    "custom", whose ``m`` is None); V(x) = sign * g(sn, cn, dn) - shift with
-    the Jacobi triple at real x, or on the line i x + beta when ``beta`` is
-    set (a custom potential's ``g`` is its own function of x).  ``offset``
-    moves the family's closed-form edge rows (PT rows when ``beta`` is set)
-    onto the spec's energies, ``ground`` is the closed-form ground state as
-    (jet builder in the triple's argument, sn**2 at its zeros), its energy
-    the first edge row; both are None without closed forms.  ``partner``
-    marks a SUSY partner anywhere in the tree.  ``poles`` holds sn**2 at the
-    poles of g in the triple's argument (inf at the poles of sn), and may
-    hold a few more points, never fewer; the Floquet engine keeps its
-    integration line away from them.
-    """
-
-    kind: str
-    a: int
-    b: int
-    m: float | None
-    period: float
-    g: Callable
-    sign: float
-    shift: float
-    beta: float | None
-    offset: float | None
-    ground: tuple | None
-    partner: bool
-    poles: tuple
-
-
-@functools.lru_cache(maxsize=256)
-def normal_form(spec: PotentialSpec) -> Form:
-    """The :class:`Form` of a spec: one walk of its wrapper tree, cached.
-
-    A shift lowers V, its edges and its ground energy.  A PT transform flips
-    the sign, moves the argument onto its line and maps E to -E, so the PT
-    rows apply and a shift under it moves the edges up; only the bare family
-    keeps a closed-form ground state under it.  A SUSY partner keeps the
-    edges, depends only on the ground state (it absorbs every shift under
-    it), and has the zero-energy ground state 1/psi_g; its poles are those
-    of V and the zeros of psi_g (the zeros of 1/psi_g are poles of psi_g,
-    which lie among those of V).  The closed-form tables live in spectra.
-    """
-    if isinstance(spec, AssociatedLame):
-        kind, b = "assoc" if spec.b else "lame", spec.b
-        ca, cb = spec.a * (spec.a + 1) * spec.m_, b * (b + 1) * spec.m_
-        g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
-        closed = (kind, spec.a, b) in spectra.ptlame_families
-        ground = spectra.ground_state_builder(kind, spec.a, b, spec.m_, pt=False) if closed else None
-        poles = (math.inf,) if b == 0 else (math.inf, 1.0 / spec.m_)  # sn poles, dn zeros
-        return Form(kind, spec.a, b, spec.m_, 2.0 * ell.modulus(spec.m_).K, g, 1.0, 0.0, None,
-                    0.0 if closed else None, ground, False, poles)
-    if isinstance(spec, CustomPotential):
-        return Form("custom", 0, 0, None, spec.period_, spec.fn, 1.0, 0.0, None, None, None, False, ())
-    if not isinstance(spec, (Shifted, PTTransform, SusyPartner)):
-        raise PotentialError(f"unrecognized spec {spec!r}")
-    f = normal_form(spec.inner)
-    if isinstance(spec, Shifted):
-        return f._replace(shift=f.shift + spec.c, offset=None if f.offset is None else f.offset - spec.c)
-    if isinstance(spec, PTTransform):
-        closed = f.offset is not None
-        bare = closed and f.shift == 0.0 and not f.partner
-        return f._replace(
-            period=2.0 * ell.modulus(f.m).Kprime, sign=-f.sign, shift=-f.shift, beta=spec.beta,
-            offset=spectra.ground_energy(f.kind, f.a, f.b, f.m, pt=True) - f.offset if closed else None,
-            ground=spectra.ground_state_builder(f.kind, f.a, f.b, f.m, pt=True) if bare else None)
-    (builder, zeros), m = f.ground, f.m  # a SusyPartner, validated to have it
-
-    def partner(s, c, d):
-        # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
-        # argument u; on the line u = i x + beta, d/dx = i d/du flips its sign
-        j = builder(*jets_from_scd(s, c, d, m))
-        r = j.d1 / j.f
-        return 2.0 * r * r - j.d2 / j.f
-
-    return f._replace(g=partner, sign=1.0 if f.beta is None else -1.0, shift=0.0,
-                      ground=(lambda S, C, D: builder(S, C, D).reciprocal(), ()), partner=True,
-                      poles=f.poles + zeros)
-
-
 def predicted_edges(spec: PotentialSpec) -> list[tuple[float, str]] | None:
     """Closed-form (energy, period class) of every edge of a composed spec,
     ascending; None when its base family has no closed forms.
 
     The rows are the family's :func:`spectra.edge_rows`, moved by the
-    :class:`Form`'s offset; the PT rows apply under a PT transform.
+    spec's offset; the PT rows apply under a PT transform.
     """
-    f = normal_form(spec)
-    if f.offset is None:
+    if spec.offset is None:
         return None
-    return [(e + f.offset, cls) for e, cls, _ in spectra.edge_rows(f.kind, f.a, f.b, f.m, f.beta is not None)]
+    return [(e + spec.offset, cls)
+            for e, cls, _ in spectra.edge_rows(spec.kind, spec.a, spec.b, spec.m, spec.beta is not None)]
 
 
 @functools.lru_cache(maxsize=256)
 def pole_lines(poles: tuple, m: float) -> tuple[float, ...]:
-    """r in [0, K] for each sn**2 value in ``poles`` (a :class:`Form`'s): the
+    """r in [0, K] for each sn**2 value in ``poles`` (a spec's): the
     poles of V lie on the lines Re u = +-r (mod 2K) of its Jacobi argument u."""
     return tuple(0.0 if math.isinf(w) else abs(ell.inverse_sn(cmath.sqrt(w), m).real) for w in poles)
 
 
-def _check_line(f: Form, beta: float) -> None:
+def _check_line(spec: PotentialSpec, beta: float) -> None:
     """Raise PotentialError unless 0 < beta < 2K and the line i x + beta keeps
-    ``_BETA_POLE_MARGIN`` from each pole line of ``f``, a partner's among them."""
-    two_k = 2.0 * ell.modulus(f.m).K
+    ``_BETA_POLE_MARGIN`` from each pole line of ``spec``, a partner's among them."""
+    two_k = 2.0 * ell.modulus(spec.m).K
     if not 0.0 < beta < two_k:
         raise PotentialError(f"beta={beta!r} outside (0, 2K) = (0, {two_k:.6g})")
-    names = ("sn pole line", "dn zero line")[: 1 + (f.b >= 1)]
-    for k, r in enumerate(pole_lines(f.poles, f.m)):
+    names = ("sn pole line", "dn zero line")[: 1 + (spec.b >= 1)]
+    for k, r in enumerate(pole_lines(spec.poles, spec.m)):
         if min(abs(beta - r), abs(two_k - r - beta)) < _BETA_POLE_MARGIN:
             line = names[k] if k < len(names) else "zero line of the partner's ground state"
             raise PotentialError(f"beta={beta!r} within {_BETA_POLE_MARGIN} of the {line}")
@@ -301,12 +248,11 @@ def ground_state(spec: PotentialSpec):
     or i x + beta under a PT transform) to the ground-state jet; the energy
     is the spec's first :func:`predicted_edges` row.
     """
-    f = normal_form(spec)
-    if f.offset is None:
-        raise MissingGroundStateError(f"no closed forms for family {(f.kind, f.a, f.b)!r}")
-    if f.ground is None:
+    if spec.offset is None:
+        raise MissingGroundStateError(f"no closed forms for family {(spec.kind, spec.a, spec.b)!r}")
+    if spec.ground is None:
         raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
-    return f.ground[0], predicted_edges(spec)[0][0]
+    return spec.ground[0], predicted_edges(spec)[0][0]
 
 
 def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
@@ -324,16 +270,15 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
     potential's callable is user code that may take only floats, so an array
     is fed to it point by point.
     """
-    f = normal_form(spec)
     if beta is not None:
-        if f.beta is None:
+        if spec.beta is None:
             raise PotentialError("only a spec with a PT transform has a line i x + beta to move onto")
-        _check_line(f, beta)
-    g, shift = f.g, f.shift
-    if f.kind == "custom":
+        _check_line(spec, beta)
+    g, shift = spec.g, spec.shift
+    if spec.kind == "custom":
         pointwise = np.frompyfunc(g, 1, 1)  # hands g each element as a Python float
         return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
-    point = ell.jacobi_triple(f.m, f.beta if beta is None else beta)
-    if f.sign < 0.0:
+    point = ell.jacobi_triple(spec.m, spec.beta if beta is None else beta)
+    if spec.sign < 0.0:
         return lambda x: -g(*point(x)) - shift
     return lambda x: g(*point(x)) + 0j - shift

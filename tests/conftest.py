@@ -56,3 +56,27 @@ def pole_free_complex_grid(m: float, n: int, seed: int = 11):
         if abs(z - ell.sn_pole_lattice_point(z, m)) > 0.15:
             pts.append(z)
     return pts
+
+
+def same_spec(s, t) -> bool:
+    """Whether two potential specs are one potential.
+
+    A spec's V and ground state are closures made by each construction, so
+    two constructions never compare ==.  Here every other field must be
+    equal, V bit-equal on 64 points over two periods and, with a ground
+    state, its builder's jets equal at 8 of those points.
+    """
+    from ptlame import elliptic as ell
+    from ptlame import potentials as pot
+
+    if s._replace(g=None, ground=None) != t._replace(g=None, ground=None) or (s.ground is None) != (t.ground is None):
+        return False
+    xs = np.linspace(0.0, 2.0 * s.period, 64, endpoint=False)
+    if not np.array_equal(pot.compiled_value_fn(s)(xs), pot.compiled_value_fn(t)(xs)):
+        return False
+    if s.ground is None:
+        return True
+    point = ell.jacobi_triple(s.m, s.beta)
+    jets = [ell.jets_from_scd(*point(float(x)), s.m) for x in xs[::8]]
+    return s.ground[1] == t.ground[1] and all(
+        (js.f, js.d1, js.d2) == (jt.f, jt.d1, jt.d2) for js, jt in ((s.ground[0](*j), t.ground[0](*j)) for j in jets))

@@ -10,6 +10,7 @@ the two literal edge-table tests below read the same cached sets.
 import pytest
 
 from ptlame import elliptic as ell
+from ptlame import floquet as flq
 from ptlame import invariants as inv
 from ptlame import spectra as spc
 
@@ -45,6 +46,27 @@ def test_beta_independence_fails_where_the_user_line_cannot_be_integrated():
     row = next(r for r in inv.REGISTRY if r.name == "beta-independence")
     [(_, value, _, ok, _)] = inv.run([row], M, 1e-3)
     assert value == float("inf") and not ok
+
+
+@pytest.mark.parametrize("m", [0.01, 0.05])
+def test_discriminant_relation_holds_at_small_m(m):
+    # inside the gaps of the spectral span |Delta| reaches 3e6 at m = 0.01 and
+    # 9.5e6 at m = 0.05; the row scales by max(1, |Delta|), where an absolute
+    # difference read 9.8e-6 at m = 0.05 and failed a 1e-6 bound
+    row = next(r for r in inv.REGISTRY if r.name == "discriminant-relation")
+    [(_, value, _, ok, _)] = inv.run([row], m, BETA)
+    assert ok, value
+
+
+def test_discriminant_relation_fails_on_a_wrong_dual(monkeypatch):
+    # the modulus dual's discriminants (the real-axis spec, beta None) scaled
+    # by 1 + 1e-8 fail the row
+    row = next(r for r in inv.REGISTRY if r.name == "discriminant-relation")
+    discriminants = flq.discriminants
+    monkeypatch.setattr(flq, "discriminants",
+                        lambda spec, es: discriminants(spec, es) * (1.0 + (1e-8 if spec.beta is None else 0.0)))
+    [(_, value, _, ok, _)] = inv.run([row], M, BETA)
+    assert value > 1e-9 and not ok
 
 
 def test_kprime_row_fails_on_a_wrong_agm(monkeypatch):

@@ -216,7 +216,7 @@ class TestDualities:
         for row in inv.REGISTRY:
             if row.name in ("duality-relations", "a2-half-parameter-sum-rule"):
                 assert inv.run([row], M, BETA)[0][3]
-        assert searched.count(pot.Lame(2, 0.5)) == 1
+        assert [(s.kind, s.a, s.m) for s in searched].count(("lame", 2, 0.5)) == 1
 
 
 class TestDispersion:
