@@ -27,7 +27,6 @@ import numpy as np
 
 from . import elliptic as ell
 from . import spectra
-from .elliptic import jets_from_scd
 
 __all__ = [
     "PotentialError",
@@ -67,17 +66,18 @@ class PotentialSpec(NamedTuple):
     set (a custom potential's ``g`` is its own function of x).  ``offset``
     moves the family's closed-form edge rows (PT rows when ``beta`` is set)
     onto the spec's energies, ``ground`` is the closed-form ground state as
-    (jet builder in the triple's argument, sn**2 at its zeros), its energy
-    the first edge row; both are None without closed forms.  ``partner``
-    marks a SUSY partner among the maps applied.  ``poles`` holds sn**2 at
-    the poles of g in the triple's argument (inf at the poles of sn), and
-    may hold a few more points, never fewer; the Floquet engine keeps its
-    integration line away from them.
+    (jet builder in the triple's argument, sn**2 at its zeros, its
+    log-derivative psi'/psi in that argument as a function of the triple's
+    values), its energy the first edge row; both are None without closed
+    forms.  ``partner`` marks a SUSY partner among the maps applied.
+    ``poles`` holds sn**2 at the poles of g in the triple's argument (inf at
+    the poles of sn), and may hold a few more points, never fewer; the
+    Floquet engine keeps its integration line away from them.
 
-    ``g`` and the ground builder are closures made by each construction, so
-    two separate constructions of one potential do not compare equal;
-    compare their fields and values instead.  A spec hashes, so it can key
-    a cache.
+    ``g`` and the ground state's functions are closures made by each
+    construction, so two separate constructions of one potential do not
+    compare equal; compare their fields and values instead.  A spec hashes,
+    so it can key a cache.
     """
 
     kind: str
@@ -154,29 +154,31 @@ def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
     """W**2 + W' with W = -psi_g'/psi_g from the spec's ground state.
 
     The spec must have its lowest band edge at zero energy (apply
-    ``Shifted`` by the closed-form ground energy first).  The partner keeps
-    the edges, depends only on the ground state (it absorbs every shift
-    before it), and has the zero-energy ground state 1/psi_g; its poles are
-    those of V and the zeros of psi_g (the zeros of 1/psi_g are poles of
-    psi_g, which lie among those of V).
+    ``Shifted`` by the closed-form ground energy first).  psi_g solves
+    psi'' = V psi, so the partner is 2 W**2 - V: it reads V and the ground
+    state's log-derivative, no second derivative.  It keeps the edges,
+    absorbs every shift before it, and has the zero-energy ground state
+    1/psi_g, whose log-derivative is minus psi_g's; its poles are those of
+    V and the zeros of psi_g (the zeros of 1/psi_g are poles of psi_g,
+    which lie among those of V).
     """
     _, energy = ground_state(spec)
     if abs(energy) > 1e-9:
         raise MissingGroundStateError(
             f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
         )
-    (builder, zeros), m = spec.ground, spec.m
+    (builder, zeros, log_d), (g, sign, shift) = spec.ground, (spec.g, spec.sign, spec.shift)
+    # in the ground state's own argument u, with w = psi_g'/psi_g there; on
+    # the line u = i x + beta, d/dx = i d/du flips the sign of w**2 (tau)
+    tau = 1.0 if spec.beta is None else -1.0
 
     def partner(s, c, d):
-        # W**2 + W' = 2 (psi'/psi)**2 - psi''/psi in the ground state's own
-        # argument u; on the line u = i x + beta, d/dx = i d/du flips its sign
-        j = builder(*jets_from_scd(s, c, d, m))
-        r = j.d1 / j.f
-        return 2.0 * r * r - j.d2 / j.f
+        w = log_d(s, c, d)
+        return 2.0 * w * w - tau * (sign * g(s, c, d) - shift)
 
-    return spec._replace(g=partner, sign=1.0 if spec.beta is None else -1.0, shift=0.0,
-                         ground=(lambda S, C, D: builder(S, C, D).reciprocal(), ()), partner=True,
-                         poles=spec.poles + zeros)
+    return spec._replace(g=partner, sign=tau, shift=0.0, partner=True, poles=spec.poles + zeros,
+                         ground=(lambda S, C, D: builder(S, C, D).reciprocal(), (),
+                                 lambda s, c, d: -log_d(s, c, d)))
 
 
 def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
@@ -261,7 +263,9 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
     x is a float, giving a Python complex, or a float ndarray, giving a
     complex array of its shape.  A Lame-family spec costs one real Landen
     pass per call, on the real axis or on the line of its PT transform, and
-    an array takes that pass elementwise in numpy, so a grid is one call.
+    an array takes that pass elementwise in numpy, so a grid is one call;
+    a SUSY partner adds only rational arithmetic on the same triple (its
+    ground state's log-derivative and the inner V), no jet.
     ``beta`` moves a PT spec's V onto the line i x + beta; a beta that
     :func:`_check_line` rejects, or one given any other spec, raises
     :class:`PotentialError`.

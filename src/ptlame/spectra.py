@@ -3,11 +3,12 @@
 Three potential families carry complete closed-form edge data: the a=1 and
 a=3 Lame potentials and the (a=2, b=1) associated Lame potential, each in
 both the real and the PT-transformed version.  Eigenfunctions are built as
-second-order jets so that Schrodinger residuals and partner potentials use
-analytic derivatives.  The module imports nothing from the package but
-:mod:`ptlame.elliptic`: :mod:`ptlame.potentials` maps composed specs onto
-these rows, and the checks of the formulas against the Floquet engine, the
-dualities included, are rows of :mod:`ptlame.invariants`.
+second-order jets so that Schrodinger residuals use analytic derivatives; a
+SUSY partner reads only the ground state's log-derivative, a rational
+expression in the Jacobi triple.  The module imports nothing from the
+package but :mod:`ptlame.elliptic`: :mod:`ptlame.potentials` maps composed
+specs onto these rows, and the checks of the formulas against the Floquet
+engine, the dualities included, are rows of :mod:`ptlame.invariants`.
 """
 
 from __future__ import annotations
@@ -67,30 +68,62 @@ def _assoc21(m: float):
     ]
 
 
+# Each edge state's Jacobi factor sn**p cn**q dn**r, as its exponents
+# (p, q, r); its jet, its sign under a period, its zeros and its
+# log-derivative all follow from them.
 _FACTORS = {
-    "sn": lambda S, C, D: S,
-    "cn": lambda S, C, D: C,
-    "dn": lambda S, C, D: D,
-    "sncndn": lambda S, C, D: S * C * D,
-    "cn/dn": lambda S, C, D: C / D,
-    "sn/dn": lambda S, C, D: S / D,
-    "dn2": lambda S, C, D: D * D,
+    "sn": (1, 0, 0),
+    "cn": (0, 1, 0),
+    "dn": (0, 0, 1),
+    "sncndn": (1, 1, 1),
+    "cn/dn": (0, 1, -1),
+    "sn/dn": (1, 0, -1),
+    "dn2": (0, 0, 2),
 }
 
 
 def _builder(tag: str, c0: float, c1: float):
-    factor = _FACTORS[tag]
-    if c1 == 0.0:
-        return factor
-    return lambda S, C, D: factor(S, C, D) * (c0 + c1 * (S * S))
+    """Jet builder (S, C, D) -> jet of the edge state sn**p cn**q dn**r (c0 + c1 sn**2)."""
+    first, *more = [i for i, k in enumerate(_FACTORS[tag]) for _ in range(k)]
+    under = [i for i, k in enumerate(_FACTORS[tag]) for _ in range(-k)]
+
+    def build(*scd):
+        jet = scd[first]
+        for i in more:
+            jet = jet * scd[i]
+        for i in under:
+            jet = jet / scd[i]
+        return jet if c1 == 0.0 else jet * (c0 + c1 * (scd[0] * scd[0]))
+
+    return build
+
+
+def _log_derivative(tag: str, c0: float, c1: float, m: float):
+    """(s, c, d) -> psi'/psi of the edge state, in the triple's argument:
+    p cd/s - q sd/c - r m sc/d + 2 c1 scd/(c0 + c1 s**2), a term only where
+    its exponent or c1 is nonzero, so a point where a factor absent from the
+    state vanishes stays finite."""
+    p, q, r = _FACTORS[tag]
+    rm = r * m
+
+    def w(s, c, d):
+        out = 2.0 * c1 * s * c * d / (c0 + c1 * (s * s)) if c1 != 0.0 else 0.0
+        if p:
+            out = out + p * c * d / s
+        if q:
+            out = out - q * s * d / c
+        if r:
+            out = out - rm * s * c / d
+        return out
+
+    return w
 
 
 def _zeros(tag: str, c0: float, c1: float, m: float) -> tuple:
     """sn**2 at the zeros of a row's edge state: those of its Jacobi factor
-    (sn = 0, cn = 0, dn = 0 at sn**2 = 0, 1, 1/m) and the root of its
-    polynomial."""
-    numerator = tag.split("/")[0]
-    own = tuple(w for name, w in (("sn", 0.0), ("cn", 1.0), ("dn", 1.0 / m)) if name in numerator)
+    (sn = 0, cn = 0, dn = 0 at sn**2 = 0, 1, 1/m, where its exponent is
+    positive) and the root of its polynomial."""
+    own = tuple(w for k, w in zip(_FACTORS[tag], (0.0, 1.0, 1.0 / m)) if k > 0)
     return own + ((-c0 / c1,) if c1 != 0.0 else ())
 
 
@@ -117,22 +150,25 @@ def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
     """
     e_g, rows = _TABLES[(kind, a, b)](m)
     signs = (1.0, -1.0, -1.0) if pt else (-1.0, -1.0, 1.0)
-    rows = [(e if pt else -(e + e_g), "P" if _FACTORS[tag](*signs) > 0 else "A", (tag, c0, c1))
-            for e, tag, c0, c1 in rows]
+    rows = [(e if pt else -(e + e_g), "P" if math.prod(x**k for x, k in zip(signs, _FACTORS[tag])) > 0 else "A",
+             (tag, c0, c1)) for e, tag, c0, c1 in rows]
     return rows if pt else rows[::-1]
 
 
 def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
-    """(jet builder, sn**2 at its zeros) of a family's ground state (energy: :func:`ground_energy`).
+    """(jet builder, sn**2 at its zeros, log-derivative) of a family's ground
+    state (energy: :func:`ground_energy`).
 
     The builder maps (S, C, D) jets in the natural argument u (real for the
     plain potential, u = i x + beta for the PT version) to the ground-state
-    jet.  It is the builder of the lowest edge, which for the plain potential
-    is the top PT row through the level reversal, so it differs between the
-    two versions.  The zeros are where a SUSY partner built on it has poles.
+    jet, and the log-derivative maps (sn, cn, dn) values at u to psi'/psi in
+    u, a rational expression with no jet.  Both are those of the lowest
+    edge, which for the plain potential is the top PT row through the level
+    reversal, so they differ between the two versions.  The zeros are where
+    a SUSY partner built on it has poles.
     """
     state = edge_rows(kind, a, b, m, pt)[0][2]
-    return _builder(*state), _zeros(*state, m)
+    return _builder(*state), _zeros(*state, m), _log_derivative(*state, m)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ def same_spec(s, t) -> bool:
     A spec's V and ground state are closures made by each construction, so
     two constructions never compare ==.  Here every other field must be
     equal, V bit-equal on 64 points over two periods and, with a ground
-    state, its builder's jets equal at 8 of those points.
+    state, its builder's jets and its log-derivative equal at 8 of those
+    points.
     """
     from ptlame import elliptic as ell
     from ptlame import potentials as pot
@@ -77,6 +78,8 @@ def same_spec(s, t) -> bool:
     if s.ground is None:
         return True
     point = ell.jacobi_triple(s.m, s.beta)
-    jets = [ell.jets_from_scd(*point(float(x)), s.m) for x in xs[::8]]
+    scd = [point(float(x)) for x in xs[::8]]
+    jets = [ell.jets_from_scd(*p, s.m) for p in scd]
     return s.ground[1] == t.ground[1] and all(
-        (js.f, js.d1, js.d2) == (jt.f, jt.d1, jt.d2) for js, jt in ((s.ground[0](*j), t.ground[0](*j)) for j in jets))
+        (js.f, js.d1, js.d2) == (jt.f, jt.d1, jt.d2) for js, jt in ((s.ground[0](*j), t.ground[0](*j)) for j in jets)
+    ) and [s.ground[2](*p) for p in scd] == [t.ground[2](*p) for p in scd]

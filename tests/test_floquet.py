@@ -930,6 +930,25 @@ class TestIntegrationLine:
         flq.integration_beta(inv.specs(M, BETA)["a3-exchanged"])
         assert calls == []
 
+    def test_partner_integration_builds_no_jet(self, monkeypatch):
+        # a partner's V is 2 W**2 - V_1, from its ground state's log-derivative
+        # and the inner V on the same Jacobi triple, so integrating it builds
+        # no second-order jet (2 (psi'/psi)**2 - psi''/psi built 3 to 9 a call)
+        partners = [s for s in inv.specs(M, BETA).values() if s.partner]
+        partners += [pot.build(a, b, M, BETA, ["partner"], True) for a, b in ((1, 0), (3, 0), (2, 1))]
+        made = []
+        init = ell.Jet2.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ell.Jet2, "__init__", counted)
+        for spec in partners:
+            *_, stats = flq._propagate(spec, [0.5, 2.0])
+            assert stats.nfev > 0
+        assert len(partners) == 7 and made == []
+
     def test_line_is_stable_under_rounding(self, monkeypatch):
         # the (2,1) partner's widest pole gap has a mirror twin centred at
         # 2K - beta*; moving one pole line by 2 ulps must not switch to it

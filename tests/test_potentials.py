@@ -351,6 +351,19 @@ class TestGroundStateLogDerivative:
         assert abs(got - (-1j * cn * dn / sn)) < 1e-13
         assert abs(got.real) < 1e-13
 
+    @pytest.mark.parametrize("ops", [[], ["pt"], ["partner"], ["pt", "partner"], ["partner", "partner"]])
+    @pytest.mark.parametrize("a,b", [(1, 0), (3, 0), (2, 1)])
+    def test_log_derivative_is_the_jets(self, a, b, ops):
+        # a spec's ground state carries psi'/psi as a rational expression
+        # beside its jet builder; a partner's, 1/psi_g, carries minus psi_g's
+        spec = pot.build(a, b, M, BETA, ops, True)
+        builder, log_d = spec.ground[0], spec.ground[2]
+        point = ell.jacobi_triple(M, spec.beta)
+        for x in _grid(spec, 32):
+            s, c, d = point(float(x))
+            j = builder(*ell.jets_from_scd(s, c, d, M))
+            assert abs(log_d(s, c, d) - j.d1 / j.f) <= 1e-13 * max(1.0, abs(j.d1 / j.f))
+
     @pytest.mark.parametrize("kind,a,b", [("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)])
     def test_closed_form_matches_log_derivative(self, kind, a, b):
         for m, beta in ((M, BETA), (0.3, 1.2)):
@@ -380,14 +393,40 @@ class TestSusyPartner:
             j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))
             assert abs(-j.d2 / j.f - fsrc(float(x))) < 1e-8
 
+    # every partner spec the registry and the CLI build: (a, b, ops before
+    # the partner, ops after it); the last is "a3-exchanged"
+    PARTNERS = [(1, 0, [], []), (3, 0, [], []), (2, 1, [], []), (1, 0, ["pt"], []), (3, 0, ["pt"], []),
+                (2, 1, ["pt"], []), (3, 0, [], ["pt"])]
+
+    @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
+    @pytest.mark.parametrize("a,b,before,after", PARTNERS)
+    def test_value_is_the_second_order_jet_formula(self, a, b, before, after, m, beta):
+        # 2 W**2 - V_1 from the ground state's log-derivative against the
+        # ground-state jet's 2 (psi'/psi)**2 - psi''/psi in its argument u,
+        # with V = sign * that - shift (d/dx = i d/du on a PT line)
+        spec = pot.build(a, b, m, beta, before + ["partner"] + after, True)
+        builder, energy = pot.ground_state(pot.build(a, b, m, beta, before, True))
+        assert abs(energy) < 1e-12
+        point = ell.jacobi_triple(m, spec.beta)
+        xs = np.linspace(0.0, spec.period, 64, endpoint=False)
+        old = []
+        for x in xs:
+            j = builder(*ell.jets_from_scd(*point(float(x)), m))
+            r = j.d1 / j.f
+            old.append(spec.sign * (2.0 * r * r - j.d2 / j.f) - spec.shift)
+        f = pot.compiled_value_fn(spec)
+        new = np.array([f(float(x)) for x in xs])
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
     def test_partner_of_partner_returns_original(self):
-        src = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA),
-                          spc.ground_energy("lame", 3, 0, M, pt=True))
-        once = pot.SusyPartner(src)
-        twice = pot.SusyPartner(once)
-        fs, ft = pot.compiled_value_fn(src), pot.compiled_value_fn(twice)
-        for x in np.linspace(0.0, src.period, 30, endpoint=False):
-            assert abs(ft(float(x)) - fs(float(x))) < 1e-9
+        # the partner's ground state 1/psi_g carries -W, so its partner is
+        # 2 W**2 - (2 W**2 - V) = V again, for every family, real and PT
+        for a, b in ((1, 0), (3, 0), (2, 1)):
+            for ops in ([], ["pt"]):
+                twice = pot.build(a, b, M, BETA, ops + ["partner", "partner"], True)
+                spec = pot.build(a, b, M, BETA, ops, True)
+                xs = np.linspace(0.0, spec.period, 64, endpoint=False)
+                assert np.max(np.abs(pot.compiled_value_fn(twice)(xs) - pot.compiled_value_fn(spec)(xs))) <= 1e-13
 
     def test_assoc21_real_partner_is_shifted_base(self):
         # the real (2,1) potential is self-isospectral: V_+ equals V_- with

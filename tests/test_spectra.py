@@ -78,7 +78,7 @@ class TestClosedFormEdges:
     def test_ground_state_zeros(self, kind, a, b, pt):
         # the ground state vanishes wherever sn**2 takes a listed value; a
         # SUSY partner has its poles there
-        builder, zeros = spc.ground_state_builder(kind, a, b, M, pt)
+        builder, zeros, _ = spc.ground_state_builder(kind, a, b, M, pt)
 
         def psi(u):
             jv = ell.jacobi_complex(u, M)
