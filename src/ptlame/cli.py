@@ -33,7 +33,6 @@ import numpy as np
 
 from . import elliptic as ell
 from . import floquet as flq
-from . import invariants as inv
 from . import potentials as pot
 from . import spectra as spc
 
@@ -200,6 +199,10 @@ def cmd_dispersion(args):
 
 
 def cmd_selfcheck(args):
+    # the registry serves this command alone, so it is imported here, off the
+    # start-up path of every other command
+    from . import invariants as inv
+
     # every spec the registry reads is built before the first check, so an
     # unusable (m, beta) is a configuration error, not a failure mid-run
     try:

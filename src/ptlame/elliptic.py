@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +101,7 @@ def complete_K(m: float) -> float:
     return math.pi * 2.0 ** len(ratios) / (2.0 * scale)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple):
     """Elliptic parameter with its cached quarter periods and nome.
 
     Attributes
@@ -127,8 +126,7 @@ def modulus(m: float) -> Modulus:
     return Modulus(m, K, Kp, math.exp(-math.pi * Kp / K))
 
 
-@dataclass(frozen=True)
-class JacobiValues:
+class JacobiValues(NamedTuple):
     """The triple (sn, cn, dn) at one complex point."""
 
     sn: complex

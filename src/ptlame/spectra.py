@@ -16,8 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import elliptic as ell
 from .elliptic import jets_from_scd
@@ -171,8 +170,7 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     return _builder(*state), _zeros(*state, m), _log_derivative(*state, m)
 
 
-@dataclass(frozen=True)
-class BandEdge:
+class BandEdge(NamedTuple):
     """One closed-form band edge.
 
     For the PT families ``energy`` is relative to the zero ground state of the
@@ -226,8 +224,7 @@ def closed_form_energies(kind: str, a: int, b: int, m: float, pt: bool, shifted:
 # dispersion for the a=1 PT potential
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
+class DispersionPoint(NamedTuple):
     """Bloch point of the shifted a=1 PT potential at one energy E.
 
     ``alpha1`` solves m sn(alpha1)**2 = E on the fundamental rectangle.

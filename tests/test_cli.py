@@ -406,6 +406,22 @@ def test_runs_without_scipy():
     assert run.returncode == 0, run.stderr
 
 
+def test_start_up_imports_only_what_edges_runs():
+    # the invariant registry serves selfcheck alone and the result records
+    # are NamedTuples, so importing the CLI loads neither the registry nor
+    # dataclasses; selfcheck imports the registry when it runs
+    code = (
+        "import sys\n"
+        "from ptlame import cli\n"
+        "loaded = [m for m in ('ptlame.invariants', 'dataclasses') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "sys.exit(cli.main(['selfcheck']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 class TestScan:
     def test_columns_and_reality(self, tmp_path):
         out = tmp_path / "scan.csv"
