@@ -28,7 +28,6 @@ __all__ = [
     "InversionError",
     "Modulus",
     "JacobiValues",
-    "Jet2",
     "complete_K",
     "modulus",
     "jacobi_complex",
@@ -39,6 +38,8 @@ __all__ = [
     "zeta_Z",
     "inverse_sn",
     "landen_descend",
+    "jet_mul",
+    "jet_reciprocal",
     "jets_from_scd",
 ]
 
@@ -382,59 +383,31 @@ def landen_descend(m: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# second-order jets
+# second-order jets: a jet is the tuple (f, f', f'') in one variable; the
+# product and reciprocal rules below keep every derived quantity (edge-state
+# derivatives, ground states of partners) analytic, not finite-differenced
 
 
-class Jet2:
-    """Second-order jet (value, first, second derivative) in one variable.
-
-    Arithmetic on jets applies the product/quotient rules exactly, which keeps
-    every derived quantity (eigenfunction derivatives, superpotentials,
-    partner potentials) analytic rather than finite-differenced.
-    """
-
-    __slots__ = ("f", "d1", "d2")
-
-    def __init__(self, f, d1=0.0, d2=0.0):
-        self.f = f
-        self.d1 = d1
-        self.d2 = d2
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.f + other.f, self.d1 + other.d1, self.d2 + other.d2)
-        return Jet2(self.f + other, self.d1, self.d2)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(
-                self.f * other.f,
-                self.d1 * other.f + self.f * other.d1,
-                self.d2 * other.f + 2.0 * self.d1 * other.d1 + self.f * other.d2,
-            )
-        return Jet2(self.f * other, self.d1 * other, self.d2 * other)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        g, g1, g2 = self.f, self.d1, self.d2
-        inv = 1.0 / g
-        return Jet2(inv, -g1 * inv * inv, (2.0 * g1 * g1 - g * g2) * inv * inv * inv)
-
-    def __truediv__(self, other):
-        return self * other.reciprocal()
+def jet_mul(a, b):
+    """Product rule: the jet of f g from the jets of f and g."""
+    (f, f1, f2), (g, g1, g2) = a, b
+    return f * g, f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
 
 
-def jets_from_scd(s, c, d, m: float) -> tuple[Jet2, Jet2, Jet2]:
+def jet_reciprocal(a):
+    """The jet of 1/g from the jet of g."""
+    g, g1, g2 = a
+    inv = 1.0 / g
+    return inv, -g1 * inv * inv, (2.0 * g1 * g1 - g * g2) * inv * inv * inv
+
+
+def jets_from_scd(s, c, d, m: float):
     """Jets of sn, cn, dn given their values at a point.
 
     The derivative rules sn' = cn dn, cn' = -sn dn, dn' = -m sn cn close on
-    the triple itself, so jets of any rational expression in (sn, cn, dn)
-    follow by jet arithmetic.
+    the triple itself, so the jet of any rational expression in (sn, cn, dn)
+    follows by :func:`jet_mul` and :func:`jet_reciprocal`.
     """
-    S = Jet2(s, c * d, -s * (d * d) - m * s * (c * c))
-    C = Jet2(c, -s * d, -c * (d * d) + m * (s * s) * c)
-    D = Jet2(d, -m * s * c, -m * (c * c) * d + m * (s * s) * d)
-    return S, C, D
+    return ((s, c * d, -s * (d * d) - m * s * (c * c)),
+            (c, -s * d, -c * (d * d) + m * (s * s) * c),
+            (d, -m * s * c, -m * (c * c) * d + m * (s * s) * d))

@@ -144,9 +144,9 @@ def _scaled_residual(jet, f, energy, xs):
     by the whole grid, so a zero of psi on it is no 0/0."""
     rmax = vmax = 0.0
     for x in xs:
-        psi, _, d2psi = jet(x)
-        rmax = max(rmax, abs(-d2psi + (f(x) - energy) * psi))
-        vmax = max(vmax, abs(f(x) * psi))
+        (psi, _, d2psi), v = jet(x), f(x)
+        rmax = max(rmax, abs(-d2psi + (v - energy) * psi))
+        vmax = max(vmax, abs(v * psi))
     return rmax / vmax
 
 
@@ -267,8 +267,8 @@ def _factorization(m, beta):
         builder, _ = pot.ground_state(src)
         for x in np.linspace(0.0, src.period, 32, endpoint=False):
             jv = ell.jacobi_complex(1j * x + beta, m)
-            j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
-            worst = max(worst, abs(-j.d2 / j.f - fsrc(x)))
+            f, _, d2 = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
+            worst = max(worst, abs(-d2 / f - fsrc(x)))
     return worst
 
 
@@ -293,8 +293,8 @@ def _superpotential_defect(fam, m, beta):
     worst = 0.0
     for x in np.linspace(0.0, src.period, 32, endpoint=False):
         s, c, d = point(float(x))
-        j = builder(*ell.jets_from_scd(s, c, d, m))
-        worst = max(worst, abs(_closed_superpotential(fam, m, s, c, d) + 1j * j.d1 / j.f))
+        f, d1, _ = builder(*ell.jets_from_scd(s, c, d, m))
+        worst = max(worst, abs(_closed_superpotential(fam, m, s, c, d) + 1j * d1 / f))
     return worst
 
 

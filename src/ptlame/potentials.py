@@ -66,13 +66,13 @@ class PotentialSpec(NamedTuple):
     set (a custom potential's ``g`` is its own function of x).  ``offset``
     moves the family's closed-form edge rows (PT rows when ``beta`` is set)
     onto the spec's energies, ``ground`` is the closed-form ground state as
-    (jet builder in the triple's argument, sn**2 at its zeros, its
-    log-derivative psi'/psi in that argument as a function of the triple's
-    values), its energy the first edge row; both are None without closed
-    forms.  ``partner`` marks a SUSY partner among the maps applied.
-    ``poles`` holds sn**2 at the poles of g in the triple's argument (inf at
-    the poles of sn), and may hold a few more points, never fewer; the
-    Floquet engine keeps its integration line away from them.
+    (jet builder on (f, f', f'') tuples in the triple's argument, sn**2 at
+    its zeros, its log-derivative psi'/psi in that argument as a function
+    of the triple's values), its energy the first edge row; both are None
+    without closed forms.  ``partner`` marks a SUSY partner among the maps
+    applied.  ``poles`` holds sn**2 at the poles of g in the triple's
+    argument (inf at the poles of sn), and may hold a few more points, never
+    fewer; the Floquet engine keeps its integration line away from them.
 
     ``g`` and the ground state's functions are closures made by each
     construction, so two separate constructions of one potential do not
@@ -177,7 +177,7 @@ def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
         return 2.0 * w * w - tau * (sign * g(s, c, d) - shift)
 
     return spec._replace(g=partner, sign=tau, shift=0.0, partner=True, poles=spec.poles + zeros,
-                         ground=(lambda S, C, D: builder(S, C, D).reciprocal(), (),
+                         ground=(lambda S, C, D: ell.jet_reciprocal(builder(S, C, D)), (),
                                  lambda s, c, d: -log_d(s, c, d)))
 
 
@@ -247,7 +247,8 @@ def ground_state(spec: PotentialSpec):
     """(jet builder, energy) of the spec's closed-form ground state.
 
     The builder maps (S, C, D) jets at the spec's Jacobi argument (real x,
-    or i x + beta under a PT transform) to the ground-state jet; the energy
+    or i x + beta under a PT transform) to the ground-state jet, each an
+    (f, f', f'') tuple in that argument; the energy
     is the spec's first :func:`predicted_edges` row.
     """
     if spec.offset is None:

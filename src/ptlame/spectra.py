@@ -19,7 +19,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import elliptic as ell
-from .elliptic import jets_from_scd
+from .elliptic import jet_mul, jet_reciprocal, jets_from_scd
 
 __all__ = ["BandEdge", "DispersionPoint", "BranchResolutionError", "real_band_edges", "pt_band_edges",
            "closed_form_energies", "edge_rows", "ground_state_builder", "ground_energy",
@@ -89,10 +89,13 @@ def _builder(tag: str, c0: float, c1: float):
     def build(*scd):
         jet = scd[first]
         for i in more:
-            jet = jet * scd[i]
+            jet = jet_mul(jet, scd[i])
         for i in under:
-            jet = jet / scd[i]
-        return jet if c1 == 0.0 else jet * (c0 + c1 * (scd[0] * scd[0]))
+            jet = jet_mul(jet, jet_reciprocal(scd[i]))
+        if c1 == 0.0:
+            return jet
+        s, s1, s2 = jet_mul(scd[0], scd[0])
+        return jet_mul(jet, (s * c1 + c0, s1 * c1, s2 * c1))
 
     return build
 
@@ -160,11 +163,12 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
 
     The builder maps (S, C, D) jets in the natural argument u (real for the
     plain potential, u = i x + beta for the PT version) to the ground-state
-    jet, and the log-derivative maps (sn, cn, dn) values at u to psi'/psi in
-    u, a rational expression with no jet.  Both are those of the lowest
-    edge, which for the plain potential is the top PT row through the level
-    reversal, so they differ between the two versions.  The zeros are where
-    a SUSY partner built on it has poles.
+    jet, each an (f, f', f'') tuple in u, and the log-derivative maps
+    (sn, cn, dn) values at u to psi'/psi in u, a rational expression with
+    no jet.  Both are those of the lowest edge, which for the plain
+    potential is the top PT row through the level reversal, so they differ
+    between the two versions.  The zeros are where a SUSY partner built on
+    it has poles.
     """
     state = edge_rows(kind, a, b, m, pt)[0][2]
     return _builder(*state), _zeros(*state, m), _log_derivative(*state, m)
@@ -186,19 +190,32 @@ class BandEdge(NamedTuple):
     jet: Callable[[float], tuple[complex, complex, complex]]
 
 
+# (S, C, D) jets keyed by (m, beta, x), beta None on the real axis: every
+# edge table on one line reads the same points, often one shared grid;
+# bounded, the oldest entry goes first
+_LINE_JETS: dict = {}
+_LINE_JETS_SIZE = 256
+
+
 def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list[BandEdge]:
     # the potential's own Jacobi triple: on the line u = i x + beta for the
     # PT version (beta given), where d/dx = i d/du, else on the real axis
     point, dfac = ell.jacobi_triple(m, beta), (1.0 if beta is None else 1j)
-    # every edge of the family reads the (S, C, D) jets at the same x, often
-    # on one shared grid; the builders only read them
-    scd = functools.lru_cache(maxsize=128)(lambda x: jets_from_scd(*point(x), m))
+
+    def scd(x):
+        key = (m, beta, x)
+        jets = _LINE_JETS.get(key)
+        if jets is None:
+            if len(_LINE_JETS) >= _LINE_JETS_SIZE:
+                del _LINE_JETS[next(iter(_LINE_JETS))]
+            jets = _LINE_JETS[key] = jets_from_scd(*point(x), m)
+        return jets
 
     edges = []
     for energy, cls, state in edge_rows(kind, a, b, m, beta is not None):
         def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
-            j = build(*scd(x))
-            return j.f, dfac * j.d1, dfac * dfac * j.d2
+            f, d1, d2 = build(*scd(x))
+            return f, dfac * d1, dfac * dfac * d2
 
         edges.append(BandEdge(energy, cls, jet))
     return edges
@@ -273,6 +290,12 @@ def dispersion_analytic(m: float, beta: float, E: float) -> DispersionPoint:
     return DispersionPoint(alpha1, k)
 
 
+@functools.lru_cache(maxsize=256)
+def _theta(m: float, u: complex) -> tuple[complex, complex, complex]:
+    """Theta(u) with two derivatives; cached, as the Bloch jets at one point, whatever E and sign, read it."""
+    return ell.theta_jets(m, u, False)
+
+
 def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
     """(psi, psi', psi'') of the closed-form Bloch solution at real x.
 
@@ -286,7 +309,7 @@ def bloch_solution_jet(m: float, beta: float, E: float, sign: int, x: float):
     alpha1, z1 = _alpha_zeta(m, E)
     u = 1j * x + beta
     h, dh, d2h = ell.theta_jets(m, u + sign * alpha1, True)
-    t, dt, d2t = ell.theta_jets(m, u, False)
+    t, dt, d2t = _theta(m, u)
     # product rule on H e^(-sign u Z) / Theta, never dividing by H, so the
     # jet keeps its digits next to a zero of H
     sz = sign * z1

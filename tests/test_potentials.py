@@ -345,8 +345,8 @@ class TestGroundStateLogDerivative:
         src = pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))
         builder, energy = pot.ground_state(src)
         sn, cn, dn = ell.jacobi_triple(M)(BETA)
-        j = builder(*ell.jets_from_scd(sn, cn, dn, M))
-        got = -1j * j.d1 / j.f  # x = 0 is u = beta, and d/dx = i d/du
+        f, d1, _ = builder(*ell.jets_from_scd(sn, cn, dn, M))
+        got = -1j * d1 / f  # x = 0 is u = beta, and d/dx = i d/du
         assert abs(energy) < 1e-12
         assert abs(got - (-1j * cn * dn / sn)) < 1e-13
         assert abs(got.real) < 1e-13
@@ -361,8 +361,8 @@ class TestGroundStateLogDerivative:
         point = ell.jacobi_triple(M, spec.beta)
         for x in _grid(spec, 32):
             s, c, d = point(float(x))
-            j = builder(*ell.jets_from_scd(s, c, d, M))
-            assert abs(log_d(s, c, d) - j.d1 / j.f) <= 1e-13 * max(1.0, abs(j.d1 / j.f))
+            f, d1, _ = builder(*ell.jets_from_scd(s, c, d, M))
+            assert abs(log_d(s, c, d) - d1 / f) <= 1e-13 * max(1.0, abs(d1 / f))
 
     @pytest.mark.parametrize("kind,a,b", [("lame", 1, 0), ("lame", 3, 0), ("assoc", 2, 1)])
     def test_closed_form_matches_log_derivative(self, kind, a, b):
@@ -390,8 +390,8 @@ class TestSusyPartner:
         assert abs(energy) < 1e-12 and src.beta == BETA
         for x in np.linspace(0.0, src.period, 40, endpoint=False):
             jv = ell.jacobi_complex(1j * float(x) + BETA, M)
-            j = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))
-            assert abs(-j.d2 / j.f - fsrc(float(x))) < 1e-8
+            f, _, d2 = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))
+            assert abs(-d2 / f - fsrc(float(x))) < 1e-8
 
     # every partner spec the registry and the CLI build: (a, b, ops before
     # the partner, ops after it); the last is "a3-exchanged"
@@ -411,9 +411,9 @@ class TestSusyPartner:
         xs = np.linspace(0.0, spec.period, 64, endpoint=False)
         old = []
         for x in xs:
-            j = builder(*ell.jets_from_scd(*point(float(x)), m))
-            r = j.d1 / j.f
-            old.append(spec.sign * (2.0 * r * r - j.d2 / j.f) - spec.shift)
+            f, d1, d2 = builder(*ell.jets_from_scd(*point(float(x)), m))
+            r = d1 / f
+            old.append(spec.sign * (2.0 * r * r - d2 / f) - spec.shift)
         f = pot.compiled_value_fn(spec)
         new = np.array([f(float(x)) for x in xs])
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))

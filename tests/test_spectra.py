@@ -82,7 +82,7 @@ class TestClosedFormEdges:
 
         def psi(u):
             jv = ell.jacobi_complex(u, M)
-            return builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M)).f
+            return builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, M))[0]
 
         assert zeros
         for w in zeros:
@@ -159,6 +159,58 @@ class TestEigenfunctions:
         for x in (0.2, 0.9):
             fd = (e.jet(x + h)[0] - e.jet(x - h)[0]) / (2 * h)
             assert abs(fd - e.jet(x)[1]) < 1e-8
+
+    # a family with a row of each Jacobi factor type
+    FACTOR_FAMILIES = {"sn": ("lame", 3, 0), "cn": ("lame", 1, 0), "dn": ("lame", 1, 0),
+                       "sncndn": ("lame", 3, 0), "cn/dn": ("assoc", 2, 1), "sn/dn": ("assoc", 2, 1),
+                       "dn2": ("assoc", 2, 1)}
+
+    @pytest.mark.parametrize("pt", [False, True], ids=["real", "pt"])
+    @pytest.mark.parametrize("tag", FACTOR_FAMILIES)
+    def test_jets_match_mpmath(self, tag, pt):
+        # independent oracle: the written-out edge state sn**p cn**q dn**r
+        # (c0 + c1 sn**2) at u = x or u = i x + beta through mpmath's Jacobi
+        # functions at 30 digits, differentiated in x by mpmath
+        import mpmath as mp
+
+        fam = self.FACTOR_FAMILIES[tag]
+        edges = spc.pt_band_edges(*fam, M, BETA) if pt else spc.real_band_edges(*fam, M)
+        edge, (_, c0, c1) = next((e, state) for e, (_, _, state) in zip(edges, spc.edge_rows(*fam, M, pt))
+                                 if state[0] == tag)
+        p, q, r = spc._FACTORS[tag]
+        with mp.workdps(30):
+            def psi(x):
+                u = mp.mpc(BETA, x) if pt else x
+                s, c, d = (mp.ellipfun(k, u, m=M) for k in ("sn", "cn", "dn"))
+                return s**p * c**q * d**r * (c0 + c1 * s**2)
+
+            for x in (0.37, 1.3, 2.9):
+                ref = [complex(mp.diff(psi, mp.mpf(x), n)) for n in (0, 1, 2)]
+                assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(edge.jet(x), ref))
+
+    def test_edge_tables_on_one_line_share_jets(self, monkeypatch):
+        # every table on one line reads the (S, C, D) jets of one cache: the
+        # three PT families and the three real ones on one 40-point grid
+        # build 40 jets per line, not one set per table
+        made = []
+        jets = spc.jets_from_scd
+        monkeypatch.setattr(spc, "jets_from_scd", lambda *args: made.append(args) or jets(*args))
+        spc._LINE_JETS.clear()
+        xs = np.linspace(0.0, 2.0 * ell.modulus(M).Kprime, 40, endpoint=False)
+        for fam in spc.ptlame_families:
+            for e in spc.pt_band_edges(*fam, M, BETA) + spc.real_band_edges(*fam, M):
+                for x in xs:
+                    e.jet(float(x))
+        assert len(made) == 80
+
+    def test_line_cache_is_bounded(self):
+        spc._LINE_JETS.clear()
+        edge = spc.pt_band_edges("lame", 3, 0, M, BETA)[0]
+        xs = [float(x) for x in np.linspace(0.0, 1.0, spc._LINE_JETS_SIZE + 40)]
+        first = [edge.jet(x) for x in xs]
+        assert len(spc._LINE_JETS) == spc._LINE_JETS_SIZE
+        # an evicted point is rebuilt with the same values
+        assert [edge.jet(x) for x in xs] == first
 
 
 class TestEnergyMaps:
@@ -310,12 +362,37 @@ class TestBlochSolutions:
         assert abs(fd - spc.bloch_solution_jet(M, BETA, E, 1, x)[1]) < 1e-8
 
     def test_rejects_theta_zero(self):
-        # u = i K' + 2K is a zero of Theta: on the line beta = 2K at x = K'
+        # u = i K' + 2K is a zero of Theta: on the line beta = 2K at x = K';
+        # a repeated call raises too, as the Theta memo keeps no exception
         mod = ell.modulus(M)
         with pytest.raises(ell.ThetaZeroError):
             ell.zeta_Z(M, 2 * mod.K + 1j * mod.Kprime)
-        with pytest.raises(ell.ThetaZeroError):
-            spc.bloch_solution_jet(M, 2 * mod.K, M / 2, 1, mod.Kprime)
+        for _ in range(2):
+            with pytest.raises(ell.ThetaZeroError):
+                spc.bloch_solution_jet(M, 2 * mod.K, M / 2, 1, mod.Kprime)
+
+    def test_theta_is_read_once_per_point(self, monkeypatch):
+        # Theta(i x + beta) depends on the point only: the Bloch jets of 15
+        # energies and both signs at x0 and x0 + L read it twice
+        L = 2 * ell.modulus(M).Kprime
+        x0 = 0.37 * L
+        points = {1j * x + BETA for x in (x0, x0 + L)}
+        calls = []
+        theta = ell.theta_jets
+
+        def counted(m, u, odd):
+            calls.append((u, odd))
+            return theta(m, u, odd)
+
+        monkeypatch.setattr(ell, "theta_jets", counted)
+        spc._theta.cache_clear()
+        for E in np.linspace(-0.4, 1.8, 15):
+            for sign in (1, -1):
+                for x in (x0, x0 + L):
+                    spc.bloch_solution_jet(M, BETA, float(E), sign, x)
+        assert len([u for u, odd in calls if odd]) == 60
+        assert [u for u, odd in calls if not odd and u in points] == sorted(points, key=lambda u: u.imag)
+        assert spc._theta.cache_info().maxsize is not None
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
