@@ -13,9 +13,9 @@ row of any class or multiplicity (2 for a closed gap), the first on a tie,
 and passes when the pairs are distinct simple edges of their edges'
 classes, the 2a + 1 simple edges are all found and every pair is within
 ``--tol``.
-Exit codes: 0 = ok, 2 = configuration error, 3 = verdict FAIL,
-4 = integration error (``FloquetIntegrationError``), so CI can gate
-directly on the cross-checks.
+Exit codes: 0 = ok, 2 = configuration error (an ``--out`` that cannot be
+written among them), 3 = verdict FAIL, 4 = integration error
+(``FloquetIntegrationError``), so CI can gate directly on the cross-checks.
 ``selfcheck`` runs the invariant registry (:mod:`ptlame.invariants`) at
 ``--m``/``--beta``, one row per invariant with its value, tolerance, verdict
 and seconds; the registry fixes its specs and tolerances.
@@ -63,7 +63,8 @@ def _integrator_meta() -> dict:
 
 def _write_table(args, columns, results) -> None:
     """Write ``columns`` under a header of the options as parsed or resolved,
-    all but ``--format``/``--out``, then the command's ``results``."""
+    all but ``--format``/``--out``, then the command's ``results``; raises
+    ConfigError when ``--out`` cannot be written."""
     meta = {k: v for k, v in vars(args).items() if k not in ("fmt", "out")}
     meta.update(results)
     if args.fmt == "json":
@@ -81,8 +82,11 @@ def _write_table(args, columns, results) -> None:
     if args.out in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
 
 
 def _samples(args, least: int) -> int:
@@ -281,15 +285,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         columns, results, passed = _COMMANDS[args.command](args)
+        if passed is not None:
+            results["verdict"] = "PASS" if passed else "FAIL"
+        _write_table(args, columns, results)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except flq.FloquetIntegrationError as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return 4
-    if passed is not None:
-        results["verdict"] = "PASS" if passed else "FAIL"
-    _write_table(args, columns, results)
     return 3 if results.get("verdict") == "FAIL" else 0
 
 

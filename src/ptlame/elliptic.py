@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 _AGM_EPS = 4e-16
-# distance to the sn pole lattice below which an argument is rejected, the
-# same for the theta zeros (which coincide with it)
+# distance to the sn pole lattice below which an argument is rejected
+# (1e-6), and to the theta zeros, which coincide with it (1e-8)
 _POLE_TOL = 1e-6
 _THETA_ZERO_TOL = 1e-8
 # theta series: the last term kept is about e^-60 (2^-87) of the peak term;
@@ -121,8 +121,12 @@ class Modulus(NamedTuple):
 
 @lru_cache(maxsize=512)
 def modulus(m: float) -> Modulus:
-    """Cached :class:`Modulus` for the parameter m."""
+    """Cached :class:`Modulus` for the parameter m; an m whose complement
+    1 - m rounds to 1 raises :class:`EllipticDomainError`, naming m."""
     K = complete_K(m)
+    if 1.0 - m == 1.0:
+        raise EllipticDomainError(
+            f"parameter m={float(m)!r}: its complement 1 - m rounds to 1, so K(1 - m) diverges")
     Kp = complete_K(1.0 - m)
     return Modulus(m, K, Kp, math.exp(-math.pi * Kp / K))
 

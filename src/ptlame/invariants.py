@@ -264,7 +264,7 @@ def _factorization(m, beta):
     for fam in spc.ptlame_families:
         src = specs(m, beta)[fam]
         fsrc = pot.compiled_value_fn(src)
-        builder, _ = pot.ground_state(src)
+        builder = spc.ground_state_builder(*fam, m, pt=True)[0]
         for x in np.linspace(0.0, src.period, 32, endpoint=False):
             jv = ell.jacobi_complex(1j * x + beta, m)
             f, _, d2 = builder(*ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m))
@@ -286,15 +286,15 @@ def _closed_superpotential(fam, m, s, c, d):
 
 def _superpotential_defect(fam, m, beta):
     """Largest |W - (-psi_g'/psi_g)| of one family over 32 points, with
-    psi_g the ground state of :func:`potentials.ground_state` (d/dx = i d/du)."""
+    psi_g'/psi_g the log-derivative in the spec's ``ground``, the one its
+    SUSY partner is built from (d/dx = i d/du)."""
     src = specs(m, beta)[fam]
-    builder, _ = pot.ground_state(src)
+    log_d = src.ground[1]
     point = ell.jacobi_triple(m, beta)
     worst = 0.0
     for x in np.linspace(0.0, src.period, 32, endpoint=False):
         s, c, d = point(float(x))
-        f, d1, _ = builder(*ell.jets_from_scd(s, c, d, m))
-        worst = max(worst, abs(_closed_superpotential(fam, m, s, c, d) + 1j * d1 / f))
+        worst = max(worst, abs(_closed_superpotential(fam, m, s, c, d) + 1j * log_d(s, c, d)))
     return worst
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "build",
     "compiled_value_fn",
     "predicted_edges",
-    "ground_state",
     "pole_lines",
 ]
 
@@ -66,15 +65,16 @@ class PotentialSpec(NamedTuple):
     set (a custom potential's ``g`` is its own function of x).  ``offset``
     moves the family's closed-form edge rows (PT rows when ``beta`` is set)
     onto the spec's energies, ``ground`` is the closed-form ground state as
-    (jet builder on (f, f', f'') tuples in the triple's argument, sn**2 at
-    its zeros, its log-derivative psi'/psi in that argument as a function
-    of the triple's values), its energy the first edge row; both are None
-    without closed forms.  ``partner`` marks a SUSY partner among the maps
-    applied.  ``poles`` holds sn**2 at the poles of g in the triple's
-    argument (inf at the poles of sn), and may hold a few more points, never
-    fewer; the Floquet engine keeps its integration line away from them.
+    (sn**2 at its zeros, its log-derivative psi'/psi in the triple's
+    argument as a function of the triple's values), all a SUSY partner
+    reads of it, its energy the first edge row; both are None without
+    closed forms (its jet is :func:`spectra.ground_state_builder`'s).
+    ``partner`` marks a SUSY partner among the maps applied.  ``poles``
+    holds sn**2 at the poles of g in the triple's argument (inf at the poles
+    of sn), and may hold a few more points, never fewer; the Floquet engine
+    keeps its integration line away from them.
 
-    ``g`` and the ground state's functions are closures made by each
+    ``g`` and the ground state's log-derivative are closures made by each
     construction, so two separate constructions of one potential do not
     compare equal; compare their fields and values instead.  A spec hashes,
     so it can key a cache.
@@ -110,7 +110,7 @@ def AssociatedLame(a: int, b: int, m: float) -> PotentialSpec:
     ca, cb = a * (a + 1) * m, b * (b + 1) * m
     g = (lambda s, c, d: ca * s * s) if b == 0 else (lambda s, c, d: ca * s * s + cb * (c / d) ** 2)
     closed = (kind, a, b) in spectra.ptlame_families
-    ground = spectra.ground_state_builder(kind, a, b, m, pt=False) if closed else None
+    ground = spectra.ground_state_builder(kind, a, b, m, pt=False)[1:] if closed else None
     poles = (math.inf,) if b == 0 else (math.inf, 1.0 / m)  # sn poles, dn zeros
     return PotentialSpec(kind, a, b, m, 2.0 * ell.modulus(m).K, g, 1.0, 0.0, None,
                          0.0 if closed else None, ground, False, poles)
@@ -147,27 +147,30 @@ def PTTransform(spec: PotentialSpec, beta: float) -> PotentialSpec:
     return spec._replace(
         period=2.0 * ell.modulus(spec.m).Kprime, sign=-spec.sign, shift=-spec.shift, beta=beta,
         offset=spectra.ground_energy(spec.kind, spec.a, spec.b, spec.m, pt=True) - spec.offset if closed else None,
-        ground=spectra.ground_state_builder(spec.kind, spec.a, spec.b, spec.m, pt=True) if bare else None)
+        ground=spectra.ground_state_builder(spec.kind, spec.a, spec.b, spec.m, pt=True)[1:] if bare else None)
 
 
 def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
     """W**2 + W' with W = -psi_g'/psi_g from the spec's ground state.
 
-    The spec must have its lowest band edge at zero energy (apply
-    ``Shifted`` by the closed-form ground energy first).  psi_g solves
-    psi'' = V psi, so the partner is 2 W**2 - V: it reads V and the ground
-    state's log-derivative, no second derivative.  It keeps the edges,
-    absorbs every shift before it, and has the zero-energy ground state
-    1/psi_g, whose log-derivative is minus psi_g's; its poles are those of
-    V and the zeros of psi_g (the zeros of 1/psi_g are poles of psi_g,
-    which lie among those of V).
+    The spec must have a closed-form ground state at zero energy (apply
+    ``Shifted`` by the closed-form ground energy first), else
+    :class:`MissingGroundStateError`.  psi_g solves psi'' = V psi, so the
+    partner is 2 W**2 - V: it reads V and the ground state's log-derivative,
+    no second derivative.  It keeps the edges, absorbs every shift before
+    it, and has the zero-energy ground state 1/psi_g: minus psi_g's
+    log-derivative, and no zeros (they are poles of psi_g, among those of
+    V).  Its poles are those of V and the zeros of psi_g.
     """
-    _, energy = ground_state(spec)
-    if abs(energy) > 1e-9:
+    if spec.offset is None:
+        raise MissingGroundStateError(f"no closed forms for family {(spec.kind, spec.a, spec.b)!r}")
+    if spec.ground is None:
+        raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
+    if abs(energy := predicted_edges(spec)[0][0]) > 1e-9:
         raise MissingGroundStateError(
             f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
         )
-    (builder, zeros, log_d), (g, sign, shift) = spec.ground, (spec.g, spec.sign, spec.shift)
+    (zeros, log_d), (g, sign, shift) = spec.ground, (spec.g, spec.sign, spec.shift)
     # in the ground state's own argument u, with w = psi_g'/psi_g there; on
     # the line u = i x + beta, d/dx = i d/du flips the sign of w**2 (tau)
     tau = 1.0 if spec.beta is None else -1.0
@@ -177,8 +180,7 @@ def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
         return 2.0 * w * w - tau * (sign * g(s, c, d) - shift)
 
     return spec._replace(g=partner, sign=tau, shift=0.0, partner=True, poles=spec.poles + zeros,
-                         ground=(lambda S, C, D: ell.jet_reciprocal(builder(S, C, D)), (),
-                                 lambda s, c, d: -log_d(s, c, d)))
+                         ground=((), lambda s, c, d: -log_d(s, c, d)))
 
 
 def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
@@ -241,21 +243,6 @@ def _check_line(spec: PotentialSpec, beta: float) -> None:
         if min(abs(beta - r), abs(two_k - r - beta)) < _BETA_POLE_MARGIN:
             line = names[k] if k < len(names) else "zero line of the partner's ground state"
             raise PotentialError(f"beta={beta!r} within {_BETA_POLE_MARGIN} of the {line}")
-
-
-def ground_state(spec: PotentialSpec):
-    """(jet builder, energy) of the spec's closed-form ground state.
-
-    The builder maps (S, C, D) jets at the spec's Jacobi argument (real x,
-    or i x + beta under a PT transform) to the ground-state jet, each an
-    (f, f', f'') tuple in that argument; the energy
-    is the spec's first :func:`predicted_edges` row.
-    """
-    if spec.offset is None:
-        raise MissingGroundStateError(f"no closed forms for family {(spec.kind, spec.a, spec.b)!r}")
-    if spec.ground is None:
-        raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
-    return spec.ground[0], predicted_edges(spec)[0][0]
 
 
 def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):

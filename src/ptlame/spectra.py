@@ -168,7 +168,7 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     no jet.  Both are those of the lowest edge, which for the plain
     potential is the top PT row through the level reversal, so they differ
     between the two versions.  The zeros are where a SUSY partner built on
-    it has poles.
+    it has poles; a spec's ``ground`` keeps only them and the log-derivative.
     """
     state = edge_rows(kind, a, b, m, pt)[0][2]
     return _builder(*state), _zeros(*state, m), _log_derivative(*state, m)

@@ -64,7 +64,7 @@ def same_spec(s, t) -> bool:
     A spec's V and ground state are closures made by each construction, so
     two constructions never compare ==.  Here every other field must be
     equal, V bit-equal on 64 points over two periods and, with a ground
-    state, its builder's jets and its log-derivative equal at 8 of those
+    state, its zeros equal and its log-derivative equal at 8 of those
     points.
     """
     from ptlame import elliptic as ell
@@ -79,7 +79,4 @@ def same_spec(s, t) -> bool:
         return True
     point = ell.jacobi_triple(s.m, s.beta)
     scd = [point(float(x)) for x in xs[::8]]
-    jets = [ell.jets_from_scd(*p, s.m) for p in scd]
-    return s.ground[1] == t.ground[1] and all(
-        s.ground[0](*j) == t.ground[0](*j) for j in jets
-    ) and [s.ground[2](*p) for p in scd] == [t.ground[2](*p) for p in scd]
+    return s.ground[0] == t.ground[0] and [s.ground[1](*p) for p in scd] == [t.ground[1](*p) for p in scd]

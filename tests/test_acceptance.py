@@ -69,6 +69,26 @@ def test_discriminant_relation_fails_on_a_wrong_dual(monkeypatch):
     assert value > 1e-9 and not ok
 
 
+def test_closed_superpotential_fails_on_a_wrong_w(monkeypatch):
+    # the row compares the printed W with the log-derivative a spec carries,
+    # the one its partner is built from: that W scaled by 1 + 1e-8 fails it
+    row = next(r for r in inv.REGISTRY if r.name == "closed-superpotential")
+    log_derivative = spc._log_derivative
+
+    def scaled(*args):
+        w = log_derivative(*args)
+        return lambda s, c, d: w(s, c, d) * (1.0 + 1e-8)
+
+    monkeypatch.setattr(spc, "_log_derivative", scaled)
+    inv.specs.cache_clear()
+    try:
+        [(_, value, _, ok, _)] = inv.run([row], M, BETA)
+    finally:
+        monkeypatch.undo()
+        inv.specs.cache_clear()
+    assert value > 1e-9 and not ok
+
+
 def test_kprime_row_fails_on_a_wrong_agm(monkeypatch):
     # K'(m) from the AGM is checked against Carlson's R_F(0, m, 1), an
     # independent algorithm: a 1e-12 relative error in complete_K fails it

@@ -368,6 +368,24 @@ class TestUsageErrors:
         assert cli.main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["edges", "--a", "1"], ["selfcheck"], ["sample-potential"]])
+    def test_parameter_whose_complement_rounds_to_one(self, argv, capsys):
+        # 1 - 1e-17 rounds to 1: one stderr line that names the m given
+        assert cli.main([*argv, "--m", "1e-17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: parameter m=1e-17: its complement 1 - m rounds to 1")
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out(self, where, tmp_path, capsys):
+        # an --out that cannot be opened is a configuration error: one
+        # stderr line and exit 2, not a traceback
+        out = str(tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path)
+        assert cli.main(["sample-potential", "--n", "4", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: cannot write --out {out}: ")
+
     def test_edges_takes_no_n(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["edges", "--n", "3"])

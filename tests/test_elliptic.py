@@ -52,6 +52,12 @@ class TestModulus:
         assert abs(a.Kprime - b.K) < 1e-13 * b.K
         assert a.K > 0 and a.Kprime > 0 and 0.0 < a.q < 1.0
 
+    def test_complement_rounding_to_one_names_the_given_m(self):
+        # 1 - 1e-17 rounds to 1, and K(1) diverges: the error names the m
+        # given, not the 1.0 that K(1 - m) would see
+        with pytest.raises(ell.EllipticDomainError, match=r"^parameter m=1e-17: its complement 1 - m rounds to 1"):
+            ell.modulus(1e-17)
+
 
 class TestJacobiReal:
     """jacobi_triple(m) at a real float u: the Landen pass the integrator runs."""

@@ -19,6 +19,21 @@ def _grid(spec, n=60):
     return np.linspace(0.0, spec.period, n, endpoint=False)
 
 
+def _ground_jet(a, b, m, ops):
+    """Jet builder of the ground state of build(a, b, m, beta, ops, True),
+    where only a partner follows a partner in ops: spectra's builder of the
+    family, real or PT, then 1/psi_g once per partner."""
+    build = spc.ground_state_builder("assoc" if b else "lame", a, b, m, pt="pt" in ops)[0]
+
+    def jet(*scd):
+        j = build(*scd)
+        for _ in range(ops.count("partner")):
+            j = ell.jet_reciprocal(j)
+        return j
+
+    return jet
+
+
 class TestConstruction:
     def test_lame_rejects_bad_index(self):
         with pytest.raises(pot.PotentialError):
@@ -99,7 +114,7 @@ class TestConstruction:
         real1 = pot.Shifted(pot.Lame(1, M), spc.ground_energy("lame", 1, 0, M, pt=False))
         for inner in (pot.Shifted(pot.Lame(1, M), 1.0), pot.SusyPartner(real1)):
             with pytest.raises(pot.MissingGroundStateError, match="a shift or SUSY partner under a PT transform"):
-                pot.ground_state(pot.PTTransform(inner, BETA))
+                pot.SusyPartner(pot.PTTransform(inner, BETA))
 
 
 class TestBuild:
@@ -339,11 +354,12 @@ class TestArrayEvaluation:
 
 
 class TestGroundStateLogDerivative:
-    # W = -psi_g'/psi_g of the shifted PT potentials, from ground_state; the
-    # registry row closed-superpotential holds the printed closed forms to it
+    # W = -psi_g'/psi_g of the shifted PT potentials, from the ground-state
+    # jets of spectra; the registry row closed-superpotential holds the
+    # printed closed forms to the log-derivative a spec carries
     def test_a1_value_at_origin_is_pure_imaginary(self):
         src = pot.Shifted(pot.PTTransform(pot.Lame(1, M), BETA), -(1 + M))
-        builder, energy = pot.ground_state(src)
+        builder, energy = _ground_jet(1, 0, M, ["pt"]), pot.predicted_edges(src)[0][0]
         sn, cn, dn = ell.jacobi_triple(M)(BETA)
         f, d1, _ = builder(*ell.jets_from_scd(sn, cn, dn, M))
         got = -1j * d1 / f  # x = 0 is u = beta, and d/dx = i d/du
@@ -354,10 +370,11 @@ class TestGroundStateLogDerivative:
     @pytest.mark.parametrize("ops", [[], ["pt"], ["partner"], ["pt", "partner"], ["partner", "partner"]])
     @pytest.mark.parametrize("a,b", [(1, 0), (3, 0), (2, 1)])
     def test_log_derivative_is_the_jets(self, a, b, ops):
-        # a spec's ground state carries psi'/psi as a rational expression
-        # beside its jet builder; a partner's, 1/psi_g, carries minus psi_g's
+        # a spec's ground state carries psi'/psi as a rational expression,
+        # the ground-state jet's psi'/psi; a partner's, 1/psi_g, carries
+        # minus psi_g's
         spec = pot.build(a, b, M, BETA, ops, True)
-        builder, log_d = spec.ground[0], spec.ground[2]
+        builder, log_d = _ground_jet(a, b, M, ops), spec.ground[1]
         point = ell.jacobi_triple(M, spec.beta)
         for x in _grid(spec, 32):
             s, c, d = point(float(x))
@@ -386,7 +403,7 @@ class TestSusyPartner:
         base = pot.associated_lame(a, b, M)
         src = pot.Shifted(pot.PTTransform(base, BETA), eg)
         fsrc = pot.compiled_value_fn(src)
-        builder, energy = pot.ground_state(src)
+        builder, energy = _ground_jet(a, b, M, ["pt"]), pot.predicted_edges(src)[0][0]
         assert abs(energy) < 1e-12 and src.beta == BETA
         for x in np.linspace(0.0, src.period, 40, endpoint=False):
             jv = ell.jacobi_complex(1j * float(x) + BETA, M)
@@ -405,7 +422,8 @@ class TestSusyPartner:
         # ground-state jet's 2 (psi'/psi)**2 - psi''/psi in its argument u,
         # with V = sign * that - shift (d/dx = i d/du on a PT line)
         spec = pot.build(a, b, m, beta, before + ["partner"] + after, True)
-        builder, energy = pot.ground_state(pot.build(a, b, m, beta, before, True))
+        builder = _ground_jet(a, b, m, before)
+        energy = pot.predicted_edges(pot.build(a, b, m, beta, before, True))[0][0]
         assert abs(energy) < 1e-12
         point = ell.jacobi_triple(m, spec.beta)
         xs = np.linspace(0.0, spec.period, 64, endpoint=False)
