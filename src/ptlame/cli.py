@@ -69,7 +69,10 @@ def _write_table(args, columns, results) -> None:
     meta.update(results)
     if args.fmt == "json":
         doc = {"meta": meta, "columns": {name: list(vals) for name, vals in columns}}
-        text = json.dumps(doc, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:  # JSON has no NaN or infinity: a non-finite float is written null
+            text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), sort_keys=True) + "\n"
     else:
         parts = [f"# {' '.join(f'{k}={v}' for k, v in meta.items())}\n"]
         parts.append(",".join(name for name, _ in columns) + "\n")
@@ -178,9 +181,9 @@ def cmd_dispersion(args):
     base0 = predicted[0][0] if predicted else 0.0
     emin, emax = _energy_range(args, base0, base0 + 3.0)
     n = _samples(args, 1)
-    # the analytic dispersion covers the a=1 PT potential, in the basis
-    # shifted so its ground edge is zero
-    analytic = (spec.kind, spec.a, spec.b) == ("lame", 1, 0) and spec.beta is not None and not spec.partner
+    # the analytic dispersion covers the a=1 PT potential, in the basis shifted so its ground
+    # edge is zero, and its SUSY partners, as the intertwining keeps the Floquet multipliers
+    analytic = (spec.kind, spec.a, spec.b) == ("lame", 1, 0) and spec.beta is not None
     es = np.linspace(emin, emax, n)
     kn = flq.dispersion_numeric(spec, es)
     if analytic:

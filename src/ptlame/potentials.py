@@ -184,8 +184,10 @@ def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
 
 
 def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
-    """Arbitrary analytic potential given by a callable and an explicit
-    period; it has no elliptic parameter, so its ``m`` is None."""
+    """Arbitrary analytic potential given by a callable and a period in (0, inf), else
+    :class:`PotentialError`; it has no elliptic parameter, so its ``m`` is None."""
+    if not 0.0 < period < math.inf:
+        raise PotentialError(f"period={period!r} outside (0, inf)")
     return PotentialSpec("custom", 0, 0, None, period, fn, 1.0, 0.0, None, None, None, False, ())
 
 
@@ -228,8 +230,10 @@ def predicted_edges(spec: PotentialSpec) -> list[tuple[float, str]] | None:
 @functools.lru_cache(maxsize=256)
 def pole_lines(poles: tuple, m: float) -> tuple[float, ...]:
     """r in [0, K] for each sn**2 value in ``poles`` (a spec's): the
-    poles of V lie on the lines Re u = +-r (mod 2K) of its Jacobi argument u."""
-    return tuple(0.0 if math.isinf(w) else abs(ell.inverse_sn(cmath.sqrt(w), m).real) for w in poles)
+    poles of V lie on the lines Re u = +-r (mod 2K) of its Jacobi argument u; sn**2 in {0, inf}
+    (r = 0) and {1, 1/m} (r = K) are set, as inverting sn is ill-conditioned at those corners."""
+    return tuple(0.0 if w in (0.0, math.inf) else ell.modulus(m).K if w in (1.0, 1.0 / m)
+                 else abs(ell.inverse_sn(cmath.sqrt(w), m).real) for w in poles)
 
 
 def _check_line(spec: PotentialSpec, beta: float) -> None:

@@ -190,31 +190,23 @@ class BandEdge(NamedTuple):
     jet: Callable[[float], tuple[complex, complex, complex]]
 
 
-# (S, C, D) jets keyed by (m, beta, x), beta None on the real axis: every
-# edge table on one line reads the same points, often one shared grid;
-# bounded, the oldest entry goes first
-_LINE_JETS: dict = {}
-_LINE_JETS_SIZE = 256
+# the Jacobi triple's evaluator on a line, built once per line, not once per point
+_line_triple = functools.lru_cache(maxsize=4)(ell.jacobi_triple)
+
+
+@functools.lru_cache(maxsize=256)
+def _line_jets(m: float, beta: float | None, x: float):
+    """(S, C, D) jets of the potential's Jacobi triple at x on the line u = i x + beta (beta given) or the
+    real axis; cached, as every edge table on one line reads the same points, often one shared grid."""
+    return jets_from_scd(*_line_triple(m, beta)(x), m)
 
 
 def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list[BandEdge]:
-    # the potential's own Jacobi triple: on the line u = i x + beta for the
-    # PT version (beta given), where d/dx = i d/du, else on the real axis
-    point, dfac = ell.jacobi_triple(m, beta), (1.0 if beta is None else 1j)
-
-    def scd(x):
-        key = (m, beta, x)
-        jets = _LINE_JETS.get(key)
-        if jets is None:
-            if len(_LINE_JETS) >= _LINE_JETS_SIZE:
-                del _LINE_JETS[next(iter(_LINE_JETS))]
-            jets = _LINE_JETS[key] = jets_from_scd(*point(x), m)
-        return jets
-
+    dfac = 1.0 if beta is None else 1j  # d/dx = i d/du on the PT line
     edges = []
     for energy, cls, state in edge_rows(kind, a, b, m, beta is not None):
         def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
-            f, d1, d2 = build(*scd(x))
+            f, d1, d2 = build(*_line_jets(m, beta, x))
             return f, dfac * d1, dfac * dfac * d2
 
         edges.append(BandEdge(energy, cls, jet))

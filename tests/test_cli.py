@@ -347,6 +347,30 @@ class TestEdges:
         assert captured.err.startswith("integration error: Wronskian drift") and captured.err.count("\n") == 1
 
 
+class TestJsonOutput:
+    """JSON has no NaN: a non-finite float is written null, CSV keeps nan."""
+
+    @staticmethod
+    def _strict(text):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.parametrize("argv", [
+        ["edges", "--a", "2", "--b", "1", "--m", "0.75"],
+        ["dispersion", "--a", "2", "--pt", "--emin", "-5.5", "--emax", "-5.0", "--n", "4"],
+    ], ids=["edges", "dispersion"])
+    def test_no_nan_token(self, argv, tmp_path):
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+        doc = self._strict(out.read_text())
+        assert None in doc["columns"]["abs_diff"]
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        _, cols = _read_csv(tmp_path / "out.csv")
+        assert "nan" in cols["abs_diff"]
+
+
 class TestUsageErrors:
     """A bad --n or energy range is a configuration error, exit 2, raised
     before any integration; --n belongs to the commands that read it."""
@@ -375,6 +399,14 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("config error: parameter m=1e-17: its complement 1 - m rounds to 1")
+
+    def test_sample_potential_at_tiny_m(self, tmp_path):
+        # the dn zero line of the (2,1) PT potential at m = 1e-9 is set, not
+        # found by inverting sn, which fails its residual check there
+        out = tmp_path / "v.csv"
+        assert cli.main(["sample-potential", "--a", "2", "--b", "1", "--m", "1e-9", "--pt", "--n", "4",
+                         "--out", str(out)]) == 0
+        assert len(_read_csv(out)[1]["x"]) == 8
 
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_unwritable_out(self, where, tmp_path, capsys):
@@ -517,6 +549,19 @@ class TestDispersion:
         # rows inside the gap (0.75, 1) carry attenuation
         gap_rows = [i for i, e in enumerate(cols["e"]) if 0.78 < float(e) < 0.98]
         assert gap_rows and all(float(cols["k_numeric_im"][i]) > 1e-4 for i in gap_rows)
+
+    @pytest.mark.parametrize("shift_zero", [False, True], ids=["raw", "shift-zero"])
+    @pytest.mark.parametrize("ops", [("--pt", "--partner"), ("--partner", "--pt"), ("--pt", "--partner", "--partner")],
+                             ids=lambda ops: "-".join(op.strip("-") for op in ops))
+    def test_partners_share_the_analytic_k(self, ops, shift_zero, tmp_path):
+        # SUSY intertwining keeps the Floquet multipliers, so every a=1 PT
+        # construction is checked against the analytic k
+        out = tmp_path / "disp.csv"
+        argv = ["dispersion", "--a", "1", *ops, "--n", "7", "--out", str(out)]
+        assert cli.main(argv + ["--shift-zero"] * shift_zero) == 0
+        meta, cols = _read_csv(out)
+        assert " analytic_available=True " in meta and meta.endswith(" verdict=PASS")
+        assert max(float(v) for v in cols["abs_diff"]) < 1e-11
 
     def test_numeric_only_for_other_specs(self, tmp_path):
         out = tmp_path / "disp.csv"

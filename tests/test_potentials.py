@@ -266,6 +266,11 @@ class TestEvaluation:
         # the default range adds no a(a+1) m term for it
         assert flq.default_energy_range(spec) == (-1.0, 6.0)
 
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_custom_potential_rejects_a_period_outside_zero_to_inf(self, period):
+        with pytest.raises(pot.PotentialError, match=f"period={period!r} outside"):
+            pot.CustomPotential(math.cos, period)
+
     def test_line_argument_is_the_spec_built_on_that_line(self):
         # compiled_value_fn(spec, b) gives, bit for bit, V of the same spec
         # built with pot.build on the line i x + b
@@ -304,6 +309,26 @@ class TestEvaluation:
             pot.compiled_value_fn(a3, b)
             with pytest.raises(pot.PotentialError, match="zero line of the partner's ground state"):
                 pot.compiled_value_fn(a3p, b)
+
+
+class TestPoleLines:
+    def test_corners_are_set_without_inverting(self):
+        # sn**2 = 0 and inf lie on Re u = 0, sn**2 = 1 and 1/m on Re u = K;
+        # at m = 1e-9 inverting sn at 1/m fails its residual check
+        for m in (1e-9, 2.5e-9, M):
+            K = ell.modulus(m).K
+            assert pot.pole_lines((0.0, math.inf, 1.0, 1.0 / m), m) == (0.0, 0.0, K, K)
+
+    @pytest.mark.parametrize("m", [0.05, 0.3, M, 0.95])
+    def test_corners_are_where_sn_inverts_to(self, m):
+        K = ell.modulus(m).K
+        for w, r in ((0.0, 0.0), (1.0, K), (1.0 / m, K)):
+            assert abs(abs(ell.inverse_sn(math.sqrt(w), m).real) - r) < 1e-9
+
+    def test_associated_pt_spec_at_tiny_m(self):
+        spec = pot.build(2, 1, 1e-9, BETA, ["pt"])
+        vals = pot.compiled_value_fn(spec)(np.linspace(0.0, spec.period, 8))
+        assert np.all(np.isfinite(vals))
 
 
 class TestArrayEvaluation:

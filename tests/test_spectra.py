@@ -195,22 +195,56 @@ class TestEigenfunctions:
         made = []
         jets = spc.jets_from_scd
         monkeypatch.setattr(spc, "jets_from_scd", lambda *args: made.append(args) or jets(*args))
-        spc._LINE_JETS.clear()
+        spc._line_jets.cache_clear()
         xs = np.linspace(0.0, 2.0 * ell.modulus(M).Kprime, 40, endpoint=False)
         for fam in spc.ptlame_families:
             for e in spc.pt_band_edges(*fam, M, BETA) + spc.real_band_edges(*fam, M):
                 for x in xs:
                     e.jet(float(x))
-        assert len(made) == 80
+        assert len(made) == 80 == spc._line_jets.cache_info().misses
 
     def test_line_cache_is_bounded(self):
-        spc._LINE_JETS.clear()
+        spc._line_jets.cache_clear()
         edge = spc.pt_band_edges("lame", 3, 0, M, BETA)[0]
-        xs = [float(x) for x in np.linspace(0.0, 1.0, spc._LINE_JETS_SIZE + 40)]
+        bound = spc._line_jets.cache_info().maxsize
+        xs = [float(x) for x in np.linspace(0.0, 1.0, bound + 40)]
         first = [edge.jet(x) for x in xs]
-        assert len(spc._LINE_JETS) == spc._LINE_JETS_SIZE
+        assert bound == 256 and spc._line_jets.cache_info().currsize == bound
         # an evicted point is rebuilt with the same values
         assert [edge.jet(x) for x in xs] == first
+
+    def test_one_sweep_clears_every_cache(self, monkeypatch):
+        # every memo of the package is a functools cache, so clearing each
+        # function that has cache_clear leaves no value behind: a second
+        # pass over three tables on one grid rebuilds its 40 jets
+        import importlib
+        import pkgutil
+
+        import ptlame
+
+        modules = [importlib.import_module(f"ptlame.{info.name}") for info in pkgutil.iter_modules(ptlame.__path__)]
+        made = []
+        jets = spc.jets_from_scd
+        monkeypatch.setattr(spc, "jets_from_scd", lambda *args: made.append(args) or jets(*args))
+        xs = np.linspace(0.0, 2.0 * ell.modulus(M).Kprime, 40, endpoint=False)
+        for _ in range(2):
+            for mod in modules:
+                for f in vars(mod).values():
+                    if callable(getattr(f, "cache_clear", None)):
+                        f.cache_clear()
+            made.clear()
+            for fam in spc.ptlame_families:
+                for e in spc.pt_band_edges(*fam, M, BETA):
+                    for x in xs:
+                        e.jet(float(x))
+            assert len(made) == 40
+
+    def test_line_on_a_pole_raises_at_the_first_jet(self):
+        # beta = 0 puts the line on the sn poles: the table builds, and its
+        # first jet raises
+        edges = spc.pt_band_edges("lame", 1, 0, M, 0.0)
+        with pytest.raises(ell.PoleProximityError):
+            edges[0].jet(0.3)
 
 
 class TestEnergyMaps:
