@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -68,11 +67,10 @@ def _write_table(args, columns, results) -> None:
     meta = {k: v for k, v in vars(args).items() if k not in ("fmt", "out")}
     meta.update(results)
     if args.fmt == "json":
+        import orjson  # here, off the CSV path; it writes a non-finite float as null
+
         doc = {"meta": meta, "columns": {name: list(vals) for name, vals in columns}}
-        try:
-            text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
-        except ValueError:  # JSON has no NaN or infinity: a non-finite float is written null
-            text = json.dumps(json.loads(json.dumps(doc), parse_constant=lambda _: None), sort_keys=True) + "\n"
+        text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY).decode() + "\n"
     else:
         parts = [f"# {' '.join(f'{k}={v}' for k, v in meta.items())}\n"]
         parts.append(",".join(name for name, _ in columns) + "\n")

@@ -6,9 +6,10 @@ tolerance that the value must stay below (a violation) or, for ``above``
 rows, above (a separation).  The rows cover the elliptic identities, the
 closed-form edges and eigenfunctions, the dualities, SUSY isospectrality and
 the a=1 dispersion, each against the Floquet engine or a second evaluation
-path, and three claims of the paper that no computation relies on: the
+path, and four claims of the paper that no computation relies on: the
 printed superpotentials, the Landen reduction of the a=b associated
-potentials, and the P AA PP order of the band edges.  The Floquet edge sets
+potentials, the P AA PP order of the band edges and the finite number of
+gaps, no simple edge above the top one.  The Floquet edge sets
 of the three shifted PT potentials and their partners are computed once per
 (m, beta) and shared; the row that reads them first is charged their time.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import warnings
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -251,6 +253,21 @@ def _antiperiodic_present(m, beta):
     return 0.0 if any(e.period_class == "A" for e in _edge_sets(m, beta)[_A3]) else 1.0
 
 
+def _simple_edges_above(spec, top):
+    """Simple Floquet edges in [top + 0.5, top + 100], above the top edge
+    ``top``: none where every gap up there is closed.  The window holds no
+    simple edge by design, so find_band_edges' 2a + 1 count warning is off."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"found \d+ simple band edges")
+        return _simple_edges(spec, top + 0.5, top + 100.0)
+
+
+def _finite_gap(m, beta):
+    # the paper's finite number of gaps: 2a + 1 simple edges, every gap
+    # above the top one closed (Ince's result for integer Lame)
+    return sum(len(_simple_edges_above(spec, pot.predicted_edges(spec)[-1][0])) for spec in specs(m, beta).values())
+
+
 def _partner_isospectral(m, beta):
     found = _edge_sets(m, beta)
     return max(_max_pair_diff(_energies(found[fam]), _energies(found[fam + ("partner",)]))
@@ -374,6 +391,7 @@ REGISTRY = (
     Invariant("band-edge-classes", _edge_classes, 0.5),
     Invariant("edge-class-interleaving", _edge_class_interleaving, 0.5),
     Invariant("antiperiodic-edges-present", _antiperiodic_present, 0.5),
+    Invariant("finite-gap", _finite_gap, 0.5),
     Invariant("susy-partner-isospectral", _partner_isospectral, 1e-6),
     Invariant("susy-factorization", _factorization, 1e-8),
     Invariant("closed-superpotential",

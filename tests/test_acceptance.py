@@ -12,6 +12,7 @@ import pytest
 from ptlame import elliptic as ell
 from ptlame import floquet as flq
 from ptlame import invariants as inv
+from ptlame import potentials as pot
 from ptlame import spectra as spc
 
 M, BETA = 0.75, 0.5
@@ -102,3 +103,16 @@ def test_kprime_row_fails_on_a_wrong_agm(monkeypatch):
         monkeypatch.undo()
         ell.modulus.cache_clear()
     assert value > 5e-13 and not ok
+
+
+@pytest.mark.parametrize("nu,count", [(3.0, 0), (3.001, 6)])
+def test_finite_gap_count_fails_off_the_integer(nu, count):
+    # nu(nu + 1) m sn^2 has finitely many gaps only at integer nu: at
+    # nu = 3.001 three narrow gaps open above the a=3 top edge, in the
+    # window the finite-gap row searches
+    sn = ell.jacobi_triple(M)
+    spec = pot.CustomPotential(lambda x: nu * (nu + 1) * M * sn(x)[0] ** 2, 2.0 * ell.modulus(M).K)
+    top = pot.predicted_edges(pot.Lame(3, M))[-1][0]
+    found = inv._simple_edges_above(spec, top)
+    assert len(found) == count
+    assert count == 0 or abs(found[0].energy - 14.0526) < 1e-3

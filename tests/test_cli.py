@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -162,6 +163,18 @@ class TestSamplePotential:
         assert "integrator_rtol" not in doc["meta"]
         assert len(doc["columns"]["x"]) == 40
         assert len(doc["columns"]["re_v"]) == len(doc["columns"]["im_v"]) == 40
+
+    @pytest.mark.parametrize("a,b", [(3, 0), (2, 1)])
+    def test_json_columns_parse_back_bit_for_bit(self, a, b, tmp_path):
+        argv = ["sample-potential", "--a", str(a), "--b", str(b), "--pt", "--partner", "--shift-zero"]
+        out = tmp_path / "fig.json"
+        assert cli.main([*argv, "--format", "json", "--out", str(out)]) == 0
+        cols = json.loads(out.read_text())["columns"]
+        spec = build_spec(cli._parser().parse_args(argv))
+        xs = np.linspace(0.0, 2.0 * spec.period, 800, endpoint=False)
+        vals = pot.compiled_value_fn(spec)(xs)
+        for name, ref in (("x", xs), ("re_v", vals.real), ("im_v", vals.imag)):
+            assert np.array_equal(np.array(cols[name], dtype=float), ref)
 
 
 class TestEdges:
@@ -370,6 +383,16 @@ class TestJsonOutput:
         _, cols = _read_csv(tmp_path / "out.csv")
         assert "nan" in cols["abs_diff"]
 
+    def test_infinite_and_numpy_values(self, tmp_path, monkeypatch):
+        # a row's value may be infinite, and a tolerance a numpy scalar
+        monkeypatch.setattr(inv, "REGISTRY", (inv.Invariant("infinite", lambda m, beta: math.inf, 0.5),
+                                              inv.Invariant("numpy", lambda m, beta: np.float64(0.25),
+                                                            np.float64(0.5))))
+        out = tmp_path / "selfcheck.json"
+        assert cli.main(["selfcheck", "--format", "json", "--out", str(out)]) == 3
+        cols = self._strict(out.read_text())["columns"]
+        assert (cols["value"], cols["tol"], cols["verdict"]) == ([None, 0.25], [0.5, 0.5], ["FAIL", "PASS"])
+
 
 class TestUsageErrors:
     """A bad --n or energy range is a configuration error, exit 2, raised
@@ -457,13 +480,14 @@ def test_runs_without_scipy():
 
 
 def test_start_up_imports_only_what_edges_runs():
-    # the invariant registry serves selfcheck alone and the result records
-    # are NamedTuples, so importing the CLI loads neither the registry nor
-    # dataclasses; selfcheck imports the registry when it runs
+    # the invariant registry serves selfcheck alone, the result records are
+    # NamedTuples and orjson writes only the JSON format, so importing the CLI
+    # loads none of the registry, dataclasses and orjson; selfcheck imports
+    # the registry when it runs
     code = (
         "import sys\n"
         "from ptlame import cli\n"
-        "loaded = [m for m in ('ptlame.invariants', 'dataclasses') if m in sys.modules]\n"
+        "loaded = [m for m in ('ptlame.invariants', 'dataclasses', 'orjson') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "sys.exit(cli.main(['selfcheck']))\n"
     )
@@ -492,8 +516,8 @@ class TestScan:
         assert max(float(v) for v in cols["abs_diff"]) < 1e-6
 
     def test_paired_json_round_trip(self, tmp_path):
-        # JSON keeps every float's repr, so the columns parse back to the
-        # scans' arrays bit for bit
+        # JSON writes every float's shortest round-trip digits, so the
+        # columns parse back to the scans' arrays bit for bit
         out = tmp_path / "scan.json"
         rc = cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--format", "json", "--out", str(out)])
         assert rc == 0
