@@ -255,6 +255,15 @@ def jacobi_triple(m: float, beta: float | None = None):
 # theta functions
 
 
+@lru_cache(maxsize=64)
+def _theta_constants(m: float) -> tuple[float, float, float, float]:
+    """(q, pi/(2K), ln(1/q), the tail's reach in j) at m: everything in
+    :func:`theta_jets` that does not depend on u."""
+    mod = modulus(m)
+    decay = math.pi * mod.Kprime / mod.K
+    return mod.q, math.pi / (2.0 * mod.K), decay, 2.0 * math.sqrt(_THETA_TAIL / decay)
+
+
 def theta_jets(m: float, u: complex, odd: bool) -> tuple[complex, complex, complex]:
     """Value and first two derivatives of H (eta, ``odd``) or Theta at u.
 
@@ -263,30 +272,37 @@ def theta_jets(m: float, u: complex, odd: bool) -> tuple[complex, complex, compl
     v = pi*u/(2K) and term-wise derivatives.  |term j| is about
     exp(-j**2 ln(1/q)/4 + j |Im v|), a Gaussian in j; the sum stops where
     it has fallen by exp(-``_THETA_TAIL``) from its peak, so the term count
-    is fixed before the loop.  Theta's zeros are the sn pole lattice;
-    arguments within ``_THETA_ZERO_TOL`` of it raise
-    :class:`ThetaZeroError`.
+    is fixed before the loop.  From one term to the next (j -> j + 2) the
+    trig pair turns by the angle 2v and the coefficient is multiplied by
+    -q**(j + 1), so the loop calls no trig function and no power.  Theta's
+    zeros are the sn pole lattice; arguments within ``_THETA_ZERO_TOL`` of
+    it raise :class:`ThetaZeroError`.
     """
-    mod = modulus(m)
     u = complex(u)
     if not odd:
         zero = sn_pole_lattice_point(u, m)
         if abs(u - zero) < _THETA_ZERO_TOL:
             raise ThetaZeroError(f"argument {u} lies within {_THETA_ZERO_TOL} of the theta zero at {zero}")
-    q = mod.q
-    w = math.pi / (2.0 * mod.K)
+    q, w, decay, reach = _theta_constants(m)
     v = w * u
-    decay = math.pi * mod.Kprime / mod.K  # ln(1/q)
-    stop = 2.0 * abs(v.imag) / decay + 2.0 * math.sqrt(_THETA_TAIL / decay)
-    f, d1, d2 = (0j, 0j, 0j) if odd else (1.0 + 0j, 0j, 0j)
-    for j in range(1 if odd else 2, int(stop) + 1, 2):
-        c = (-2.0 if j & 2 else 2.0) * q ** ((0.5 * j) ** 2)
+    stop = 2.0 * abs(v.imag) / decay + reach
+    s2, c2 = cmath.sin(2.0 * v), cmath.cos(2.0 * v)
+    # the first term, j = 1 or 2: its coefficient, the ratio q**(j + 1) and its trig pair
+    if odd:
+        first, c, ratio, s, co = 1, 2.0 * q**0.25, q * q, cmath.sin(v), cmath.cos(v)
+        f, d1, d2 = 0j, 0j, 0j
+    else:
+        first, c, ratio, s, co = 2, -2.0 * q, q * q * q, s2, c2
+        f, d1, d2 = 1.0 + 0j, 0j, 0j
+    qq = q * q
+    for j in range(first, int(stop) + 1, 2):
         k = j * w
-        s, co = cmath.sin(j * v), cmath.cos(j * v)
         t, dt = (s, co) if odd else (co, -s)  # the term's trig factor and its derivative
         f += c * t
         d1 += c * k * dt
         d2 -= c * k * k * t
+        c, ratio = -c * ratio, ratio * qq
+        s, co = s * c2 + co * s2, co * c2 - s * s2
     return f, d1, d2
 
 
@@ -406,12 +422,14 @@ def jet_reciprocal(a):
 
 
 def jets_from_scd(s, c, d, m: float):
-    """Jets of sn, cn, dn given their values at a point.
+    """Jets of sn, cn, dn given their values at a point, then those of sn**2
+    and 1/dn, the two products edge states share.
 
     The derivative rules sn' = cn dn, cn' = -sn dn, dn' = -m sn cn close on
     the triple itself, so the jet of any rational expression in (sn, cn, dn)
     follows by :func:`jet_mul` and :func:`jet_reciprocal`.
     """
-    return ((s, c * d, -s * (d * d) - m * s * (c * c)),
-            (c, -s * d, -c * (d * d) + m * (s * s) * c),
-            (d, -m * s * c, -m * (c * c) * d + m * (s * s) * d))
+    S, C, D = ((s, c * d, -s * (d * d) - m * s * (c * c)),
+               (c, -s * d, -c * (d * d) + m * (s * s) * c),
+               (d, -m * s * c, -m * (c * c) * d + m * (s * s) * d))
+    return S, C, D, jet_mul(S, S), jet_reciprocal(D)

@@ -268,13 +268,19 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     # the (psi, psi') halves of the three state buffers, swapped with them
     y_h, y_new_h, z_h = [(u[:n], u[n:]) for u in (y, y_new, z)]
     ve = np.empty(n, dtype=dtype)
+    # numpy's scalar operands (the step, V at a stage, RTOL and ATOL) as
+    # reused 0-d arrays of the dtype numpy would convert them to, so every
+    # product is the same, without a conversion per call
+    h_op, v_op = np.empty((), dtype=dtype), np.empty((), dtype=dtype)
+    rtol, atol = np.array(RTOL), np.array(ATOL)
 
     def deriv(x, halves, s):
         # row s of K: (psi', (V - E) psi) at x and the state of these halves
         psi, dpsi_state = halves
         w = v(x)
         dpsi[s][...] = dpsi_state
-        np.subtract(w.real if real else w, energies, ve)
+        v_op[()] = w.real if real else w
+        np.subtract(v_op, energies, ve)
         np.multiply(ve, psi, ddpsi[s])
 
     deriv(t, y_h, 0)
@@ -308,20 +314,21 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
                 )
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
+            h_op[()] = h
             for s in range(1, 12):
                 np.dot(a[s], stages[s], out=z)
-                z *= h
+                z *= h_op
                 z += y
                 deriv(t + _C[s] * h, z_h, s)
             np.dot(K12T, b, out=y_new)
-            y_new *= h
+            y_new *= h_op
             y_new += y
             deriv(t_new, y_new_h, 12)
             nfev += 12
             np.abs(y_new, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
-            scale *= RTOL
-            scale += ATOL
+            scale *= rtol
+            scale += atol
             np.dot(KT, e5, out=est)
             est /= scale
             err5 = float(_norm(est) ** 2)

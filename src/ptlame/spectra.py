@@ -19,7 +19,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import elliptic as ell
-from .elliptic import jet_mul, jet_reciprocal, jets_from_scd
+from .elliptic import jet_mul, jets_from_scd
 
 __all__ = ["BandEdge", "DispersionPoint", "BranchResolutionError", "real_band_edges", "pt_band_edges",
            "closed_form_energies", "edge_rows", "ground_state_builder", "ground_energy",
@@ -82,19 +82,19 @@ _FACTORS = {
 
 
 def _builder(tag: str, c0: float, c1: float):
-    """Jet builder (S, C, D) -> jet of the edge state sn**p cn**q dn**r (c0 + c1 sn**2)."""
-    first, *more = [i for i, k in enumerate(_FACTORS[tag]) for _ in range(k)]
-    under = [i for i, k in enumerate(_FACTORS[tag]) for _ in range(-k)]
+    """Jet builder (S, C, D, S**2, 1/D) -> jet of the edge state sn**p cn**q dn**r (c0 + c1 sn**2),
+    its arguments as :func:`elliptic.jets_from_scd` returns them; dn is the one factor with a
+    negative exponent, read as the jet 1/D."""
+    p, q, r = _FACTORS[tag]
+    first, *more = [0] * p + [1] * q + ([2] * r if r > 0 else [4] * -r)
 
-    def build(*scd):
-        jet = scd[first]
+    def build(*jets):
+        jet = jets[first]
         for i in more:
-            jet = jet_mul(jet, scd[i])
-        for i in under:
-            jet = jet_mul(jet, jet_reciprocal(scd[i]))
+            jet = jet_mul(jet, jets[i])
         if c1 == 0.0:
             return jet
-        s, s1, s2 = jet_mul(scd[0], scd[0])
+        s, s1, s2 = jets[3]
         return jet_mul(jet, (s * c1 + c0, s1 * c1, s2 * c1))
 
     return build
@@ -139,9 +139,10 @@ def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
     return e_g if pt else -(rows[-1][0] + e_g)
 
 
+@functools.lru_cache(maxsize=32)
 def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
     """Ascending (energy, period class, (type, c0, c1)) rows of a family's
-    edges; an unknown family raises KeyError.
+    edges, as a tuple, cached; an unknown family raises KeyError.
 
     PT energies are relative to the PT ground state, real ones absolute.
     The PT energy map E_j -> -E_{2a-j} reverses the level order, so real
@@ -152,8 +153,8 @@ def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
     """
     e_g, rows = _TABLES[(kind, a, b)](m)
     signs = (1.0, -1.0, -1.0) if pt else (-1.0, -1.0, 1.0)
-    rows = [(e if pt else -(e + e_g), "P" if math.prod(x**k for x, k in zip(signs, _FACTORS[tag])) > 0 else "A",
-             (tag, c0, c1)) for e, tag, c0, c1 in rows]
+    rows = tuple((e if pt else -(e + e_g), "P" if math.prod(x**k for x, k in zip(signs, _FACTORS[tag])) > 0 else "A",
+                  (tag, c0, c1)) for e, tag, c0, c1 in rows)
     return rows if pt else rows[::-1]
 
 
@@ -161,13 +162,13 @@ def ground_state_builder(kind: str, a: int, b: int, m: float, pt: bool):
     """(jet builder, sn**2 at its zeros, log-derivative) of a family's ground
     state (energy: :func:`ground_energy`).
 
-    The builder maps (S, C, D) jets in the natural argument u (real for the
-    plain potential, u = i x + beta for the PT version) to the ground-state
-    jet, each an (f, f', f'') tuple in u, and the log-derivative maps
-    (sn, cn, dn) values at u to psi'/psi in u, a rational expression with
-    no jet.  Both are those of the lowest edge, which for the plain
-    potential is the top PT row through the level reversal, so they differ
-    between the two versions.  The zeros are where a SUSY partner built on
+    The builder maps the jets :func:`elliptic.jets_from_scd` returns, in the
+    natural argument u (real for the plain potential, u = i x + beta for the
+    PT version), to the ground-state jet, each an (f, f', f'') tuple in u,
+    and the log-derivative maps (sn, cn, dn) values at u to psi'/psi in u, a
+    rational expression with no jet.  Both are those of the lowest edge,
+    which for the plain potential is the top PT row through the level
+    reversal, so they differ between the two versions.  The zeros are where a SUSY partner built on
     it has poles; a spec's ``ground`` keeps only them and the log-derivative.
     """
     state = edge_rows(kind, a, b, m, pt)[0][2]
@@ -196,21 +197,17 @@ _line_triple = functools.lru_cache(maxsize=4)(ell.jacobi_triple)
 
 @functools.lru_cache(maxsize=256)
 def _line_jets(m: float, beta: float | None, x: float):
-    """(S, C, D) jets of the potential's Jacobi triple at x on the line u = i x + beta (beta given) or the
-    real axis; cached, as every edge table on one line reads the same points, often one shared grid."""
-    return jets_from_scd(*_line_triple(m, beta)(x), m)
+    """(S, C, D, S**2, 1/D) jets in x (:func:`elliptic.jets_from_scd`) of the potential's Jacobi triple
+    at x on the line u = i x + beta (beta given) or the real axis; on the line d/dx = i d/du, applied
+    here once per point.  Cached, as every edge table on one line reads the same points, often one
+    shared grid."""
+    jets = jets_from_scd(*_line_triple(m, beta)(x), m)
+    return jets if beta is None else tuple((f, 1j * f1, -f2) for f, f1, f2 in jets)
 
 
 def _make_edges(kind: str, a: int, b: int, m: float, beta: float | None) -> list[BandEdge]:
-    dfac = 1.0 if beta is None else 1j  # d/dx = i d/du on the PT line
-    edges = []
-    for energy, cls, state in edge_rows(kind, a, b, m, beta is not None):
-        def jet(x: float, build=_builder(*state)) -> tuple[complex, complex, complex]:
-            f, d1, d2 = build(*_line_jets(m, beta, x))
-            return f, dfac * d1, dfac * dfac * d2
-
-        edges.append(BandEdge(energy, cls, jet))
-    return edges
+    return [BandEdge(energy, cls, lambda x, build=_builder(*state): build(*_line_jets(m, beta, x)))
+            for energy, cls, state in edge_rows(kind, a, b, m, beta is not None)]
 
 
 def pt_band_edges(kind: str, a: int, b: int, m: float, beta: float) -> list[BandEdge]:

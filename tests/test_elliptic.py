@@ -280,6 +280,26 @@ class TestTheta:
                         assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
 
 
+    @pytest.mark.parametrize("m", (0.05, 0.3, 0.75, 0.95))
+    def test_bloch_arguments_against_mpmath(self, m):
+        # every jet entry at the arguments bloch_solution_jet passes: Theta
+        # at u = i x + beta and H at u +- alpha1, for energies in both bands
+        # and in the gap, with Im u up to 3 K'
+        from ptlame import spectra as spc
+
+        mod, beta = ell.modulus(m), 0.7
+        for e in (0.3 * m, 0.5 * (1.0 + m), 2.0):
+            alpha = spc.dispersion_analytic(m, beta, e).alpha1
+            for x in np.linspace(0.0, 2.0 * mod.Kprime, 5):
+                u = 1j * x + beta
+                args = [(u, False, 4)] + [(u + sign * alpha, True, 1) for sign in (1, -1)]
+                assert max(abs(w.imag) for w, _, _ in args) <= 3.0 * mod.Kprime
+                for w, odd, kind in args:
+                    for d, got in enumerate(ell.theta_jets(m, w, odd)):
+                        ref = _mp_theta(kind, w, m, d)
+                        assert abs(got - ref) < 1e-12 * max(1.0, abs(ref))
+
+
 class TestZeta:
     def test_odd_at_origin(self):
         assert ell.zeta_Z(0.5, 0.0) == 0
@@ -383,10 +403,11 @@ class TestJets:
     def test_jet_derivatives_match_finite_differences(self):
         m, z, h = 0.6, 0.4 + 0.3j, 1e-5
         jv = ell.jacobi_complex(z, m)
-        S, C, D = ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m)
+        S, C, D, S2, Dinv = ell.jets_from_scd(jv.sn, jv.cn, jv.dn, m)
+        assert S2 == ell.jet_mul(S, S) and Dinv == ell.jet_reciprocal(D)
         expr = lambda zz: (lambda jv: jv.sn * jv.cn / jv.dn)(ell.jacobi_complex(zz, m))
         f0 = S[0] * C[0] / D[0]
-        jet = ell.jet_mul(ell.jet_mul(S, C), ell.jet_reciprocal(D))
+        jet = ell.jet_mul(ell.jet_mul(S, C), Dinv)
         fd1 = (expr(z + h) - expr(z - h)) / (2 * h)
         fd2 = (expr(z + h) - 2 * f0 + expr(z - h)) / h**2
         assert abs(jet[0] - f0) < 1e-14

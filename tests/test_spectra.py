@@ -92,6 +92,12 @@ class TestClosedFormEdges:
         with pytest.raises(KeyError):
             spc.ground_energy("lame", 2, 0, M, pt=True)
 
+    def test_edge_rows_are_an_immutable_cached_tuple(self):
+        # edge_rows is memoized, so what it returns must not be mutable by a caller
+        rows = spc.edge_rows("lame", 3, 0, M, True)
+        assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+        assert spc.edge_rows("lame", 3, 0, M, True) is rows
+
 
 class TestEigenfunctions:
     @pytest.mark.parametrize("kind,a,b", spc.ptlame_families)
@@ -238,6 +244,28 @@ class TestEigenfunctions:
                     for x in xs:
                         e.jet(float(x))
             assert len(made) == 40
+
+    @pytest.mark.parametrize("pt", [False, True], ids=["real", "pt"])
+    @pytest.mark.parametrize("fam", spc.ptlame_families)
+    def test_jets_are_the_product_rule_rotated_to_x(self, fam, pt):
+        # each row's jet equals its Jacobi factor times c0 + c1 sn**2, built
+        # by the product rule from the (S, C, D) jets in u and only then
+        # rotated to x by d/dx = i d/du, as the rows did before the line
+        # cache took the rotation and the shared S**2 and 1/D
+        m, beta = 0.3, 1.2
+        edges = spc.pt_band_edges(*fam, m, beta) if pt else spc.real_band_edges(*fam, m)
+        triple = ell.jacobi_triple(m, beta if pt else None)
+        dfac = 1j if pt else 1.0
+        for x in (0.0, 0.41, 1.7, 3.3):
+            S, C, D, *_ = ell.jets_from_scd(*triple(x), m)
+            for edge, (_, _, (tag, c0, c1)) in zip(edges, spc.edge_rows(*fam, m, pt), strict=True):
+                jet = (1.0, 0.0, 0.0)
+                for base, k in zip((S, C, D), spc._FACTORS[tag]):
+                    for _ in range(abs(k)):
+                        jet = ell.jet_mul(jet, base if k > 0 else ell.jet_reciprocal(base))
+                s, s1, s2 = ell.jet_mul(S, S)
+                f, d1, d2 = ell.jet_mul(jet, (s * c1 + c0, s1 * c1, s2 * c1))
+                assert edge.jet(x) == (f, dfac * d1, dfac * dfac * d2)
 
     def test_line_on_a_pole_raises_at_the_first_jet(self):
         # beta = 0 puts the line on the sn poles: the table builds, and its
