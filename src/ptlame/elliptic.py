@@ -90,15 +90,18 @@ def _check_parameter(m: float) -> float:
     return m
 
 
-def complete_K(m: float) -> float:
+def complete_K(m: float, mc: float | None = None) -> float:
     """Complete elliptic integral of the first kind, K(m) = pi/(2 AGM(1, k')).
 
+    k' = sqrt(mc), with the complementary parameter mc = 1 - m formed here
+    unless the caller has it exactly: :func:`modulus` takes K' = K(1 - m)
+    with mc = m, as 1 - (1 - m) carries a relative error of about eps/m.
     The mean is the one :func:`_landen_schedule` iterates to, which keeps it
     as scale = AGM * 2**N after N steps.  It converges quadratically, so the
     result is accurate to a relative error below 1e-14 for any m in (0, 1).
     The endpoints are rejected: K(1) diverges logarithmically.
     """
-    scale, ratios = _landen_schedule(m)
+    scale, ratios = _landen_schedule(m, 1.0 - m if mc is None else mc)
     return math.pi * 2.0 ** len(ratios) / (2.0 * scale)
 
 
@@ -127,7 +130,7 @@ def modulus(m: float) -> Modulus:
     if 1.0 - m == 1.0:
         raise EllipticDomainError(
             f"parameter m={float(m)!r}: its complement 1 - m rounds to 1, so K(1 - m) diverges")
-    Kp = complete_K(1.0 - m)
+    Kp = complete_K(1.0 - m, m)
     return Modulus(m, K, Kp, math.exp(-math.pi * Kp / K))
 
 
@@ -140,12 +143,13 @@ class JacobiValues(NamedTuple):
 
 
 @lru_cache(maxsize=512)
-def _landen_schedule(m: float) -> tuple[float, tuple[float, ...]]:
+def _landen_schedule(m: float, mc: float) -> tuple[float, tuple[float, ...]]:
     # Descending-Landen coefficients c_n / a_n, last first, the order the
-    # backward recursion reads them; they depend only on m, so the
-    # per-argument work reduces to one sin/asin pass.
+    # backward recursion reads them; they depend only on m and its
+    # complement mc = 1 - m, given exactly (Bulirsch's sncndn takes mc as
+    # its input), so the per-argument work reduces to one sin/asin pass.
     _check_parameter(m)
-    a, b = 1.0, math.sqrt(1.0 - m)
+    a, b = 1.0, math.sqrt(mc)
     ratios = []
     while True:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
@@ -155,11 +159,13 @@ def _landen_schedule(m: float) -> tuple[float, tuple[float, ...]]:
     return a * 2.0 ** len(ratios), tuple(reversed(ratios))
 
 
-def _landen_pass(m: float):
+def _landen_pass(m: float, mc: float):
     # u -> (sn, cn, dn)(u | m) at real u by the backward recursion, for a
     # float (math's functions) or a float ndarray (numpy's ufuncs, chosen
-    # once per call); the schedule is read once, here, not per point
-    scale, ratios = _landen_schedule(m)
+    # once per call); the schedule is read once, here, not per point.
+    # dn = sqrt(mc + m cn**2), not sqrt(1 - m sn**2), which cancels down to
+    # sqrt(mc) near u = K when m is close to 1
+    scale, ratios = _landen_schedule(m, mc)
 
     def triple(u):
         sin, asin, cos, sqrt = ((np.sin, np.arcsin, np.cos, np.sqrt) if isinstance(u, np.ndarray)
@@ -167,8 +173,8 @@ def _landen_pass(m: float):
         phi = scale * u
         for r in ratios:
             phi = 0.5 * (phi + asin(r * sin(phi)))
-        sn = sin(phi)
-        return sn, cos(phi), sqrt(1.0 - m * sn * sn)
+        cn = cos(phi)
+        return sin(phi), cn, sqrt(mc + m * cn * cn)
 
     return triple
 
@@ -224,8 +230,8 @@ def line_jacobi(beta: float, m: float):
 def _addition(beta: float, m: float):
     # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked; the
     # potential evaluator runs the closure once per integrator stage
-    s, c, d = _landen_pass(m)(beta)
-    real = _landen_pass(1.0 - m)
+    s, c, d = _landen_pass(m, 1.0 - m)(beta)
+    real = _landen_pass(1.0 - m, m)  # the complement of 1 - m is m, exactly
     ss = m * s * s
     cd = c * d
     msc = m * s * c
@@ -248,7 +254,8 @@ def jacobi_triple(m: float, beta: float | None = None):
     ndarray, evaluated elementwise in one pass (see :func:`line_jacobi`)."""
     if beta is not None:
         return line_jacobi(beta, m)
-    return _landen_pass(_check_parameter(m))
+    m = _check_parameter(m)
+    return _landen_pass(m, 1.0 - m)
 
 
 # ---------------------------------------------------------------------------

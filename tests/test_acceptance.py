@@ -95,7 +95,7 @@ def test_kprime_row_fails_on_a_wrong_agm(monkeypatch):
     # independent algorithm: a 1e-12 relative error in complete_K fails it
     row = next(r for r in inv.REGISTRY if r.name == "kprime-complementary-k")
     complete_k = ell.complete_K
-    monkeypatch.setattr(ell, "complete_K", lambda m: complete_k(m) * (1.0 + 1e-12))
+    monkeypatch.setattr(ell, "complete_K", lambda m, mc=None: complete_k(m, mc) * (1.0 + 1e-12))
     ell.modulus.cache_clear()
     try:
         [(_, value, _, ok, _)] = inv.run([row], M, BETA)

@@ -43,6 +43,18 @@ class TestCompleteK:
     def test_agm_vs_scipy(self, m):
         assert abs(ell.complete_K(m) - sp.ellipk(m)) < 1e-14 * sp.ellipk(m)
 
+    @pytest.mark.parametrize("m", [1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_both_ends_against_mpmath(self, m):
+        # K and K' = K(1 - m) at 40 digits: K' takes the complement m
+        # exactly, not 1 - (1 - m), which is eps/m off for small m
+        import mpmath as mp
+
+        mod = ell.modulus(m)
+        with mp.workdps(40):
+            K, Kp = mp.ellipk(m), mp.ellipk(1 - mp.mpf(m))
+        assert abs(mod.K - K) < 1e-14 * K
+        assert abs(mod.Kprime - Kp) < 1e-14 * Kp
+
 
 class TestModulus:
     @pytest.mark.parametrize("m", PARAMS)

@@ -310,6 +310,30 @@ class TestEvaluation:
             with pytest.raises(pot.PotentialError, match="zero line of the partner's ground state"):
                 pot.compiled_value_fn(a3p, b)
 
+    @pytest.mark.parametrize("pt", [False, True], ids=["real", "pt"])
+    @pytest.mark.parametrize("m", [1e-9, 1e-6, 1.0 - 1e-9])
+    def test_ends_of_m_against_mpmath(self, m, pt):
+        # the (2,1) V on the real axis and on its PT integration line, at 41
+        # points of a half period, against mpmath's Jacobi functions at 40
+        # digits: the Landen passes carry the complement exactly, so V holds
+        # to 1e-11 of max |V| where 1 - (1 - m) would cost it eps/m
+        import mpmath as mp
+
+        spec = pot.AssociatedLame(2, 1, m)
+        if pt:
+            spec = pot.PTTransform(spec, flq.integration_beta(pot.PTTransform(spec, 0.5)))
+        f = pot.compiled_value_fn(spec)
+        xs = np.linspace(0.0, 0.5 * spec.period, 41)
+        with mp.workdps(40):
+            def ref(x):
+                u = mp.mpc(spec.beta, x) if pt else mp.mpf(x)
+                s, c, d = (mp.ellipfun(k, u, m=m) for k in ("sn", "cn", "dn"))
+                return spec.sign * complex(6 * m * s**2 + 2 * m * (c / d) ** 2)
+
+            want = np.array([ref(float(x)) for x in xs])
+        got = np.array([f(float(x)) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
 
 class TestPoleLines:
     def test_corners_are_set_without_inverting(self):
