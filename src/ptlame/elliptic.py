@@ -262,7 +262,7 @@ def jacobi_triple(m: float, beta: float | None = None):
 # theta functions
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _theta_constants(m: float) -> tuple[float, float, float, float]:
     """(q, pi/(2K), ln(1/q), the tail's reach in j) at m: everything in
     :func:`theta_jets` that does not depend on u."""
@@ -294,14 +294,11 @@ def theta_jets(m: float, u: complex, odd: bool) -> tuple[complex, complex, compl
     v = w * u
     stop = 2.0 * abs(v.imag) / decay + reach
     s2, c2 = cmath.sin(2.0 * v), cmath.cos(2.0 * v)
-    # the first term, j = 1 or 2: its coefficient, the ratio q**(j + 1) and its trig pair
-    if odd:
-        first, c, ratio, s, co = 1, 2.0 * q**0.25, q * q, cmath.sin(v), cmath.cos(v)
-        f, d1, d2 = 0j, 0j, 0j
-    else:
-        first, c, ratio, s, co = 2, -2.0 * q, q * q * q, s2, c2
-        f, d1, d2 = 1.0 + 0j, 0j, 0j
-    qq = q * q
+    # the first term, j = 1 or 2: its trig pair, its coefficient and the ratio q**(j + 1) to the next
+    first = 1 if odd else 2
+    s, co = (cmath.sin(v), cmath.cos(v)) if odd else (s2, c2)
+    c, ratio, qq = (2.0 if odd else -2.0) * q ** (0.25 * first * first), q ** (first + 1), q * q
+    f, d1, d2 = (0j, 0j, 0j) if odd else (1.0 + 0j, 0j, 0j)
     for j in range(first, int(stop) + 1, 2):
         k = j * w
         t, dt = (s, co) if odd else (co, -s)  # the term's trig factor and its derivative

@@ -139,7 +139,7 @@ def ground_energy(kind: str, a: int, b: int, m: float, pt: bool) -> float:
     return e_g if pt else -(rows[-1][0] + e_g)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def edge_rows(kind: str, a: int, b: int, m: float, pt: bool):
     """Ascending (energy, period class, (type, c0, c1)) rows of a family's
     edges, as a tuple, cached; an unknown family raises KeyError.
