@@ -7,7 +7,8 @@ descending-Landen backward recursion, and complex arguments from the
 real/imaginary addition decomposition, which is stable everywhere away from
 the pole lattice of sn.  ``inverse_sn`` solves for real or purely imaginary
 values, each by one incomplete integral of the first kind along an edge of
-the fundamental rectangle, in Carlson's form.  Theta functions are nome
+the fundamental rectangle: one Carlson R_F on arguments scaled so that none
+forms m again from its complement 1 - m.  Theta functions are nome
 series with term-wise derivatives, so logarithmic derivatives never touch
 numerical differencing.
 """
@@ -344,14 +345,6 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
-def _arcsn(s: float, mu: float) -> float:
-    """t in [0, K(mu)] with sn(t | mu) = s, for s in [0, 1]: the incomplete
-    integral F(arcsin s | mu) = s R_F(1 - s^2, 1 - mu s^2, 1) (DLMF 19.25.5),
-    with 1 - mu s^2 = (1 - mu) + mu (1 - s^2) accurate as s -> 1."""
-    c2 = (1.0 - s) * (1.0 + s)
-    return s * _carlson_rf(c2, (1.0 - mu) + mu * c2, 1.0)
-
-
 def inverse_sn(w: complex, m: float) -> complex:
     """Solve sn(alpha, m) = w for real or purely imaginary w.
 
@@ -359,8 +352,10 @@ def inverse_sn(w: complex, m: float) -> complex:
     fundamental rectangle, mirrored to Re(alpha) <= 0 for w < 0.  Imaginary
     w = i*t lands on the imaginary axis with |Im(alpha)| < K', through
     Jacobi's imaginary transformation sn(i*v, m) = i*sc(v, 1-m).  Each case
-    is one incomplete integral of the first kind, in closed form through
-    Carlson's R_F, with no root find; any other w raises
+    is one incomplete integral of the first kind, one call of Carlson's R_F
+    with no root find.  R_F is homogeneous of degree -1/2 (DLMF 19.25.5),
+    so each edge's arguments are scaled until none is 1 minus a complement:
+    1 - m is formed from m, never m from 1 - m.  Any other w raises
     :class:`InversionError`.
     """
     m = _check_parameter(m)
@@ -373,20 +368,22 @@ def inverse_sn(w: complex, m: float) -> complex:
         if x >= 1e-14:
             raise InversionError(f"inverse_sn solves only for real or purely imaginary w, not w={w}")
         t = abs(w.imag)
-        alpha = complex(0.0, math.copysign(_arcsn(t / math.hypot(1.0, t), 1.0 - m), w.imag))
+        alpha = complex(0.0, math.copysign(t * _carlson_rf(1.0, 1.0 + m * t * t, 1.0 + t * t), w.imag))
     elif abs(x - 1.0) < 1e-13:
         alpha = complex(sgn * mod.K, 0.0)
     elif abs(x - 1.0 / rm) < 1e-13:
         alpha = complex(sgn * mod.K, mod.Kprime)
     elif x < 1.0:
-        alpha = complex(sgn * _arcsn(x, m), 0.0)
+        c2 = (1.0 - x) * (1.0 + x)
+        alpha = complex(sgn * x * _carlson_rf(c2, (1.0 - m) + m * c2, 1.0), 0.0)
     elif x < 1.0 / rm:
-        # right edge: sn(K + i s) = 1/dn(s, 1-m), so sn(s, 1-m)**2 = (1 - 1/x**2)/(1-m);
-        # the sign flip moves to -K.
-        alpha = complex(sgn * mod.K, _arcsn(math.sqrt((1.0 - 1.0 / (x * x)) / (1.0 - m)), 1.0 - m))
+        # right edge: sn(K + i s) = 1/dn(s, 1-m); the sign flip moves to -K
+        mc = 1.0 - m
+        s = math.sqrt((x - 1.0) * (x + 1.0) / mc)
+        alpha = complex(sgn * mod.K, s * _carlson_rf((1.0 - m * x * x) / mc, 1.0, x * x))
     else:
         # top edge: sn(t + i K') = 1/(sqrt(m) sn(t))
-        alpha = complex(sgn * _arcsn(1.0 / (rm * x), m), mod.Kprime)
+        alpha = complex(sgn * _carlson_rf(m * x * x - 1.0, m * (x - 1.0) * (x + 1.0), m * x * x), mod.Kprime)
     residual = abs(jacobi_complex(alpha, m).sn - w)
     if residual > 100.0 * _INVERSE_TOL * max(1.0, abs(w)):
         raise InversionError(f"inverse_sn residual {residual:.3e} for w={w}, m={m}")
@@ -397,13 +394,12 @@ def landen_descend(m: float) -> tuple[float, float]:
     """Descending Landen step: returns (alpha, m_tilde) with m_tilde < m.
 
     alpha = 1/(1 + sqrt(1-m)) rescales the argument, m_tilde is the reduced
-    parameter ((1 - sqrt(1-m))/(1 + sqrt(1-m)))**2.
+    parameter ((1 - sqrt(1-m))/(1 + sqrt(1-m)))**2 = (m alpha**2)**2, the
+    form that does not cancel as m -> 0.
     """
     m = _check_parameter(m)
-    s = math.sqrt(1.0 - m)
-    alpha = 1.0 / (1.0 + s)
-    mt = ((1.0 - s) / (1.0 + s)) ** 2
-    return alpha, mt
+    alpha = 1.0 / (1.0 + math.sqrt(1.0 - m))
+    return alpha, (m * alpha * alpha) ** 2
 
 
 # ---------------------------------------------------------------------------

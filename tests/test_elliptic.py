@@ -370,18 +370,37 @@ class TestInverseSn:
                 assert abs(alpha.imag) < kp
                 assert abs(ell.jacobi_complex(alpha, m).sn - w) < 1e-9 * max(1.0, abs(w))
 
-    @pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 0.75, 0.95])
-    def test_arcsn_against_mpmath(self, mu):
-        # t = s R_F(1 - s^2, 1 - mu s^2, 1) against F(arcsin s | mu), up to
-        # s -> 1, where t -> K(mu)
+    @pytest.mark.parametrize("m", [1e-9, 1e-6, 0.05, 0.5, 0.95])
+    def test_legs_against_mpmath(self, m):
+        # alpha on every leg, and mirrored, against F and K at 40 digits: x < 1
+        # up to s -> 1 and the imaginary axis up to t = 1e6 to 1e-14, the right
+        # edge K + i s and the top edge s + i K' to 1e-12, 1e-6 and more from
+        # the corners 1 and 1/sqrt(m), where sn' = 0 and alpha is only
+        # sqrt-conditioned.  Each leg is one R_F on scaled arguments; with
+        # m rebuilt from 1 - m, the right edge read 4.9e-8 off at m = 1e-9
+        # and the imaginary leg raised from t = 1e4 on
         import mpmath as mp
 
-        grid = [float(s) for s in np.linspace(0.0, 1.0, 21)] + [1.0 - 10.0**-k for k in range(2, 16)]
-        with mp.workdps(30):
-            refs = [float(mp.ellipf(mp.asin(s), mu)) for s in grid]
-        for s, ref in zip(grid, refs):
-            assert abs(ell._arcsn(s, mu) - ref) <= 1e-14 * ref
-        assert abs(ell._arcsn(1.0, mu) - ell.modulus(mu).K) <= 1e-14 * ell.modulus(mu).K
+        top = 1.0 / math.sqrt(m)
+        real = [float(s) for s in np.linspace(0.05, 0.95, 19)] + [1.0 - 10.0**-k for k in range(2, 13)]
+        right = [1.0 + 1e-6, 1.0 + 1e-3 * (top - 1.0), 0.5 * (1.0 + top), top * (1.0 - 1e-6)]
+        with mp.workdps(40):
+            mu, mc = mp.mpf(m), 1 - mp.mpf(m)
+
+            def f(s, p):
+                return mp.ellipf(mp.asin(s), p)
+
+            K = mp.ellipk(mu)
+            cases = [(x, f(x, mu), 1e-14) for x in real]
+            cases += [(1j * t, 1j * mp.ellipf(mp.atan(t), mc), 1e-14) for t in np.geomspace(1e-8, 1e6, 15)]
+            cases += [(x, K + 1j * f(mp.sqrt((1 - 1 / mp.mpf(x) ** 2) / mc), mc), 1e-12) for x in right]
+            cases += [(x, f(1 / (mp.sqrt(mu) * x), mu) + 1j * mp.ellipk(mc), 1e-12)
+                      for x in (top * (1.0 + 1e-6), 2.0 * top, 1e3 * top)]
+            cases = [(complex(w), complex(ref), tol) for w, ref, tol in cases] + [(1.0, complex(K), 1e-14)]
+        for w, ref, tol in cases:
+            # w -> -w mirrors a real w's alpha to -Re(alpha) and negates an imaginary one
+            for w, ref in ((w, ref), (-w, -ref if w.imag else complex(-ref.real, ref.imag))):
+                assert abs(ell.inverse_sn(w, m) - ref) <= tol * abs(ref), (w, m)
 
     @pytest.mark.parametrize("w", [0.3 + 0.7j, -0.2 + 1.4j, 1.3 + 0.2j])
     def test_off_axis_w_raises(self, w):
@@ -399,6 +418,17 @@ class TestLanden:
         alpha, mt = ell.landen_descend(1e-9)
         assert abs(alpha - 0.5) < 1e-9
         assert mt < 1e-17
+
+    @pytest.mark.parametrize("m", [1e-9, 1e-6, 0.05, 0.75])
+    def test_descended_parameter_against_mpmath(self, m):
+        # m_tilde = (m alpha**2)**2: the difference 1 - sqrt(1 - m) read
+        # 1.6e-7 off (relative) at m = 1e-9
+        import mpmath as mp
+
+        with mp.workdps(40):
+            r = mp.sqrt(1 - mp.mpf(m))
+            ref = float(((1 - r) / (1 + r)) ** 2)
+        assert abs(ell.landen_descend(m)[1] - ref) <= 1e-14 * ref
 
     def test_argument_halving_identity(self):
         m = 0.6
