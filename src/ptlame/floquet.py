@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -569,9 +568,7 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     1e-10 half-widths past a range end; a row within 1e-6 half-widths of an
     end two pieces share is reported by one of them alone, the one whose R
     has the smaller largest coefficient, and so the smaller error in its
-    pencil.  Rows carry the interpolant's Delta.  A
-    warning is issued when fewer than the 2a+1 simple edges of a recognized
-    base family are found: too small a range, or a narrow gap closed.
+    pencil.  Rows carry the interpolant's Delta.
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
@@ -633,15 +630,6 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
             found.append(NumericBandEdge(float(e), "PA"[k], complex(delta), mult))
 
     found.sort(key=lambda e: e.energy)
-    expected = simple_edge_count(spec)
-    simple = sum(1 for e in found if e.multiplicity == 1)
-    if expected is not None and simple < expected:
-        warnings.warn(
-            f"found {simple} simple band edges but the base family has {expected} "
-            f"(closed gaps found: {len(found) - simple}): the energy range is probably too small, "
-            "or a narrow open gap was reported closed",
-            stacklevel=2,
-        )
     return found
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import warnings
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -255,11 +254,8 @@ def _antiperiodic_present(m, beta):
 
 def _simple_edges_above(spec, top):
     """Simple Floquet edges in [top + 0.5, top + 100], above the top edge
-    ``top``: none where every gap up there is closed.  The window holds no
-    simple edge by design, so find_band_edges' 2a + 1 count warning is off."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"found \d+ simple band edges")
-        return _simple_edges(spec, top + 0.5, top + 100.0)
+    ``top``: none where every gap up there is closed."""
+    return _simple_edges(spec, top + 0.5, top + 100.0)
 
 
 def _finite_gap(m, beta):

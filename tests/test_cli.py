@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -189,13 +190,32 @@ class TestEdges:
         assert all(float(d) < 1e-6 for d in cols["abs_diff"])
 
     def test_gate_fails_when_edges_are_missed(self, tmp_path):
+        # [-0.3, 0.5] holds one of the three a=1 edges: the verdict fails and
+        # the count warns
         out = tmp_path / "edges.csv"
-        with pytest.warns(UserWarning, match="range is probably too small"):
+        with pytest.warns(UserWarning, match=r"\(closed gaps found: 0\): the energy range is probably too small, "
+                                             "or a narrow open gap was reported closed"):
             rc = cli.main(["edges", "--a", "1", "--pt", "--shift-zero",
                            "--emin", "-0.3", "--emax", "0.5", "--out", str(out)])
         assert rc == 3
         meta, _ = _read_csv(out)
         assert "verdict=FAIL" in meta
+
+    def test_warns_when_a_narrow_gap_is_reported_closed(self, tmp_path):
+        # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is found open,
+        # with no warning; at m = 0.995 it is 4.4e-8 wide and is reported
+        # closed on an ample range, and the warning counts that closed gap
+        out = tmp_path / "edges.csv"
+        argv = ["edges", "--a", "3", "--pt", "--shift-zero", "--out", str(out), "--m"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "0.993"]) == 0
+        assert _read_csv(out)[1]["multiplicity"] == ["1"] * 7
+        with pytest.warns(UserWarning, match=r"found 5 simple band edges but the base family has 7 "
+                                             r"\(closed gaps found: 1\): the energy range is probably too small, "
+                                             "or a narrow open gap was reported closed"):
+            assert cli.main([*argv, "0.995"]) == 3
+        assert _read_csv(out)[1]["multiplicity"] == ["1"] * 5 + ["2"]
 
     def test_without_closed_forms_all_2a_plus_1_edges_pass(self, tmp_path, monkeypatch):
         # Lame potentials with a = 2, 4, 5, 6 and 7 and the (4,1) and (4,3)
@@ -301,7 +321,8 @@ class TestEdges:
         assert cols["energy_analytic"][2] == ""
 
     def test_no_rows_fail(self, tmp_path, monkeypatch):
-        rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, [])
+        with pytest.warns(UserWarning, match=r"found 0 simple band edges but the base family has 3 "):
+            rc, header, cols = self._a1_stub_table(tmp_path, monkeypatch, [])
         assert rc == 3 and header["verdict"] == "FAIL" and float(header["max_abs_diff"]) == 0.0
         assert cols["index"] == [] and cols["energy_analytic"] == []
 
@@ -573,6 +594,17 @@ class TestDispersion:
         # rows inside the gap (0.75, 1) carry attenuation
         gap_rows = [i for i, e in enumerate(cols["e"]) if 0.78 < float(e) < 0.98]
         assert gap_rows and all(float(cols["k_numeric_im"][i]) > 1e-4 for i in gap_rows)
+
+    @pytest.mark.parametrize("energies", [(), ("--emin", "-1", "--emax", "2")], ids=["default", "below-ground"])
+    def test_small_m_ends_with_a_verdict(self, energies, tmp_path):
+        # at m = 1e-9, w = sqrt(E/m) reaches 5.5e4, and alpha1 lies on the
+        # imaginary axis, the right edge and the top edge of the rectangle:
+        # the run ends with a verdict, 0 or 3 (the band (0, m) is 1e-9 wide,
+        # so its E = 0 row is at float64's floor), not an InversionError
+        out = tmp_path / "disp.csv"
+        rc = cli.main(["dispersion", "--a", "1", "--pt", "--shift-zero", "--m", "1e-9", *energies, "--out", str(out)])
+        assert rc in (0, 3)
+        assert " analytic_available=True " in _read_csv(out)[0]
 
     @pytest.mark.parametrize("shift_zero", [False, True], ids=["raw", "shift-zero"])
     @pytest.mark.parametrize("ops", [("--pt", "--partner"), ("--partner", "--pt"), ("--pt", "--partner", "--partner")],

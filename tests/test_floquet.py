@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -443,27 +442,6 @@ class TestEdgeFinding:
         for x, y in zip(a, b):
             assert abs(x.energy - y.energy) < 1e-8
 
-    def test_warns_when_range_too_small(self):
-        with pytest.warns(UserWarning, match=r"\(closed gaps found: 0\): the energy range is probably too small, "
-                                             "or a narrow open gap was reported closed"):
-            flq.find_band_edges(_a1_spec(), -0.3, 0.5)
-
-    def test_warns_when_a_narrow_gap_is_reported_closed(self):
-        # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is found open,
-        # with no warning; at m = 0.995 it is 4.4e-8 wide and is reported
-        # closed on an ample range, and the warning counts that closed gap
-        ref = spc.closed_form_energies("lame", 3, 0, 0.993, pt=True, shifted=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            found = flq.find_band_edges(_a3_spec(0.993, BETA), min(ref) - 0.5, max(ref) + 0.5)
-        assert [e.multiplicity for e in found] == [1] * 7
-        ref = spc.closed_form_energies("lame", 3, 0, 0.995, pt=True, shifted=True)
-        with pytest.warns(UserWarning, match=r"found 5 simple band edges but the base family has 7 "
-                                             r"\(closed gaps found: 1\): the energy range is probably too small, "
-                                             "or a narrow open gap was reported closed"):
-            found = flq.find_band_edges(_a3_spec(0.995, BETA), min(ref) - 0.5, max(ref) + 0.5)
-        assert [e.multiplicity for e in found] == [1] * 5 + [2]
-
     def test_real_assoc21_closed_gap_detected(self):
         # the real (2,1) potential has all four simple excited edges
         # antiperiodic; its second band carries a doubly degenerate periodic
@@ -603,7 +581,6 @@ class TestEdgeFinding:
             assert np.allclose([e.energy for e in found], [4.0 - q * q / 12.0, 4.0 + 5.0 * q * q / 12.0],
                                rtol=0.0, atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:found 5 simple band edges")
     @pytest.mark.parametrize("m", (0.97, 0.98, 0.985, 0.99, 0.993, 0.995))
     def test_narrow_top_gap_is_two_edges_or_one_closed_gap(self, m):
         # the a=3 PT top gap narrows from 9.8e-6 (m = 0.97) to 4.4e-8 (0.995);

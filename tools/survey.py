@@ -25,7 +25,6 @@ from __future__ import annotations
 import sys
 import time
 import traceback
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -74,9 +73,7 @@ def main() -> int:
         count += 1
         name = label(key)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # find_band_edges warns on a short set; counted here
-                rows = flq.find_band_edges(spec, lo, hi)
+            rows = flq.find_band_edges(spec, lo, hi)
         except Exception as exc:  # noqa: BLE001 - a set that raises is reported and the survey goes on
             raised.append(name)
             print(f"{name:<22} RAISES {type(exc).__name__}: {exc}")
