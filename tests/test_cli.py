@@ -190,16 +190,22 @@ class TestEdges:
         assert all(float(d) < 1e-6 for d in cols["abs_diff"])
 
     def test_gate_fails_when_edges_are_missed(self, tmp_path):
-        # [-0.3, 0.5] holds one of the three a=1 edges: the verdict fails and
-        # the count warns
         out = tmp_path / "edges.csv"
-        with pytest.warns(UserWarning, match=r"\(closed gaps found: 0\): the energy range is probably too small, "
-                                             "or a narrow open gap was reported closed"):
+        with pytest.warns(UserWarning, match="range is probably too small"):
             rc = cli.main(["edges", "--a", "1", "--pt", "--shift-zero",
                            "--emin", "-0.3", "--emax", "0.5", "--out", str(out)])
         assert rc == 3
         meta, _ = _read_csv(out)
         assert "verdict=FAIL" in meta
+
+    def test_warns_when_range_too_small(self, tmp_path):
+        # [-0.3, 0.5] holds one of the three a=1 edges and no closed gap
+        out = tmp_path / "edges.csv"
+        with pytest.warns(UserWarning, match=r"found 1 simple band edges but the base family has 3 "
+                                             r"\(closed gaps found: 0\): the energy range is probably too small, "
+                                             "or a narrow open gap was reported closed"):
+            cli.main(["edges", "--a", "1", "--pt", "--shift-zero",
+                      "--emin", "-0.3", "--emax", "0.5", "--out", str(out)])
 
     def test_warns_when_a_narrow_gap_is_reported_closed(self, tmp_path):
         # the a=3 PT top gap is 1.2e-7 wide at m = 0.993 and is found open,
