@@ -356,12 +356,16 @@ def inverse_sn(w: complex, m: float) -> complex:
     with no root find.  R_F is homogeneous of degree -1/2 (DLMF 19.25.5),
     so each edge's arguments are scaled until none is 1 minus a complement:
     1 - m is formed from m, never m from 1 - m.  Any other w raises
-    :class:`InversionError`.
+    :class:`InversionError` naming w, as do a w that is not finite, one
+    whose R_F overflows and one whose alpha lies within the pole tolerance
+    of :func:`jacobi_complex` of a pole of sn (|w| of order 1e6 and beyond).
     """
     m = _check_parameter(m)
     mod = modulus(m)
     rm = math.sqrt(m)
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise InversionError(f"inverse_sn solves only for finite w, not w={w}")
     x = abs(w.real)
     sgn = 1.0 if w.real >= 0.0 else -1.0
     if abs(w.imag) >= 1e-14:
@@ -384,7 +388,12 @@ def inverse_sn(w: complex, m: float) -> complex:
     else:
         # top edge: sn(t + i K') = 1/(sqrt(m) sn(t))
         alpha = complex(sgn * _carlson_rf(m * x * x - 1.0, m * (x - 1.0) * (x + 1.0), m * x * x), mod.Kprime)
-    residual = abs(jacobi_complex(alpha, m).sn - w)
+    if not cmath.isfinite(alpha):
+        raise InversionError(f"inverse_sn overflows in float64 for w={w}, m={m}")
+    try:
+        residual = abs(jacobi_complex(alpha, m).sn - w)
+    except PoleProximityError as exc:
+        raise InversionError(f"inverse_sn: alpha={alpha} for w={w}, m={m} lies within {exc.tol} of a pole of sn") from None
     if residual > 100.0 * _INVERSE_TOL * max(1.0, abs(w)):
         raise InversionError(f"inverse_sn residual {residual:.3e} for w={w}, m={m}")
     return alpha

@@ -137,9 +137,13 @@ class NumericBandEdge(NamedTuple):
 
 class ScanResult(NamedTuple):
     """Delta on an energy grid.  ``det_defects`` are the checked Wronskian
-    defects (see :class:`MonodromyResult`); ``im_flags`` marks |Im Delta| >
-    1e-6, which is integration error on a custom potential and never set
-    for the others, whose Delta is real by construction."""
+    defects (see :class:`MonodromyResult`) of the energies integrated, in
+    order: the ``_CHEB`` Chebyshev points of a resolved series, those points
+    and then the grid when the series was not resolved, and the grid alone
+    for a scan of at most ``_CHEB`` energies (see
+    :func:`discriminant_scan`).  ``im_flags`` marks |Im Delta| > 1e-6 on the
+    grid, which is integration error on a custom potential and never set for
+    the others, whose Delta is real by construction."""
 
     energies: np.ndarray
     discriminants: np.ndarray
@@ -478,18 +482,40 @@ def discriminants(spec, energies) -> np.ndarray:
 
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
-    """Discriminant over a uniform energy grid, Wronskian checked as
+    """Discriminant over a uniform grid of n energies, Wronskian checked as
     :func:`discriminants` is, with |Im Delta| beyond 1e-6 flagged: only
     integration error on a custom potential can raise a flag (see
-    :class:`ScanResult`)."""
+    :class:`ScanResult`).
+
+    Delta is entire in E (see :func:`find_band_edges`), so for n >
+    ``_CHEB`` it is first integrated at the ``_CHEB`` Chebyshev points of
+    [e_min, e_max] alone.  Their series is resolved when its last 3
+    coefficients are within ``RTOL`` max(1, min |Delta| at the points): about
+    ``RTOL`` absolute on a range that holds a band, relative far below the
+    spectrum.  A resolved series is evaluated on the grid; samples with Im
+    Delta all 0.0 (every spec but a custom one) give a real series, so Im
+    Delta stays 0.0.  Otherwise, and for n <= ``_CHEB``, every grid energy
+    is integrated.
+    """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
     if n < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(e_min, e_max, n)
-    ms, _, defects, _ = _propagate(spec, grid)
+    defects = np.empty(0)
+    if n > _CHEB:
+        x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
+        ms, _, defects, _ = _propagate(spec, 0.5 * (e_min + e_max) + 0.5 * (e_max - e_min) * x)
+        samples = ms[:, 0, 0] + ms[:, 1, 1]
+        if not samples.imag.any():
+            samples = samples.real
+        c = _coefficients(samples)
+        if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(samples).min()):
+            deltas = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
+            return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
+    ms, _, grid_defects, _ = _propagate(spec, grid)
     deltas = ms[:, 0, 0] + ms[:, 1, 1]
-    return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
+    return ScanResult(grid, deltas, np.concatenate([defects, grid_defects]), np.abs(deltas.imag) > _IM_FLAG_TOL)
 
 
 def _coefficients(values):
@@ -500,6 +526,16 @@ def _coefficients(values):
     c = np.fft.fft(np.concatenate([values, values[-2:0:-1]]), axis=0)[:n] / (n - 1)
     c[[0, -1]] /= 2.0
     return c if np.iscomplexobj(values) else c.real
+
+
+def _clenshaw(x, c):
+    """sum_k c[k] T_k(x) at each of the real x (1-D) for 1-D coefficients
+    ``c``, by Clenshaw's recurrence; real for real ``c``."""
+    b1 = b2 = np.zeros(x.size, dtype=c.dtype)
+    x2 = 2.0 * x
+    for ck in c[:0:-1]:
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
 
 
 def _unresolved(c, atol):

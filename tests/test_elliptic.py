@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,6 +407,15 @@ class TestInverseSn:
     def test_off_axis_w_raises(self, w):
         with pytest.raises(ell.InversionError, match="real or purely imaginary"):
             ell.inverse_sn(w, 0.75)
+
+    # not finite, overflowing in R_F, or an alpha within the pole tolerance of
+    # a pole of sn: each an InversionError naming w, on the real and the
+    # imaginary leg, not a ValueError from jacobi_complex
+    @pytest.mark.parametrize("w, m", [(1e200, 0.5), (1e200j, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                                      (2e6j, 0.95), (1e7, 0.5)])
+    def test_unsolvable_w_raises_inversion_error(self, w, m):
+        with pytest.raises(ell.InversionError, match=re.escape(f"w={complex(w)}")):
+            ell.inverse_sn(w, m)
 
 
 class TestLanden:

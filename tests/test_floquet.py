@@ -362,6 +362,46 @@ class TestScan:
         for i in np.linspace(0, scan.energies.size - 1, 16).astype(int):
             assert abs(scan.discriminants[i] - flq.monodromy(spec, scan.energies[i]).discriminant) < 1e-8
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
+    def test_series_matches_the_integrated_grid(self, a, m):
+        # the benchmark's scan on its energy range, at a seeded beta: the
+        # 65-point series of Delta against every grid energy integrated
+        beta = 0.05 + 1.45 * np.random.default_rng([a, int(100 * m)]).random()
+        spec = pot.PTTransform(pot.Lame(a, m), beta)
+        scan = flq.discriminant_scan(spec, *flq.default_energy_range(spec), 500)
+        ref = flq.discriminants(spec, scan.energies)
+        assert np.all(np.abs(scan.discriminants - ref) <= 2e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_resolved_scan_integrates_only_the_chebyshev_points(self, monkeypatch):
+        spec = pot.PTTransform(pot.Lame(3, M), BETA)
+        calls = _count_batches(monkeypatch)
+        scan = flq.discriminant_scan(spec, *flq.default_energy_range(spec), 500)
+        assert calls == [flq._CHEB]
+        assert scan.energies.size == scan.discriminants.size == 500
+        assert scan.det_defects.size == flq._CHEB
+
+    @pytest.mark.parametrize("e_min, e_max, n", [(-30.0, 3.0, 500), (-1.0, 6.0, 2), (-1.0, 6.0, 65)])
+    def test_direct_path_is_the_integrated_grid(self, monkeypatch, e_min, e_max, n):
+        # on [-30, 3] |Delta| reaches 6e7 below the a=1 spectrum, and the
+        # series' tail, 2e-9, stays above RTOL; n <= 65 integrates the grid alone
+        spec = pot.PTTransform(pot.Lame(1, M), BETA)
+        calls = _count_batches(monkeypatch)
+        scan = flq.discriminant_scan(spec, e_min, e_max, n)
+        assert calls == ([flq._CHEB] if n > flq._CHEB else []) + [n]
+        assert scan.det_defects.size == sum(calls)
+        assert np.array_equal(scan.discriminants, flq.discriminants(spec, scan.energies))
+
+    @pytest.mark.parametrize("line", ["float64", "complex128"])
+    def test_series_keeps_delta_real(self, monkeypatch, line):
+        # a half-period spec's trace is real to the last bit, and so is the
+        # series evaluated from it, whether the state was float64 or complex128
+        spec = pot.PTTransform(pot.Lame(3, M), BETA) if line == "float64" else _complex_line_specs()[0]
+        calls = _count_batches(monkeypatch)
+        scan = flq.discriminant_scan(spec, -1.0, 8.0, 500)
+        assert calls == [flq._CHEB]
+        assert np.all(scan.discriminants.imag == 0.0)
+
     def test_batch_keeps_no_trajectory(self):
         # one full batch holds the solver's working arrays, not a copy of
         # the state at each of its ~43 steps
