@@ -356,11 +356,15 @@ class TestScan:
     def test_long_scan_matches_scalar_monodromy(self):
         # DOP853 controls the RMS of its error estimate over all 4 * _CHUNK
         # components of a batch; a full batch must still be as accurate as
-        # one energy alone
+        # one energy alone, and so must the scan's series over the same range
         spec = _a3_spec()
+        es = np.linspace(-0.5, 8.66, 3665)
+        deltas = flq.discriminants(spec, es)
         scan = flq.discriminant_scan(spec, -0.5, 8.66, 3665)
-        for i in np.linspace(0, scan.energies.size - 1, 16).astype(int):
-            assert abs(scan.discriminants[i] - flq.monodromy(spec, scan.energies[i]).discriminant) < 1e-8
+        for i in np.linspace(0, es.size - 1, 16).astype(int):
+            ref = flq.monodromy(spec, es[i]).discriminant
+            assert abs(deltas[i] - ref) < 1e-8
+            assert abs(scan.discriminants[i] - ref) < 1e-8
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     @pytest.mark.parametrize("m", [0.05, 0.5, 0.95])
