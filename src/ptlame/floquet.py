@@ -31,7 +31,9 @@ there the batches integrate float64 states, elsewhere complex128 ones.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -52,6 +54,7 @@ __all__ = [
     "monodromy",
     "discriminants",
     "discriminant_scan",
+    "discriminant_scans",
     "find_band_edges",
     "simple_edge_count",
     "dispersion_numeric",
@@ -137,11 +140,12 @@ class NumericBandEdge(NamedTuple):
 
 class ScanResult(NamedTuple):
     """Delta on an energy grid.  ``det_defects`` are the checked Wronskian
-    defects (see :class:`MonodromyResult`) of the energies integrated, not
-    one per grid energy, in order: the ``_CHEB`` Chebyshev points of a
-    resolved series, those points and then the grid when the series was not
-    resolved, and the grid alone for a scan of at most ``_CHEB`` energies
-    (see :func:`discriminant_scan`).  ``im_flags`` marks |Im Delta| > 1e-6 on the
+    defects (see :class:`MonodromyResult`) of the energies integrated for
+    this grid, not one per grid energy, in order: the ``_CHEB`` Chebyshev
+    points of a resolved series, those points and then the grid when the
+    series was not resolved, and the grid alone for a scan of at most
+    ``_CHEB`` energies (see :func:`discriminant_scan`); a range of
+    :func:`discriminant_scans` holds its own energies' defects alone.  ``im_flags`` marks |Im Delta| > 1e-6 on the
     grid, which is integration error on a custom potential and never set for
     the others, whose Delta is real by construction."""
 
@@ -237,11 +241,13 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
 
     ``y0`` holds (psi, psi') of every solution of the batch: n values of psi,
     then their n derivatives, float64 or complex128, a dtype the state keeps
-    throughout.  ``energies`` gives each solution's E (n entries) and ``v``
-    the potential, x -> V(x) at a float, called once per right-hand side,
-    so ``nfev`` times; a float64 state takes its real part.  Each stage
-    writes psi' and (V - E) psi straight into its row of the stage array,
-    through views built once per call.
+    throughout.  The n rows come in blocks, each with its own potential:
+    ``v`` holds one potential per block, x -> V(x) at a float, and
+    ``energies`` each block's E, one per row, so their sizes add up to n.
+    Each potential is called once per right-hand side, so ``nfev`` times; a
+    float64 state takes its real part.  Each stage writes psi' and (V - E)
+    psi straight into its row of the stage array, block by block, through
+    views built once per call.
 
     Every floating-point operation is that of scipy's
     ``solve_ivp(method="DOP853")`` on the same right-hand side, in the same
@@ -250,16 +256,19 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     3rd-order estimates (Sec. II.10), each norm taken as ``np.linalg.norm``
     takes it, and new steps 0.9 norm^(-1/8) times the last, kept in [0.2, 10]
     and at most 1 after a rejection.  So the steps and the end point are
-    scipy's bit for bit.  There is no dense output.  Raises
-    :class:`FloquetIntegrationError` after ``_MAX_STEPS`` steps, or once a
-    step, tried or proposed, is not finite or falls below ``_MIN_STEP`` of
-    ``period``, whether the span is the whole period or half of it; that
-    floor lies far above scipy's own, 10 spacings of floating-point numbers.
+    scipy's bit for bit, the blocks sharing them.  There is no dense output.
+    Raises :class:`FloquetIntegrationError` after ``_MAX_STEPS`` steps, or
+    once a step, tried or proposed, is not finite or falls below
+    ``_MIN_STEP`` of ``period``, whether the span is the whole period or half
+    of it; that floor lies far above scipy's own, 10 spacings of
+    floating-point numbers.
     """
     t, t1 = map(float, t_span)
     y = np.array(y0)
     n, dtype = y.size // 2, y.dtype
     real = dtype != complex
+    ends = [0, *itertools.accumulate(e.size for e in energies)]
+    rows = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     # K[0] holds the derivative at the current point; K[12] the one at the
     # step's end, copied into K[0] when the step is accepted.  The weights
     # are cast to the state's dtype once, as np.dot would on every call
@@ -268,8 +277,8 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     stages, KT, K12T = [K[:s] for s in range(13)], K.T, K[:12].T
     dpsi, ddpsi = [row[:n] for row in K], [row[n:] for row in K]
     z, y_new, est = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    # the (psi, psi') halves of the three state buffers, swapped with them
-    y_h, y_new_h, z_h = [(u[:n], u[n:]) for u in (y, y_new, z)]
+    # the (psi, psi', psi by block) of the three state buffers, swapped with them
+    y_h, y_new_h, z_h = [(u[:n], u[n:], [u[r] for r in rows]) for u in (y, y_new, z)]
     ve = np.empty(n, dtype=dtype)
     # numpy's scalar operands (the step, V at a stage, RTOL and ATOL) as
     # reused 0-d arrays of the dtype numpy would convert them to, so every
@@ -277,14 +286,31 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     h_op, v_op = np.empty((), dtype=dtype), np.empty((), dtype=dtype)
     rtol, atol = np.array(RTOL), np.array(ATOL)
 
-    def deriv(x, halves, s):
-        # row s of K: (psi', (V - E) psi) at x and the state of these halves
-        psi, dpsi_state = halves
-        w = v(x)
-        dpsi[s][...] = dpsi_state
-        v_op[()] = w.real if real else w
-        np.subtract(v_op, energies, ve)
-        np.multiply(ve, psi, ddpsi[s])
+    if len(rows) == 1:
+        [v1], [e1] = v, energies
+
+        def deriv(x, halves, s):
+            # row s of K: (psi', (V - E) psi) at x and the state of these halves
+            psi, dpsi_state, _ = halves
+            w = v1(x)
+            dpsi[s][...] = dpsi_state
+            v_op[()] = w.real if real else w
+            np.subtract(v_op, e1, ve)
+            np.multiply(ve, psi, ddpsi[s])
+    else:
+        # per stage, each block's potential, energies and rows of ve and of
+        # K; the loop over them costs 0.2 us a stage, which one block skips
+        stage_blocks = [list(zip(v, energies, [ve[r] for r in rows], [row[r] for r in rows])) for row in ddpsi]
+
+        def deriv(x, halves, s):
+            # as above, block by block, each on its own potential
+            _, dpsi_state, psi_blocks = halves
+            dpsi[s][...] = dpsi_state
+            for (f, e, ve_block, out), psi_block in zip(stage_blocks[s], psi_blocks):
+                w = f(x)
+                v_op[()] = w.real if real else w
+                np.subtract(v_op, e, ve_block)
+                np.multiply(ve_block, psi_block, out)
 
     deriv(t, y_h, 0)
     f = K[0]
@@ -383,15 +409,34 @@ def _line(spec):
     return beta, beta == 0.5 * two_k
 
 
+def _name(spec):
+    """The spec as an error names it: its base family, and beta for a PT spec."""
+    name = "custom potential" if spec.kind == "custom" else f"{spec.kind}(a={spec.a}, b={spec.b}, m={spec.m})"
+    return name if spec.beta is None else f"PT {name} at beta={spec.beta}"
+
+
+def _shared(specs):
+    """Whether the specs can share :func:`_propagate`'s batches: the same
+    float64 or complex128 state, half or whole period, and span to 1e-15
+    relative."""
+    s0 = specs[0]
+    return all((s.kind != "custom") == (s0.kind != "custom") and _line(s)[1] == _line(s0)[1]
+               and abs(s.period - s0.period) <= 1e-15 * s0.period for s in specs[1:])
+
+
 def _propagate(spec, energies):
     """Transfer matrices over one period, based at x = 0, and R_P and R_A at
     any number of energies, on the spec's integration line
     (:func:`integration_beta`), integrated in batches of ``_CHUNK``.
 
-    The ODE is linear and the potential is shared across a batch, so
-    :func:`solve_ivp` takes V (``potentials.compiled_value_fn`` of the spec
-    on beta*) and the batch's energies, and evaluates V once per stage
-    regardless of batch size.
+    ``spec`` may be a list of specs, ``energies`` then one array per spec:
+    the concatenated energies are integrated in shared batches, and the
+    results concatenated.  The specs must share the dtype, the half or whole
+    period and the span (to 1e-15 relative; the first spec's is taken), or
+    :class:`ValueError` is raised.  The ODE is linear, so :func:`solve_ivp`
+    takes a batch's energies and one potential per spec in it
+    (``potentials.compiled_value_fn`` of the spec on beta*), each evaluated
+    once per stage regardless of batch size.
     A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
     (real and even on the real axis, PT-invariant on i x + beta), so at real
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
@@ -412,24 +457,30 @@ def _propagate(spec, energies):
     entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
     carries an unavoidable cancellation error ~ |entries|^2 eps; the test
     scales with that.  Raises :class:`FloquetIntegrationError` naming the
-    first energy that fails.  Returns the matrices, R (R_P, R_A) stacked on
-    axis 1, the checked defects |det - 1| and the integrator stats:
-    steps and RHS calls summed over the batches, the largest defect.
+    spec and the first energy that fails.  Returns the matrices, R (R_P,
+    R_A) stacked on axis 1, the checked defects |det - 1| and the integrator
+    stats: steps and RHS calls summed over the batches, the largest defect.
     """
-    beta, real = _line(spec)
-    f = potentials.compiled_value_fn(spec, beta)
-    L = spec.period
-    half = spec.kind != "custom"
-    dtype = float if real else complex
+    specs, groups = (spec, energies) if isinstance(spec, list) else ([spec], [energies])
+    if not _shared(specs):
+        raise ValueError(f"{' and '.join(map(_name, specs))}: the dtype, the half period or the span differs")
+    fs = [potentials.compiled_value_fn(s, _line(s)[0]) for s in specs]
+    L = specs[0].period
+    half = specs[0].kind != "custom"
+    dtype = float if _line(specs[0])[1] else complex
     end = 0.5 * L if half else L
-    energies = np.asarray(energies, dtype=float)
+    energies = np.concatenate([np.asarray(g, dtype=float) for g in groups])
+    bounds = [0, *itertools.accumulate(len(g) for g in groups)]
     ms = np.empty((energies.size, 2, 2), dtype=complex)
     rs = np.empty((energies.size, 2, 2, 2))
     defects = np.empty(energies.size)
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
-        EE = np.repeat(energies[lo : lo + _CHUNK].astype(dtype), 2)
-        n2 = EE.size
+        hi = min(lo + _CHUNK, energies.size)
+        # the specs' blocks of this batch: (potential, its energies, twice each)
+        blocks = [(f, np.repeat(energies[max(lo, s) : min(hi, e)].astype(dtype), 2))
+                  for f, s, e in zip(fs, bounds, bounds[1:]) if max(lo, s) < min(hi, e)]
+        n2 = 2 * (hi - lo)
         y0 = np.zeros(2 * n2, dtype=dtype)
         y0[0:n2:2] = 1.0  # psi_a(0) = 1
         y0[n2 + 1 :: 2] = 1.0  # psi_b'(0) = 1
@@ -437,7 +488,7 @@ def _propagate(spec, energies):
         # an overflowing or non-finite batch fails the NaN-safe checks below,
         # which name the energy; numpy's warnings would only precede them
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(f, (0.0, end), y0, energies=EE, period=L)
+            sol = solve_ivp([f for f, _ in blocks], (0.0, end), y0, energies=[e for _, e in blocks], period=L)
             y = sol.y
             a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
             det = np.abs(a * d - b * c - 1.0)
@@ -445,18 +496,19 @@ def _propagate(spec, energies):
             bad = np.flatnonzero(~(det <= _DET_TOL * scale**2))
         steps += sol.steps
         nfev += sol.nfev
-        defects[lo : lo + _CHUNK] = det
+        defects[lo:hi] = det
         if bad.size:
-            i = bad[0]
-            raise FloquetIntegrationError(f"Wronskian drift |det - 1| = {det[i]:.3e} at E={float(energies[lo + i])}")
+            i = lo + bad[0]
+            raise FloquetIntegrationError(f"Wronskian drift of {_name(specs[bisect.bisect(bounds, i) - 1])}:"
+                                          f" |det - 1| = {det[bad[0]]:.3e} at E={float(energies[i])}")
         if half:
             r = [[a.imag, b.real], [-c.real, d.imag]], [[a.real, b.imag], [-c.imag, d.real]]
-            rs[lo : lo + _CHUNK] = np.moveaxis(np.array(r), -1, 0)
+            rs[lo:hi] = np.moveaxis(np.array(r), -1, 0)
             # the product's diagonal entries are conjugates and its off-diagonal
             # ones real; written so, the trace is real to the last bit
             p = d.conj() * a + b.conj() * c
             a, b, c, d = p, 2.0 * (b * d.conj()).real, 2.0 * (a * c.conj()).real, p.conj()
-        batch = ms[lo : lo + _CHUNK]
+        batch = ms[lo:hi]
         batch[:, 0, 0], batch[:, 0, 1], batch[:, 1, 0], batch[:, 1, 1] = a, b, c, d
     if not half:
         rs = ms[:, None] + np.array([-1.0, 1.0])[:, None, None] * np.eye(2)
@@ -495,27 +547,52 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
     spectrum.  A resolved series is evaluated on the grid; samples with Im
     Delta all 0.0 (every spec but a custom one) give a real series, so Im
     Delta stays 0.0.  Otherwise, and for n <= ``_CHEB``, every grid energy
-    is integrated.
+    is integrated.  The one-range case of :func:`discriminant_scans`.
     """
-    if not e_min < e_max:
-        raise ValueError("e_min must be below e_max")
+    return discriminant_scans([(spec, e_min, e_max)], n)[0]
+
+
+def discriminant_scans(ranges, n: int) -> list[ScanResult]:
+    """:func:`discriminant_scan` of each (spec, e_min, e_max) of ``ranges``
+    at n energies, one :class:`ScanResult` per range, the integrations
+    shared: the ranges' Chebyshev points in one :func:`_propagate` call, each
+    series tested and evaluated on its own, then the grids of the ranges not
+    resolved (every range's for n <= ``_CHEB``) in one further call.  The
+    specs must share an integration (see :func:`_propagate`), as PT
+    Lame(a, m) and its modulus dual Lame(a, 1 - m) do, both over K(1 - m)
+    in float64, or each range is scanned alone: below m ~ 0.01 the
+    complement of fl(1 - m) is m only to ~1e-16/m, and the two periods
+    may differ by more than 1e-15.  A batch costs about its steps, not its
+    energies, so the pair costs little more than one side; each side's
+    Delta moves from its own scan's only by the shared step sequence.
+    """
+    for _, e_min, e_max in ranges:
+        if not e_min < e_max:
+            raise ValueError("e_min must be below e_max")
     if n < 2:
         raise ValueError("need at least two samples")
-    grid = np.linspace(e_min, e_max, n)
-    defects = np.empty(0)
+    specs = [spec for spec, _, _ in ranges]
+    if not _shared(specs):
+        return [discriminant_scan(*r, n) for r in ranges]
+    grids = [np.linspace(e_min, e_max, n) for _, e_min, e_max in ranges]
+    deltas, defects = [None] * len(ranges), [np.empty(0)] * len(ranges)
     if n > _CHEB:
         x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
-        ms, _, defects, _ = _propagate(spec, 0.5 * (e_min + e_max) + 0.5 * (e_max - e_min) * x)
-        samples = ms[:, 0, 0] + ms[:, 1, 1]
-        if not samples.imag.any():
-            samples = samples.real
-        c = _coefficients(samples)
-        if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(samples).min()):
-            deltas = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
-            return ScanResult(grid, deltas, defects, np.abs(deltas.imag) > _IM_FLAG_TOL)
-    ms, _, grid_defects, _ = _propagate(spec, grid)
-    deltas = ms[:, 0, 0] + ms[:, 1, 1]
-    return ScanResult(grid, deltas, np.concatenate([defects, grid_defects]), np.abs(deltas.imag) > _IM_FLAG_TOL)
+        ms, _, d, _ = _propagate(specs, [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for _, lo, hi in ranges])
+        defects = list(d.reshape(-1, _CHEB))
+        for k, samples in enumerate((ms[:, 0, 0] + ms[:, 1, 1]).reshape(-1, _CHEB)):
+            if not samples.imag.any():
+                samples = samples.real
+            c = _coefficients(samples)
+            if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(samples).min()):
+                deltas[k] = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
+    todo = [k for k, delta in enumerate(deltas) if delta is None]
+    if todo:
+        ms, _, d, _ = _propagate([specs[k] for k in todo], [grids[k] for k in todo])
+        for k, mk, dk in zip(todo, np.split(ms, len(todo)), np.split(d, len(todo))):
+            deltas[k] = mk[:, 0, 0] + mk[:, 1, 1]
+            defects[k] = np.concatenate([defects[k], dk])
+    return [ScanResult(g, delta, d, np.abs(delta.imag) > _IM_FLAG_TOL) for g, delta, d in zip(grids, deltas, defects)]
 
 
 def _coefficients(values):

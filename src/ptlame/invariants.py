@@ -203,11 +203,12 @@ def _discriminant_relation(m, beta):
     worst = 0.0
     for a in (1, 3):
         spec_pt, dual, shift = pot.PTTransform(pot.Lame(a, m), beta), pot.Lame(a, 1.0 - m), a * (a + 1)
-        # sampled across the spectral span; inside its gaps |Delta| reaches
+        # 20 energies across the spectral span, both sides in one batch, as
+        # the paired scan integrates them; inside its gaps |Delta| reaches
         # 1e7 at small m, so the difference is scaled by max(1, |Delta|)
-        es = np.linspace(-shift - 0.6, 0.4, 20)
-        ref = flq.discriminants(dual, es + shift)
-        worst = max(worst, float((np.abs(flq.discriminants(spec_pt, es) - ref) / np.maximum(1.0, np.abs(ref))).max()))
+        pt, ref = (s.discriminants for s in flq.discriminant_scans(
+            [(spec_pt, -shift - 0.6, 0.4), (dual, -0.6, 0.4 + shift)], 20))
+        worst = max(worst, float((np.abs(pt - ref) / np.maximum(1.0, np.abs(ref))).max()))
     return worst
 
 

@@ -80,3 +80,19 @@ def same_spec(s, t) -> bool:
     point = ell.jacobi_triple(s.m, s.beta)
     scd = [point(float(x)) for x in xs[::8]]
     return s.ground[0] == t.ground[0] and [s.ground[1](*p) for p in scd] == [t.ground[1](*p) for p in scd]
+
+
+def count_batches(monkeypatch):
+    """Record the number of energies in each integration floquet makes, all
+    of its blocks together."""
+    from ptlame import floquet as flq
+
+    calls = []
+    solve = flq.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls.append(len(y0) // 4)  # (psi, psi') of two solutions per energy
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(flq, "solve_ivp", counted)
+    return calls

@@ -61,11 +61,15 @@ def test_discriminant_relation_holds_at_small_m(m):
 
 def test_discriminant_relation_fails_on_a_wrong_dual(monkeypatch):
     # the modulus dual's discriminants (the real-axis spec, beta None) scaled
-    # by 1 + 1e-8 fail the row
+    # by 1 + 1e-8, in the batch both sides share, fail the row
     row = next(r for r in inv.REGISTRY if r.name == "discriminant-relation")
-    discriminants = flq.discriminants
-    monkeypatch.setattr(flq, "discriminants",
-                        lambda spec, es: discriminants(spec, es) * (1.0 + (1e-8 if spec.beta is None else 0.0)))
+    scans = flq.discriminant_scans
+
+    def scaled(ranges, n):
+        return [s._replace(discriminants=s.discriminants * (1.0 + (1e-8 if spec.beta is None else 0.0)))
+                for (spec, _, _), s in zip(ranges, scans(ranges, n))]
+
+    monkeypatch.setattr(flq, "discriminant_scans", scaled)
     [(_, value, _, ok, _)] = inv.run([row], M, BETA)
     assert value > 1e-9 and not ok
 

@@ -15,7 +15,7 @@ from ptlame import potentials as pot
 from ptlame import spectra as spc
 from ptlame.cli import build_spec
 
-from conftest import same_spec
+from conftest import count_batches, same_spec
 
 
 def _read_csv(path):
@@ -387,6 +387,14 @@ class TestEdges:
         assert captured.err.startswith("integration error: Wronskian drift") and captured.err.count("\n") == 1
 
 
+    def test_paired_integration_error_names_the_side(self, capsys):
+        # the PT side's Chebyshev points overflow first in the shared batch
+        assert cli.main(["scan", "--a", "1", "--pt", "--paired", "--emin=-1e5", "--emax", "3"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integration error: Wronskian drift of PT lame(a=1, b=0, m=0.75) at beta=0.5: ")
+        assert " at E=-" in err and err.count("\n") == 1
+
+
 class TestJsonOutput:
     """JSON has no NaN: a non-finite float is written null, CSV keeps nan."""
 
@@ -544,7 +552,7 @@ class TestScan:
 
     def test_paired_json_round_trip(self, tmp_path):
         # JSON writes every float's shortest round-trip digits, so the
-        # columns parse back to the scans' arrays bit for bit
+        # columns parse back to the paired scans' arrays bit for bit
         out = tmp_path / "scan.json"
         rc = cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--format", "json", "--out", str(out)])
         assert rc == 0
@@ -552,14 +560,45 @@ class TestScan:
         assert text.count("\n") == 1
         doc = json.loads(text)
         meta, cols = doc["meta"], doc["columns"]
-        scan = flq.discriminant_scan(build_spec(_edges_args("--a", "3", "--pt")), meta["emin"], meta["emax"], 500)
-        dual = flq.discriminant_scan(pot.Lame(3, 0.25), meta["emin"] + 12.0, meta["emax"] + 12.0, 500)
+        scan, dual = flq.discriminant_scans([(build_spec(_edges_args("--a", "3", "--pt")), meta["emin"], meta["emax"]),
+                                             (pot.Lame(3, 0.25), meta["emin"] + 12.0, meta["emax"] + 12.0)], 500)
         for name, ref in [("e", scan.energies), ("re_delta", scan.discriminants.real),
                           ("im_delta", scan.discriminants.imag), ("re_delta_dual", dual.discriminants.real),
                           ("im_delta_dual", dual.discriminants.imag),
                           ("abs_diff", np.abs(scan.discriminants - dual.discriminants))]:
             assert np.array_equal(np.array(cols[name], dtype=float), ref)
         assert meta["paired_max_abs_diff"] == float(np.max(cols["abs_diff"]))
+
+    def test_paired_scan_is_one_batch(self, monkeypatch, tmp_path):
+        # both sides' 65 Chebyshev points in one integration: the PT spec on
+        # Re u = K and its modulus dual on the real axis share K(1 - m)
+        calls = count_batches(monkeypatch)
+        assert cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [2 * flq._CHEB]
+
+    def test_unresolved_paired_scan_integrates_both_grids_in_one_batch(self, monkeypatch, tmp_path):
+        # on [-20, 3] neither side's series resolves (|Delta| reaches 1.8e6),
+        # so both 300-energy grids follow, in one further integration
+        calls = count_batches(monkeypatch)
+        argv = ["scan", "--a", "1", "--pt", "--paired", "--emin=-20", "--emax", "3", "--n", "300"]
+        assert cli.main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [2 * flq._CHEB, 600]
+
+    def test_paired_sides_that_cannot_share_a_batch(self, monkeypatch, tmp_path):
+        # at m = 3e-4 the dual's period, from the complement of fl(1 - m),
+        # is the PT spec's only to 1e-14: each side is scanned alone, as
+        # before the sides shared a batch
+        calls = count_batches(monkeypatch)
+        out = tmp_path / "scan.json"
+        assert cli.main(["scan", "--a", "1", "--pt", "--paired", "--m", "3e-4", "--format", "json", "--out", str(out)]) == 0
+        assert calls == [flq._CHEB, flq._CHEB]
+        doc = json.loads(out.read_text())
+        meta, cols = doc["meta"], doc["columns"]
+        spec = build_spec(_edges_args("--a", "1", "--pt", "--m", "3e-4"))
+        scan = flq.discriminant_scan(spec, meta["emin"], meta["emax"], 500)
+        dual = flq.discriminant_scan(pot.Lame(1, 1.0 - 3e-4), meta["emin"] + 2.0, meta["emax"] + 2.0, 500)
+        assert np.array_equal(cols["re_delta"], scan.discriminants.real)
+        assert np.array_equal(cols["re_delta_dual"], dual.discriminants.real)
 
     def test_paired_requires_plain_pt(self, monkeypatch):
         # refused before the 500-energy scan integrates

@@ -33,8 +33,8 @@ RECORDS = {
     "MonodromyResult": lambda: flq.monodromy(_a3(), 1.0),
     "NumericBandEdge": lambda: flq.find_band_edges(_a3(), -0.5, 40.0)[0],
     "ScanResult": lambda: flq.discriminant_scan(_a3(), 0.0, 1.0, 2),
-    "_Solution": lambda: flq.solve_ivp(lambda x: 0.0, (0.0, 1.0), np.array([1.0, 0.0]),
-                                       energies=np.zeros(1), period=1.0),
+    "_Solution": lambda: flq.solve_ivp([lambda x: 0.0], (0.0, 1.0), np.array([1.0, 0.0]),
+                                       energies=[np.zeros(1)], period=1.0),
     "BandEdge": lambda: spc.pt_band_edges("lame", 1, 0, 0.75, 0.5)[0],
     "DispersionPoint": lambda: spc.dispersion_analytic(0.75, 0.5, 0.2),
 }

@@ -12,24 +12,13 @@ from ptlame import invariants as inv
 from ptlame import potentials as pot
 from ptlame import spectra as spc
 
+from conftest import count_batches
+
 M, BETA = 0.75, 0.5
 
 FREE = pot.CustomPotential(lambda z: 0.0j, math.pi)
 # Makris et al., PRL 100 (2008) 103904, below its PT-breaking point V0 = 1/2
 MAKRIS = pot.CustomPotential(lambda x: math.cos(x) ** 2 + 0.3j * math.sin(2.0 * x), math.pi)
-
-
-def _count_batches(monkeypatch):
-    """Record the number of energies in each integration flq makes."""
-    calls = []
-    solve = flq.solve_ivp
-
-    def counted(fun, t_span, y0, **kwargs):
-        calls.append(len(y0) // 4)  # (psi, psi') of two solutions per energy
-        return solve(fun, t_span, y0, **kwargs)
-
-    monkeypatch.setattr(flq, "solve_ivp", counted)
-    return calls
 
 
 def _half_period(spec, E):
@@ -130,7 +119,7 @@ class TestMonodromy:
         assert np.allclose(r.M, sigma @ np.linalg.inv(A.conj()) @ sigma @ A, rtol=1e-12, atol=0.0)
 
     def test_discriminants_check_every_batch(self, monkeypatch):
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         monkeypatch.setattr(flq, "_CHUNK", 2)
         es = [0.25, 1.0, 2.0, 4.0, 7.3]
         d = flq.discriminants(FREE, es)
@@ -266,14 +255,16 @@ class TestStepper:
 
     def test_matches_scipy_dop853(self, monkeypatch):
         # each spec's batch, integrated again by scipy at the same tolerances
-        # on the right-hand side built from the same potential and energies:
+        # on the right-hand side built from the same potentials and energies:
         # the same accepted steps and RHS calls, 3 fewer than scipy's run to
         # t_eval=[end], which builds the dense output of the last step, the
         # same Delta and, bit for bit, the same end state; the real-axis
         # specs (plain, partner and (2,1)) and the a = 1 and a = 3 PT specs
         # and partners, on Re u = K, integrate real states, which scipy keeps
         # real; the free particle and Makris' cos^2 x + 0.3 i sin 2x
-        # integrate the whole period in complex128
+        # integrate the whole period in complex128.  Last, a two-spec batch:
+        # the a=3 PT spec on Re u = K and its modulus dual on the real axis,
+        # each block of rows on its own potential
         runs = []
         solve = flq.solve_ivp
 
@@ -285,17 +276,24 @@ class TestStepper:
         es = np.linspace(-1.0, 30.0, flq._CHUNK)
         shifted = pot.Shifted(pot.Lame(3, M), spc.ground_energy("lame", 3, 0, M, pt=False))
         real = [pot.Lame(3, M), pot.SusyPartner(shifted), pot.AssociatedLame(2, 1, M)]
-        for spec in [*inv.specs(M, BETA).values(), *real, FREE, MAKRIS]:
+        cases = [(spec, 1, lambda spec=spec: flq.discriminants(spec, es))
+                 for spec in [*inv.specs(M, BETA).values(), *real, FREE, MAKRIS]]
+        pt, dual, half = pot.PTTransform(pot.Lame(3, M), BETA), pot.Lame(3, 1.0 - M), es[: flq._CHUNK // 2]
+        cases.append((pt, 2, lambda: np.trace(flq._propagate([pt, dual], [half, half + 12.0])[0], axis1=1, axis2=2)))
+        for spec, blocks, run in cases:
             runs.clear()
-            delta = flq.discriminants(spec, es)
-            [(v, energies, t_span, y0, sol)] = runs
+            delta = run()
+            [(vs, energies, t_span, y0, sol)] = runs
+            assert len(vs) == len(energies) == blocks
             custom = spec.kind == "custom"
             assert t_span == (0.0, spec.period if custom else 0.5 * spec.period)
             n2 = y0.size // 2
+            ends = np.cumsum([0] + [e.size for e in energies])
 
             def fun(x, y):
-                w = v(x)
-                return np.concatenate([y[n2:], ((w.real if y0.dtype == float else w) - energies) * y[:n2]])
+                ws = [v(x) for v in vs]
+                return np.concatenate([y[n2:], *(((w.real if y0.dtype == float else w) - e) * y[lo:hi]
+                                                  for w, e, lo, hi in zip(ws, energies, ends, ends[1:]))])
 
             plain = solve_ivp(fun, t_span, y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
             end = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=[t_span[1]], rtol=flq.RTOL, atol=flq.ATOL)
@@ -379,7 +377,7 @@ class TestScan:
 
     def test_resolved_scan_integrates_only_the_chebyshev_points(self, monkeypatch):
         spec = pot.PTTransform(pot.Lame(3, M), BETA)
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         scan = flq.discriminant_scan(spec, *flq.default_energy_range(spec), 500)
         assert calls == [flq._CHEB]
         assert scan.energies.size == scan.discriminants.size == 500
@@ -390,7 +388,7 @@ class TestScan:
         # on [-30, 3] |Delta| reaches 6e7 below the a=1 spectrum, and the
         # series' tail, 2e-9, stays above RTOL; n <= 65 integrates the grid alone
         spec = pot.PTTransform(pot.Lame(1, M), BETA)
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         scan = flq.discriminant_scan(spec, e_min, e_max, n)
         assert calls == ([flq._CHEB] if n > flq._CHEB else []) + [n]
         assert scan.det_defects.size == sum(calls)
@@ -401,10 +399,52 @@ class TestScan:
         # a half-period spec's trace is real to the last bit, and so is the
         # series evaluated from it, whether the state was float64 or complex128
         spec = pot.PTTransform(pot.Lame(3, M), BETA) if line == "float64" else _complex_line_specs()[0]
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         scan = flq.discriminant_scan(spec, -1.0, 8.0, 500)
         assert calls == [flq._CHEB]
         assert np.all(scan.discriminants.imag == 0.0)
+
+    def test_pairing_needs_one_span(self, monkeypatch):
+        # PT Lame(3, m) is integrated over K(1 - m) on Re u = K, the real
+        # Lame(3, m) over K(m): one step sequence cannot serve both, so they
+        # share no batch, and scanned together each range is scanned alone
+        pt, real = pot.PTTransform(pot.Lame(3, 0.3), BETA), pot.Lame(3, 0.3)
+        with pytest.raises(ValueError, match="span differs"):
+            flq._propagate([pt, real], [[1.0], [1.0]])
+        calls = count_batches(monkeypatch)
+        scans = flq.discriminant_scans([(pt, 0.0, 9.0), (real, 0.0, 9.0)], 500)
+        together = list(calls)
+        calls.clear()
+        alone = [flq.discriminant_scan(spec, 0.0, 9.0, 500) for spec in (pt, real)]
+        assert together == calls == [flq._CHEB, flq._CHEB]
+        for a, b in zip(scans, alone):
+            assert np.array_equal(a.discriminants, b.discriminants)
+
+    def test_pair_within_rounding_of_one_span(self, monkeypatch):
+        # at m = 0.06 the PT spec's period and its dual's differ by 4.7e-16
+        # relative; they pair, in one batch over the PT spec's span, and each
+        # side stays within 2e-12 max(1, |Delta|) of its own scan
+        m = 0.06
+        pt, dual = pot.PTTransform(pot.Lame(3, m), BETA), pot.Lame(3, 1.0 - m)
+        assert pt.period != dual.period and abs(pt.period - dual.period) <= 1e-15 * pt.period
+        lo, hi = flq.default_energy_range(pt)
+        ranges = [(pt, lo, hi), (dual, lo + 12.0, hi + 12.0)]
+        calls = count_batches(monkeypatch)
+        scans = flq.discriminant_scans(ranges, 500)
+        assert calls == [2 * flq._CHEB]
+        for paired, (spec, e_min, e_max) in zip(scans, ranges):
+            alone = flq.discriminant_scan(spec, e_min, e_max, 500)
+            assert np.array_equal(paired.energies, alone.energies)
+            assert np.all(np.abs(paired.discriminants - alone.discriminants)
+                          <= 2e-12 * np.maximum(1.0, np.abs(alone.discriminants)))
+
+    def test_wronskian_failure_names_its_spec(self):
+        # each block of a shared batch is checked on its own rows: the dual's
+        # entries overflow at E = -1e5, the PT spec's at E = 0.5 do not
+        pt, dual = pot.PTTransform(pot.Lame(1, M), BETA), pot.Lame(1, 1.0 - M)
+        with pytest.raises(flq.FloquetIntegrationError,
+                           match=r"^Wronskian drift of lame\(a=1, b=0, m=0\.25\): \|det - 1\| = nan at E=-100000\.0$"):
+            flq._propagate([pt, dual], [[0.5], [-1e5]])
 
     def test_batch_keeps_no_trajectory(self):
         # one full batch holds the solver's working arrays, not a copy of
@@ -427,7 +467,7 @@ class TestScan:
 
     def test_scan_checks_every_batch(self, monkeypatch):
         # a Wronskian failure stops the scan at the batch it shows in
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         monkeypatch.setattr(flq, "_CHUNK", 2)
         monkeypatch.setattr(flq, "_DET_TOL", 0.0)
         with pytest.raises(flq.FloquetIntegrationError, match="Wronskian drift"):
@@ -553,7 +593,7 @@ class TestEdgeFinding:
         spec = pot.Shifted(pot.PTTransform(pot.Lame(3, M), BETA), e_g)
         ref = spc.closed_form_energies("lame", 3, 0, M, pt=True, shifted=True)
         e_min, e_max = min(ref) - 0.5, max(ref) + 0.5
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
 
         def scalar(*args, **kwargs):
             raise AssertionError("find_band_edges made a scalar monodromy call")
@@ -902,7 +942,7 @@ class TestDispersionNumeric:
         spec = _a1_spec()
         es = np.linspace(0.05, 2.95, 25)
         alone = np.array([flq.dispersion_numeric(spec, [e])[0] for e in es])
-        calls = _count_batches(monkeypatch)
+        calls = count_batches(monkeypatch)
         k = flq.dispersion_numeric(spec, es)
         assert calls == [25]
         assert np.max(np.abs(k - alone)) < 1e-9
