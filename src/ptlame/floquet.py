@@ -145,9 +145,10 @@ class ScanResult(NamedTuple):
     points of a resolved series, those points and then the grid when the
     series was not resolved, and the grid alone for a scan of at most
     ``_CHEB`` energies (see :func:`discriminant_scan`); a range of
-    :func:`discriminant_scans` holds its own energies' defects alone.  ``im_flags`` marks |Im Delta| > 1e-6 on the
-    grid, which is integration error on a custom potential and never set for
-    the others, whose Delta is real by construction."""
+    :func:`discriminant_scans` holds its own energies' defects alone.
+    ``im_flags`` marks |Im Delta| > 1e-6 on the grid, which is integration
+    error on a custom potential and never set for the others, whose Delta is
+    real by construction."""
 
     energies: np.ndarray
     discriminants: np.ndarray

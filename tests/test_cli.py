@@ -590,7 +590,8 @@ class TestScan:
         # before the sides shared a batch
         calls = count_batches(monkeypatch)
         out = tmp_path / "scan.json"
-        assert cli.main(["scan", "--a", "1", "--pt", "--paired", "--m", "3e-4", "--format", "json", "--out", str(out)]) == 0
+        argv = ["scan", "--a", "1", "--pt", "--paired", "--m", "3e-4", "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
         assert calls == [flq._CHEB, flq._CHEB]
         doc = json.loads(out.read_text())
         meta, cols = doc["meta"], doc["columns"]
