@@ -246,9 +246,9 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     ``v`` holds one potential per block, x -> V(x) at a float, and
     ``energies`` each block's E, one per row, so their sizes add up to n.
     Each potential is called once per right-hand side, so ``nfev`` times; a
-    float64 state takes its real part.  Each stage writes psi' and (V - E)
-    psi straight into its row of the stage array, block by block, through
-    views built once per call.
+    float64 state takes its real part.  Each stage writes V - E block by
+    block, then psi' and (V - E) psi straight into its row of the stage
+    array, through views built once per call.
 
     Every floating-point operation is that of scipy's
     ``solve_ivp(method="DOP853")`` on the same right-hand side, in the same
@@ -278,40 +278,27 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     stages, KT, K12T = [K[:s] for s in range(13)], K.T, K[:12].T
     dpsi, ddpsi = [row[:n] for row in K], [row[n:] for row in K]
     z, y_new, est = np.empty_like(y), np.empty_like(y), np.empty_like(y)
-    # the (psi, psi', psi by block) of the three state buffers, swapped with them
-    y_h, y_new_h, z_h = [(u[:n], u[n:], [u[r] for r in rows]) for u in (y, y_new, z)]
+    # the (psi, psi') halves of the three state buffers, swapped with them
+    y_h, y_new_h, z_h = [(u[:n], u[n:]) for u in (y, y_new, z)]
+    # V - E, written block by block: each block's potential, E and rows
     ve = np.empty(n, dtype=dtype)
+    blocks = [(f, e, ve[r]) for f, e, r in zip(v, energies, rows)]
     # numpy's scalar operands (the step, V at a stage, RTOL and ATOL) as
     # reused 0-d arrays of the dtype numpy would convert them to, so every
     # product is the same, without a conversion per call
     h_op, v_op = np.empty((), dtype=dtype), np.empty((), dtype=dtype)
     rtol, atol = np.array(RTOL), np.array(ATOL)
 
-    if len(rows) == 1:
-        [v1], [e1] = v, energies
-
-        def deriv(x, halves, s):
-            # row s of K: (psi', (V - E) psi) at x and the state of these halves
-            psi, dpsi_state, _ = halves
-            w = v1(x)
-            dpsi[s][...] = dpsi_state
+    def deriv(x, halves, s):
+        # row s of K: (psi', (V - E) psi) at x and the state of these halves,
+        # each block's rows on its own potential
+        psi, dpsi_state = halves
+        for f, e, ve_block in blocks:
+            w = f(x)
             v_op[()] = w.real if real else w
-            np.subtract(v_op, e1, ve)
-            np.multiply(ve, psi, ddpsi[s])
-    else:
-        # per stage, each block's potential, energies and rows of ve and of
-        # K; the loop over them costs 0.2 us a stage, which one block skips
-        stage_blocks = [list(zip(v, energies, [ve[r] for r in rows], [row[r] for r in rows])) for row in ddpsi]
-
-        def deriv(x, halves, s):
-            # as above, block by block, each on its own potential
-            _, dpsi_state, psi_blocks = halves
-            dpsi[s][...] = dpsi_state
-            for (f, e, ve_block, out), psi_block in zip(stage_blocks[s], psi_blocks):
-                w = f(x)
-                v_op[()] = w.real if real else w
-                np.subtract(v_op, e, ve_block)
-                np.multiply(ve_block, psi_block, out)
+            np.subtract(v_op, e, ve_block)
+        dpsi[s][...] = dpsi_state
+        np.multiply(ve, psi, ddpsi[s])
 
     deriv(t, y_h, 0)
     f = K[0]
@@ -411,9 +398,13 @@ def _line(spec):
 
 
 def _name(spec):
-    """The spec as an error names it: its base family, and beta for a PT spec."""
+    """The spec as an error names it: its base family, beta for a PT spec,
+    whether a SUSY partner map was applied (a spec does not keep the order
+    of its maps), and the shift that lowers V."""
     name = "custom potential" if spec.kind == "custom" else f"{spec.kind}(a={spec.a}, b={spec.b}, m={spec.m})"
-    return name if spec.beta is None else f"PT {name} at beta={spec.beta}"
+    name = name if spec.beta is None else f"PT {name} at beta={spec.beta}"
+    name = f"{name} with a SUSY partner map" if spec.partner else name
+    return name if spec.shift == 0.0 else f"{name}, {'lowered' if spec.shift > 0 else 'raised'} by {abs(spec.shift)}"
 
 
 def _shared(specs):
@@ -555,17 +546,20 @@ def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
 
 def discriminant_scans(ranges, n: int) -> list[ScanResult]:
     """:func:`discriminant_scan` of each (spec, e_min, e_max) of ``ranges``
-    at n energies, one :class:`ScanResult` per range, the integrations
-    shared: the ranges' Chebyshev points in one :func:`_propagate` call, each
-    series tested and evaluated on its own, then the grids of the ranges not
-    resolved (every range's for n <= ``_CHEB``) in one further call.  The
-    specs must share an integration (see :func:`_propagate`), as PT
-    Lame(a, m) and its modulus dual Lame(a, 1 - m) do, both over K(1 - m)
-    in float64, or each range is scanned alone: below m ~ 0.01 the
-    complement of fl(1 - m) is m only to ~1e-16/m, and the two periods
-    may differ by more than 1e-15.  A batch costs about its steps, not its
-    energies, so the pair costs little more than one side; each side's
-    Delta moves from its own scan's only by the shared step sequence.
+    at n energies, one :class:`ScanResult` per range: the ranges' Chebyshev
+    points in one shared :func:`_propagate` call, each series tested and
+    evaluated on its own, then the grid of each range not resolved in a
+    call of its own; for n <= ``_CHEB`` the grids take the points' place,
+    in one shared call.  The specs must share an integration (see
+    :func:`_propagate`), as PT Lame(a, m) and its modulus dual Lame(a, 1 -
+    m) do, both over K(1 - m) in float64, or each range is scanned alone:
+    below m ~ 0.01 the complement of fl(1 - m) is m only to ~1e-16/m, and
+    the two periods may differ by more than 1e-15.  A batch of 65-point
+    blocks costs about its steps, not its energies, so the shared points
+    cost little more than one side's, and each side's Delta moves from its
+    own scan's only by the shared step sequence.  A batch of 500-energy
+    grids costs about its energies, so those are not shared: a shared one
+    was no faster and moved Delta.
     """
     for _, e_min, e_max in ranges:
         if not e_min < e_max:
@@ -588,9 +582,11 @@ def discriminant_scans(ranges, n: int) -> list[ScanResult]:
             if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(samples).min()):
                 deltas[k] = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
     todo = [k for k, delta in enumerate(deltas) if delta is None]
-    if todo:
-        ms, _, d, _ = _propagate([specs[k] for k in todo], [grids[k] for k in todo])
-        for k, mk, dk in zip(todo, np.split(ms, len(todo)), np.split(d, len(todo))):
+    # grids of at most _CHEB energies share a call, as the points do; a
+    # larger grid's batch costs about its energies, so each takes its own
+    for group in [todo] if n <= _CHEB else [[k] for k in todo]:
+        ms, _, d, _ = _propagate([specs[k] for k in group], [grids[k] for k in group])
+        for k, mk, dk in zip(group, np.split(ms, len(group)), np.split(d, len(group))):
             deltas[k] = mk[:, 0, 0] + mk[:, 1, 1]
             defects[k] = np.concatenate([defects[k], dk])
     return [ScanResult(g, delta, d, np.abs(delta.imag) > _IM_FLAG_TOL) for g, delta, d in zip(grids, deltas, defects)]

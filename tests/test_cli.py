@@ -576,13 +576,28 @@ class TestScan:
         assert cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--out", str(tmp_path / "s.csv")]) == 0
         assert calls == [2 * flq._CHEB]
 
-    def test_unresolved_paired_scan_integrates_both_grids_in_one_batch(self, monkeypatch, tmp_path):
+    def test_unresolved_paired_scan_integrates_each_grid_alone(self, monkeypatch, tmp_path):
         # on [-20, 3] neither side's series resolves (|Delta| reaches 1.8e6),
-        # so both 300-energy grids follow, in one further integration
+        # so each 300-energy grid follows in an integration of its own, and
+        # each side's Delta is its own scan's, bit for bit
         calls = count_batches(monkeypatch)
-        argv = ["scan", "--a", "1", "--pt", "--paired", "--emin=-20", "--emax", "3", "--n", "300"]
-        assert cli.main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
-        assert calls == [2 * flq._CHEB, 600]
+        out = tmp_path / "s.json"
+        argv = ["scan", "--a", "1", "--pt", "--paired", "--emin=-20", "--emax", "3", "--n", "300", "--format", "json"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert calls == [2 * flq._CHEB, 300, 300]
+        cols = json.loads(out.read_text())["columns"]
+        spec = build_spec(_edges_args("--a", "1", "--pt"))
+        scan = flq.discriminant_scan(spec, -20.0, 3.0, 300)
+        dual = flq.discriminant_scan(pot.Lame(1, 1.0 - spec.m), -18.0, 5.0, 300)
+        assert np.array_equal(cols["re_delta"], scan.discriminants.real)
+        assert np.array_equal(cols["re_delta_dual"], dual.discriminants.real)
+
+    def test_short_paired_scan_is_one_batch(self, monkeypatch, tmp_path):
+        # at most 65 energies a side, the grids take the points' place and
+        # share one integration
+        calls = count_batches(monkeypatch)
+        assert cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "20", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [40]
 
     def test_paired_sides_that_cannot_share_a_batch(self, monkeypatch, tmp_path):
         # at m = 3e-4 the dual's period, from the complement of fl(1 - m),

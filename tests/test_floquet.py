@@ -446,6 +446,19 @@ class TestScan:
                            match=r"^Wronskian drift of lame\(a=1, b=0, m=0\.25\): \|det - 1\| = nan at E=-100000\.0$"):
             flq._propagate([pt, dual], [[0.5], [-1e5]])
 
+    @pytest.mark.parametrize("ops, shift_zero, name", [
+        (["partner"], False, "lame(a=3, b=0, m=0.75) with a SUSY partner map"),
+        (["pt", "partner"], False, "PT lame(a=3, b=0, m=0.75) at beta=0.5 with a SUSY partner map"),
+        ([], True, "lame(a=3, b=0, m=0.75), lowered by "),
+        (["pt"], True, "PT lame(a=3, b=0, m=0.75) at beta=0.5, raised by 10.75:"),
+    ])
+    def test_wronskian_failure_names_partners_and_shifts(self, ops, shift_zero, name):
+        # a composed spec is not named as its bare family, a different potential
+        spec = pot.build(3, 0, M, BETA, ops, shift_zero)
+        with pytest.raises(flq.FloquetIntegrationError) as err:
+            flq.monodromy(spec, -1e5)
+        assert str(err.value).startswith(f"Wronskian drift of {name}")
+
     def test_batch_keeps_no_trajectory(self):
         # one full batch holds the solver's working arrays, not a copy of
         # the state at each of its ~43 steps
