@@ -3,9 +3,11 @@
 Everything uses the *parameter* convention: the second argument ``m`` equals
 k**2 and is restricted to the open interval (0, 1).  Complete integrals come
 from the arithmetic-geometric mean, real-argument Jacobi functions from the
-descending-Landen backward recursion, and complex arguments from the
+descending-Landen backward recursion (one closure per parameter, which
+reuses its last float argument's pass), and complex arguments from the
 real/imaginary addition decomposition, which is stable everywhere away from
-the pole lattice of sn.  ``inverse_sn`` solves for real or purely imaginary
+the pole lattice of sn, or on the line Re z = K from the quarter-period
+shift.  ``inverse_sn`` solves for real or purely imaginary
 values, each by one incomplete integral of the first kind along an edge of
 the fundamental rectangle: one Carlson R_F on arguments scaled so that none
 forms m again from its complement 1 - m.  Theta functions are nome
@@ -160,22 +162,39 @@ def _landen_schedule(m: float, mc: float) -> tuple[float, tuple[float, ...]]:
     return a * 2.0 ** len(ratios), tuple(reversed(ratios))
 
 
+_MATH = (math.sin, math.asin, math.cos, math.sqrt)
+_UFUNCS = (np.sin, np.arcsin, np.cos, np.sqrt)
+
+
+@lru_cache(maxsize=64)
 def _landen_pass(m: float, mc: float):
     # u -> (sn, cn, dn)(u | m) at real u by the backward recursion, for a
     # float (math's functions) or a float ndarray (numpy's ufuncs, chosen
     # once per call); the schedule is read once, here, not per point.
     # dn = sqrt(mc + m cn**2), not sqrt(1 - m sn**2), which cancels down to
-    # sqrt(mc) near u = K when m is close to 1
+    # sqrt(mc) near u = K when m is close to 1.  The one closure per (m, mc)
+    # keeps its last float argument and that argument's triple as one tuple,
+    # and returns the triple to a call with that same float object; the
+    # integrator hands one object to every block of a stage, so PT Lame(a, m)
+    # on Re u = K and its dual Lame(a, 1 - m) on the real axis, both at
+    # (1 - m, m) when 1 - fl(1 - m) == m, share one pass a stage
     scale, ratios = _landen_schedule(m, mc)
+    last = (None, None)
 
     def triple(u):
-        sin, asin, cos, sqrt = ((np.sin, np.arcsin, np.cos, np.sqrt) if isinstance(u, np.ndarray)
-                                else (math.sin, math.asin, math.cos, math.sqrt))
+        nonlocal last
+        seen, values = last
+        if u is seen:
+            return values
+        sin, asin, cos, sqrt = _UFUNCS if isinstance(u, np.ndarray) else _MATH
         phi = scale * u
         for r in ratios:
             phi = 0.5 * (phi + asin(r * sin(phi)))
         cn = cos(phi)
-        return sin(phi), cn, sqrt(mc + m * cn * cn)
+        values = sin(phi), cn, sqrt(mc + m * cn * cn)
+        if type(u) is float:
+            last = u, values
+        return values
 
     return triple
 
@@ -210,11 +229,14 @@ def line_jacobi(beta: float, m: float):
     """Fast evaluator for (sn, cn, dn) along the vertical line z = i*x + beta.
 
     The real-argument triple at (beta, m) is fixed along the line, so each
-    call costs a single real Landen pass at (x, 1-m) plus the recombination.
-    Returns a callable x -> (sn, cn, dn): complex values for a float x,
-    complex arrays for a float ndarray, from the same recurrence (numpy's
-    ufuncs in place of math's, so the two agree to rounding, not bit for
-    bit).  Arrays pay off on a grid; the Floquet integrator evaluates the
+    call costs a single real Landen pass (sn', cn', dn') at (x, 1-m) plus the
+    recombination.  Returns a callable x -> (sn, cn, dn): complex values for
+    a float x, complex arrays for a float ndarray, from the same recurrence
+    (numpy's ufuncs in place of math's, so the two agree to rounding, not bit
+    for bit).  At beta == K the addition formulas reduce to the quarter-period
+    shift (1/dn', -i sqrt(1-m) sn'/dn', sqrt(1-m) cn'/dn') (DLMF §22.4(iii),
+    §22.6(iv)), whose sn and dn are real by construction: floats, or float
+    arrays.  Arrays pay off on a grid; the Floquet integrator evaluates the
     potential with floats, once per DOP853 stage, as a step's 12 stage nodes
     cost more as one array than as 12 float calls.
     """
@@ -225,7 +247,15 @@ def line_jacobi(beta: float, m: float):
     dist = abs(beta - 2.0 * mod.K * round(beta / (2.0 * mod.K)))
     if dist < _POLE_TOL:
         raise PoleProximityError(complex(beta), sn_pole_lattice_point(complex(beta, mod.Kprime), m), _POLE_TOL)
-    return _addition(beta, m)
+    if beta != mod.K:
+        return _addition(beta, m)
+    real, rc = _landen_pass(1.0 - m, m), math.sqrt(1.0 - m)
+
+    def quarter(x):
+        s1, c1, d1 = real(x)
+        return 1.0 / d1, -1j * (rc * s1 / d1), rc * c1 / d1
+
+    return quarter
 
 
 def _addition(beta: float, m: float):

@@ -25,8 +25,12 @@ period long is conjugate to the one on the user's line and Delta(E) does
 not depend on beta; away from the poles the integrator takes fewer steps
 and keeps det M = 1 to more digits.  The line depends only on where V has
 poles; no closed-form energy enters the engine.  V is real on the real axis
-and on Re u = K, the line of plain PT Lame and its a = 1 and a = 3 partners;
-there the batches integrate float64 states, elsewhere complex128 ones.
+and on Re u = K, the line of plain PT Lame and its a = 1 and a = 3 partners,
+exactly so as evaluated (:func:`elliptic.line_jacobi` takes Re u = K by the
+quarter-period shift, whose sn is real); there the batches integrate float64
+states, elsewhere complex128 ones.  A paired scan's PT Lame(a, m) on Re u = K
+and its modulus dual Lame(a, 1 - m) on the real axis read one shared Landen
+pass a stage whenever 1 - fl(1 - m) == m.
 """
 
 from __future__ import annotations
@@ -384,7 +388,9 @@ def _line(spec):
     """(beta*, whether V is real on that line), once per spec; beta* is None
     on the real axis.  V, even and 2K-periodic in its Jacobi argument u with
     real coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it
-    is real on Re u = K; beta* is K exactly when every pole lies on Re u = 0."""
+    is real on Re u = K, and exactly so as evaluated there, from the real
+    sn = 1/dn' of :func:`elliptic.line_jacobi`'s quarter-period shift; beta*
+    is K exactly when every pole lies on Re u = 0."""
     if spec.beta is None:
         return None, spec.kind != "custom"
     two_k = 2.0 * ell.modulus(spec.m).K
@@ -398,12 +404,16 @@ def _line(spec):
 
 
 def _name(spec):
-    """The spec as an error names it: its base family, beta for a PT spec,
-    whether a SUSY partner map was applied (a spec does not keep the order
-    of its maps), and the shift that lowers V."""
-    name = "custom potential" if spec.kind == "custom" else f"{spec.kind}(a={spec.a}, b={spec.b}, m={spec.m})"
-    name = name if spec.beta is None else f"PT {name} at beta={spec.beta}"
-    name = f"{name} with a SUSY partner map" if spec.partner else name
+    """The spec as an error names it: its base family, its PT transform (with
+    beta) and SUSY partner maps in the order they were applied, and the shift
+    that lowers V."""
+    base = "custom potential" if spec.kind == "custom" else f"{spec.kind}(a={spec.a}, b={spec.b}, m={spec.m})"
+    name = base
+    for op in spec.maps:
+        if op == "partner":
+            name = f"{name} with a SUSY partner map"
+        else:
+            name = f"PT {name if name == base else f'({name})'} at beta={spec.beta}"
     return name if spec.shift == 0.0 else f"{name}, {'lowered' if spec.shift > 0 else 'raised'} by {abs(spec.shift)}"
 
 
@@ -435,8 +445,8 @@ def _propagate(spec, energies):
     integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
     sigma = diag(1, -1), M = S^-1 A with S = sigma conj(A) sigma, so M =
     [[conj d, conj b], [conj c, conj a]] A.  Where :func:`_line` finds V real
-    (the real axis, where its imaginary part is exactly 0.0, and the PT line
-    Re u = K, where it is rounding) the batch integrates V.real, and the
+    (the real axis and the PT line Re u = K, where its imaginary part is
+    exactly 0.0) the batch integrates V.real, and the
     state, and A, is float64; on any other PT line it is complex128.  A custom
     potential is integrated over [0, L] in complex128, with A = M and S = I;
     M is complex either way.  The real R_P = [[Im a, Re b], [-Re c, Im d]]
@@ -638,8 +648,9 @@ def _eigenvalues(c):
     """Eigenvalues x within 1e-6 of [-1, 1] of R(x) = sum_k c[k] T_k(x), 2x2,
     from its block colleague pencil (Amiraslani, Corless & Lancaster, IMA J.
     Numer. Anal. 29 (2009) 141): rows, then columns, scaled to largest
-    coefficient 1, blocks below 1e-14 at the end dropped; then one secant
-    step on det R, whose error does not grow with the largest coefficient."""
+    coefficient 1, blocks below 1e-14 at the end dropped, and an exactly
+    singular last block with them; then one secant step on det R, whose
+    error does not grow with the largest coefficient."""
     b = c / np.abs(c).max(axis=(0, 2))[:, None]
     b /= np.abs(b).max(axis=(0, 1))
     n = np.flatnonzero(np.abs(b).max(axis=(1, 2)) > 1e-14)[-1]
@@ -657,7 +668,12 @@ def _eigenvalues(c):
     last = -(1.0 if n == 1 else 0.5) * np.hstack(b[:n])
     if n > 1:
         last[:, -4:-2] += 0.5 * b[n]
-    pencil[-2:] = np.linalg.solve(b[n], last)
+    try:
+        pencil[-2:] = np.linalg.solve(b[n], last)
+    except np.linalg.LinAlgError:
+        # a noise entry of the last block rounded to 0.0 and left it singular
+        # (R_P's diagonal is 0.0 on a real line); the block is noise: drop it
+        return _eigenvalues(c[:n])
     x = np.linalg.eigvals(pencil)
     x = x[(np.abs(x.imag) <= 1e-6) & (np.abs(x.real) <= 1.0 + 1e-6)]
     v = _chebval(np.concatenate([x, x + 1e-8]), c)

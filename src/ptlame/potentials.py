@@ -7,9 +7,10 @@ case) and ``CustomPotential`` build one; ``Shifted`` (constant
 subtraction), ``PTTransform`` (x -> i x + beta together with an overall sign
 flip) and ``SusyPartner`` (W**2 + W' built from the zero-energy ground state
 of its argument) each map a spec to a new one, and ``build`` composes the
-paper's constructions.  A spec keeps no record of the maps that made it,
-and ``==`` is not structural: V and the ground state are closures made anew
-by each construction, so two constructions of one potential differ.
+paper's constructions.  A spec records the order of its PT and partner
+maps, not its shifts, and ``==`` is not structural: V and the ground state
+are closures made anew by each construction, so two constructions of one
+potential differ.
 ``compiled_value_fn`` evaluates a spec to complex values at real x, a float
 or a whole float ndarray in one numpy pass, on its own line or, for a PT
 spec, on any other; specs are analytic in x, which the Floquet engine and
@@ -69,10 +70,11 @@ class PotentialSpec(NamedTuple):
     argument as a function of the triple's values), all a SUSY partner
     reads of it, its energy the first edge row; both are None without
     closed forms (its jet is :func:`spectra.ground_state_builder`'s).
-    ``partner`` marks a SUSY partner among the maps applied.  ``poles``
-    holds sn**2 at the poles of g in the triple's argument (inf at the poles
-    of sn), and may hold a few more points, never fewer; the Floquet engine
-    keeps its integration line away from them.
+    ``maps`` names the PT transform ("pt") and SUSY partner maps ("partner")
+    applied, in order, and ``partner`` is whether one is a partner map.
+    ``poles`` holds sn**2 at the poles of g in the triple's argument (inf at
+    the poles of sn), and may hold a few more points, never fewer; the
+    Floquet engine keeps its integration line away from them.
 
     ``g`` and the ground state's log-derivative are closures made by each
     construction, so two separate constructions of one potential do not
@@ -91,8 +93,12 @@ class PotentialSpec(NamedTuple):
     beta: float | None
     offset: float | None
     ground: tuple | None
-    partner: bool
+    maps: tuple
     poles: tuple
+
+    @property
+    def partner(self) -> bool:
+        return "partner" in self.maps
 
 
 def AssociatedLame(a: int, b: int, m: float) -> PotentialSpec:
@@ -113,7 +119,7 @@ def AssociatedLame(a: int, b: int, m: float) -> PotentialSpec:
     ground = spectra.ground_state_builder(kind, a, b, m, pt=False)[1:] if closed else None
     poles = (math.inf,) if b == 0 else (math.inf, 1.0 / m)  # sn poles, dn zeros
     return PotentialSpec(kind, a, b, m, 2.0 * ell.modulus(m).K, g, 1.0, 0.0, None,
-                         0.0 if closed else None, ground, False, poles)
+                         0.0 if closed else None, ground, (), poles)
 
 
 associated_lame = AssociatedLame
@@ -146,6 +152,7 @@ def PTTransform(spec: PotentialSpec, beta: float) -> PotentialSpec:
     bare = closed and spec.shift == 0.0 and not spec.partner
     return spec._replace(
         period=2.0 * ell.modulus(spec.m).Kprime, sign=-spec.sign, shift=-spec.shift, beta=beta,
+        maps=spec.maps + ("pt",),
         offset=spectra.ground_energy(spec.kind, spec.a, spec.b, spec.m, pt=True) - spec.offset if closed else None,
         ground=spectra.ground_state_builder(spec.kind, spec.a, spec.b, spec.m, pt=True)[1:] if bare else None)
 
@@ -179,8 +186,8 @@ def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
         w = log_d(s, c, d)
         return 2.0 * w * w - tau * (sign * g(s, c, d) - shift)
 
-    return spec._replace(g=partner, sign=tau, shift=0.0, partner=True, poles=spec.poles + zeros,
-                         ground=((), lambda s, c, d: -log_d(s, c, d)))
+    return spec._replace(g=partner, sign=tau, shift=0.0, maps=spec.maps + ("partner",),
+                         poles=spec.poles + zeros, ground=((), lambda s, c, d: -log_d(s, c, d)))
 
 
 def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
@@ -188,7 +195,7 @@ def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
     :class:`PotentialError`; it has no elliptic parameter, so its ``m`` is None."""
     if not 0.0 < period < math.inf:
         raise PotentialError(f"period={period!r} outside (0, inf)")
-    return PotentialSpec("custom", 0, 0, None, period, fn, 1.0, 0.0, None, None, None, False, ())
+    return PotentialSpec("custom", 0, 0, None, period, fn, 1.0, 0.0, None, None, None, (), ())
 
 
 def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = False) -> PotentialSpec:
@@ -257,7 +264,12 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
     pass per call, on the real axis or on the line of its PT transform, and
     an array takes that pass elementwise in numpy, so a grid is one call;
     a SUSY partner adds only rational arithmetic on the same triple (its
-    ground state's log-derivative and the inner V), no jet.
+    ground state's log-derivative and the inner V), no jet.  On Re u = K
+    the triple is the quarter-period shift of :func:`elliptic.line_jacobi`,
+    so V of plain PT Lame is real there, its imaginary part 0.0 exactly, and
+    its pass at (1 - m, m) is the one the modulus dual Lame(a, 1 - m) reads
+    on the real axis: called with the same float, the second evaluator reuses
+    the first's pass.
     ``beta`` moves a PT spec's V onto the line i x + beta; a beta that
     :func:`_check_line` rejects, or one given any other spec, raises
     :class:`PotentialError`.
@@ -276,5 +288,7 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
         return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
     point = ell.jacobi_triple(spec.m, spec.beta if beta is None else beta)
     if spec.sign < 0.0:
-        return lambda x: -g(*point(x)) - shift
+        # g is real on Re u = K (elliptic.line_jacobi); subtracting 0j
+        # makes it complex and leaves a complex g's bits as they are
+        return lambda x: -g(*point(x)) - 0j - shift
     return lambda x: g(*point(x)) + 0j - shift

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ptlame import cli
+from ptlame import elliptic as ell
 from ptlame import floquet as flq
 from ptlame import invariants as inv
 from ptlame import potentials as pot
@@ -575,6 +576,38 @@ class TestScan:
         calls = count_batches(monkeypatch)
         assert cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--out", str(tmp_path / "s.csv")]) == 0
         assert calls == [2 * flq._CHEB]
+
+    @pytest.mark.parametrize("m, emax, passes_per_stage", [("0.75", "12.8", 1), ("0.3", "10.2", 2)])
+    def test_paired_scan_shares_the_landen_pass(self, monkeypatch, tmp_path, m, emax, passes_per_stage):
+        # PT Lame(3, m) on Re u = K and its dual Lame(3, 1 - m) on the real
+        # axis both read the Landen pass at (1 - m, m) when 1 - fl(1 - m) ==
+        # m, as at m = 0.75: one pass a stage serves both blocks.  At m = 0.3
+        # the two keys differ by an ulp, so each block runs its own
+        passes, nfev = [0], []
+        schedule, solve = ell._landen_schedule, flq.solve_ivp
+
+        class Counted(tuple):
+            def __iter__(self):  # once per run of the backward recursion
+                passes[0] += 1
+                return super().__iter__()
+
+        def counted_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(ell, "_landen_schedule", lambda m, mc: (schedule(m, mc)[0], Counted(schedule(m, mc)[1])))
+        monkeypatch.setattr(flq, "solve_ivp", counted_solve)
+        out = tmp_path / "s.json"
+        argv = ["scan", "--a", "3", "--pt", "--paired", "--m", m, "--emin=-1", "--emax", emax, "--format", "json"]
+        ell._landen_pass.cache_clear()
+        try:
+            assert cli.main(argv + ["--out", str(out)]) == 0
+        finally:
+            ell._landen_pass.cache_clear()
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["verdict"] == "PASS" and meta["paired_max_abs_diff"] < 1e-9
+        assert len(nfev) == 1 and passes[0] == passes_per_stage * nfev[0]
 
     def test_unresolved_paired_scan_integrates_each_grid_alone(self, monkeypatch, tmp_path):
         # on [-20, 3] neither side's series resolves (|Delta| reaches 1.8e6),

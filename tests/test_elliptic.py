@@ -206,6 +206,75 @@ class TestJacobiComplex:
             assert abs(d - jv.dn) < 1e-13
 
 
+class TestQuarterShift:
+    """line_jacobi on beta == K: (1/dn', -i sqrt(1-m) sn'/dn', sqrt(1-m) cn'/dn')."""
+
+    # at m = 1e-9 the shared Landen pass at m' = 1 - 1e-9 holds cn' and dn'
+    # only to ~1e-12 relative where they fall to ~1e-4 (the backward
+    # recursion's phi is near pi/2 there); the addition formulas it replaces
+    # read from the same pass and err as much
+    @pytest.mark.parametrize("m, tol", [(1e-9, 3e-12), (0.05, 1e-14), (0.75, 1e-14), (1.0 - 1e-9, 1e-14)])
+    def test_matches_mpmath(self, m, tol):
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        mod = ell.modulus(m)
+        K = mp.ellipk(mp.mpf(m))
+        xs = [float(x) for x in np.linspace(0.0, mod.Kprime, 41)]
+        ref = np.array([[complex(mp.ellipfun(k, K + 1j * mp.mpf(x), m=mp.mpf(m))) for k in ("sn", "cn", "dn")]
+                        for x in xs])
+        scale = np.max(np.abs(ref), axis=0)
+        quarter, general = ell.line_jacobi(mod.K, m), ell._addition(mod.K, m)
+        err = np.max(np.abs(np.array([quarter(x) for x in xs]) - ref), axis=0) / scale
+        assert np.all(err <= tol), err
+        # no worse than the addition formulas, to rounding
+        general_err = np.max(np.abs(np.array([general(x) for x in xs]) - ref), axis=0) / scale
+        assert np.all(err <= general_err + 2e-16), (err, general_err)
+
+    def test_sn_and_dn_are_real(self):
+        mod = ell.modulus(0.75)
+        s, c, d = ell.line_jacobi(mod.K, 0.75)(0.4)
+        assert (type(s), type(c), type(d)) == (float, complex, float)
+        s, c, d = ell.line_jacobi(mod.K, 0.75)(np.linspace(0.0, 1.0, 5))
+        assert (s.dtype, c.dtype, d.dtype) == (float, complex, float)
+
+
+class TestLandenMemo:
+    """_landen_pass(m, mc): one closure per key, which returns its last float
+    argument's triple when called again with that same object."""
+
+    def test_one_closure_per_key(self):
+        assert ell._landen_pass(0.25, 0.75) is ell._landen_pass(0.25, 0.75)
+        assert ell.jacobi_triple(0.25) is ell._landen_pass(0.25, 0.75)
+
+    def test_interleaved_calls_match_a_fresh_closure(self):
+        # every answer, bit for bit and with the sign of zero, is the one a
+        # new closure gives the same argument
+        shared = ell._landen_pass(0.3, 0.7)
+        x, y = 0.7, 1.9
+        args = [x, y, x, x, -0.0, 0.0, -0.0, y, np.float64(x), x, 0.0, 0.0, y]
+        for u in args:
+            fresh = ell._landen_pass.__wrapped__(0.3, 0.7)(u)
+            assert [float(v).hex() for v in shared(u)] == [float(v).hex() for v in fresh]
+        xs = np.array([x, -0.0, y])
+        arrays = shared(xs)
+        for got, want in zip(arrays, ell._landen_pass.__wrapped__(0.3, 0.7)(xs)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_only_a_float_object_is_memoized(self):
+        f = ell._landen_pass(0.3, 0.7)
+        x = 0.7
+        assert f(x) is f(x)
+        zero, negative_zero = 0.0, -0.0
+        f(zero)
+        assert math.copysign(1.0, f(negative_zero)[0]) == -1.0
+        assert math.copysign(1.0, f(zero)[0]) == 1.0
+        u, xs = np.float64(0.7), np.array([0.7, 1.1])
+        assert f(u) is not f(u)
+        assert f(xs) is not f(xs)
+        assert f(u) == f(0.7)
+
+
 class TestArrayArguments:
     """jacobi_triple / line_jacobi on a float ndarray: the same Landen
     recurrence in numpy's ufuncs, equal to the scalar values to rounding."""

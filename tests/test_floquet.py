@@ -451,6 +451,7 @@ class TestScan:
         (["pt", "partner"], False, "PT lame(a=3, b=0, m=0.75) at beta=0.5 with a SUSY partner map"),
         ([], True, "lame(a=3, b=0, m=0.75), lowered by "),
         (["pt"], True, "PT lame(a=3, b=0, m=0.75) at beta=0.5, raised by 10.75:"),
+        (["partner", "pt"], False, "PT (lame(a=3, b=0, m=0.75) with a SUSY partner map) at beta=0.5:"),
     ])
     def test_wronskian_failure_names_partners_and_shifts(self, ops, shift_zero, name):
         # a composed spec is not named as its bare family, a different potential
@@ -870,6 +871,20 @@ class TestEdgeFinding:
                 energies = [e.energy for e in edges if e.period_class == cls]
                 for lo, hi in zip(energies, energies[1:]):
                     assert hi - lo >= 4.0 * (1e-10 + math.sqrt(2.2e-16) * abs(hi))
+
+    def test_singular_last_block_is_dropped(self):
+        # R = [[0, x - 0.3], [1, 0]] plus a last block whose (0, 1) entry,
+        # noise on a real line, rounded to 0.0: exactly singular, so it is
+        # dropped and the pencil of the rest gives det R's root 0.3
+        c = np.zeros((3, 2, 2))
+        c[0] = [[0.0, -0.3], [1.0, 0.0]]
+        c[1, 0, 1] = 1.0
+        c[2, 1, 0] = 1e-13
+        assert np.allclose(flq._eigenvalues(c), [0.3], rtol=0.0, atol=1e-12)
+        # the edges op where this first showed: the a=3 PT partner on Re u = K
+        spec = pot.build(3, 0, 0.06919810589951435, 0.955019806863724, ["pt", "partner"], True)
+        found = [e.energy for e in flq.find_band_edges(spec, -0.5, 9.20950820091613)]
+        assert np.allclose(found, [e for e, _ in pot.predicted_edges(spec)], rtol=0.0, atol=1e-9)
 
     def test_closed_gaps_are_simple_roots_of_m12(self):
         # a closed gap is R = 0, a semisimple double eigenvalue of R(E), so its

@@ -380,6 +380,24 @@ class TestArrayEvaluation:
         assert type(f(np.float64(0.3))) is complex
         assert f(np.float64(0.3)) == f(0.3)
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.75])
+    def test_pt_lame_is_real_on_the_k_line(self, a, m):
+        # on Re u = K, where the engine integrates plain PT Lame, sn = 1/dn'
+        # is a float: V's imaginary part is 0.0 exactly, not rounding, and
+        # a float and an array still give complex values
+        spec = pot.build(a, 0, m, BETA, ("pt",))
+        beta = flq.integration_beta(spec)
+        assert beta == ell.modulus(m).K
+        f = pot.compiled_value_fn(spec, beta)
+        xs = np.linspace(-1.0, 2.0 * spec.period, 97)
+        vals = f(xs)
+        assert vals.dtype == complex and vals.shape == xs.shape
+        assert np.all(vals.imag == 0.0)
+        for x in xs:
+            v = f(float(x))
+            assert type(v) is complex and v.imag == 0.0
+
     def test_array_keeps_its_shape(self):
         spec = pot.build(2, 1, M, BETA, ("pt",), True)
         f = pot.compiled_value_fn(spec)
