@@ -25,12 +25,12 @@ period long is conjugate to the one on the user's line and Delta(E) does
 not depend on beta; away from the poles the integrator takes fewer steps
 and keeps det M = 1 to more digits.  The line depends only on where V has
 poles; no closed-form energy enters the engine.  V is real on the real axis
-and on Re u = K, the line of plain PT Lame and its a = 1 and a = 3 partners,
-exactly so as evaluated (:func:`elliptic.line_jacobi` takes Re u = K by the
-quarter-period shift, whose sn is real); there the batches integrate float64
-states, elsewhere complex128 ones.  A paired scan's PT Lame(a, m) on Re u = K
-and its modulus dual Lame(a, 1 - m) on the real axis read one shared Landen
-pass a stage whenever 1 - fl(1 - m) == m.
+and on Re u = K, exactly so as evaluated (:func:`elliptic.line_jacobi` takes
+Re u = K by the quarter-period shift, whose sn is real), the line of plain PT
+Lame and its a = 1 and a = 3 partners, whose widest pole gap is the one about
+K; there the batches integrate float64 states, elsewhere complex128 ones.  A
+paired scan's PT Lame(a, m) there and its modulus dual Lame(a, 1 - m) on the
+real axis read one shared Landen pass a stage whenever 1 - fl(1 - m) == m.
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ def integration_beta(spec) -> float | None:
     """The beta* of the line i x + beta* a PT spec is integrated on, None for
     a spec integrated on the real axis (a real or custom one).
 
-    beta* is the real part in (0, 2K) farthest, mod 2K, from the real parts
+    beta* is the real part in (0, K] farthest from the real parts r and 2K - r
     of the poles of V (:func:`potentials.pole_lines`), so the whole line keeps
     that distance from every pole.  Computed once per spec, on first use.
     """
@@ -389,18 +389,16 @@ def _line(spec):
     on the real axis.  V, even and 2K-periodic in its Jacobi argument u with
     real coefficients, has V(K + i x) = V(K - i x) = conj V(K + i x), so it
     is real on Re u = K, and exactly so as evaluated there, from the real
-    sn = 1/dn' of :func:`elliptic.line_jacobi`'s quarter-period shift; beta*
-    is K exactly when every pole lies on Re u = 0."""
+    sn = 1/dn' of :func:`elliptic.line_jacobi`'s quarter-period shift.
+    beta* is the centre of the widest gap between neighbouring pole lines r
+    in [0, K], or K itself when the gap about K, 2(K - max r) wide, is widest."""
     if spec.beta is None:
         return None, spec.kind != "custom"
-    two_k = 2.0 * ell.modulus(spec.m).K
-    ends = sorted({x % two_k for r in potentials.pole_lines(spec.poles, spec.m) for x in (r, -r)})
-    gaps = [(hi - lo, 0.5 * (lo + hi) % two_k) for lo, hi in zip(ends, ends[1:] + [ends[0] + two_k])]
-    # x -> -x maps the gaps onto themselves, so each has a mirror twin as wide
-    # up to rounding; of the two, the one centred in [0, K] is chosen
-    slack = 1e-12 * two_k
-    beta = max(g for g in gaps if (g[1] + slack) % two_k <= 0.5 * two_k + 2.0 * slack)[1]
-    return beta, beta == 0.5 * two_k
+    k = ell.modulus(spec.m).K
+    rs = sorted(potentials.pole_lines(spec.poles, spec.m))
+    gaps = [(hi - lo, 0.5 * (lo + hi)) for lo, hi in zip(rs, rs[1:])] + [(2.0 * (k - rs[-1]), k)]
+    beta = max(gaps)[1]
+    return beta, beta == k
 
 
 def _name(spec):

@@ -486,6 +486,16 @@ class TestInverseSn:
         with pytest.raises(ell.InversionError, match=re.escape(f"w={complex(w)}")):
             ell.inverse_sn(w, m)
 
+    # each leg: the imaginary axis, the real segment, the right and the top edge
+    @pytest.mark.parametrize("w", [2j, 0.5, 1.1, 3.0])
+    def test_residual_check_raises(self, monkeypatch, w):
+        # an alpha whose sn misses w by more than the residual bound, 1e-8
+        # here, raises InversionError naming the residual, not a wrong alpha
+        jacobi = ell.jacobi_complex
+        monkeypatch.setattr(ell, "jacobi_complex", lambda z, m: jacobi(z, m)._replace(sn=jacobi(z, m).sn + 1e-7))
+        with pytest.raises(ell.InversionError, match=re.escape(f"residual 1.000e-07 for w={complex(w)}")):
+            ell.inverse_sn(w, 0.75)
+
 
 class TestLanden:
     def test_descend_values(self):

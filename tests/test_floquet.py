@@ -205,10 +205,12 @@ class TestHalfPeriod:
             f = pot.compiled_value_fn(spec)
             assert all(f(x).imag == 0.0 for x in np.linspace(-spec.period, 2.0 * spec.period, 301))
 
-    @pytest.mark.parametrize("m", [0.05, 0.3, 0.75, 0.95])
+    @pytest.mark.parametrize("m", [0.05, 0.1427, 0.3, 0.509, 0.75, 0.914, 0.95])
     def test_k_line_potentials_are_real(self, m):
         # on Re u = K, V is real to rounding, so the engine can drop its
-        # imaginary part there too
+        # imaginary part there too; at 0.1427, 0.509 and 0.914 the rounded
+        # midpoint (r + fl(2K - r))/2 of the a=3 partner's gap about K is one
+        # ulp off K, while at 0.75, where r is K/2 (sn**2 = 2/3), it lands on K
         for spec in _k_line_specs(m):
             beta, real = flq._line(spec)
             assert real and beta == ell.modulus(m).K
@@ -227,7 +229,8 @@ class TestHalfPeriod:
 
     def test_real_axis_integrates_in_float64(self, monkeypatch):
         # real-axis and Re u = K specs integrate real states; other PT lines
-        # and custom potentials complex ones
+        # and custom potentials complex ones, at the anchor and at two m where
+        # a rounded midpoint of the a=3 partner's gap about K misses K
         dtypes = []
         solve = flq.solve_ivp
 
@@ -236,12 +239,24 @@ class TestHalfPeriod:
             return solve(fun, t_span, y0, **kwargs)
 
         monkeypatch.setattr(flq, "solve_ivp", recorded)
-        cases = [(s, np.float64) for s in [*_real_axis_specs(), *_k_line_specs()]]
-        cases += [(s, np.complex128) for s in [*_complex_line_specs(), FREE, _as_custom(_a1_spec())]]
+        cases = [(FREE, np.complex128)]
+        for m in (M, 0.1427, 0.914):
+            cases += [(s, np.float64) for s in [*_real_axis_specs(m), *_k_line_specs(m)]]
+            cases += [(s, np.complex128) for s in [*_complex_line_specs(m), _as_custom(_a1_spec(m))]]
         for s, dtype in cases:
             dtypes.clear()
             flq._propagate(s, [0.5, 2.0])
             assert dtypes == [dtype]
+
+    def test_a3_partner_line_is_k(self):
+        # the a=3 PT partner has a pole line r in (0, K), yet the gap about K
+        # is its widest, so beta* is K itself at every m, for the partner and
+        # for its partner; the rounded midpoint (r + fl(2K - r))/2 of that gap
+        # is one ulp off K at 36 of these 201 m
+        for m in np.linspace(0.05, 0.95, 201):
+            k = ell.modulus(float(m)).K
+            for ops in (["pt", "partner"], ["pt", "partner", "partner"]):
+                assert flq._line(pot.build(3, 0, float(m), BETA, ops, True)) == (k, True)
 
     def test_batch_rhs_calls(self):
         # one 800-energy batch on the a=3 anchor: 374 RHS calls over half a
@@ -1040,8 +1055,9 @@ class TestIntegrationLine:
         assert len(partners) == 7 and made == []
 
     def test_line_is_stable_under_rounding(self, monkeypatch):
-        # the (2,1) partner's widest pole gap has a mirror twin centred at
-        # 2K - beta*; moving one pole line by 2 ulps must not switch to it
+        # the (2,1) partner's widest gap lies between two of its pole lines
+        # in [0, K], with beta* at its centre; moving one pole line by 2 ulps
+        # moves beta* by rounding only, and it stays in (0, K]
         spec = inv.specs(M, BETA)[("assoc", 2, 1, "partner")]
         beta = flq.integration_beta(spec)
         lines = pot.pole_lines

@@ -363,6 +363,22 @@ class TestDispersion:
             assert dp.alpha1.real == 0.0 or E > 0
             assert abs(dp.k - kn) < 1e-9
 
+    @pytest.mark.parametrize("E", [M / 2, 2.0])
+    def test_complex_k_inside_a_band_raises(self, monkeypatch, E):
+        # a Z(alpha1) off by 0.01i puts Im k = 0.01 inside the bands (0, m) and
+        # (1, inf): BranchResolutionError, not a k patched to real; in the gap
+        # (m, 1) the same Im k is an attenuation and is returned
+        alpha_zeta = spc._alpha_zeta
+
+        def off(m, E):
+            alpha1, z1 = alpha_zeta(m, E)
+            return alpha1, z1 + 0.01j
+
+        monkeypatch.setattr(spc, "_alpha_zeta", off)
+        with pytest.raises(spc.BranchResolutionError, match=f"at E={E}, inside a band"):
+            spc.dispersion_analytic(M, BETA, E)
+        assert spc.dispersion_analytic(M, BETA, 0.85).k.imag > 1e-3
+
     def test_gap_attenuation(self):
         dp = spc.dispersion_analytic(M, BETA, 0.85)
         L = 2 * ell.modulus(M).Kprime
