@@ -80,9 +80,11 @@ _IM_FLAG_TOL = 1e-6
 # of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
-# find_band_edges: points per piece; the absolute tail bound (_unresolved) on
+# points per Chebyshev series (a find_band_edges piece, a scan range) and the
+# nodes cos(pi j / 64); find_band_edges' absolute tail bound (_unresolved) on
 # a piece with an edge; narrowest piece, of the range; R's bound where M = +/-I.
 _CHEB = 65
+_NODES = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
 _TAIL_ATOL = 1e-10
 _MIN_PIECE = 1e-6
 _CLOSED_TOL = 1e-8
@@ -145,14 +147,10 @@ class NumericBandEdge(NamedTuple):
 class ScanResult(NamedTuple):
     """Delta on an energy grid.  ``det_defects`` are the checked Wronskian
     defects (see :class:`MonodromyResult`) of the energies integrated for
-    this grid, not one per grid energy, in order: the ``_CHEB`` Chebyshev
-    points of a resolved series, those points and then the grid when the
-    series was not resolved, and the grid alone for a scan of at most
-    ``_CHEB`` energies (see :func:`discriminant_scan`); a range of
-    :func:`discriminant_scans` holds its own energies' defects alone.
-    ``im_flags`` marks |Im Delta| > 1e-6 on the grid, which is integration
-    error on a custom potential and never set for the others, whose Delta is
-    real by construction."""
+    this grid, in the order :func:`discriminant_scans` integrates them, not
+    one per grid energy.  ``im_flags`` marks |Im Delta| > 1e-6 on the grid,
+    which is integration error on a custom potential and never set for the
+    others, whose Delta is real by construction."""
 
     energies: np.ndarray
     discriminants: np.ndarray
@@ -457,9 +455,11 @@ def _propagate(spec, energies):
     entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
     carries an unavoidable cancellation error ~ |entries|^2 eps; the test
     scales with that.  Raises :class:`FloquetIntegrationError` naming the
-    spec and the first energy that fails.  Returns the matrices, R (R_P,
-    R_A) stacked on axis 1, the checked defects |det - 1| and the integrator
-    stats: steps and RHS calls summed over the batches, the largest defect.
+    spec and the first energy that fails the check, or the batch's specs and
+    energy range when :func:`solve_ivp` fails.  Returns the matrices, R
+    (R_P, R_A) stacked on axis 1, the checked defects |det - 1| and the
+    integrator stats: steps and RHS calls summed over the batches, the
+    largest defect.
     """
     specs, groups = (spec, energies) if isinstance(spec, list) else ([spec], [energies])
     if not _shared(specs):
@@ -477,9 +477,9 @@ def _propagate(spec, energies):
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
         hi = min(lo + _CHUNK, energies.size)
-        # the specs' blocks of this batch: (potential, its energies, twice each)
-        blocks = [(f, np.repeat(energies[max(lo, s) : min(hi, e)].astype(dtype), 2))
-                  for f, s, e in zip(fs, bounds, bounds[1:]) if max(lo, s) < min(hi, e)]
+        # the specs' blocks of this batch: (spec, potential, its energies, twice each)
+        blocks = [(sp, f, np.repeat(energies[max(lo, s) : min(hi, e)].astype(dtype), 2))
+                  for sp, f, s, e in zip(specs, fs, bounds, bounds[1:]) if max(lo, s) < min(hi, e)]
         n2 = 2 * (hi - lo)
         y0 = np.zeros(2 * n2, dtype=dtype)
         y0[0:n2:2] = 1.0  # psi_a(0) = 1
@@ -488,7 +488,11 @@ def _propagate(spec, energies):
         # an overflowing or non-finite batch fails the NaN-safe checks below,
         # which name the energy; numpy's warnings would only precede them
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp([f for f, _ in blocks], (0.0, end), y0, energies=[e for _, e in blocks], period=L)
+            try:
+                sol = solve_ivp([f for _, f, _ in blocks], (0.0, end), y0, energies=[e for _, _, e in blocks], period=L)
+            except FloquetIntegrationError as exc:
+                raise FloquetIntegrationError(f"{' and '.join(_name(sp) for sp, _, _ in blocks)} at E in"
+                                              f" [{energies[lo:hi].min()}, {energies[lo:hi].max()}]: {exc}") from exc
             y = sol.y
             a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
             det = np.abs(a * d - b * c - 1.0)
@@ -534,40 +538,38 @@ def discriminants(spec, energies) -> np.ndarray:
 
 
 def discriminant_scan(spec, e_min: float, e_max: float, n: int) -> ScanResult:
-    """Discriminant over a uniform grid of n energies, Wronskian checked as
-    :func:`discriminants` is, with |Im Delta| beyond 1e-6 flagged: only
-    integration error on a custom potential can raise a flag (see
-    :class:`ScanResult`).
-
-    Delta is entire in E (see :func:`find_band_edges`), so for n >
-    ``_CHEB`` it is first integrated at the ``_CHEB`` Chebyshev points of
-    [e_min, e_max] alone.  Their series is resolved when its last 3
-    coefficients are within ``RTOL`` max(1, min |Delta| at the points): about
-    ``RTOL`` absolute on a range that holds a band, relative far below the
-    spectrum.  A resolved series is evaluated on the grid; samples with Im
-    Delta all 0.0 (every spec but a custom one) give a real series, so Im
-    Delta stays 0.0.  Otherwise, and for n <= ``_CHEB``, every grid energy
-    is integrated.  The one-range case of :func:`discriminant_scans`.
-    """
+    """Discriminant over a uniform grid of n energies in [e_min, e_max]: the
+    one-range case of :func:`discriminant_scans`."""
     return discriminant_scans([(spec, e_min, e_max)], n)[0]
 
 
 def discriminant_scans(ranges, n: int) -> list[ScanResult]:
-    """:func:`discriminant_scan` of each (spec, e_min, e_max) of ``ranges``
-    at n energies, one :class:`ScanResult` per range: the ranges' Chebyshev
-    points in one shared :func:`_propagate` call, each series tested and
-    evaluated on its own, then the grid of each range not resolved in a
-    call of its own; for n <= ``_CHEB`` the grids take the points' place,
-    in one shared call.  The specs must share an integration (see
-    :func:`_propagate`), as PT Lame(a, m) and its modulus dual Lame(a, 1 -
-    m) do, both over K(1 - m) in float64, or each range is scanned alone:
-    below m ~ 0.01 the complement of fl(1 - m) is m only to ~1e-16/m, and
-    the two periods may differ by more than 1e-15.  A batch of 65-point
-    blocks costs about its steps, not its energies, so the shared points
-    cost little more than one side's, and each side's Delta moves from its
-    own scan's only by the shared step sequence.  A batch of 500-energy
-    grids costs about its energies, so those are not shared: a shared one
-    was no faster and moved Delta.
+    """Delta over a uniform grid of n energies of each (spec, e_min, e_max)
+    of ``ranges``, one :class:`ScanResult` per range, Wronskian checked as
+    :func:`discriminants` is, with |Im Delta| beyond 1e-6 flagged: only
+    integration error on a custom potential can raise a flag.
+
+    One shared :func:`_propagate` call integrates each range's samples: its
+    grid for n <= ``_CHEB``, else the ``_CHEB`` Chebyshev points of [e_min,
+    e_max].  Then each range in turn: for n <= ``_CHEB`` the samples are its
+    Delta.  Otherwise Delta, entire in E (see :func:`find_band_edges`), is
+    resolved by the points' series when its last 3 coefficients are within
+    ``RTOL`` max(1, min |Delta| at the points): about ``RTOL`` absolute on a
+    range that holds a band, relative far below the spectrum.  A resolved
+    series is evaluated on the grid; samples with Im Delta all 0.0 (every
+    spec but a custom one) give a real series, so Im Delta stays 0.0.  A
+    range not resolved integrates its grid in a call of its own, and its
+    defects are the points' and then the grid's.
+
+    The specs must share an integration (see :func:`_propagate`), as PT
+    Lame(a, m) and its modulus dual Lame(a, 1 - m) do, both over K(1 - m) in
+    float64, or each range is scanned alone: below m ~ 0.01 the complement
+    of fl(1 - m) is m only to ~1e-16/m, and the two periods may differ by
+    more than 1e-15.  A batch of 65-point blocks costs about its steps, not
+    its energies, so the shared points cost little more than one side's, and
+    each side's Delta moves from its own scan's only by the shared step
+    sequence.  A batch of 500-energy grids costs about its energies, so
+    those are not shared: a shared one was no faster and moved Delta.
     """
     for _, e_min, e_max in ranges:
         if not e_min < e_max:
@@ -578,26 +580,20 @@ def discriminant_scans(ranges, n: int) -> list[ScanResult]:
     if not _shared(specs):
         return [discriminant_scan(*r, n) for r in ranges]
     grids = [np.linspace(e_min, e_max, n) for _, e_min, e_max in ranges]
-    deltas, defects = [None] * len(ranges), [np.empty(0)] * len(ranges)
-    if n > _CHEB:
-        x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
-        ms, _, d, _ = _propagate(specs, [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for _, lo, hi in ranges])
-        defects = list(d.reshape(-1, _CHEB))
-        for k, samples in enumerate((ms[:, 0, 0] + ms[:, 1, 1]).reshape(-1, _CHEB)):
-            if not samples.imag.any():
-                samples = samples.real
-            c = _coefficients(samples)
-            if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(samples).min()):
-                deltas[k] = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
-    todo = [k for k, delta in enumerate(deltas) if delta is None]
-    # grids of at most _CHEB energies share a call, as the points do; a
-    # larger grid's batch costs about its energies, so each takes its own
-    for group in [todo] if n <= _CHEB else [[k] for k in todo]:
-        ms, _, d, _ = _propagate([specs[k] for k in group], [grids[k] for k in group])
-        for k, mk, dk in zip(group, np.split(ms, len(group)), np.split(d, len(group))):
-            deltas[k] = mk[:, 0, 0] + mk[:, 1, 1]
-            defects[k] = np.concatenate([defects[k], dk])
-    return [ScanResult(g, delta, d, np.abs(delta.imag) > _IM_FLAG_TOL) for g, delta, d in zip(grids, deltas, defects)]
+    samples = grids if n <= _CHEB else [0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES for _, lo, hi in ranges]
+    ms, _, d, _ = _propagate(specs, samples)
+    traces, results = (ms[:, 0, 0] + ms[:, 1, 1]).reshape(len(ranges), -1), []
+    for spec, grid, delta, defects in zip(specs, grids, traces, d.reshape(len(ranges), -1)):
+        if n > _CHEB:
+            values = delta if delta.imag.any() else delta.real
+            c = _coefficients(values)
+            if np.abs(c[-3:]).max() <= RTOL * max(1.0, np.abs(values).min()):
+                delta = _clenshaw(np.linspace(-1.0, 1.0, n), c).astype(complex)
+            else:
+                mg, _, dg, _ = _propagate(spec, grid)
+                delta, defects = mg[:, 0, 0] + mg[:, 1, 1], np.concatenate([defects, dg])
+        results.append(ScanResult(grid, delta, defects, np.abs(delta.imag) > _IM_FLAG_TOL))
+    return results
 
 
 def _coefficients(values):
@@ -698,10 +694,9 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     """
     if not e_min < e_max:
         raise ValueError("e_min must be below e_max")
-    x = np.cos(np.pi * np.arange(_CHEB) / (_CHEB - 1))
     pending, pieces = [(e_min, e_max)], []
     while pending:
-        es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in pending])
+        es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES for a, b in pending])
         ms, rs = _propagate(spec, es)[:2]
         cds = _coefficients(np.trace(ms, axis1=1, axis2=2).reshape(-1, _CHEB).T)
         cs = _coefficients(rs.reshape(-1, _CHEB, 2, 2, 2).swapaxes(0, 1))

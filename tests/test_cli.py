@@ -388,6 +388,17 @@ class TestEdges:
         assert captured.err.startswith("integration error: Wronskian drift") and captured.err.count("\n") == 1
 
 
+    def test_step_budget_error_names_the_spec(self, capsys, monkeypatch):
+        # a step-budget failure names the spec and the batch's energies, as
+        # a Wronskian failure names the spec and the energy
+        monkeypatch.setattr(flq, "_MAX_STEPS", 10)
+        argv = ["dispersion", "--a", "1", "--pt", "--shift-zero", "--emin", "1e7", "--emax", "2e7", "--n", "3"]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("integration error: PT lame(a=1, b=0, m=0.75) at beta=0.5, raised by 1.75"
+                              " at E in [10000000.0, 20000000.0]: integration failed over half a period"
+                              " (step budget of 10 exhausted)") and err.count("\n") == 1
+
     def test_paired_integration_error_names_the_side(self, capsys):
         # the PT side's Chebyshev points overflow first in the shared batch
         assert cli.main(["scan", "--a", "1", "--pt", "--paired", "--emin=-1e5", "--emax", "3"]) == 4
@@ -418,6 +429,18 @@ class TestJsonOutput:
         assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
         _, cols = _read_csv(tmp_path / "out.csv")
         assert "nan" in cols["abs_diff"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_is_the_default_out(self, fmt, tmp_path, capsys):
+        # without --out, or with --out -, the table goes to stdout as it
+        # would to a file
+        argv = ["sample-potential", "--pt", "--n", "5", "--format", fmt]
+        out = tmp_path / f"out.{fmt}"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        for extra in ([], ["--out", "-"]):
+            assert cli.main([*argv, *extra]) == 0
+            assert capsys.readouterr().out == out.read_text()
 
     def test_infinite_and_numpy_values(self, tmp_path, monkeypatch):
         # a row's value may be infinite, and a tolerance a numpy scalar

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -1114,3 +1115,18 @@ class TestDefaults:
         monkeypatch.setattr(flq, "_MAX_STEPS", 10)
         with pytest.raises(flq.FloquetIntegrationError, match="step budget of 10"):
             flq.monodromy(_a1_spec(), 0.4)
+
+    def test_step_failures_name_the_specs_and_energies(self, monkeypatch):
+        # the step budget and the step floor name the batch's specs and the
+        # range of its energies, as the Wronskian check names spec and energy
+        spec, dual = _a1_spec(), pot.Lame(1, 1.0 - M)
+        names = f"{flq._name(spec)} and {flq._name(dual)}"
+        monkeypatch.setattr(flq, "_MAX_STEPS", 10)
+        with pytest.raises(flq.FloquetIntegrationError, match=re.escape(
+                f"{names} at E in [-1.0, 2.0]: integration failed over half a period (step budget of 10 exhausted)")):
+            flq.discriminant_scans([(spec, -1.0, 0.5), (dual, 0.0, 2.0)], 4)
+        monkeypatch.setattr(flq, "_MAX_STEPS", 20000)
+        monkeypatch.setattr(flq, "_MIN_STEP", 0.5)
+        with pytest.raises(flq.FloquetIntegrationError, match=re.escape(
+                f"{flq._name(spec)} at E in [0.4, 0.4]: integration failed over half a period (step size fell below")):
+            flq.monodromy(spec, 0.4)

@@ -332,6 +332,14 @@ class TestDualities:
                 assert inv.run([row], M, BETA)[0][3]
         assert [(s.kind, s.a, s.m) for s in searched].count(("lame", 2, 0.5)) == 1
 
+    def test_a2_sum_rule_row_can_fail(self, monkeypatch):
+        # four edges read inf; five off the sum rule by 1e-3 read 1e-3; both FAIL
+        row = next(r for r in inv.REGISTRY if r.name == "a2-half-parameter-sum-rule")
+        for es, value in (((0.0, 1.0, 3.0, 5.0), math.inf), ((0.0, 1.0, 3.0, 5.0, 6.001), 1e-3)):
+            monkeypatch.setattr(inv, "_lame_edges", lambda a, m, es=es: es)
+            _, got, _, ok, _ = inv.run([row], M, BETA)[0]
+            assert got == pytest.approx(value) and not ok
+
 
 class TestDispersion:
     def test_band_edge_wavenumbers(self):
