@@ -161,14 +161,13 @@ def cmd_scan(args):
     n = _samples(args, 2)
     lo, hi = flq.default_energy_range(spec) if args.emin is None or args.emax is None else (None, None)
     emin, emax = _energy_range(args, lo, hi)
+    ranges = [(spec, emin, emax)]
     if args.paired:
         # the modulus dual, Lame(a, 1 - m) on the real axis, shares the PT
         # spec's half period K(1 - m), so both sides integrate together
         shift = args.a * (args.a + 1)
-        scan, dual = flq.discriminant_scans([(spec, emin, emax),
-                                             (pot.Lame(args.a, 1.0 - args.m), emin + shift, emax + shift)], n)
-    else:
-        scan = flq.discriminant_scan(spec, emin, emax, n)
+        ranges.append((pot.Lame(args.a, 1.0 - args.m), emin + shift, emax + shift))
+    scan, *dual = flq.discriminant_scans(ranges, n)
     cols = [("e", scan.energies.tolist()),
             ("re_delta", scan.discriminants.real.tolist()),
             ("im_delta", scan.discriminants.imag.tolist())]
@@ -176,7 +175,7 @@ def cmd_scan(args):
             "integration_beta": flq.integration_beta(spec)}
     if not args.paired:
         return cols, meta, None
-    dd = dual.discriminants
+    dd = dual[0].discriminants
     diffs = np.abs(scan.discriminants - dd)
     cols += [("re_delta_dual", dd.real.tolist()), ("im_delta_dual", dd.imag.tolist()),
              ("abs_diff", diffs.tolist())]

@@ -145,7 +145,6 @@ class JacobiValues(NamedTuple):
     dn: complex
 
 
-@lru_cache(maxsize=512)
 def _landen_schedule(m: float, mc: float) -> tuple[float, tuple[float, ...]]:
     # Descending-Landen coefficients c_n / a_n, last first, the order the
     # backward recursion reads them; they depend only on m and its

@@ -95,7 +95,8 @@ _CHUNK = 800
 
 
 class FloquetIntegrationError(RuntimeError):
-    """Integrator failure; usually signals a pole on the integration line."""
+    """Integrator failure, naming the spec; a pole on or near the integration
+    line, or an energy too high for the step budget, is the usual cause."""
 
 
 class IntegratorStats(NamedTuple):
@@ -328,9 +329,9 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
             if steps > _MAX_STEPS or not h_abs >= h_floor:
                 reason = (f"step budget of {_MAX_STEPS} exhausted" if steps > _MAX_STEPS
                           else f"step size fell below {_MIN_STEP:g} of the period or is not finite")
+                hint = "an energy too high for the budget or a pole near" if steps > _MAX_STEPS else "a pole on or near"
                 raise FloquetIntegrationError(
-                    f"integration failed over {span} period ({reason}); a pole on or near the integration line?"
-                )
+                    f"integration failed over {span} period ({reason}); {hint} the integration line?")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
             h_op[()] = h
@@ -709,7 +710,7 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
                     missed = _unresolved(cr, _TAIL_ATOL)
             if missed:
                 if b - a < _MIN_PIECE * (e_max - e_min):
-                    raise FloquetIntegrationError(f"series not resolved on [{a}, {b}]: {'; '.join(missed)}")
+                    raise FloquetIntegrationError(f"{_name(spec)}: series not resolved on [{a}, {b}]: {'; '.join(missed)}")
                 split += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
                 continue
             rows = []

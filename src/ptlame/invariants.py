@@ -9,9 +9,9 @@ the a=1 dispersion, each against the Floquet engine or a second evaluation
 path, and four claims of the paper that no computation relies on: the
 printed superpotentials, the Landen reduction of the a=b associated
 potentials, the P AA PP order of the band edges and the finite number of
-gaps, no simple edge above the top one.  The Floquet edge sets
-of the three shifted PT potentials and their partners are computed once per
-(m, beta) and shared; the row that reads them first is charged their time.
+gaps, no simple edge above the top one.  The Floquet edges of each spec of
+:func:`specs` are searched once per (m, beta), charged to the row that reads
+them first, and compared with the rows ``ptlame edges`` prints for it.
 """
 
 from __future__ import annotations
@@ -57,20 +57,16 @@ def specs(m: float, beta: float) -> MappingProxyType:
     return MappingProxyType(out)
 
 
-def _top(fam, m):
-    return spc.closed_form_energies(*fam, m, pt=True, shifted=True)[-1]
-
-
 def _simple_edges(spec, emin, emax):
     return tuple(e for e in flq.find_band_edges(spec, emin, emax) if e.multiplicity == 1)
 
 
 @functools.lru_cache(maxsize=4)
 def _edge_sets(m, beta):
-    """Simple Floquet edges of each family's shifted PT potential and partner."""
-    s = specs(m, beta)
-    return MappingProxyType({key: _simple_edges(s[key], -0.5, _top(fam, m) + 0.8)
-                             for fam in spc.ptlame_families for key in (fam, fam + ("partner",))})
+    """Simple Floquet edges of each spec of :func:`specs`, keyed as there,
+    each searched once over [-0.5, its top closed-form edge + 0.8]."""
+    return MappingProxyType({key: _simple_edges(spec, -0.5, pot.predicted_edges(spec)[-1][0] + 0.8)
+                             for key, spec in specs(m, beta).items()})
 
 
 def _max_pair_diff(xs, ys):
@@ -231,15 +227,16 @@ def _beta_independence(m, beta):
 
 
 def _edge_tables(m, beta):
-    found = _edge_sets(m, beta)
-    return max(_max_pair_diff(_energies(found[fam]), _energies(spc.pt_band_edges(*fam, m, beta)))
+    # each family's Floquet edges against the rows `ptlame edges` prints
+    found, s = _edge_sets(m, beta), specs(m, beta)
+    return max(_max_pair_diff(_energies(found[fam]), [e for e, _ in pot.predicted_edges(s[fam])])
                for fam in spc.ptlame_families)
 
 
 def _edge_classes(m, beta):
-    found = _edge_sets(m, beta)
-    same = all([e.period_class for e in found[fam]]
-               == [e.period_class for e in spc.pt_band_edges(*fam, m, beta)] for fam in spc.ptlame_families)
+    found, s = _edge_sets(m, beta), specs(m, beta)
+    same = all([e.period_class for e in found[fam]] == [c for _, c in pot.predicted_edges(s[fam])]
+               for fam in spc.ptlame_families)
     return 0.0 if same else 1.0
 
 
@@ -324,8 +321,8 @@ def _a1_translation(m, beta):
 
 def _a3_exchanged_edges(m, beta):
     # partner-then-transform has the edges of transform-then-partner ...
-    ex = _simple_edges(specs(m, beta)["a3-exchanged"], -0.5, _top(_A3, m) + 0.8)
-    return _max_pair_diff(_energies(ex), _energies(_edge_sets(m, beta)[_A3]))
+    found = _edge_sets(m, beta)
+    return _max_pair_diff(_energies(found["a3-exchanged"]), _energies(found[_A3]))
 
 
 def _a3_exchanged_distinct(m, beta):

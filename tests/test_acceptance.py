@@ -74,6 +74,28 @@ def test_discriminant_relation_fails_on_a_wrong_dual(monkeypatch):
     assert value > 1e-9 and not ok
 
 
+def test_edge_tables_read_the_printed_rows(monkeypatch):
+    # band-edge-tables compares the Floquet edges with the rows `ptlame
+    # edges` prints, predicted_edges of the registry's specs: those rows
+    # moved by 1e-3, once the specs and edge sets are built, fail it
+    inv._edge_sets(M, BETA)
+    predicted = pot.predicted_edges
+    monkeypatch.setattr(pot, "predicted_edges", lambda spec: [(e + 1e-3, c) for e, c in predicted(spec)])
+    row = next(r for r in inv.REGISTRY if r.name == "band-edge-tables")
+    [(_, value, _, ok, _)] = inv.run([row], M, BETA)
+    assert value > 9e-4 and not ok
+
+
+def test_a3_exchanged_row_makes_no_search(monkeypatch):
+    # the a3-exchanged spec's edges are one of the registry's edge sets,
+    # searched once with the rest: the row reads them and searches nothing
+    inv._edge_sets(M, BETA)
+    monkeypatch.setattr(flq, "find_band_edges", lambda *args: pytest.fail("a search of its own"))
+    row = next(r for r in inv.REGISTRY if r.name == "a3-exchanged-order-edges")
+    [(_, _, _, ok, _)] = inv.run([row], M, BETA)
+    assert ok
+
+
 def test_closed_superpotential_fails_on_a_wrong_w(monkeypatch):
     # the row compares the printed W with the log-derivative a spec carries,
     # the one its partner is built from: that W scaled by 1 + 1e-8 fails it

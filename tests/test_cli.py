@@ -398,6 +398,9 @@ class TestEdges:
         assert err.startswith("integration error: PT lame(a=1, b=0, m=0.75) at beta=0.5, raised by 1.75"
                               " at E in [10000000.0, 20000000.0]: integration failed over half a period"
                               " (step budget of 10 exhausted)") and err.count("\n") == 1
+        # on beta* = K, the line farthest from the poles, the budget's hint
+        # names the energy first
+        assert err.endswith("; an energy too high for the budget or a pole near the integration line?\n")
 
     def test_paired_integration_error_names_the_side(self, capsys):
         # the PT side's Chebyshev points overflow first in the shared batch
@@ -576,8 +579,17 @@ class TestScan:
 
     def test_paired_json_round_trip(self, tmp_path):
         # JSON writes every float's shortest round-trip digits, so the
-        # columns parse back to the paired scans' arrays bit for bit
+        # columns parse back to the paired scans' arrays bit for bit, and
+        # the unpaired scan's to the one range's discriminant_scan
         out = tmp_path / "scan.json"
+        assert cli.main(["scan", "--a", "3", "--pt", "--n", "500", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        meta, cols = doc["meta"], doc["columns"]
+        alone = flq.discriminant_scan(build_spec(_edges_args("--a", "3", "--pt")), meta["emin"], meta["emax"], 500)
+        assert list(cols) == ["e", "im_delta", "re_delta"]
+        for name, ref in [("e", alone.energies), ("re_delta", alone.discriminants.real),
+                          ("im_delta", alone.discriminants.imag)]:
+            assert np.array_equal(np.array(cols[name], dtype=float), ref)
         rc = cli.main(["scan", "--a", "3", "--pt", "--paired", "--n", "500", "--format", "json", "--out", str(out)])
         assert rc == 0
         text = out.read_text()

@@ -818,8 +818,8 @@ class TestEdgeFinding:
         monkeypatch.setattr(flq, "_propagate", rough)
         monkeypatch.setattr(flq, "_MIN_PIECE", 0.3)
         with pytest.raises(flq.FloquetIntegrationError,
-                           match=r"not resolved on \[0\.0, 0\.25\]: R_P\[0, 1\]'s last 3 coefficients "
-                                 r"reach \S+, above \S+$"):
+                           match=rf"^{re.escape(flq._name(_a1_spec()))}: series not resolved on \[0\.0, 0\.25\]: "
+                                 r"R_P\[0, 1\]'s last 3 coefficients reach \S+, above \S+$"):
             flq.find_band_edges(_a1_spec(), 0.0, 1.0)
 
     def test_sample_on_a_tangency_is_a_closed_gap(self, monkeypatch):
@@ -932,7 +932,7 @@ class TestEdgeFinding:
 class TestClassification:
     @staticmethod
     def _found_edges():
-        # the six registry edge sets and the free particle's closed gaps
+        # the seven registry edge sets and the free particle's closed gaps
         return [e for edges in list(inv._edge_sets(M, BETA).values()) + [flq.find_band_edges(FREE, 0.2, 10.0)]
                 for e in edges]
 
@@ -949,7 +949,7 @@ class TestClassification:
             assert abs(abs(e.discriminant.real) - 2.0) < 1e-6 and abs(e.discriminant.imag) < 1e-6
 
     def test_edge_classes_follow_oscillation_order(self, monkeypatch):
-        # simple edges follow P AA PP AA ... on the six registry edge sets
+        # simple edges follow P AA PP AA ... on the seven registry edge sets
         patterns = {7: "PAAPPAA", 5: "PAAPP", 3: "PAA"}
         for edges in inv._edge_sets(M, BETA).values():
             assert "".join(e.period_class for e in edges) == patterns[len(edges)]
@@ -1128,5 +1128,8 @@ class TestDefaults:
         monkeypatch.setattr(flq, "_MAX_STEPS", 20000)
         monkeypatch.setattr(flq, "_MIN_STEP", 0.5)
         with pytest.raises(flq.FloquetIntegrationError, match=re.escape(
-                f"{flq._name(spec)} at E in [0.4, 0.4]: integration failed over half a period (step size fell below")):
+                f"{flq._name(spec)} at E in [0.4, 0.4]: integration failed over half a period (step size fell below")
+                ) as floor:
             flq.monodromy(spec, 0.4)
+        # a step below the floor still asks after a pole, not the energy
+        assert str(floor.value).endswith("); a pole on or near the integration line?")
