@@ -573,10 +573,12 @@ def discriminant_scans(ranges, n: int) -> list[ScanResult]:
     those are not shared: a shared one was no faster and moved Delta.
     """
     for _, e_min, e_max in ranges:
-        if not e_min < e_max:
-            raise ValueError("e_min must be below e_max")
+        if not -math.inf < e_min < e_max < math.inf:
+            raise ValueError("e_min must be below e_max, both finite")
     if n < 2:
         raise ValueError("need at least two samples")
+    if not ranges:
+        return []
     specs = [spec for spec, _, _ in ranges]
     if not _shared(specs):
         return [discriminant_scan(*r, n) for r in ranges]
@@ -693,8 +695,8 @@ def find_band_edges(spec, e_min: float, e_max: float) -> list[NumericBandEdge]:
     has the smaller largest coefficient, and so the smaller error in its
     pencil.  Rows carry the interpolant's Delta.
     """
-    if not e_min < e_max:
-        raise ValueError("e_min must be below e_max")
+    if not -math.inf < e_min < e_max < math.inf:
+        raise ValueError("e_min must be below e_max, both finite")
     pending, pieces = [(e_min, e_max)], []
     while pending:
         es = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * _NODES for a, b in pending])

@@ -5,12 +5,12 @@ Jacobi-function expression of V and the closed-form data that survive the
 maps applied to it.  ``AssociatedLame`` (of which ``Lame`` is the b = 0
 case) and ``CustomPotential`` build one; ``Shifted`` (constant
 subtraction), ``PTTransform`` (x -> i x + beta together with an overall sign
-flip) and ``SusyPartner`` (W**2 + W' built from the zero-energy ground state
-of its argument) each map a spec to a new one, and ``build`` composes the
-paper's constructions.  A spec records the order of its PT and partner
-maps, not its shifts, and ``==`` is not structural: V and the ground state
-are closures made anew by each construction, so two constructions of one
-potential differ.
+flip) and ``SusyPartner`` (W**2 + W' built from the ground state of its
+argument, shifted to zero energy) each map a spec to a new one, and
+``build`` composes the paper's constructions.  A spec records the order of
+its PT and partner maps, not its shifts, and ``==`` is not structural: V
+and the ground state are closures made anew by each construction, so two
+constructions of one potential differ.
 ``compiled_value_fn`` evaluates a spec to complex values at real x, a float
 or a whole float ndarray in one numpy pass, on its own line or, for a PT
 spec, on any other; specs are analytic in x, which the Floquet engine and
@@ -54,22 +54,23 @@ class PotentialError(ValueError):
 
 
 class MissingGroundStateError(PotentialError):
-    """No closed-form zero-energy ground state is registered for the spec."""
+    """No closed-form ground state is registered for the spec."""
 
 
 class PotentialSpec(NamedTuple):
     """A potential, as the constructors of this module build it.
 
     ``kind``, ``a``, ``b``, ``m`` name the base family ("lame", "assoc" or
-    "custom", whose ``m`` is None); V(x) = sign * g(sn, cn, dn) - shift with
-    the Jacobi triple at real x, or on the line i x + beta when ``beta`` is
-    set (a custom potential's ``g`` is its own function of x).  ``offset``
-    moves the family's closed-form edge rows (PT rows when ``beta`` is set)
-    onto the spec's energies, ``ground`` is the closed-form ground state as
-    (sn**2 at its zeros, its log-derivative psi'/psi in the triple's
-    argument as a function of the triple's values), all a SUSY partner
-    reads of it, its energy the first edge row; both are None without
-    closed forms (its jet is :func:`spectra.ground_state_builder`'s).
+    "custom", whose ``m`` is None); V(x) = g(sn, cn, dn) - shift with the
+    Jacobi triple at real x, or -g(sn, cn, dn) - shift with the triple on
+    the line i x + beta when ``beta`` is set (a custom potential's ``g`` is
+    its own function of x).  ``offset`` moves the family's closed-form edge
+    rows (PT rows when ``beta`` is set) onto the spec's energies, ``ground``
+    is the closed-form ground state as (sn**2 at its zeros, its
+    log-derivative psi'/psi in the triple's argument as a function of the
+    triple's values), all a SUSY partner reads of it, its energy the first
+    edge row (its jet is :func:`spectra.ground_state_builder`'s); both are
+    None without closed forms, and ``ground`` for a PT-transformed partner.
     ``maps`` names the PT transform ("pt") and SUSY partner maps ("partner")
     applied, in order, and ``partner`` is whether one is a partner map.
     ``poles`` holds sn**2 at the poles of g in the triple's argument (inf at
@@ -88,7 +89,6 @@ class PotentialSpec(NamedTuple):
     m: float | None
     period: float
     g: Callable
-    sign: float
     shift: float
     beta: float | None
     offset: float | None
@@ -118,7 +118,7 @@ def AssociatedLame(a: int, b: int, m: float) -> PotentialSpec:
     closed = (kind, a, b) in spectra.ptlame_families
     ground = spectra.ground_state_builder(kind, a, b, m, pt=False)[1:] if closed else None
     poles = (math.inf,) if b == 0 else (math.inf, 1.0 / m)  # sn poles, dn zeros
-    return PotentialSpec(kind, a, b, m, 2.0 * ell.modulus(m).K, g, 1.0, 0.0, None,
+    return PotentialSpec(kind, a, b, m, 2.0 * ell.modulus(m).K, g, 0.0, None,
                          0.0 if closed else None, ground, (), poles)
 
 
@@ -139,8 +139,9 @@ def PTTransform(spec: PotentialSpec, beta: float) -> PotentialSpec:
     """-spec(i x + beta): complex PT-invariant potential, real period 2K'(m).
 
     The sign flips, the argument moves onto the line and E maps to -E, so
-    the PT rows apply and a shift under the transform moves the edges up;
-    only the bare family keeps a closed-form ground state under it.
+    the PT rows apply and a shift under the transform moves the edges up.
+    A shift changes no eigenfunction, so every closed-form spec but a SUSY
+    partner keeps a closed-form ground state under it: the PT family's.
     """
     if spec.kind == "custom":
         raise PotentialError("cannot PT-transform a custom potential: it has no Jacobi-function"
@@ -149,44 +150,41 @@ def PTTransform(spec: PotentialSpec, beta: float) -> PotentialSpec:
         raise PotentialError("nested PT transforms are not supported")
     _check_line(spec, beta)
     closed = spec.offset is not None
-    bare = closed and spec.shift == 0.0 and not spec.partner
+    bare = closed and not spec.partner
     return spec._replace(
-        period=2.0 * ell.modulus(spec.m).Kprime, sign=-spec.sign, shift=-spec.shift, beta=beta,
+        period=2.0 * ell.modulus(spec.m).Kprime, shift=-spec.shift, beta=beta,
         maps=spec.maps + ("pt",),
         offset=spectra.ground_energy(spec.kind, spec.a, spec.b, spec.m, pt=True) - spec.offset if closed else None,
         ground=spectra.ground_state_builder(spec.kind, spec.a, spec.b, spec.m, pt=True)[1:] if bare else None)
 
 
 def SusyPartner(spec: PotentialSpec) -> PotentialSpec:
-    """W**2 + W' with W = -psi_g'/psi_g from the spec's ground state.
+    """W**2 + W' with W = -psi_g'/psi_g, psi_g the ground state of the spec
+    shifted to zero energy by its first :func:`predicted_edges` row.
 
-    The spec must have a closed-form ground state at zero energy (apply
-    ``Shifted`` by the closed-form ground energy first), else
+    The spec needs a closed-form ground state, else
     :class:`MissingGroundStateError`.  psi_g solves psi'' = V psi, so the
     partner is 2 W**2 - V: it reads V and the ground state's log-derivative,
-    no second derivative.  It keeps the edges, absorbs every shift before
-    it, and has the zero-energy ground state 1/psi_g: minus psi_g's
-    log-derivative, and no zeros (they are poles of psi_g, among those of
-    V).  Its poles are those of V and the zeros of psi_g.
+    no second derivative.  It keeps the shifted spec's edges, absorbs every
+    shift before it, and has the zero-energy ground state 1/psi_g: minus
+    psi_g's log-derivative, and no zeros (they are poles of psi_g, among
+    those of V).  Its poles are those of V and the zeros of psi_g.
     """
     if spec.offset is None:
-        raise MissingGroundStateError(f"no closed forms for family {(spec.kind, spec.a, spec.b)!r}")
+        raise MissingGroundStateError(f"a SUSY partner needs closed forms; none for {(spec.kind, spec.a, spec.b)!r}")
     if spec.ground is None:
-        raise MissingGroundStateError("a shift or SUSY partner under a PT transform has no closed-form ground state")
-    if abs(energy := predicted_edges(spec)[0][0]) > 1e-9:
-        raise MissingGroundStateError(
-            f"inner spec has ground energy {energy:.6g}; shift it to zero before taking a partner"
-        )
-    (zeros, log_d), (g, sign, shift) = spec.ground, (spec.g, spec.sign, spec.shift)
+        raise MissingGroundStateError("a SUSY partner under a PT transform has no closed-form ground state")
+    spec = Shifted(spec, predicted_edges(spec)[0][0])
+    (zeros, log_d), (g, shift) = spec.ground, (spec.g, spec.shift)
     # in the ground state's own argument u, with w = psi_g'/psi_g there; on
     # the line u = i x + beta, d/dx = i d/du flips the sign of w**2 (tau)
     tau = 1.0 if spec.beta is None else -1.0
 
     def partner(s, c, d):
         w = log_d(s, c, d)
-        return 2.0 * w * w - tau * (sign * g(s, c, d) - shift)
+        return 2.0 * w * w - tau * (tau * g(s, c, d) - shift)
 
-    return spec._replace(g=partner, sign=tau, shift=0.0, maps=spec.maps + ("partner",),
+    return spec._replace(g=partner, shift=0.0, maps=spec.maps + ("partner",),
                          poles=spec.poles + zeros, ground=((), lambda s, c, d: -log_d(s, c, d)))
 
 
@@ -195,29 +193,25 @@ def CustomPotential(fn: Callable, period: float) -> PotentialSpec:
     :class:`PotentialError`; it has no elliptic parameter, so its ``m`` is None."""
     if not 0.0 < period < math.inf:
         raise PotentialError(f"period={period!r} outside (0, inf)")
-    return PotentialSpec("custom", 0, 0, None, period, fn, 1.0, 0.0, None, None, None, (), ())
+    return PotentialSpec("custom", 0, 0, None, period, fn, 0.0, None, None, None, (), ())
 
 
 def build(a: int, b: int, m: float, beta: float, ops=(), shift_zero: bool = False) -> PotentialSpec:
     """The (a, b) associated Lame potential at m with ``ops`` applied in order
     ("pt": the PT transform onto the line i x + beta; "partner": the SUSY
-    partner, after a shift to the closed-form ground energy), then, with
-    ``shift_zero``, shifted so its lowest closed-form edge sits at zero.
-    Raises PotentialError for an invalid construction or an unknown op."""
-    def ground(spec):
-        rows = predicted_edges(spec)
-        if rows is None:
-            raise MissingGroundStateError(f"a partner or a shift to zero needs closed-form edges;"
-                                          f" none for (a={a}, b={b})")
-        return rows[0][0]
-
+    partner, :func:`SusyPartner`), then, with ``shift_zero``, shifted so its
+    lowest closed-form edge sits at zero.  Raises PotentialError for an
+    invalid construction or an unknown op."""
     spec = AssociatedLame(a, b, m)
     for op in ops:
         if op not in ("pt", "partner"):
             raise PotentialError(f"unknown op {op!r}")
-        spec = PTTransform(spec, beta) if op == "pt" else SusyPartner(Shifted(spec, ground(spec)))
-    if shift_zero and abs(e0 := ground(spec)) > 1e-12:
-        spec = Shifted(spec, e0)
+        spec = PTTransform(spec, beta) if op == "pt" else SusyPartner(spec)
+    if shift_zero:
+        if (rows := predicted_edges(spec)) is None:
+            raise MissingGroundStateError(f"a shift to zero needs closed-form edges; none for (a={a}, b={b})")
+        if abs(rows[0][0]) > 1e-12:
+            spec = Shifted(spec, rows[0][0])
     return spec
 
 
@@ -287,7 +281,7 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
         pointwise = np.frompyfunc(g, 1, 1)  # hands g each element as a Python float
         return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
     point = ell.jacobi_triple(spec.m, spec.beta if beta is None else beta)
-    if spec.sign < 0.0:
+    if spec.beta is not None:
         # g is real on Re u = K (elliptic.line_jacobi); subtracting 0j
         # makes it complex and leaves a complex g's bits as they are
         return lambda x: -g(*point(x)) - 0j - shift

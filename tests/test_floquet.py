@@ -512,6 +512,23 @@ class TestScan:
         with pytest.raises(ValueError):
             flq.find_band_edges(FREE, 2.0, 1.0)
 
+    @pytest.mark.parametrize("e_min, e_max", [(-math.inf, 1.0), (0.0, math.inf)])
+    def test_infinite_range_is_rejected_before_integrating(self, monkeypatch, e_min, e_max):
+        # an infinite end would make the Chebyshev nodes NaN and fail in the
+        # integrator with a hint about poles; it is a usage error instead
+        calls = count_batches(monkeypatch)
+        for call in (lambda: flq.discriminant_scan(FREE, e_min, e_max, 500),
+                     lambda: flq.discriminant_scans([(FREE, e_min, e_max)], 10),
+                     lambda: flq.find_band_edges(FREE, e_min, e_max)):
+            with pytest.raises(ValueError, match="both finite"):
+                call()
+        assert calls == []
+
+    def test_no_ranges_scan_nothing(self, monkeypatch):
+        calls = count_batches(monkeypatch)
+        assert flq.discriminant_scans([], 500) == []
+        assert calls == []
+
 
 def _noisy_free_particle(eps, f=None):
     """A stub of :func:`flq._propagate`: the free particle's M (sqrt E

@@ -100,21 +100,43 @@ class TestConstruction:
             with pytest.raises(pot.PotentialError, match="custom potential"):
                 pot.PTTransform(inner, 0.5)
 
-    def test_partner_requires_zero_ground_energy(self):
-        with pytest.raises(pot.MissingGroundStateError):
-            pot.SusyPartner(pot.PTTransform(pot.Lame(1, M), BETA))
+    def test_partner_shifts_its_input_to_zero(self):
+        # a partner is taken of its input shifted by the first closed-form
+        # edge row, so a shift to that energy before it changes nothing: the
+        # same spec, and the same V bit for bit on float calls
+        for a, b in ((1, 0), (3, 0), (2, 1)):
+            for spec in (pot.AssociatedLame(a, b, M), pot.PTTransform(pot.AssociatedLame(a, b, M), BETA)):
+                p = pot.SusyPartner(spec)
+                q = pot.SusyPartner(pot.Shifted(spec, pot.predicted_edges(spec)[0][0]))
+                assert same_spec(p, q)
+                fp, fq = pot.compiled_value_fn(p), pot.compiled_value_fn(q)
+                assert all(fp(float(x)) == fq(float(x)) for x in _grid(p))
 
     def test_partner_requires_known_family(self):
         with pytest.raises(pot.MissingGroundStateError):
             pot.SusyPartner(pot.Shifted(pot.Lame(2, M), 1.0))
 
     def test_no_ground_state_under_a_pt_transform(self):
-        # only the bare family keeps a closed-form ground state under the PT
-        # transform; the error names both wrappers that lose it
-        real1 = pot.Shifted(pot.Lame(1, M), spc.ground_energy("lame", 1, 0, M, pt=False))
-        for inner in (pot.Shifted(pot.Lame(1, M), 1.0), pot.SusyPartner(real1)):
-            with pytest.raises(pot.MissingGroundStateError, match="a shift or SUSY partner under a PT transform"):
-                pot.SusyPartner(pot.PTTransform(inner, BETA))
+        # a SUSY partner loses its closed-form ground state under the PT
+        # transform, and the error names it
+        with pytest.raises(pot.MissingGroundStateError, match="a SUSY partner under a PT transform"):
+            pot.SusyPartner(pot.PTTransform(pot.SusyPartner(pot.Lame(1, M)), BETA))
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_partner_of_a_shift_under_a_pt_transform(self, a):
+        # a shift changes no eigenfunction, so the PT transform of a shifted
+        # Lame potential keeps the PT ground state: its partner has the
+        # input's 2a + 1 simple Floquet edges less the ground energy E0, and
+        # its own closed-form rows
+        spec = pot.PTTransform(pot.Shifted(pot.Lame(a, M), 1.0), BETA)
+        partner, rows = pot.SusyPartner(spec), pot.predicted_edges(spec)
+        e0, lo, hi = rows[0][0], rows[0][0] - 0.5, rows[-1][0] + 0.5
+        inner = [e.energy - e0 for e in flq.find_band_edges(spec, lo, hi) if e.multiplicity == 1]
+        found = [e.energy for e in flq.find_band_edges(partner, lo - e0, hi - e0) if e.multiplicity == 1]
+        predicted = [e for e, _ in pot.predicted_edges(partner)]
+        assert len(inner) == len(found) == len(predicted) == 2 * a + 1
+        assert np.max(np.abs(np.subtract(found, inner))) <= 2e-12
+        assert np.max(np.abs(np.subtract(found, predicted))) <= 2e-12
 
 
 class TestBuild:
@@ -328,7 +350,7 @@ class TestEvaluation:
             def ref(x):
                 u = mp.mpc(spec.beta, x) if pt else mp.mpf(x)
                 s, c, d = (mp.ellipfun(k, u, m=m) for k in ("sn", "cn", "dn"))
-                return spec.sign * complex(6 * m * s**2 + 2 * m * (c / d) ** 2)
+                return (-1.0 if pt else 1.0) * complex(6 * m * s**2 + 2 * m * (c / d) ** 2)
 
             want = np.array([ref(float(x)) for x in xs])
         got = np.array([f(float(x)) for x in xs])
@@ -487,7 +509,8 @@ class TestSusyPartner:
     def test_value_is_the_second_order_jet_formula(self, a, b, before, after, m, beta):
         # 2 W**2 - V_1 from the ground state's log-derivative against the
         # ground-state jet's 2 (psi'/psi)**2 - psi''/psi in its argument u,
-        # with V = sign * that - shift (d/dx = i d/du on a PT line)
+        # with V = -that - shift on a PT line (d/dx = i d/du there), else
+        # that - shift
         spec = pot.build(a, b, m, beta, before + ["partner"] + after, True)
         builder = _ground_jet(a, b, m, before)
         energy = pot.predicted_edges(pot.build(a, b, m, beta, before, True))[0][0]
@@ -498,7 +521,7 @@ class TestSusyPartner:
         for x in xs:
             f, d1, d2 = builder(*ell.jets_from_scd(*point(float(x)), m))
             r = d1 / f
-            old.append(spec.sign * (2.0 * r * r - d2 / f) - spec.shift)
+            old.append((1.0 if spec.beta is None else -1.0) * (2.0 * r * r - d2 / f) - spec.shift)
         f = pot.compiled_value_fn(spec)
         new = np.array([f(float(x)) for x in xs])
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
