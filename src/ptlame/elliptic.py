@@ -224,7 +224,7 @@ def jacobi_complex(z: complex, m: float) -> JacobiValues:
     return JacobiValues(*_addition(z.real, m)(z.imag))
 
 
-def line_jacobi(beta: float, m: float):
+def line_jacobi(beta: float, m: float, ends: bool = False):
     """Fast evaluator for (sn, cn, dn) along the vertical line z = i*x + beta.
 
     The real-argument triple at (beta, m) is fixed along the line, so each
@@ -238,6 +238,11 @@ def line_jacobi(beta: float, m: float):
     arrays.  Arrays pay off on a grid; the Floquet integrator evaluates the
     potential with floats, once per DOP853 stage, as a step's 12 stage nodes
     cost more as one array than as 12 float calls.
+
+    With ``ends`` the callable returns the triples at x and at K' - x, the
+    second from the same pass by the quarter-period reflection (sn', cn',
+    dn')(K' - x) = (cn'/dn', sqrt(m) sn'/dn', sqrt(m)/dn') (DLMF §22.4(iii));
+    on Re u = K it is (dn'/sqrt(m), -i sqrt(1-m) cn'/sqrt(m), sqrt(1-m) sn').
     """
     m = _check_parameter(m)
     beta = float(beta)
@@ -247,27 +252,32 @@ def line_jacobi(beta: float, m: float):
     if dist < _POLE_TOL:
         raise PoleProximityError(complex(beta), sn_pole_lattice_point(complex(beta, mod.Kprime), m), _POLE_TOL)
     if beta != mod.K:
-        return _addition(beta, m)
-    real, rc = _landen_pass(1.0 - m, m), math.sqrt(1.0 - m)
+        return _addition(beta, m, ends)
+    real, rc, rk = _landen_pass(1.0 - m, m), math.sqrt(1.0 - m), math.sqrt(m)
 
     def quarter(x):
         s1, c1, d1 = real(x)
         return 1.0 / d1, -1j * (rc * s1 / d1), rc * c1 / d1
 
-    return quarter
+    def both(x):
+        s1, c1, d1 = real(x)
+        return (1.0 / d1, -1j * (rc * s1 / d1), rc * c1 / d1), (d1 / rk, -1j * (rc * c1 / rk), rc * s1)
+
+    return both if ends else quarter
 
 
-def _addition(beta: float, m: float):
-    # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked; the
+def _addition(beta: float, m: float, ends: bool = False):
+    # x -> (sn, cn, dn)(i*x + beta) by the addition formulas, unchecked, or
+    # with ``ends`` the triples at x and K' - x (see line_jacobi); the
     # potential evaluator runs the closure once per integrator stage
     s, c, d = _landen_pass(m, 1.0 - m)(beta)
     real = _landen_pass(1.0 - m, m)  # the complement of 1 - m is m, exactly
     ss = m * s * s
     cd = c * d
     msc = m * s * c
+    rk = math.sqrt(m)
 
-    def values(x):
-        s1, c1, d1 = real(x)
+    def combine(s1, c1, d1):
         den = c1 * c1 + ss * s1 * s1
         return (
             (s * d1 + 1j * (cd * s1 * c1)) / den,
@@ -275,17 +285,37 @@ def _addition(beta: float, m: float):
             (d * c1 * d1 - 1j * (msc * s1)) / den,
         )
 
-    return values
+    def values(x):
+        return combine(*real(x))
+
+    def both(x):
+        s1, c1, d1 = real(x)
+        return combine(s1, c1, d1), combine(c1 / d1, rk * s1 / d1, rk / d1)
+
+    return both if ends else values
 
 
-def jacobi_triple(m: float, beta: float | None = None):
+def jacobi_triple(m: float, beta: float | None = None, ends: bool = False):
     """Evaluator x -> (sn, cn, dn) at real x, or on the line i*x + beta
     (:func:`line_jacobi`) when ``beta`` is given.  x is a float or a float
-    ndarray, evaluated elementwise in one pass (see :func:`line_jacobi`)."""
+    ndarray, evaluated elementwise in one pass (see :func:`line_jacobi`).
+    With ``ends`` it returns the triples at x and at s - x, s = K on the
+    real axis (the reflection (sn, cn, dn)(K - x) = (cn/dn, sqrt(1-m)
+    sn/dn, sqrt(1-m)/dn), DLMF §22.4(iii)) and K' on a line, both from the
+    one Landen pass at x."""
     if beta is not None:
-        return line_jacobi(beta, m)
+        return line_jacobi(beta, m, ends)
     m = _check_parameter(m)
-    return _landen_pass(m, 1.0 - m)
+    triple = _landen_pass(m, 1.0 - m)
+    if not ends:
+        return triple
+    kc = math.sqrt(1.0 - m)
+
+    def both(x):
+        s, c, d = triple(x)
+        return (s, c, d), (c / d, kc * s / d, kc / d)
+
+    return both
 
 
 # ---------------------------------------------------------------------------

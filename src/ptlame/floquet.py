@@ -15,7 +15,11 @@ matrix is built from that symmetry (Magnus & Winkler, *Hill's Equation*,
 real E for every PT-symmetric periodic V, PT symmetry broken or not (Bender,
 Dunne & Meisinger, Phys. Lett. A 252 (1999) 272), so |Im Delta| only ever
 measures integration error; it can be nonzero only for a custom potential,
-which declares no symmetry and is integrated over the whole period.
+which declares no symmetry and is integrated over the whole period.  The
+half period is integrated from both ends to its midpoint in one batch, in
+about half the steps of one pass: V at the far end, L/2 - x, comes from the
+Landen pass of V at x by the quarter-period reflection (DLMF §22.4(iii)),
+one evaluator call a stage.
 
 A PT spec is integrated on the line i x + beta* that lies farthest from the
 poles of V (:func:`integration_beta`), not on the user's line.  Every
@@ -30,7 +34,8 @@ Re u = K by the quarter-period shift, whose sn is real), the line of plain PT
 Lame and its a = 1 and a = 3 partners, whose widest pole gap is the one about
 K; there the batches integrate float64 states, elsewhere complex128 ones.  A
 paired scan's PT Lame(a, m) there and its modulus dual Lame(a, 1 - m) on the
-real axis read one shared Landen pass a stage whenever 1 - fl(1 - m) == m.
+real axis read one shared Landen pass a stage, for both ends, whenever
+1 - fl(1 - m) == m.
 """
 
 from __future__ import annotations
@@ -70,14 +75,15 @@ RTOL = 1e-12
 ATOL = 1e-14
 _DET_TOL = 1e-9
 _IM_FLAG_TOL = 1e-6
-# Limits of one integration, over half a period or a whole one.  On the
-# benchmark's edges and scan draws (m in [0.05, 0.95], beta in [0.05, 1.5])
-# an integration takes at most 57 steps, none shorter than 1.4e-4 of the
-# period; in the test suite, at most 312 steps, none shorter than 1.6e-5 of
-# it (a custom potential on a user's line 1e-3 from the poles).  A pole on
-# the line collapses the step size within a few hundred steps, but DOP853
-# itself gives up only ~1e5 steps later, when the step reaches the spacing
-# of floating-point numbers.
+# Limits of one integration, from both ends of half a period or from 0 over
+# a whole one.  On the benchmark's edges and scan draws (m in [0.05, 0.95],
+# beta in [0.05, 1.5]) an integration that passes its Wronskian check takes
+# at most 34 steps, none shorter than 2.1e-4 of the period; in the test
+# suite, at most 225 steps (a custom potential over a whole period), none
+# shorter than 2.3e-5 of it (one on a user's line 1e-3 from the poles).  A
+# pole on the line collapses the step size within a few hundred steps, but
+# DOP853 itself gives up only ~1e5 steps later, when the step reaches the
+# spacing of floating-point numbers.
 _MAX_STEPS = 20000
 _MIN_STEP = 1e-10  # fraction of the period
 # points per Chebyshev series (a find_band_edges piece, a scan range) and the
@@ -241,17 +247,22 @@ def _rms(x):
 def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     """Integrate the batch psi'' = (V(x) - E) psi from t0 to t1 > t0
     (``t_span``) by DOP853 at rtol = ``RTOL`` and atol = ``ATOL``, keeping
-    only the end point.
+    only the end point; a two-ended batch integrates a span s from both ends
+    to its midpoint, t1 - t0 = s/2.
 
     ``y0`` holds (psi, psi') of every solution of the batch: n values of psi,
     then their n derivatives, float64 or complex128, a dtype the state keeps
-    throughout.  The n rows come in blocks, each with its own potential:
-    ``v`` holds one potential per block, x -> V(x) at a float, and
-    ``energies`` each block's E, one per row, so their sizes add up to n.
-    Each potential is called once per right-hand side, so ``nfev`` times; a
-    float64 state takes its real part.  Each stage writes V - E block by
-    block, then psi' and (V - E) psi straight into its row of the stage
-    array, through views built once per call.
+    throughout.  The n rows come in blocks: the forward block of every spec,
+    in order, and in a two-ended batch then their backward blocks in the same
+    order.  ``energies`` holds each spec's E, one per row of one of its
+    blocks, so their sizes add up to n, or n/2 in a two-ended batch.  ``v``
+    holds one evaluator per spec: x -> V(x) at a float, or x -> (V(x), V(s -
+    x)) in a two-ended batch, where a forward block integrates psi on V(x)
+    and a backward block phi(t) = psi(s - t) on V(s - t).  Each evaluator is
+    called once per right-hand side, so ``nfev`` times; a float64 state takes
+    its real parts.  Each stage writes V - E block by block, then psi' and
+    (V - E) psi straight into its row of the stage array, through views
+    built once per call.
 
     Every floating-point operation is that of scipy's
     ``solve_ivp(method="DOP853")`` on the same right-hand side, in the same
@@ -271,8 +282,8 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     y = np.array(y0)
     n, dtype = y.size // 2, y.dtype
     real = dtype != complex
-    ends = [0, *itertools.accumulate(e.size for e in energies)]
-    rows = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    bounds = [0, *itertools.accumulate(e.size for e in energies)]
+    rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     # K[0] holds the derivative at the current point; K[12] the one at the
     # step's end, copied into K[0] when the step is accepted.  The weights
     # are cast to the state's dtype once, as np.dot would on every call
@@ -283,9 +294,11 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     z, y_new, est = np.empty_like(y), np.empty_like(y), np.empty_like(y)
     # the (psi, psi') halves of the three state buffers, swapped with them
     y_h, y_new_h, z_h = [(u[:n], u[n:]) for u in (y, y_new, z)]
-    # V - E, written block by block: each block's potential, E and rows
+    # V - E, written block by block: each spec's evaluator, E and the rows of
+    # its forward block and of its backward block, None in a one-ended batch
     ve = np.empty(n, dtype=dtype)
-    blocks = [(f, e, ve[r]) for f, e, r in zip(v, energies, rows)]
+    back = ve[bounds[-1] :]
+    blocks = [(f, e, ve[r], back[r] if back.size else None) for f, e, r in zip(v, energies, rows)]
     # numpy's scalar operands (the step, V at a stage, RTOL and ATOL) as
     # reused 0-d arrays of the dtype numpy would convert them to, so every
     # product is the same, without a conversion per call
@@ -294,12 +307,16 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
 
     def deriv(x, halves, s):
         # row s of K: (psi', (V - E) psi) at x and the state of these halves,
-        # each block's rows on its own potential
+        # each block's rows on its own end's potential
         psi, dpsi_state = halves
-        for f, e, ve_block in blocks:
+        for f, e, near, far in blocks:
             w = f(x)
+            if far is not None:
+                w, w_far = w
+                v_op[()] = w_far.real if real else w_far
+                np.subtract(v_op, e, far)
             v_op[()] = w.real if real else w
-            np.subtract(v_op, e, ve_block)
+            np.subtract(v_op, e, near)
         dpsi[s][...] = dpsi_state
         np.multiply(ve, psi, ddpsi[s])
 
@@ -320,7 +337,8 @@ def solve_ivp(v, t_span, y0, *, energies, period) -> _Solution:
     # |y| is carried over from the accepted step
     abs_y, abs_new = np.abs(y), np.empty(y.size)
     h_floor = _MIN_STEP * period
-    span = "half a" if t1 - t < period else "one"
+    # the span integrated: t1 - t0 from each of the batch's one or two ends
+    span = "half a" if n // bounds[-1] * (t1 - t) < period else "one"
     steps = 0
     while t != t1:
         steps += 1
@@ -433,43 +451,52 @@ def _propagate(spec, energies):
     results concatenated.  The specs must share the dtype, the half or whole
     period and the span (to 1e-15 relative; the first spec's is taken), or
     :class:`ValueError` is raised.  The ODE is linear, so :func:`solve_ivp`
-    takes a batch's energies and one potential per spec in it
+    takes a batch's energies and one evaluator per spec in it
     (``potentials.compiled_value_fn`` of the spec on beta*), each evaluated
     once per stage regardless of batch size.
     A spec with a Jacobi-function form has V(-x) = conj V(x) on its line
     (real and even on the real axis, PT-invariant on i x + beta), so at real
     E conj psi(-x) solves the equation whenever psi(x) does.  It is
-    integrated over [0, L/2] alone: with A = [[a, b], [c, d]] there and
-    sigma = diag(1, -1), M = S^-1 A with S = sigma conj(A) sigma, so M =
-    [[conj d, conj b], [conj c, conj a]] A.  Where :func:`_line` finds V real
-    (the real axis and the PT line Re u = K, where its imaginary part is
-    exactly 0.0) the batch integrates V.real, and the
-    state, and A, is float64; on any other PT line it is complex128.  A custom
-    potential is integrated over [0, L] in complex128, with A = M and S = I;
-    M is complex either way.  The real R_P = [[Im a, Re b], [-Re c, Im d]]
-    and R_A = [[Re a, Im b], [-Im c, Re d]] have Delta - 2 = 4 det R_P and
-    Delta + 2 = 4 det R_A, and R_P = 0 exactly where M = I, R_A = 0 where M
-    = -I ([[0, b], [-c, 0]] and diag(a, d) on a real line); a custom
-    potential takes R = M -+ I.  Each batch is Wronskian checked on the
-    matrix integrated, as soon as it finishes; det M = |det A|^2 would miss a
-    drift of det A's phase.  det - 1 is a difference of products of the
-    entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
+    integrated over [0, s], s = L/2, alone: with A = [[a, b], [c, d]] there
+    and sigma = diag(1, -1), M = S^-1 A with S = sigma conj(A) sigma, so M =
+    [[conj d, conj b], [conj c, conj a]] A.  That span is integrated from
+    both ends to s/2 in one batch, in about half the steps of one pass: T1
+    maps (psi, psi')(0) to (psi, psi')(s/2), and T2, of phi(t) = psi(s - t),
+    maps (psi, -psi')(s) to (psi, -psi')(s/2); as det T2 = 1, A = [[d2,
+    b2], [c2, a2]] T1.  A stage's one evaluator call (``ends``) gives both
+    ends' V, V(s - t) from the Landen pass of V(t) (see
+    :func:`elliptic.jacobi_triple`).  Where :func:`_line` finds V real (the
+    real axis and the PT line Re u = K, where its imaginary part is exactly
+    0.0) the batch integrates V.real, and the state, and A, is float64; on
+    any other PT line it is complex128.  A custom potential is integrated
+    over [0, L] from 0 alone, in complex128, with A = M and S = I; M is
+    complex either way.  Its transfer matrices may grow large near a pole
+    while tr M stays O(1), and tr M composed from two ends' matrices then
+    cancels: on the user's line of the a=3 PT partner at (0.05, 1.2), with
+    entries up to 3e7, two ends doubled its error to 1e-6.  The real R_P =
+    [[Im a, Re b], [-Re c, Im d]] and R_A = [[Re a, Im b], [-Im c, Re d]]
+    have Delta - 2 = 4 det R_P and Delta + 2 = 4 det R_A, and R_P = 0 exactly
+    where M = I, R_A = 0 where M = -I ([[0, b], [-c, 0]] and diag(a, d) on a
+    real line); a custom potential takes R = M -+ I.  Each batch is
+    Wronskian checked on A as soon as it finishes; det M = |det A|^2 would
+    miss a drift of det A's phase.  det - 1 is a difference of products of
+    the entries, so far below the spectrum (entries ~ exp(sqrt(V-E) L)) it
     carries an unavoidable cancellation error ~ |entries|^2 eps; the test
-    scales with that.  Raises :class:`FloquetIntegrationError` naming the
-    spec and the first energy that fails the check, or the batch's specs and
-    energy range when :func:`solve_ivp` fails.  Returns the matrices, R
-    (R_P, R_A) stacked on axis 1, the checked defects |det - 1| and the
-    integrator stats: steps and RHS calls summed over the batches, the
-    largest defect.
+    scales with that.  Raises
+    :class:`FloquetIntegrationError` naming the spec and the first energy
+    that fails the check, or the batch's specs and energy range when
+    :func:`solve_ivp` fails.  Returns the matrices, R (R_P, R_A) stacked on
+    axis 1, the checked defects |det - 1| and the integrator stats: steps
+    and RHS calls summed over the batches, the largest defect.
     """
     specs, groups = (spec, energies) if isinstance(spec, list) else ([spec], [energies])
     if not _shared(specs):
         raise ValueError(f"{' and '.join(map(_name, specs))}: the dtype, the half period or the span differs")
-    fs = [potentials.compiled_value_fn(s, _line(s)[0]) for s in specs]
     L = specs[0].period
     half = specs[0].kind != "custom"
+    fs = [potentials.compiled_value_fn(s, _line(s)[0], ends=half) for s in specs]
     dtype = float if _line(specs[0])[1] else complex
-    end = 0.5 * L if half else L
+    end = 0.25 * L if half else L
     energies = np.concatenate([np.asarray(g, dtype=float) for g in groups])
     bounds = [0, *itertools.accumulate(len(g) for g in groups)]
     ms = np.empty((energies.size, 2, 2), dtype=complex)
@@ -478,13 +505,13 @@ def _propagate(spec, energies):
     steps = nfev = 0
     for lo in range(0, energies.size, _CHUNK):
         hi = min(lo + _CHUNK, energies.size)
-        # the specs' blocks of this batch: (spec, potential, its energies, twice each)
+        # the specs' blocks of this batch: (spec, evaluator, its energies, twice each)
         blocks = [(sp, f, np.repeat(energies[max(lo, s) : min(hi, e)].astype(dtype), 2))
                   for sp, f, s, e in zip(specs, fs, bounds, bounds[1:]) if max(lo, s) < min(hi, e)]
-        n2 = 2 * (hi - lo)
-        y0 = np.zeros(2 * n2, dtype=dtype)
-        y0[0:n2:2] = 1.0  # psi_a(0) = 1
-        y0[n2 + 1 :: 2] = 1.0  # psi_b'(0) = 1
+        n = (4 if half else 2) * (hi - lo)  # rows: two solutions per energy at each end
+        y0 = np.zeros(2 * n, dtype=dtype)
+        y0[0:n:2] = 1.0  # psi_a(0) = 1
+        y0[n + 1 :: 2] = 1.0  # psi_b'(0) = 1
 
         # an overflowing or non-finite batch fails the NaN-safe checks below,
         # which name the energy; numpy's warnings would only precede them
@@ -495,7 +522,11 @@ def _propagate(spec, energies):
                 raise FloquetIntegrationError(f"{' and '.join(_name(sp) for sp, _, _ in blocks)} at E in"
                                               f" [{energies[lo:hi].min()}, {energies[lo:hi].max()}]: {exc}") from exc
             y = sol.y
-            a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
+            a, b, c, d = y[0:n:2], y[1:n:2], y[n::2], y[n + 1 :: 2]
+            if half:
+                # T1's entries from the forward rows, T2's from the backward ones
+                (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (u.reshape(2, -1) for u in (a, b, c, d))
+                a, b, c, d = d2 * a1 + b2 * c1, d2 * b1 + b2 * d1, c2 * a1 + a2 * c1, c2 * b1 + a2 * d1
             det = np.abs(a * d - b * c - 1.0)
             scale = np.maximum(1.0, np.max(np.abs([a, b, c, d]), axis=0))
             bad = np.flatnonzero(~(det <= _DET_TOL * scale**2))

@@ -250,7 +250,7 @@ def _check_line(spec: PotentialSpec, beta: float) -> None:
             raise PotentialError(f"beta={beta!r} within {_BETA_POLE_MARGIN} of the {line}")
 
 
-def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
+def compiled_value_fn(spec: PotentialSpec, beta: float | None = None, ends: bool = False):
     """Evaluator x -> V(x) at real x; the one way to evaluate a spec.
 
     x is a float, giving a Python complex, or a float ndarray, giving a
@@ -267,6 +267,9 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
     ``beta`` moves a PT spec's V onto the line i x + beta; a beta that
     :func:`_check_line` rejects, or one given any other spec, raises
     :class:`PotentialError`.
+    With ``ends`` the evaluator takes a float x and returns (V(x), V(L/2 -
+    x)), both from the one Landen pass at x (:func:`elliptic.jacobi_triple`);
+    a custom potential has no such pair, and raises :class:`PotentialError`.
     The Floquet integrator calls it with a float once per DOP853 stage, as
     a step's 12 stage nodes cost more as one array.  A custom
     potential's callable is user code that may take only floats, so an array
@@ -278,11 +281,19 @@ def compiled_value_fn(spec: PotentialSpec, beta: float | None = None):
         _check_line(spec, beta)
     g, shift = spec.g, spec.shift
     if spec.kind == "custom":
+        if ends:
+            raise PotentialError("a custom potential has no Jacobi triple to give V at both ends of a span")
         pointwise = np.frompyfunc(g, 1, 1)  # hands g each element as a Python float
         return lambda x: (pointwise(x).astype(complex) if isinstance(x, np.ndarray) else complex(g(x))) - shift
-    point = ell.jacobi_triple(spec.m, spec.beta if beta is None else beta)
-    if spec.beta is not None:
-        # g is real on Re u = K (elliptic.line_jacobi); subtracting 0j
-        # makes it complex and leaves a complex g's bits as they are
-        return lambda x: -g(*point(x)) - 0j - shift
-    return lambda x: g(*point(x)) + 0j - shift
+    point = ell.jacobi_triple(spec.m, spec.beta if beta is None else beta, ends)
+    # g is real on Re u = K (elliptic.line_jacobi); subtracting 0j makes it
+    # complex and leaves a complex g's bits as they are
+    value = (lambda scd: -g(*scd) - 0j - shift) if spec.beta is not None else (lambda scd: g(*scd) + 0j - shift)
+    if ends:
+
+        def both(x):
+            near, far = point(x)
+            return value(near), value(far)
+
+        return both
+    return lambda x: value(point(x))

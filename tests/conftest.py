@@ -90,9 +90,9 @@ def count_batches(monkeypatch):
     calls = []
     solve = flq.solve_ivp
 
-    def counted(fun, t_span, y0, **kwargs):
-        calls.append(len(y0) // 4)  # (psi, psi') of two solutions per energy
-        return solve(fun, t_span, y0, **kwargs)
+    def counted(fun, t_span, y0, *, energies, **kwargs):
+        calls.append(sum(e.size for e in energies) // 2)  # two solutions per energy
+        return solve(fun, t_span, y0, energies=energies, **kwargs)
 
     monkeypatch.setattr(flq, "solve_ivp", counted)
     return calls

@@ -22,16 +22,24 @@ FREE = pot.CustomPotential(lambda z: 0.0j, math.pi)
 MAKRIS = pot.CustomPotential(lambda x: math.cos(x) ** 2 + 0.3j * math.sin(2.0 * x), math.pi)
 
 
-def _half_period(spec, E):
-    """A plain DOP853 run over [0, L/2] on the spec's integration line,
-    storing its trajectory."""
-    f = pot.compiled_value_fn(spec, flq.integration_beta(spec))
+def _two_ended(spec, E):
+    """A plain DOP853 run of one energy as the engine integrates a spec with
+    a Jacobi-function form, in complex128: half the period, s = L/2, from
+    both ends to s/2 in one state, on the spec's evaluator of both ends,
+    storing its trajectory; and the half period's matrix A = [[d2, b2], [c2,
+    a2]] T1 composed from the end state, T1 forward from 0 and T2 backward
+    from s."""
+    f = pot.compiled_value_fn(spec, flq.integration_beta(spec), ends=True)
 
     def rhs(x, y):
-        return np.concatenate([y[2:], (f(x) - E) * y[:2]])
+        w, w_far = f(x)
+        return np.concatenate([y[4:], (w - E) * y[:2], (w_far - E) * y[2:4]])
 
-    y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-    return solve_ivp(rhs, (0.0, 0.5 * spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+    # rows: the forward block's two solutions, then the backward block's
+    y0 = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0], dtype=complex)
+    sol = solve_ivp(rhs, (0.0, 0.25 * spec.period), y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
+    a1, b1, a2, b2, c1, d1, c2, d2 = sol.y[:, -1]
+    return sol, np.array([[d2, b2], [c2, a2]]) @ np.array([[a1, b1], [c1, d1]])
 
 
 def _real_axis_specs(m=M):
@@ -95,10 +103,10 @@ class TestMonodromy:
         # the checked defect is det A's, of the half-period matrix; det M =
         # |det A|^2 would hide a drift of its phase.  The (2,1) PT spec is
         # complex on its line, so A is integrated in complex128 there as here.
-        # At E = 8 its defect is 130 times the rounding allowance (14 at E = 2)
+        # At E = 8 its defect is 106 times the rounding allowance (16 at E = 2)
         spec = pot.PTTransform(pot.AssociatedLame(2, 1, M), BETA)
         r = flq.monodromy(spec, 8.0)
-        a, b, c, d = _half_period(spec, 8.0).y[:, -1]
+        (a, b), (c, d) = _two_ended(spec, 8.0)[1]
         recomputed = abs(a * d - b * c - 1.0)
         # equal up to the rounding of the products, ~eps |A|^2
         rounding = 1e-15 * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
@@ -108,12 +116,12 @@ class TestMonodromy:
     def test_steps_count_the_accepted_steps(self):
         # the engine keeps only the end point, so its step count comes from
         # the solver; a plain DOP853 that stores its trajectory takes as many
-        # steps over half the period to the same A, and the period's matrix
-        # is sigma conj(A)^-1 sigma A.  The (2,1) potential is complex on its
-        # line, so A is too; the plain a=3 one is real on its line
+        # steps over both ends of half the period to the same A, and the
+        # period's matrix is sigma conj(A)^-1 sigma A.  The (2,1) potential
+        # is complex on its line, so A is too; the plain a=3 one is real on
+        # its line
         spec, E = inv.specs(M, BETA)[("assoc", 2, 1)], 2.0
-        sol = _half_period(spec, E)
-        A = sol.y[:, -1].reshape(2, 2)
+        sol, A = _two_ended(spec, E)
         sigma = np.diag([1.0, -1.0])
         r = flq.monodromy(spec, E)
         assert r.stats.steps == len(sol.t) - 1 > 0
@@ -260,27 +268,87 @@ class TestHalfPeriod:
                 assert flq._line(pot.build(3, 0, float(m), BETA, ops, True)) == (k, True)
 
     def test_batch_rhs_calls(self):
-        # one 800-energy batch on the a=3 anchor: 374 RHS calls over half a
-        # period at RTOL 1e-12, against 545 over the whole one at 1e-11
+        # one 800-energy batch on the a=3 anchor: 206 RHS calls from both
+        # ends of half a period at RTOL 1e-12, against 362 over it from one
+        # end and 545 over the whole period at 1e-11
         stats = flq._propagate(_a3_spec(), np.linspace(-0.5, 9.0, flq._CHUNK))[3]
-        assert stats.nfev <= 400
+        assert stats.nfev <= 230
+
+    @pytest.mark.parametrize("m,beta", [(M, BETA), (0.3, 1.2)])
+    def test_far_end_is_v_at_the_span_end(self, m, beta):
+        # V(s - x), s = L/2, from the pass at x, by the quarter-period
+        # reflection on the real axis, on Re u = K and on the other PT lines,
+        # against V evaluated at s - x: equal to rounding (measured at most
+        # 1.5e-14 of max |V|, on a3-exchanged, a partner on a complex128
+        # line).  A custom potential has no such pair
+        shifted = pot.Shifted(pot.Lame(3, m), spc.ground_energy("lame", 3, 0, m, pt=False))
+        real = [pot.Lame(3, m), pot.SusyPartner(shifted), pot.AssociatedLame(2, 1, m)]
+        for spec in [*inv.specs(m, beta).values(), *real]:
+            beta_star = flq.integration_beta(spec)
+            f, ends = pot.compiled_value_fn(spec, beta_star), pot.compiled_value_fn(spec, beta_star, ends=True)
+            xs = np.linspace(0.0, 0.5 * spec.period, 17)
+            vs = np.array([ends(float(x)) for x in xs])
+            direct = np.array([(f(float(x)), f(float(0.5 * spec.period - x))) for x in xs])
+            assert np.max(np.abs(vs - direct)) <= 5e-14 * np.max(np.abs(direct))
+        with pytest.raises(pot.PotentialError, match="no Jacobi triple"):
+            pot.compiled_value_fn(MAKRIS, ends=True)
+
+    @pytest.mark.parametrize("case", ["k-line", "real", "pair"])
+    def test_one_landen_pass_a_stage(self, monkeypatch, case):
+        # both ends' V come from the one Landen pass at a stage's x, for the
+        # a=3 PT spec on Re u = K, its modulus dual on the real axis, and the
+        # two in one batch at m = 0.75, where 1 - fl(1 - m) == m and the
+        # dual's V reads the PT spec's pass: one cos per pass, one pass a stage
+        pt, dual = pot.PTTransform(pot.Lame(3, M), BETA), pot.Lame(3, 1.0 - M)
+        spec, es = {"k-line": (pt, [0.5, 2.0]), "real": (dual, [0.5, 2.0]),
+                    "pair": ([pt, dual], [[0.5, 2.0], [3.0]])}[case]
+        passes = []
+        sin, asin, cos, sqrt = ell._MATH
+        monkeypatch.setattr(ell, "_MATH", (sin, asin, lambda phi: passes.append(phi) or cos(phi), sqrt))
+        stats = flq._propagate(spec, es)[3]
+        assert len(passes) == stats.nfev > 0
 
 
 class TestStepper:
     """flq.solve_ivp against scipy's DOP853, whose step control it keeps."""
 
+    def test_matches_one_pass_over_the_span(self):
+        # Delta from both ends of the span against scipy's DOP853 over the
+        # whole span from one end at rtol 1e-13, atol 1e-15, on the seven
+        # registry specs and Makris' potential: measured 6.2e-12 relative to
+        # max(1, |Delta|) (6.3e-12 for the engine's former one-ended pass)
+        es = np.linspace(-1.0, 30.0, 33)
+        n = es.size
+        for spec in [*inv.specs(M, BETA).values(), MAKRIS]:
+            f = pot.compiled_value_fn(spec, flq.integration_beta(spec))
+            custom = spec.kind == "custom"
+
+            def rhs(x, y, f=f):
+                return np.concatenate([y[2 * n :], np.repeat(f(x) - es, 2) * y[: 2 * n]])
+
+            y0 = np.zeros(4 * n, dtype=complex)
+            y0[0 : 2 * n : 2] = y0[2 * n + 1 :: 2] = 1.0
+            sol = solve_ivp(rhs, (0.0, spec.period if custom else 0.5 * spec.period), y0, method="DOP853",
+                            rtol=1e-13, atol=1e-15)
+            y = sol.y[:, -1]
+            a, b, c, d = y[0 : 2 * n : 2], y[1 : 2 * n : 2], y[2 * n :: 2], y[2 * n + 1 :: 2]
+            ref = a + d if custom else 2.0 * (d.conj() * a + b.conj() * c).real
+            delta = flq.discriminants(spec, es)
+            assert np.max(np.abs(delta - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-11
+
     def test_matches_scipy_dop853(self, monkeypatch):
         # each spec's batch, integrated again by scipy at the same tolerances
-        # on the right-hand side built from the same potentials and energies:
-        # the same accepted steps and RHS calls, 3 fewer than scipy's run to
+        # on the right-hand side built from the same evaluators and energies,
+        # the forward rows on V(x) and the backward rows on V(s - x): the
+        # same accepted steps and RHS calls, 3 fewer than scipy's run to
         # t_eval=[end], which builds the dense output of the last step, the
         # same Delta and, bit for bit, the same end state; the real-axis
         # specs (plain, partner and (2,1)) and the a = 1 and a = 3 PT specs
         # and partners, on Re u = K, integrate real states, which scipy keeps
         # real; the free particle and Makris' cos^2 x + 0.3 i sin 2x
-        # integrate the whole period in complex128.  Last, a two-spec batch:
-        # the a=3 PT spec on Re u = K and its modulus dual on the real axis,
-        # each block of rows on its own potential
+        # integrate the whole period from 0 alone in complex128.  Last, a
+        # two-spec batch: the a=3 PT spec on Re u = K and its modulus dual on
+        # the real axis, each block of rows on its own potential
         runs = []
         solve = flq.solve_ivp
 
@@ -302,14 +370,14 @@ class TestStepper:
             [(vs, energies, t_span, y0, sol)] = runs
             assert len(vs) == len(energies) == blocks
             custom = spec.kind == "custom"
-            assert t_span == (0.0, spec.period if custom else 0.5 * spec.period)
-            n2 = y0.size // 2
-            ends = np.cumsum([0] + [e.size for e in energies])
+            assert t_span == (0.0, spec.period if custom else 0.25 * spec.period)
+            n = y0.size // 2
 
             def fun(x, y):
-                ws = [v(x) for v in vs]
-                return np.concatenate([y[n2:], *(((w.real if y0.dtype == float else w) - e) * y[lo:hi]
-                                                  for w, e, lo, hi in zip(ws, energies, ends, ends[1:]))])
+                ws = [(v(x),) if custom else v(x) for v in vs]
+                ve = [(w[k].real if y0.dtype == float else w[k]) - e for k in range(len(ws[0]))
+                      for w, e in zip(ws, energies)]
+                return np.concatenate([y[n:], np.concatenate(ve) * y[:n]])
 
             plain = solve_ivp(fun, t_span, y0, method="DOP853", rtol=flq.RTOL, atol=flq.ATOL)
             end = solve_ivp(fun, t_span, y0, method="DOP853", t_eval=[t_span[1]], rtol=flq.RTOL, atol=flq.ATOL)
@@ -317,7 +385,10 @@ class TestStepper:
             assert sol.steps == len(plain.t) - 1
             assert sol.nfev == plain.nfev == end.nfev - 3
             y = end.y[:, -1]
-            a, b, c, d = y[0:n2:2], y[1:n2:2], y[n2::2], y[n2 + 1 :: 2]
+            a, b, c, d = y[0:n:2], y[1:n:2], y[n::2], y[n + 1 :: 2]
+            if not custom:
+                (a1, a2), (b1, b2), (c1, c2), (d1, d2) = (u.reshape(2, -1) for u in (a, b, c, d))
+                a, b, c, d = d2 * a1 + b2 * c1, d2 * b1 + b2 * d1, c2 * a1 + a2 * c1, c2 * b1 + a2 * d1
             ref = a + d if custom else 2.0 * (d.conj() * a + b.conj() * c).real
             assert np.max(np.abs(delta - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
             assert np.array_equal(sol.y, plain.y[:, -1])
@@ -329,8 +400,8 @@ class TestStepper:
         calls, stats = [], []
         compiled, propagate = pot.compiled_value_fn, flq._propagate
 
-        def counted(spec, beta=None):
-            f = compiled(spec, beta)
+        def counted(spec, beta=None, ends=False):
+            f = compiled(spec, beta, ends)
 
             def v(x):
                 calls.append(x)
@@ -1129,18 +1200,22 @@ class TestDefaults:
             flq.monodromy(blower, 1.0)
 
     def test_step_budget_reports(self, monkeypatch):
-        monkeypatch.setattr(flq, "_MAX_STEPS", 10)
-        with pytest.raises(flq.FloquetIntegrationError, match="step budget of 10"):
+        # the integration takes 9 steps, from both ends of half the period; a
+        # custom potential is integrated over the whole period, as its error says
+        monkeypatch.setattr(flq, "_MAX_STEPS", 5)
+        with pytest.raises(flq.FloquetIntegrationError, match="step budget of 5"):
             flq.monodromy(_a1_spec(), 0.4)
+        with pytest.raises(flq.FloquetIntegrationError, match=r"failed over one period \(step budget of 5"):
+            flq.monodromy(MAKRIS, 0.4)
 
     def test_step_failures_name_the_specs_and_energies(self, monkeypatch):
         # the step budget and the step floor name the batch's specs and the
         # range of its energies, as the Wronskian check names spec and energy
         spec, dual = _a1_spec(), pot.Lame(1, 1.0 - M)
         names = f"{flq._name(spec)} and {flq._name(dual)}"
-        monkeypatch.setattr(flq, "_MAX_STEPS", 10)
+        monkeypatch.setattr(flq, "_MAX_STEPS", 5)  # the shared batch takes 9 steps
         with pytest.raises(flq.FloquetIntegrationError, match=re.escape(
-                f"{names} at E in [-1.0, 2.0]: integration failed over half a period (step budget of 10 exhausted)")):
+                f"{names} at E in [-1.0, 2.0]: integration failed over half a period (step budget of 5 exhausted)")):
             flq.discriminant_scans([(spec, -1.0, 0.5), (dual, 0.0, 2.0)], 4)
         monkeypatch.setattr(flq, "_MAX_STEPS", 20000)
         monkeypatch.setattr(flq, "_MIN_STEP", 0.5)

@@ -13,9 +13,12 @@ m = 0.05, 0.3, 0.5, 0.75 and 0.9.  A PT spec's edges are the real spec's
 negated, so each negated range holds them all.
 
 One line per set: the simple-edge count against `simple_edge_count`
-(2a + 1), the closed rows, and every row (energy, class, and "=" for a
-closed gap).  A set is short when it finds fewer simple edges, usually a
-narrow open gap reported closed.  `SHORT` records the sets known to be
+(2a + 1), the integration rounds (one batched integration of every pending
+piece each) and RHS calls `find_band_edges` spent, so that a change in
+either shows in the log, the closed rows, and every row (energy, class,
+and "=" for a closed gap); a line near the end adds up the rounds and RHS
+calls.  A set is short when it finds fewer simple edges, usually a narrow
+open gap reported closed.  `SHORT` records the sets known to be
 short; the script exits 1 when a set raises or a set outside it comes up
 short, and names any listed set that now finds all its edges.
 """
@@ -69,9 +72,22 @@ def main() -> int:
     t0 = time.perf_counter()
     raised, short, recovered = [], [], []
     count = 0
+    # (rounds, RHS calls) of the set being searched, from each _propagate call
+    cost = [0, 0]
+    propagate = flq._propagate
+
+    def counted(spec, energies):
+        out = propagate(spec, energies)
+        cost[0] += 1
+        cost[1] += out[3].nfev
+        return out
+
+    flq._propagate = counted
+    rounds = nfev = 0
     for key, spec, lo, hi in sets():
         count += 1
         name = label(key)
+        cost[:] = [0, 0]
         try:
             rows = flq.find_band_edges(spec, lo, hi)
         except Exception as exc:  # noqa: BLE001 - a set that raises is reported and the survey goes on
@@ -91,9 +107,12 @@ def main() -> int:
                 status = "ok, listed as short"
         closed = " ".join(f"{r.energy:.10g}{r.period_class}" for r in rows if r.multiplicity == 2)
         cells = " ".join(f"{r.energy:.10g}{r.period_class}{'=' if r.multiplicity == 2 else ''}" for r in rows)
-        print(f"{name:<22} [{lo:.6g}, {hi:.6g}] simple {simple}/{expected} {status}; closed [{closed}]; rows [{cells}]")
+        rounds, nfev = rounds + cost[0], nfev + cost[1]
+        print(f"{name:<22} [{lo:.6g}, {hi:.6g}] simple {simple}/{expected} {status}; rounds {cost[0]},"
+              f" RHS calls {cost[1]}; closed [{closed}]; rows [{cells}]")
 
     unlisted = [label(k) for k in short if k not in SHORT]
+    print(f"{count} sets, {rounds} integration rounds, {nfev} RHS calls")
     print(f"{count} sets, {len(raised)} raise, {len(short)} short: {', '.join(map(label, short))}")
     if recovered:
         print(f"listed as short but complete now: {', '.join(recovered)}")
